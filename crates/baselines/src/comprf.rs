@@ -16,8 +16,7 @@
 
 use regless_compiler::CompiledKernel;
 use regless_isa::{InsnRef, Instruction, LaneVec, Opcode, Reg};
-use regless_sim::{BackendCtx, Cycle, GpuConfig, OperandBackend, SchedulerKind};
-use std::collections::HashSet;
+use regless_sim::{BackendCtx, Cycle, GpuConfig, OperandBackend, SchedulerKind, WarpAdmission};
 use std::sync::Arc;
 
 /// Quarter-entry units a compressible register occupies.
@@ -79,15 +78,8 @@ pub struct CompressRfBackend {
     compiled: Arc<CompiledKernel>,
     /// Per-register compressibility, indexed by register id.
     compressible: Vec<bool>,
-    /// How many warps' footprints fit the physical file at once.
-    cap: usize,
-    admitted: HashSet<usize>,
-    finished: HashSet<usize>,
-    warps_per_sm: usize,
-    /// Warps throttled as of the last `begin_cycle`, so a fast-path skip
-    /// can bulk-charge `comprf_throttled_warp_cycles` for the cycles it
-    /// jumps.
-    throttled_now: u64,
+    /// Warps admitted while their footprints fit the physical file.
+    admission: WarpAdmission,
 }
 
 impl CompressRfBackend {
@@ -108,11 +100,7 @@ impl CompressRfBackend {
         CompressRfBackend {
             compiled,
             compressible,
-            cap,
-            admitted: HashSet::new(),
-            finished: HashSet::new(),
-            warps_per_sm: gpu.warps_per_sm,
-            throttled_now: 0,
+            admission: WarpAdmission::new(gpu.warps_per_sm, cap),
         }
     }
 
@@ -134,28 +122,14 @@ impl CompressRfBackend {
 
     /// How many warps' footprints fit the physical file at once.
     pub fn concurrent_warps(&self) -> usize {
-        self.cap
+        self.admission.cap()
     }
 }
 
 impl OperandBackend for CompressRfBackend {
     fn begin_cycle(&mut self, ctx: &mut BackendCtx<'_>) {
         // Admit warps in id order while their footprints fit.
-        if self.admitted.len() < self.cap {
-            for w in 0..self.warps_per_sm {
-                if self.admitted.len() >= self.cap {
-                    break;
-                }
-                if !self.finished.contains(&w) {
-                    self.admitted.insert(w);
-                }
-            }
-        }
-        let throttled = self
-            .warps_per_sm
-            .saturating_sub(self.finished.len() + self.admitted.len());
-        self.throttled_now = throttled as u64;
-        ctx.stats.comprf_throttled_warp_cycles += throttled as u64;
+        ctx.stats.comprf_throttled_warp_cycles += self.admission.admit() as u64;
     }
 
     fn next_wakeup(&self, _now: Cycle) -> Option<Cycle> {
@@ -165,22 +139,18 @@ impl OperandBackend for CompressRfBackend {
     }
 
     fn on_skip(&mut self, from: Cycle, to: Cycle, stats: &mut regless_sim::SmStats) {
-        // The stepped loop would have charged `throttled_now` once per
-        // skipped cycle.
-        stats.comprf_throttled_warp_cycles += self.throttled_now * (to - from);
+        // The stepped loop would have charged the throttled warps once
+        // per skipped cycle.
+        stats.comprf_throttled_warp_cycles += self.admission.throttled() * (to - from);
     }
 
     fn warp_eligible(&mut self, w: usize, _pc: InsnRef) -> bool {
-        self.admitted.contains(&w)
+        self.admission.is_admitted(w)
     }
 
     fn issue_stall(&self, w: usize, _pc: InsnRef) -> Option<regless_sim::StallReason> {
-        if self.finished.contains(&w) {
-            None
-        } else {
-            // Throttled: waiting for physical-entry capacity.
-            Some(regless_sim::StallReason::OsuCapacityWait)
-        }
+        // Throttled: waiting for physical-entry capacity.
+        self.admission.issue_stall(w)
     }
 
     fn on_issue(
@@ -217,8 +187,7 @@ impl OperandBackend for CompressRfBackend {
     }
 
     fn on_warp_finish(&mut self, w: usize, _ctx: &mut BackendCtx<'_>) {
-        self.admitted.remove(&w);
-        self.finished.insert(w);
+        self.admission.finish(w);
         let _ = &self.compiled;
     }
 }

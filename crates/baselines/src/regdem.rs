@@ -14,8 +14,7 @@
 
 use regless_compiler::CompiledKernel;
 use regless_isa::{InsnRef, Instruction, LaneVec, Reg};
-use regless_sim::{BackendCtx, Cycle, GpuConfig, OperandBackend};
-use std::collections::HashSet;
+use regless_sim::{BackendCtx, Cycle, GpuConfig, OperandBackend, WarpAdmission};
 use std::sync::Arc;
 
 /// Shared-memory scratch partition reserved for demoted registers, per
@@ -27,19 +26,13 @@ pub const SCRATCH_BYTES_PER_SM: usize = 48 * 1024;
 /// The RegDem operand backend.
 pub struct RegDemBackend {
     compiled: Arc<CompiledKernel>,
-    /// Registers kept in the (half-size) register file.
-    hot: HashSet<Reg>,
-    /// How many warps' spill slabs fit the scratch partition at once.
-    cap: usize,
+    /// Whether each register (by index) is kept in the (half-size)
+    /// register file.
+    hot: Vec<bool>,
     /// Shared-memory access latency charged per cold-operand instruction.
     spill_latency: Cycle,
-    admitted: HashSet<usize>,
-    finished: HashSet<usize>,
-    warps_per_sm: usize,
-    /// Warps throttled as of the last `begin_cycle`, so a fast-path skip
-    /// can bulk-charge `spill_throttled_warp_cycles` for the cycles it
-    /// jumps.
-    throttled_now: u64,
+    /// Warps admitted while their spill slabs fit the scratch partition.
+    admission: WarpAdmission,
 }
 
 impl RegDemBackend {
@@ -63,12 +56,11 @@ impl RegDemBackend {
         let hot_budget = (half_entries / gpu.warps_per_sm).max(1);
         let mut ranked: Vec<(u64, usize)> = uses.iter().enumerate().map(|(r, &n)| (n, r)).collect();
         ranked.sort_by(|a, b| b.0.cmp(&a.0).then(a.1.cmp(&b.1)));
-        let hot: HashSet<Reg> = ranked
-            .iter()
-            .take(hot_budget)
-            .map(|&(_, r)| Reg(r as u16))
-            .collect();
-        let cold_regs = num_regs.saturating_sub(hot.len());
+        let mut hot = vec![false; num_regs];
+        for &(_, r) in ranked.iter().take(hot_budget) {
+            hot[r] = true;
+        }
+        let cold_regs = num_regs.saturating_sub(hot_budget.min(num_regs));
         let cap = if cold_regs == 0 {
             gpu.warps_per_sm
         } else {
@@ -77,45 +69,27 @@ impl RegDemBackend {
         RegDemBackend {
             compiled,
             hot,
-            cap,
             spill_latency: gpu.latency.shared_mem,
-            admitted: HashSet::new(),
-            finished: HashSet::new(),
-            warps_per_sm: gpu.warps_per_sm,
-            throttled_now: 0,
+            admission: WarpAdmission::new(gpu.warps_per_sm, cap),
         }
     }
 
     /// Whether `reg` stays in the register file (vs the scratch
     /// partition).
     pub fn is_hot(&self, reg: Reg) -> bool {
-        self.hot.contains(&reg)
+        self.hot.get(reg.index()).copied().unwrap_or(false)
     }
 
     /// How many warps' spill slabs fit the scratch partition at once.
     pub fn concurrent_warps(&self) -> usize {
-        self.cap
+        self.admission.cap()
     }
 }
 
 impl OperandBackend for RegDemBackend {
     fn begin_cycle(&mut self, ctx: &mut BackendCtx<'_>) {
         // Admit warps in id order while their spill slabs fit.
-        if self.admitted.len() < self.cap {
-            for w in 0..self.warps_per_sm {
-                if self.admitted.len() >= self.cap {
-                    break;
-                }
-                if !self.finished.contains(&w) {
-                    self.admitted.insert(w);
-                }
-            }
-        }
-        let throttled = self
-            .warps_per_sm
-            .saturating_sub(self.finished.len() + self.admitted.len());
-        self.throttled_now = throttled as u64;
-        ctx.stats.spill_throttled_warp_cycles += throttled as u64;
+        ctx.stats.spill_throttled_warp_cycles += self.admission.admit() as u64;
     }
 
     fn next_wakeup(&self, _now: Cycle) -> Option<Cycle> {
@@ -126,23 +100,18 @@ impl OperandBackend for RegDemBackend {
     }
 
     fn on_skip(&mut self, from: Cycle, to: Cycle, stats: &mut regless_sim::SmStats) {
-        // The stepped loop would have charged `throttled_now` once per
-        // skipped cycle (the admitted/finished sets are frozen while no
-        // warp issues).
-        stats.spill_throttled_warp_cycles += self.throttled_now * (to - from);
+        // The stepped loop would have charged the throttled warps once
+        // per skipped cycle.
+        stats.spill_throttled_warp_cycles += self.admission.throttled() * (to - from);
     }
 
     fn warp_eligible(&mut self, w: usize, _pc: InsnRef) -> bool {
-        self.admitted.contains(&w)
+        self.admission.is_admitted(w)
     }
 
     fn issue_stall(&self, w: usize, _pc: InsnRef) -> Option<regless_sim::StallReason> {
-        if self.finished.contains(&w) {
-            None
-        } else {
-            // Throttled: waiting for scratch-partition capacity.
-            Some(regless_sim::StallReason::OsuCapacityWait)
-        }
+        // Throttled: waiting for scratch-partition capacity.
+        self.admission.issue_stall(w)
     }
 
     fn on_issue(
@@ -192,8 +161,7 @@ impl OperandBackend for RegDemBackend {
     }
 
     fn on_warp_finish(&mut self, w: usize, _ctx: &mut BackendCtx<'_>) {
-        self.admitted.remove(&w);
-        self.finished.insert(w);
+        self.admission.finish(w);
         let _ = &self.compiled;
     }
 }

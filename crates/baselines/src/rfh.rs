@@ -13,7 +13,6 @@
 use regless_compiler::CompiledKernel;
 use regless_isa::{InsnRef, Instruction, Kernel, LaneVec, Reg};
 use regless_sim::{BackendCtx, Cycle, OperandBackend, SchedulerKind};
-use std::collections::HashMap;
 
 /// The storage level a value is allocated to.
 #[derive(Clone, Copy, PartialEq, Eq, Debug)]
@@ -35,28 +34,40 @@ const LRF_DISTANCE: usize = 2;
 /// placement, mirroring the 6-entry RFC of the original design.
 const RFC_WINDOW: usize = 12;
 
-/// Static placement of every read and write.
+/// Static placement of every read and write, laid out per instruction
+/// (`[block][idx]`, like the compiler's region index).
 #[derive(Clone, Debug)]
 pub struct RfhPlacement {
-    /// Level of each defining instruction's result.
-    def_level: HashMap<InsnRef, RfhLevel>,
-    /// Level each (instruction, source register) read comes from.
-    read_level: HashMap<(InsnRef, Reg), RfhLevel>,
+    insns: Vec<Vec<InsnPlacement>>,
+}
+
+/// One instruction's placement: the level its result is written to, and
+/// the level each distinct register it reads comes from (at most three
+/// sources; a read with no placed definition in the block is absent and
+/// comes from the MRF).
+#[derive(Clone, Copy, Debug)]
+struct InsnPlacement {
+    def: RfhLevel,
+    reads: [Option<(Reg, RfhLevel)>; 3],
 }
 
 impl RfhPlacement {
     /// Run the placement analysis using the kernel's liveness facts.
     pub fn analyze(kernel: &Kernel, liveness: &regless_compiler::Liveness) -> Self {
-        let mut def_level = HashMap::new();
-        let mut read_level = HashMap::new();
+        let unplaced = InsnPlacement {
+            def: RfhLevel::Mrf,
+            reads: [None; 3],
+        };
+        let mut placed: Vec<Vec<InsnPlacement>> = kernel
+            .blocks()
+            .iter()
+            .map(|b| vec![unplaced; b.len()])
+            .collect();
         for block in kernel.blocks() {
             let insns = block.insns();
+            let row = &mut placed[block.id().index()];
             for (i, insn) in insns.iter().enumerate() {
                 let Some(d) = insn.dst() else { continue };
-                let at = InsnRef {
-                    block: block.id(),
-                    idx: i,
-                };
                 // Find the uses of this definition within the block (up to
                 // a redefinition); any use beyond the block forces MRF.
                 let mut uses: Vec<usize> = Vec::new();
@@ -81,51 +92,49 @@ impl RfhPlacement {
                 } else {
                     RfhLevel::Mrf
                 };
-                def_level.insert(at, level);
+                row[i].def = level;
                 for &j in &uses {
-                    read_level.insert(
-                        (
-                            InsnRef {
-                                block: block.id(),
-                                idx: j,
-                            },
-                            d,
-                        ),
-                        level,
-                    );
+                    let slot = row[j]
+                        .reads
+                        .iter_mut()
+                        .find(|r| r.is_none_or(|(reg, _)| reg == d))
+                        .expect("an instruction reads at most three registers");
+                    *slot = Some((d, level));
                 }
             }
         }
-        RfhPlacement {
-            def_level,
-            read_level,
-        }
+        RfhPlacement { insns: placed }
     }
 
     /// Level a definition writes to.
     pub fn def_level(&self, at: InsnRef) -> RfhLevel {
-        self.def_level.get(&at).copied().unwrap_or(RfhLevel::Mrf)
+        self.insns[at.block.index()][at.idx].def
     }
 
     /// Level a read comes from.
     pub fn read_level(&self, at: InsnRef, reg: Reg) -> RfhLevel {
-        self.read_level
-            .get(&(at, reg))
-            .copied()
-            .unwrap_or(RfhLevel::Mrf)
+        self.insns[at.block.index()][at.idx]
+            .reads
+            .iter()
+            .flatten()
+            .find(|&&(r, _)| r == reg)
+            .map_or(RfhLevel::Mrf, |&(_, level)| level)
     }
 
     /// Fraction of reads that avoid the MRF (for sanity checks).
     pub fn non_mrf_read_fraction(&self) -> f64 {
-        if self.read_level.is_empty() {
+        let placed = || {
+            self.insns
+                .iter()
+                .flatten()
+                .flat_map(|p| p.reads.iter().flatten())
+        };
+        let total = placed().count();
+        if total == 0 {
             return 0.0;
         }
-        let hits = self
-            .read_level
-            .values()
-            .filter(|&&l| l != RfhLevel::Mrf)
-            .count();
-        hits as f64 / self.read_level.len() as f64
+        let hits = placed().filter(|&&(_, l)| l != RfhLevel::Mrf).count();
+        hits as f64 / total as f64
     }
 }
 

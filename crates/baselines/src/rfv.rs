@@ -11,24 +11,15 @@
 
 use regless_compiler::CompiledKernel;
 use regless_isa::{InsnRef, Instruction, LaneVec, Reg};
-use regless_sim::{BackendCtx, Cycle, GpuConfig, OperandBackend, SchedulerKind};
-use std::collections::HashSet;
+use regless_sim::{BackendCtx, Cycle, GpuConfig, OperandBackend, SchedulerKind, WarpAdmission};
 use std::sync::Arc;
 
 /// The RFV operand backend.
 pub struct RfvBackend {
     compiled: Arc<CompiledKernel>,
-    /// Physical registers available (half the baseline allocation for this
-    /// kernel).
-    pool: usize,
-    /// Peak concurrently-live registers of one warp (static).
-    max_live_per_warp: usize,
-    admitted: HashSet<usize>,
-    finished: HashSet<usize>,
-    warps_per_sm: usize,
-    /// Warps throttled as of the last `begin_cycle`, so a fast-path skip
-    /// can bulk-charge `rfv_throttled_warp_cycles` for the cycles it jumps.
-    throttled_now: u64,
+    /// Warps admitted while their peak live sets fit the physical pool
+    /// (half the baseline allocation).
+    admission: WarpAdmission,
 }
 
 impl RfvBackend {
@@ -48,12 +39,7 @@ impl RfvBackend {
             .max(1);
         RfvBackend {
             compiled,
-            pool,
-            max_live_per_warp,
-            admitted: HashSet::new(),
-            finished: HashSet::new(),
-            warps_per_sm: gpu.warps_per_sm,
-            throttled_now: 0,
+            admission: WarpAdmission::new(gpu.warps_per_sm, (pool / max_live_per_warp).max(1)),
         }
     }
 
@@ -66,29 +52,14 @@ impl RfvBackend {
 
     /// How many warps can hold registers concurrently.
     pub fn concurrent_warps(&self) -> usize {
-        (self.pool / self.max_live_per_warp).max(1)
+        self.admission.cap()
     }
 }
 
 impl OperandBackend for RfvBackend {
     fn begin_cycle(&mut self, ctx: &mut BackendCtx<'_>) {
-        let cap = self.concurrent_warps();
         // Admit warps in id order while the live sets fit.
-        if self.admitted.len() < cap {
-            for w in 0..self.warps_per_sm {
-                if self.admitted.len() >= cap {
-                    break;
-                }
-                if !self.finished.contains(&w) {
-                    self.admitted.insert(w);
-                }
-            }
-        }
-        let throttled = self
-            .warps_per_sm
-            .saturating_sub(self.finished.len() + self.admitted.len());
-        self.throttled_now = throttled as u64;
-        ctx.stats.rfv_throttled_warp_cycles += throttled as u64;
+        ctx.stats.rfv_throttled_warp_cycles += self.admission.admit() as u64;
     }
 
     fn next_wakeup(&self, _now: Cycle) -> Option<Cycle> {
@@ -100,23 +71,18 @@ impl OperandBackend for RfvBackend {
     }
 
     fn on_skip(&mut self, from: Cycle, to: Cycle, stats: &mut regless_sim::SmStats) {
-        // The stepped loop would have charged `throttled_now` once per
-        // skipped cycle (the admitted/finished sets are frozen while no
-        // warp issues).
-        stats.rfv_throttled_warp_cycles += self.throttled_now * (to - from);
+        // The stepped loop would have charged the throttled warps once
+        // per skipped cycle.
+        stats.rfv_throttled_warp_cycles += self.admission.throttled() * (to - from);
     }
 
     fn warp_eligible(&mut self, w: usize, _pc: InsnRef) -> bool {
-        self.admitted.contains(&w)
+        self.admission.is_admitted(w)
     }
 
     fn issue_stall(&self, w: usize, _pc: InsnRef) -> Option<regless_sim::StallReason> {
-        if self.finished.contains(&w) {
-            None
-        } else {
-            // Throttled: waiting for physical-register pool capacity.
-            Some(regless_sim::StallReason::OsuCapacityWait)
-        }
+        // Throttled: waiting for physical-register pool capacity.
+        self.admission.issue_stall(w)
     }
 
     fn on_issue(
@@ -147,8 +113,7 @@ impl OperandBackend for RfvBackend {
     }
 
     fn on_warp_finish(&mut self, w: usize, _ctx: &mut BackendCtx<'_>) {
-        self.admitted.remove(&w);
-        self.finished.insert(w);
+        self.admission.finish(w);
         let _ = &self.compiled;
     }
 }

@@ -27,7 +27,7 @@ fn main() {
         });
     }
     {
-        let mut osu = Osu::new(16);
+        let mut osu = Osu::new(16, 64);
         let v = LaneVec::splat(1);
         bench("osu/write_erase_cycle", || {
             for w in 0..8usize {
@@ -37,7 +37,7 @@ fn main() {
         });
     }
     {
-        let mut osu = Osu::new(4);
+        let mut osu = Osu::new(4, 64);
         let v = LaneVec::splat(2);
         bench("osu/churn_with_eviction", || {
             for w in 0..16usize {

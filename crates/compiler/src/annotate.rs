@@ -53,7 +53,9 @@ impl InsnNotes {
 /// All lifetime annotations for one compiled kernel.
 #[derive(Clone, Debug)]
 pub struct Annotations {
-    notes: HashMap<InsnRef, InsnNotes>,
+    /// Per instruction, `notes[block][insn_idx]` (the compiler's region
+    /// index layout); unannotated instructions hold the default.
+    notes: Vec<Vec<InsnNotes>>,
     /// Per region: registers whose L1 copies are invalidated when the
     /// region starts.
     cache_invalidates: Vec<Vec<Reg>>,
@@ -62,7 +64,8 @@ pub struct Annotations {
 impl Annotations {
     /// Notes for one instruction, if any.
     pub fn notes(&self, at: InsnRef) -> Option<&InsnNotes> {
-        self.notes.get(&at)
+        let note = &self.notes[at.block.index()][at.idx];
+        (!note.is_default()).then_some(note)
     }
 
     /// Registers invalidated in the L1 when `region` begins.
@@ -72,7 +75,11 @@ impl Annotations {
 
     /// Total number of annotated instructions (used in tests and stats).
     pub fn annotated_insns(&self) -> usize {
-        self.notes.len()
+        self.notes
+            .iter()
+            .flatten()
+            .filter(|n| !n.is_default())
+            .count()
     }
 }
 
@@ -83,7 +90,11 @@ pub fn annotate(
     liveness: &Liveness,
     regions: &[Region],
 ) -> Annotations {
-    let mut notes = HashMap::new();
+    let mut notes: Vec<Vec<InsnNotes>> = kernel
+        .blocks()
+        .iter()
+        .map(|b| vec![InsnNotes::default(); b.len()])
+        .collect();
     for region in regions {
         annotate_region(kernel, liveness, region, &mut notes);
     }
@@ -105,7 +116,7 @@ fn annotate_region(
     kernel: &Kernel,
     liveness: &Liveness,
     region: &Region,
-    notes: &mut HashMap<InsnRef, InsnNotes>,
+    notes: &mut [Vec<InsnNotes>],
 ) {
     let insns = kernel.block(region.block()).insns();
     let mut accessed_later = RegSet::new(kernel.num_regs() as usize);
@@ -144,9 +155,7 @@ fn annotate_region(
             }
             accessed_later.insert(s);
         }
-        if !note.is_default() {
-            notes.insert(at, note);
-        }
+        notes[at.block.index()][idx] = note;
     }
 }
 

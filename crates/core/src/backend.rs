@@ -201,7 +201,7 @@ impl RegLessBackend {
                         lines_per_bank,
                         config.activation_order,
                     ),
-                    osu: Osu::new(lines_per_bank),
+                    osu: Osu::new(lines_per_bank, gpu.warps_per_sm),
                     compressor: Compressor::with_patterns(
                         config.compressor_lines_per_shard,
                         gpu.warps_per_sm,
@@ -258,12 +258,11 @@ impl RegLessBackend {
             }
         }
         shard.cm.begin_drain(w, pending);
-        let released = shard
-            .osu
-            .release_warp_except(w, |reg| inflight[reg.index()] > 0);
-        for reg in released {
-            Self::note_eviction(ctx, EvictionReason::RegionDrain, w, reg);
-        }
+        shard.osu.release_warp_except(
+            w,
+            |reg| inflight[reg.index()] > 0,
+            |reg| Self::note_eviction(ctx, EvictionReason::RegionDrain, w, reg),
+        );
     }
 
     /// Spill a displaced dirty line through the compressor (or to the L1
@@ -535,11 +534,9 @@ impl OperandBackend for RegLessBackend {
 
             let shard = &mut self.shards[s];
 
-            // 4. Region transitions driven by warp PCs.
-            for (w, warp) in warps.iter().enumerate() {
-                if w % self.num_scheds != s {
-                    continue;
-                }
+            // 4. Region transitions driven by warp PCs, over this shard's
+            // own warps (`w % num_scheds == s`).
+            for (w, warp) in warps.iter().enumerate().skip(s).step_by(self.num_scheds) {
                 match shard.cm.phase(w) {
                     WarpPhase::Active(region) => {
                         let left_region = match warp.pc() {

@@ -231,9 +231,10 @@ pub struct CompressedHit {
 /// ```
 #[derive(Clone, Debug)]
 pub struct Compressor {
-    /// Register → compressed value. Presence here is the paper's
-    /// "compressed" bit vector.
-    table: std::collections::HashMap<(usize, Reg), Compressed>,
+    /// Register → compressed value, laid out like register memory
+    /// (`reg * warps_per_sm + warp`) and grown as higher registers appear.
+    /// Presence here is the paper's "compressed" bit vector.
+    table: Vec<Option<Compressed>>,
     /// Internal cache of compressed line ids (LRU).
     cache: Vec<(u64, u64)>,
     capacity: usize,
@@ -259,7 +260,7 @@ impl Compressor {
         patterns: PatternSet,
     ) -> Self {
         Compressor {
-            table: std::collections::HashMap::new(),
+            table: Vec::new(),
             cache: Vec::new(),
             capacity: cache_lines.max(1),
             warps_per_sm,
@@ -269,10 +270,37 @@ impl Compressor {
         }
     }
 
-    /// The compressed line a register belongs to, following the register→
-    /// memory layout (all of R0, then all of R1, …).
+    /// A register's position in the register→memory layout (all of R0,
+    /// then all of R1, …).
+    fn slot(&self, warp: usize, reg: Reg) -> usize {
+        assert!(
+            warp < self.warps_per_sm,
+            "warp {warp} outside the compressor's {} warps",
+            self.warps_per_sm
+        );
+        reg.index() * self.warps_per_sm + warp
+    }
+
+    /// The compressed line a register belongs to.
     fn line_of(&self, warp: usize, reg: Reg) -> u64 {
-        ((reg.index() * self.warps_per_sm + warp) / REGS_PER_COMPRESSED_LINE) as u64
+        (self.slot(warp, reg) / REGS_PER_COMPRESSED_LINE) as u64
+    }
+
+    fn entry(&self, warp: usize, reg: Reg) -> Option<Compressed> {
+        self.table.get(self.slot(warp, reg)).copied().flatten()
+    }
+
+    /// Set or clear a register's compressed value.
+    fn set_entry(&mut self, warp: usize, reg: Reg, value: Option<Compressed>) {
+        let slot = self.slot(warp, reg);
+        if slot >= self.table.len() {
+            if value.is_none() {
+                return;
+            }
+            self.table
+                .resize((reg.index() + 1) * self.warps_per_sm, None);
+        }
+        self.table[slot] = value;
     }
 
     /// Touch a line in the internal cache; returns whether it missed.
@@ -298,7 +326,7 @@ impl Compressor {
     /// Whether the register is currently stored compressed (the bit-vector
     /// check that precedes any line fetch).
     pub fn is_compressed(&self, warp: usize, reg: Reg) -> bool {
-        self.table.contains_key(&(warp, reg))
+        self.entry(warp, reg).is_some()
     }
 
     /// Offer an evicted register value.
@@ -310,7 +338,7 @@ impl Compressor {
             Some(c) => {
                 let line = self.line_of(warp, reg);
                 let line_miss = self.touch_line(line);
-                self.table.insert((warp, reg), c);
+                self.set_entry(warp, reg, Some(c));
                 StoreOutcome::Compressed {
                     line_miss,
                     kind: c.kind(),
@@ -318,7 +346,7 @@ impl Compressor {
             }
             None => {
                 // A stale compressed copy must not shadow the new value.
-                self.table.remove(&(warp, reg));
+                self.set_entry(warp, reg, None);
                 StoreOutcome::Incompressible
             }
         }
@@ -326,7 +354,7 @@ impl Compressor {
 
     /// Fetch a compressed register during preload, if present.
     pub fn load(&mut self, warp: usize, reg: Reg) -> Option<CompressedHit> {
-        let c = *self.table.get(&(warp, reg))?;
+        let c = self.entry(warp, reg)?;
         let line = self.line_of(warp, reg);
         let line_miss = self.touch_line(line);
         Some(CompressedHit {
@@ -337,12 +365,12 @@ impl Compressor {
 
     /// Drop a register (invalidating read or cache-invalidate annotation).
     pub fn invalidate(&mut self, warp: usize, reg: Reg) {
-        self.table.remove(&(warp, reg));
+        self.set_entry(warp, reg, None);
     }
 
     /// Number of registers currently held compressed.
     pub fn resident(&self) -> usize {
-        self.table.len()
+        self.table.iter().filter(|e| e.is_some()).count()
     }
 }
 

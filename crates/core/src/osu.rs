@@ -10,7 +10,6 @@
 
 use regless_compiler::NUM_BANKS;
 use regless_isa::{LaneVec, Reg};
-use std::collections::HashMap;
 
 /// Lifecycle state of one OSU line.
 #[derive(Clone, Copy, PartialEq, Eq, Debug)]
@@ -22,7 +21,7 @@ enum LineState {
     Evictable,
 }
 
-#[derive(Clone, Debug)]
+#[derive(Clone, Copy, Debug)]
 struct Line {
     warp: usize,
     reg: Reg,
@@ -71,14 +70,12 @@ pub fn runtime_bank(warp: usize, reg: Reg) -> usize {
 #[derive(Clone, Debug)]
 struct Bank {
     lines: Vec<Line>,
-    tags: HashMap<(usize, Reg), usize>,
 }
 
 impl Bank {
     fn new(lines: usize) -> Self {
         Bank {
             lines: vec![Line::free(); lines],
-            tags: HashMap::new(),
         }
     }
 
@@ -102,13 +99,16 @@ impl Bank {
     }
 }
 
+/// Marks a `(warp, register)` with no resident line in [`Osu`]'s tag table.
+const NO_LINE: u32 = u32::MAX;
+
 /// One shard's operand staging unit.
 ///
 /// ```
 /// use regless_core::Osu;
 /// use regless_isa::{LaneVec, Reg};
 ///
-/// let mut osu = Osu::new(16);
+/// let mut osu = Osu::new(16, 64);
 /// osu.write(0, Reg(3), LaneVec::splat(7));        // active line
 /// assert_eq!(osu.read(0, Reg(3)), Some(LaneVec::splat(7)));
 /// osu.release(0, Reg(3));                          // evictable (dirty)
@@ -119,6 +119,12 @@ impl Bank {
 #[derive(Clone, Debug)]
 pub struct Osu {
     banks: Vec<Bank>,
+    /// The tag store: the line index (within its bank, which the pair
+    /// determines) of every resident `(warp, register)`, laid out
+    /// register-major (`reg * warps + warp`) and grown as higher registers
+    /// appear; [`NO_LINE`] when not resident.
+    tags: Vec<u32>,
+    warps: usize,
     lines_per_bank: usize,
     release_seq: u64,
     lines_evicted: u64,
@@ -143,15 +149,18 @@ pub struct InstallResult {
 }
 
 impl Osu {
-    /// An OSU with `lines_per_bank` lines in each of its banks.
+    /// An OSU with `lines_per_bank` lines in each of its banks, staging
+    /// registers of SM-local warps `0..warps`.
     ///
     /// # Panics
     ///
     /// Panics if `lines_per_bank` is zero.
-    pub fn new(lines_per_bank: usize) -> Self {
+    pub fn new(lines_per_bank: usize, warps: usize) -> Self {
         assert!(lines_per_bank > 0, "OSU banks need at least one line");
         Osu {
             banks: (0..NUM_BANKS).map(|_| Bank::new(lines_per_bank)).collect(),
+            tags: Vec::new(),
+            warps,
             lines_per_bank,
             release_seq: 0,
             lines_evicted: 0,
@@ -178,17 +187,48 @@ impl Osu {
         self.lines_evicted
     }
 
+    fn tag_slot(&self, warp: usize, reg: Reg) -> usize {
+        assert!(
+            warp < self.warps,
+            "warp {warp} outside the OSU's {} warps",
+            self.warps
+        );
+        reg.index() * self.warps + warp
+    }
+
+    /// The resident line index of a register within its bank.
+    fn tag(&self, warp: usize, reg: Reg) -> Option<usize> {
+        match self.tags.get(self.tag_slot(warp, reg)) {
+            Some(&i) if i != NO_LINE => Some(i as usize),
+            _ => None,
+        }
+    }
+
+    fn set_tag(&mut self, warp: usize, reg: Reg, line: u32) {
+        let slot = self.tag_slot(warp, reg);
+        if slot >= self.tags.len() {
+            self.tags.resize((reg.index() + 1) * self.warps, NO_LINE);
+        }
+        self.tags[slot] = line;
+    }
+
+    /// Drop a register's tag; returns the line it held.
+    fn take_tag(&mut self, warp: usize, reg: Reg) -> Option<usize> {
+        let line = self.tag(warp, reg)?;
+        let slot = self.tag_slot(warp, reg);
+        self.tags[slot] = NO_LINE;
+        Some(line)
+    }
+
     /// Whether the register is resident (any state but free).
     pub fn contains(&self, warp: usize, reg: Reg) -> bool {
-        let b = runtime_bank(warp, reg);
-        self.banks[b].tags.contains_key(&(warp, reg))
+        self.tag(warp, reg).is_some()
     }
 
     /// Read a staged value (does not change state).
     pub fn read(&self, warp: usize, reg: Reg) -> Option<LaneVec> {
         let b = runtime_bank(warp, reg);
-        let bank = &self.banks[b];
-        bank.tags.get(&(warp, reg)).map(|&i| bank.lines[i].value)
+        self.tag(warp, reg).map(|i| self.banks[b].lines[i].value)
     }
 
     /// Write a value from an executing region: updates in place or
@@ -205,9 +245,8 @@ impl Osu {
 
     fn install(&mut self, warp: usize, reg: Reg, value: LaneVec, dirty: bool) -> InstallResult {
         let b = runtime_bank(warp, reg);
-        let bank = &mut self.banks[b];
-        if let Some(&i) = bank.tags.get(&(warp, reg)) {
-            let line = &mut bank.lines[i];
+        if let Some(i) = self.tag(warp, reg) {
+            let line = &mut self.banks[b].lines[i];
             line.value = value;
             line.dirty |= dirty;
             line.state = LineState::Active;
@@ -218,7 +257,7 @@ impl Osu {
                 failed: false,
             };
         }
-        let Some((victim, victim_dirty)) = bank.find_victim() else {
+        let Some((victim, victim_dirty)) = self.banks[b].find_victim() else {
             return InstallResult {
                 allocated: false,
                 spilled: None,
@@ -226,27 +265,21 @@ impl Osu {
                 failed: true,
             };
         };
-        let spilled = if victim_dirty {
-            let v = &bank.lines[victim];
-            Some(EvictedLine {
-                warp: v.warp,
-                reg: v.reg,
-                value: v.value,
-            })
-        } else {
-            None
-        };
+        let old = self.banks[b].lines[victim];
+        let spilled = victim_dirty.then_some(EvictedLine {
+            warp: old.warp,
+            reg: old.reg,
+            value: old.value,
+        });
         let mut dropped_clean = None;
-        if bank.lines[victim].state != LineState::Free {
-            let key = (bank.lines[victim].warp, bank.lines[victim].reg);
-            bank.tags.remove(&key);
+        if old.state != LineState::Free {
+            self.take_tag(old.warp, old.reg);
             if !victim_dirty {
-                dropped_clean = Some(key);
+                dropped_clean = Some((old.warp, old.reg));
             }
             self.lines_evicted += 1;
         }
-        let bank = &mut self.banks[b];
-        bank.lines[victim] = Line {
+        self.banks[b].lines[victim] = Line {
             warp,
             reg,
             value,
@@ -254,7 +287,7 @@ impl Osu {
             dirty,
             released_seq: 0,
         };
-        bank.tags.insert((warp, reg), victim);
+        self.set_tag(warp, reg, victim as u32);
         InstallResult {
             allocated: true,
             spilled,
@@ -267,10 +300,9 @@ impl Osu {
     /// hit. Returns `false` if the register is not resident.
     pub fn promote(&mut self, warp: usize, reg: Reg) -> bool {
         let b = runtime_bank(warp, reg);
-        let bank = &mut self.banks[b];
-        match bank.tags.get(&(warp, reg)) {
-            Some(&i) => {
-                bank.lines[i].state = LineState::Active;
+        match self.tag(warp, reg) {
+            Some(i) => {
+                self.banks[b].lines[i].state = LineState::Active;
                 true
             }
             None => false,
@@ -281,9 +313,8 @@ impl Osu {
     /// Returns whether a resident line was actually reclaimed.
     pub fn erase(&mut self, warp: usize, reg: Reg) -> bool {
         let b = runtime_bank(warp, reg);
-        let bank = &mut self.banks[b];
-        if let Some(i) = bank.tags.remove(&(warp, reg)) {
-            bank.lines[i] = Line::free();
+        if let Some(i) = self.take_tag(warp, reg) {
+            self.banks[b].lines[i] = Line::free();
             self.lines_evicted += 1;
             true
         } else {
@@ -298,11 +329,11 @@ impl Osu {
         self.release_seq += 1;
         let seq = self.release_seq;
         let b = runtime_bank(warp, reg);
-        let bank = &mut self.banks[b];
-        if let Some(&i) = bank.tags.get(&(warp, reg)) {
-            let transitioned = bank.lines[i].state == LineState::Active;
-            bank.lines[i].state = LineState::Evictable;
-            bank.lines[i].released_seq = seq;
+        if let Some(i) = self.tag(warp, reg) {
+            let line = &mut self.banks[b].lines[i];
+            let transitioned = line.state == LineState::Active;
+            line.state = LineState::Evictable;
+            line.released_seq = seq;
             if transitioned {
                 self.lines_evicted += 1;
             }
@@ -312,30 +343,36 @@ impl Osu {
         }
     }
 
-    /// Release every active line of a warp (drain completion); returns the
-    /// released registers.
-    pub fn release_warp(&mut self, warp: usize) -> Vec<Reg> {
-        self.release_warp_except(warp, |_| false)
+    /// Release every active line of a warp (drain completion); returns how
+    /// many lines were released.
+    pub fn release_warp(&mut self, warp: usize) -> usize {
+        let mut released = 0;
+        self.release_warp_except(warp, |_| false, |_| released += 1);
+        released
     }
 
     /// Release a warp's active lines except those for which `keep` returns
     /// true (lines with writebacks still in flight stay allocated during a
-    /// drain). Returns the released registers.
-    pub fn release_warp_except(&mut self, warp: usize, keep: impl Fn(Reg) -> bool) -> Vec<Reg> {
+    /// drain), handing each released register to `on_release` in bank,
+    /// then line, order.
+    pub fn release_warp_except(
+        &mut self,
+        warp: usize,
+        keep: impl Fn(Reg) -> bool,
+        mut on_release: impl FnMut(Reg),
+    ) {
         self.release_seq += 1;
         let seq = self.release_seq;
-        let mut released = Vec::new();
         for bank in &mut self.banks {
             for line in &mut bank.lines {
                 if line.state == LineState::Active && line.warp == warp && !keep(line.reg) {
                     line.state = LineState::Evictable;
                     line.released_seq = seq;
-                    released.push(line.reg);
+                    self.lines_evicted += 1;
+                    on_release(line.reg);
                 }
             }
         }
-        self.lines_evicted += released.len() as u64;
-        released
     }
 
     /// Number of non-active (allocatable) lines in a bank.
@@ -386,7 +423,7 @@ mod tests {
 
     #[test]
     fn write_then_read() {
-        let mut osu = Osu::new(4);
+        let mut osu = Osu::new(4, 32);
         let r = osu.write(0, Reg(3), LaneVec::splat(7));
         assert!(r.allocated && r.spilled.is_none() && !r.failed);
         assert_eq!(osu.read(0, Reg(3)), Some(LaneVec::splat(7)));
@@ -395,7 +432,7 @@ mod tests {
 
     #[test]
     fn fill_is_clean_write_is_dirty() {
-        let mut osu = Osu::new(1);
+        let mut osu = Osu::new(1, 32);
         // Fill then displace: clean lines drop silently.
         osu.fill(0, Reg(0), LaneVec::splat(1));
         osu.release(0, Reg(0));
@@ -416,7 +453,7 @@ mod tests {
 
     #[test]
     fn allocation_fails_when_bank_full_of_active() {
-        let mut osu = Osu::new(1);
+        let mut osu = Osu::new(1, 32);
         osu.write(0, Reg(0), LaneVec::zero());
         let r = osu.write(0, Reg(8), LaneVec::zero()); // same bank, both active
         assert!(r.failed);
@@ -424,7 +461,7 @@ mod tests {
 
     #[test]
     fn promote_reactivates() {
-        let mut osu = Osu::new(2);
+        let mut osu = Osu::new(2, 32);
         osu.write(0, Reg(0), LaneVec::splat(5));
         osu.release(0, Reg(0));
         assert_eq!(osu.allocatable(0), 2);
@@ -436,7 +473,7 @@ mod tests {
 
     #[test]
     fn erase_frees() {
-        let mut osu = Osu::new(2);
+        let mut osu = Osu::new(2, 32);
         osu.write(0, Reg(0), LaneVec::zero());
         osu.erase(0, Reg(0));
         assert!(!osu.contains(0, Reg(0)));
@@ -446,18 +483,17 @@ mod tests {
 
     #[test]
     fn release_warp_releases_only_that_warp() {
-        let mut osu = Osu::new(4);
+        let mut osu = Osu::new(4, 32);
         osu.write(0, Reg(0), LaneVec::zero());
         osu.write(0, Reg(1), LaneVec::zero());
         osu.write(1, Reg(0), LaneVec::zero());
-        let released = osu.release_warp(0);
-        assert_eq!(released.len(), 2);
+        assert_eq!(osu.release_warp(0), 2);
         assert_eq!(osu.active_lines(), 1);
     }
 
     #[test]
     fn free_then_clean_then_dirty_order() {
-        let mut osu = Osu::new(3);
+        let mut osu = Osu::new(3, 32);
         // Bank 0: one clean evictable, one dirty evictable, one free.
         osu.fill(0, Reg(0), LaneVec::splat(1));
         osu.release(0, Reg(0));
@@ -477,7 +513,7 @@ mod tests {
 
     #[test]
     fn eviction_counter_counts_each_transition_once() {
-        let mut osu = Osu::new(2);
+        let mut osu = Osu::new(2, 32);
         assert_eq!(osu.lines_evicted(), 0);
         osu.write(0, Reg(0), LaneVec::splat(1));
         assert!(osu.release(0, Reg(0)), "drain transition");
@@ -510,7 +546,7 @@ mod tests {
 
     #[test]
     fn bank_states_census_sums_to_capacity() {
-        let mut osu = Osu::new(3);
+        let mut osu = Osu::new(3, 32);
         osu.write(0, Reg(0), LaneVec::splat(1));
         osu.fill(0, Reg(8), LaneVec::splat(2));
         osu.release(0, Reg(8));
@@ -521,7 +557,7 @@ mod tests {
 
     #[test]
     fn rewrite_in_place_does_not_allocate() {
-        let mut osu = Osu::new(2);
+        let mut osu = Osu::new(2, 32);
         osu.write(0, Reg(0), LaneVec::splat(1));
         let r = osu.write(0, Reg(0), LaneVec::splat(2));
         assert!(!r.allocated);
@@ -559,7 +595,7 @@ mod proptests {
         /// The OSU never exceeds capacity and tags always match lines.
         #[test]
         fn invariants_hold(ops in proptest::collection::vec(arb_op(), 1..200)) {
-            let mut osu = Osu::new(2);
+            let mut osu = Osu::new(2, 32);
             for op in ops {
                 match op {
                     Op::Write(w, r) => { osu.write(w, Reg(r), LaneVec::splat(r as u32)); }
@@ -583,7 +619,7 @@ mod proptests {
         /// A value written and not displaced reads back exactly.
         #[test]
         fn written_values_read_back(w in 0usize..4, r in 0u16..8, v: u32) {
-            let mut osu = Osu::new(4);
+            let mut osu = Osu::new(4, 32);
             osu.write(w, Reg(r), LaneVec::splat(v));
             prop_assert_eq!(osu.read(w, Reg(r)), Some(LaneVec::splat(v)));
         }

@@ -8,6 +8,7 @@
 
 use regless_isa::{LaneVec, Reg};
 use std::collections::HashMap;
+use std::hash::{BuildHasherDefault, Hasher};
 
 /// Byte size of one register's warp-wide value.
 pub const REG_LINE_BYTES: u64 = 128;
@@ -53,12 +54,40 @@ impl RegisterMemoryMap {
     }
 }
 
+/// Hasher for [`RegisterBacking`]'s packed `(warp, register)` keys: one
+/// multiply by an odd constant. The keys are small dense integers chosen
+/// by the simulator, so SipHash's collision resistance buys nothing.
+#[derive(Clone, Copy, Debug, Default)]
+struct SlotHasher(u64);
+
+impl Hasher for SlotHasher {
+    fn write(&mut self, bytes: &[u8]) {
+        for &b in bytes {
+            self.write_u64(u64::from(b));
+        }
+    }
+
+    fn write_u64(&mut self, n: u64) {
+        self.0 = (self.0.rotate_left(5) ^ n).wrapping_mul(0x517c_c1b7_2722_0a95);
+    }
+
+    fn finish(&self) -> u64 {
+        self.0
+    }
+}
+
 /// Value contents of spilled (uncompressed) registers. Presence/timing in
 /// the caches is modelled by the memory hierarchy; this map is the
-/// "DRAM contents".
+/// "DRAM contents". It stays sparse: only spilled registers are held, where
+/// a dense warp × register table would cost 128 bytes for every pair.
 #[derive(Clone, Debug, Default)]
 pub struct RegisterBacking {
-    values: HashMap<(usize, Reg), LaneVec>,
+    values: HashMap<u64, LaneVec, BuildHasherDefault<SlotHasher>>,
+}
+
+/// The backing-store key of a `(warp, register)` pair.
+fn key(warp: usize, reg: Reg) -> u64 {
+    ((warp as u64) << 16) | u64::from(reg.0)
 }
 
 impl RegisterBacking {
@@ -69,21 +98,21 @@ impl RegisterBacking {
 
     /// Store an evicted value.
     pub fn store(&mut self, warp: usize, reg: Reg, value: LaneVec) {
-        self.values.insert((warp, reg), value);
+        self.values.insert(key(warp, reg), value);
     }
 
     /// Read a value back; registers never written spill as zero (reads of
     /// never-defined registers).
     pub fn load(&self, warp: usize, reg: Reg) -> LaneVec {
         self.values
-            .get(&(warp, reg))
+            .get(&key(warp, reg))
             .copied()
             .unwrap_or_else(LaneVec::zero)
     }
 
     /// Drop a dead value.
     pub fn invalidate(&mut self, warp: usize, reg: Reg) {
-        self.values.remove(&(warp, reg));
+        self.values.remove(&key(warp, reg));
     }
 
     /// Number of resident values.

@@ -649,11 +649,24 @@ fn connection_loop(stream: TcpStream, shared: &Arc<Shared>) {
             .flatten()
             .and_then(|v| regless_json::FromJson::from_json(v).ok())
             .unwrap_or(0u64);
-        let response = match Request::from_json(&json) {
-            Ok(req) => handle_request(shared, &req),
-            Err(e) => Response::failure(id, ErrorBody::new(ErrorCode::BadRequest, e.message)),
+        let (response, stop) = match Request::from_json(&json) {
+            Ok(req) => (
+                handle_request(shared, &req),
+                matches!(req.kind, RequestKind::Shutdown),
+            ),
+            Err(e) => (
+                Response::failure(id, ErrorBody::new(ErrorCode::BadRequest, e.message)),
+                false,
+            ),
         };
-        if write_json_line(&mut writer, &response.to_json()).is_err() {
+        let written = write_json_line(&mut writer, &response.to_json());
+        // A `shutdown` is signalled only once its reply is flushed: with
+        // nothing in flight the drain returns at once, and the process may
+        // exit before a reply written later reaches the socket.
+        if stop {
+            shared.request_shutdown();
+        }
+        if written.is_err() {
             return;
         }
     }
@@ -688,13 +701,11 @@ fn handle_request(shared: &Arc<Shared>, req: &Request) -> Response {
     match req.kind {
         RequestKind::Stats => Response::success(req.id, shared.stats_json()),
         RequestKind::Metrics => Response::success(req.id, shared.metrics_json()),
-        RequestKind::Shutdown => {
-            shared.request_shutdown();
-            Response::success(
-                req.id,
-                Json::Obj(vec![("draining".to_string(), Json::Bool(true))]),
-            )
-        }
+        // The connection loop signals the stop after sending this reply.
+        RequestKind::Shutdown => Response::success(
+            req.id,
+            Json::Obj(vec![("draining".to_string(), Json::Bool(true))]),
+        ),
         RequestKind::Run | RequestKind::Profile | RequestKind::Report => {
             handle_simulation(shared, req)
         }

@@ -191,6 +191,87 @@ impl OperandBackend for BaselineRf {
     }
 }
 
+/// Static warp admission shared by the capacity-throttled designs: up to
+/// `cap` unfinished warps are resident at once, admitted in id order, and
+/// a finishing warp frees its slot for the next. The admitted and finished
+/// sets are flat per-warp flags with running counts.
+#[derive(Clone, Debug)]
+pub struct WarpAdmission {
+    admitted: Vec<bool>,
+    finished: Vec<bool>,
+    num_admitted: usize,
+    num_finished: usize,
+    cap: usize,
+    /// Warps left throttled by the last [`WarpAdmission::admit`].
+    throttled: usize,
+}
+
+impl WarpAdmission {
+    /// Admission over `warps_per_sm` warps, at most `cap` resident.
+    pub fn new(warps_per_sm: usize, cap: usize) -> Self {
+        WarpAdmission {
+            admitted: vec![false; warps_per_sm],
+            finished: vec![false; warps_per_sm],
+            num_admitted: 0,
+            num_finished: 0,
+            cap,
+            throttled: 0,
+        }
+    }
+
+    /// Warps that may be resident at once.
+    pub fn cap(&self) -> usize {
+        self.cap
+    }
+
+    /// Admit unfinished warps in id order while below the cap; returns how
+    /// many warps are left throttled (neither admitted nor finished).
+    pub fn admit(&mut self) -> usize {
+        let warps = self.admitted.len();
+        if self.num_admitted < self.cap {
+            for w in 0..warps {
+                if self.num_admitted >= self.cap {
+                    break;
+                }
+                if !self.finished[w] && !self.admitted[w] {
+                    self.admitted[w] = true;
+                    self.num_admitted += 1;
+                }
+            }
+        }
+        self.throttled = warps.saturating_sub(self.num_finished + self.num_admitted);
+        self.throttled
+    }
+
+    /// Warps left throttled by the last [`WarpAdmission::admit`]. The sets
+    /// change only when a warp finishes, which is an issue, so a skipped
+    /// idle span would have throttled this many warps on every cycle.
+    pub fn throttled(&self) -> u64 {
+        self.throttled as u64
+    }
+
+    /// Whether warp `w` is resident.
+    pub fn is_admitted(&self, w: usize) -> bool {
+        self.admitted[w]
+    }
+
+    /// Why warp `w` cannot issue when not admitted: nothing once it has
+    /// finished, otherwise a wait for register capacity.
+    pub fn issue_stall(&self, w: usize) -> Option<StallReason> {
+        (!self.finished[w]).then_some(StallReason::OsuCapacityWait)
+    }
+
+    /// Warp `w` exited: release its slot for good.
+    pub fn finish(&mut self, w: usize) {
+        if std::mem::replace(&mut self.admitted[w], false) {
+            self.num_admitted -= 1;
+        }
+        if !std::mem::replace(&mut self.finished[w], true) {
+            self.num_finished += 1;
+        }
+    }
+}
+
 /// The baseline register file with **static occupancy limiting**: a warp
 /// may only run if the register file has capacity for its full
 /// architectural register allocation, the way real GPUs cap occupancy by
@@ -200,10 +281,7 @@ impl OperandBackend for BaselineRf {
 /// file without any design changes", because it only stores live values).
 #[derive(Clone, Debug)]
 pub struct OccupancyLimitedRf {
-    admitted: std::collections::HashSet<usize>,
-    finished: std::collections::HashSet<usize>,
-    max_resident: usize,
-    warps_per_sm: usize,
+    admission: WarpAdmission,
     inner: BaselineRf,
 }
 
@@ -211,46 +289,30 @@ impl OccupancyLimitedRf {
     /// Build for a kernel needing `regs_per_warp` registers on a machine
     /// with `rf_entries` register-file entries per SM.
     pub fn new(rf_entries: usize, regs_per_warp: usize, warps_per_sm: usize) -> Self {
+        let max_resident = (rf_entries / regs_per_warp.max(1)).max(1);
         OccupancyLimitedRf {
-            admitted: std::collections::HashSet::new(),
-            finished: std::collections::HashSet::new(),
-            max_resident: (rf_entries / regs_per_warp.max(1)).max(1),
-            warps_per_sm,
+            admission: WarpAdmission::new(warps_per_sm, max_resident),
             inner: BaselineRf::new(),
         }
     }
 
     /// Warps that can be resident concurrently.
     pub fn max_resident(&self) -> usize {
-        self.max_resident
+        self.admission.cap()
     }
 }
 
 impl OperandBackend for OccupancyLimitedRf {
     fn begin_cycle(&mut self, _ctx: &mut BackendCtx<'_>) {
-        if self.admitted.len() < self.max_resident {
-            for w in 0..self.warps_per_sm {
-                if self.admitted.len() >= self.max_resident {
-                    break;
-                }
-                if !self.finished.contains(&w) {
-                    self.admitted.insert(w);
-                }
-            }
-        }
+        self.admission.admit();
     }
 
     fn warp_eligible(&mut self, w: usize, _pc: InsnRef) -> bool {
-        self.admitted.contains(&w)
+        self.admission.is_admitted(w)
     }
 
     fn issue_stall(&self, w: usize, _pc: InsnRef) -> Option<StallReason> {
-        if self.finished.contains(&w) {
-            None
-        } else {
-            // Not admitted: waiting for register-file capacity.
-            Some(StallReason::OsuCapacityWait)
-        }
+        self.admission.issue_stall(w)
     }
 
     fn on_issue(
@@ -275,8 +337,7 @@ impl OperandBackend for OccupancyLimitedRf {
     }
 
     fn on_warp_finish(&mut self, w: usize, _ctx: &mut BackendCtx<'_>) {
-        self.admitted.remove(&w);
-        self.finished.insert(w);
+        self.admission.finish(w);
     }
 
     fn next_wakeup(&self, _now: Cycle) -> Option<Cycle> {

@@ -51,7 +51,7 @@ mod stats;
 mod trace;
 mod warp;
 
-pub use backend::{BackendCtx, BaselineRf, OccupancyLimitedRf, OperandBackend};
+pub use backend::{BackendCtx, BaselineRf, OccupancyLimitedRf, OperandBackend, WarpAdmission};
 pub use cache::{AccessResult, Cache};
 pub use cancel::{CancelToken, DEADLINE_CHECK_CYCLES};
 pub use config::{table1_rows, CacheConfig, Cycle, GpuConfig, LatencyConfig, SchedulerKind};

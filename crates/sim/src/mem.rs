@@ -71,6 +71,9 @@ impl PortSet {
 struct MshrFile {
     completions: Vec<Cycle>,
     capacity: usize,
+    /// Reused buffer for [`MshrFile::full_until`]'s selection, so the
+    /// query allocates nothing.
+    scratch: Vec<Cycle>,
 }
 
 impl MshrFile {
@@ -78,6 +81,7 @@ impl MshrFile {
         MshrFile {
             completions: Vec::new(),
             capacity,
+            scratch: Vec::new(),
         }
     }
 
@@ -107,13 +111,16 @@ impl MshrFile {
     /// misses are admitted: `is_full(t)` holds exactly for `t <
     /// full_until()`. With fewer outstanding misses than capacity this is 0
     /// (never full); otherwise it is the capacity-th largest completion.
-    fn full_until(&self) -> Cycle {
-        let mut live: Vec<Cycle> = self.completions.clone();
-        if live.len() < self.capacity {
+    fn full_until(&mut self) -> Cycle {
+        if self.completions.len() < self.capacity {
             return 0;
         }
-        live.sort_unstable_by(|a, b| b.cmp(a));
-        live[self.capacity - 1]
+        self.scratch.clear();
+        self.scratch.extend_from_slice(&self.completions);
+        *self
+            .scratch
+            .select_nth_unstable_by(self.capacity - 1, |a, b| b.cmp(a))
+            .1
     }
 }
 
@@ -189,7 +196,7 @@ impl MemSystem {
     /// l1_mshr_full_until(sm)`. The event-driven fast path uses this to
     /// bulk-charge a skipped span segment-by-segment with exactly the
     /// attribution the per-cycle path would have produced.
-    pub fn l1_mshr_full_until(&self, sm: usize) -> Cycle {
+    pub fn l1_mshr_full_until(&mut self, sm: usize) -> Cycle {
         self.l1_mshrs[sm].full_until()
     }
 

@@ -29,7 +29,7 @@ use crate::sched::Scheduler;
 use crate::stats::{MemStats, SmStats};
 use crate::warp::{WarpBlock, WarpState};
 use regless_compiler::CompiledKernel;
-use regless_isa::{InsnRef, LaneVec, OpClass, Opcode, Reg, WarpId};
+use regless_isa::{BlockId, InsnRef, LaneVec, OpClass, Opcode, Reg, WarpId, WARP_WIDTH};
 use regless_telemetry::{IssueStack, SelfProfiler, StallReason};
 use std::cmp::Reverse;
 use std::collections::BinaryHeap;
@@ -101,20 +101,26 @@ fn stall_priority(r: StallReason) -> usize {
     }
 }
 
-/// A pending register writeback, carried directly in the heap entry. The
-/// heap orders on `(due, seq)` only — `seq` preserves push order among
-/// same-cycle events, exactly as the former id-keyed side table did, and
-/// the payload rides along so retiring an event can never miss its data.
+/// A pending register writeback. The heap orders on `(due, seq)` only —
+/// `seq` preserves push order among same-cycle events. The written value
+/// is not carried: it is read from the warp's register at retire, which is
+/// exact because [`WarpState::block_reason`] refuses to issue any
+/// instruction whose destination is still pending, so nothing can rewrite
+/// the register between issue and writeback.
 #[derive(Clone, Debug)]
 struct Event {
     due: Cycle,
     /// Push-order tie-break for events due the same cycle.
     seq: u64,
-    warp: usize,
-    at: InsnRef,
+    /// The writing instruction, as its block and index within it.
+    block: BlockId,
+    idx: u32,
+    warp: u16,
     reg: Reg,
-    value: LaneVec,
 }
+
+// Heap sifts move whole entries; keep them at half a cache line.
+const _: () = assert!(std::mem::size_of::<Event>() == 32);
 
 impl PartialEq for Event {
     fn eq(&self, other: &Self) -> bool {
@@ -147,6 +153,7 @@ struct TickOutcome {
     skippable: bool,
     /// Earliest due writeback or backend wakeup; `None` when nothing is
     /// pending (the SM is done or hard-blocked on another SM's progress).
+    /// Computed only for skippable ticks: otherwise no skip is taken.
     next_wakeup: Option<Cycle>,
 }
 
@@ -174,7 +181,15 @@ pub struct Sm<B> {
     /// Scratch ready-list for the issue loop, reused across slots to
     /// avoid a heap allocation per slot per cycle.
     ready_buf: Vec<usize>,
+    /// Per-region CPI stacks indexed by region id, published into
+    /// [`SmStats::region_stacks`] when the run ends.
+    region_stacks: Vec<IssueStack>,
     live_warps: usize,
+    /// Per thread block: warps waiting at its barrier, and unfinished
+    /// warps. A block's barrier releases when some warp waits and every
+    /// unfinished warp does ([`Sm::barrier_complete`]).
+    block_waiting: Vec<usize>,
+    block_live: Vec<usize>,
     /// This SM's statistics.
     pub stats: SmStats,
     /// The operand backend (baseline RF, RegLess, RFH, RFV…).
@@ -195,6 +210,18 @@ impl<B: OperandBackend> Sm<B> {
             .iter()
             .map(|w| w.block_reason(compiled.kernel()))
             .collect();
+        let stats = SmStats {
+            working_set: crate::stats::WorkingSetTracker::with_shape(
+                warps.len(),
+                compiled.kernel().num_regs() as usize,
+            ),
+            ..SmStats::default()
+        };
+        let region_stacks = vec![IssueStack::new(); compiled.regions().len()];
+        let block_live: Vec<usize> = warps
+            .chunks(config.warps_per_block)
+            .map(<[_]>::len)
+            .collect();
         Sm {
             id,
             config: *config,
@@ -206,10 +233,18 @@ impl<B: OperandBackend> Sm<B> {
             skip_blocked: vec![None; num_scheds],
             block_cache,
             ready_buf: Vec::new(),
+            region_stacks,
             live_warps,
-            stats: SmStats::default(),
+            block_waiting: vec![0; block_live.len()],
+            block_live,
+            stats,
             backend,
         }
+    }
+
+    /// Whether thread block `b`'s barrier can release.
+    fn barrier_complete(&self, b: usize) -> bool {
+        self.block_waiting[b] > 0 && self.block_waiting[b] == self.block_live[b]
     }
 
     /// Re-derive one warp's cached [`WarpBlock`] after its state changed.
@@ -237,17 +272,25 @@ impl<B: OperandBackend> Sm<B> {
         mem: &mut MemSystem,
         prof: Option<&SelfProfiler>,
     ) -> TickOutcome {
-        // 1. Retire writebacks due now. The payload lives in the heap
-        // entry itself, so a popped event always has its data with it.
+        // 1. Retire writebacks due now. The value is the warp's register
+        // as issue left it: a pending destination blocks every later
+        // writer, so the register cannot have changed since.
         let wb_guard = SelfProfiler::scope_opt(prof, "writeback");
         while self.events.peek().is_some_and(|Reverse(e)| e.due <= now) {
             let Reverse(e) = self.events.pop().expect("peeked above");
-            self.warps[e.warp].pending.remove(&e.reg);
-            self.refresh_block(e.warp);
+            let w = usize::from(e.warp);
+            let was_pending = self.warps[w].pending.remove(&e.reg);
+            debug_assert!(
+                was_pending,
+                "warp {w} retired a write to {} that was not pending",
+                e.reg
+            );
+            let value = self.warps[w].regs[e.reg.index()];
+            self.refresh_block(w);
             self.stats.trace_event(
                 now,
                 crate::TraceEvent::Writeback {
-                    warp: e.warp,
+                    warp: w,
                     reg: e.reg,
                 },
             );
@@ -257,8 +300,11 @@ impl<B: OperandBackend> Sm<B> {
                 mem,
                 stats: &mut self.stats,
             };
-            self.backend
-                .on_writeback(e.warp, e.at, e.reg, e.value, &mut ctx);
+            let at = InsnRef {
+                block: e.block,
+                idx: e.idx as usize,
+            };
+            self.backend.on_writeback(w, at, e.reg, value, &mut ctx);
         }
 
         drop(wb_guard);
@@ -281,24 +327,21 @@ impl<B: OperandBackend> Sm<B> {
         // `at_barrier` becomes an admission candidate), so the tick after a
         // release must be real even if this one issues nothing.
         let mut barrier_released = false;
-        if self.live_warps > 0 {
-            let bs = self.config.warps_per_block;
-            for (bi, block) in self.warps.chunks_mut(bs).enumerate() {
-                let any_waiting = block.iter().any(|w| w.at_barrier);
-                let all_at_barrier = block.iter().filter(|w| !w.finished()).all(|w| w.at_barrier);
-                if any_waiting && all_at_barrier {
-                    for w in block.iter_mut() {
-                        w.at_barrier = false;
-                    }
-                    barrier_released = true;
-                    self.stats
-                        .trace_event(now, crate::TraceEvent::BarrierRelease { block: bi });
+        let bs = self.config.warps_per_block;
+        for bi in 0..self.block_live.len() {
+            if self.barrier_complete(bi) {
+                for w in self.warps.iter_mut().skip(bi * bs).take(bs) {
+                    w.at_barrier = false;
                 }
+                self.block_waiting[bi] = 0;
+                barrier_released = true;
+                self.stats
+                    .trace_event(now, crate::TraceEvent::BarrierRelease { block: bi });
             }
-            if barrier_released {
-                for w in 0..self.warps.len() {
-                    self.refresh_block(w);
-                }
+        }
+        if barrier_released {
+            for w in 0..self.warps.len() {
+                self.refresh_block(w);
             }
         }
 
@@ -367,8 +410,7 @@ impl<B: OperandBackend> Sm<B> {
                 if took_bubble {
                     self.stats.meta_insns += 1;
                     // The metadata bubble occupied the slot: issued work.
-                    let region = self.warps[w].pc().map(|pc| self.compiled.region_at(pc).0);
-                    self.stats.charge_slot(StallReason::Issued, Some(w), region);
+                    self.charge(StallReason::Issued, Some(w), 1);
                     continue;
                 }
                 self.issue(w, s, local, now, mem);
@@ -395,16 +437,14 @@ impl<B: OperandBackend> Sm<B> {
         // so it pins the stepped path; it should be unreachable from a
         // no-issue tick (the releasing issue runs phase 3 next tick), but
         // the check is cheap insurance against charging through a release.
-        let mut barrier_pending = false;
-        if self.live_warps > 0 {
-            let bs = self.config.warps_per_block;
-            for block in self.warps.chunks(bs) {
-                let any_waiting = block.iter().any(|w| w.at_barrier);
-                let all_at_barrier = block.iter().filter(|w| !w.finished()).all(|w| w.at_barrier);
-                if any_waiting && all_at_barrier {
-                    barrier_pending = true;
-                }
-            }
+        // The wakeup only matters to a skip, so a tick that cannot seed one
+        // does not compute it.
+        let barrier_pending = || (0..self.block_live.len()).any(|b| self.barrier_complete(b));
+        if issued_any || !all_ready_empty || barrier_pending() {
+            return TickOutcome {
+                skippable: false,
+                next_wakeup: None,
+            };
         }
         let mut wakeup = self.backend.next_wakeup(now);
         if let Some(Reverse(e)) = self.events.peek() {
@@ -416,7 +456,7 @@ impl<B: OperandBackend> Sm<B> {
             wakeup = Some(wakeup.map_or(now + 1, |w| w.min(now + 1)));
         }
         TickOutcome {
-            skippable: !issued_any && all_ready_empty && !barrier_pending,
+            skippable: true,
             next_wakeup: wakeup,
         }
     }
@@ -430,50 +470,40 @@ impl<B: OperandBackend> Sm<B> {
     /// probes move monotonically: MSHRs stay full until a fixed completion
     /// cycle and the L1 port backlog drains at a fixed free cycle, so the
     /// span splits into at most three runs charged in order.
-    fn skip_to(&mut self, from: Cycle, to: Cycle, mem: &MemSystem) {
+    fn skip_to(&mut self, from: Cycle, to: Cycle, mem: &mut MemSystem) {
         debug_assert!(from < to);
         let span = to - from;
         let slots = self.config.issue_slots_per_scheduler as u64;
         for s in 0..self.scheds.len() {
             self.stats.idle_slots += span * slots;
             match self.skip_blocked[s] {
-                None => {
-                    self.stats
-                        .charge_slot_many(StallReason::NoWarp, None, None, span * slots);
+                None => self.charge(StallReason::NoWarp, None, span * slots),
+                Some((StallReason::CmPreloadWait, w)) => {
+                    // full(t) ⟺ t < c1; backlog(t) > 0 ⟺ t < c2.
+                    let c1 = mem.l1_mshr_full_until(self.id).clamp(from, to);
+                    let c2 = mem.l1_port_free_cycle(self.id).clamp(c1, to);
+                    self.charge(StallReason::MshrFull, Some(w), (c1 - from) * slots);
+                    self.charge(StallReason::L1PortBusy, Some(w), (c2 - c1) * slots);
+                    self.charge(StallReason::CmPreloadWait, Some(w), (to - c2) * slots);
                 }
-                Some((reason, w)) => {
-                    let region = self.warps[w].pc().map(|pc| self.compiled.region_at(pc).0);
-                    if reason == StallReason::CmPreloadWait {
-                        // full(t) ⟺ t < c1; backlog(t) > 0 ⟺ t < c2.
-                        let c1 = mem.l1_mshr_full_until(self.id).clamp(from, to);
-                        let c2 = mem.l1_port_free_cycle(self.id).clamp(c1, to);
-                        self.stats.charge_slot_many(
-                            StallReason::MshrFull,
-                            Some(w),
-                            region,
-                            (c1 - from) * slots,
-                        );
-                        self.stats.charge_slot_many(
-                            StallReason::L1PortBusy,
-                            Some(w),
-                            region,
-                            (c2 - c1) * slots,
-                        );
-                        self.stats.charge_slot_many(
-                            StallReason::CmPreloadWait,
-                            Some(w),
-                            region,
-                            (to - c2) * slots,
-                        );
-                    } else {
-                        self.stats
-                            .charge_slot_many(reason, Some(w), region, span * slots);
-                    }
-                }
+                Some((reason, w)) => self.charge(reason, Some(w), span * slots),
             }
         }
         self.stats.cycles = to;
         self.backend.on_skip(from, to, &mut self.stats);
+    }
+
+    /// Charge `n` issue slots to `reason`: the SM's stack, and, when a
+    /// warp is to blame, that warp's stack and the stack of the region at
+    /// its PC.
+    fn charge(&mut self, reason: StallReason, warp: Option<usize>, n: u64) {
+        self.stats.charge_slots(reason, warp, n);
+        if n == 0 {
+            return;
+        }
+        if let Some(pc) = warp.and_then(|w| self.warps[w].pc()) {
+            self.region_stacks[self.compiled.region_at(pc).index()].charge_n(reason, n);
+        }
     }
 
     /// Charge an issue slot that went unused. `blocked` carries the
@@ -489,7 +519,7 @@ impl<B: OperandBackend> Sm<B> {
         mem: &MemSystem,
     ) {
         let Some((mut reason, w)) = blocked else {
-            self.stats.charge_slot(StallReason::NoWarp, None, None);
+            self.charge(StallReason::NoWarp, None, 1);
             return;
         };
         if reason == StallReason::CmPreloadWait {
@@ -499,49 +529,42 @@ impl<B: OperandBackend> Sm<B> {
                 reason = StallReason::L1PortBusy;
             }
         }
-        let region = self.warps[w].pc().map(|pc| self.compiled.region_at(pc).0);
-        self.stats.charge_slot(reason, Some(w), region);
+        self.charge(reason, Some(w), 1);
     }
 
     fn issue(&mut self, w: usize, sched: usize, local: usize, now: Cycle, mem: &mut MemSystem) {
         let at = self.warps[w].pc().expect("issuing warp has a pc");
-        let insn = self.compiled.kernel().insn(at).clone();
+        // A local handle on the kernel lets the instruction be borrowed
+        // while `self` is mutated below.
+        let compiled = Arc::clone(&self.compiled);
+        let insn = compiled.kernel().insn(at);
+        let srcs = insn.srcs();
         let mask = self.warps[w].mask();
 
         // Track the operand working set (Figure 2).
-        for &srcr in insn.srcs() {
+        for &srcr in srcs {
             self.stats.working_set.record(WarpId(w as u16), srcr, now);
         }
         if let Some(d) = insn.dst() {
             self.stats.working_set.record(WarpId(w as u16), d, now);
         }
 
-        self.stats.charge_slot(
-            StallReason::Issued,
-            Some(w),
-            Some(self.compiled.region_at(at).0),
-        );
+        self.charge(StallReason::Issued, Some(w), 1);
         self.stats
             .trace_event(now, crate::TraceEvent::Issue { warp: w, pc: at });
 
         // Functional evaluation. Staged operand values are cross-checked
         // against the architectural state *before* the backend applies its
-        // last-use annotations.
-        let src_vals: Vec<LaneVec> = insn
-            .srcs()
-            .iter()
-            .map(|s| self.warps[w].regs[s.index()])
-            .collect();
-        {
-            let operands: Vec<(Reg, LaneVec)> = insn
-                .srcs()
-                .iter()
-                .copied()
-                .zip(src_vals.iter().copied())
-                .collect();
-            self.backend
-                .check_staged_operands(w, &operands, &mut self.stats);
+        // last-use annotations. An instruction has at most three sources.
+        let mut src_vals = [LaneVec::zero(); 3];
+        let mut operands = [(Reg(0), LaneVec::zero()); 3];
+        for (i, &s) in srcs.iter().enumerate() {
+            src_vals[i] = self.warps[w].regs[s.index()];
+            operands[i] = (s, src_vals[i]);
         }
+        let src_vals = &src_vals[..srcs.len()];
+        self.backend
+            .check_staged_operands(w, &operands[..srcs.len()], &mut self.stats);
         let extra = {
             let mut ctx = BackendCtx {
                 sm: self.id,
@@ -549,9 +572,9 @@ impl<B: OperandBackend> Sm<B> {
                 mem,
                 stats: &mut self.stats,
             };
-            self.backend.on_issue(w, at, &insn, &mut ctx)
+            self.backend.on_issue(w, at, insn, &mut ctx)
         };
-        let alu_value = insn.evaluate(&src_vals, self.global_warp_index(w));
+        let alu_value = insn.evaluate(src_vals, self.global_warp_index(w));
         let taken_bits = if matches!(insn.op(), Opcode::Bra { .. }) {
             src_vals[0].nonzero_bits()
         } else {
@@ -586,6 +609,7 @@ impl<B: OperandBackend> Sm<B> {
             Opcode::StShared | Opcode::Bra { .. } | Opcode::Jmp { .. } | Opcode::Exit => {}
             Opcode::Bar => {
                 self.warps[w].at_barrier = true;
+                self.block_waiting[w / self.config.warps_per_block] += 1;
             }
             _ => {
                 let lat = match insn.class() {
@@ -613,16 +637,16 @@ impl<B: OperandBackend> Sm<B> {
             self.push_event(Event {
                 due,
                 seq: 0, // assigned by push_event
-                warp: w,
-                at,
+                block: at.block,
+                idx: u32::try_from(at.idx).expect("block index fits in u32"),
+                warp: w as u16,
                 reg: d,
-                value: merged,
             });
         }
 
         // Control state.
-        let dom = self.compiled.dom();
-        self.warps[w].advance(self.compiled.kernel(), taken_bits, |b| {
+        let dom = compiled.dom();
+        self.warps[w].advance(compiled.kernel(), taken_bits, |b| {
             dom.immediate_postdominator(b)
         });
         self.warps[w].insns_issued += 1;
@@ -631,6 +655,7 @@ impl<B: OperandBackend> Sm<B> {
         if self.warps[w].finished() {
             self.warps[w].finished_at = Some(now);
             self.live_warps -= 1;
+            self.block_live[w / self.config.warps_per_block] -= 1;
             self.stats
                 .trace_event(now, crate::TraceEvent::WarpFinish { warp: w });
             let mut ctx = BackendCtx {
@@ -653,11 +678,19 @@ impl<B: OperandBackend> Sm<B> {
         now: Cycle,
         mem: &mut MemSystem,
     ) -> Cycle {
-        let mut lines: Vec<u64> = mask.iter().map(|l| addrs.lane(l) as u64 / 128).collect();
+        let mut buf = [0u64; WARP_WIDTH];
+        let mut n = 0;
+        for l in mask.iter() {
+            buf[n] = addrs.lane(l) as u64 / 128;
+            n += 1;
+        }
+        let lines = &mut buf[..n];
         lines.sort_unstable();
-        lines.dedup();
         let mut done = now + 1;
-        for line in lines {
+        for (i, &line) in lines.iter().enumerate() {
+            if i > 0 && lines[i - 1] == line {
+                continue;
+            }
             let a = mem.access_line(self.id, line * 128, write, Traffic::Data, now);
             done = done.max(a.done);
         }
@@ -948,7 +981,7 @@ impl<B: OperandBackend> Machine<B> {
                 if target > now + 1 {
                     let _g = SelfProfiler::scope_opt(prof.as_deref(), "event_jump");
                     for sm in &mut self.sms {
-                        sm.skip_to(now + 1, target, &self.mem);
+                        sm.skip_to(now + 1, target, &mut self.mem);
                     }
                     now = target;
                     continue;
@@ -971,6 +1004,13 @@ impl<B: OperandBackend> Machine<B> {
             .into_iter()
             .map(|mut sm| {
                 sm.backend.finish(&mut sm.stats);
+                sm.stats.region_stacks = sm
+                    .region_stacks
+                    .iter()
+                    .enumerate()
+                    .filter(|(_, stack)| !stack.is_empty())
+                    .map(|(region, &stack)| (region as u32, stack))
+                    .collect();
                 sm.stats
             })
             .collect();

@@ -3,7 +3,7 @@
 use crate::config::Cycle;
 use regless_isa::{Reg, WarpId};
 use regless_telemetry::{EvictionStack, IssueStack, StallReason};
-use std::collections::{BTreeMap, HashSet};
+use std::collections::BTreeMap;
 
 /// Length of the sampling window used by the paper's Figures 2 and 3.
 pub const WINDOW_CYCLES: Cycle = 100;
@@ -11,9 +11,17 @@ pub const WINDOW_CYCLES: Cycle = 100;
 /// Tracks the register working set per 100-cycle window (Figure 2): the
 /// number of distinct `(warp, register)` operands touched in each window,
 /// reported in kilobytes (128 bytes per register).
+///
+/// The current window is a flat warp-major bitmap (`regs_per_warp` bits
+/// per warp) plus a count of set bits, so recording an operand is a bit
+/// test and set rather than a hash-set insert.
 #[derive(Clone, Debug, Default)]
 pub struct WorkingSetTracker {
-    current: HashSet<(WarpId, Reg)>,
+    touched: Vec<u64>,
+    warps: usize,
+    regs_per_warp: usize,
+    /// Set bits in `touched`: the current window's working set.
+    current: usize,
     window_start: Cycle,
     samples: Vec<usize>,
 }
@@ -24,17 +32,60 @@ impl WorkingSetTracker {
         Self::default()
     }
 
+    /// New tracker sized for `warps` × `regs_per_warp` operands, so
+    /// recording never has to grow the bitmap.
+    pub fn with_shape(warps: usize, regs_per_warp: usize) -> Self {
+        WorkingSetTracker {
+            touched: vec![0; (warps * regs_per_warp).div_ceil(64)],
+            warps,
+            regs_per_warp,
+            ..Self::default()
+        }
+    }
+
     /// Record an operand access at `now`.
     pub fn record(&mut self, warp: WarpId, reg: Reg, now: Cycle) {
         self.roll(now);
-        self.current.insert((warp, reg));
+        let (w, r) = (warp.0 as usize, reg.index());
+        if w >= self.warps || r >= self.regs_per_warp {
+            self.grow(w + 1, r + 1);
+        }
+        let bit = w * self.regs_per_warp + r;
+        let word = &mut self.touched[bit / 64];
+        let mask = 1u64 << (bit % 64);
+        if *word & mask == 0 {
+            *word |= mask;
+            self.current += 1;
+        }
+    }
+
+    /// Re-lay the bitmap out for at least `warps` × `regs` operands,
+    /// keeping the current window's bits.
+    #[cold]
+    fn grow(&mut self, warps: usize, regs: usize) {
+        let mut grown = Self::with_shape(warps.max(self.warps), regs.max(self.regs_per_warp));
+        for w in 0..self.warps {
+            for r in 0..self.regs_per_warp {
+                let bit = w * self.regs_per_warp + r;
+                if self.touched[bit / 64] & (1 << (bit % 64)) != 0 {
+                    let to = w * grown.regs_per_warp + r;
+                    grown.touched[to / 64] |= 1 << (to % 64);
+                }
+            }
+        }
+        self.touched = grown.touched;
+        self.warps = grown.warps;
+        self.regs_per_warp = grown.regs_per_warp;
     }
 
     /// Advance the window if `now` has moved past it.
     pub fn roll(&mut self, now: Cycle) {
         while now >= self.window_start + WINDOW_CYCLES {
-            self.samples.push(self.current.len());
-            self.current.clear();
+            self.samples.push(self.current);
+            if self.current > 0 {
+                self.touched.fill(0);
+                self.current = 0;
+            }
             self.window_start += WINDOW_CYCLES;
         }
     }
@@ -233,7 +284,9 @@ pub struct SmStats {
     /// stack.
     pub warp_stacks: Vec<IssueStack>,
     /// Per-region CPI stacks keyed by region id, for hotspot tables. Like
-    /// the warp stacks, `NoWarp` slots carry no region.
+    /// the warp stacks, `NoWarp` slots carry no region. Filled once, at
+    /// run end, from the SM's region-indexed accumulator; only regions
+    /// that were charged at least one slot appear.
     pub region_stacks: BTreeMap<u32, IssueStack>,
 
     /// Optional telemetry recorder (off by default; see
@@ -297,34 +350,14 @@ impl SmStats {
         }
     }
 
-    /// Charge one issue slot to `reason`, attributed to `warp` (SM-local
-    /// index) and `region` when the slot has a culprit (everything except
-    /// [`StallReason::NoWarp`]).
-    pub fn charge_slot(&mut self, reason: StallReason, warp: Option<usize>, region: Option<u32>) {
-        self.issue_stack.charge(reason);
-        if let Some(w) = warp {
-            if self.warp_stacks.len() <= w {
-                self.warp_stacks.resize(w + 1, IssueStack::new());
-            }
-            self.warp_stacks[w].charge(reason);
-        }
-        if let Some(r) = region {
-            self.region_stacks.entry(r).or_default().charge(reason);
-        }
-    }
-
-    /// Charge `n` issue slots to `reason` in one shot — the bulk form of
-    /// [`charge_slot`](Self::charge_slot) used by the event-driven fast
-    /// path when it jumps over a span of provably idle cycles. The
-    /// conservation law (`Σ reasons == cycles × issue slots`) is preserved
-    /// because the caller charges exactly `span × slots` this way.
-    pub fn charge_slot_many(
-        &mut self,
-        reason: StallReason,
-        warp: Option<usize>,
-        region: Option<u32>,
-        n: u64,
-    ) {
+    /// Charge `n` issue slots to `reason`, attributed to `warp` (SM-local
+    /// index) when the slots have a culprit (everything except
+    /// [`StallReason::NoWarp`]). The event-driven fast path charges a
+    /// whole skipped span this way; the conservation law (`Σ reasons ==
+    /// cycles × issue slots`) holds because it charges exactly `span ×
+    /// slots`. Per-region stacks are kept by the SM and published into
+    /// [`region_stacks`](Self::region_stacks) when the run ends.
+    pub fn charge_slots(&mut self, reason: StallReason, warp: Option<usize>, n: u64) {
         if n == 0 {
             return;
         }
@@ -334,9 +367,6 @@ impl SmStats {
                 self.warp_stacks.resize(w + 1, IssueStack::new());
             }
             self.warp_stacks[w].charge_n(reason, n);
-        }
-        if let Some(r) = region {
-            self.region_stacks.entry(r).or_default().charge_n(reason, n);
         }
     }
 
@@ -432,9 +462,9 @@ impl regless_json::ToJson for WorkingSetTracker {
 impl regless_json::FromJson for WorkingSetTracker {
     fn from_json(v: &regless_json::Json) -> Result<Self, regless_json::JsonError> {
         Ok(WorkingSetTracker {
-            current: HashSet::new(),
             window_start: regless_json::FromJson::from_json(v.field("window_start")?)?,
             samples: regless_json::FromJson::from_json(v.field("samples")?)?,
+            ..WorkingSetTracker::default()
         })
     }
 }

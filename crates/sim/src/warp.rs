@@ -422,6 +422,15 @@ mod tests {
         assert_eq!(w.block_reason(&k), WarpBlock::Scoreboard);
         w.pending.clear();
         assert_eq!(w.block_reason(&k), WarpBlock::Ready);
+        // A pending destination blocks too (WAW): the SM reads a retiring
+        // write's value from the register file, so no later write to the
+        // same register may issue before it lands.
+        let dst = k.insn(w.pc().unwrap()).dst().unwrap();
+        assert_ne!(dst, Reg(0), "the iadd writes a fresh register");
+        w.pending.insert(dst);
+        assert_eq!(w.block_reason(&k), WarpBlock::Scoreboard);
+        w.pending.clear();
+        assert_eq!(w.block_reason(&k), WarpBlock::Ready);
     }
 
     #[test]

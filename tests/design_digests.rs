@@ -1,0 +1,54 @@
+//! Committed digests of every registered design's model output.
+//!
+//! For each (kernel, design) point below, the FNV-1a 64 digest of
+//! `RunReport::stable_json()` must match `tests/golden/design_digests.txt`.
+//! Simulator rewrites are then checked against committed bytes, not only
+//! stepped against event-driven runs of the same build. On an intended
+//! model change, the failure message prints the regenerated file.
+
+use regless::bench::registry;
+use regless::bench::{run_design, DesignKind};
+use regless::workloads::rodinia;
+
+/// The two smallest Rodinia kernels by simulated cycles.
+const KERNELS: [&str; 2] = ["nn", "pathfinder"];
+
+fn fnv1a64(bytes: &[u8]) -> u64 {
+    bytes.iter().fold(0xcbf2_9ce4_8422_2325, |h, &b| {
+        (h ^ u64::from(b)).wrapping_mul(0x0000_0100_0000_01b3)
+    })
+}
+
+#[test]
+fn design_digests_match_golden() {
+    let mut points: Vec<(String, DesignKind)> = registry::all()
+        .iter()
+        .map(|e| (e.id.to_string(), e.default_design()))
+        .collect();
+    points.push((
+        "regless@128".to_string(),
+        DesignKind::RegLess { entries: 128 },
+    ));
+    let mut actual =
+        String::from("# FNV-1a 64 of RunReport::stable_json() (compact): kernel design digest\n");
+    for kernel in KERNELS {
+        let k = rodinia::kernel(kernel);
+        for (id, design) in &points {
+            let json = run_design(&k, *design).stable_json().to_string_compact();
+            actual.push_str(&format!(
+                "{kernel} {id} {:016x}\n",
+                fnv1a64(json.as_bytes())
+            ));
+        }
+    }
+    let golden = std::fs::read_to_string(concat!(
+        env!("CARGO_MANIFEST_DIR"),
+        "/tests/golden/design_digests.txt"
+    ))
+    .expect("golden design digests are checked in");
+    assert_eq!(
+        actual, golden,
+        "model output drifted from tests/golden/design_digests.txt; if the \
+         change is intentional, replace the file with:\n{actual}"
+    );
+}
