@@ -14,7 +14,9 @@
 
 use regless_compiler::CompiledKernel;
 use regless_isa::{InsnRef, Instruction, LaneVec, Reg};
-use regless_sim::{BackendCtx, Cycle, GpuConfig, OperandBackend, WarpAdmission};
+use regless_sim::{
+    BackendCtx, Cycle, GpuConfig, OperandBackend, StallMasks, WarpAdmission, WarpMask, WarpState,
+};
 use std::sync::Arc;
 
 /// Shared-memory scratch partition reserved for demoted registers, per
@@ -105,13 +107,13 @@ impl OperandBackend for RegDemBackend {
         stats.spill_throttled_warp_cycles += self.admission.throttled() * (to - from);
     }
 
-    fn warp_eligible(&mut self, w: usize, _pc: InsnRef) -> bool {
-        self.admission.is_admitted(w)
+    fn eligible(&self, ready: WarpMask, _warps: &[WarpState]) -> WarpMask {
+        self.admission.eligible(ready)
     }
 
-    fn issue_stall(&self, w: usize, _pc: InsnRef) -> Option<regless_sim::StallReason> {
+    fn stalls(&self, ineligible: WarpMask) -> StallMasks {
         // Throttled: waiting for scratch-partition capacity.
-        self.admission.issue_stall(w)
+        self.admission.stalls(ineligible)
     }
 
     fn on_issue(

@@ -11,7 +11,10 @@
 
 use regless_compiler::CompiledKernel;
 use regless_isa::{InsnRef, Instruction, LaneVec, Reg};
-use regless_sim::{BackendCtx, Cycle, GpuConfig, OperandBackend, SchedulerKind, WarpAdmission};
+use regless_sim::{
+    BackendCtx, Cycle, GpuConfig, OperandBackend, SchedulerKind, StallMasks, WarpAdmission,
+    WarpMask, WarpState,
+};
 use std::sync::Arc;
 
 /// The RFV operand backend.
@@ -76,13 +79,13 @@ impl OperandBackend for RfvBackend {
         stats.rfv_throttled_warp_cycles += self.admission.throttled() * (to - from);
     }
 
-    fn warp_eligible(&mut self, w: usize, _pc: InsnRef) -> bool {
-        self.admission.is_admitted(w)
+    fn eligible(&self, ready: WarpMask, _warps: &[WarpState]) -> WarpMask {
+        self.admission.eligible(ready)
     }
 
-    fn issue_stall(&self, w: usize, _pc: InsnRef) -> Option<regless_sim::StallReason> {
+    fn stalls(&self, ineligible: WarpMask) -> StallMasks {
         // Throttled: waiting for physical-register pool capacity.
-        self.admission.issue_stall(w)
+        self.admission.stalls(ineligible)
     }
 
     fn on_issue(
@@ -193,7 +196,7 @@ mod tests {
             stats: &mut stats,
         };
         backend.begin_cycle(&mut ctx);
-        assert!(backend.warp_eligible(0, at));
+        assert_eq!(backend.eligible(0b1, &[]), 0b1);
         backend.on_issue(0, at, &insn, &mut ctx);
         backend.on_writeback(0, at, Reg(2), LaneVec::zero(), &mut ctx);
         assert_eq!(stats.rename_lookups, 3);

@@ -9,8 +9,8 @@ use crate::regmem::{RegisterBacking, RegisterMemoryMap, REG_LINE_BYTES};
 use regless_compiler::{CompiledKernel, LastUse, NUM_BANKS};
 use regless_isa::{InsnRef, Instruction, LaneVec, Reg};
 use regless_sim::{
-    BackendCtx, Cycle, EvictionReason, GpuConfig, Level, OperandBackend, PreloadSource, SmStats,
-    TraceEvent, Traffic, WarpState,
+    warp_bit, warps_in, BackendCtx, Cycle, EvictionReason, GpuConfig, Level, OperandBackend,
+    PreloadSource, SmStats, StallMasks, TraceEvent, Traffic, WarpMask, WarpState,
 };
 use std::cmp::Reverse;
 use std::collections::{BinaryHeap, VecDeque};
@@ -24,30 +24,37 @@ struct QueuedPreload {
     invalidate: bool,
 }
 
+// `Shard::queued_banks` holds one bit per OSU bank.
+const _: () = assert!(NUM_BANKS <= u8::BITS as usize);
+
 /// One scheduler shard's RegLess hardware.
 struct Shard {
     cm: CapacityManager,
     osu: Osu,
     compressor: Compressor,
     queues: [VecDeque<QueuedPreload>; NUM_BANKS],
+    /// Bit `b` set: `queues[b]` is non-empty.
+    queued_banks: u8,
     /// (completion cycle, warp) of in-flight preload fetches.
     inflight: BinaryHeap<Reverse<(Cycle, usize)>>,
     /// Cache-invalidation requests awaiting the L1 port.
     invalidations: VecDeque<(usize, Reg)>,
+    /// Stacked warps the last admission scan skipped because they waited
+    /// at a barrier. Their release is the one change to a scan input that
+    /// the CM cannot see (see [`CapacityManager::admission_settled`]).
+    barrier_skipped: WarpMask,
 }
 
 impl Shard {
     fn quiesced(&self) -> bool {
-        self.inflight.is_empty()
-            && self.invalidations.is_empty()
-            && self.queues.iter().all(VecDeque::is_empty)
+        self.inflight.is_empty() && !self.busy_every_cycle()
     }
 
     /// Whether the shard must run `begin_cycle` on the very next cycle:
     /// per-bank preload queues and the one-per-cycle invalidation drain
     /// make progress every cycle they are non-empty.
     fn busy_every_cycle(&self) -> bool {
-        !self.invalidations.is_empty() || self.queues.iter().any(|q| !q.is_empty())
+        !self.invalidations.is_empty() || self.queued_banks != 0
     }
 }
 
@@ -105,6 +112,9 @@ pub struct RegLessBackend {
     /// Outstanding preloads per warp (queued + in flight), indexed by warp.
     /// Warps are sharded disjointly, so one flat array serves every shard.
     preloads_pending: Vec<usize>,
+    /// Warps that issued since the last `begin_cycle`: the only active
+    /// warps whose PC can have left their region.
+    issued: WarpMask,
     /// Whether any shard's CM admitted a warp this cycle. Admission is
     /// rate-limited to one warp per shard per cycle, so a success means the
     /// *next* cycle may admit another even with no issue or writeback in
@@ -113,7 +123,7 @@ pub struct RegLessBackend {
     /// Writebacks in flight per `(warp, register)` — a flat `warp ×
     /// num_regs` count array (the same register can have several writes
     /// outstanding), with a per-warp nonzero-entry count so drain setup
-    /// can skip warps with nothing in flight.
+    /// can skip the register walk for warps with nothing in flight.
     inflight_regs: InflightRegs,
 }
 
@@ -164,6 +174,11 @@ impl InflightRegs {
     fn warp(&self, w: usize) -> &[u32] {
         &self.counts[w * self.num_regs..(w + 1) * self.num_regs]
     }
+
+    /// Whether any register of the warp has a writeback in flight.
+    fn any(&self, w: usize) -> bool {
+        self.nonzero[w] > 0
+    }
 }
 
 impl RegLessBackend {
@@ -209,8 +224,10 @@ impl RegLessBackend {
                         config.compressor_patterns,
                     ),
                     queues: std::array::from_fn(|_| VecDeque::new()),
+                    queued_banks: 0,
                     inflight: BinaryHeap::new(),
                     invalidations: VecDeque::new(),
+                    barrier_skipped: 0,
                 }
             })
             .collect();
@@ -228,6 +245,7 @@ impl RegLessBackend {
             finishing: vec![false; gpu.warps_per_sm],
             activated_at: vec![0; gpu.warps_per_sm],
             preloads_pending: vec![0; gpu.warps_per_sm],
+            issued: 0,
             admitted_now: false,
             inflight_regs: InflightRegs::new(gpu.warps_per_sm, num_regs),
         }
@@ -247,20 +265,23 @@ impl RegLessBackend {
     }
 
     /// Begin draining warp `w`: free everything except lines whose
-    /// writebacks are still in flight (paper §5.1). `inflight` is the
-    /// warp's per-register outstanding-writeback counts
-    /// ([`InflightRegs::warp`]).
-    fn start_drain(shard: &mut Shard, inflight: &[u32], w: usize, ctx: &mut BackendCtx<'_>) {
+    /// writebacks are still in flight (paper §5.1). A warp with nothing in
+    /// flight skips the per-register walk and keeps no line.
+    fn start_drain(shard: &mut Shard, inflight: &InflightRegs, w: usize, ctx: &mut BackendCtx<'_>) {
+        let any = inflight.any(w);
+        let counts = inflight.warp(w);
         let mut pending = [0usize; NUM_BANKS];
-        for (r, &count) in inflight.iter().enumerate() {
-            if count > 0 {
-                pending[runtime_bank(w, Reg(r as u16))] += 1;
+        if any {
+            for (r, &count) in counts.iter().enumerate() {
+                if count > 0 {
+                    pending[runtime_bank(w, Reg(r as u16))] += 1;
+                }
             }
         }
         shard.cm.begin_drain(w, pending);
         shard.osu.release_warp_except(
             w,
-            |reg| inflight[reg.index()] > 0,
+            |reg| any && counts[reg.index()] > 0,
             |reg| Self::note_eviction(ctx, EvictionReason::RegionDrain, w, reg),
         );
     }
@@ -350,10 +371,16 @@ impl RegLessBackend {
     /// cycle, §5.2.1).
     fn process_preloads(&mut self, shard_idx: usize, ctx: &mut BackendCtx<'_>) {
         let shard = &mut self.shards[shard_idx];
-        for bank in 0..NUM_BANKS {
-            let Some(p) = shard.queues[bank].pop_front() else {
-                continue;
-            };
+        let mut banks = shard.queued_banks;
+        while banks != 0 {
+            let bank = banks.trailing_zeros() as usize;
+            banks &= banks - 1;
+            let p = shard.queues[bank]
+                .pop_front()
+                .expect("queued_banks marks non-empty queues");
+            if shard.queues[bank].is_empty() {
+                shard.queued_banks &= !(1 << bank);
+            }
             ctx.stats.osu_tag_probes += 1;
             let done;
             if shard.osu.promote(p.warp, p.reg) {
@@ -534,19 +561,25 @@ impl OperandBackend for RegLessBackend {
 
             let shard = &mut self.shards[s];
 
-            // 4. Region transitions driven by warp PCs, over this shard's
-            // own warps (`w % num_scheds == s`).
-            for (w, warp) in warps.iter().enumerate().skip(s).step_by(self.num_scheds) {
+            // 4. Region transitions driven by warp PCs. Only preloading
+            // and draining warps, and active warps that issued since the
+            // last cycle (nothing else moves a PC), can change phase here;
+            // they are visited in ascending order, as a walk over all of
+            // the shard's warps would, so drained warps restack in the same
+            // order.
+            let watch =
+                shard.cm.preloading() | shard.cm.draining() | (self.issued & shard.cm.warps());
+            for w in warps_in(watch) {
                 match shard.cm.phase(w) {
                     WarpPhase::Active(region) => {
-                        let left_region = match warp.pc() {
+                        let left_region = match warps[w].pc() {
                             None => true,
                             Some(pc) => self.compiled.region_at(pc) != region,
                         };
                         if left_region {
                             ctx.stats
                                 .trace_event(ctx.now, TraceEvent::RegionDrain { warp: w });
-                            Self::start_drain(shard, self.inflight_regs.warp(w), w, ctx);
+                            Self::start_drain(shard, &self.inflight_regs, w, ctx);
                         }
                     }
                     WarpPhase::Preloading(_)
@@ -576,11 +609,22 @@ impl OperandBackend for RegLessBackend {
                 }
             }
 
-            // 5. Admit the top stack warp if its next region fits.
+            // 5. Admit the top stack warp if its next region fits. A scan
+            // whose inputs are unchanged since one that admitted nothing
+            // would repeat it, so it is skipped.
+            let released = warps_in(shard.barrier_skipped).any(|w| !warps[w].at_barrier);
+            if shard.cm.admission_settled() && !released {
+                continue;
+            }
             let compiled = &self.compiled;
             let finishing = &self.finishing;
+            let mut barrier_skipped = 0;
             let started = shard.cm.try_start_preload(|w| {
-                if finishing[w] || warps[w].finished() || warps[w].at_barrier {
+                if finishing[w] || warps[w].finished() {
+                    return None;
+                }
+                if warps[w].at_barrier {
+                    barrier_skipped |= warp_bit(w);
                     return None;
                 }
                 let pc = warps[w].pc()?;
@@ -588,6 +632,7 @@ impl OperandBackend for RegLessBackend {
                 let usage = rotated_usage(compiled.region(region).bank_usage(), w);
                 Some((region, usage))
             });
+            shard.barrier_skipped = barrier_skipped;
             if let Some((w, region)) = started {
                 self.admitted_now = true;
                 ctx.stats.trace_event(
@@ -608,6 +653,7 @@ impl OperandBackend for RegLessBackend {
                             reg: p.reg,
                             invalidate: p.invalidate,
                         });
+                        shard.queued_banks |= 1 << bank;
                     }
                 }
                 for &reg in compiled.annotations().cache_invalidates(region) {
@@ -618,36 +664,24 @@ impl OperandBackend for RegLessBackend {
                 self.meta_ready_at[w] = ctx.now + meta;
             }
         }
+        self.issued = 0;
     }
 
-    fn warp_eligible(&mut self, w: usize, pc: InsnRef) -> bool {
-        let shard = &self.shards[self.shard_of(w)];
-        match shard.cm.phase(w) {
-            WarpPhase::Active(region) => self.compiled.region_at(pc) == region,
-            _ => false,
-        }
+    fn eligible(&self, ready: WarpMask, warps: &[WarpState]) -> WarpMask {
+        let compiled = &self.compiled;
+        self.shards.iter().fold(0, |m, shard| {
+            m | shard.cm.eligible(ready, |w| {
+                compiled.region_at(warps[w].pc().expect("ready implies a pc"))
+            })
+        })
     }
 
-    fn issue_stall(&self, w: usize, _pc: InsnRef) -> Option<regless_sim::StallReason> {
-        use regless_sim::StallReason;
-        let shard = &self.shards[self.shard_of(w)];
-        match shard.cm.phase(w) {
-            // Inputs being staged into the OSU.
-            WarpPhase::Preloading(_) => Some(StallReason::CmPreloadWait),
-            // Stacked, waiting its turn. If the CM's last admission scan
-            // denied a candidate for capacity, the slot is lost to OSU
-            // space; otherwise the warp is simply behind in the preload
-            // pipeline.
-            WarpPhase::Inactive => Some(if shard.cm.admission_capacity_denied() {
-                StallReason::OsuCapacityWait
-            } else {
-                StallReason::CmPreloadWait
-            }),
-            // Between regions: old region still draining, or the PC moved
-            // past the active region's boundary.
-            WarpPhase::Draining(_) | WarpPhase::Active(_) => Some(StallReason::Drain),
-            WarpPhase::Finished => None,
+    fn stalls(&self, ineligible: WarpMask) -> StallMasks {
+        let mut groups = StallMasks::default();
+        for shard in &self.shards {
+            shard.cm.stalls(ineligible, &mut groups);
         }
+        groups
     }
 
     fn on_issue(
@@ -690,6 +724,7 @@ impl OperandBackend for RegLessBackend {
             }
         }
         shard.cm.note_issue(w, insn.dst().is_some());
+        self.issued |= warp_bit(w);
         if let Some(d) = insn.dst() {
             self.inflight_regs.incr(w, d);
         }
@@ -699,7 +734,7 @@ impl OperandBackend for RegLessBackend {
             if at.idx + 1 == self.compiled.region(region).end() {
                 ctx.stats
                     .trace_event(ctx.now, TraceEvent::RegionDrain { warp: w });
-                Self::start_drain(shard, self.inflight_regs.warp(w), w, ctx);
+                Self::start_drain(shard, &self.inflight_regs, w, ctx);
             }
         }
         extra
@@ -795,7 +830,7 @@ impl OperandBackend for RegLessBackend {
         if let WarpPhase::Active(_) = shard.cm.phase(w) {
             ctx.stats
                 .trace_event(ctx.now, TraceEvent::RegionDrain { warp: w });
-            Self::start_drain(shard, self.inflight_regs.warp(w), w, ctx);
+            Self::start_drain(shard, &self.inflight_regs, w, ctx);
         }
     }
 
@@ -823,14 +858,11 @@ impl OperandBackend for RegLessBackend {
         }
         // A preloading warp with nothing queued or in flight is waiting
         // only on its region metadata decode before it can activate.
-        for (w, &ready) in self.meta_ready_at.iter().enumerate() {
-            if self.preloads_pending[w] == 0
-                && matches!(
-                    self.shards[self.shard_of(w)].cm.phase(w),
-                    WarpPhase::Preloading(_)
-                )
-            {
-                note(ready);
+        for shard in &self.shards {
+            for w in warps_in(shard.cm.preloading()) {
+                if self.preloads_pending[w] == 0 {
+                    note(self.meta_ready_at[w]);
+                }
             }
         }
         // Draining and inactive warps need no wakeup of their own: drain
@@ -900,8 +932,11 @@ mod backend_tests {
         let warps: Vec<regless_sim::WarpState> = (0..gpu.warps_per_sm)
             .map(|_| regless_sim::WarpState::new(compiled.kernel()))
             .collect();
-        let pc = warps[0].pc().unwrap();
-        assert!(!backend.warp_eligible(0, pc), "inactive warp cannot issue");
+        assert_eq!(
+            backend.eligible(0b1, &warps),
+            0,
+            "inactive warp cannot issue"
+        );
         // Cycle 0: admission; the entry region has no inputs, so within a
         // couple of cycles the warp activates.
         for now in 0..4 {
@@ -913,7 +948,7 @@ mod backend_tests {
             };
             backend.begin_cycle_with_warps(&warps, &mut ctx);
         }
-        assert!(backend.warp_eligible(0, pc), "warp should be active");
+        assert_eq!(backend.eligible(0b1, &warps), 0b1, "warp should be active");
         assert!(stats.regions_activated >= 1);
     }
 

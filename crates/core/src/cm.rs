@@ -8,6 +8,7 @@
 //! exist.
 
 use regless_compiler::{RegionId, NUM_BANKS};
+use regless_sim::{warp_bit, StallMasks, StallReason, WarpMask, MAX_WARPS_PER_SM};
 use std::collections::VecDeque;
 
 /// Order in which drained warps re-enter the activation queue.
@@ -42,6 +43,19 @@ pub enum WarpPhase {
     Finished,
 }
 
+impl WarpPhase {
+    /// Index of this phase's mask in [`CapacityManager`]'s phase masks.
+    fn slot(self) -> usize {
+        match self {
+            WarpPhase::Inactive => 0,
+            WarpPhase::Preloading(_) => 1,
+            WarpPhase::Active(_) => 2,
+            WarpPhase::Draining(_) => 3,
+            WarpPhase::Finished => 4,
+        }
+    }
+}
+
 /// The capacity manager for one scheduler shard.
 ///
 /// ```
@@ -61,7 +75,14 @@ pub enum WarpPhase {
 /// ```
 #[derive(Clone, Debug)]
 pub struct CapacityManager {
+    /// Written only by [`CapacityManager::set_phase`], which keeps
+    /// `in_phase` in step.
     phases: Vec<WarpPhase>,
+    /// The warps this CM supervises.
+    warps: WarpMask,
+    /// The supervised warps in each phase, indexed by `WarpPhase::slot`:
+    /// they partition `warps`.
+    in_phase: [WarpMask; 5],
     /// Inactive warps, back = top of the stack. A deque so both ends are
     /// O(1): LIFO re-activation pushes the drained warp on top
     /// (`push_back`) and FIFO sends it to the bottom (`push_front`).
@@ -79,6 +100,10 @@ pub struct CapacityManager {
     /// (as opposed to finding no candidate at all). Feeds the issue-slot
     /// attribution: a capacity denial charges `OsuCapacityWait`.
     denied_capacity: bool,
+    /// Whether the stack or the budget changed since the last admission
+    /// scan that admitted nothing (see
+    /// [`CapacityManager::admission_settled`]).
+    stack_or_budget_changed: bool,
 }
 
 impl CapacityManager {
@@ -100,12 +125,19 @@ impl CapacityManager {
         lines_per_bank: usize,
         order: ActivationOrder,
     ) -> Self {
+        assert!(
+            num_warps_total <= MAX_WARPS_PER_SM,
+            "a capacity manager tracks at most {MAX_WARPS_PER_SM} warps"
+        );
         let mut ids: Vec<usize> = warps.to_vec();
         ids.sort_unstable();
         ids.reverse(); // lowest id on top
+        let mask = ids.iter().fold(0, |m, &w| m | warp_bit(w));
         let stack: VecDeque<usize> = ids.into();
         CapacityManager {
             phases: vec![WarpPhase::Inactive; num_warps_total],
+            warps: mask,
+            in_phase: [mask, 0, 0, 0, 0],
             stack,
             committed: [0; NUM_BANKS],
             reservation: vec![[0; NUM_BANKS]; num_warps_total],
@@ -113,12 +145,90 @@ impl CapacityManager {
             lines_per_bank,
             order,
             denied_capacity: false,
+            stack_or_budget_changed: true,
         }
     }
 
     /// The warp's current phase.
     pub fn phase(&self, w: usize) -> WarpPhase {
         self.phases[w]
+    }
+
+    /// Move `w` to `phase`, keeping the phase masks in step.
+    fn set_phase(&mut self, w: usize, phase: WarpPhase) {
+        let bit = warp_bit(w);
+        self.in_phase[self.phases[w].slot()] &= !bit;
+        self.in_phase[phase.slot()] |= bit;
+        self.phases[w] = phase;
+    }
+
+    /// The warps this CM supervises.
+    pub fn warps(&self) -> WarpMask {
+        self.warps
+    }
+
+    /// Supervised warps on the stack.
+    pub fn inactive(&self) -> WarpMask {
+        self.in_phase[0]
+    }
+
+    /// Supervised warps assembling a region's inputs.
+    pub fn preloading(&self) -> WarpMask {
+        self.in_phase[1]
+    }
+
+    /// Supervised warps eligible for their active region.
+    pub fn active(&self) -> WarpMask {
+        self.in_phase[2]
+    }
+
+    /// Supervised warps draining a region.
+    pub fn draining(&self) -> WarpMask {
+        self.in_phase[3]
+    }
+
+    /// Supervised warps that exited.
+    pub fn finished(&self) -> WarpMask {
+        self.in_phase[4]
+    }
+
+    /// The warps of `ready` whose next instruction lies in their active
+    /// region: `region_of(w)` is the region at warp `w`'s PC.
+    pub fn eligible(&self, ready: WarpMask, region_of: impl Fn(usize) -> RegionId) -> WarpMask {
+        regless_sim::warps_in(ready & self.active())
+            .filter(|&w| self.phases[w] == WarpPhase::Active(region_of(w)))
+            .fold(0, |m, w| m | warp_bit(w))
+    }
+
+    /// Add the supervised warps of `ineligible` to the stall group their
+    /// phase implies: preloading warps wait on staging; stacked warps wait
+    /// on OSU capacity if the last admission scan was denied for it, and
+    /// on the preload pipeline otherwise; draining warps, and active warps
+    /// whose PC left the region, wait on the drain. Finished warps have no
+    /// reason.
+    pub fn stalls(&self, ineligible: WarpMask, groups: &mut StallMasks) {
+        let stacked = if self.denied_capacity {
+            StallReason::OsuCapacityWait
+        } else {
+            StallReason::CmPreloadWait
+        };
+        groups.add(StallReason::CmPreloadWait, ineligible & self.preloading());
+        groups.add(stacked, ineligible & self.inactive());
+        groups.add(
+            StallReason::Drain,
+            ineligible & (self.draining() | self.active()),
+        );
+    }
+
+    /// Whether neither the stack nor the bank budget changed since the
+    /// last [`CapacityManager::try_start_preload`], and that scan admitted
+    /// nothing. A stacked warp's PC cannot move, so a rescan then repeats
+    /// the last one unless the caller's `next` answer changed for a warp
+    /// it skipped (a stacked warp leaving a barrier); callers may skip the
+    /// scan otherwise. Drain start, drain release, drain finish, and
+    /// admission unsettle it.
+    pub fn admission_settled(&self) -> bool {
+        !self.stack_or_budget_changed
     }
 
     /// Whether the most recent [`CapacityManager::try_start_preload`]
@@ -151,6 +261,8 @@ impl CapacityManager {
         mut next: impl FnMut(usize) -> Option<(RegionId, [usize; NUM_BANKS])>,
     ) -> Option<(usize, RegionId)> {
         self.denied_capacity = false;
+        // Settled unless this scan admits; admission sets it again below.
+        self.stack_or_budget_changed = false;
         // Scan from the top for the first admissible warp.
         for pos in (0..self.stack.len()).rev() {
             let w = self.stack[pos];
@@ -173,7 +285,8 @@ impl CapacityManager {
                 *c += u;
             }
             self.reservation[w] = usage;
-            self.phases[w] = WarpPhase::Preloading(region);
+            self.set_phase(w, WarpPhase::Preloading(region));
+            self.stack_or_budget_changed = true;
             return Some((w, region));
         }
         None
@@ -187,7 +300,7 @@ impl CapacityManager {
     pub fn activate(&mut self, w: usize) -> RegionId {
         match self.phases[w] {
             WarpPhase::Preloading(r) => {
-                self.phases[w] = WarpPhase::Active(r);
+                self.set_phase(w, WarpPhase::Active(r));
                 r
             }
             other => panic!("activate on warp {w} in phase {other:?}"),
@@ -226,9 +339,10 @@ impl CapacityManager {
     /// region's reservation in some bank.
     pub fn begin_drain(&mut self, w: usize, still_pending: [usize; NUM_BANKS]) {
         match self.phases[w] {
-            WarpPhase::Active(r) => self.phases[w] = WarpPhase::Draining(r),
+            WarpPhase::Active(r) => self.set_phase(w, WarpPhase::Draining(r)),
             other => panic!("begin_drain on warp {w} in phase {other:?}"),
         }
+        self.stack_or_budget_changed = true;
         for (b, &pending) in still_pending.iter().enumerate() {
             // Pending lines can exceed the per-bank reservation only if the
             // reservation model was violated; clamp rather than underflow.
@@ -244,6 +358,7 @@ impl CapacityManager {
         if self.reservation[w][bank] > 0 {
             self.reservation[w][bank] -= 1;
             self.committed[bank] -= 1;
+            self.stack_or_budget_changed = true;
         }
     }
 
@@ -261,10 +376,11 @@ impl CapacityManager {
             self.committed[b] -= self.reservation[w][b];
         }
         self.reservation[w] = [0; NUM_BANKS];
+        self.stack_or_budget_changed = true;
         if finished {
-            self.phases[w] = WarpPhase::Finished;
+            self.set_phase(w, WarpPhase::Finished);
         } else {
-            self.phases[w] = WarpPhase::Inactive;
+            self.set_phase(w, WarpPhase::Inactive);
             match self.order {
                 // Most recently run → top: its outputs are still staged.
                 ActivationOrder::Lifo => self.stack.push_back(w),
@@ -434,6 +550,7 @@ mod tests {
 mod proptests {
     use super::*;
     use proptest::prelude::*;
+    use regless_sim::first_warps;
 
     const WARPS: usize = 4;
     const LINES_PER_BANK: usize = 8;
@@ -449,8 +566,9 @@ mod proptests {
     /// After every operation, the bank budget counters must equal the sum
     /// of the live per-warp reservations — the accounting identity that
     /// `begin_drain`'s clamped partial release and `note_drain_release`'s
-    /// underflow guard exist to preserve — and the warp stack must hold
-    /// exactly the inactive warps.
+    /// underflow guard exist to preserve — the warp stack must hold
+    /// exactly the inactive warps, and the phase masks must partition the
+    /// supervised warps in agreement with `phase(w)`.
     fn check(cm: &CapacityManager) {
         for b in 0..NUM_BANKS {
             let live: usize = (0..WARPS).map(|w| cm.reserved(w, b)).sum();
@@ -470,6 +588,58 @@ mod proptests {
             stacked, inactive,
             "stack must hold exactly the inactive warps"
         );
+        let masks = [
+            cm.inactive(),
+            cm.preloading(),
+            cm.active(),
+            cm.draining(),
+            cm.finished(),
+        ];
+        assert_eq!(cm.warps(), first_warps(WARPS));
+        assert_eq!(masks.iter().fold(0, |m, &p| m | p), cm.warps());
+        assert_eq!(
+            masks.iter().map(|p| p.count_ones()).sum::<u32>(),
+            cm.warps().count_ones(),
+            "phase masks overlap"
+        );
+        for w in 0..WARPS {
+            let want = match cm.phase(w) {
+                WarpPhase::Inactive => 0,
+                WarpPhase::Preloading(_) => 1,
+                WarpPhase::Active(_) => 2,
+                WarpPhase::Draining(_) => 3,
+                WarpPhase::Finished => 4,
+            };
+            assert_eq!(masks[want] & warp_bit(w), warp_bit(w), "warp {w} mask");
+        }
+    }
+
+    /// The per-warp eligibility and stall classification the mask methods
+    /// replace, from `phase()` and `admission_capacity_denied()` alone.
+    fn classify(
+        cm: &CapacityManager,
+        ready: WarpMask,
+        region_of: impl Fn(usize) -> RegionId,
+    ) -> (WarpMask, StallMasks) {
+        let mut eligible = 0;
+        let mut groups = StallMasks::default();
+        for w in (0..WARPS).filter(|&w| ready & warp_bit(w) != 0) {
+            let reason = match cm.phase(w) {
+                WarpPhase::Active(r) if r == region_of(w) => {
+                    eligible |= warp_bit(w);
+                    continue;
+                }
+                WarpPhase::Preloading(_) => StallReason::CmPreloadWait,
+                WarpPhase::Inactive if cm.admission_capacity_denied() => {
+                    StallReason::OsuCapacityWait
+                }
+                WarpPhase::Inactive => StallReason::CmPreloadWait,
+                WarpPhase::Draining(_) | WarpPhase::Active(_) => StallReason::Drain,
+                WarpPhase::Finished => continue,
+            };
+            groups.add(reason, warp_bit(w));
+        }
+        (eligible, groups)
     }
 
     proptest! {
@@ -478,67 +648,115 @@ mod proptests {
             fifo in any::<bool>(),
             ops in proptest::collection::vec((any::<u8>(), any::<u8>()), 1..250),
         ) {
-            let order = if fifo { ActivationOrder::Fifo } else { ActivationOrder::Lifo };
-            let warps: Vec<usize> = (0..WARPS).collect();
-            let mut cm = CapacityManager::with_order(&warps, WARPS, LINES_PER_BANK, order);
-            for (op, p) in ops {
-                let p = p as usize;
-                match op % 7 {
-                    0 => {
-                        // Admission with a per-bank usage pattern that
-                        // varies by bank (including zero-usage banks).
-                        let mut usage = [0usize; NUM_BANKS];
-                        for (b, u) in usage.iter_mut().enumerate() {
-                            *u = (p + b) % 4;
-                        }
-                        let _ = cm.try_start_preload(|w| {
-                            if w % 3 == p % 3 { None } else { Some((RegionId(w as u32), usage)) }
-                        });
-                    }
-                    1 => {
-                        if let Some(w) = pick(&cm, p, |ph| matches!(ph, WarpPhase::Preloading(_))) {
-                            cm.activate(w);
-                        }
-                    }
-                    2 => {
-                        if let Some(w) = pick(&cm, p, |ph| matches!(ph, WarpPhase::Active(_))) {
-                            cm.note_issue(w, p.is_multiple_of(2));
-                        }
-                    }
-                    3 => {
-                        if let Some(w) = pick(&cm, p, |ph| {
-                            matches!(ph, WarpPhase::Active(_) | WarpPhase::Draining(_))
-                        }) {
-                            cm.note_writeback(w);
-                        }
-                    }
-                    4 => {
-                        if let Some(w) = pick(&cm, p, |ph| matches!(ph, WarpPhase::Active(_))) {
-                            // Pending counts may exceed the reservation in
-                            // some banks — begin_drain must clamp, not
-                            // underflow.
-                            let mut pending = [0usize; NUM_BANKS];
-                            for (b, q) in pending.iter_mut().enumerate() {
-                                *q = (p + b) % 3;
-                            }
-                            cm.begin_drain(w, pending);
-                        }
-                    }
-                    5 => {
-                        if let Some(w) = pick(&cm, p, |ph| matches!(ph, WarpPhase::Draining(_))) {
-                            // Also poke banks with no reservation left:
-                            // the release must be a no-op, not underflow.
-                            cm.note_drain_release(w, p % NUM_BANKS);
-                        }
-                    }
-                    _ => {
-                        if let Some(w) = pick(&cm, p, |ph| matches!(ph, WarpPhase::Draining(_))) {
-                            let _ = cm.try_finish_drain(w, p.is_multiple_of(5));
-                        }
+            run_ops(fifo, &ops, |cm, _| check(cm));
+        }
+
+        /// Under random operation sequences, random ready masks, and a
+        /// random region at each warp's PC, the mask-based eligibility and
+        /// stall groups equal the per-warp classification.
+        #[test]
+        fn masks_match_per_warp_classification(
+            fifo in any::<bool>(),
+            ops in proptest::collection::vec((any::<u8>(), any::<u8>()), 1..250),
+        ) {
+            run_ops(fifo, &ops, |cm, p| {
+                let ready = WarpMask::from(p) & cm.warps();
+                // Region ids are the admitting warp's id (see run_ops), so
+                // odd `p` moves some active warps' PCs out of region.
+                let moved = |w: usize| p % 2 == 1 && w.is_multiple_of(2);
+                let region_of = |w: usize| RegionId(if moved(w) { 99 } else { w as u32 });
+                let eligible = cm.eligible(ready, region_of);
+                let mut groups = StallMasks::default();
+                cm.stalls(ready & !eligible, &mut groups);
+                prop_assert_eq!((eligible, groups), classify(cm, ready, region_of));
+            });
+        }
+    }
+
+    /// The admission input of a scan with parameter `p`: a per-bank usage
+    /// pattern that varies by bank (including zero-usage banks), and a
+    /// third of the warps unable to run.
+    fn scan_input(p: usize) -> impl Fn(usize) -> Option<(RegionId, [usize; NUM_BANKS])> {
+        move |w| {
+            let mut usage = [0usize; NUM_BANKS];
+            for (b, u) in usage.iter_mut().enumerate() {
+                *u = (p + b) % 4;
+            }
+            (w % 3 != p % 3).then_some((RegionId(w as u32), usage))
+        }
+    }
+
+    /// Drive a CM over `WARPS` warps through `ops`, calling `after` with
+    /// the CM and the op's parameter after each one. Whenever the CM says
+    /// admission is settled, rescanning with the last scan's input must
+    /// admit nothing and repeat its capacity verdict.
+    fn run_ops(fifo: bool, ops: &[(u8, u8)], mut after: impl FnMut(&CapacityManager, u8)) {
+        let order = if fifo {
+            ActivationOrder::Fifo
+        } else {
+            ActivationOrder::Lifo
+        };
+        let warps: Vec<usize> = (0..WARPS).collect();
+        let mut cm = CapacityManager::with_order(&warps, WARPS, LINES_PER_BANK, order);
+        let mut last_scan = None;
+        for &(op, byte) in ops {
+            let p = byte as usize;
+            match op % 7 {
+                0 => {
+                    let _ = cm.try_start_preload(scan_input(p));
+                    last_scan = Some(p);
+                }
+                1 => {
+                    if let Some(w) = pick(&cm, p, |ph| matches!(ph, WarpPhase::Preloading(_))) {
+                        cm.activate(w);
                     }
                 }
-                check(&cm);
+                2 => {
+                    if let Some(w) = pick(&cm, p, |ph| matches!(ph, WarpPhase::Active(_))) {
+                        cm.note_issue(w, p.is_multiple_of(2));
+                    }
+                }
+                3 => {
+                    if let Some(w) = pick(&cm, p, |ph| {
+                        matches!(ph, WarpPhase::Active(_) | WarpPhase::Draining(_))
+                    }) {
+                        cm.note_writeback(w);
+                    }
+                }
+                4 => {
+                    if let Some(w) = pick(&cm, p, |ph| matches!(ph, WarpPhase::Active(_))) {
+                        // Pending counts may exceed the reservation in
+                        // some banks — begin_drain must clamp, not
+                        // underflow.
+                        let mut pending = [0usize; NUM_BANKS];
+                        for (b, q) in pending.iter_mut().enumerate() {
+                            *q = (p + b) % 3;
+                        }
+                        cm.begin_drain(w, pending);
+                    }
+                }
+                5 => {
+                    if let Some(w) = pick(&cm, p, |ph| matches!(ph, WarpPhase::Draining(_))) {
+                        // Also poke banks with no reservation left:
+                        // the release must be a no-op, not underflow.
+                        cm.note_drain_release(w, p % NUM_BANKS);
+                    }
+                }
+                _ => {
+                    if let Some(w) = pick(&cm, p, |ph| matches!(ph, WarpPhase::Draining(_))) {
+                        let _ = cm.try_finish_drain(w, p.is_multiple_of(5));
+                    }
+                }
             }
+            if let (true, Some(lp)) = (cm.admission_settled(), last_scan) {
+                let mut again = cm.clone();
+                assert_eq!(again.try_start_preload(scan_input(lp)), None);
+                assert_eq!(
+                    again.admission_capacity_denied(),
+                    cm.admission_capacity_denied()
+                );
+            }
+            after(&cm, byte);
         }
     }
 }

@@ -7,11 +7,12 @@
 //! metadata bubbles, and adds operand-access latency (bank conflicts).
 
 use crate::config::Cycle;
+use crate::mask::{first_warps, warp_bit, WarpMask};
 use crate::mem::MemSystem;
 use crate::stats::SmStats;
 use crate::warp::WarpState;
 use regless_isa::{InsnRef, Instruction, LaneVec, Reg};
-use regless_telemetry::StallReason;
+use regless_telemetry::{StallReason, NUM_STALL_REASONS};
 
 /// Mutable context handed to backend hooks.
 pub struct BackendCtx<'a> {
@@ -23,6 +24,23 @@ pub struct BackendCtx<'a> {
     pub mem: &'a mut MemSystem,
     /// This SM's counters.
     pub stats: &'a mut SmStats,
+}
+
+/// Warps grouped by the [`StallReason`] that keeps them from issuing: one
+/// [`WarpMask`] per reason.
+#[derive(Clone, Copy, PartialEq, Eq, Debug, Default)]
+pub struct StallMasks([WarpMask; NUM_STALL_REASONS]);
+
+impl StallMasks {
+    /// Add `warps` to the group of `reason`.
+    pub fn add(&mut self, reason: StallReason, warps: WarpMask) {
+        self.0[reason.index()] |= warps;
+    }
+
+    /// The warps grouped under `reason`.
+    pub fn get(&self, reason: StallReason) -> WarpMask {
+        self.0[reason.index()]
+    }
 }
 
 /// Storage/scheduling behaviour plugged into the SM pipeline.
@@ -41,25 +59,28 @@ pub trait OperandBackend {
         self.begin_cycle(ctx);
     }
 
-    /// Whether warp `w` (SM-local index) may issue its next instruction at
-    /// `pc`. The baseline always says yes; RegLess requires the
-    /// instruction's region to be active for the warp.
-    fn warp_eligible(&mut self, w: usize, pc: InsnRef) -> bool {
-        let _ = (w, pc);
-        true
+    /// The warps of `ready` the backend lets issue now. `ready` is an
+    /// SM-local [`WarpMask`] of one scheduler's warps with no scoreboard
+    /// hazard and no barrier wait. The baseline lets every ready warp
+    /// issue; RegLess requires the region at the warp's PC to be active
+    /// for the warp.
+    fn eligible(&self, ready: WarpMask, warps: &[WarpState]) -> WarpMask {
+        let _ = warps;
+        ready
     }
 
-    /// Why warp `w` is ineligible to issue at `pc` right now, for the
-    /// per-cycle issue-slot attribution (CPI stacks). Only consulted for
-    /// warps whose [`OperandBackend::warp_eligible`] returned `false` this
-    /// cycle; `None` means the backend has no stake in the warp (finished,
-    /// or the backend never gates it). RegLess reports
+    /// Why the warps of `ineligible` (ready warps that
+    /// [`OperandBackend::eligible`] held back) cannot issue, grouped by
+    /// [`StallReason`], for the per-cycle issue-slot attribution (CPI
+    /// stacks). A warp left out of every group is one the backend has no
+    /// stake in; `Issued` and `NoWarp` are not blocking reasons, and the
+    /// SM ignores warps grouped under them. RegLess reports
     /// [`StallReason::CmPreloadWait`], [`StallReason::OsuCapacityWait`],
-    /// or [`StallReason::Drain`]; occupancy-limited baselines report
+    /// or [`StallReason::Drain`]; occupancy-limited designs report
     /// capacity waits.
-    fn issue_stall(&self, w: usize, pc: InsnRef) -> Option<StallReason> {
-        let _ = (w, pc);
-        None
+    fn stalls(&self, ineligible: WarpMask) -> StallMasks {
+        let _ = ineligible;
+        StallMasks::default()
     }
 
     /// If the warp owes metadata bubbles (region-flag instructions), consume
@@ -194,13 +215,13 @@ impl OperandBackend for BaselineRf {
 /// Static warp admission shared by the capacity-throttled designs: up to
 /// `cap` unfinished warps are resident at once, admitted in id order, and
 /// a finishing warp frees its slot for the next. The admitted and finished
-/// sets are flat per-warp flags with running counts.
+/// sets are [`WarpMask`]s.
 #[derive(Clone, Debug)]
 pub struct WarpAdmission {
-    admitted: Vec<bool>,
-    finished: Vec<bool>,
-    num_admitted: usize,
-    num_finished: usize,
+    /// Every warp of the SM.
+    warps: WarpMask,
+    admitted: WarpMask,
+    finished: WarpMask,
     cap: usize,
     /// Warps left throttled by the last [`WarpAdmission::admit`].
     throttled: usize,
@@ -210,10 +231,9 @@ impl WarpAdmission {
     /// Admission over `warps_per_sm` warps, at most `cap` resident.
     pub fn new(warps_per_sm: usize, cap: usize) -> Self {
         WarpAdmission {
-            admitted: vec![false; warps_per_sm],
-            finished: vec![false; warps_per_sm],
-            num_admitted: 0,
-            num_finished: 0,
+            warps: first_warps(warps_per_sm),
+            admitted: 0,
+            finished: 0,
             cap,
             throttled: 0,
         }
@@ -227,19 +247,15 @@ impl WarpAdmission {
     /// Admit unfinished warps in id order while below the cap; returns how
     /// many warps are left throttled (neither admitted nor finished).
     pub fn admit(&mut self) -> usize {
-        let warps = self.admitted.len();
-        if self.num_admitted < self.cap {
-            for w in 0..warps {
-                if self.num_admitted >= self.cap {
-                    break;
-                }
-                if !self.finished[w] && !self.admitted[w] {
-                    self.admitted[w] = true;
-                    self.num_admitted += 1;
-                }
-            }
+        let mut waiting = self.warps & !self.admitted & !self.finished;
+        let mut resident = self.admitted.count_ones() as usize;
+        while resident < self.cap && waiting != 0 {
+            let lowest = waiting & waiting.wrapping_neg();
+            self.admitted |= lowest;
+            waiting &= !lowest;
+            resident += 1;
         }
-        self.throttled = warps.saturating_sub(self.num_finished + self.num_admitted);
+        self.throttled = waiting.count_ones() as usize;
         self.throttled
     }
 
@@ -250,25 +266,23 @@ impl WarpAdmission {
         self.throttled as u64
     }
 
-    /// Whether warp `w` is resident.
-    pub fn is_admitted(&self, w: usize) -> bool {
-        self.admitted[w]
+    /// The resident warps of `ready`.
+    pub fn eligible(&self, ready: WarpMask) -> WarpMask {
+        ready & self.admitted
     }
 
-    /// Why warp `w` cannot issue when not admitted: nothing once it has
-    /// finished, otherwise a wait for register capacity.
-    pub fn issue_stall(&self, w: usize) -> Option<StallReason> {
-        (!self.finished[w]).then_some(StallReason::OsuCapacityWait)
+    /// Why the warps of `ineligible` cannot issue: unfinished ones wait for
+    /// register capacity; finished ones have no reason.
+    pub fn stalls(&self, ineligible: WarpMask) -> StallMasks {
+        let mut groups = StallMasks::default();
+        groups.add(StallReason::OsuCapacityWait, ineligible & !self.finished);
+        groups
     }
 
     /// Warp `w` exited: release its slot for good.
     pub fn finish(&mut self, w: usize) {
-        if std::mem::replace(&mut self.admitted[w], false) {
-            self.num_admitted -= 1;
-        }
-        if !std::mem::replace(&mut self.finished[w], true) {
-            self.num_finished += 1;
-        }
+        self.admitted &= !warp_bit(w);
+        self.finished |= warp_bit(w);
     }
 }
 
@@ -307,12 +321,12 @@ impl OperandBackend for OccupancyLimitedRf {
         self.admission.admit();
     }
 
-    fn warp_eligible(&mut self, w: usize, _pc: InsnRef) -> bool {
-        self.admission.is_admitted(w)
+    fn eligible(&self, ready: WarpMask, _warps: &[WarpState]) -> WarpMask {
+        self.admission.eligible(ready)
     }
 
-    fn issue_stall(&self, w: usize, _pc: InsnRef) -> Option<StallReason> {
-        self.admission.issue_stall(w)
+    fn stalls(&self, ineligible: WarpMask) -> StallMasks {
+        self.admission.stalls(ineligible)
     }
 
     fn on_issue(
@@ -360,10 +374,6 @@ mod tests {
         // 64 entries, 16 regs/warp -> at most 4 resident warps of 8.
         let mut b = OccupancyLimitedRf::new(64, 16, 8);
         assert_eq!(b.max_resident(), 4);
-        let at = InsnRef {
-            block: regless_isa::BlockId(0),
-            idx: 0,
-        };
         {
             let mut ctx = BackendCtx {
                 sm: 0,
@@ -373,8 +383,8 @@ mod tests {
             };
             b.begin_cycle(&mut ctx);
         }
-        let eligible = (0..8).filter(|&w| b.warp_eligible(w, at)).count();
-        assert_eq!(eligible, 4);
+        let all = first_warps(8);
+        assert_eq!(b.eligible(all, &[]), 0b1111);
         // Finishing a warp admits the next one.
         {
             let mut ctx = BackendCtx {
@@ -386,9 +396,13 @@ mod tests {
             b.on_warp_finish(0, &mut ctx);
             b.begin_cycle(&mut ctx);
         }
-        let eligible = (0..8).filter(|&w| b.warp_eligible(w, at)).count();
-        assert_eq!(eligible, 4);
-        assert!(!b.warp_eligible(0, at), "finished warp not re-admitted");
+        assert_eq!(
+            b.eligible(all, &[]),
+            0b1_1110,
+            "finished warp not re-admitted"
+        );
+        let stalls = b.stalls(all & !b.eligible(all, &[]));
+        assert_eq!(stalls.get(StallReason::OsuCapacityWait), 0b1110_0000);
     }
 
     #[test]
@@ -408,7 +422,7 @@ mod tests {
                 mem: &mut mem,
                 stats: &mut stats,
             };
-            assert!(b.warp_eligible(0, at));
+            assert_eq!(b.eligible(0b1, &[]), 0b1);
             assert!(!b.take_bubble(0, &mut ctx));
             let extra = b.on_issue(0, at, &insn, &mut ctx);
             assert_eq!(extra, 0);
@@ -417,5 +431,87 @@ mod tests {
         assert_eq!(stats.rf_reads, 2);
         assert_eq!(stats.rf_writes, 1);
         assert!(b.quiesced());
+    }
+}
+
+#[cfg(test)]
+mod proptests {
+    use super::*;
+    use proptest::prelude::*;
+
+    const WARPS: usize = 12;
+
+    /// The per-warp admission the masks replace: flag vectors walked in id
+    /// order, and a per-warp eligibility and stall classification.
+    struct Reference {
+        admitted: Vec<bool>,
+        finished: Vec<bool>,
+        cap: usize,
+    }
+
+    impl Reference {
+        fn admit(&mut self) -> usize {
+            for w in 0..WARPS {
+                let resident = self.admitted.iter().filter(|&&a| a).count();
+                if resident < self.cap && !self.finished[w] && !self.admitted[w] {
+                    self.admitted[w] = true;
+                }
+            }
+            (0..WARPS)
+                .filter(|&w| !self.admitted[w] && !self.finished[w])
+                .count()
+        }
+
+        fn classify(&self, ready: WarpMask) -> (WarpMask, WarpMask) {
+            let (mut eligible, mut capacity) = (0, 0);
+            for w in (0..WARPS).filter(|&w| ready & warp_bit(w) != 0) {
+                if self.admitted[w] {
+                    eligible |= warp_bit(w);
+                } else if !self.finished[w] {
+                    capacity |= warp_bit(w);
+                }
+            }
+            (eligible, capacity)
+        }
+    }
+
+    proptest! {
+        /// Under random admit/finish sequences, the mask-based admission
+        /// throttles the same count and classifies random ready masks the
+        /// same way as the per-warp reference.
+        #[test]
+        fn admission_masks_match_per_warp_reference(
+            cap in 1usize..6,
+            ops in proptest::collection::vec((any::<bool>(), 0usize..WARPS, any::<u16>()), 1..80),
+        ) {
+            let mut masks = WarpAdmission::new(WARPS, cap);
+            let mut reference = Reference {
+                admitted: vec![false; WARPS],
+                finished: vec![false; WARPS],
+                cap,
+            };
+            for (finish, w, ready) in ops {
+                if finish {
+                    masks.finish(w);
+                    reference.admitted[w] = false;
+                    reference.finished[w] = true;
+                } else {
+                    let throttled = reference.admit();
+                    prop_assert_eq!(masks.admit(), throttled);
+                    prop_assert_eq!(masks.throttled(), throttled as u64);
+                }
+                let ready = WarpMask::from(ready) & first_warps(WARPS);
+                let eligible = masks.eligible(ready);
+                let stalls = masks.stalls(ready & !eligible);
+                let (want_eligible, want_capacity) = reference.classify(ready);
+                prop_assert_eq!(eligible, want_eligible);
+                prop_assert_eq!(stalls.get(StallReason::OsuCapacityWait), want_capacity);
+                prop_assert_eq!(stalls, {
+                    let mut g = StallMasks::default();
+                    g.add(StallReason::OsuCapacityWait, want_capacity);
+                    g
+                });
+            }
+        }
     }
 }

@@ -180,10 +180,17 @@ impl GpuConfig {
     ///
     /// # Panics
     ///
-    /// Panics if warps are not divisible among schedulers or cache shapes
-    /// are degenerate — configuration bugs, not data errors.
+    /// Panics if warps are not divisible among schedulers, an SM holds
+    /// more warps than a [`crate::WarpMask`] has bits, or cache shapes are
+    /// degenerate — configuration bugs, not data errors.
     pub fn validate(&self) {
         assert!(self.num_sms > 0 && self.warps_per_sm > 0 && self.schedulers_per_sm > 0);
+        assert!(
+            self.warps_per_sm <= crate::MAX_WARPS_PER_SM,
+            "warps_per_sm {} exceeds the {}-warp limit of a warp mask",
+            self.warps_per_sm,
+            crate::MAX_WARPS_PER_SM
+        );
         assert!(
             self.warps_per_block > 0 && self.warps_per_sm.is_multiple_of(self.warps_per_block),
             "thread blocks must tile the SM's warps"
@@ -371,6 +378,18 @@ mod tests {
             warps_per_sm: 10,
             warps_per_block: 5,
             schedulers_per_sm: 4,
+            ..GpuConfig::gtx980()
+        };
+        c.validate();
+    }
+
+    #[test]
+    #[should_panic(expected = "warp limit")]
+    fn more_than_64_warps_per_sm_panics() {
+        let c = GpuConfig {
+            warps_per_sm: 65,
+            warps_per_block: 5,
+            schedulers_per_sm: 5,
             ..GpuConfig::gtx980()
         };
         c.validate();

@@ -43,6 +43,7 @@ mod cache;
 mod cancel;
 mod config;
 mod interp;
+mod mask;
 mod mem;
 mod rf;
 mod sched;
@@ -51,11 +52,14 @@ mod stats;
 mod trace;
 mod warp;
 
-pub use backend::{BackendCtx, BaselineRf, OccupancyLimitedRf, OperandBackend, WarpAdmission};
+pub use backend::{
+    BackendCtx, BaselineRf, OccupancyLimitedRf, OperandBackend, StallMasks, WarpAdmission,
+};
 pub use cache::{AccessResult, Cache};
 pub use cancel::{CancelToken, DEADLINE_CHECK_CYCLES};
 pub use config::{table1_rows, CacheConfig, Cycle, GpuConfig, LatencyConfig, SchedulerKind};
 pub use interp::{interpret, InterpError, InterpResult};
+pub use mask::{first_warps, warp_bit, warps_in, WarpMask, WarpsIn, MAX_WARPS_PER_SM};
 pub use mem::{Level, MemAccess, MemSystem, Traffic};
 pub use rf::{collector_conflict_cycles, rf_bank, RF_BANKS};
 pub use sched::Scheduler;

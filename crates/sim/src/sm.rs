@@ -22,8 +22,9 @@
 //! kept as the differential-testing reference: both paths produce
 //! byte-identical [`RunReport::stable_json`] output.
 
-use crate::backend::{BackendCtx, OperandBackend};
+use crate::backend::{BackendCtx, OperandBackend, StallMasks};
 use crate::config::{Cycle, GpuConfig};
+use crate::mask::{warp_bit, warps_in, WarpMask};
 use crate::mem::{MemSystem, Traffic};
 use crate::sched::Scheduler;
 use crate::stats::{MemStats, SmStats};
@@ -83,22 +84,30 @@ impl fmt::Display for SimError {
 
 impl std::error::Error for SimError {}
 
-/// Priority for choosing which blocked warp's reason an idle issue slot is
-/// charged to (lower wins). Design-specific staging stalls come first —
-/// they are what RegLess's CPI stacks exist to expose; a slot is only
-/// charged at all when *no* warp could issue, so surfacing the staging
-/// bottleneck over the generic hazard is the informative choice.
-fn stall_priority(r: StallReason) -> usize {
-    match r {
-        StallReason::OsuCapacityWait => 0,
-        StallReason::MshrFull => 1,
-        StallReason::L1PortBusy => 2,
-        StallReason::CmPreloadWait => 3,
-        StallReason::Drain => 4,
-        StallReason::DataHazard => 5,
-        StallReason::Barrier => 6,
-        StallReason::Issued | StallReason::NoWarp => 7,
-    }
+/// The reasons a blocked warp can hold, in the priority by which an idle
+/// issue slot is charged (first wins). Design-specific staging stalls come
+/// first — they are what RegLess's CPI stacks exist to expose; a slot is
+/// only charged at all when *no* warp could issue, so surfacing the
+/// staging bottleneck over the generic hazard is the informative choice.
+const STALL_PRIORITY: [StallReason; 7] = [
+    StallReason::OsuCapacityWait,
+    StallReason::MshrFull,
+    StallReason::L1PortBusy,
+    StallReason::CmPreloadWait,
+    StallReason::Drain,
+    StallReason::DataHazard,
+    StallReason::Barrier,
+];
+
+/// The blocked warp an idle issue slot is charged to: the lowest warp of
+/// the first non-empty group in [`STALL_PRIORITY`] order, i.e. the minimum
+/// `(priority, warp)`. This is what an ascending per-warp scan that keeps
+/// the first strictly higher-priority reason picks.
+fn most_urgent(groups: &StallMasks) -> Option<(StallReason, usize)> {
+    STALL_PRIORITY.iter().find_map(|&r| {
+        let warps = groups.get(r);
+        (warps != 0).then(|| (r, warps.trailing_zeros() as usize))
+    })
 }
 
 /// A pending register writeback. The heap orders on `(due, seq)` only —
@@ -172,12 +181,16 @@ pub struct Sm<B> {
     /// idle slots, reused by [`Sm::skip_to`] to bulk-charge skipped cycles
     /// (the blocked set is frozen while nothing issues and no event fires).
     skip_blocked: Vec<Option<(StallReason, usize)>>,
-    /// Each warp's current [`WarpBlock`], kept incrementally: warp state
-    /// changes only at issue, writeback retire, and barrier release, so
-    /// refreshing at those three points lets the per-slot scan read an
-    /// array instead of re-deriving the scoreboard check per warp per
-    /// cycle.
-    block_cache: Vec<WarpBlock>,
+    /// Each warp's current [`WarpBlock`] as three masks (a finished warp
+    /// is in none), kept incrementally: warp state changes only at issue,
+    /// writeback retire, and barrier release, so refreshing at those three
+    /// points lets each issue slot test a scheduler's warps as one word
+    /// instead of re-deriving the scoreboard check per warp per cycle.
+    ready: WarpMask,
+    scoreboard: WarpMask,
+    barrier: WarpMask,
+    /// Each scheduler's warps (`w % schedulers == s`).
+    sched_warps: Vec<WarpMask>,
     /// Scratch ready-list for the issue loop, reused across slots to
     /// avoid a heap allocation per slot per cycle.
     ready_buf: Vec<usize>,
@@ -206,9 +219,12 @@ impl<B: OperandBackend> Sm<B> {
             .collect();
         let live_warps = warps.len();
         let num_scheds = scheds.len();
-        let block_cache = warps
-            .iter()
-            .map(|w| w.block_reason(compiled.kernel()))
+        let sched_warps = (0..num_scheds)
+            .map(|s| {
+                (s..warps.len())
+                    .step_by(num_scheds)
+                    .fold(0, |m, w| m | warp_bit(w))
+            })
             .collect();
         let stats = SmStats {
             working_set: crate::stats::WorkingSetTracker::with_shape(
@@ -222,7 +238,7 @@ impl<B: OperandBackend> Sm<B> {
             .chunks(config.warps_per_block)
             .map(<[_]>::len)
             .collect();
-        Sm {
+        let mut sm = Sm {
             id,
             config: *config,
             compiled,
@@ -231,7 +247,10 @@ impl<B: OperandBackend> Sm<B> {
             events: BinaryHeap::new(),
             next_event_seq: 0,
             skip_blocked: vec![None; num_scheds],
-            block_cache,
+            ready: 0,
+            scoreboard: 0,
+            barrier: 0,
+            sched_warps,
             ready_buf: Vec::new(),
             region_stacks,
             live_warps,
@@ -239,7 +258,11 @@ impl<B: OperandBackend> Sm<B> {
             block_live,
             stats,
             backend,
+        };
+        for w in 0..sm.warps.len() {
+            sm.refresh_block(w);
         }
+        sm
     }
 
     /// Whether thread block `b`'s barrier can release.
@@ -247,9 +270,18 @@ impl<B: OperandBackend> Sm<B> {
         self.block_waiting[b] > 0 && self.block_waiting[b] == self.block_live[b]
     }
 
-    /// Re-derive one warp's cached [`WarpBlock`] after its state changed.
+    /// Re-derive one warp's [`WarpBlock`] masks after its state changed.
     fn refresh_block(&mut self, w: usize) {
-        self.block_cache[w] = self.warps[w].block_reason(self.compiled.kernel());
+        let bit = warp_bit(w);
+        self.ready &= !bit;
+        self.scoreboard &= !bit;
+        self.barrier &= !bit;
+        match self.warps[w].block_reason(self.compiled.kernel()) {
+            WarpBlock::Ready => self.ready |= bit,
+            WarpBlock::Scoreboard => self.scoreboard |= bit,
+            WarpBlock::Barrier => self.barrier |= bit,
+            WarpBlock::Finished => {}
+        }
     }
 
     fn push_event(&mut self, mut e: Event) {
@@ -330,8 +362,9 @@ impl<B: OperandBackend> Sm<B> {
         let bs = self.config.warps_per_block;
         for bi in 0..self.block_live.len() {
             if self.barrier_complete(bi) {
-                for w in self.warps.iter_mut().skip(bi * bs).take(bs) {
-                    w.at_barrier = false;
+                for w in bi * bs..(bi + 1) * bs {
+                    self.warps[w].at_barrier = false;
+                    self.refresh_block(w);
                 }
                 self.block_waiting[bi] = 0;
                 barrier_released = true;
@@ -339,58 +372,51 @@ impl<B: OperandBackend> Sm<B> {
                     .trace_event(now, crate::TraceEvent::BarrierRelease { block: bi });
             }
         }
-        if barrier_released {
-            for w in 0..self.warps.len() {
-                self.refresh_block(w);
-            }
-        }
 
         // 4. Issue: up to `issue_slots_per_scheduler` instructions per
         // scheduler. Every slot is charged to exactly one [`StallReason`]
         // (the conservation law behind the CPI stacks): `Issued` when an
         // instruction or metadata bubble goes out, otherwise the
-        // highest-priority reason among the warps that could not.
+        // highest-priority reason among the warps that could not. The
+        // masks are re-read per slot: an issue in one slot changes the
+        // issuing warp's state before the next.
         let issue_guard = SelfProfiler::scope_opt(prof, "issue");
         let num_scheds = self.scheds.len();
-        let per_sched = self.config.warps_per_scheduler();
         let mut issued_any = false;
         let mut all_ready_empty = true;
         for s in 0..num_scheds {
+            let mine = self.sched_warps[s];
             for _slot in 0..self.config.issue_slots_per_scheduler {
-                self.ready_buf.clear();
-                // Highest-priority blocked warp seen so far, for charging
-                // the slot if nothing issues.
-                let mut blocked: Option<(StallReason, usize)> = None;
-                for local in 0..per_sched {
-                    let w = local * num_scheds + s;
-                    let reason = match self.block_cache[w] {
-                        WarpBlock::Finished => continue,
-                        WarpBlock::Barrier => StallReason::Barrier,
-                        WarpBlock::Scoreboard => StallReason::DataHazard,
-                        WarpBlock::Ready => {
-                            let pc = self.warps[w].pc().expect("ready implies a pc");
-                            if self.backend.warp_eligible(w, pc) {
-                                self.ready_buf.push(local);
-                                continue;
-                            }
-                            match self.backend.issue_stall(w, pc) {
-                                Some(r) => r,
-                                None => continue,
-                            }
-                        }
-                    };
-                    let best = blocked.map_or(usize::MAX, |(r, _)| stall_priority(r));
-                    if stall_priority(reason) < best {
-                        blocked = Some((reason, w));
-                    }
-                }
-                if !self.ready_buf.is_empty() {
+                let ready = self.ready & mine;
+                let eligible = if ready == 0 {
+                    0
+                } else {
+                    self.backend.eligible(ready, &self.warps)
+                };
+                // `pick` of an empty set declines without touching the
+                // scheduler's state, so it is not called.
+                let picked = if eligible == 0 {
+                    None
+                } else {
                     // `pick` on a non-empty set may rotate scheduler state
                     // even when it declines, so such a tick cannot seed a
                     // skip (replaying it would not be a no-op).
                     all_ready_empty = false;
-                }
-                let Some(local) = self.scheds[s].pick(&self.ready_buf) else {
+                    self.ready_buf.clear();
+                    self.ready_buf
+                        .extend(warps_in(eligible).map(|w| w / num_scheds));
+                    self.scheds[s].pick(&self.ready_buf)
+                };
+                let Some(local) = picked else {
+                    let ineligible = ready & !eligible;
+                    let mut groups = if ineligible == 0 {
+                        StallMasks::default()
+                    } else {
+                        self.backend.stalls(ineligible)
+                    };
+                    groups.add(StallReason::DataHazard, self.scoreboard & mine);
+                    groups.add(StallReason::Barrier, self.barrier & mine);
+                    let blocked = most_urgent(&groups);
                     self.stats.idle_slots += 1;
                     self.skip_blocked[s] = blocked;
                     self.charge_idle_slot(blocked, now, mem);
@@ -1350,4 +1376,63 @@ mod tests {
     }
 
     use regless_isa::Opcode;
+
+    #[test]
+    fn idle_slot_charges_the_first_priority_then_lowest_warp() {
+        let mut groups = StallMasks::default();
+        assert_eq!(most_urgent(&groups), None);
+        groups.add(StallReason::DataHazard, warp_bit(1) | warp_bit(4));
+        groups.add(StallReason::Barrier, warp_bit(0));
+        assert_eq!(most_urgent(&groups), Some((StallReason::DataHazard, 1)));
+        groups.add(StallReason::Drain, warp_bit(9) | warp_bit(5));
+        assert_eq!(most_urgent(&groups), Some((StallReason::Drain, 5)));
+        groups.add(StallReason::OsuCapacityWait, warp_bit(63));
+        assert_eq!(
+            most_urgent(&groups),
+            Some((StallReason::OsuCapacityWait, 63))
+        );
+    }
+
+    proptest::proptest! {
+        /// Over random stall groups, the mask pick equals the per-warp scan
+        /// it replaced: ascending warps, keeping a reason only when its
+        /// priority is strictly better than the best so far.
+        #[test]
+        fn most_urgent_matches_ascending_strict_scan(
+            bits in proptest::collection::vec(proptest::prelude::any::<u16>(), 7),
+        ) {
+            // Disjoint groups over 16 warps, as the SM and backends build
+            // them: each warp has at most one reason.
+            let reasons = [
+                StallReason::DataHazard,
+                StallReason::CmPreloadWait,
+                StallReason::OsuCapacityWait,
+                StallReason::L1PortBusy,
+                StallReason::MshrFull,
+                StallReason::Barrier,
+                StallReason::Drain,
+            ];
+            let priority = |r: StallReason| {
+                STALL_PRIORITY.iter().position(|&p| p == r).expect("a blocking reason")
+            };
+            let mut groups = StallMasks::default();
+            let mut taken: WarpMask = 0;
+            for (&r, &b) in reasons.iter().zip(&bits) {
+                let m = WarpMask::from(b) & !taken;
+                taken |= m;
+                groups.add(r, m);
+            }
+            let mut blocked: Option<(StallReason, usize)> = None;
+            for w in 0..16 {
+                let Some(&reason) = reasons.iter().find(|&&r| groups.get(r) & warp_bit(w) != 0) else {
+                    continue;
+                };
+                let best = blocked.map_or(usize::MAX, |(r, _)| priority(r));
+                if priority(reason) < best {
+                    blocked = Some((reason, w));
+                }
+            }
+            proptest::prop_assert_eq!(most_urgent(&groups), blocked);
+        }
+    }
 }

@@ -13,6 +13,10 @@ use regless::workloads::rodinia;
 /// The two smallest Rodinia kernels by simulated cycles.
 const KERNELS: [&str; 2] = ["nn", "pathfinder"];
 
+/// Extra single points on kernels whose small-OSU runs stall on CM
+/// admission and barriers, where a stale admission skip would show.
+const EXTRA: [(&str, usize); 2] = [("hotspot", 128), ("backprop", 256)];
+
 fn fnv1a64(bytes: &[u8]) -> u64 {
     bytes.iter().fold(0xcbf2_9ce4_8422_2325, |h, &b| {
         (h ^ u64::from(b)).wrapping_mul(0x0000_0100_0000_01b3)
@@ -40,6 +44,16 @@ fn design_digests_match_golden() {
                 fnv1a64(json.as_bytes())
             ));
         }
+    }
+    for (kernel, entries) in EXTRA {
+        let k = rodinia::kernel(kernel);
+        let json = run_design(&k, DesignKind::RegLess { entries })
+            .stable_json()
+            .to_string_compact();
+        actual.push_str(&format!(
+            "{kernel} regless@{entries} {:016x}\n",
+            fnv1a64(json.as_bytes())
+        ));
     }
     let golden = std::fs::read_to_string(concat!(
         env!("CARGO_MANIFEST_DIR"),
