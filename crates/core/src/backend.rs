@@ -112,6 +112,10 @@ pub struct RegLessBackend {
     /// Outstanding preloads per warp (queued + in flight), indexed by warp.
     /// Warps are sharded disjointly, so one flat array serves every shard.
     preloads_pending: Vec<usize>,
+    /// Warps with no preload outstanding (`preloads_pending[w] == 0`),
+    /// kept in step by [`RegLessBackend::preload_done`] and admission: the
+    /// only preloading warps that can activate.
+    fetched: WarpMask,
     /// Warps that issued since the last `begin_cycle`: the only active
     /// warps whose PC can have left their region.
     issued: WarpMask,
@@ -245,6 +249,7 @@ impl RegLessBackend {
             finishing: vec![false; gpu.warps_per_sm],
             activated_at: vec![0; gpu.warps_per_sm],
             preloads_pending: vec![0; gpu.warps_per_sm],
+            fetched: regless_sim::first_warps(gpu.warps_per_sm),
             issued: 0,
             admitted_now: false,
             inflight_regs: InflightRegs::new(gpu.warps_per_sm, num_regs),
@@ -253,6 +258,20 @@ impl RegLessBackend {
 
     fn shard_of(&self, w: usize) -> usize {
         w % self.num_scheds
+    }
+
+    /// Whether the `fetched` mask agrees with `preloads_pending` for `w`.
+    fn fetched_agrees(preloads_pending: &[usize], fetched: WarpMask, w: usize) -> bool {
+        (fetched & warp_bit(w) != 0) == (preloads_pending[w] == 0)
+    }
+
+    /// One of warp `w`'s preloads completed.
+    fn preload_done(preloads_pending: &mut [usize], fetched: &mut WarpMask, w: usize) {
+        debug_assert!(Self::fetched_agrees(preloads_pending, *fetched, w));
+        preloads_pending[w] -= 1;
+        if preloads_pending[w] == 0 {
+            *fetched |= warp_bit(w);
+        }
     }
 
     /// Charge one OSU eviction to its cause and trace it: every site that
@@ -491,7 +510,7 @@ impl RegLessBackend {
             ctx.stats
                 .observe("preload.latency", done.saturating_sub(ctx.now));
             if done <= ctx.now {
-                self.preloads_pending[p.warp] -= 1;
+                Self::preload_done(&mut self.preloads_pending, &mut self.fetched, p.warp);
             } else {
                 shard.inflight.push(Reverse((done, p.warp)));
             }
@@ -539,7 +558,7 @@ impl OperandBackend for RegLessBackend {
                         break;
                     }
                     shard.inflight.pop();
-                    self.preloads_pending[w] -= 1;
+                    Self::preload_done(&mut self.preloads_pending, &mut self.fetched, w);
                 }
             }
 
@@ -562,13 +581,15 @@ impl OperandBackend for RegLessBackend {
             let shard = &mut self.shards[s];
 
             // 4. Region transitions driven by warp PCs. Only preloading
-            // and draining warps, and active warps that issued since the
-            // last cycle (nothing else moves a PC), can change phase here;
-            // they are visited in ascending order, as a walk over all of
-            // the shard's warps would, so drained warps restack in the same
-            // order.
-            let watch =
-                shard.cm.preloading() | shard.cm.draining() | (self.issued & shard.cm.warps());
+            // warps with every preload fetched, draining warps with no
+            // writeback in flight, and active warps that issued since the
+            // last cycle (nothing else moves a PC) can change phase here;
+            // a visit to any other warp is a no-op. They are visited in
+            // ascending order, as a walk over all of the shard's warps
+            // would, so drained warps restack in the same order.
+            let watch = (shard.cm.preloading() & self.fetched)
+                | (shard.cm.draining() & shard.cm.quiet())
+                | (self.issued & shard.cm.warps());
             for w in warps_in(watch) {
                 match shard.cm.phase(w) {
                     WarpPhase::Active(region) => {
@@ -582,9 +603,8 @@ impl OperandBackend for RegLessBackend {
                             Self::start_drain(shard, &self.inflight_regs, w, ctx);
                         }
                     }
-                    WarpPhase::Preloading(_)
-                        if self.preloads_pending[w] == 0 && ctx.now >= self.meta_ready_at[w] =>
-                    {
+                    WarpPhase::Preloading(_) if ctx.now >= self.meta_ready_at[w] => {
+                        debug_assert_eq!(self.preloads_pending[w], 0, "watched before fetched");
                         let region = shard.cm.activate(w);
                         self.activated_at[w] = ctx.now;
                         ctx.stats.regions_activated += 1;
@@ -644,8 +664,16 @@ impl OperandBackend for RegLessBackend {
                 );
                 let r = compiled.region(region);
                 let preloads = r.preloads();
+                debug_assert!(Self::fetched_agrees(
+                    &self.preloads_pending,
+                    self.fetched,
+                    w
+                ));
                 self.preloads_pending[w] = preloads.len();
-                if !preloads.is_empty() {
+                if preloads.is_empty() {
+                    self.fetched |= warp_bit(w);
+                } else {
+                    self.fetched &= !warp_bit(w);
                     for p in preloads {
                         let bank = runtime_bank(w, p.reg);
                         shard.queues[bank].push_back(QueuedPreload {
@@ -797,12 +825,14 @@ impl OperandBackend for RegLessBackend {
     fn check_staged_operands(
         &self,
         w: usize,
-        operands: &[(Reg, LaneVec)],
+        srcs: &[Reg],
+        regs: &[LaneVec],
         stats: &mut regless_sim::SmStats,
     ) {
         let shard = &self.shards[self.shard_of(w)];
-        for &(reg, expected) in operands {
-            if let Some(staged) = shard.osu.read(w, reg) {
+        for &reg in srcs {
+            let expected = &regs[reg.index()];
+            if let Some(staged) = shard.osu.staged(w, reg) {
                 if staged != expected {
                     stats.staging_mismatches += 1;
                     if std::env::var_os("REGLESS_DEBUG_STAGING").is_some() {
@@ -859,10 +889,8 @@ impl OperandBackend for RegLessBackend {
         // A preloading warp with nothing queued or in flight is waiting
         // only on its region metadata decode before it can activate.
         for shard in &self.shards {
-            for w in warps_in(shard.cm.preloading()) {
-                if self.preloads_pending[w] == 0 {
-                    note(self.meta_ready_at[w]);
-                }
+            for w in warps_in(shard.cm.preloading() & self.fetched) {
+                note(self.meta_ready_at[w]);
             }
         }
         // Draining and inactive warps need no wakeup of their own: drain
@@ -985,12 +1013,10 @@ mod backend_tests {
         backend.on_writeback(0, at, Reg(0), LaneVec::splat(77), &mut ctx);
         assert_eq!(stats.osu_writes, 1);
         // The staged-operand oracle sees the value.
-        let ops = [(Reg(0), LaneVec::splat(77))];
-        backend.check_staged_operands(0, &ops, &mut stats);
+        backend.check_staged_operands(0, &[Reg(0)], &[LaneVec::splat(77)], &mut stats);
         assert_eq!(stats.staging_mismatches, 0);
         // A mismatching expectation is caught.
-        let bad = [(Reg(0), LaneVec::splat(78))];
-        backend.check_staged_operands(0, &bad, &mut stats);
+        backend.check_staged_operands(0, &[Reg(0)], &[LaneVec::splat(78)], &mut stats);
         assert_eq!(stats.staging_mismatches, 1);
     }
 

@@ -93,6 +93,9 @@ pub struct CapacityManager {
     reservation: Vec<[usize; NUM_BANKS]>,
     /// Writebacks still in flight per warp.
     outstanding: Vec<usize>,
+    /// Supervised warps with no writeback in flight, kept in step with
+    /// `outstanding`.
+    quiet: WarpMask,
     lines_per_bank: usize,
     order: ActivationOrder,
     /// Whether the most recent [`CapacityManager::try_start_preload`] call
@@ -142,6 +145,7 @@ impl CapacityManager {
             committed: [0; NUM_BANKS],
             reservation: vec![[0; NUM_BANKS]; num_warps_total],
             outstanding: vec![0; num_warps_total],
+            quiet: mask,
             lines_per_bank,
             order,
             denied_capacity: false,
@@ -312,17 +316,27 @@ impl CapacityManager {
     pub fn note_issue(&mut self, w: usize, has_dst: bool) {
         if has_dst {
             self.outstanding[w] += 1;
+            self.quiet &= !warp_bit(w);
         }
     }
 
     /// A writeback for `w` landed.
     pub fn note_writeback(&mut self, w: usize) {
         self.outstanding[w] = self.outstanding[w].saturating_sub(1);
+        if self.outstanding[w] == 0 {
+            self.quiet |= warp_bit(w) & self.warps;
+        }
     }
 
     /// Writebacks still in flight for `w`.
     pub fn outstanding(&self, w: usize) -> usize {
         self.outstanding[w]
+    }
+
+    /// Supervised warps with no writeback in flight: the only draining
+    /// warps [`CapacityManager::try_finish_drain`] can finish.
+    pub fn quiet(&self) -> WarpMask {
+        self.quiet
     }
 
     /// The warp left its region (PC moved on) — begin draining.
@@ -567,8 +581,9 @@ mod proptests {
     /// of the live per-warp reservations — the accounting identity that
     /// `begin_drain`'s clamped partial release and `note_drain_release`'s
     /// underflow guard exist to preserve — the warp stack must hold
-    /// exactly the inactive warps, and the phase masks must partition the
-    /// supervised warps in agreement with `phase(w)`.
+    /// exactly the inactive warps, the phase masks must partition the
+    /// supervised warps in agreement with `phase(w)`, and the quiet mask
+    /// must hold exactly the warps with no writeback outstanding.
     fn check(cm: &CapacityManager) {
         for b in 0..NUM_BANKS {
             let live: usize = (0..WARPS).map(|w| cm.reserved(w, b)).sum();
@@ -612,6 +627,10 @@ mod proptests {
             };
             assert_eq!(masks[want] & warp_bit(w), warp_bit(w), "warp {w} mask");
         }
+        let quiet = (0..WARPS)
+            .filter(|&w| cm.outstanding(w) == 0)
+            .fold(0, |m, w| m | warp_bit(w));
+        assert_eq!(cm.quiet(), quiet, "quiet mask");
     }
 
     /// The per-warp eligibility and stall classification the mask methods

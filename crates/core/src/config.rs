@@ -3,6 +3,10 @@
 use regless_compiler::{RegionConfig, NUM_BANKS};
 use regless_sim::GpuConfig;
 
+/// Fewest lines an OSU bank may hold: a region may need four registers in
+/// one bank, the widest single instruction.
+const MIN_LINES_PER_BANK: usize = 4;
+
 /// Sizing of the RegLess structures in one SM.
 ///
 /// The paper's chosen design point is 512 OSU entries per SM — 25 % of the
@@ -46,6 +50,34 @@ impl RegLessConfig {
         }
     }
 
+    /// The smallest `osu_entries_per_sm` a GPU shape supports:
+    /// `MIN_LINES_PER_BANK` lines in each bank of every scheduler shard.
+    fn min_capacity(gpu: &GpuConfig) -> usize {
+        gpu.schedulers_per_sm * NUM_BANKS * MIN_LINES_PER_BANK
+    }
+
+    /// Check that the OSU capacity fits `gpu`'s shape, for callers that
+    /// take the capacity from a user. [`RegLessConfig::lines_per_bank`] and
+    /// [`RegLessConfig::region_config`] panic on a configuration this
+    /// rejects.
+    ///
+    /// # Errors
+    ///
+    /// Returns a message naming the smallest valid capacity when the banks
+    /// would hold fewer than four lines each (a region may need four
+    /// registers in one bank).
+    pub fn check(&self, gpu: &GpuConfig) -> Result<(), String> {
+        let min = Self::min_capacity(gpu);
+        if self.osu_entries_per_sm >= min {
+            return Ok(());
+        }
+        Err(format!(
+            "OSU capacity {} is too small: {} shards of {} banks need at least {} lines \
+             per bank, so the smallest valid capacity is {min} entries",
+            self.osu_entries_per_sm, gpu.schedulers_per_sm, NUM_BANKS, MIN_LINES_PER_BANK
+        ))
+    }
+
     /// Lines per OSU bank for a given GPU shape.
     ///
     /// # Panics
@@ -70,12 +102,19 @@ impl RegLessConfig {
     /// instruction) and at most an eighth of the shard's lines, "so that
     /// one region cannot take up too large a fraction of the OSU and limit
     /// concurrency" (paper §4.2).
+    ///
+    /// # Panics
+    ///
+    /// Panics if [`RegLessConfig::check`] rejects the configuration.
     pub fn region_config(&self, gpu: &GpuConfig) -> RegionConfig {
+        if let Err(e) = self.check(gpu) {
+            panic!("{e}");
+        }
         let lines_per_bank = self.lines_per_bank(gpu);
         let per_shard = lines_per_bank * NUM_BANKS;
         RegionConfig {
             max_regs_per_region: (per_shard / 8).clamp(5, 24),
-            max_regs_per_bank: (lines_per_bank / 2).clamp(4, lines_per_bank),
+            max_regs_per_bank: (lines_per_bank / 2).clamp(MIN_LINES_PER_BANK, lines_per_bank),
             ..RegionConfig::default()
         }
     }
@@ -124,5 +163,24 @@ mod tests {
     #[should_panic(expected = "too small")]
     fn degenerate_capacity_panics() {
         RegLessConfig::with_capacity(16).lines_per_bank(&GpuConfig::gtx980());
+    }
+
+    #[test]
+    fn check_names_the_smallest_valid_capacity() {
+        let gpu = GpuConfig::gtx980();
+        assert_eq!(RegLessConfig::min_capacity(&gpu), 128);
+        for entries in [0, 16, 64, 127] {
+            let err = RegLessConfig::with_capacity(entries)
+                .check(&gpu)
+                .expect_err("below the minimum");
+            assert!(err.contains("smallest valid capacity is 128"), "{err}");
+        }
+        for entries in [128, 129, 512] {
+            let cfg = RegLessConfig::with_capacity(entries);
+            assert_eq!(cfg.check(&gpu), Ok(()));
+            // Every accepted capacity yields a usable region shape.
+            let rc = cfg.region_config(&gpu);
+            assert!(rc.max_regs_per_bank <= cfg.lines_per_bank(&gpu));
+        }
     }
 }

@@ -89,20 +89,24 @@ impl DesignSpec {
     /// # Errors
     ///
     /// Returns a `bad_request` [`ErrorBody`] for registered designs the
-    /// server cannot cancel (`rfh`/`rfv`), and an `unknown_design` one —
-    /// naming the id and listing every valid id — for ids the registry
-    /// has never heard of.
+    /// server cannot cancel (`rfh`/`rfv`) and for a RegLess capacity too
+    /// small for the OSU shape, and an `unknown_design` one — naming the
+    /// id and listing every valid id — for ids the registry has never
+    /// heard of.
     pub fn from_request(req: &Request) -> Result<DesignSpec, ErrorBody> {
+        let regless = |compressor: bool| {
+            RegLessConfig::with_capacity(req.capacity)
+                .check(&eval_gpu())
+                .map_err(|e| ErrorBody::new(ErrorCode::BadRequest, e))?;
+            Ok(DesignSpec::Regless {
+                capacity: req.capacity,
+                compressor,
+            })
+        };
         match req.design.as_str() {
             "baseline" => Ok(DesignSpec::Baseline),
-            "regless" => Ok(DesignSpec::Regless {
-                capacity: req.capacity,
-                compressor: req.compressor,
-            }),
-            "regless-nc" => Ok(DesignSpec::Regless {
-                capacity: req.capacity,
-                compressor: false,
-            }),
+            "regless" => regless(req.compressor),
+            "regless-nc" => regless(false),
             "regdem" => Ok(DesignSpec::RegDem),
             "compress-rf" => Ok(DesignSpec::CompressRf),
             other => match regless_bench::registry::lookup(other) {
@@ -1221,6 +1225,20 @@ mod tests {
             engine,
         )
         .expect("start server")
+    }
+
+    #[test]
+    fn too_small_capacity_is_a_bad_request() {
+        for design in ["regless", "regless-nc"] {
+            let mut req = Request::run(1, "rodinia/nn");
+            req.design = design.to_string();
+            req.capacity = 64;
+            let err = DesignSpec::from_request(&req).expect_err("capacity 64");
+            assert_eq!(err.code, ErrorCode::BadRequest);
+            assert!(err.message.contains("smallest valid capacity is 128"));
+            req.capacity = 128;
+            assert!(DesignSpec::from_request(&req).is_ok());
+        }
     }
 
     #[test]

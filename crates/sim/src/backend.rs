@@ -116,13 +116,14 @@ pub trait OperandBackend {
         let _ = (w, ctx);
     }
 
-    /// Cross-check the backend's staged operand values against the
-    /// architectural register state just before an issue. The pipeline
-    /// calls this for every instruction; backends that hold value copies
-    /// (RegLess's OSU) compare and count mismatches — a staging-path value
-    /// bug is unacceptable, not just a performance artifact.
-    fn check_staged_operands(&self, w: usize, operands: &[(Reg, LaneVec)], stats: &mut SmStats) {
-        let _ = (w, operands, stats);
+    /// Cross-check the backend's staged values of source registers `srcs`
+    /// against the warp's architectural registers `regs` (indexed by
+    /// [`Reg::index`]) just before an issue. The pipeline calls this for
+    /// every instruction; backends that hold value copies (RegLess's OSU)
+    /// compare and count mismatches — a staging-path value bug is
+    /// unacceptable, not just a performance artifact.
+    fn check_staged_operands(&self, w: usize, srcs: &[Reg], regs: &[LaneVec], stats: &mut SmStats) {
+        let _ = (w, srcs, regs, stats);
     }
 
     /// Whether all backend work has drained (used to let simulations end
@@ -135,8 +136,8 @@ pub trait OperandBackend {
     /// observable work (change state, mutate statistics, or unblock a
     /// warp), given that no warp issues and no writeback retires before
     /// then. `None` means "never — nothing is pending on my side"; the
-    /// event-driven fast path then only has to respect the writeback event
-    /// heap. The conservative default, `Some(now + 1)`, keeps unknown
+    /// event-driven fast path then only has to respect the writeback
+    /// queue. The conservative default, `Some(now + 1)`, keeps unknown
     /// backends on the cycle-by-cycle path (a skip is never taken past a
     /// backend that cannot vouch for its own quiescence).
     fn next_wakeup(&self, now: Cycle) -> Option<Cycle> {
@@ -206,7 +207,7 @@ impl OperandBackend for BaselineRf {
     }
 
     fn next_wakeup(&self, _now: Cycle) -> Option<Cycle> {
-        // Stateless: warps unblock only via writebacks (the event heap) or
+        // Stateless: warps unblock only via writebacks (the writeback queue) or
         // barriers (which the SM tracks), never via this backend.
         None
     }

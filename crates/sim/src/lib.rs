@@ -51,6 +51,7 @@ mod sm;
 mod stats;
 mod trace;
 mod warp;
+mod wheel;
 
 pub use backend::{
     BackendCtx, BaselineRf, OccupancyLimitedRf, OperandBackend, StallMasks, WarpAdmission,

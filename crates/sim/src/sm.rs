@@ -11,7 +11,7 @@
 //! blocked on a scoreboard entry, a barrier, or the staging pipeline. When
 //! a tick proves that state (nothing issued, no warp was even ready, no
 //! barrier is about to release), [`Machine::run`] jumps `now` straight to
-//! the earliest cycle anything is due — the writeback event heap or the
+//! the earliest cycle anything is due — the writeback queue or the
 //! backend's [`OperandBackend::next_wakeup`] — and bulk-charges the skipped
 //! issue slots to the same [`StallReason`]s the stepped loop would have
 //! picked, preserving the conservation law `Σ reasons == cycles × issue
@@ -29,11 +29,10 @@ use crate::mem::{MemSystem, Traffic};
 use crate::sched::Scheduler;
 use crate::stats::{MemStats, SmStats};
 use crate::warp::{WarpBlock, WarpState};
+use crate::wheel::WritebackQueue;
 use regless_compiler::CompiledKernel;
 use regless_isa::{BlockId, InsnRef, LaneVec, OpClass, Opcode, Reg, WarpId, WARP_WIDTH};
 use regless_telemetry::{IssueStack, SelfProfiler, StallReason};
-use std::cmp::Reverse;
-use std::collections::BinaryHeap;
 use std::fmt;
 use std::sync::Arc;
 
@@ -110,45 +109,19 @@ fn most_urgent(groups: &StallMasks) -> Option<(StallReason, usize)> {
     })
 }
 
-/// A pending register writeback. The heap orders on `(due, seq)` only —
-/// `seq` preserves push order among same-cycle events. The written value
-/// is not carried: it is read from the warp's register at retire, which is
-/// exact because [`WarpState::block_reason`] refuses to issue any
-/// instruction whose destination is still pending, so nothing can rewrite
-/// the register between issue and writeback.
+/// A pending register writeback, queued in a [`WritebackQueue`] that
+/// retires events in `(due, push order)` order. The written value is not
+/// carried: it is read from the warp's register at retire, which is exact
+/// because [`WarpState::block_reason`] refuses to issue any instruction
+/// whose destination is still pending, so nothing can rewrite the register
+/// between issue and writeback.
 #[derive(Clone, Debug)]
 struct Event {
-    due: Cycle,
-    /// Push-order tie-break for events due the same cycle.
-    seq: u64,
     /// The writing instruction, as its block and index within it.
     block: BlockId,
     idx: u32,
     warp: u16,
     reg: Reg,
-}
-
-// Heap sifts move whole entries; keep them at half a cache line.
-const _: () = assert!(std::mem::size_of::<Event>() == 32);
-
-impl PartialEq for Event {
-    fn eq(&self, other: &Self) -> bool {
-        (self.due, self.seq) == (other.due, other.seq)
-    }
-}
-
-impl Eq for Event {}
-
-impl PartialOrd for Event {
-    fn partial_cmp(&self, other: &Self) -> Option<std::cmp::Ordering> {
-        Some(self.cmp(other))
-    }
-}
-
-impl Ord for Event {
-    fn cmp(&self, other: &Self) -> std::cmp::Ordering {
-        (self.due, self.seq).cmp(&(other.due, other.seq))
-    }
 }
 
 /// What one [`Sm::tick`] proved about the cycles ahead: whether the SM can
@@ -175,8 +148,7 @@ pub struct Sm<B> {
     /// Architectural state of each hardware warp.
     pub warps: Vec<WarpState>,
     scheds: Vec<Scheduler>,
-    events: BinaryHeap<Reverse<Event>>,
-    next_event_seq: u64,
+    events: WritebackQueue<Event>,
     /// Per-scheduler highest-priority blocked warp from the last tick's
     /// idle slots, reused by [`Sm::skip_to`] to bulk-charge skipped cycles
     /// (the blocked set is frozen while nothing issues and no event fires).
@@ -244,8 +216,7 @@ impl<B: OperandBackend> Sm<B> {
             compiled,
             warps,
             scheds,
-            events: BinaryHeap::new(),
-            next_event_seq: 0,
+            events: WritebackQueue::new(),
             skip_blocked: vec![None; num_scheds],
             ready: 0,
             scoreboard: 0,
@@ -284,12 +255,6 @@ impl<B: OperandBackend> Sm<B> {
         }
     }
 
-    fn push_event(&mut self, mut e: Event) {
-        e.seq = self.next_event_seq;
-        self.next_event_seq += 1;
-        self.events.push(Reverse(e));
-    }
-
     fn all_done(&self) -> bool {
         self.live_warps == 0 && self.events.is_empty() && self.backend.quiesced()
     }
@@ -308,8 +273,7 @@ impl<B: OperandBackend> Sm<B> {
         // as issue left it: a pending destination blocks every later
         // writer, so the register cannot have changed since.
         let wb_guard = SelfProfiler::scope_opt(prof, "writeback");
-        while self.events.peek().is_some_and(|Reverse(e)| e.due <= now) {
-            let Reverse(e) = self.events.pop().expect("peeked above");
+        while let Some(e) = self.events.pop_due(now) {
             let w = usize::from(e.warp);
             let was_pending = self.warps[w].pending.remove(&e.reg);
             debug_assert!(
@@ -473,9 +437,9 @@ impl<B: OperandBackend> Sm<B> {
             };
         }
         let mut wakeup = self.backend.next_wakeup(now);
-        if let Some(Reverse(e)) = self.events.peek() {
+        if let Some(due) = self.events.earliest(now) {
             // Post-retire, every queued event is due strictly after `now`.
-            wakeup = Some(wakeup.map_or(e.due, |w| w.min(e.due)));
+            wakeup = Some(wakeup.map_or(due, |w| w.min(due)));
         }
         if barrier_released {
             // The released warps must be re-examined next tick.
@@ -582,15 +546,13 @@ impl<B: OperandBackend> Sm<B> {
         // Functional evaluation. Staged operand values are cross-checked
         // against the architectural state *before* the backend applies its
         // last-use annotations. An instruction has at most three sources.
+        self.backend
+            .check_staged_operands(w, srcs, &self.warps[w].regs, &mut self.stats);
         let mut src_vals = [LaneVec::zero(); 3];
-        let mut operands = [(Reg(0), LaneVec::zero()); 3];
-        for (i, &s) in srcs.iter().enumerate() {
-            src_vals[i] = self.warps[w].regs[s.index()];
-            operands[i] = (s, src_vals[i]);
+        for (v, &s) in src_vals.iter_mut().zip(srcs) {
+            *v = self.warps[w].regs[s.index()];
         }
         let src_vals = &src_vals[..srcs.len()];
-        self.backend
-            .check_staged_operands(w, &operands[..srcs.len()], &mut self.stats);
         let extra = {
             let mut ctx = BackendCtx {
                 sm: self.id,
@@ -660,14 +622,16 @@ impl<B: OperandBackend> Sm<B> {
             }
             self.warps[w].regs[d.index()] = merged;
             self.warps[w].pending.insert(d);
-            self.push_event(Event {
+            self.events.push(
+                now,
                 due,
-                seq: 0, // assigned by push_event
-                block: at.block,
-                idx: u32::try_from(at.idx).expect("block index fits in u32"),
-                warp: w as u16,
-                reg: d,
-            });
+                Event {
+                    block: at.block,
+                    idx: u32::try_from(at.idx).expect("block index fits in u32"),
+                    warp: w as u16,
+                    reg: d,
+                },
+            );
         }
 
         // Control state.

@@ -318,7 +318,7 @@ fn cmd_run(args: &[String]) -> CmdResult {
         "regless" | "regless-nc" => {
             let cfg = RegLessConfig {
                 compressor_enabled: compressor && design != "regless-nc",
-                ..RegLessConfig::with_capacity(capacity)
+                ..regless_config(capacity, &gpu)?
             };
             let compiled = compile(&kernel, &cfg.region_config(&gpu))?;
             let mut sim = RegLessSim::new(gpu, cfg, compiled);
@@ -450,7 +450,7 @@ fn cmd_trace(args: &[String]) -> CmdResult {
             machine.run()?
         }
         "regless" => {
-            let cfg = RegLessConfig::with_capacity(capacity);
+            let cfg = regless_config(capacity, &gpu)?;
             let compiled = compile(&kernel, &cfg.region_config(&gpu))?;
             let mut sim = RegLessSim::new(gpu, cfg, compiled);
             sim.attach_telemetry(EVENTS_PER_SM);
@@ -482,6 +482,14 @@ fn cmd_trace(args: &[String]) -> CmdResult {
         None => println!("{rendered}"),
     }
     Ok(())
+}
+
+/// The RegLess configuration for `--capacity <entries>` on `gpu`, or an
+/// error naming the smallest capacity the OSU shape can hold.
+fn regless_config(capacity: usize, gpu: &GpuConfig) -> Result<RegLessConfig, String> {
+    let cfg = RegLessConfig::with_capacity(capacity);
+    cfg.check(gpu)?;
+    Ok(cfg)
 }
 
 /// Simulate `kernel` under a named design and return the report (shared
@@ -517,7 +525,7 @@ fn run_for_design(
         "regless" | "regless-nc" => {
             let cfg = RegLessConfig {
                 compressor_enabled: design != "regless-nc",
-                ..RegLessConfig::with_capacity(capacity)
+                ..regless_config(capacity, &gpu)?
             };
             let compiled = compile(kernel, &cfg.region_config(&gpu))?;
             Ok(RegLessSim::new(gpu, cfg, compiled).run()?)
@@ -610,7 +618,7 @@ fn cmd_report(args: &[String]) -> CmdResult {
             machine.run()?
         }
         "regless" => {
-            let cfg = RegLessConfig::with_capacity(capacity);
+            let cfg = regless_config(capacity, &gpu)?;
             let compiled = compile(&kernel, &cfg.region_config(&gpu))?;
             let mut sim = RegLessSim::new(gpu, cfg, compiled);
             sim.attach_telemetry(EVENTS_PER_SM);
@@ -924,6 +932,11 @@ fn cluster_units(
         };
         let kind: DesignKind =
             registry::resolve(id, &params).map_err(|e| format!("cluster: {e}"))?;
+        if let DesignKind::RegLess { entries } | DesignKind::RegLessNoCompressor { entries } = kind
+        {
+            regless_config(entries, &regless::bench::eval_gpu())
+                .map_err(|e| format!("cluster: {e}"))?;
+        }
         if regless::cluster::WorkUnit::new("rodinia/nn", kind).is_none() {
             return Err(format!(
                 "cluster: design {id:?} is registered but not servable over the cluster wire"

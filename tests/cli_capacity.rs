@@ -1,0 +1,80 @@
+//! OSU capacities below the smallest the OSU shape can hold are rejected
+//! at the CLI with a clear error and exit status 1, not a panic.
+
+use std::process::{Command, Output};
+
+fn regless(args: &[&str]) -> Output {
+    Command::new(env!("CARGO_BIN_EXE_regless"))
+        .args(args)
+        .env("REGLESS_SWEEP", "off")
+        .output()
+        .expect("run the regless binary")
+}
+
+#[test]
+fn too_small_capacities_exit_1_naming_the_minimum() {
+    let out_dir = std::env::temp_dir().join(format!("regless-cli-capacity-{}", std::process::id()));
+    let out = out_dir.join("out.txt");
+    let out = out.to_str().expect("utf-8 temp path");
+    for capacity in ["0", "16", "64", "127"] {
+        for (cmd, extra) in [
+            ("run", &[][..]),
+            ("profile", &[][..]),
+            ("report", &["--format", "json", "--out", out][..]),
+            ("trace", &["--out", out][..]),
+        ] {
+            for design in ["regless", "regless-nc"] {
+                if cmd == "trace" && design == "regless-nc" {
+                    continue; // trace supports baseline|regless only
+                }
+                let mut args = vec![cmd, "kernels/saxpy.asm", "--design", design];
+                args.extend(["--capacity", capacity]);
+                args.extend(extra);
+                let o = regless(&args);
+                let stderr = String::from_utf8_lossy(&o.stderr);
+                assert_eq!(o.status.code(), Some(1), "{args:?}: {stderr}");
+                assert!(
+                    stderr.contains("smallest valid capacity is 128"),
+                    "{args:?}: {stderr}"
+                );
+                assert!(!stderr.contains("panicked"), "{args:?}: {stderr}");
+            }
+        }
+        let args = [
+            "cluster",
+            "--local",
+            "--benches",
+            "nn",
+            "--designs",
+            "regless",
+            "--capacity",
+            capacity,
+        ];
+        let o = regless(&args);
+        let stderr = String::from_utf8_lossy(&o.stderr);
+        assert_eq!(o.status.code(), Some(1), "{args:?}: {stderr}");
+        assert!(
+            stderr.contains("smallest valid capacity is 128"),
+            "{args:?}: {stderr}"
+        );
+    }
+    let _ = std::fs::remove_dir_all(&out_dir);
+}
+
+#[test]
+fn the_smallest_valid_capacity_runs() {
+    let o = regless(&[
+        "run",
+        "kernels/saxpy.asm",
+        "--design",
+        "regless",
+        "--capacity",
+        "128",
+    ]);
+    assert_eq!(
+        o.status.code(),
+        Some(0),
+        "{}",
+        String::from_utf8_lossy(&o.stderr)
+    );
+}
