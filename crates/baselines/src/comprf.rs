@@ -17,8 +17,8 @@
 use regless_compiler::CompiledKernel;
 use regless_isa::{InsnRef, Instruction, LaneVec, Opcode, Reg};
 use regless_sim::{
-    BackendCtx, Cycle, GpuConfig, OperandBackend, SchedulerKind, StallMasks, WarpAdmission,
-    WarpMask, WarpState,
+    BackendCtx, Cycle, GpuConfig, Machine, OperandBackend, RunReport, SchedulerKind, SimError,
+    StallMasks, WarpAdmission, WarpMask, WarpState,
 };
 use std::sync::Arc;
 
@@ -130,6 +130,10 @@ impl CompressRfBackend {
 }
 
 impl OperandBackend for CompressRfBackend {
+    fn run_machine(machine: Machine<Self>) -> Result<RunReport, SimError> {
+        machine.run()
+    }
+
     fn begin_cycle(&mut self, ctx: &mut BackendCtx<'_>) {
         // Admit warps in id order while their footprints fit.
         ctx.stats.comprf_throttled_warp_cycles += self.admission.admit() as u64;

@@ -15,7 +15,8 @@
 use regless_compiler::CompiledKernel;
 use regless_isa::{InsnRef, Instruction, LaneVec, Reg};
 use regless_sim::{
-    BackendCtx, Cycle, GpuConfig, OperandBackend, StallMasks, WarpAdmission, WarpMask, WarpState,
+    BackendCtx, Cycle, GpuConfig, Machine, OperandBackend, RunReport, SimError, StallMasks,
+    WarpAdmission, WarpMask, WarpState,
 };
 use std::sync::Arc;
 
@@ -89,6 +90,10 @@ impl RegDemBackend {
 }
 
 impl OperandBackend for RegDemBackend {
+    fn run_machine(machine: Machine<Self>) -> Result<RunReport, SimError> {
+        machine.run()
+    }
+
     fn begin_cycle(&mut self, ctx: &mut BackendCtx<'_>) {
         // Admit warps in id order while their spill slabs fit.
         ctx.stats.spill_throttled_warp_cycles += self.admission.admit() as u64;

@@ -12,7 +12,7 @@
 
 use regless_compiler::CompiledKernel;
 use regless_isa::{InsnRef, Instruction, Kernel, LaneVec, Reg};
-use regless_sim::{BackendCtx, Cycle, OperandBackend, SchedulerKind};
+use regless_sim::{BackendCtx, Cycle, Machine, OperandBackend, RunReport, SchedulerKind, SimError};
 
 /// The storage level a value is allocated to.
 #[derive(Clone, Copy, PartialEq, Eq, Debug)]
@@ -161,6 +161,10 @@ impl RfhBackend {
 }
 
 impl OperandBackend for RfhBackend {
+    fn run_machine(machine: Machine<Self>) -> Result<RunReport, SimError> {
+        machine.run()
+    }
+
     fn on_issue(
         &mut self,
         _w: usize,

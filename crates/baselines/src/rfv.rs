@@ -12,8 +12,8 @@
 use regless_compiler::CompiledKernel;
 use regless_isa::{InsnRef, Instruction, LaneVec, Reg};
 use regless_sim::{
-    BackendCtx, Cycle, GpuConfig, OperandBackend, SchedulerKind, StallMasks, WarpAdmission,
-    WarpMask, WarpState,
+    BackendCtx, Cycle, GpuConfig, Machine, OperandBackend, RunReport, SchedulerKind, SimError,
+    StallMasks, WarpAdmission, WarpMask, WarpState,
 };
 use std::sync::Arc;
 
@@ -60,6 +60,10 @@ impl RfvBackend {
 }
 
 impl OperandBackend for RfvBackend {
+    fn run_machine(machine: Machine<Self>) -> Result<RunReport, SimError> {
+        machine.run()
+    }
+
     fn begin_cycle(&mut self, ctx: &mut BackendCtx<'_>) {
         // Admit warps in id order while the live sets fit.
         ctx.stats.rfv_throttled_warp_cycles += self.admission.admit() as u64;

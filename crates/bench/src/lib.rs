@@ -3,17 +3,21 @@
 //! Each `fig*`/`table*` binary in this crate regenerates one table or
 //! figure of the paper (see DESIGN.md §3 for the index); this library
 //! holds the common machinery: the evaluation machine configuration,
-//! design runners, and plain-text table formatting.
+//! the one design runner ([`DesignKind::execute`]), and plain-text table
+//! formatting.
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
 
-use regless_baselines::{run_compress_rf_with, run_regdem_with, run_rfh_with, run_rfv_with};
-use regless_compiler::{compile, CompiledKernel, RegionConfig};
-use regless_core::{RegLessConfig, RegLessSim};
+use regless_baselines::{CompressRfBackend, RegDemBackend, RfhBackend, RfvBackend};
+use regless_compiler::{compile, CompileError, CompiledKernel, RegionConfig};
+use regless_core::{RegLessBackend, RegLessConfig, RegLessSim};
 use regless_energy::{energy, Design, EnergyBreakdown};
 use regless_isa::Kernel;
-use regless_sim::{run_baseline, run_baseline_with, GpuConfig, RunReport};
+use regless_sim::{
+    BaselineRf, CancelToken, GpuConfig, Machine, OperandBackend, RunReport, SimError,
+};
+use regless_telemetry::SelfProfiler;
 use regless_workloads::rodinia;
 use std::sync::Arc;
 
@@ -79,6 +83,160 @@ impl DesignKind {
             DesignKind::CompressRf => Design::CompressRf,
         }
     }
+
+    /// OSU entries per SM, or 0 for designs without an OSU (the capacity
+    /// profiles and reports record).
+    pub fn osu_capacity(&self) -> usize {
+        match *self {
+            DesignKind::RegLess { entries } | DesignKind::RegLessNoCompressor { entries } => {
+                entries
+            }
+            _ => 0,
+        }
+    }
+
+    /// Check the design's parameters against `gpu`.
+    ///
+    /// # Errors
+    ///
+    /// Returns a message naming the smallest valid capacity when a RegLess
+    /// OSU is too small for `gpu`'s shape.
+    pub fn check(&self, gpu: &GpuConfig) -> Result<(), String> {
+        match *self {
+            DesignKind::RegLess { entries } | DesignKind::RegLessNoCompressor { entries } => {
+                RegLessConfig::with_capacity(entries).check(gpu)
+            }
+            _ => Ok(()),
+        }
+    }
+
+    /// Compile `kernel` for this design, build its machine on `gpu` (with
+    /// the design's scheduler override), apply `attach` and run. This is
+    /// the one place that knows how to run each design.
+    ///
+    /// # Errors
+    ///
+    /// [`RunError::Params`] when [`DesignKind::check`] rejects the design
+    /// on `gpu`, [`RunError::Compile`] for a kernel the compiler rejects,
+    /// and [`RunError::Sim`] for a cycle-limit hit or a cancellation.
+    pub fn execute(
+        self,
+        kernel: &Kernel,
+        gpu: GpuConfig,
+        attach: &Attach,
+    ) -> Result<RunReport, RunError> {
+        self.check(&gpu).map_err(RunError::Params)?;
+        let regions = RegionConfig::default();
+        let scheduled = |scheduler| GpuConfig { scheduler, ..gpu };
+        match self {
+            DesignKind::Baseline => {
+                run_machine(kernel, gpu, &regions, attach, |_, _, _| BaselineRf::new())
+            }
+            DesignKind::RegLess { entries } | DesignKind::RegLessNoCompressor { entries } => {
+                let cfg = RegLessConfig {
+                    compressor_enabled: matches!(self, DesignKind::RegLess { .. }),
+                    ..RegLessConfig::with_capacity(entries)
+                };
+                run_machine(
+                    kernel,
+                    gpu,
+                    &cfg.region_config(&gpu),
+                    attach,
+                    |sm, gpu, c| RegLessBackend::new(sm, gpu, &cfg, c),
+                )
+            }
+            DesignKind::Rfh => {
+                let gpu = scheduled(RfhBackend::scheduler());
+                run_machine(kernel, gpu, &regions, attach, |_, _, c| RfhBackend::new(&c))
+            }
+            DesignKind::Rfv => {
+                let gpu = scheduled(RfvBackend::scheduler());
+                run_machine(kernel, gpu, &regions, attach, |_, gpu, c| {
+                    RfvBackend::new(gpu, c)
+                })
+            }
+            DesignKind::RegDem => run_machine(kernel, gpu, &regions, attach, |_, gpu, c| {
+                RegDemBackend::new(gpu, c)
+            }),
+            DesignKind::CompressRf => {
+                let gpu = scheduled(CompressRfBackend::scheduler());
+                run_machine(kernel, gpu, &regions, attach, |_, gpu, c| {
+                    CompressRfBackend::new(gpu, c)
+                })
+            }
+        }
+    }
+}
+
+/// Optional instrumentation and control for one [`DesignKind::execute`]
+/// run. The default attaches nothing and leaves the run-loop mode to
+/// `REGLESS_SIM`; none of these changes a simulated number.
+#[derive(Clone, Default)]
+pub struct Attach {
+    /// Record telemetry, buffering up to this many events per SM
+    /// ([`Machine::attach_telemetry`]).
+    pub telemetry: Option<usize>,
+    /// Time the simulator's own phases into this profiler
+    /// ([`Machine::attach_self_profiler`]).
+    pub selfprof: Option<Arc<SelfProfiler>>,
+    /// Stop the run cooperatively once this token trips
+    /// ([`Machine::set_cancel_token`]).
+    pub cancel: Option<CancelToken>,
+    /// Force (`Some(true)`) or rule out (`Some(false)`) the stepped
+    /// reference loop ([`Machine::set_stepped`]); `None` keeps
+    /// `REGLESS_SIM`.
+    pub stepped: Option<bool>,
+}
+
+/// Why [`DesignKind::execute`] returned no report.
+#[derive(Debug)]
+pub enum RunError {
+    /// A design parameter does not fit the machine.
+    Params(String),
+    /// The compiler rejected the kernel.
+    Compile(CompileError),
+    /// The simulation stopped early (cycle limit or cancellation).
+    Sim(SimError),
+}
+
+impl std::fmt::Display for RunError {
+    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
+        match self {
+            RunError::Params(msg) => f.write_str(msg),
+            RunError::Compile(e) => write!(f, "compile: {e}"),
+            RunError::Sim(e) => e.fmt(f),
+        }
+    }
+}
+
+impl std::error::Error for RunError {}
+
+/// Compile `kernel` under `regions`, build a machine whose SMs each get
+/// `backend(sm, &gpu, compiled)`, apply `attach` and run.
+fn run_machine<B: OperandBackend>(
+    kernel: &Kernel,
+    gpu: GpuConfig,
+    regions: &RegionConfig,
+    attach: &Attach,
+    backend: impl Fn(usize, &GpuConfig, Arc<CompiledKernel>) -> B,
+) -> Result<RunReport, RunError> {
+    let compiled = Arc::new(compile(kernel, regions).map_err(RunError::Compile)?);
+    let mut machine = Machine::new(gpu, Arc::clone(&compiled), |sm| {
+        backend(sm, &gpu, Arc::clone(&compiled))
+    });
+    if let Some(events_per_sm) = attach.telemetry {
+        machine.attach_telemetry(events_per_sm);
+    }
+    if let Some(prof) = &attach.selfprof {
+        machine.attach_self_profiler(Arc::clone(prof));
+    }
+    if let Some(token) = &attach.cancel {
+        machine.set_cancel_token(token.clone());
+    }
+    if let Some(stepped) = attach.stepped {
+        machine.set_stepped(stepped);
+    }
+    B::run_machine(machine).map_err(RunError::Sim)
 }
 
 /// Run one kernel under one design on the evaluation machine.
@@ -88,81 +246,14 @@ impl DesignKind {
 /// Panics on compile errors or simulation timeouts — the harness treats
 /// these as fatal experiment failures.
 pub fn run_design(kernel: &Kernel, design: DesignKind) -> RunReport {
-    run_design_with(kernel, design, false)
-}
-
-/// [`run_design`] with an explicit run-loop mode: `stepped` forces the
-/// cycle-by-cycle reference loop instead of the event-driven fast path.
-/// Both modes must produce byte-identical reports; the sim-speed bench
-/// asserts exactly that while measuring their relative throughput.
-///
-/// # Panics
-///
-/// Panics on compile errors or simulation timeouts.
-pub fn run_design_with(kernel: &Kernel, design: DesignKind, stepped: bool) -> RunReport {
-    let gpu = eval_gpu();
-    match design {
-        DesignKind::Baseline => {
-            let compiled = compile(kernel, &RegionConfig::default()).expect("compile");
-            run_baseline_with(gpu, Arc::new(compiled), stepped).expect("baseline run")
-        }
-        DesignKind::RegLess { entries } => {
-            let cfg = RegLessConfig::with_capacity(entries);
-            let compiled = compile(kernel, &cfg.region_config(&gpu)).expect("compile");
-            let mut sim = RegLessSim::new(gpu, cfg, compiled);
-            sim.set_stepped(stepped);
-            sim.run().expect("regless run")
-        }
-        DesignKind::RegLessNoCompressor { entries } => {
-            let cfg = RegLessConfig {
-                compressor_enabled: false,
-                ..RegLessConfig::with_capacity(entries)
-            };
-            let compiled = compile(kernel, &cfg.region_config(&gpu)).expect("compile");
-            let mut sim = RegLessSim::new(gpu, cfg, compiled);
-            sim.set_stepped(stepped);
-            sim.run().expect("regless run")
-        }
-        DesignKind::Rfh => {
-            let compiled = compile(kernel, &RegionConfig::default()).expect("compile");
-            run_rfh_with(gpu, compiled, stepped).expect("rfh run")
-        }
-        DesignKind::Rfv => {
-            let compiled = compile(kernel, &RegionConfig::default()).expect("compile");
-            run_rfv_with(gpu, compiled, stepped).expect("rfv run")
-        }
-        DesignKind::RegDem => {
-            let compiled = compile(kernel, &RegionConfig::default()).expect("compile");
-            run_regdem_with(gpu, compiled, stepped).expect("regdem run")
-        }
-        DesignKind::CompressRf => {
-            let compiled = compile(kernel, &RegionConfig::default()).expect("compile");
-            run_compress_rf_with(gpu, compiled, stepped).expect("compress-rf run")
-        }
-    }
+    design
+        .execute(kernel, eval_gpu(), &Attach::default())
+        .unwrap_or_else(|e| panic!("{design:?}: {e}"))
 }
 
 /// Energy of a report under the matching model.
 pub fn energy_of(report: &RunReport, design: DesignKind) -> EnergyBreakdown {
     energy(report, design.energy_design(), &eval_gpu())
-}
-
-/// Run the baseline design under an explicit warp scheduler (Figure 2's
-/// GTO vs two-level comparison).
-///
-/// # Panics
-///
-/// Panics on compile errors or simulation timeouts.
-pub fn run_baseline_with_scheduler(
-    kernel: &Kernel,
-    scheduler: regless_sim::SchedulerKind,
-) -> RunReport {
-    let gpu = GpuConfig {
-        scheduler,
-        ..eval_gpu()
-    };
-    let compiled = compile(kernel, &RegionConfig::default()).expect("compile");
-    run_baseline(gpu, Arc::new(compiled)).expect("baseline run")
 }
 
 /// Fine-grained RegLess run options for the ablation benches.

@@ -4,10 +4,11 @@
 //!
 //! Every layer that names a storage design — the CLI (`regless run
 //! --design <id>`), the serve/cluster wire protocol, the sweep space, the
-//! figures — resolves ids through this one table, so adding a design
-//! means adding **one entry here plus its backend**, not editing five
-//! match statements. `regless designs` renders the table; DESIGN.md §17
-//! documents how to add an entry.
+//! figures — resolves ids through this one table ([`resolve`], and
+//! [`identify`] back), and runs the result through
+//! [`DesignKind::execute`]. Adding a design means **one entry here plus
+//! one `execute` arm and its backend**. `regless designs` renders the
+//! table; DESIGN.md §17 documents how to add an entry.
 
 use crate::DesignKind;
 use regless_json::{Json, ToJson};
@@ -44,7 +45,8 @@ pub struct ParamSpec {
 }
 
 /// Tunable parameter values a caller supplies when building a design.
-/// Designs ignore parameters they do not declare.
+/// Designs ignore parameters they do not declare
+/// ([`DesignEntry::check_given`] rejects them where a user named them).
 #[derive(Clone, Copy, PartialEq, Eq, Debug)]
 pub struct DesignParams {
     /// OSU entries per SM (RegLess designs).
@@ -76,8 +78,6 @@ pub struct DesignEntry {
     pub params: &'static [ParamSpec],
     /// One-line description of the energy-model mapping.
     pub energy_model: &'static str,
-    /// Whether `regless serve`/`cluster` can execute this design.
-    pub servable: bool,
     build: fn(&DesignParams) -> DesignKind,
 }
 
@@ -91,6 +91,37 @@ impl DesignEntry {
     pub fn default_design(&self) -> DesignKind {
         self.build(&DesignParams::default())
     }
+
+    /// Check that every parameter a user named is one this design
+    /// declares.
+    ///
+    /// # Errors
+    ///
+    /// Returns a message naming the design, the parameter and the
+    /// design's parameters with their defaults.
+    pub fn check_given(&self, given: &[&str]) -> Result<(), String> {
+        let declared = |name: &&str| self.params.iter().any(|p| p.name == *name);
+        if let Some(name) = given.iter().find(|name| !declared(name)) {
+            return Err(format!(
+                "design {:?} has no parameter {name:?} (its parameters: {})",
+                self.id,
+                defaults(self.params, "none")
+            ));
+        }
+        Ok(())
+    }
+}
+
+/// `name=default` for each parameter, space-separated, or `none_text`.
+fn defaults(params: &[ParamSpec], none_text: &str) -> String {
+    if params.is_empty() {
+        return none_text.to_string();
+    }
+    params
+        .iter()
+        .map(|p| format!("{}={}", p.name, p.default))
+        .collect::<Vec<_>>()
+        .join(" ")
 }
 
 /// The capacity/compressor parameters the RegLess designs honor.
@@ -122,7 +153,6 @@ static ENTRIES: &[DesignEntry] = &[
         stability: Stability::Stable,
         params: &[],
         energy_model: "full 256 KB RF, crossbar per access",
-        servable: true,
         build: |_| DesignKind::Baseline,
     },
     DesignEntry {
@@ -132,7 +162,6 @@ static ENTRIES: &[DesignEntry] = &[
         stability: Stability::Stable,
         params: REGLESS_PARAMS,
         energy_model: "OSU banks + tags + compressor, no RF",
-        servable: true,
         build: |p| {
             if p.compressor {
                 DesignKind::RegLess {
@@ -152,7 +181,6 @@ static ENTRIES: &[DesignEntry] = &[
         stability: Stability::Stable,
         params: REGLESS_NC_PARAMS,
         energy_model: "OSU banks + tags, no compressor",
-        servable: true,
         build: |p| DesignKind::RegLessNoCompressor {
             entries: p.capacity,
         },
@@ -164,7 +192,6 @@ static ENTRIES: &[DesignEntry] = &[
         stability: Stability::Stable,
         params: &[],
         energy_model: "MRF + LRF/RFC small structures",
-        servable: false,
         build: |_| DesignKind::Rfh,
     },
     DesignEntry {
@@ -174,7 +201,6 @@ static ENTRIES: &[DesignEntry] = &[
         stability: Stability::Stable,
         params: &[],
         energy_model: "half-size renamed RF + rename table",
-        servable: false,
         build: |_| DesignKind::Rfv,
     },
     DesignEntry {
@@ -184,7 +210,6 @@ static ENTRIES: &[DesignEntry] = &[
         stability: Stability::Experimental,
         params: &[],
         energy_model: "half-size RF + shared-mem spill/fill",
-        servable: true,
         build: |_| DesignKind::RegDem,
     },
     DesignEntry {
@@ -194,7 +219,6 @@ static ENTRIES: &[DesignEntry] = &[
         stability: Stability::Experimental,
         params: &[],
         energy_model: "half-size RF + pattern compressor",
-        servable: true,
         build: |_| DesignKind::CompressRf,
     },
 ];
@@ -228,6 +252,25 @@ pub fn resolve(id: &str, params: &DesignParams) -> Result<DesignKind, String> {
     }
 }
 
+/// The inverse of [`resolve`]: the id and parameters that build
+/// `design` (the cluster wire carries these).
+pub fn identify(design: DesignKind) -> (&'static str, DesignParams) {
+    let osu = |capacity, compressor| DesignParams {
+        capacity,
+        compressor,
+    };
+    let fixed = DesignParams::default();
+    match design {
+        DesignKind::Baseline => ("baseline", fixed),
+        DesignKind::RegLess { entries } => ("regless", osu(entries, true)),
+        DesignKind::RegLessNoCompressor { entries } => ("regless-nc", osu(entries, false)),
+        DesignKind::Rfh => ("rfh", fixed),
+        DesignKind::Rfv => ("rfv", fixed),
+        DesignKind::RegDem => ("regdem", fixed),
+        DesignKind::CompressRf => ("compress-rf", fixed),
+    }
+}
+
 /// The error text for an unrecognized design id: names the id and lists
 /// the valid ones.
 pub fn unknown_design_message(id: &str) -> String {
@@ -240,29 +283,16 @@ pub fn render_table() -> String {
     let rows: Vec<Vec<String>> = ENTRIES
         .iter()
         .map(|e| {
-            let params = if e.params.is_empty() {
-                "-".to_string()
-            } else {
-                e.params
-                    .iter()
-                    .map(|p| format!("{}={}", p.name, p.default))
-                    .collect::<Vec<_>>()
-                    .join(" ")
-            };
             vec![
                 e.id.to_string(),
                 e.display.to_string(),
                 e.stability.as_str().to_string(),
-                params,
-                if e.servable { "yes" } else { "no" }.to_string(),
+                defaults(e.params, "-"),
                 e.citation.to_string(),
             ]
         })
         .collect();
-    crate::format_table(
-        &["id", "design", "tier", "defaults", "serve", "citation"],
-        &rows,
-    )
+    crate::format_table(&["id", "design", "tier", "defaults", "citation"], &rows)
 }
 
 /// Render the registry as JSON (the `regless designs --format json`
@@ -292,7 +322,6 @@ pub fn render_json() -> Json {
                 ),
                 ("params".into(), Json::Arr(params)),
                 ("energy_model".into(), Json::Str(e.energy_model.to_string())),
-                ("servable".into(), Json::Bool(e.servable)),
             ])
         })
         .collect();
@@ -348,6 +377,42 @@ mod tests {
             assert!(err.contains(id), "error must list {id}: {err}");
         }
         assert!(resolve("", &p).is_err(), "empty id rejected");
+    }
+
+    #[test]
+    fn identify_inverts_resolve() {
+        let small_nc = DesignParams {
+            capacity: 256,
+            compressor: false,
+        };
+        for entry in all() {
+            for params in [DesignParams::default(), small_nc] {
+                let design = entry.build(&params);
+                let (id, back) = identify(design);
+                assert_eq!(resolve(id, &back), Ok(design), "{}", entry.id);
+            }
+            assert_eq!(identify(entry.default_design()).0, entry.id);
+        }
+    }
+
+    #[test]
+    fn check_given_rejects_undeclared_parameters() {
+        let baseline = lookup("baseline").unwrap();
+        assert!(baseline.check_given(&[]).is_ok());
+        let err = baseline.check_given(&["capacity"]).unwrap_err();
+        assert!(
+            err.contains("\"baseline\"") && err.contains("\"capacity\"") && err.contains("none"),
+            "{err}"
+        );
+        let nc = lookup("regless-nc").unwrap();
+        assert!(nc.check_given(&["capacity"]).is_ok());
+        let err = nc.check_given(&["capacity", "compressor"]).unwrap_err();
+        assert!(
+            err.contains("\"compressor\"") && err.contains("capacity=512"),
+            "{err}"
+        );
+        let regless = lookup("regless").unwrap();
+        assert!(regless.check_given(&["capacity", "compressor"]).is_ok());
     }
 
     #[test]

@@ -10,7 +10,7 @@
 //! documents the fast path itself and EXPERIMENTS.md explains how to
 //! read the report.
 
-use crate::{geomean, run_design_with, DesignKind};
+use crate::{eval_gpu, geomean, registry, Attach, DesignKind};
 use regless_workloads::rodinia;
 use std::time::Instant;
 
@@ -71,14 +71,22 @@ regless_json::impl_json_struct!(SimSpeedReport {
 /// Panics when the two run-loop modes disagree on the report bytes —
 /// that is a simulator bug, not a measurement artifact, and a speedup
 /// number for a wrong simulation would be meaningless.
-pub fn measure_point(name: &str, design: DesignKind, design_label: &str) -> SimSpeedRow {
+pub fn measure_point(name: &str, design: DesignKind) -> SimSpeedRow {
+    let design_label = registry::identify(design).0;
     let kernel = rodinia::kernel(name);
-    let t0 = Instant::now();
-    let stepped = run_design_with(&kernel, design, true);
-    let stepped_secs = t0.elapsed().as_secs_f64();
-    let t1 = Instant::now();
-    let event = run_design_with(&kernel, design, false);
-    let event_secs = t1.elapsed().as_secs_f64();
+    let run = |stepped: bool| {
+        let attach = Attach {
+            stepped: Some(stepped),
+            ..Attach::default()
+        };
+        let t = Instant::now();
+        let report = design
+            .execute(&kernel, eval_gpu(), &attach)
+            .unwrap_or_else(|e| panic!("{name} under {design_label}: {e}"));
+        (report, t.elapsed().as_secs_f64())
+    };
+    let (stepped, stepped_secs) = run(true);
+    let (event, event_secs) = run(false);
     let a = stepped.stable_json().to_string_compact();
     let b = event.stable_json().to_string_compact();
     assert_eq!(
@@ -109,8 +117,8 @@ pub fn measure_point(name: &str, design: DesignKind, design_label: &str) -> SimS
 pub fn measure_suite() -> SimSpeedReport {
     let mut rows = Vec::new();
     for name in rodinia::NAMES {
-        rows.push(measure_point(name, DesignKind::Baseline, "baseline"));
-        rows.push(measure_point(name, DesignKind::regless_512(), "regless"));
+        rows.push(measure_point(name, DesignKind::Baseline));
+        rows.push(measure_point(name, DesignKind::regless_512()));
     }
     let speedups: Vec<f64> = rows.iter().map(|r| r.speedup).collect();
     SimSpeedReport {
@@ -136,7 +144,7 @@ mod tests {
     /// One cheap point end-to-end: identical reports, sane numbers.
     #[test]
     fn nn_point_is_identical_and_positive() {
-        let row = measure_point("nn", DesignKind::regless_512(), "regless");
+        let row = measure_point("nn", DesignKind::regless_512());
         assert!(row.identical);
         assert!(row.cycles > 0);
         assert!(row.stepped_cps > 0.0 && row.event_cps > 0.0);

@@ -32,8 +32,8 @@
 //! entries but still writes fresh ones (and memoizes in memory), and
 //! `REGLESS_SWEEP_DIR` overrides the `results/cache` location.
 
-use crate::{eval_gpu, run_design, run_regless_opts, DesignKind, ReglessRunOpts};
-use regless_sim::{run_baseline, GpuConfig, Machine, OccupancyLimitedRf, RunReport, SchedulerKind};
+use crate::{eval_gpu, run_regless_opts, Attach, DesignKind, ReglessRunOpts};
+use regless_sim::{GpuConfig, Machine, OccupancyLimitedRf, RunReport, SchedulerKind};
 use regless_telemetry::{Log2Histogram, ProgressMeter, SelfProfiler};
 use regless_workloads::{high_pressure_kernel, micro, rodinia};
 use std::collections::HashMap;
@@ -59,7 +59,7 @@ const CACHE_FORMAT_VERSION: u32 = 5;
 /// One simulation the engine knows how to run and key.
 #[derive(Clone, Copy, PartialEq, Eq, Hash, Debug)]
 pub enum RunVariant {
-    /// A storage design on the evaluation machine ([`run_design`]).
+    /// A storage design on the evaluation machine ([`crate::run_design`]).
     Design(DesignKind),
     /// RegLess with explicit options ([`run_regless_opts`]).
     Opts(ReglessRunOpts),
@@ -160,46 +160,41 @@ fn kernel_for(bench: &str) -> regless_isa::Kernel {
 /// Actually run one simulation (a cache miss).
 fn simulate(bench: &str, variant: RunVariant) -> RunReport {
     let kernel = kernel_for(bench);
-    match variant {
-        RunVariant::Design(d) => run_design(&kernel, d),
-        RunVariant::Opts(o) => run_regless_opts(&kernel, o),
-        RunVariant::Scheduler(k) => crate::run_baseline_with_scheduler(&kernel, k),
+    let eval = eval_gpu();
+    let (design, gpu) = match variant {
+        RunVariant::Design(d) => (d, eval),
+        RunVariant::Scheduler(scheduler) => (DesignKind::Baseline, GpuConfig { scheduler, ..eval }),
+        RunVariant::IssueWidth { width, regless } => (
+            if regless {
+                DesignKind::regless_512()
+            } else {
+                DesignKind::Baseline
+            },
+            GpuConfig {
+                issue_slots_per_scheduler: width,
+                ..eval
+            },
+        ),
+        RunVariant::Opts(o) => return run_regless_opts(&kernel, o),
         RunVariant::OccupancyLimited => {
             // Conventional RF: occupancy capped by per-thread register
             // allocation (ported from the §7 oversubscription study).
-            let gpu = eval_gpu();
             let compiled = Arc::new(
                 regless_compiler::compile(&kernel, &regless_compiler::RegionConfig::default())
                     .expect("compile"),
             );
             let regs = kernel.num_regs() as usize;
-            let rf_entries = gpu.rf_bytes_per_sm / 128;
-            Machine::new(gpu, compiled, |_| {
-                OccupancyLimitedRf::new(rf_entries, regs, gpu.warps_per_sm)
+            let rf_entries = eval.rf_bytes_per_sm / 128;
+            return Machine::new(eval, compiled, |_| {
+                OccupancyLimitedRf::new(rf_entries, regs, eval.warps_per_sm)
             })
             .run()
-            .expect("occupancy-limited run")
+            .expect("occupancy-limited run");
         }
-        RunVariant::IssueWidth { width, regless } => {
-            let gpu = GpuConfig {
-                issue_slots_per_scheduler: width,
-                ..eval_gpu()
-            };
-            if regless {
-                let cfg = regless_core::RegLessConfig::paper_default();
-                let compiled =
-                    regless_compiler::compile(&kernel, &cfg.region_config(&gpu)).expect("compile");
-                regless_core::RegLessSim::new(gpu, cfg, compiled)
-                    .run()
-                    .expect("regless run")
-            } else {
-                let compiled =
-                    regless_compiler::compile(&kernel, &regless_compiler::RegionConfig::default())
-                        .expect("compile");
-                run_baseline(gpu, Arc::new(compiled)).expect("baseline run")
-            }
-        }
-    }
+    };
+    design
+        .execute(&kernel, gpu, &Attach::default())
+        .unwrap_or_else(|e| panic!("{bench} under {variant:?}: {e}"))
 }
 
 /// How the engine treats its caches (from `REGLESS_SWEEP`).
@@ -854,7 +849,7 @@ pub fn engine() -> &'static SweepEngine {
     ENGINE.get_or_init(SweepEngine::from_env)
 }
 
-/// [`engine`]'s memoized [`run_design`].
+/// [`engine`]'s memoized [`crate::run_design`].
 pub fn design(bench: &str, design: DesignKind) -> Arc<RunReport> {
     engine().run(bench, RunVariant::Design(design))
 }
@@ -864,7 +859,8 @@ pub fn regless_opts(bench: &str, opts: ReglessRunOpts) -> Arc<RunReport> {
     engine().run(bench, RunVariant::Opts(opts))
 }
 
-/// [`engine`]'s memoized [`crate::run_baseline_with_scheduler`].
+/// [`engine`]'s memoized baseline run under an explicit warp scheduler
+/// (Figure 2's GTO vs two-level comparison).
 pub fn baseline_with_scheduler(bench: &str, kind: SchedulerKind) -> Arc<RunReport> {
     engine().run(bench, RunVariant::Scheduler(kind))
 }

@@ -57,6 +57,7 @@ pub use coordinator::{Coordinator, CoordinatorConfig, CoordinatorHandle};
 pub use stats::ClusterSummary;
 pub use worker::{run_worker, WorkerConfig, WorkerSummary};
 
+use regless_bench::registry::{self, DesignParams};
 use regless_bench::sweep::{unit_hash, unit_slug, RunVariant};
 use regless_bench::DesignKind;
 
@@ -79,16 +80,13 @@ pub struct WorkUnit {
 }
 
 impl WorkUnit {
-    /// A unit for `(bench, design)`, or `None` for designs the wire
-    /// cannot carry (`rfh`/`rfv` — same restriction as the serve layer,
-    /// whose runners have no cancellation hook).
-    pub fn new(bench: &str, design: DesignKind) -> Option<WorkUnit> {
-        wire_design(design)?;
-        Some(WorkUnit {
+    /// A unit for `(bench, design)`.
+    pub fn new(bench: &str, design: DesignKind) -> WorkUnit {
+        WorkUnit {
             id: unit_hash(bench, RunVariant::Design(design)),
             bench: bench.to_string(),
             design,
-        })
+        }
     }
 
     /// The sweep-engine variant this unit caches under.
@@ -103,55 +101,39 @@ impl WorkUnit {
     }
 
     /// The `(design, capacity, compressor)` triple the JSONL protocol
-    /// carries for this unit.
+    /// carries for this unit ([`registry::identify`]).
     pub fn wire(&self) -> (&'static str, usize, bool) {
-        wire_design(self.design).expect("WorkUnit::new rejected non-servable designs")
+        let (id, params) = registry::identify(self.design);
+        (id, params.capacity, params.compressor)
     }
 
-    /// Rebuild a unit from claim-response wire fields. `None` for an
-    /// unknown design string.
+    /// Rebuild a unit from claim-response wire fields
+    /// ([`registry::resolve`]).
+    ///
+    /// # Errors
+    ///
+    /// Returns the registry's message for an unknown design id.
     pub fn from_wire(
         bench: &str,
         design: &str,
         capacity: usize,
         compressor: bool,
-    ) -> Option<WorkUnit> {
-        let design = match (design, compressor) {
-            ("baseline", _) => DesignKind::Baseline,
-            ("regless", true) => DesignKind::RegLess { entries: capacity },
-            ("regless", false) => DesignKind::RegLessNoCompressor { entries: capacity },
-            ("regdem", _) => DesignKind::RegDem,
-            ("compress-rf", _) => DesignKind::CompressRf,
-            _ => return None,
+    ) -> Result<WorkUnit, String> {
+        let params = DesignParams {
+            capacity,
+            compressor,
         };
-        WorkUnit::new(bench, design)
+        registry::resolve(design, &params).map(|d| WorkUnit::new(bench, d))
     }
 }
 
-/// The wire triple for a design, or `None` for non-servable designs.
-fn wire_design(design: DesignKind) -> Option<(&'static str, usize, bool)> {
-    match design {
-        DesignKind::Baseline => Some(("baseline", 0, true)),
-        DesignKind::RegLess { entries } => Some(("regless", entries, true)),
-        DesignKind::RegLessNoCompressor { entries } => Some(("regless", entries, false)),
-        DesignKind::RegDem => Some(("regdem", 0, true)),
-        DesignKind::CompressRf => Some(("compress-rf", 0, true)),
-        DesignKind::Rfh | DesignKind::Rfv => None,
-    }
-}
-
-/// Enumerate the (benchmark × design) cross-product as work units,
-/// skipping designs the wire cannot carry. Deterministic order.
+/// Enumerate the (benchmark × design) cross-product as work units.
+/// Deterministic order.
 pub fn units_for(benches: &[String], designs: &[DesignKind]) -> Vec<WorkUnit> {
-    let mut units = Vec::with_capacity(benches.len() * designs.len());
-    for bench in benches {
-        for &design in designs {
-            if let Some(u) = WorkUnit::new(bench, design) {
-                units.push(u);
-            }
-        }
-    }
-    units
+    benches
+        .iter()
+        .flat_map(|bench| designs.iter().map(move |&d| WorkUnit::new(bench, d)))
+        .collect()
 }
 
 #[cfg(test)]
@@ -160,34 +142,33 @@ mod tests {
 
     #[test]
     fn work_units_round_trip_the_wire() {
-        for design in [
-            DesignKind::Baseline,
-            DesignKind::regless_512(),
-            DesignKind::RegLessNoCompressor { entries: 256 },
-            DesignKind::RegDem,
-            DesignKind::CompressRf,
-        ] {
-            let unit = WorkUnit::new("rodinia/nn", design).unwrap();
-            let (d, cap, comp) = unit.wire();
-            let back = WorkUnit::from_wire(&unit.bench, d, cap, comp).unwrap();
-            assert_eq!(back, unit, "{design:?}");
+        let nc_256 = DesignParams {
+            capacity: 256,
+            compressor: false,
+        };
+        for entry in registry::all() {
+            for design in [entry.default_design(), entry.build(&nc_256)] {
+                let unit = WorkUnit::new("rodinia/nn", design);
+                let (d, cap, comp) = unit.wire();
+                let back = WorkUnit::from_wire(&unit.bench, d, cap, comp).unwrap();
+                assert_eq!(back, unit, "{design:?}");
+            }
         }
-        assert!(WorkUnit::new("rodinia/nn", DesignKind::Rfh).is_none());
-        assert!(WorkUnit::new("rodinia/nn", DesignKind::Rfv).is_none());
-        assert!(WorkUnit::from_wire("rodinia/nn", "frobnicate", 0, true).is_none());
+        let err = WorkUnit::from_wire("rodinia/nn", "frobnicate", 0, true).unwrap_err();
+        assert!(err.contains("frobnicate"), "{err}");
     }
 
     #[test]
     fn unit_ids_are_stable_and_distinct() {
-        let a = WorkUnit::new("rodinia/nn", DesignKind::Baseline).unwrap();
-        let b = WorkUnit::new("rodinia/nn", DesignKind::Baseline).unwrap();
+        let a = WorkUnit::new("rodinia/nn", DesignKind::Baseline);
+        let b = WorkUnit::new("rodinia/nn", DesignKind::Baseline);
         assert_eq!(a.id, b.id, "ids must be stable across constructions");
-        let c = WorkUnit::new("rodinia/bfs", DesignKind::Baseline).unwrap();
+        let c = WorkUnit::new("rodinia/bfs", DesignKind::Baseline);
         assert_ne!(a.id, c.id);
     }
 
     #[test]
-    fn units_for_skips_non_servable_designs() {
+    fn units_for_covers_every_design() {
         let benches = vec!["rodinia/nn".to_string(), "rodinia/bfs".to_string()];
         let designs = vec![
             DesignKind::Baseline,
@@ -195,8 +176,8 @@ mod tests {
             DesignKind::regless_512(),
         ];
         let units = units_for(&benches, &designs);
-        assert_eq!(units.len(), 4, "rfh is skipped per bench");
+        assert_eq!(units.len(), 6, "one unit per bench x design");
         let ids: std::collections::HashSet<u64> = units.iter().map(|u| u.id).collect();
-        assert_eq!(ids.len(), 4, "all ids distinct");
+        assert_eq!(ids.len(), 6, "all ids distinct");
     }
 }

@@ -71,8 +71,8 @@ mod tests {
     #[test]
     fn digests_are_order_independent_and_detect_gaps() {
         let engine = SweepEngine::with_config(None, SweepMode::Normal);
-        let a = WorkUnit::new("rodinia/nn", DesignKind::Baseline).unwrap();
-        let b = WorkUnit::new("rodinia/nn", DesignKind::regless_512()).unwrap();
+        let a = WorkUnit::new("rodinia/nn", DesignKind::Baseline);
+        let b = WorkUnit::new("rodinia/nn", DesignKind::regless_512());
 
         // Nothing merged yet: both units are reported missing, sorted.
         let err = digest_lines(&engine, &[a.clone(), b.clone()]).unwrap_err();

@@ -309,7 +309,7 @@ fn parse_claimed_unit(resp: &Response) -> std::io::Result<WorkUnit> {
     let capacity: usize = FromJson::from_json(field("capacity")?).map_err(invalid)?;
     let compressor: bool = FromJson::from_json(field("compressor")?).map_err(invalid)?;
     let unit = WorkUnit::from_wire(&kernel, &design, capacity, compressor)
-        .ok_or_else(|| invalid(format!("claim names unknown design {design:?}")))?;
+        .map_err(|e| invalid(format!("claim: {e}")))?;
     if unit.id != id {
         return Err(invalid(format!(
             "claim unit id {id:x} does not match coordinates (expected {:x})",
@@ -341,7 +341,7 @@ mod tests {
 
     #[test]
     fn parse_claimed_unit_checks_ids_and_designs() {
-        let unit = WorkUnit::new("rodinia/nn", regless_bench::DesignKind::Baseline).unwrap();
+        let unit = WorkUnit::new("rodinia/nn", regless_bench::DesignKind::Baseline);
         let (design, capacity, compressor) = unit.wire();
         let payload = |id: u64, design: &str| {
             Response::success(

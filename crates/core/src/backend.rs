@@ -9,8 +9,9 @@ use crate::regmem::{RegisterBacking, RegisterMemoryMap, REG_LINE_BYTES};
 use regless_compiler::{CompiledKernel, LastUse, NUM_BANKS};
 use regless_isa::{InsnRef, Instruction, LaneVec, Reg};
 use regless_sim::{
-    warp_bit, warps_in, BackendCtx, Cycle, EvictionReason, GpuConfig, Level, OperandBackend,
-    PreloadSource, SmStats, StallMasks, TraceEvent, Traffic, WarpMask, WarpState,
+    warp_bit, warps_in, BackendCtx, Cycle, EvictionReason, GpuConfig, Level, Machine,
+    OperandBackend, PreloadSource, RunReport, SimError, SmStats, StallMasks, TraceEvent, Traffic,
+    WarpMask, WarpState,
 };
 use std::cmp::Reverse;
 use std::collections::{BinaryHeap, VecDeque};
@@ -519,6 +520,10 @@ impl RegLessBackend {
 }
 
 impl OperandBackend for RegLessBackend {
+    fn run_machine(machine: Machine<Self>) -> Result<RunReport, SimError> {
+        machine.run()
+    }
+
     fn begin_cycle_with_warps(&mut self, warps: &[WarpState], ctx: &mut BackendCtx<'_>) {
         self.admitted_now = false;
         // Sample the OSU/CM occupancy census once per stats window: live

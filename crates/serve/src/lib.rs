@@ -60,7 +60,7 @@ pub use proto::{
     check_protocol_version, read_json_line, ErrorBody, ErrorCode, Request, RequestKind, Response,
     PROTOCOL_VERSION,
 };
-pub use server::{DesignSpec, ServeConfig, Server, ServerHandle};
+pub use server::{ServeConfig, Server, ServerHandle};
 
 /// Default listen address when none is given (`regless serve` /
 /// `regless submit` agree on it).

@@ -108,7 +108,7 @@ pub struct Request {
     /// (`rodinia/<name>`, `micro/<name>`, `special/high_pressure`), a bare
     /// Rodinia name, or a path to a `.asm` file readable by the server.
     pub kernel: Option<String>,
-    /// Storage design: `"regless"` (default) or `"baseline"`.
+    /// Storage design: any `regless designs` id (default `"regless"`).
     pub design: String,
     /// OSU entries per SM for the regless design.
     pub capacity: usize,

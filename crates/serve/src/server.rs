@@ -11,17 +11,15 @@
 use crate::proto::{
     read_json_line, write_json_line, ErrorBody, ErrorCode, Request, RequestKind, Response,
 };
-use regless_baselines::{CompressRfBackend, RegDemBackend};
 use regless_bench::profile::ProfileReport;
+use regless_bench::registry::{self, DesignParams};
 use regless_bench::report::collect as report_collect;
 use regless_bench::sweep::{bench_kernel, rodinia_id, RunVariant, SweepEngine};
-use regless_bench::{eval_gpu, DesignKind};
-use regless_compiler::compile;
-use regless_core::{RegLessConfig, RegLessSim};
+use regless_bench::{eval_gpu, Attach, DesignKind, RunError};
 use regless_isa::text::parse_kernel;
 use regless_isa::Kernel;
 use regless_json::{Json, ToJson};
-use regless_sim::{BaselineRf, CancelToken, GpuConfig, Machine, RunReport, SimError};
+use regless_sim::{CancelToken, RunReport, SimError};
 use regless_telemetry::obs::{
     epoch_us, format_trace_id, parse_trace_id, EventLog, LogLevel, MetricsSnapshot, Span,
     DEFAULT_LOG_CAPACITY,
@@ -62,102 +60,26 @@ impl Default for ServeConfig {
     }
 }
 
-/// The storage designs the server runs: every registry entry whose
-/// simulator accepts a [`CancelToken`]. The `rfh`/`rfv` runners have no
-/// cancellation hook, and a job that cannot be cancelled would defeat
-/// the deadline contract — they are registered but not servable.
-#[derive(Clone, Copy, PartialEq, Eq, Hash, Debug)]
-pub enum DesignSpec {
-    /// Full register file, GTO scheduler.
-    Baseline,
-    /// RegLess operand staging.
-    Regless {
-        /// OSU entries per SM.
-        capacity: usize,
-        /// Compressor present.
-        compressor: bool,
-    },
-    /// RegDem-style compiler-directed spilling to shared memory.
-    RegDem,
-    /// Statically-compressed half-size register file.
-    CompressRf,
-}
-
-impl DesignSpec {
-    /// Resolve a request's design fields against the design registry.
-    ///
-    /// # Errors
-    ///
-    /// Returns a `bad_request` [`ErrorBody`] for registered designs the
-    /// server cannot cancel (`rfh`/`rfv`) and for a RegLess capacity too
-    /// small for the OSU shape, and an `unknown_design` one — naming the
-    /// id and listing every valid id — for ids the registry has never
-    /// heard of.
-    pub fn from_request(req: &Request) -> Result<DesignSpec, ErrorBody> {
-        let regless = |compressor: bool| {
-            RegLessConfig::with_capacity(req.capacity)
-                .check(&eval_gpu())
-                .map_err(|e| ErrorBody::new(ErrorCode::BadRequest, e))?;
-            Ok(DesignSpec::Regless {
-                capacity: req.capacity,
-                compressor,
-            })
-        };
-        match req.design.as_str() {
-            "baseline" => Ok(DesignSpec::Baseline),
-            "regless" => regless(req.compressor),
-            "regless-nc" => regless(false),
-            "regdem" => Ok(DesignSpec::RegDem),
-            "compress-rf" => Ok(DesignSpec::CompressRf),
-            other => match regless_bench::registry::lookup(other) {
-                Some(_) => Err(ErrorBody::new(
-                    ErrorCode::BadRequest,
-                    format!("design {other:?} is registered but not servable (its runner has no cancellation hook)"),
-                )),
-                None => Err(ErrorBody::new(
-                    ErrorCode::UnknownDesign,
-                    regless_bench::registry::unknown_design_message(other),
-                )),
-            },
-        }
-    }
-
-    /// The sweep-engine variant this design caches under.
-    fn variant(self) -> RunVariant {
-        RunVariant::Design(match self {
-            DesignSpec::Baseline => DesignKind::Baseline,
-            DesignSpec::Regless {
-                capacity,
-                compressor: true,
-            } => DesignKind::RegLess { entries: capacity },
-            DesignSpec::Regless {
-                capacity,
-                compressor: false,
-            } => DesignKind::RegLessNoCompressor { entries: capacity },
-            DesignSpec::RegDem => DesignKind::RegDem,
-            DesignSpec::CompressRf => DesignKind::CompressRf,
-        })
-    }
-
-    /// The design label used in profile/report payloads (matches the CLI's
-    /// `--design` strings).
-    fn label(self) -> &'static str {
-        match self {
-            DesignSpec::Baseline => "baseline",
-            DesignSpec::Regless { .. } => "regless",
-            DesignSpec::RegDem => "regdem",
-            DesignSpec::CompressRf => "compress-rf",
-        }
-    }
-
-    /// The OSU capacity the CPI profile records (0 for designs without an
-    /// OSU, mirroring the CLI).
-    fn osu_capacity(self) -> usize {
-        match self {
-            DesignSpec::Baseline | DesignSpec::RegDem | DesignSpec::CompressRf => 0,
-            DesignSpec::Regless { capacity, .. } => capacity,
-        }
-    }
+/// Resolve a request's design fields through the design registry and
+/// check its parameters. Designs ignore the wire's `capacity` and
+/// `compressor` fields unless they declare them.
+///
+/// # Errors
+///
+/// Returns an `unknown_design` [`ErrorBody`] — naming the id and listing
+/// every valid id — for an unregistered id, and a `bad_request` one for a
+/// RegLess capacity too small for the OSU shape.
+fn resolve_design(req: &Request) -> Result<DesignKind, ErrorBody> {
+    let params = DesignParams {
+        capacity: req.capacity,
+        compressor: req.compressor,
+    };
+    let design = registry::resolve(&req.design, &params)
+        .map_err(|e| ErrorBody::new(ErrorCode::UnknownDesign, e))?;
+    design
+        .check(&eval_gpu())
+        .map_err(|e| ErrorBody::new(ErrorCode::BadRequest, e))?;
+    Ok(design)
 }
 
 /// What makes two requests "the same simulation": the resolved kernel
@@ -167,7 +89,7 @@ impl DesignSpec {
 #[derive(Clone, PartialEq, Eq, Hash, Debug)]
 struct JobKey {
     kernel: String,
-    design: DesignSpec,
+    design: DesignKind,
 }
 
 /// One admitted simulation, shared by every coalesced waiter.
@@ -735,7 +657,7 @@ fn handle_simulation(shared: &Arc<Shared>, req: &Request) -> Response {
             ErrorBody::new(ErrorCode::ShuttingDown, "server is draining"),
         );
     }
-    let design = match DesignSpec::from_request(req) {
+    let design = match resolve_design(req) {
         Ok(d) => d,
         Err(e) => return Response::failure(req.id, e),
     };
@@ -776,7 +698,7 @@ fn handle_simulation(shared: &Arc<Shared>, req: &Request) -> Response {
     // Fast path: a benchmark already in the shared cache never queues.
     if let Some(bench) = &bench_id {
         let t_cache = if trace.is_some() { epoch_us() } else { 0 };
-        let hit = shared.engine.lookup(bench, design.variant());
+        let hit = shared.engine.lookup(bench, RunVariant::Design(design));
         if let Some(t) = trace.as_mut() {
             t.spans.push(
                 Span::new(
@@ -881,7 +803,7 @@ fn handle_simulation(shared: &Arc<Shared>, req: &Request) -> Response {
 fn admit(
     shared: &Arc<Shared>,
     req: &Request,
-    design: DesignSpec,
+    design: DesignKind,
     bench_id: Option<String>,
     kernel: Kernel,
 ) -> Result<(Arc<Job>, bool), ErrorBody> {
@@ -987,7 +909,7 @@ fn abandon(shared: &Arc<Shared>, req: &Request, job: &Arc<Job>, elapsed: Duratio
 fn finish_ok(
     shared: &Arc<Shared>,
     req: &Request,
-    design: DesignSpec,
+    design: DesignKind,
     kernel: &Kernel,
     report: &Arc<RunReport>,
     source: &str,
@@ -1008,7 +930,7 @@ fn finish_ok(
     let mut payload = vec![
         ("kind".to_string(), Json::Str(req.kind.as_str().to_string())),
         ("kernel".to_string(), Json::Str(kernel.name().to_string())),
-        ("design".to_string(), Json::Str(design.label().to_string())),
+        ("design".to_string(), Json::Str(req.design.clone())),
         ("source".to_string(), Json::Str(source.to_string())),
         ("cycles".to_string(), ToJson::to_json(&report.cycles)),
         ("ipc".to_string(), Json::Float(report.ipc())),
@@ -1018,16 +940,12 @@ fn finish_ok(
             payload.push(("report".to_string(), report.stable_json()));
         }
         RequestKind::Profile => {
-            let profile = ProfileReport::collect(
-                report,
-                kernel.name(),
-                design.label(),
-                design.osu_capacity(),
-            );
+            let profile =
+                ProfileReport::collect(report, kernel.name(), &req.design, design.osu_capacity());
             payload.push(("profile".to_string(), profile.to_json()));
         }
         _ => {
-            let full = report_collect(report, kernel.name(), design.label(), design.osu_capacity());
+            let full = report_collect(report, kernel.name(), &req.design, design.osu_capacity());
             payload.push(("summary".to_string(), full.summary().to_json()));
         }
     }
@@ -1086,9 +1004,11 @@ fn run_job(shared: &Arc<Shared>, job: &Arc<Job>) {
             Ok(Ok(report)) => {
                 let report = Arc::new(report);
                 if let Some(bench) = &job.bench_id {
-                    shared
-                        .engine
-                        .insert(bench, job.key.design.variant(), Arc::clone(&report));
+                    shared.engine.insert(
+                        bench,
+                        RunVariant::Design(job.key.design),
+                        Arc::clone(&report),
+                    );
                 }
                 Ok(report)
             }
@@ -1150,61 +1070,20 @@ fn run_job(shared: &Arc<Shared>, job: &Arc<Job>) {
 /// Compile and run one job's simulation with its token threaded into the
 /// tick loop.
 fn execute(job: &Arc<Job>) -> Result<RunReport, ErrorBody> {
-    let gpu = eval_gpu();
-    let map_sim = |e: SimError| match e {
-        SimError::Cancelled { at_cycle } => ErrorBody::new(
-            ErrorCode::Timeout,
-            format!("simulation cancelled cooperatively at cycle {at_cycle}"),
-        ),
-        other => ErrorBody::new(ErrorCode::SimFailed, other.to_string()),
+    let attach = Attach {
+        cancel: Some(job.token.clone()),
+        ..Attach::default()
     };
-    match job.key.design {
-        DesignSpec::Baseline => {
-            let compiled = compile(&job.kernel, &regless_compiler::RegionConfig::default())
-                .map_err(|e| ErrorBody::new(ErrorCode::SimFailed, format!("compile: {e}")))?;
-            let mut machine = Machine::new(gpu, Arc::new(compiled), |_| BaselineRf::new());
-            machine.set_cancel_token(job.token.clone());
-            machine.run().map_err(map_sim)
-        }
-        DesignSpec::Regless {
-            capacity,
-            compressor,
-        } => {
-            let cfg = RegLessConfig {
-                compressor_enabled: compressor,
-                ..RegLessConfig::with_capacity(capacity)
-            };
-            let compiled = compile(&job.kernel, &cfg.region_config(&gpu))
-                .map_err(|e| ErrorBody::new(ErrorCode::SimFailed, format!("compile: {e}")))?;
-            let mut sim = RegLessSim::new(gpu, cfg, compiled);
-            sim.set_cancel_token(job.token.clone());
-            sim.run().map_err(map_sim)
-        }
-        DesignSpec::RegDem => {
-            let compiled = compile(&job.kernel, &regless_compiler::RegionConfig::default())
-                .map_err(|e| ErrorBody::new(ErrorCode::SimFailed, format!("compile: {e}")))?;
-            let compiled = Arc::new(compiled);
-            let mut machine = Machine::new(gpu, Arc::clone(&compiled), |_| {
-                RegDemBackend::new(&gpu, Arc::clone(&compiled))
-            });
-            machine.set_cancel_token(job.token.clone());
-            machine.run().map_err(map_sim)
-        }
-        DesignSpec::CompressRf => {
-            let compiled = compile(&job.kernel, &regless_compiler::RegionConfig::default())
-                .map_err(|e| ErrorBody::new(ErrorCode::SimFailed, format!("compile: {e}")))?;
-            let gpu = GpuConfig {
-                scheduler: CompressRfBackend::scheduler(),
-                ..gpu
-            };
-            let compiled = Arc::new(compiled);
-            let mut machine = Machine::new(gpu, Arc::clone(&compiled), |_| {
-                CompressRfBackend::new(&gpu, Arc::clone(&compiled))
-            });
-            machine.set_cancel_token(job.token.clone());
-            machine.run().map_err(map_sim)
-        }
-    }
+    job.key
+        .design
+        .execute(&job.kernel, eval_gpu(), &attach)
+        .map_err(|e| match e {
+            RunError::Sim(SimError::Cancelled { at_cycle }) => ErrorBody::new(
+                ErrorCode::Timeout,
+                format!("simulation cancelled cooperatively at cycle {at_cycle}"),
+            ),
+            other => ErrorBody::new(ErrorCode::SimFailed, other.to_string()),
+        })
 }
 
 #[cfg(test)]
@@ -1233,11 +1112,18 @@ mod tests {
             let mut req = Request::run(1, "rodinia/nn");
             req.design = design.to_string();
             req.capacity = 64;
-            let err = DesignSpec::from_request(&req).expect_err("capacity 64");
+            let err = resolve_design(&req).expect_err("capacity 64");
             assert_eq!(err.code, ErrorCode::BadRequest);
             assert!(err.message.contains("smallest valid capacity is 128"));
             req.capacity = 128;
-            assert!(DesignSpec::from_request(&req).is_ok());
+            assert!(resolve_design(&req).is_ok());
+        }
+        // Designs without an OSU ignore the wire's capacity.
+        for design in ["baseline", "rfh", "rfv", "regdem", "compress-rf"] {
+            let mut req = Request::run(1, "rodinia/nn");
+            req.design = design.to_string();
+            req.capacity = 64;
+            assert!(resolve_design(&req).is_ok(), "{design}");
         }
     }
 
@@ -1302,11 +1188,6 @@ mod tests {
         let r = client.request(&Request::run(1, "no/such_bench")).unwrap();
         assert_eq!(r.error_code(), Some("bad_request"), "{r:?}");
 
-        let mut rfh = Request::run(2, "rodinia/nn");
-        rfh.design = "rfh".to_string();
-        let r = client.request(&rfh).unwrap();
-        assert_eq!(r.error_code(), Some("bad_request"), "{r:?}");
-
         // Unregistered ids get the structured `unknown_design` error that
         // names the offender and lists every valid id.
         let mut bogus = Request::run(5, "rodinia/nn");
@@ -1341,7 +1222,7 @@ mod tests {
     fn related_work_designs_are_servable() {
         let handle = test_server(2, 8);
         let mut client = Client::connect(&handle.addr().to_string()).unwrap();
-        for (id, design) in [(1u64, "regdem"), (2, "compress-rf")] {
+        for (id, design) in [(1u64, "regdem"), (2, "compress-rf"), (3, "rfh"), (4, "rfv")] {
             let mut req = Request::run(id, "rodinia/nn");
             req.design = design.to_string();
             let r = client.request(&req).unwrap();
@@ -1352,6 +1233,76 @@ mod tests {
             );
             assert!(r.payload_field("report").is_some(), "{design}");
         }
+        handle.shutdown();
+        handle.drain().expect("drain");
+    }
+
+    /// Every reply names the design id the client sent: `regless-nc`
+    /// runs the same simulation as `regless` without the compressor, but
+    /// its run, profile and report replies say `regless-nc`.
+    #[test]
+    fn replies_carry_the_requested_design_id() {
+        let handle = test_server(1, 8);
+        let mut client = Client::connect(&handle.addr().to_string()).unwrap();
+        for (id, kind) in [
+            (1u64, RequestKind::Run),
+            (2, RequestKind::Profile),
+            (3, RequestKind::Report),
+        ] {
+            let mut req = Request::run(id, "rodinia/nn");
+            req.design = "regless-nc".to_string();
+            req.kind = kind;
+            let r = client.request(&req).unwrap();
+            assert!(r.ok, "{kind:?}: {r:?}");
+            let nc = Some(Json::Str("regless-nc".to_string()));
+            assert_eq!(r.payload_field("design").cloned(), nc, "{kind:?}");
+            let nested = match kind {
+                RequestKind::Profile => r.payload_field("profile"),
+                RequestKind::Report => r.payload_field("summary"),
+                _ => None,
+            };
+            if let Some(body) = nested {
+                assert_eq!(body.field("design").ok().cloned(), nc, "{kind:?}: {body:?}");
+            }
+        }
+        handle.shutdown();
+        handle.drain().expect("drain");
+    }
+
+    /// `rfh` runs on the same cancellable machine as every other design:
+    /// a deadline far shorter than the simulation answers `timeout`, and
+    /// the abandoned simulation stops through its cancel token.
+    #[test]
+    fn rfh_honors_a_short_deadline() {
+        let handle = test_server(1, 4);
+        let addr = handle.addr().to_string();
+        let path =
+            std::env::temp_dir().join(format!("regless-serve-rfh-{}.asm", std::process::id()));
+        std::fs::write(
+            &path,
+            "kernel slow_rfh\nbb0:\n  r0 = movi 0x0\n  r1 = movi 0xc350\n  jmp bb1\n\
+             bb1:\n  r2 = movi 0x1\n  r0 = iadd r0, r2\n  r3 = setlt r0, r1\n  bra r3, bb1, bb2\n\
+             bb2:\n  exit\n",
+        )
+        .unwrap();
+        let mut client = Client::connect(&addr).unwrap();
+        let mut req = Request::run(1, path.to_str().unwrap());
+        req.design = "rfh".to_string();
+        req.timeout_ms = Some(20);
+        let r = client.request(&req).unwrap();
+        assert_eq!(r.error_code(), Some("timeout"), "{r:?}");
+        let cancelled = (0..500).any(|_| {
+            let stats = client
+                .request(&Request::control(2, RequestKind::Stats))
+                .unwrap();
+            if stats.payload_field("cancelled") == Some(&Json::Int(1)) {
+                return true;
+            }
+            std::thread::sleep(Duration::from_millis(10));
+            false
+        });
+        assert!(cancelled, "the rfh simulation was never cancelled");
+        let _ = std::fs::remove_file(&path);
         handle.shutdown();
         handle.drain().expect("drain");
     }

@@ -64,7 +64,7 @@ pub use mask::{first_warps, warp_bit, warps_in, WarpMask, WarpsIn, MAX_WARPS_PER
 pub use mem::{Level, MemAccess, MemSystem, Traffic};
 pub use rf::{collector_conflict_cycles, rf_bank, RF_BANKS};
 pub use sched::Scheduler;
-pub use sm::{load_value, run_baseline, run_baseline_with, Machine, RunReport, SimError, Sm};
+pub use sm::{load_value, run_baseline, Machine, RunReport, SimError, Sm};
 pub use stats::{MemStats, PreloadSource, SmStats, WindowSeries, WorkingSetTracker, WINDOW_CYCLES};
 pub use trace::TraceEvent;
 

@@ -1120,19 +1120,7 @@ pub fn run_baseline(
     config: GpuConfig,
     compiled: Arc<CompiledKernel>,
 ) -> Result<RunReport, SimError> {
-    run_baseline_with(config, compiled, false)
-}
-
-/// [`run_baseline`] with an explicit run-loop mode: `stepped` forces the
-/// cycle-by-cycle reference loop (see [`Machine::set_stepped`]).
-pub fn run_baseline_with(
-    config: GpuConfig,
-    compiled: Arc<CompiledKernel>,
-    stepped: bool,
-) -> Result<RunReport, SimError> {
-    let mut machine = Machine::new(config, compiled, |_| crate::backend::BaselineRf::new());
-    machine.set_stepped(stepped);
-    machine.run()
+    Machine::new(config, compiled, |_| crate::backend::BaselineRf::new()).run()
 }
 
 #[cfg(test)]

@@ -19,7 +19,7 @@
 //!                                     done/total, units/s, Mcycles/s, ETA)
 //! regless sweep --stats [--format text|json] | --gc   cache report / pruning
 //! regless trace <kernel> [options]    telemetry export for one run
-//!     --design baseline|regless           backend to trace (default regless)
+//!     --design <id>                       storage design (default regless)
 //!     --capacity <entries>                OSU entries/SM (default 512)
 //!     --format chrome|csv                 Chrome trace JSON or CSV summary
 //!     --out <path>                        write there instead of stdout
@@ -54,7 +54,7 @@
 //! regless submit <kernel> [options]   submit one request to a running server
 //!     --addr <host:port>                  server address (default 127.0.0.1:7117)
 //!     --kind run|profile|report           what to ask for (default run)
-//!     --design baseline|regless           storage design (default regless)
+//!     --design <id>                       storage design (default regless)
 //!     --capacity <entries>                OSU entries/SM (default 512)
 //!     --no-compressor                     disable the compressor
 //!     --timeout-ms <ms>                   per-request deadline
@@ -73,7 +73,7 @@
 //!     --spawn                             self-spawn local worker processes
 //!     --benches <csv>                     benchmark ids (default all rodinia)
 //!     --designs <csv>                     designs to sweep (default baseline,regless;
-//!                                         any servable registry id works)
+//!                                         any registry id works)
 //!     --capacity <entries>                OSU entries/SM for regless designs (default 512)
 //!     --liveness-ms <ms>                  worker liveness timeout (default 60000)
 //!     --timeout-secs <s>                  overall sweep deadline (default 3600)
@@ -91,6 +91,8 @@
 //!
 //! `<kernel>` is a built-in benchmark name (see `regless list`) or a path
 //! to a `.asm` file in the textual format of [`regless::isa::text`].
+//! `--capacity` and `--no-compressor` are rejected for a design that
+//! declares no such parameter (see `regless designs`).
 //! Chrome traces load in `chrome://tracing` or <https://ui.perfetto.dev>.
 //!
 //! `REGLESS_SIM=stepped` in the environment forces the cycle-by-cycle
@@ -104,16 +106,15 @@
 //! Simulated results are byte-identical with it on or off (CI asserts
 //! this property); with it off the instrumentation never reads a clock.
 
-use regless::baselines::{run_compress_rf, run_regdem, run_rfh, run_rfv};
 use regless::bench::profile::{diff as profile_diff, ProfileReport};
-use regless::bench::registry;
+use regless::bench::registry::{self, DesignParams};
 use regless::bench::report::collect as report_collect;
+use regless::bench::{eval_gpu, Attach, DesignKind};
 use regless::compiler::{compile, RegionConfig};
-use regless::core::{RegLessConfig, RegLessSim};
-use regless::energy::{energy, Design};
+use regless::energy::energy;
 use regless::isa::text::{format_kernel, parse_kernel};
 use regless::isa::Kernel;
-use regless::sim::{run_baseline, BaselineRf, GpuConfig, Machine, RunReport};
+use regless::sim::RunReport;
 use regless::telemetry::{
     chrome_trace_string, parse_history, summary_csv, trend_table, RunSummary,
 };
@@ -139,7 +140,7 @@ fn main() {
         Some("obs") => cmd_obs(&args[1..]),
         Some("cluster") => cmd_cluster(&args[1..]),
         Some("worker") => cmd_worker(&args[1..]),
-        Some("help") | None => {
+        Some("help" | "--help" | "-h") | None => {
             print_usage();
             Ok(())
         }
@@ -168,7 +169,7 @@ fn print_usage() {
          \u{20}  sweep <kernel> [--progress]  OSU capacity sweep (--progress streams ETA)\n\
          \u{20}  sweep --stats | --gc      sweep-engine cache report / orphan pruning\n\
          \u{20}  sweep --gc --dry-run      list orphaned cache directories without deleting\n\
-         \u{20}  trace <kernel> [options]  telemetry export (options: --design baseline|regless,\n\
+         \u{20}  trace <kernel> [options]  telemetry export (options: --design <id>,\n\
          \u{20}                            --capacity <entries>, --format chrome|csv, --out <path>)\n\
          \u{20}  profile <kernel> [opts]   CPI-stack profile (options: --design <id>,\n\
          \u{20}                            --capacity <entries>, --format table|json|csv, --out <path>)\n\
@@ -182,7 +183,7 @@ fn print_usage() {
          \u{20}  serve [options]           simulation server (options: --addr <host:port>,\n\
          \u{20}                            --workers <n>, --queue <n>, --drain-timeout <secs>)\n\
          \u{20}  submit <kernel> [opts]    send one request (options: --addr <host:port>,\n\
-         \u{20}                            --kind run|profile|report, --design baseline|regless,\n\
+         \u{20}                            --kind run|profile|report, --design <id>,\n\
          \u{20}                            --capacity <entries>, --no-compressor, --timeout-ms <ms>,\n\
          \u{20}                            --trace, --trace-id <hex>, --trace-out <path>)\n\
          \u{20}  submit --stats|--shutdown server statistics / graceful shutdown\n\
@@ -253,87 +254,101 @@ fn cmd_designs(args: &[String]) -> CmdResult {
     Ok(())
 }
 
+/// The `--design`, `--capacity` and `--no-compressor` choice of one
+/// simulation verb.
+struct DesignArg {
+    id: String,
+    capacity: Option<usize>,
+    no_compressor: bool,
+}
+
+impl DesignArg {
+    fn new() -> Self {
+        DesignArg {
+            id: "regless".to_string(),
+            capacity: None,
+            no_compressor: false,
+        }
+    }
+
+    /// Consume `flag` and its value when it is `--design` or `--capacity`;
+    /// `false` for any other flag.
+    fn parse(
+        &mut self,
+        flag: &str,
+        it: &mut std::slice::Iter<'_, String>,
+    ) -> Result<bool, Box<dyn std::error::Error>> {
+        match flag {
+            "--design" => self.id = it.next().ok_or("--design needs a value")?.clone(),
+            "--capacity" => {
+                self.capacity = Some(it.next().ok_or("--capacity needs a value")?.parse()?);
+            }
+            _ => return Ok(false),
+        }
+        Ok(true)
+    }
+
+    /// Resolve through the registry, rejecting a parameter the user named
+    /// that the design does not declare.
+    fn resolve(&self) -> Result<DesignKind, String> {
+        let entry =
+            registry::lookup(&self.id).ok_or_else(|| registry::unknown_design_message(&self.id))?;
+        let given = [
+            ("capacity", self.capacity.is_some()),
+            ("compressor", self.no_compressor),
+        ];
+        let names: Vec<&str> = given.iter().filter(|g| g.1).map(|g| g.0).collect();
+        entry.check_given(&names)?;
+        Ok(entry.build(&DesignParams {
+            capacity: self.capacity.unwrap_or(DesignParams::default().capacity),
+            compressor: !self.no_compressor,
+        }))
+    }
+
+    /// Simulate `kernel` under this design on the evaluation machine.
+    fn execute(
+        &self,
+        kernel: &Kernel,
+        attach: &Attach,
+    ) -> Result<(DesignKind, RunReport), Box<dyn std::error::Error>> {
+        let design = self.resolve()?;
+        Ok((design, design.execute(kernel, eval_gpu(), attach)?))
+    }
+}
+
+/// Telemetry events buffered per SM by `trace` and `report` before older
+/// spans are dropped.
+const EVENTS_PER_SM: usize = 1_000_000;
+
 fn cmd_run(args: &[String]) -> CmdResult {
     let spec = args.first().ok_or("run: missing kernel")?;
     let kernel = load_kernel(spec)?;
-    let mut design = "regless".to_string();
-    let mut capacity = 512usize;
-    let mut compressor = true;
+    let mut design = DesignArg::new();
     let mut self_profile = false;
     let mut self_profile_out: Option<String> = None;
     let mut it = args[1..].iter();
     while let Some(a) = it.next() {
         match a.as_str() {
-            "--design" => design = it.next().ok_or("--design needs a value")?.clone(),
-            "--capacity" => {
-                capacity = it.next().ok_or("--capacity needs a value")?.parse()?;
-            }
-            "--no-compressor" => compressor = false,
+            "--no-compressor" => design.no_compressor = true,
             "--self-profile" => self_profile = true,
             "--self-profile-out" => {
                 self_profile = true;
                 self_profile_out =
                     Some(it.next().ok_or("--self-profile-out needs a value")?.clone());
             }
+            flag if design.parse(flag, &mut it)? => {}
             other => return Err(format!("unknown option {other:?}").into()),
         }
-    }
-    if self_profile && !matches!(design.as_str(), "baseline" | "regless") {
-        return Err("--self-profile supports the baseline and regless designs".into());
     }
     // Force-enabled regardless of REGLESS_SELFPROF: the flag is the
     // explicit opt-in. Host wall clock only — the report is byte-identical
     // with or without it.
     let prof = self_profile.then(|| Arc::new(regless::telemetry::SelfProfiler::new(true)));
-
-    let gpu = GpuConfig::gtx980_single_sm();
-    let (report, edesign): (RunReport, Design) = match design.as_str() {
-        "baseline" => {
-            let compiled = compile(&kernel, &RegionConfig::default())?;
-            let report = if let Some(p) = &prof {
-                let mut machine = Machine::new(gpu, Arc::new(compiled), |_| BaselineRf::new());
-                machine.attach_self_profiler(Arc::clone(p));
-                machine.run()?
-            } else {
-                run_baseline(gpu, Arc::new(compiled))?
-            };
-            (report, Design::Baseline)
-        }
-        "rfh" => {
-            let compiled = compile(&kernel, &RegionConfig::default())?;
-            (run_rfh(gpu, compiled)?, Design::Rfh)
-        }
-        "rfv" => {
-            let compiled = compile(&kernel, &RegionConfig::default())?;
-            (run_rfv(gpu, compiled)?, Design::Rfv)
-        }
-        "regdem" => {
-            let compiled = compile(&kernel, &RegionConfig::default())?;
-            (run_regdem(gpu, compiled)?, Design::RegDem)
-        }
-        "compress-rf" => {
-            let compiled = compile(&kernel, &RegionConfig::default())?;
-            (run_compress_rf(gpu, compiled)?, Design::CompressRf)
-        }
-        "regless" | "regless-nc" => {
-            let cfg = RegLessConfig {
-                compressor_enabled: compressor && design != "regless-nc",
-                ..regless_config(capacity, &gpu)?
-            };
-            let compiled = compile(&kernel, &cfg.region_config(&gpu))?;
-            let mut sim = RegLessSim::new(gpu, cfg, compiled);
-            if let Some(p) = &prof {
-                sim.attach_self_profiler(Arc::clone(p));
-            }
-            (
-                sim.run()?,
-                Design::RegLess {
-                    osu_entries_per_sm: capacity,
-                },
-            )
-        }
-        other => return Err(registry::unknown_design_message(other).into()),
+    let attach = Attach {
+        selfprof: prof.clone(),
+        ..Attach::default()
     };
+    let (kind, report) = design.execute(&kernel, &attach)?;
     if let Some(p) = &prof {
         // The breakdown goes to stderr so stdout stays the run summary.
         eprint!("{}", p.render_table("sim"));
@@ -349,8 +364,8 @@ fn cmd_run(args: &[String]) -> CmdResult {
     }
 
     let t = report.total();
-    let e = energy(&report, edesign, &gpu);
-    println!("kernel `{}` under {design}:", kernel.name());
+    let e = energy(&report, kind.energy_design(), &eval_gpu());
+    println!("kernel `{}` under {}:", kernel.name(), design.id);
     println!("  cycles            {}", report.cycles);
     println!("  instructions      {} (IPC {:.2})", t.insns, report.ipc());
     if t.preloads_total() > 0 {
@@ -422,42 +437,23 @@ fn cmd_asm(args: &[String]) -> CmdResult {
 fn cmd_trace(args: &[String]) -> CmdResult {
     let spec = args.first().ok_or("trace: missing kernel")?;
     let kernel = load_kernel(spec)?;
-    let mut design = "regless".to_string();
-    let mut capacity = 512usize;
+    let mut design = DesignArg::new();
     let mut format = "chrome".to_string();
     let mut out: Option<String> = None;
     let mut it = args[1..].iter();
     while let Some(a) = it.next() {
         match a.as_str() {
-            "--design" => design = it.next().ok_or("--design needs a value")?.clone(),
-            "--capacity" => {
-                capacity = it.next().ok_or("--capacity needs a value")?.parse()?;
-            }
             "--format" => format = it.next().ok_or("--format needs a value")?.clone(),
             "--out" => out = Some(it.next().ok_or("--out needs a value")?.clone()),
+            flag if design.parse(flag, &mut it)? => {}
             other => return Err(format!("unknown option {other:?}").into()),
         }
     }
-
-    /// Events buffered per SM before older spans are dropped.
-    const EVENTS_PER_SM: usize = 1_000_000;
-    let gpu = GpuConfig::gtx980_single_sm();
-    let report = match design.as_str() {
-        "baseline" => {
-            let compiled = Arc::new(compile(&kernel, &RegionConfig::default())?);
-            let mut machine = Machine::new(gpu, compiled, |_| BaselineRf::new());
-            machine.attach_telemetry(EVENTS_PER_SM);
-            machine.run()?
-        }
-        "regless" => {
-            let cfg = regless_config(capacity, &gpu)?;
-            let compiled = compile(&kernel, &cfg.region_config(&gpu))?;
-            let mut sim = RegLessSim::new(gpu, cfg, compiled);
-            sim.attach_telemetry(EVENTS_PER_SM);
-            sim.run()?
-        }
-        other => return Err(format!("trace supports baseline|regless, not {other:?}").into()),
+    let attach = Attach {
+        telemetry: Some(EVENTS_PER_SM),
+        ..Attach::default()
     };
+    let (_, report) = design.execute(&kernel, &attach)?;
     let telemetry = report
         .telemetry
         .as_ref()
@@ -484,83 +480,24 @@ fn cmd_trace(args: &[String]) -> CmdResult {
     Ok(())
 }
 
-/// The RegLess configuration for `--capacity <entries>` on `gpu`, or an
-/// error naming the smallest capacity the OSU shape can hold.
-fn regless_config(capacity: usize, gpu: &GpuConfig) -> Result<RegLessConfig, String> {
-    let cfg = RegLessConfig::with_capacity(capacity);
-    cfg.check(gpu)?;
-    Ok(cfg)
-}
-
-/// Simulate `kernel` under a named design and return the report (shared
-/// by `profile`; `run` keeps its own copy because it also needs the
-/// energy-model design).
-fn run_for_design(
-    kernel: &Kernel,
-    design: &str,
-    capacity: usize,
-) -> Result<RunReport, Box<dyn std::error::Error>> {
-    let gpu = GpuConfig::gtx980_single_sm();
-    match design {
-        "baseline" => {
-            let compiled = compile(kernel, &RegionConfig::default())?;
-            Ok(run_baseline(gpu, Arc::new(compiled))?)
-        }
-        "rfh" => {
-            let compiled = compile(kernel, &RegionConfig::default())?;
-            Ok(run_rfh(gpu, compiled)?)
-        }
-        "rfv" => {
-            let compiled = compile(kernel, &RegionConfig::default())?;
-            Ok(run_rfv(gpu, compiled)?)
-        }
-        "regdem" => {
-            let compiled = compile(kernel, &RegionConfig::default())?;
-            Ok(run_regdem(gpu, compiled)?)
-        }
-        "compress-rf" => {
-            let compiled = compile(kernel, &RegionConfig::default())?;
-            Ok(run_compress_rf(gpu, compiled)?)
-        }
-        "regless" | "regless-nc" => {
-            let cfg = RegLessConfig {
-                compressor_enabled: design != "regless-nc",
-                ..regless_config(capacity, &gpu)?
-            };
-            let compiled = compile(kernel, &cfg.region_config(&gpu))?;
-            Ok(RegLessSim::new(gpu, cfg, compiled).run()?)
-        }
-        other => Err(registry::unknown_design_message(other).into()),
-    }
-}
-
 /// CPI-stack profile for one run (`regless profile`).
 fn cmd_profile(args: &[String]) -> CmdResult {
     let spec = args.first().ok_or("profile: missing kernel")?;
     let kernel = load_kernel(spec)?;
-    let mut design = "regless".to_string();
-    let mut capacity = 512usize;
+    let mut design = DesignArg::new();
     let mut format = "table".to_string();
     let mut out: Option<String> = None;
     let mut it = args[1..].iter();
     while let Some(a) = it.next() {
         match a.as_str() {
-            "--design" => design = it.next().ok_or("--design needs a value")?.clone(),
-            "--capacity" => {
-                capacity = it.next().ok_or("--capacity needs a value")?.parse()?;
-            }
             "--format" => format = it.next().ok_or("--format needs a value")?.clone(),
             "--out" => out = Some(it.next().ok_or("--out needs a value")?.clone()),
+            flag if design.parse(flag, &mut it)? => {}
             other => return Err(format!("unknown option {other:?}").into()),
         }
     }
-    let report = run_for_design(&kernel, &design, capacity)?;
-    let osu_capacity = if design.starts_with("regless") {
-        capacity
-    } else {
-        0
-    };
-    let profile = ProfileReport::collect(&report, kernel.name(), &design, osu_capacity);
+    let (kind, report) = design.execute(&kernel, &Attach::default())?;
+    let profile = ProfileReport::collect(&report, kernel.name(), &design.id, kind.osu_capacity());
     let rendered = match format.as_str() {
         "table" => profile.render_table(),
         "json" => profile.to_json_string(),
@@ -571,8 +508,9 @@ fn cmd_profile(args: &[String]) -> CmdResult {
         Some(path) => {
             write_output(&path, &rendered)?;
             eprintln!(
-                "wrote {format} profile for `{}` under {design} to {path}",
-                kernel.name()
+                "wrote {format} profile for `{}` under {} to {path}",
+                kernel.name(),
+                design.id
             );
         }
         None => print!("{rendered}"),
@@ -584,8 +522,7 @@ fn cmd_profile(args: &[String]) -> CmdResult {
 fn cmd_report(args: &[String]) -> CmdResult {
     let spec = args.first().ok_or("report: missing kernel")?;
     let kernel = load_kernel(spec)?;
-    let mut design = "regless".to_string();
-    let mut capacity = 512usize;
+    let mut design = DesignArg::new();
     let mut format = "html".to_string();
     let mut out: Option<String> = None;
     let mut trend = false;
@@ -593,45 +530,22 @@ fn cmd_report(args: &[String]) -> CmdResult {
     let mut it = args[1..].iter();
     while let Some(a) = it.next() {
         match a.as_str() {
-            "--design" => design = it.next().ok_or("--design needs a value")?.clone(),
-            "--capacity" => {
-                capacity = it.next().ok_or("--capacity needs a value")?.parse()?;
-            }
             "--format" => format = it.next().ok_or("--format needs a value")?.clone(),
             "--out" => out = Some(it.next().ok_or("--out needs a value")?.clone()),
             "--trend" => trend = true,
             "--history" => history_path = it.next().ok_or("--history needs a value")?.clone(),
+            flag if design.parse(flag, &mut it)? => {}
             other => return Err(format!("unknown option {other:?}").into()),
         }
     }
-
-    // Record telemetry where the backend supports it (baseline, regless)
-    // so the dashboard's counter and histogram sections are populated;
-    // rfh/rfv run unrecorded and those sections stay empty.
-    const EVENTS_PER_SM: usize = 1_000_000;
-    let gpu = GpuConfig::gtx980_single_sm();
-    let run = match design.as_str() {
-        "baseline" => {
-            let compiled = Arc::new(compile(&kernel, &RegionConfig::default())?);
-            let mut machine = Machine::new(gpu, compiled, |_| BaselineRf::new());
-            machine.attach_telemetry(EVENTS_PER_SM);
-            machine.run()?
-        }
-        "regless" => {
-            let cfg = regless_config(capacity, &gpu)?;
-            let compiled = compile(&kernel, &cfg.region_config(&gpu))?;
-            let mut sim = RegLessSim::new(gpu, cfg, compiled);
-            sim.attach_telemetry(EVENTS_PER_SM);
-            sim.run()?
-        }
-        _ => run_for_design(&kernel, &design, capacity)?,
+    // Recorded telemetry fills the dashboard's counter and histogram
+    // sections.
+    let attach = Attach {
+        telemetry: Some(EVENTS_PER_SM),
+        ..Attach::default()
     };
-    let osu_capacity = if design.starts_with("regless") {
-        capacity
-    } else {
-        0
-    };
-    let report = report_collect(&run, kernel.name(), &design, osu_capacity);
+    let (kind, run) = design.execute(&kernel, &attach)?;
+    let report = report_collect(&run, kernel.name(), &design.id, kind.osu_capacity());
 
     // --trend: append this run's summary row, then render the whole
     // history (including the new row) as the trajectory section.
@@ -654,8 +568,9 @@ fn cmd_report(args: &[String]) -> CmdResult {
         Some(path) => {
             write_output(path, &rendered)?;
             eprintln!(
-                "wrote {format} report for `{}` under {design} to {path}",
-                kernel.name()
+                "wrote {format} report for `{}` under {} to {path}",
+                kernel.name(),
+                design.id
             );
         }
         None => print!("{rendered}"),
@@ -899,7 +814,6 @@ fn cluster_units(
     designs: &str,
     capacity: usize,
 ) -> Result<Vec<regless::cluster::WorkUnit>, Box<dyn std::error::Error>> {
-    use regless::bench::DesignKind;
     let bench_ids: Vec<String> = if benches.is_empty() {
         rodinia::NAMES
             .iter()
@@ -923,26 +837,15 @@ fn cluster_units(
             return Err(format!("unknown benchmark id {b:?}").into());
         }
     }
+    let params = DesignParams {
+        capacity,
+        ..DesignParams::default()
+    };
     let mut kinds = Vec::new();
-    for d in designs.split(',') {
-        let id = d.trim();
-        let params = registry::DesignParams {
-            capacity,
-            ..registry::DesignParams::default()
-        };
-        let kind: DesignKind =
-            registry::resolve(id, &params).map_err(|e| format!("cluster: {e}"))?;
-        if let DesignKind::RegLess { entries } | DesignKind::RegLessNoCompressor { entries } = kind
-        {
-            regless_config(entries, &regless::bench::eval_gpu())
-                .map_err(|e| format!("cluster: {e}"))?;
-        }
-        if regless::cluster::WorkUnit::new("rodinia/nn", kind).is_none() {
-            return Err(format!(
-                "cluster: design {id:?} is registered but not servable over the cluster wire"
-            )
-            .into());
-        }
+    for id in designs.split(',') {
+        let kind = registry::resolve(id.trim(), &params).map_err(|e| format!("cluster: {e}"))?;
+        kind.check(&eval_gpu())
+            .map_err(|e| format!("cluster: {e}"))?;
         kinds.push(kind);
     }
     Ok(regless::cluster::units_for(&bench_ids, &kinds))
@@ -1219,16 +1122,17 @@ fn cmd_sweep(args: &[String]) -> CmdResult {
         }
     }
     let kernel = load_kernel(spec)?;
-    let gpu = GpuConfig::gtx980_single_sm();
+    let gpu = eval_gpu();
     // The sweep is 8 units: the baseline plus seven OSU capacities.
     let meter = progress.then(|| regless::telemetry::ProgressMeter::new(8));
-    let note = |meter: &Option<regless::telemetry::ProgressMeter>, cycles: u64| {
-        if let Some(m) = meter {
-            eprintln!("[sweep] {}", m.note(cycles).render());
+    let run = |design: DesignKind| -> Result<RunReport, Box<dyn std::error::Error>> {
+        let r = design.execute(&kernel, gpu, &Attach::default())?;
+        if let Some(m) = &meter {
+            eprintln!("[sweep] {}", m.note(r.cycles).render());
         }
+        Ok(r)
     };
-    let base = run_baseline(gpu, Arc::new(compile(&kernel, &RegionConfig::default())?))?;
-    note(&meter, base.cycles);
+    let base = run(DesignKind::Baseline)?;
     println!(
         "kernel `{}`: baseline {} cycles\n{:>10} {:>11} {:>12}",
         kernel.name(),
@@ -1237,19 +1141,11 @@ fn cmd_sweep(args: &[String]) -> CmdResult {
         "run time",
         "GPU energy"
     );
-    let base_e = energy(&base, Design::Baseline, &gpu).total_pj();
+    let base_e = energy(&base, DesignKind::Baseline.energy_design(), &gpu).total_pj();
     for entries in [128, 192, 256, 384, 512, 1024, 2048] {
-        let cfg = RegLessConfig::with_capacity(entries);
-        let compiled = compile(&kernel, &cfg.region_config(&gpu))?;
-        let r = RegLessSim::new(gpu, cfg, compiled).run()?;
-        note(&meter, r.cycles);
-        let e = energy(
-            &r,
-            Design::RegLess {
-                osu_entries_per_sm: entries,
-            },
-            &gpu,
-        );
+        let design = DesignKind::RegLess { entries };
+        let r = run(design)?;
+        let e = energy(&r, design.energy_design(), &gpu);
         println!(
             "{:>10} {:>10.3}x {:>11.3}x",
             entries,

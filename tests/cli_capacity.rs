@@ -1,5 +1,6 @@
-//! OSU capacities below the smallest the OSU shape can hold are rejected
-//! at the CLI with a clear error and exit status 1, not a panic.
+//! OSU capacities below the smallest the OSU shape can hold, and design
+//! parameters a design does not declare, are rejected at the CLI with a
+//! clear error and exit status 1, not a panic or a silent default.
 
 use std::process::{Command, Output};
 
@@ -24,9 +25,6 @@ fn too_small_capacities_exit_1_naming_the_minimum() {
             ("trace", &["--out", out][..]),
         ] {
             for design in ["regless", "regless-nc"] {
-                if cmd == "trace" && design == "regless-nc" {
-                    continue; // trace supports baseline|regless only
-                }
                 let mut args = vec![cmd, "kernels/saxpy.asm", "--design", design];
                 args.extend(["--capacity", capacity]);
                 args.extend(extra);
@@ -77,4 +75,52 @@ fn the_smallest_valid_capacity_runs() {
         "{}",
         String::from_utf8_lossy(&o.stderr)
     );
+}
+
+#[test]
+fn undeclared_parameters_exit_1_naming_the_design_parameters() {
+    for (design, flag) in [
+        ("baseline", &["--capacity", "16"][..]),
+        ("rfh", &["--capacity", "512"][..]),
+        ("compress-rf", &["--no-compressor"][..]),
+        ("regless-nc", &["--no-compressor"][..]),
+    ] {
+        let mut args = vec!["run", "kernels/saxpy.asm", "--design", design];
+        args.extend(flag);
+        let o = regless(&args);
+        let stderr = String::from_utf8_lossy(&o.stderr);
+        assert_eq!(o.status.code(), Some(1), "{args:?}: {stderr}");
+        assert!(
+            stderr.contains(&format!("design {design:?} has no parameter")),
+            "{args:?}: {stderr}"
+        );
+        let declared = if design == "regless-nc" {
+            "capacity=512"
+        } else {
+            "none"
+        };
+        assert!(stderr.contains(declared), "{args:?}: {stderr}");
+    }
+    for cmd in ["profile", "report", "trace"] {
+        let args = [
+            cmd,
+            "kernels/saxpy.asm",
+            "--design",
+            "baseline",
+            "--capacity",
+            "128",
+        ];
+        let o = regless(&args);
+        assert_eq!(o.status.code(), Some(1), "{args:?}");
+    }
+}
+
+#[test]
+fn help_flags_print_usage_and_exit_0() {
+    for flag in ["help", "--help", "-h"] {
+        let o = regless(&[flag]);
+        assert_eq!(o.status.code(), Some(0), "{flag}");
+        let stdout = String::from_utf8_lossy(&o.stdout);
+        assert!(stdout.contains("commands:"), "{flag}: {stdout}");
+    }
 }

@@ -4,7 +4,7 @@
 //! designs stay pairwise distinct (so sweep fingerprints cannot collide).
 
 use regless::bench::registry::{self, DesignParams};
-use regless::bench::{run_design_with, DesignKind};
+use regless::bench::{eval_gpu, Attach, DesignKind};
 use regless::workloads::micro;
 use regless_json::Json;
 
@@ -81,13 +81,16 @@ fn every_registered_id_resolves_to_a_distinct_design() {
 }
 
 /// Every registered design actually executes a kernel end to end on the
-/// evaluation machine — the registry cannot list a constructor that the
-/// runner dispatch does not implement.
+/// evaluation machine — the registry cannot list a constructor that
+/// [`DesignKind::execute`] does not implement.
 #[test]
 fn every_registered_design_runs_a_kernel() {
     let kernel = micro::streaming(2);
     for entry in registry::all() {
-        let report = run_design_with(&kernel, entry.default_design(), false);
+        let report = entry
+            .default_design()
+            .execute(&kernel, eval_gpu(), &Attach::default())
+            .unwrap_or_else(|e| panic!("{}: {e}", entry.id));
         assert!(
             report.cycles > 0 && report.total().insns > 0,
             "{} produced an empty report",

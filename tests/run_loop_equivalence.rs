@@ -6,13 +6,11 @@
 //! stall-slot attribution fails here, not in a downstream figure.
 
 use proptest::prelude::*;
-use regless::baselines::{run_compress_rf_with, run_regdem_with, run_rfh_with, run_rfv_with};
-use regless::compiler::{compile, RegionConfig};
-use regless::core::{RegLessConfig, RegLessSim};
+use regless::bench::registry::{self, DesignParams};
+use regless::bench::{Attach, DesignKind};
 use regless::isa::Kernel;
-use regless::sim::{run_baseline_with, GpuConfig, RunReport, StallReason};
+use regless::sim::{GpuConfig, RunReport, StallReason};
 use regless::workloads::{high_pressure_kernel, micro};
-use std::sync::Arc;
 
 /// The kernels the property test draws from — the micro suite covers
 /// streaming loads, dependent chains, barriers, divergence, and register
@@ -30,59 +28,40 @@ fn test_kernel(idx: usize) -> Kernel {
     }
 }
 
-/// Run one design in the requested loop mode on the small test machine.
-fn run_mode(kernel: &Kernel, design: usize, capacity: usize, stepped: bool) -> RunReport {
-    let gpu = GpuConfig::test_small();
-    match design % 6 {
-        0 => {
-            let compiled = compile(kernel, &RegionConfig::default()).expect("compile");
-            run_baseline_with(gpu, Arc::new(compiled), stepped).expect("baseline run")
-        }
-        1 => {
-            let cfg = RegLessConfig::with_capacity(capacity);
-            let compiled = compile(kernel, &cfg.region_config(&gpu)).expect("compile");
-            let mut sim = RegLessSim::new(gpu, cfg, compiled);
-            sim.set_stepped(stepped);
-            sim.run().expect("regless run")
-        }
-        2 => {
-            let compiled = compile(kernel, &RegionConfig::default()).expect("compile");
-            run_rfh_with(gpu, compiled, stepped).expect("rfh run")
-        }
-        3 => {
-            let compiled = compile(kernel, &RegionConfig::default()).expect("compile");
-            run_rfv_with(gpu, compiled, stepped).expect("rfv run")
-        }
-        4 => {
-            let compiled = compile(kernel, &RegionConfig::default()).expect("compile");
-            run_regdem_with(gpu, compiled, stepped).expect("regdem run")
-        }
-        _ => {
-            let compiled = compile(kernel, &RegionConfig::default()).expect("compile");
-            run_compress_rf_with(gpu, compiled, stepped).expect("compress-rf run")
-        }
-    }
+/// Run one design in the requested loop mode on `gpu`.
+fn run_mode(kernel: &Kernel, design: DesignKind, gpu: GpuConfig, stepped: bool) -> RunReport {
+    let attach = Attach {
+        stepped: Some(stepped),
+        ..Attach::default()
+    };
+    design
+        .execute(kernel, gpu, &attach)
+        .unwrap_or_else(|e| panic!("{design:?}: {e}"))
 }
 
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(24))]
 
-    /// The contract itself: identical bytes for every sampled point.
+    /// The contract itself: identical bytes for every sampled point of
+    /// every registered design.
     #[test]
     fn event_and_stepped_reports_are_byte_identical(
         kernel_idx in 0usize..7,
-        design in 0usize..6,
+        design_idx in 0usize..7,
         capacity_idx in 0usize..4,
     ) {
         let capacity = [64usize, 128, 256, 512][capacity_idx];
+        let entry = &registry::all()[design_idx % registry::all().len()];
+        let design = entry.build(&DesignParams { capacity, ..DesignParams::default() });
         let kernel = test_kernel(kernel_idx);
-        let stepped = run_mode(&kernel, design, capacity, true);
-        let event = run_mode(&kernel, design, capacity, false);
+        let gpu = GpuConfig::test_small();
+        let stepped = run_mode(&kernel, design, gpu, true);
+        let event = run_mode(&kernel, design, gpu, false);
         prop_assert_eq!(
             stepped.stable_json().to_string_compact(),
             event.stable_json().to_string_compact(),
             "loop modes diverged: kernel {} design {} capacity {}",
-            kernel_idx, design, capacity
+            kernel_idx, entry.id, capacity
         );
     }
 }
@@ -95,8 +74,7 @@ proptest! {
 fn fast_path_preserves_slot_conservation() {
     let gpu = GpuConfig::test_small();
     let kernel = micro::streaming(8);
-    let compiled = compile(&kernel, &RegionConfig::default()).expect("compile");
-    let report = run_baseline_with(gpu, Arc::new(compiled), false).expect("runs");
+    let report = run_mode(&kernel, DesignKind::Baseline, gpu, false);
     let slots_per_cycle = (gpu.schedulers_per_sm * gpu.issue_slots_per_scheduler) as u64;
     for sm in &report.sm_stats {
         assert_eq!(sm.issue_stack.total(), report.cycles * slots_per_cycle);
@@ -119,9 +97,8 @@ fn idle_slots_counts_per_slot_under_dual_issue() {
         ..GpuConfig::test_small()
     };
     let kernel = micro::pointer_chase(4);
-    let compiled = compile(&kernel, &RegionConfig::default()).expect("compile");
     for stepped in [true, false] {
-        let report = run_baseline_with(gpu, Arc::new(compiled.clone()), stepped).expect("runs");
+        let report = run_mode(&kernel, DesignKind::Baseline, gpu, stepped);
         let slots_per_cycle = (gpu.schedulers_per_sm * gpu.issue_slots_per_scheduler) as u64;
         for sm in &report.sm_stats {
             let total = report.cycles * slots_per_cycle;
@@ -148,9 +125,8 @@ fn dual_issue_reports_are_byte_identical() {
     };
     for kernel_idx in 0..7 {
         let kernel = test_kernel(kernel_idx);
-        let compiled = compile(&kernel, &RegionConfig::default()).expect("compile");
-        let stepped = run_baseline_with(gpu, Arc::new(compiled.clone()), true).expect("runs");
-        let event = run_baseline_with(gpu, Arc::new(compiled), false).expect("runs");
+        let stepped = run_mode(&kernel, DesignKind::Baseline, gpu, true);
+        let event = run_mode(&kernel, DesignKind::Baseline, gpu, false);
         assert_eq!(
             stepped.stable_json().to_string_compact(),
             event.stable_json().to_string_compact(),
