@@ -33,10 +33,13 @@
 //! `REGLESS_SWEEP_DIR` overrides the `results/cache` location.
 
 use crate::{eval_gpu, run_regless_opts, Attach, DesignKind, ReglessRunOpts};
-use regless_sim::{GpuConfig, Machine, OccupancyLimitedRf, RunReport, SchedulerKind};
+use regless_sim::{
+    GpuConfig, Machine, OccupancyLimitedRf, OperandBackend, RunReport, SchedulerKind,
+};
 use regless_telemetry::{Log2Histogram, ProgressMeter, SelfProfiler};
 use regless_workloads::{high_pressure_kernel, micro, rodinia};
 use std::collections::HashMap;
+use std::ops::Deref;
 use std::path::{Path, PathBuf};
 use std::sync::atomic::{AtomicU64, AtomicUsize, Ordering};
 use std::sync::{Arc, Mutex, OnceLock};
@@ -127,24 +130,36 @@ pub fn micro_id(name: &str) -> String {
 /// Benchmark id of the §7 high-register-pressure kernel.
 pub const HIGH_PRESSURE_ID: &str = "special/high_pressure";
 
-/// Resolve a benchmark id (`rodinia/<name>`, `micro/<name>`, or
-/// [`HIGH_PRESSURE_ID`]) to its kernel, or `None` for an unknown id. This
-/// is the lookup external callers (the serving layer) use to decide
-/// whether a request is cacheable under the engine's fingerprint.
-pub fn bench_kernel(bench: &str) -> Option<regless_isa::Kernel> {
+/// Kernel name of [`HIGH_PRESSURE_ID`].
+const HIGH_PRESSURE_NAME: &str = "high_pressure";
+
+/// The kernel name a benchmark id (`rodinia/<name>`, `micro/<name>`, or
+/// [`HIGH_PRESSURE_ID`]) resolves to, or `None` for an unknown id —
+/// without generating the kernel. The serving layer resolves a request
+/// with it, probes the cache, and builds the kernel only on a miss.
+pub fn bench_kernel_name(bench: &str) -> Option<&'static str> {
     if let Some(name) = bench.strip_prefix("rodinia/") {
-        if rodinia::NAMES.contains(&name) {
-            return Some(rodinia::kernel(name));
-        }
-        return None;
+        return rodinia::NAMES.iter().copied().find(|n| *n == name);
     }
     if let Some(name) = bench.strip_prefix("micro/") {
-        return micro::all().into_iter().find(|k| k.name() == name);
+        return micro::NAMES.iter().copied().find(|n| *n == name);
     }
-    if bench == HIGH_PRESSURE_ID {
-        return Some(high_pressure_kernel());
+    (bench == HIGH_PRESSURE_ID).then_some(HIGH_PRESSURE_NAME)
+}
+
+/// Resolve a benchmark id (see [`bench_kernel_name`]) to its kernel, or
+/// `None` for an unknown id. This is the lookup external callers (the
+/// serving layer) use to decide whether a request is cacheable under the
+/// engine's fingerprint.
+pub fn bench_kernel(bench: &str) -> Option<regless_isa::Kernel> {
+    let name = bench_kernel_name(bench)?;
+    if bench.starts_with("micro/") {
+        micro::kernel(name)
+    } else if bench == HIGH_PRESSURE_ID {
+        Some(high_pressure_kernel())
+    } else {
+        Some(rodinia::kernel(name))
     }
-    None
 }
 
 /// Resolve a benchmark id to its kernel.
@@ -185,10 +200,11 @@ fn simulate(bench: &str, variant: RunVariant) -> RunReport {
             );
             let regs = kernel.num_regs() as usize;
             let rf_entries = eval.rf_bytes_per_sm / 128;
-            return Machine::new(eval, compiled, |_| {
+            // Through the backend's own crate, so the tick loop is
+            // instantiated with the backend's methods inlined.
+            return OccupancyLimitedRf::run_machine(Machine::new(eval, compiled, |_| {
                 OccupancyLimitedRf::new(rf_entries, regs, eval.warps_per_sm)
-            })
-            .run()
+            }))
             .expect("occupancy-limited run");
         }
     };
@@ -290,10 +306,49 @@ impl SweepStats {
 
 type Key = (String, RunVariant);
 
+/// One memoized simulation: the report, plus its compact `stable_json()`
+/// text, rendered the first time a caller asks for it and shared by every
+/// later one. A served `run` reply splices that text instead of
+/// rebuilding and re-rendering the report per request. Derefs to the
+/// report.
+#[derive(Debug)]
+pub struct CachedRun {
+    report: Arc<RunReport>,
+    stable_text: OnceLock<Arc<str>>,
+}
+
+impl CachedRun {
+    /// Wrap a report; its text is rendered on first use.
+    pub fn new(report: Arc<RunReport>) -> CachedRun {
+        CachedRun {
+            report,
+            stable_text: OnceLock::new(),
+        }
+    }
+
+    /// `self.stable_json().to_string_compact()`, rendered once.
+    pub fn stable_text(&self) -> Arc<str> {
+        Arc::clone(
+            self.stable_text
+                .get_or_init(|| self.report.stable_json().to_string_compact().into()),
+        )
+    }
+}
+
+impl Deref for CachedRun {
+    type Target = RunReport;
+
+    fn deref(&self) -> &RunReport {
+        &self.report
+    }
+}
+
+type Cell = Arc<OnceLock<Arc<CachedRun>>>;
+
 /// The memoizing simulation runner. Use the process-wide [`engine`] in
 /// experiment code; construct directly only in tests.
 pub struct SweepEngine {
-    cache: Mutex<HashMap<Key, Arc<OnceLock<Arc<RunReport>>>>>,
+    cache: Mutex<HashMap<Key, Cell>>,
     counters: Counters,
     /// Every `run` call in order, for the timing table.
     records: Mutex<Vec<RunRecord>>,
@@ -384,51 +439,50 @@ impl SweepEngine {
             return Arc::new(report);
         }
         let probe_guard = self.selfprof.scope("cache_probe");
-        let cell = {
-            let mut map = self.cache.lock().expect("sweep cache poisoned");
-            Arc::clone(
-                map.entry((bench.to_string(), variant))
-                    .or_insert_with(|| Arc::new(OnceLock::new())),
-            )
-        };
+        let cell = self.cell(bench, variant);
         if let Some(hit) = cell.get() {
             self.counters.memory_hits.fetch_add(1, Ordering::Relaxed);
             self.note_run(bench, variant, RunSource::MemoryCache, hit.wall_seconds);
-            return Arc::clone(hit);
+            return Arc::clone(&hit.report);
         }
         drop(probe_guard);
         // `get_or_init` blocks concurrent initializers of the same key, so
         // racing threads wait for the one in-flight simulation instead of
         // duplicating it.
         let mut initialized_here = false;
-        let report = cell.get_or_init(|| {
+        let cached = cell.get_or_init(|| {
             initialized_here = true;
-            Arc::new(self.load_or_simulate(bench, variant))
+            Arc::new(CachedRun::new(Arc::new(
+                self.load_or_simulate(bench, variant),
+            )))
         });
         if !initialized_here {
             self.counters.memory_hits.fetch_add(1, Ordering::Relaxed);
-            self.note_run(bench, variant, RunSource::MemoryCache, report.wall_seconds);
+            self.note_run(bench, variant, RunSource::MemoryCache, cached.wall_seconds);
         }
-        Arc::clone(report)
+        Arc::clone(&cached.report)
     }
 
-    /// Cache-only lookup: the memoized report if this process already has
+    /// The memo cell of one canonical key, created empty on first use.
+    fn cell(&self, bench: &str, variant: RunVariant) -> Cell {
+        let mut map = self.cache.lock().expect("sweep cache poisoned");
+        Arc::clone(
+            map.entry((bench.to_string(), variant))
+                .or_insert_with(|| Arc::new(OnceLock::new())),
+        )
+    }
+
+    /// Cache-only lookup: the memoized run if this process already has
     /// one, else a disk replay, else `None` — the simulator never runs.
     /// Used by callers that run simulations themselves (the serving layer
     /// threads cancellation tokens through its own executor) but still
     /// want to share this engine's memo table and on-disk entries.
-    pub fn lookup(&self, bench: &str, variant: RunVariant) -> Option<Arc<RunReport>> {
+    pub fn lookup(&self, bench: &str, variant: RunVariant) -> Option<Arc<CachedRun>> {
         if self.mode == SweepMode::Off {
             return None;
         }
         let variant = variant.canonical();
-        let cell = {
-            let mut map = self.cache.lock().expect("sweep cache poisoned");
-            Arc::clone(
-                map.entry((bench.to_string(), variant))
-                    .or_insert_with(|| Arc::new(OnceLock::new())),
-            )
-        };
+        let cell = self.cell(bench, variant);
         if let Some(hit) = cell.get() {
             self.counters.memory_hits.fetch_add(1, Ordering::Relaxed);
             return Some(Arc::clone(hit));
@@ -437,35 +491,39 @@ impl SweepEngine {
             return None;
         }
         let path = self.entry_path(bench, variant)?;
-        let report = Arc::new(load_entry(&path, bench, variant)?);
+        let report = load_entry(&path, bench, variant)?;
         self.counters.disk_hits.fetch_add(1, Ordering::Relaxed);
         // Memoize the replay; a racing initializer may have won, in which
-        // case its (identical) report is the one future calls see.
-        let _ = cell.set(Arc::clone(&report));
-        Some(report)
+        // case its (identical) report is the one every caller sees.
+        Some(Arc::clone(
+            cell.get_or_init(|| Arc::new(CachedRun::new(Arc::new(report)))),
+        ))
     }
 
     /// Memoize and persist a report produced *outside* the engine (the
-    /// serving layer's cancellable executor). The report must be the
-    /// deterministic output of `(bench, variant)` on the evaluation
-    /// machine — the same contract [`SweepEngine::run`] maintains. A no-op
-    /// in [`SweepMode::Off`].
-    pub fn insert(&self, bench: &str, variant: RunVariant, report: Arc<RunReport>) {
+    /// serving layer's cancellable executor), and return the memoized run
+    /// — the one already cached if a racing producer won. The report must
+    /// be the deterministic output of `(bench, variant)` on the evaluation
+    /// machine — the same contract [`SweepEngine::run`] maintains. In
+    /// [`SweepMode::Off`] nothing is kept and the run comes back unshared.
+    pub fn insert(
+        &self,
+        bench: &str,
+        variant: RunVariant,
+        report: Arc<RunReport>,
+    ) -> Arc<CachedRun> {
         if self.mode == SweepMode::Off {
-            return;
+            return Arc::new(CachedRun::new(report));
         }
         let variant = variant.canonical();
-        let cell = {
-            let mut map = self.cache.lock().expect("sweep cache poisoned");
-            Arc::clone(
-                map.entry((bench.to_string(), variant))
-                    .or_insert_with(|| Arc::new(OnceLock::new())),
-            )
-        };
-        let _ = cell.set(Arc::clone(&report));
+        let cached = Arc::clone(
+            self.cell(bench, variant)
+                .get_or_init(|| Arc::new(CachedRun::new(Arc::clone(&report)))),
+        );
         if let Some(path) = self.entry_path(bench, variant) {
             store_entry(&path, bench, variant, &report);
         }
+        cached
     }
 
     fn load_or_simulate(&self, bench: &str, variant: RunVariant) -> RunReport {
@@ -1274,7 +1332,15 @@ mod tests {
         let report = Arc::new(simulate(&bench, variant));
         writer.insert(&bench, variant, Arc::clone(&report));
         let hit = writer.lookup(&bench, variant).expect("memoized");
-        assert!(Arc::ptr_eq(&hit, &report));
+        assert!(Arc::ptr_eq(&hit.report, &report));
+
+        // The compact report text is rendered once and shared by every
+        // later lookup of the key.
+        let text = hit.stable_text();
+        assert_eq!(*text, *report.stable_json().to_string_compact());
+        let again = writer.lookup(&bench, variant).expect("memoized");
+        assert!(Arc::ptr_eq(&again, &hit));
+        assert!(Arc::ptr_eq(&again.stable_text(), &text));
 
         // A fresh engine over the same directory replays the inserted
         // entry from disk; lookup never runs the simulator.
@@ -1344,6 +1410,21 @@ mod tests {
         assert!(bench_kernel("rodinia/not-a-bench").is_none());
         assert!(bench_kernel("micro/not-a-bench").is_none());
         assert!(bench_kernel("nn").is_none(), "bare names need a prefix");
+        assert!(bench_kernel_name("nn").is_none());
+        assert!(bench_kernel_name("micro/not-a-bench").is_none());
+    }
+
+    #[test]
+    fn kernel_names_resolve_without_building_and_match_the_built_kernel() {
+        let ids = rodinia::NAMES
+            .iter()
+            .map(|n| rodinia_id(n))
+            .chain(micro::NAMES.iter().map(|n| micro_id(n)))
+            .chain([HIGH_PRESSURE_ID.to_string()]);
+        for id in ids {
+            let built = bench_kernel(&id).unwrap_or_else(|| panic!("{id} builds"));
+            assert_eq!(bench_kernel_name(&id), Some(built.name()), "{id}");
+        }
     }
 
     #[test]

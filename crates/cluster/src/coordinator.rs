@@ -440,7 +440,7 @@ fn connection_loop(stream: TcpStream, shared: &Arc<Shared>) {
             Ok(req) => handle_request(&req, shared),
             Err(e) => Response::failure(id, ErrorBody::new(ErrorCode::BadRequest, e.message)),
         };
-        if write_json_line(&mut writer, &response.to_json()).is_err() {
+        if write_json_line(&mut writer, &response.into_json()).is_err() {
             return;
         }
     }

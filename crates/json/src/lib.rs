@@ -18,6 +18,10 @@
 #![warn(missing_docs)]
 
 use std::fmt;
+use std::sync::Arc;
+
+#[cfg(test)]
+mod reference;
 
 /// A parsed JSON value.
 ///
@@ -41,6 +45,12 @@ pub enum Json {
     Arr(Vec<Json>),
     /// An object, as ordered key/value pairs.
     Obj(Vec<(String, Json)>),
+    /// Pre-rendered compact JSON text, written verbatim (in the spirit of
+    /// serde_json's `RawValue`). It is write-only: the parser never
+    /// produces it, so a `Raw` never equals the parsed tree its text
+    /// spells. Whoever builds one vouches that the text is exactly one
+    /// valid JSON value; a pretty writer splices it unindented.
+    Raw(Arc<str>),
 }
 
 /// Error produced by parsing or by [`FromJson`] conversions.
@@ -113,6 +123,7 @@ impl Json {
             Json::Str(_) => "string",
             Json::Arr(_) => "array",
             Json::Obj(_) => "object",
+            Json::Raw(_) => "raw",
         }
     }
 
@@ -134,16 +145,17 @@ impl Json {
         let newline = |out: &mut String, depth: usize| {
             if let Some(n) = indent {
                 out.push('\n');
-                out.push_str(&" ".repeat(n * depth));
+                out.extend(std::iter::repeat_n(' ', n * depth));
             }
         };
         match self {
             Json::Null => out.push_str("null"),
             Json::Bool(b) => out.push_str(if *b { "true" } else { "false" }),
-            Json::Int(i) => out.push_str(&i.to_string()),
-            Json::Uint(u) => out.push_str(&u.to_string()),
-            Json::Float(x) => out.push_str(&format_f64(*x)),
+            Json::Int(i) => push_i64(out, *i),
+            Json::Uint(u) => push_u64(out, *u),
+            Json::Float(x) => push_f64(out, *x),
             Json::Str(s) => write_escaped(out, s),
+            Json::Raw(text) => out.push_str(text),
             Json::Arr(items) => {
                 if items.is_empty() {
                     out.push_str("[]");
@@ -207,35 +219,75 @@ impl Json {
     }
 }
 
-/// `f64` formatting that always round-trips and never loses the fact that
-/// the value is a float (integral floats get a `.0`).
-fn format_f64(x: f64) -> String {
-    if x.is_nan() || x.is_infinite() {
-        // JSON has no NaN/Inf; encode as null like serde_json's lossy mode
-        // would reject — our writers never produce these, but be safe.
-        return "null".to_string();
+/// Append the decimal digits of `v`, without allocating.
+fn push_u64(out: &mut String, mut v: u64) {
+    let mut buf = [0u8; 20];
+    let mut start = buf.len();
+    loop {
+        start -= 1;
+        buf[start] = b'0' + (v % 10) as u8;
+        v /= 10;
+        if v == 0 {
+            break;
+        }
     }
-    let s = format!("{x}");
-    if s.contains('.') || s.contains('e') || s.contains('E') {
-        s
-    } else {
-        format!("{s}.0")
+    out.push_str(std::str::from_utf8(&buf[start..]).expect("ascii digits"));
+}
+
+fn push_i64(out: &mut String, v: i64) {
+    if v < 0 {
+        out.push('-');
+    }
+    push_u64(out, v.unsigned_abs());
+}
+
+/// Append `x` so that it always round-trips and never loses the fact that
+/// it is a float (integral floats get a `.0`). JSON has no NaN or
+/// infinity, so those are written as `null`; no report produces them.
+fn push_f64(out: &mut String, x: f64) {
+    if !x.is_finite() {
+        out.push_str("null");
+        return;
+    }
+    let start = out.len();
+    // Writing into a `String` cannot fail.
+    let _ = fmt::Write::write_fmt(out, format_args!("{x}"));
+    if !out.as_bytes()[start..]
+        .iter()
+        .any(|b| matches!(b, b'.' | b'e' | b'E'))
+    {
+        out.push_str(".0");
     }
 }
 
+/// Append `s` as a JSON string literal. Only `"`, `\` and control
+/// characters need escapes, and all are ASCII, so the text between them
+/// is copied in whole runs.
 fn write_escaped(out: &mut String, s: &str) {
+    const HEX: &[u8; 16] = b"0123456789abcdef";
     out.push('"');
-    for c in s.chars() {
-        match c {
-            '"' => out.push_str("\\\""),
-            '\\' => out.push_str("\\\\"),
-            '\n' => out.push_str("\\n"),
-            '\r' => out.push_str("\\r"),
-            '\t' => out.push_str("\\t"),
-            c if (c as u32) < 0x20 => out.push_str(&format!("\\u{:04x}", c as u32)),
-            c => out.push(c),
+    let mut run = 0;
+    for (i, &b) in s.as_bytes().iter().enumerate() {
+        let escape = match b {
+            b'"' => "\\\"",
+            b'\\' => "\\\\",
+            b'\n' => "\\n",
+            b'\r' => "\\r",
+            b'\t' => "\\t",
+            0..=0x1f => "",
+            _ => continue,
+        };
+        out.push_str(&s[run..i]);
+        if escape.is_empty() {
+            out.push_str("\\u00");
+            out.push(char::from(HEX[usize::from(b >> 4)]));
+            out.push(char::from(HEX[usize::from(b & 0xf)]));
+        } else {
+            out.push_str(escape);
         }
+        run = i + 1;
     }
+    out.push_str(&s[run..]);
     out.push('"');
 }
 
@@ -848,6 +900,141 @@ mod tests {
             assert_eq!(from_str::<Mode>(&text).unwrap(), m);
         }
         assert!(from_str::<Mode>(r#""Medium""#).is_err());
+    }
+
+    /// Seeded xorshift64* source for the random-tree property below.
+    struct Rng(u64);
+
+    impl Rng {
+        fn next(&mut self) -> u64 {
+            self.0 ^= self.0 >> 12;
+            self.0 ^= self.0 << 25;
+            self.0 ^= self.0 >> 27;
+            self.0.wrapping_mul(0x2545_f491_4f6c_dd1d)
+        }
+
+        fn below(&mut self, n: u64) -> u64 {
+            self.next() % n
+        }
+
+        fn string(&mut self) -> String {
+            // Escapes, every control-char class, DEL, and 2-, 3- and
+            // 4-byte UTF-8, mixed with plain ASCII runs.
+            const POOL: &[char] = &[
+                'a', 'Z', '0', ' ', '/', '"', '\\', '\n', '\r', '\t', '\u{0}', '\u{8}', '\u{c}',
+                '\u{1f}', '\u{7f}', 'é', 'ø', '€', '中', '😀',
+            ];
+            let len = self.below(12);
+            (0..len)
+                .map(|_| POOL[self.below(POOL.len() as u64) as usize])
+                .collect()
+        }
+
+        /// A finite float that round-trips: integral, exponent-range,
+        /// subnormal, extreme, or arbitrary bits.
+        fn float(&mut self) -> f64 {
+            let x = match self.below(7) {
+                0 => (self.below(2_000) as f64) - 1_000.0,
+                1 => 1.5e-7,
+                2 => 1e21 * (self.below(9) + 1) as f64,
+                3 => [5e-324, f64::MIN_POSITIVE, f64::MAX, -0.0][self.below(4) as usize],
+                4 => 1e300,
+                _ => f64::from_bits(self.next()),
+            };
+            if x.is_finite() {
+                x
+            } else {
+                0.25
+            }
+        }
+
+        /// A random tree; `Uint` only above `i64::MAX` (smaller values
+        /// parse back as `Int`), and no non-finite floats, so that every
+        /// tree round-trips through the parser.
+        fn tree(&mut self, depth: u32) -> Json {
+            let leaf = depth == 0 || self.below(3) == 0;
+            match self.below(if leaf { 6 } else { 8 }) {
+                0 => Json::Null,
+                1 => Json::Bool(self.below(2) == 1),
+                2 => Json::Int(match self.below(4) {
+                    0 => i64::MIN,
+                    1 => i64::MAX,
+                    _ => self.next() as i64 >> self.below(64),
+                }),
+                3 => Json::Uint(match self.below(2) {
+                    0 => u64::MAX,
+                    _ => (1 << 63) | self.next(),
+                }),
+                4 => Json::Float(self.float()),
+                5 => Json::Str(self.string()),
+                6 => Json::Arr((0..self.below(5)).map(|_| self.tree(depth - 1)).collect()),
+                _ => Json::Obj(
+                    (0..self.below(5))
+                        .map(|_| (self.string(), self.tree(depth - 1)))
+                        .collect(),
+                ),
+            }
+        }
+    }
+
+    #[test]
+    fn writer_matches_the_reference_model_and_round_trips() {
+        let mut rng = Rng(0x5eed_0f15_0a7e_5100);
+        for case in 0..2_000 {
+            let tree = rng.tree(4);
+            let compact = tree.to_string_compact();
+            let pretty = tree.to_string_pretty();
+            assert_eq!(compact, reference::to_string_compact(&tree), "case {case}");
+            assert_eq!(pretty, reference::to_string_pretty(&tree), "case {case}");
+            assert_eq!(Json::parse(&compact).as_ref(), Ok(&tree), "case {case}");
+            assert_eq!(Json::parse(&pretty).as_ref(), Ok(&tree), "case {case}");
+        }
+    }
+
+    #[test]
+    fn writer_edge_cases_match_the_reference_model() {
+        let edges = Json::Arr(vec![
+            Json::Int(i64::MIN),
+            Json::Int(0),
+            Json::Uint(u64::MAX),
+            Json::Float(2.0),
+            Json::Float(-0.0),
+            Json::Float(1e300),
+            Json::Float(5e-324),
+            Json::Float(f64::NAN),
+            Json::Float(f64::INFINITY),
+            Json::Float(f64::NEG_INFINITY),
+            Json::Str("\"\\\n\r\t\u{0}\u{1}\u{1f} ünïcøde 😀".to_string()),
+        ]);
+        let text = edges.to_string_compact();
+        assert_eq!(text, reference::to_string_compact(&edges));
+        assert!(
+            text.starts_with("[-9223372036854775808,0,18446744073709551615,2.0,-0.0,1000"),
+            "{text}"
+        );
+        assert!(text.contains(",null,null,null,"), "{text}");
+        assert!(
+            text.ends_with(r#""\"\\\n\r\t\u0000\u0001\u001f ünïcøde 😀"]"#),
+            "{text}"
+        );
+    }
+
+    #[test]
+    fn raw_text_is_spliced_verbatim() {
+        let inner = Json::Obj(vec![
+            ("cycles".into(), Json::Int(42)),
+            ("ipc".into(), Json::Float(1.5)),
+        ]);
+        let raw = Json::Raw(inner.to_string_compact().into());
+        let outer = |v: Json| Json::Obj(vec![("id".into(), Json::Int(1)), ("report".into(), v)]);
+        assert_eq!(
+            outer(raw.clone()).to_string_compact(),
+            outer(inner.clone()).to_string_compact()
+        );
+        assert_eq!(
+            Json::parse(&outer(raw).to_string_compact()).unwrap(),
+            outer(inner)
+        );
     }
 
     #[test]

@@ -458,15 +458,17 @@ impl Response {
         self.payload.field_opt(name).ok().flatten()
     }
 
-    /// Serialize to one wire line (no trailing newline).
-    pub fn to_json(&self) -> Json {
-        let mut fields = vec![
-            ("id".to_string(), ToJson::to_json(&self.id)),
-            ("ok".to_string(), Json::Bool(self.ok)),
-        ];
-        if let Json::Obj(payload) = &self.payload {
-            fields.extend(payload.iter().cloned());
-        }
+    /// Convert to the wire object, moving the payload's fields (a
+    /// pre-rendered report among them) instead of copying them.
+    pub fn into_json(self) -> Json {
+        let payload = match self.payload {
+            Json::Obj(payload) => payload,
+            _ => Vec::new(),
+        };
+        let mut fields = Vec::with_capacity(payload.len() + 3);
+        fields.push(("id".to_string(), ToJson::to_json(&self.id)));
+        fields.push(("ok".to_string(), Json::Bool(self.ok)));
+        fields.extend(payload);
         if let Some(e) = &self.error {
             fields.push(("error".to_string(), e.to_json()));
         }
@@ -555,14 +557,16 @@ pub fn read_json_line(reader: &mut impl BufRead) -> std::io::Result<Option<Json>
     }
 }
 
-/// Write one JSONL message (compact JSON + newline) and flush it.
+/// Write one JSONL message (compact JSON + newline) and flush it. The line
+/// is rendered whole first, so it leaves in one write.
 ///
 /// # Errors
 ///
 /// Returns any I/O error from the writer.
 pub fn write_json_line(writer: &mut impl Write, json: &Json) -> std::io::Result<()> {
-    writer.write_all(json.to_string_compact().as_bytes())?;
-    writer.write_all(b"\n")?;
+    let mut line = json.to_string_compact();
+    line.push('\n');
+    writer.write_all(line.as_bytes())?;
     writer.flush()
 }
 
@@ -662,7 +666,7 @@ mod tests {
                 retry_after_ms: Some(250),
             },
         );
-        let wire = r.to_json().to_string_compact();
+        let wire = r.clone().into_json().to_string_compact();
         assert!(wire.contains(r#""code":"queue_full""#), "{wire}");
         assert!(wire.contains(r#""retry_after_ms":250"#), "{wire}");
         let parsed = Response::from_json(&Json::parse(&wire).unwrap()).unwrap();
@@ -677,7 +681,7 @@ mod tests {
             ("cycles".to_string(), Json::Int(42)),
         ]);
         let r = Response::success(9, payload);
-        let wire = r.to_json().to_string_compact();
+        let wire = r.into_json().to_string_compact();
         assert!(
             wire.starts_with(r#"{"id":9,"ok":true,"kind":"run""#),
             "{wire}"
@@ -735,7 +739,7 @@ mod tests {
 
         // And the error round-trips the wire as `version_mismatch`.
         let resp = Response::failure(3, err);
-        let wire = resp.to_json().to_string_compact();
+        let wire = resp.into_json().to_string_compact();
         assert!(wire.contains(r#""code":"version_mismatch""#), "{wire}");
         let parsed = Response::from_json(&Json::parse(&wire).unwrap()).unwrap();
         assert_eq!(parsed.error_code(), Some("version_mismatch"));
@@ -752,7 +756,7 @@ mod tests {
         );
         assert_eq!(ErrorCode::UnknownDesign.as_str(), "unknown_design");
         let resp = Response::failure(21, err);
-        let wire = resp.to_json().to_string_compact();
+        let wire = resp.clone().into_json().to_string_compact();
         assert!(wire.contains(r#""code":"unknown_design""#), "{wire}");
         assert!(wire.contains("frobnicate"), "{wire}");
         assert!(wire.contains("valid designs"), "{wire}");

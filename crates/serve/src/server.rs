@@ -14,7 +14,9 @@ use crate::proto::{
 use regless_bench::profile::ProfileReport;
 use regless_bench::registry::{self, DesignParams};
 use regless_bench::report::collect as report_collect;
-use regless_bench::sweep::{bench_kernel, rodinia_id, RunVariant, SweepEngine};
+use regless_bench::sweep::{
+    bench_kernel, bench_kernel_name, rodinia_id, CachedRun, RunVariant, SweepEngine,
+};
 use regless_bench::{eval_gpu, Attach, DesignKind, RunError};
 use regless_isa::text::parse_kernel;
 use regless_isa::Kernel;
@@ -92,20 +94,37 @@ struct JobKey {
     design: DesignKind,
 }
 
+/// What a request simulates, as resolved from its kernel spec.
+enum JobKernel {
+    /// A built-in benchmark id and its kernel name. Its result is a
+    /// deterministic function of the id, so it is cached under the sweep
+    /// engine's fingerprint; the kernel itself is generated only by the
+    /// worker that simulates it, never on a cache hit.
+    Bench { id: String, name: &'static str },
+    /// A parsed `.asm` file: uncached (the cache is keyed by id, not
+    /// content).
+    File(Kernel),
+}
+
+impl JobKernel {
+    fn name(&self) -> &str {
+        match self {
+            JobKernel::Bench { name, .. } => name,
+            JobKernel::File(kernel) => kernel.name(),
+        }
+    }
+}
+
 /// One admitted simulation, shared by every coalesced waiter.
 struct Job {
     key: JobKey,
-    /// `Some` when the kernel is a built-in benchmark id — those results
-    /// are deterministic functions of the id and persist to the sweep
-    /// cache. `.asm` files stay uncached (their content is not keyed).
-    bench_id: Option<String>,
-    kernel: Kernel,
+    kernel: JobKernel,
     /// Deadline-free token: waiters each enforce their own deadline, and
     /// only the *last* abandoning waiter cancels the simulation (an early
     /// short deadline must not kill work a patient waiter still wants).
     token: CancelToken,
     waiters: AtomicUsize,
-    result: Mutex<Option<Result<Arc<RunReport>, ErrorBody>>>,
+    result: Mutex<Option<Result<Arc<CachedRun>, ErrorBody>>>,
     done: Condvar,
     /// Tracing timestamps (epoch µs), written unconditionally — three
     /// relaxed stores per job, never read by the simulation. `enqueued_us`
@@ -585,7 +604,7 @@ fn connection_loop(stream: TcpStream, shared: &Arc<Shared>) {
                 false,
             ),
         };
-        let written = write_json_line(&mut writer, &response.to_json());
+        let written = write_json_line(&mut writer, &response.into_json());
         // A `shutdown` is signalled only once its reply is flushed: with
         // nothing in flight the drain returns at once, and the process may
         // exit before a reply written later reaches the socket.
@@ -600,22 +619,24 @@ fn connection_loop(stream: TcpStream, shared: &Arc<Shared>) {
 
 /// Resolve a request's kernel spec: built-in benchmark ids (cacheable)
 /// first, then bare Rodinia names, then `.asm` files (uncacheable — the
-/// cache is keyed by id, not content).
-fn resolve_kernel(spec: &str) -> Result<(Kernel, Option<String>), ErrorBody> {
-    if let Some(kernel) = bench_kernel(spec) {
-        return Ok((kernel, Some(spec.to_string())));
-    }
-    if rodinia::NAMES.contains(&spec) {
-        let id = rodinia_id(spec);
-        let kernel = bench_kernel(&id).expect("rodinia names resolve");
-        return Ok((kernel, Some(id)));
+/// cache is keyed by id, not content). Benchmark ids resolve by name
+/// alone; only files are read and parsed here.
+fn resolve_kernel(spec: &str) -> Result<JobKernel, ErrorBody> {
+    // A bare Rodinia name aliases its benchmark id.
+    let id = if rodinia::NAMES.contains(&spec) {
+        rodinia_id(spec)
+    } else {
+        spec.to_string()
+    };
+    if let Some(name) = bench_kernel_name(&id) {
+        return Ok(JobKernel::Bench { id, name });
     }
     if std::path::Path::new(spec).exists() {
         let text = std::fs::read_to_string(spec)
             .map_err(|e| ErrorBody::new(ErrorCode::BadRequest, format!("read {spec:?}: {e}")))?;
         let kernel = parse_kernel(&text)
             .map_err(|e| ErrorBody::new(ErrorCode::BadRequest, format!("parse {spec:?}: {e}")))?;
-        return Ok((kernel, None));
+        return Ok(JobKernel::File(kernel));
     }
     Err(ErrorBody::new(
         ErrorCode::BadRequest,
@@ -680,8 +701,8 @@ fn handle_simulation(shared: &Arc<Shared>, req: &Request) -> Response {
             spans: Vec::new(),
         });
     let t_entry = if trace.is_some() { epoch_us() } else { 0 };
-    let (kernel, bench_id) = match resolve_kernel(spec) {
-        Ok(r) => r,
+    let kernel = match resolve_kernel(spec) {
+        Ok(k) => k,
         Err(e) => return Response::failure(req.id, e),
     };
     if let Some(t) = trace.as_mut() {
@@ -695,10 +716,11 @@ fn handle_simulation(shared: &Arc<Shared>, req: &Request) -> Response {
     }
     let started = Instant::now();
 
-    // Fast path: a benchmark already in the shared cache never queues.
-    if let Some(bench) = &bench_id {
+    // Fast path: a benchmark already in the shared cache never queues,
+    // and its kernel is never generated.
+    if let JobKernel::Bench { id, name } = &kernel {
         let t_cache = if trace.is_some() { epoch_us() } else { 0 };
-        let hit = shared.engine.lookup(bench, RunVariant::Design(design));
+        let hit = shared.engine.lookup(id, RunVariant::Design(design));
         if let Some(t) = trace.as_mut() {
             t.spans.push(
                 Span::new(
@@ -711,15 +733,13 @@ fn handle_simulation(shared: &Arc<Shared>, req: &Request) -> Response {
                 .arg("hit", if hit.is_some() { "true" } else { "false" }),
             );
         }
-        if let Some(report) = hit {
+        if let Some(run) = hit {
             shared.counters.cache_hits.fetch_add(1, Ordering::Relaxed);
-            return finish_ok(
-                shared, req, design, &kernel, &report, "cache", started, trace,
-            );
+            return finish_ok(shared, req, design, name, &run, "cache", started, trace);
         }
     }
 
-    let job = match admit(shared, req, design, bench_id, kernel) {
+    let job = match admit(shared, req, design, kernel) {
         Ok(job) => job,
         Err(e) => return Response::failure(req.id, e),
     };
@@ -764,12 +784,12 @@ fn handle_simulation(shared: &Arc<Shared>, req: &Request) -> Response {
                 }
             }
             return match outcome {
-                Ok(report) => finish_ok(
+                Ok(run) => finish_ok(
                     shared,
                     req,
                     design,
-                    &job.kernel,
-                    &report,
+                    job.kernel.name(),
+                    &run,
                     source,
                     started,
                     trace,
@@ -804,15 +824,16 @@ fn admit(
     shared: &Arc<Shared>,
     req: &Request,
     design: DesignKind,
-    bench_id: Option<String>,
-    kernel: Kernel,
+    kernel: JobKernel,
 ) -> Result<(Arc<Job>, bool), ErrorBody> {
     let key = JobKey {
-        kernel: bench_id.clone().unwrap_or_else(|| {
-            req.kernel
+        kernel: match &kernel {
+            JobKernel::Bench { id, .. } => id.clone(),
+            JobKernel::File(_) => req
+                .kernel
                 .clone()
-                .expect("simulation requests have kernels")
-        }),
+                .expect("simulation requests have kernels"),
+        },
         design,
     };
     let mut pending = shared.pending.lock().expect("pending poisoned");
@@ -862,7 +883,6 @@ fn admit(
     }
     let job = Arc::new(Job {
         key: key.clone(),
-        bench_id,
         kernel,
         token: CancelToken::new(),
         waiters: AtomicUsize::new(1),
@@ -902,16 +922,18 @@ fn abandon(shared: &Arc<Shared>, req: &Request, job: &Arc<Job>, elapsed: Duratio
 }
 
 /// Render a successful result for the request's kind and record latency.
-/// A traced request gets a `serialize` span covering the payload render,
-/// then its whole span collection back as the `trace` payload field —
-/// appended *after* the report so the report bytes are untouched.
+/// A `run` reply splices the run's compact report text, rendered once per
+/// cached run and shared by every later reply. A traced request gets a
+/// `serialize` span covering the payload render, then its whole span
+/// collection back as the `trace` payload field — appended *after* the
+/// report so the report bytes are untouched.
 #[allow(clippy::too_many_arguments)]
 fn finish_ok(
     shared: &Arc<Shared>,
     req: &Request,
     design: DesignKind,
-    kernel: &Kernel,
-    report: &Arc<RunReport>,
+    kernel: &str,
+    run: &CachedRun,
     source: &str,
     started: Instant,
     trace: Option<TraceCtx>,
@@ -929,23 +951,22 @@ fn finish_ok(
     let t_serialize = if trace.is_some() { epoch_us() } else { 0 };
     let mut payload = vec![
         ("kind".to_string(), Json::Str(req.kind.as_str().to_string())),
-        ("kernel".to_string(), Json::Str(kernel.name().to_string())),
+        ("kernel".to_string(), Json::Str(kernel.to_string())),
         ("design".to_string(), Json::Str(req.design.clone())),
         ("source".to_string(), Json::Str(source.to_string())),
-        ("cycles".to_string(), ToJson::to_json(&report.cycles)),
-        ("ipc".to_string(), Json::Float(report.ipc())),
+        ("cycles".to_string(), ToJson::to_json(&run.cycles)),
+        ("ipc".to_string(), Json::Float(run.ipc())),
     ];
     match req.kind {
         RequestKind::Run => {
-            payload.push(("report".to_string(), report.stable_json()));
+            payload.push(("report".to_string(), Json::Raw(run.stable_text())));
         }
         RequestKind::Profile => {
-            let profile =
-                ProfileReport::collect(report, kernel.name(), &req.design, design.osu_capacity());
+            let profile = ProfileReport::collect(run, kernel, &req.design, design.osu_capacity());
             payload.push(("profile".to_string(), profile.to_json()));
         }
         _ => {
-            let full = report_collect(report, kernel.name(), &req.design, design.osu_capacity());
+            let full = report_collect(run, kernel, &req.design, design.osu_capacity());
             payload.push(("summary".to_string(), full.summary().to_json()));
         }
     }
@@ -1003,14 +1024,14 @@ fn run_job(shared: &Arc<Shared>, job: &Arc<Job>) {
         match catch_unwind(AssertUnwindSafe(|| execute(job))) {
             Ok(Ok(report)) => {
                 let report = Arc::new(report);
-                if let Some(bench) = &job.bench_id {
-                    shared.engine.insert(
-                        bench,
-                        RunVariant::Design(job.key.design),
-                        Arc::clone(&report),
-                    );
-                }
-                Ok(report)
+                Ok(match &job.kernel {
+                    JobKernel::Bench { id, .. } => {
+                        shared
+                            .engine
+                            .insert(id, RunVariant::Design(job.key.design), report)
+                    }
+                    JobKernel::File(_) => Arc::new(CachedRun::new(report)),
+                })
             }
             Ok(Err(e)) => {
                 match e.code {
@@ -1067,16 +1088,24 @@ fn run_job(shared: &Arc<Shared>, job: &Arc<Job>) {
     shared.counters.in_flight.fetch_sub(1, Ordering::Relaxed);
 }
 
-/// Compile and run one job's simulation with its token threaded into the
-/// tick loop.
+/// Generate (for a benchmark id), compile and run one job's simulation
+/// with its token threaded into the tick loop.
 fn execute(job: &Arc<Job>) -> Result<RunReport, ErrorBody> {
     let attach = Attach {
         cancel: Some(job.token.clone()),
         ..Attach::default()
     };
+    let generated;
+    let kernel = match &job.kernel {
+        JobKernel::Bench { id, .. } => {
+            generated = bench_kernel(id).expect("resolved benchmark ids build");
+            &generated
+        }
+        JobKernel::File(kernel) => kernel,
+    };
     job.key
         .design
-        .execute(&job.kernel, eval_gpu(), &attach)
+        .execute(kernel, eval_gpu(), &attach)
         .map_err(|e| match e {
             RunError::Sim(SimError::Cancelled { at_cycle }) => ErrorBody::new(
                 ErrorCode::Timeout,

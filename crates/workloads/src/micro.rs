@@ -203,22 +203,50 @@ pub fn nested_divergence() -> Kernel {
     b.finish().expect("valid kernel")
 }
 
-/// All microbenchmarks at default sizes.
+/// Kernel names of [`all`], in order.
+pub const NAMES: [&str; 6] = [
+    "micro_streaming",
+    "micro_pointer_chase",
+    "micro_shared_tile",
+    "micro_reduction_tree",
+    "micro_divergence_storm",
+    "micro_nested_divergence",
+];
+
+/// One microbenchmark at its default size, by kernel name (one of
+/// [`NAMES`]); `None` for an unknown name. Builds only that kernel.
+pub fn kernel(name: &str) -> Option<Kernel> {
+    Some(match name {
+        "micro_streaming" => streaming(24),
+        "micro_pointer_chase" => pointer_chase(16),
+        "micro_shared_tile" => shared_tile(16),
+        "micro_reduction_tree" => reduction_tree(),
+        "micro_divergence_storm" => divergence_storm(16),
+        "micro_nested_divergence" => nested_divergence(),
+        _ => return None,
+    })
+}
+
+/// All microbenchmarks at default sizes, in [`NAMES`] order.
 pub fn all() -> Vec<Kernel> {
-    vec![
-        streaming(24),
-        pointer_chase(16),
-        shared_tile(16),
-        reduction_tree(),
-        divergence_storm(16),
-        nested_divergence(),
-    ]
+    NAMES
+        .iter()
+        .map(|n| kernel(n).expect("NAMES lists known kernels"))
+        .collect()
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
     use regless_compiler::{compile, RegionConfig};
+
+    #[test]
+    fn names_match_the_built_kernels() {
+        let kernels = all();
+        let names: Vec<&str> = kernels.iter().map(|k| k.name()).collect();
+        assert_eq!(names, NAMES);
+        assert!(kernel("micro_nope").is_none());
+    }
 
     #[test]
     fn all_micro_kernels_compile() {

@@ -704,7 +704,7 @@ fn cmd_submit(args: &[String]) -> CmdResult {
     let t0 = epoch_us();
     let resp = client.request(&req)?;
     let rpc_dur = epoch_us().saturating_sub(t0);
-    println!("{}", resp.to_json().to_string_pretty());
+    println!("{}", resp.clone().into_json().to_string_pretty());
     if trace {
         // The client-side rpc span wraps everything the server reported;
         // merging them into one Chrome trace shows the request's whole

@@ -8,13 +8,23 @@
 //! `queue_full` instead of blocking), and byte-identity (a served report
 //! equals a CLI-direct one, however it was served).
 
+use regless::bench::profile::ProfileReport;
+use regless::bench::registry::{self, DesignParams};
 use regless::bench::sweep::{SweepEngine, SweepMode};
 use regless::bench::{run_design, DesignKind};
+use regless::isa::Kernel;
 use regless::serve::{Client, ErrorCode, Request, RequestKind, ServeConfig, Server, ServerHandle};
 use regless::workloads::rodinia;
-use regless_json::Json;
+use regless_json::{Json, ToJson};
+use std::io::{BufRead, BufReader, Write};
+use std::net::TcpStream;
 use std::sync::Arc;
 use std::time::{Duration, Instant};
+
+/// The JSON writer as it was before replies spliced pre-rendered reports:
+/// the reference the wire-level test renders its expected lines with.
+#[path = "../crates/json/src/reference.rs"]
+mod reference_json;
 
 /// A kernel slow enough (~3.2M machine cycles) that a request for it
 /// reliably occupies a worker for its full deadline in both debug and
@@ -341,4 +351,191 @@ fn shutdown_request_drains_gracefully() {
         "an admitted job must complete (or the submit raced the drain): {job:?}"
     );
     handle.drain().expect("drain within timeout");
+}
+
+/// One raw JSONL connection: the test writes request lines and reads
+/// reply lines exactly as they came off the socket.
+struct RawConn {
+    stream: TcpStream,
+    reader: BufReader<TcpStream>,
+}
+
+impl RawConn {
+    fn connect(addr: &str) -> RawConn {
+        let stream = TcpStream::connect(addr).expect("connect raw");
+        let reader = BufReader::new(stream.try_clone().expect("clone stream"));
+        RawConn { stream, reader }
+    }
+
+    fn send(&mut self, line: &str) {
+        self.stream
+            .write_all(format!("{line}\n").as_bytes())
+            .expect("send request");
+    }
+
+    fn recv(&mut self) -> String {
+        let mut line = String::new();
+        self.reader.read_line(&mut line).expect("read reply");
+        assert!(line.ends_with('\n'), "reply line is newline-terminated");
+        line.pop();
+        line
+    }
+}
+
+/// One simulation request as raw wire text.
+fn raw_request(id: u64, kind: &str, kernel: &str, design: &str, traced: bool) -> String {
+    let mut line =
+        format!(r#"{{"id":{id},"kind":"{kind}","kernel":"{kernel}","design":"{design}""#);
+    if traced {
+        line.push_str(&format!(r#","trace_id":"{id:016x}""#));
+    }
+    line.push('}');
+    line
+}
+
+/// The reply line a server should send, built the old way: the report
+/// tree from a direct `run_design`, a full `Json::Obj`, and the reference
+/// writer.
+fn reference_reply(id: u64, kind: &str, kernel: &Kernel, design_id: &str, source: &str) -> String {
+    let design = registry::resolve(design_id, &DesignParams::default()).expect("known design");
+    let report = run_design(kernel, design);
+    let name = kernel.name();
+    let body = match kind {
+        "run" => ("report", report.stable_json()),
+        "profile" => (
+            "profile",
+            ProfileReport::collect(&report, name, design_id, design.osu_capacity()).to_json(),
+        ),
+        _ => (
+            "summary",
+            regless::bench::report::collect(&report, name, design_id, design.osu_capacity())
+                .summary()
+                .to_json(),
+        ),
+    };
+    let reply = Json::Obj(vec![
+        ("id".to_string(), ToJson::to_json(&id)),
+        ("ok".to_string(), Json::Bool(true)),
+        ("kind".to_string(), Json::Str(kind.to_string())),
+        ("kernel".to_string(), Json::Str(name.to_string())),
+        ("design".to_string(), Json::Str(design_id.to_string())),
+        ("source".to_string(), Json::Str(source.to_string())),
+        ("cycles".to_string(), ToJson::to_json(&report.cycles)),
+        ("ipc".to_string(), Json::Float(report.ipc())),
+        (body.0.to_string(), body.1),
+    ]);
+    reference_json::to_string_compact(&reply)
+}
+
+/// Assert a raw reply line equals its reference; a traced reply must
+/// equal it up to the `trace_id` field its spans follow.
+fn assert_reply(line: &str, reference: &str, traced: bool, what: &str) {
+    if traced {
+        let cut = line
+            .find(r#","trace_id":""#)
+            .unwrap_or_else(|| panic!("{what}: traced reply has no trace_id: {line}"));
+        assert_eq!(
+            &line[..cut],
+            &reference[..reference.len() - 1],
+            "{what}: traced reply differs before its trace fields"
+        );
+        assert!(
+            line.ends_with("]}"),
+            "{what}: traced reply ends with its spans"
+        );
+    } else {
+        assert_eq!(line, reference, "{what}: reply line differs");
+    }
+}
+
+/// Every reply a client reads off the socket — `run`, `profile` and
+/// `report`, each as a miss, a cache hit and coalesced onto an in-flight
+/// job, traced and untraced, plus an uncached `.asm` request — is
+/// byte-identical to the reply built the old way, whatever path served
+/// it.
+#[test]
+fn reply_lines_are_byte_identical_on_every_path() {
+    let handle = start_server(1, 16);
+    let addr = handle.addr().to_string();
+    let nn = rodinia::kernel("nn");
+    let kinds = ["run", "profile", "report"];
+    let mut id = 0u64;
+    let mut next_id = || {
+        id += 1;
+        id
+    };
+
+    // Misses, then hits of the same keys: each (kind, traced) pair gets a
+    // design of its own, so each miss really simulates.
+    let designs = ["baseline", "regless", "regless-nc", "rfh", "rfv", "regdem"];
+    let mut conn = RawConn::connect(&addr);
+    for source in ["simulated", "cache"] {
+        for (i, kind) in kinds.iter().enumerate() {
+            for traced in [false, true] {
+                let design = designs[2 * i + usize::from(traced)];
+                let id = next_id();
+                conn.send(&raw_request(id, kind, "rodinia/nn", design, traced));
+                let reference = reference_reply(id, kind, &nn, design, source);
+                let what = format!("{kind} {source} traced={traced}");
+                assert_reply(&conn.recv(), &reference, traced, &what);
+            }
+        }
+    }
+
+    // An uncached `.asm` file request simulates every time.
+    let asm = concat!(env!("CARGO_MANIFEST_DIR"), "/kernels/saxpy.asm");
+    let saxpy = regless::isa::text::parse_kernel(&std::fs::read_to_string(asm).unwrap())
+        .expect("saxpy parses");
+    for _ in 0..2 {
+        let id = next_id();
+        conn.send(&raw_request(id, "run", asm, "regless", false));
+        let reference = reference_reply(id, "run", &saxpy, "regless", "simulated");
+        assert_reply(&conn.recv(), &reference, false, ".asm run");
+    }
+
+    // Coalesced: park the single worker on a slow job, queue one
+    // `compress-rf` miss, then pile every (kind, traced) pair onto it.
+    let slow = write_slow_asm("wire");
+    let mut blocker = Client::connect(&addr).expect("connect blocker");
+    let blocker = std::thread::spawn(move || {
+        let mut req = Request::run(999, &slow);
+        req.timeout_ms = Some(1_500);
+        let resp = blocker.request(&req).expect("blocker response");
+        let _ = std::fs::remove_file(&slow);
+        resp
+    });
+    wait_for_stats(&addr, |s| {
+        stat(s, "in_flight") == 1 && stat(s, "queue_depth") == 0
+    });
+    let admit_id = next_id();
+    let mut admitting = RawConn::connect(&addr);
+    admitting.send(&raw_request(
+        admit_id,
+        "run",
+        "rodinia/nn",
+        "compress-rf",
+        false,
+    ));
+    wait_for_stats(&addr, |s| stat(s, "queue_depth") == 1);
+    let mut riders = Vec::new();
+    for kind in kinds {
+        for traced in [false, true] {
+            let id = next_id();
+            let mut c = RawConn::connect(&addr);
+            c.send(&raw_request(id, kind, "rodinia/nn", "compress-rf", traced));
+            riders.push((c, id, kind, traced));
+        }
+    }
+    wait_for_stats(&addr, |s| stat(s, "coalesce_hits") == riders.len() as i64);
+    assert_eq!(blocker.join().unwrap().error_code(), Some("timeout"));
+    let reference = reference_reply(admit_id, "run", &nn, "compress-rf", "simulated");
+    assert_reply(&admitting.recv(), &reference, false, "admitting run");
+    for (mut c, id, kind, traced) in riders {
+        let reference = reference_reply(id, kind, &nn, "compress-rf", "coalesced");
+        let what = format!("{kind} coalesced traced={traced}");
+        assert_reply(&c.recv(), &reference, traced, &what);
+    }
+
+    handle.shutdown();
+    handle.drain().expect("drain");
 }
