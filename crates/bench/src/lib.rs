@@ -25,7 +25,6 @@ pub mod figs;
 pub mod profile;
 pub mod registry;
 pub mod report;
-pub mod sim_speed;
 pub mod sweep;
 pub mod timing;
 
@@ -113,6 +112,25 @@ impl DesignKind {
     /// Compile `kernel` for this design, build its machine on `gpu` (with
     /// the design's scheduler override), apply `attach` and run. This is
     /// the one place that knows how to run each design.
+    ///
+    /// ```
+    /// use regless_bench::{Attach, DesignKind};
+    /// use regless_isa::KernelBuilder;
+    /// use regless_sim::GpuConfig;
+    ///
+    /// let mut b = KernelBuilder::new("demo");
+    /// let i = b.thread_idx();
+    /// let v = b.iadd(i, i);
+    /// b.st_global(v, i);
+    /// b.exit();
+    /// let kernel = b.finish()?;
+    ///
+    /// let gpu = GpuConfig::test_small();
+    /// let rfh = DesignKind::Rfh.execute(&kernel, gpu, &Attach::default())?;
+    /// let rfv = DesignKind::Rfv.execute(&kernel, gpu, &Attach::default())?;
+    /// assert_eq!(rfh.total().insns, rfv.total().insns);
+    /// # Ok::<(), Box<dyn std::error::Error>>(())
+    /// ```
     ///
     /// # Errors
     ///

@@ -20,7 +20,7 @@
 
 use crate::assignment::HashRing;
 use crate::liveness::Liveness;
-use crate::stats::ClusterSummary;
+use crate::stats::{ClusterSummary, MetricKind};
 use crate::WorkUnit;
 use regless_bench::sweep::SweepEngine;
 use regless_json::{FromJson, Json, ToJson};
@@ -84,21 +84,9 @@ impl CoordinatorConfig {
 /// Component label on the coordinator's log events and metrics.
 const OBS_PROCESS: &str = "coordinator";
 
-/// Monotone counters the summary reports. (Reaped workers are counted by
-/// [`Liveness::reaped_total`], the table that actually does the reaping.)
-#[derive(Default)]
-struct Counters {
-    claims: u64,
-    waits: u64,
-    results: u64,
-    duplicate_results: u64,
-    reassignments: u64,
-    heartbeats: u64,
-    version_rejects: u64,
-    /// Simulated cycles across merged results — the numerator of the
-    /// cluster-wide simulated-cycles/sec progress rate.
-    cycles_done: u64,
-}
+/// The name prefix of every coordinator metric
+/// (`regless_coord_<key>[_total]`).
+const METRIC_PREFIX: &str = "regless_coord_";
 
 /// Book-keeping for one unit currently assigned to a worker: who holds
 /// it, when the claim was handed out (epoch µs, for the claim→result
@@ -123,7 +111,11 @@ struct Board {
     ring: HashRing,
     live: Liveness,
     workers_seen: HashSet<String>,
-    counters: Counters,
+    /// The monotone counts the handlers bump. Its worker and unit counts
+    /// stay zero: [`Board::summary`] reads them from the live tables
+    /// (reaped workers from [`Liveness::reaped_total`], the table that
+    /// does the reaping).
+    counters: ClusterSummary,
     /// Structured events (worker join/reap, drain) for `obs --tail`.
     log: EventLog,
     /// Claim→result spans, one per merged unit, for `--trace-out`.
@@ -210,15 +202,7 @@ impl Board {
             workers_reaped: self.live.reaped_total(),
             units_total: self.units.len() as u64,
             units_done: self.done.len() as u64,
-            claims: self.counters.claims,
-            waits: self.counters.waits,
-            results: self.counters.results,
-            duplicate_results: self.counters.duplicate_results,
-            reassignments: self.counters.reassignments,
-            heartbeats: self.counters.heartbeats,
-            version_rejects: self.counters.version_rejects,
-            cycles_done: self.counters.cycles_done,
-            wall_seconds: 0.0,
+            ..self.counters.clone()
         }
     }
 
@@ -280,7 +264,7 @@ impl Coordinator {
             ring: HashRing::new(),
             live: Liveness::new(config.liveness_timeout),
             workers_seen: HashSet::new(),
-            counters: Counters::default(),
+            counters: ClusterSummary::default(),
             log: EventLog::new(DEFAULT_LOG_CAPACITY),
             spans: SpanLog::new(DEFAULT_LOG_CAPACITY),
             draining: false,
@@ -664,129 +648,19 @@ fn handle_heartbeat(req: &Request, shared: &Arc<Shared>) -> Response {
     )
 }
 
-fn handle_stats(req: &Request, shared: &Arc<Shared>) -> Response {
-    let mut board = shared.board.lock().expect("board poisoned");
-    board.reap_dead(Instant::now());
-    let uptime_ms = shared.started.elapsed().as_millis() as u64;
-    let mut fields = vec![
-        ("kind".into(), Json::Str("stats".into())),
-        ("role".into(), Json::Str("coordinator".into())),
-        ("uptime_ms".into(), ToJson::to_json(&uptime_ms)),
-        (
-            "protocol_version".into(),
-            Json::Int(i64::from(PROTOCOL_VERSION)),
-        ),
-        (
-            "units_total".into(),
-            ToJson::to_json(&(board.units.len() as u64)),
-        ),
-        (
-            "units_done".into(),
-            ToJson::to_json(&(board.done.len() as u64)),
-        ),
-        (
-            "units_pending".into(),
-            ToJson::to_json(&(board.pending.len() as u64)),
-        ),
-        (
-            "units_in_flight".into(),
-            ToJson::to_json(&(board.in_flight.len() as u64)),
-        ),
-        (
-            "workers_alive".into(),
-            ToJson::to_json(&(board.live.alive() as u64)),
-        ),
-        (
-            "workers_seen".into(),
-            ToJson::to_json(&(board.workers_seen.len() as u64)),
-        ),
-        (
-            "workers_reaped".into(),
-            ToJson::to_json(&board.live.reaped_total()),
-        ),
-        ("claims".into(), ToJson::to_json(&board.counters.claims)),
-        ("waits".into(), ToJson::to_json(&board.counters.waits)),
-        ("results".into(), ToJson::to_json(&board.counters.results)),
-        (
-            "cycles_done".into(),
-            ToJson::to_json(&board.counters.cycles_done),
-        ),
-        (
-            "duplicate_results".into(),
-            ToJson::to_json(&board.counters.duplicate_results),
-        ),
-        (
-            "reassignments".into(),
-            ToJson::to_json(&board.counters.reassignments),
-        ),
-        (
-            "heartbeats".into(),
-            ToJson::to_json(&board.counters.heartbeats),
-        ),
-        (
-            "version_rejects".into(),
-            ToJson::to_json(&board.counters.version_rejects),
-        ),
-        ("draining".into(), Json::Bool(board.draining)),
-    ];
-    if let Some((entries, bytes)) = shared.engine.cache_dir_totals() {
-        fields.push(("cache_entries".into(), ToJson::to_json(&entries)));
-        fields.push(("cache_bytes".into(), ToJson::to_json(&bytes)));
-        fields.push(("cache_size".into(), Json::Str(format_bytes(bytes))));
-    }
-    Response::success(req.id, Json::Obj(fields))
-}
-
-fn handle_metrics(req: &Request, shared: &Arc<Shared>) -> Response {
-    let mut board = shared.board.lock().expect("board poisoned");
-    board.reap_dead(Instant::now());
-    let c = &board.counters;
+/// Every coordinator metric: the board's [`ClusterSummary`] counts plus
+/// the live gauges, the one source both `stats` and `metrics` render.
+/// `cache_bytes` is the sweep cache's size when it has a directory.
+fn snapshot(board: &Board, shared: &Shared, cache_bytes: Option<u64>) -> MetricsSnapshot {
     let mut snap = MetricsSnapshot::new(OBS_PROCESS);
-    snap.counter(
-        "regless_coord_claims_total",
-        "Units handed out to workers",
-        c.claims,
-    );
-    snap.counter(
-        "regless_coord_waits_total",
-        "Claims answered with a wait hint",
-        c.waits,
-    );
-    snap.counter(
-        "regless_coord_results_total",
-        "Results merged into the sweep cache",
-        c.results,
-    );
-    snap.counter(
-        "regless_coord_duplicate_results_total",
-        "Late duplicate results acknowledged and discarded",
-        c.duplicate_results,
-    );
-    snap.counter(
-        "regless_coord_reassignments_total",
-        "Units returned to pending after their worker was reaped",
-        c.reassignments,
-    );
-    snap.counter(
-        "regless_coord_heartbeats_total",
-        "Standalone heartbeat requests received",
-        c.heartbeats,
-    );
-    snap.counter(
-        "regless_coord_version_rejects_total",
-        "Requests rejected for a protocol version mismatch",
-        c.version_rejects,
-    );
-    snap.counter(
-        "regless_coord_workers_reaped_total",
-        "Workers declared dead after heartbeat silence",
-        board.live.reaped_total(),
-    );
-    snap.counter(
-        "regless_coord_cycles_done_total",
-        "Simulated cycles across merged results",
-        c.cycles_done,
-    );
+    for (key, help, export, value) in board.summary().counts() {
+        match export {
+            MetricKind::Counter => {
+                snap.counter(&format!("{METRIC_PREFIX}{key}_total"), help, value)
+            }
+            MetricKind::Gauge => snap.gauge(&format!("{METRIC_PREFIX}{key}"), help, value as f64),
+        }
+    }
     snap.counter(
         "regless_coord_log_dropped_total",
         "Log events evicted from the bounded ring before export",
@@ -796,11 +670,6 @@ fn handle_metrics(req: &Request, shared: &Arc<Shared>) -> Response {
         "regless_coord_workers_alive",
         "Workers inside their liveness window",
         board.live.alive() as f64,
-    );
-    snap.gauge(
-        "regless_coord_workers_seen",
-        "Distinct workers that ever joined",
-        board.workers_seen.len() as f64,
     );
     snap.gauge(
         "regless_coord_units_pending",
@@ -813,21 +682,11 @@ fn handle_metrics(req: &Request, shared: &Arc<Shared>) -> Response {
         board.in_flight.len() as f64,
     );
     snap.gauge(
-        "regless_coord_units_done",
-        "Units with a merged result",
-        board.done.len() as f64,
-    );
-    snap.gauge(
-        "regless_coord_units_total",
-        "Units in the sweep space",
-        board.units.len() as f64,
-    );
-    snap.gauge(
         "regless_coord_uptime_seconds",
         "Seconds since the coordinator started",
         shared.started.elapsed().as_secs_f64(),
     );
-    if let Some((_, bytes)) = shared.engine.cache_dir_totals() {
+    if let Some(bytes) = cache_bytes {
         snap.gauge(
             "regless_coord_cache_bytes",
             "Bytes in the sweep's disk cache",
@@ -837,6 +696,40 @@ fn handle_metrics(req: &Request, shared: &Arc<Shared>) -> Response {
     // Host-side self-profile of the merge engine's pipeline (empty, and
     // free, unless REGLESS_SELFPROF is set).
     shared.engine.self_profiler().fold_into(&mut snap, "sweep");
+    snap
+}
+
+/// The `stats` payload: [`snapshot`] projected onto flat keys
+/// ([`MetricsSnapshot::stats_fields`]) plus the fields that are not
+/// metrics.
+fn handle_stats(req: &Request, shared: &Arc<Shared>) -> Response {
+    let mut board = shared.board.lock().expect("board poisoned");
+    board.reap_dead(Instant::now());
+    let totals = shared.engine.cache_dir_totals();
+    let mut fields = vec![
+        ("kind".into(), Json::Str("stats".into())),
+        ("role".into(), Json::Str("coordinator".into())),
+        (
+            "protocol_version".into(),
+            Json::Int(i64::from(PROTOCOL_VERSION)),
+        ),
+        ("draining".into(), Json::Bool(board.draining)),
+    ];
+    fields.extend(snapshot(&board, shared, totals.map(|(_, b)| b)).stats_fields(METRIC_PREFIX));
+    if let Some((entries, bytes)) = totals {
+        fields.push(("cache_entries".into(), ToJson::to_json(&entries)));
+        fields.push(("cache_size".into(), Json::Str(format_bytes(bytes))));
+    }
+    Response::success(req.id, Json::Obj(fields))
+}
+
+/// The `metrics` payload: [`snapshot`] plus the retained event log and
+/// spans.
+fn handle_metrics(req: &Request, shared: &Arc<Shared>) -> Response {
+    let mut board = shared.board.lock().expect("board poisoned");
+    board.reap_dead(Instant::now());
+    let cache_bytes = shared.engine.cache_dir_totals().map(|(_, b)| b);
+    let snap = snapshot(&board, shared, cache_bytes);
     let events: Vec<Json> = board
         .log
         .snapshot_since(None)

@@ -54,7 +54,7 @@ pub mod stats;
 pub mod worker;
 
 pub use coordinator::{Coordinator, CoordinatorConfig, CoordinatorHandle};
-pub use stats::ClusterSummary;
+pub use stats::{ClusterSummary, MetricKind};
 pub use worker::{run_worker, WorkerConfig, WorkerSummary};
 
 use regless_bench::registry::{self, DesignParams};

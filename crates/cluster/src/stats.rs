@@ -37,39 +37,113 @@ pub struct ClusterSummary {
     pub wall_seconds: f64,
 }
 
+/// How the coordinator's `metrics` exports one [`ClusterSummary`] count.
+#[derive(Clone, Copy, Debug, PartialEq, Eq)]
+pub enum MetricKind {
+    /// Monotone: `regless_coord_<key>_total`.
+    Counter,
+    /// A level: `regless_coord_<key>`.
+    Gauge,
+}
+
 impl ClusterSummary {
     /// Whether every unit has a merged result.
     pub fn complete(&self) -> bool {
         self.units_done == self.units_total
     }
 
+    /// Every count, in [`ClusterSummary::to_json`] order, with the help
+    /// text and metric type the coordinator's `metrics` exports it under:
+    /// the one list `BENCH_cluster.json`, `stats` and `metrics` are
+    /// rendered from.
+    pub fn counts(&self) -> [(&'static str, &'static str, MetricKind, u64); 12] {
+        use MetricKind::{Counter, Gauge};
+        [
+            (
+                "workers_seen",
+                "Distinct workers that ever joined",
+                Gauge,
+                self.workers_seen,
+            ),
+            (
+                "workers_reaped",
+                "Workers declared dead after heartbeat silence",
+                Counter,
+                self.workers_reaped,
+            ),
+            (
+                "units_total",
+                "Units in the sweep space",
+                Gauge,
+                self.units_total,
+            ),
+            (
+                "units_done",
+                "Units with a merged result",
+                Gauge,
+                self.units_done,
+            ),
+            (
+                "claims",
+                "Units handed out to workers",
+                Counter,
+                self.claims,
+            ),
+            (
+                "waits",
+                "Claims answered with a wait hint",
+                Counter,
+                self.waits,
+            ),
+            (
+                "results",
+                "Results merged into the sweep cache",
+                Counter,
+                self.results,
+            ),
+            (
+                "duplicate_results",
+                "Late duplicate results acknowledged and discarded",
+                Counter,
+                self.duplicate_results,
+            ),
+            (
+                "reassignments",
+                "Units returned to pending after their worker was reaped",
+                Counter,
+                self.reassignments,
+            ),
+            (
+                "heartbeats",
+                "Standalone heartbeat requests received",
+                Counter,
+                self.heartbeats,
+            ),
+            (
+                "version_rejects",
+                "Requests rejected for a protocol version mismatch",
+                Counter,
+                self.version_rejects,
+            ),
+            (
+                "cycles_done",
+                "Simulated cycles across merged results",
+                Counter,
+                self.cycles_done,
+            ),
+        ]
+    }
+
     /// JSON for `BENCH_cluster.json` and `regless cluster --json`.
     pub fn to_json(&self) -> Json {
-        Json::Obj(vec![
-            ("workers_seen".into(), ToJson::to_json(&self.workers_seen)),
-            (
-                "workers_reaped".into(),
-                ToJson::to_json(&self.workers_reaped),
-            ),
-            ("units_total".into(), ToJson::to_json(&self.units_total)),
-            ("units_done".into(), ToJson::to_json(&self.units_done)),
-            ("claims".into(), ToJson::to_json(&self.claims)),
-            ("waits".into(), ToJson::to_json(&self.waits)),
-            ("results".into(), ToJson::to_json(&self.results)),
-            (
-                "duplicate_results".into(),
-                ToJson::to_json(&self.duplicate_results),
-            ),
-            ("reassignments".into(), ToJson::to_json(&self.reassignments)),
-            ("heartbeats".into(), ToJson::to_json(&self.heartbeats)),
-            (
-                "version_rejects".into(),
-                ToJson::to_json(&self.version_rejects),
-            ),
-            ("cycles_done".into(), ToJson::to_json(&self.cycles_done)),
-            ("wall_seconds".into(), ToJson::to_json(&self.wall_seconds)),
-            ("complete".into(), Json::Bool(self.complete())),
-        ])
+        let mut fields: Vec<(String, Json)> = self
+            .counts()
+            .iter()
+            .map(|(key, _, _, value)| (key.to_string(), ToJson::to_json(value)))
+            .collect();
+        fields.push(("wall_seconds".into(), ToJson::to_json(&self.wall_seconds)));
+        fields.push(("complete".into(), Json::Bool(self.complete())));
+        Json::Obj(fields)
     }
 
     /// Human-readable footer for the CLI.

@@ -138,6 +138,9 @@ struct Job {
 /// The process label serve's spans and log events carry.
 const OBS_PROCESS: &str = "serve";
 
+/// The name prefix of every serve metric (`regless_serve_<key>[_total]`).
+const METRIC_PREFIX: &str = "regless_serve_";
+
 /// Trace context for one traced request: the parsed id plus the spans
 /// collected on its behalf, returned in-band in the success payload.
 struct TraceCtx {
@@ -145,7 +148,7 @@ struct TraceCtx {
     spans: Vec<Span>,
 }
 
-/// Monotone counters exposed by `stats`.
+/// Monotone counters, exported by [`Shared::snapshot`].
 #[derive(Default)]
 struct ServeCounters {
     submitted: AtomicU64,
@@ -212,54 +215,16 @@ struct Shared {
 }
 
 impl Shared {
+    /// The `stats` payload: [`Shared::snapshot`] projected onto flat keys
+    /// ([`MetricsSnapshot::stats_fields`]) plus the fields that are not
+    /// metrics.
     fn stats_json(&self) -> Json {
-        let c = &self.counters;
-        let load = |a: &AtomicU64| ToJson::to_json(&a.load(Ordering::Relaxed));
-        let queue_depth = self.queue.lock().expect("queue poisoned").jobs.len();
-        let hist_json = |h: &Log2Histogram| {
-            Json::Obj(vec![
-                ("count".to_string(), ToJson::to_json(&h.count())),
-                ("mean_ms".to_string(), Json::Float(h.mean())),
-                ("p50_ms".to_string(), ToJson::to_json(&h.percentile(50.0))),
-                ("p99_ms".to_string(), ToJson::to_json(&h.percentile(99.0))),
-                ("max_ms".to_string(), ToJson::to_json(&h.max())),
-            ])
-        };
-        let latency = {
-            let l = self.latency.lock().expect("latency poisoned");
-            Json::Obj(vec![
-                ("run".to_string(), hist_json(&l.run)),
-                ("profile".to_string(), hist_json(&l.profile)),
-                ("report".to_string(), hist_json(&l.report)),
-            ])
-        };
-        let uptime_ms = u64::try_from(self.started.elapsed().as_millis()).unwrap_or(u64::MAX);
-        Json::Obj(vec![
+        let mut fields = vec![
             ("kind".to_string(), Json::Str("stats".to_string())),
-            ("uptime_ms".to_string(), ToJson::to_json(&uptime_ms)),
             (
                 "protocol_version".to_string(),
                 ToJson::to_json(&crate::proto::PROTOCOL_VERSION),
             ),
-            ("queue_depth".to_string(), ToJson::to_json(&queue_depth)),
-            ("in_flight".to_string(), load(&c.in_flight)),
-            (
-                "queue_capacity".to_string(),
-                ToJson::to_json(&self.config.queue_capacity),
-            ),
-            ("submitted".to_string(), load(&c.submitted)),
-            ("completed".to_string(), load(&c.completed)),
-            (
-                "rejected_queue_full".to_string(),
-                load(&c.rejected_queue_full),
-            ),
-            ("coalesce_hits".to_string(), load(&c.coalesce_hits)),
-            ("cache_hits".to_string(), load(&c.cache_hits)),
-            ("simulations".to_string(), load(&c.simulations)),
-            ("timeouts".to_string(), load(&c.timeouts)),
-            ("cancelled".to_string(), load(&c.cancelled)),
-            ("panics".to_string(), load(&c.panics)),
-            ("sim_errors".to_string(), load(&c.sim_errors)),
             (
                 "draining".to_string(),
                 Json::Bool(self.shutdown.load(Ordering::Acquire)),
@@ -268,8 +233,9 @@ impl Shared {
                 "cache_fingerprint".to_string(),
                 Json::Str(SweepEngine::fingerprint()),
             ),
-            ("latency".to_string(), latency),
-        ])
+        ];
+        fields.extend(self.snapshot().stats_fields(METRIC_PREFIX));
+        Json::Obj(fields)
     }
 
     /// Retry-after hint for `queue_full`: roughly one mean request
@@ -296,62 +262,58 @@ impl Shared {
         self.stop_cv.notify_all();
     }
 
-    /// The `metrics` response payload: a [`MetricsSnapshot`] of every
-    /// serve counter/gauge/latency histogram plus the retained event log.
-    fn metrics_json(&self) -> Json {
+    /// Every serve counter, gauge and latency histogram: the one source
+    /// both `stats` and `metrics` are rendered from.
+    fn snapshot(&self) -> MetricsSnapshot {
         let c = &self.counters;
         let load = |a: &AtomicU64| a.load(Ordering::Relaxed);
         let mut snap = MetricsSnapshot::new(OBS_PROCESS);
-        snap.counter(
-            "regless_serve_submitted_total",
-            "Simulation requests received",
-            load(&c.submitted),
-        );
-        snap.counter(
-            "regless_serve_completed_total",
-            "Simulation requests answered successfully",
-            load(&c.completed),
-        );
-        snap.counter(
-            "regless_serve_rejected_queue_full_total",
-            "Requests refused by admission control",
-            load(&c.rejected_queue_full),
-        );
-        snap.counter(
-            "regless_serve_coalesce_hits_total",
-            "Requests coalesced onto an in-flight job",
-            load(&c.coalesce_hits),
-        );
-        snap.counter(
-            "regless_serve_cache_hits_total",
-            "Requests answered from the sweep cache",
-            load(&c.cache_hits),
-        );
-        snap.counter(
-            "regless_serve_simulations_total",
-            "Simulations actually executed",
-            load(&c.simulations),
-        );
-        snap.counter(
-            "regless_serve_timeouts_total",
-            "Requests whose deadline expired",
-            load(&c.timeouts),
-        );
-        snap.counter(
-            "regless_serve_cancelled_total",
-            "Simulations cancelled cooperatively",
-            load(&c.cancelled),
-        );
-        snap.counter(
-            "regless_serve_panics_total",
-            "Simulation panics isolated by catch_unwind",
-            load(&c.panics),
-        );
-        snap.counter(
-            "regless_serve_sim_errors_total",
-            "Simulations that returned an error",
-            load(&c.sim_errors),
-        );
+        for (key, help, counter) in [
+            ("submitted", "Simulation requests received", &c.submitted),
+            (
+                "completed",
+                "Simulation requests answered successfully",
+                &c.completed,
+            ),
+            (
+                "rejected_queue_full",
+                "Requests refused by admission control",
+                &c.rejected_queue_full,
+            ),
+            (
+                "coalesce_hits",
+                "Requests coalesced onto an in-flight job",
+                &c.coalesce_hits,
+            ),
+            (
+                "cache_hits",
+                "Requests answered from the sweep cache",
+                &c.cache_hits,
+            ),
+            (
+                "simulations",
+                "Simulations actually executed",
+                &c.simulations,
+            ),
+            ("timeouts", "Requests whose deadline expired", &c.timeouts),
+            (
+                "cancelled",
+                "Simulations cancelled cooperatively",
+                &c.cancelled,
+            ),
+            (
+                "panics",
+                "Simulation panics isolated by catch_unwind",
+                &c.panics,
+            ),
+            (
+                "sim_errors",
+                "Simulations that returned an error",
+                &c.sim_errors,
+            ),
+        ] {
+            snap.counter(&format!("{METRIC_PREFIX}{key}_total"), help, load(counter));
+        }
         snap.gauge(
             "regless_serve_in_flight",
             "Jobs admitted but not yet finished",
@@ -398,6 +360,12 @@ impl Shared {
                 &l.report,
             );
         }
+        snap
+    }
+
+    /// The `metrics` response payload: [`Shared::snapshot`] plus the
+    /// retained event log.
+    fn metrics_json(&self) -> Json {
         let log = self
             .log
             .snapshot_since(None)
@@ -406,7 +374,7 @@ impl Shared {
             .collect();
         Json::Obj(vec![
             ("kind".to_string(), Json::Str("metrics".to_string())),
-            ("metrics".to_string(), snap.to_json()),
+            ("metrics".to_string(), self.snapshot().to_json()),
             ("log".to_string(), Json::Arr(log)),
             ("log_total".to_string(), ToJson::to_json(&self.log.total())),
         ])
@@ -494,12 +462,6 @@ impl ServerHandle {
     /// The bound address (resolves port 0 to the actual ephemeral port).
     pub fn addr(&self) -> SocketAddr {
         self.addr
-    }
-
-    /// Snapshot of the server statistics (same shape as a `stats`
-    /// response payload).
-    pub fn stats_json(&self) -> Json {
-        self.shared.stats_json()
     }
 
     /// Ask the server to stop, exactly as a `shutdown` request would.

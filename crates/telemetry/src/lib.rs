@@ -54,11 +54,9 @@ pub use obs::{
     ProgressMeter, ProgressSnapshot, SelfProfiler, Span, SpanLog, DEFAULT_LOG_CAPACITY,
 };
 pub use recorder::{MemoryRecorder, NullRecorder, Recorder, Telemetry};
-pub use report::{
-    parse_history, round4, trend_table, CompressorReport, OccupancyReport, Report, RunSummary,
-};
+pub use report::{round4, CompressorReport, OccupancyReport, Report, RunSummary};
 pub use summary::{summary_csv, HistogramSummary, TelemetrySummary};
 pub use trends::{
-    detect_regressions, higher_is_better, ingest, parse_trends, render_trends_html, trends_table,
-    Regression, TrendPoint,
+    detect_regressions, higher_is_better, ingest, parse_trends, render_trends_html, report_points,
+    trends_table, Regression, TrendPoint, DEFAULT_WINDOW,
 };

@@ -9,7 +9,7 @@
 //! because log2 bucket edges are ours, not Prometheus's.
 
 use crate::hist::Log2Histogram;
-use regless_json::Json;
+use regless_json::{Json, ToJson};
 
 /// The value of one metric at snapshot time.
 #[derive(Clone, Debug, PartialEq)]
@@ -102,6 +102,67 @@ impl MetricsSnapshot {
             help: help.to_string(),
             value: MetricValue::from_hist(hist),
         });
+    }
+
+    /// The flat `stats` view of the metrics named `<prefix><name>`, in
+    /// registration order: a counter `<key>_total` becomes `<key>`, a
+    /// gauge `<key>` becomes the integer `<key>` (`uptime_seconds` becomes
+    /// `uptime_ms`), and the summaries `<kind>_latency_ms` go last, as
+    /// `latency.<kind>` objects of `count`, `mean_ms`, `p50_ms`, `p99_ms`
+    /// and `max_ms`. The event log's `log_dropped_total` belongs to the
+    /// log and is left out, as is every metric outside the prefix.
+    pub fn stats_fields(&self, prefix: &str) -> Vec<(String, Json)> {
+        let mut fields = Vec::new();
+        let mut latency = Vec::new();
+        for m in &self.metrics {
+            let Some(key) = m.name.strip_prefix(prefix) else {
+                continue;
+            };
+            match &m.value {
+                MetricValue::Counter(_) if key == "log_dropped_total" => {}
+                MetricValue::Counter(v) => {
+                    let key = key.strip_suffix("_total").unwrap_or(key);
+                    fields.push((key.to_string(), ToJson::to_json(v)));
+                }
+                MetricValue::Gauge(v) if key == "uptime_seconds" => {
+                    fields.push((
+                        "uptime_ms".to_string(),
+                        ToJson::to_json(&((v * 1e3) as u64)),
+                    ));
+                }
+                MetricValue::Gauge(v) => {
+                    fields.push((key.to_string(), ToJson::to_json(&(*v as u64))));
+                }
+                MetricValue::Summary {
+                    count,
+                    sum,
+                    p50,
+                    p99,
+                    max,
+                } => {
+                    let kind = key.strip_suffix("_latency_ms").unwrap_or(key);
+                    let mean = if *count == 0 {
+                        0.0
+                    } else {
+                        *sum as f64 / *count as f64
+                    };
+                    latency.push((
+                        kind.to_string(),
+                        Json::Obj(vec![
+                            ("count".to_string(), ToJson::to_json(count)),
+                            ("mean_ms".to_string(), Json::Float(mean)),
+                            ("p50_ms".to_string(), ToJson::to_json(p50)),
+                            ("p99_ms".to_string(), ToJson::to_json(p99)),
+                            ("max_ms".to_string(), ToJson::to_json(max)),
+                        ]),
+                    ));
+                }
+            }
+        }
+        if !latency.is_empty() {
+            fields.push(("latency".to_string(), Json::Obj(latency)));
+        }
+        fields
     }
 
     /// Serialize for the `metrics` protocol response.
@@ -372,6 +433,29 @@ mod tests {
         let snap = sample();
         let parsed = MetricsSnapshot::from_json(&snap.to_json()).expect("parses");
         assert_eq!(parsed, snap);
+    }
+
+    #[test]
+    fn stats_fields_project_the_prefixed_metrics() {
+        let mut h = Log2Histogram::new();
+        for v in [2u64, 4] {
+            h.record(v);
+        }
+        let mut snap = MetricsSnapshot::new("serve");
+        snap.counter("regless_serve_submitted_total", "Requests", 42);
+        snap.counter("regless_serve_log_dropped_total", "Log drops", 1);
+        snap.counter("regless_selfprof_sweep_simulate_calls_total", "Calls", 9);
+        snap.gauge("regless_serve_queue_depth", "Queued", 3.0);
+        snap.gauge("regless_serve_uptime_seconds", "Uptime", 1.5);
+        snap.summary("regless_serve_run_latency_ms", "run latency", &h);
+        let fields = Json::Obj(snap.stats_fields("regless_serve_"));
+        let text = fields.to_string_compact();
+        assert_eq!(
+            text,
+            "{\"submitted\":42,\"queue_depth\":3,\"uptime_ms\":1500,\
+             \"latency\":{\"run\":{\"count\":2,\"mean_ms\":3.0,\"p50_ms\":4,\
+             \"p99_ms\":4,\"max_ms\":4}}}"
+        );
     }
 
     #[test]

@@ -1,8 +1,9 @@
 //! The unified run dashboard: one self-contained HTML page (and its
 //! byte-stable JSON twin) assembling the CPI stack, OSU occupancy
 //! timelines, eviction and compressor tables, and histogram digests for a
-//! single simulation, plus the compact [`RunSummary`] rows used for
-//! cross-run trend tracking (`results/history.jsonl`).
+//! single simulation, plus the compact [`RunSummary`] of its headline
+//! numbers. Cross-run trends live in `results/trends.jsonl`
+//! ([`crate::trends`]); the dashboard renders a run's rows from there.
 //!
 //! This module is pure presentation: it knows nothing about the simulator.
 //! Callers (the CLI's `regless report` verb and the bench harness)
@@ -12,6 +13,7 @@
 use crate::cpi::{IssueStack, StallReason};
 use crate::evict::EvictionStack;
 use crate::summary::TelemetrySummary;
+use crate::trends::{trends_table, TrendPoint, DEFAULT_WINDOW};
 
 /// Per-pattern compressor effectiveness for one run.
 ///
@@ -119,7 +121,7 @@ regless_json::impl_json_struct!(OccupancyReport {
 /// Everything the dashboard shows for one run. Assembled by the caller,
 /// rendered here as HTML ([`Report::render_html`]) or byte-stable JSON
 /// ([`Report::to_json_string`], golden-tested).
-#[derive(Clone, Debug, PartialEq)]
+#[derive(Clone, Debug, Default, PartialEq)]
 pub struct Report {
     /// Kernel name (or path) the run simulated.
     pub kernel: String,
@@ -160,8 +162,7 @@ regless_json::impl_json_struct!(Report {
     telemetry
 });
 
-/// One row of `results/history.jsonl`: the headline numbers of a run,
-/// compact enough to append on every `regless report --trend`.
+/// The headline numbers of a run, carried by serve's `report` reply.
 #[derive(Clone, Debug, PartialEq)]
 pub struct RunSummary {
     /// Kernel name.
@@ -192,53 +193,6 @@ regless_json::impl_json_struct!(RunSummary {
     osu_peak,
     compressor_hit_rate
 });
-
-impl RunSummary {
-    /// The compact single-line form appended to `history.jsonl`.
-    pub fn to_jsonl_line(&self) -> String {
-        regless_json::to_string(self)
-    }
-}
-
-/// Parse a `history.jsonl` body into its rows, in file order. Lines that
-/// fail to parse (hand edits, partial writes) are skipped, not fatal.
-pub fn parse_history(text: &str) -> Vec<RunSummary> {
-    text.lines()
-        .filter(|l| !l.trim().is_empty())
-        .filter_map(|l| regless_json::from_str(l).ok())
-        .collect()
-}
-
-/// Render history rows as an aligned plain-text trajectory table (also
-/// embedded in the HTML dashboard).
-pub fn trend_table(rows: &[RunSummary]) -> String {
-    use std::fmt::Write as _;
-    if rows.is_empty() {
-        return "  (history empty)\n".to_string();
-    }
-    let mut out = String::new();
-    let _ = writeln!(
-        out,
-        "  {:<4} {:<24} {:<10} {:>8} {:>10} {:>8} {:<18} {:>9} {:>9}",
-        "#", "kernel", "design", "capacity", "cycles", "ipc", "top stall", "osu peak", "comp hit"
-    );
-    for (i, r) in rows.iter().enumerate() {
-        let _ = writeln!(
-            out,
-            "  {:<4} {:<24} {:<10} {:>8} {:>10} {:>8.3} {:<18} {:>9} {:>8.1}%",
-            i + 1,
-            r.kernel,
-            r.design,
-            r.capacity,
-            r.cycles,
-            r.ipc,
-            r.top_stall,
-            r.osu_peak,
-            r.compressor_hit_rate * 100.0
-        );
-    }
-    out
-}
 
 impl Report {
     /// The byte-stable JSON twin of the dashboard (pretty-printed, golden
@@ -289,10 +243,11 @@ impl Report {
     }
 
     /// Render the self-contained HTML dashboard. `trend` rows (typically
-    /// the parsed `history.jsonl` including this run) are rendered as the
-    /// trajectory section when non-empty. No external assets: styles are
-    /// inline and the occupancy timeline is an inline SVG.
-    pub fn render_html(&self, trend: &[RunSummary]) -> String {
+    /// the `report` rows of `trends.jsonl`, this run's included) are
+    /// rendered as the trajectory section when non-empty. No external
+    /// assets: styles are inline and the occupancy timeline is an inline
+    /// SVG.
+    pub fn render_html(&self, trend: &[TrendPoint]) -> String {
         use std::fmt::Write as _;
         let mut h = String::new();
         let title = format!(
@@ -447,7 +402,11 @@ impl Report {
         // Cross-run trajectory.
         if !trend.is_empty() {
             h.push_str("<h2>Trend</h2>\n");
-            let _ = writeln!(h, "<pre>{}</pre>", escape(&trend_table(trend)));
+            let _ = writeln!(
+                h,
+                "<pre>{}</pre>",
+                escape(&trends_table(trend, DEFAULT_WINDOW))
+            );
         }
 
         let _ = writeln!(
@@ -572,6 +531,7 @@ pub(crate) const STYLE: &str = "<style>\n\
 mod tests {
     use super::*;
     use crate::evict::EvictionReason;
+    use crate::trends::report_points;
 
     fn sample_report() -> Report {
         let mut issue_stack = IssueStack::new();
@@ -646,11 +606,8 @@ mod tests {
         assert_eq!(s.top_stall, "data_hazard");
         assert_eq!(s.osu_peak, 11);
         assert!((s.compressor_hit_rate - 0.8).abs() < 1e-9);
-        let line = s.to_jsonl_line();
-        assert!(!line.contains('\n'));
-        let rows = parse_history(&format!("{line}\n{line}\ngarbage\n"));
-        assert_eq!(rows.len(), 2);
-        assert_eq!(rows[0], s);
+        let back: RunSummary = regless_json::from_str(&regless_json::to_string(&s)).unwrap();
+        assert_eq!(back, s);
     }
 
     #[test]
@@ -682,12 +639,10 @@ mod tests {
     #[test]
     fn html_renders_trend_when_given() {
         let r = sample_report();
-        let html = r.render_html(&[r.summary()]);
+        let html = r.render_html(&report_points(&r));
         assert!(html.contains("<h2>Trend</h2>"));
-        assert!(html.contains("data_hazard"));
-        let table = trend_table(&[r.summary()]);
-        assert!(table.contains("saxpy"));
-        assert!(trend_table(&[]).contains("history empty"));
+        assert!(html.contains("report.saxpy.regless@512.cycles"), "{html}");
+        assert!(html.contains("report.saxpy.regless@512.ipc"), "{html}");
     }
 
     #[test]

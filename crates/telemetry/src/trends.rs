@@ -1,14 +1,14 @@
 //! The perf-trend observatory: flat metric rows distilled from the
-//! benchmark artifacts (`BENCH_profile.json`, `BENCH_sim_speed.json`,
-//! `BENCH_serve.json`, `BENCH_cluster.json`) into an append-only
-//! `results/trends.jsonl`, a rolling-median regression gate, and an HTML
-//! trend dashboard.
+//! benchmark artifacts (`BENCH_profile.json`, `BENCH_serve.json`,
+//! `BENCH_cluster.json`) and from `regless report --trend` runs into one
+//! append-only `results/trends.jsonl`, a rolling-median regression gate,
+//! and an HTML trend dashboard.
 //!
 //! Like [`crate::report`], this module is pure presentation and
 //! arithmetic: the `regless trends` verb does the file I/O and timestamp
 //! stamping, then calls in here with strings and parsed JSON.
 
-use crate::report::{escape, polyline, STYLE};
+use crate::report::{escape, polyline, Report, STYLE};
 use regless_json::Json;
 
 /// One row of `trends.jsonl`: a single metric observation.
@@ -17,10 +17,10 @@ pub struct TrendPoint {
     /// Unix epoch seconds when the row was ingested (0 for synthetic
     /// rows whose order alone matters).
     pub ts: u64,
-    /// Which benchmark artifact the value came from (`sim_speed`,
-    /// `serve`, `cluster`, `profile`).
+    /// Where the value came from: a benchmark artifact (`serve`,
+    /// `cluster`, `profile`) or a `regless report --trend` run (`report`).
     pub source: String,
-    /// Dotted metric name (`sim_speed.event_cps`, `serve.p99_ms`).
+    /// Dotted metric name (`serve.p99_ms`, `report.nn.regless@512.ipc`).
     pub metric: String,
     /// The observed value.
     pub value: f64,
@@ -45,7 +45,7 @@ impl TrendPoint {
 
 /// Parse a `trends.jsonl` body into rows, in file order. Malformed
 /// lines (hand edits, partial writes) are skipped, not fatal — the same
-/// contract as [`crate::parse_history`].
+/// contract as every other JSONL reader here.
 pub fn parse_trends(text: &str) -> Vec<TrendPoint> {
     text.lines()
         .filter(|l| !l.trim().is_empty())
@@ -55,10 +55,13 @@ pub fn parse_trends(text: &str) -> Vec<TrendPoint> {
 
 /// Whether a bigger value of `metric` is better (throughput, IPC,
 /// speedup) or worse (latency, cycle counts, wall time). Direction is
-/// derived from the name so synthetic rows need no extra schema.
+/// derived from the name's last dotted segment, so synthetic rows need
+/// no extra schema and a kernel name inside a `report` metric cannot
+/// flip it.
 pub fn higher_is_better(metric: &str) -> bool {
+    let leaf = metric.rsplit('.').next().unwrap_or(metric);
     let lower_is_better = ["_ms", "latency", "cycles", "seconds", "wall"];
-    !lower_is_better.iter().any(|needle| metric.contains(needle))
+    !lower_is_better.iter().any(|needle| leaf.contains(needle))
 }
 
 fn f64_of(v: &Json) -> Option<f64> {
@@ -84,14 +87,17 @@ fn point(source: &str, metric: &str, value: f64, unit: &str) -> TrendPoint {
     }
 }
 
+/// The rolling-median window `regless trends` and the run dashboard's
+/// trajectory table use unless told otherwise.
+pub const DEFAULT_WINDOW: usize = 8;
+
 /// Distill one benchmark artifact into trend rows (`ts` left at 0 for
-/// the caller to stamp). `source` selects the schema: `sim_speed`,
-/// `serve`, `cluster`, or `profile`. Unknown sources and missing fields
-/// yield an empty vec rather than an error, so a partial results
-/// directory ingests whatever it has.
+/// the caller to stamp). `source` selects the schema: `serve`, `cluster`,
+/// or `profile`. Unknown sources and missing fields yield an empty vec
+/// rather than an error, so a partial results directory ingests whatever
+/// it has.
 pub fn ingest(source: &str, json: &Json) -> Vec<TrendPoint> {
     match source {
-        "sim_speed" => ingest_sim_speed(json),
         "serve" => ingest_serve(json),
         "cluster" => ingest_cluster(json),
         "profile" => ingest_profile(json),
@@ -99,48 +105,23 @@ pub fn ingest(source: &str, json: &Json) -> Vec<TrendPoint> {
     }
 }
 
-/// `BENCH_sim_speed.json`: aggregate throughput over all rows (total
-/// cycles / total seconds beats a mean-of-rates for rows of very
-/// different lengths) plus the fast-path speedup.
-fn ingest_sim_speed(json: &Json) -> Vec<TrendPoint> {
-    let Ok(Json::Arr(rows)) = json.field("rows") else {
-        return Vec::new();
-    };
-    let (mut cycles, mut event_secs, mut stepped_secs) = (0.0, 0.0, 0.0);
-    for row in rows {
-        let (Some(c), Some(e), Some(s)) = (
-            num_field(row, "cycles"),
-            num_field(row, "event_secs"),
-            num_field(row, "stepped_secs"),
-        ) else {
-            continue;
-        };
-        cycles += c;
-        event_secs += e;
-        stepped_secs += s;
-    }
-    if cycles <= 0.0 || event_secs <= 0.0 || stepped_secs <= 0.0 {
-        return Vec::new();
+/// One run's trend rows (source `report`, `ts` left at 0 for the caller
+/// to stamp): its cycles and IPC under
+/// `report.<kernel>.<design>[@<capacity>]`, the capacity shown for the
+/// designs that have one.
+pub fn report_points(report: &Report) -> Vec<TrendPoint> {
+    let mut name = format!("report.{}.{}", report.kernel, report.design);
+    if report.capacity > 0 {
+        name = format!("{name}@{}", report.capacity);
     }
     vec![
         point(
-            "sim_speed",
-            "sim_speed.event_cps",
-            cycles / event_secs,
-            "cycles/s",
+            "report",
+            &format!("{name}.cycles"),
+            report.cycles as f64,
+            "cycles",
         ),
-        point(
-            "sim_speed",
-            "sim_speed.stepped_cps",
-            cycles / stepped_secs,
-            "cycles/s",
-        ),
-        point(
-            "sim_speed",
-            "sim_speed.fast_path_speedup",
-            stepped_secs / event_secs,
-            "x",
-        ),
+        point("report", &format!("{name}.ipc"), report.ipc, "ipc"),
     ]
 }
 
@@ -449,10 +430,10 @@ mod tests {
     fn jsonl_round_trips_and_skips_garbage() {
         let p = TrendPoint {
             ts: 1_700_000_000,
-            source: "sim_speed".into(),
-            metric: "sim_speed.event_cps".into(),
+            source: "report".into(),
+            metric: "report.nn.regless@512.cycles".into(),
             value: 1_234_567.5,
-            unit: "cycles/s".into(),
+            unit: "cycles".into(),
         };
         let line = p.to_jsonl_line();
         assert!(!line.contains('\n'));
@@ -463,7 +444,10 @@ mod tests {
 
     #[test]
     fn direction_heuristic_separates_throughput_from_latency() {
-        assert!(higher_is_better("sim_speed.event_cps"));
+        assert!(higher_is_better("serve.throughput_rps"));
+        assert!(higher_is_better("report.nn.regless@512.ipc"));
+        assert!(!higher_is_better("report.nn.regless@512.cycles"));
+        assert!(higher_is_better("report.wall_cycles.regless@512.ipc"));
         assert!(higher_is_better("cluster.throughput_units_per_s"));
         assert!(higher_is_better("profile.regless_mean_ipc"));
         assert!(!higher_is_better("serve.p99_ms"));
@@ -474,19 +458,19 @@ mod tests {
     #[test]
     fn gate_trips_on_a_throughput_drop_and_names_both_values() {
         let points = vec![
-            row("sim_speed.event_cps", 1_000_000.0),
-            row("sim_speed.event_cps", 1_020_000.0),
-            row("sim_speed.event_cps", 400_000.0),
+            row("serve.throughput_rps", 1_000_000.0),
+            row("serve.throughput_rps", 1_020_000.0),
+            row("serve.throughput_rps", 400_000.0),
         ];
         let regs = detect_regressions(&points, 8, 10.0);
         assert_eq!(regs.len(), 1);
         let r = &regs[0];
-        assert_eq!(r.metric, "sim_speed.event_cps");
+        assert_eq!(r.metric, "serve.throughput_rps");
         assert!((r.median - 1_010_000.0).abs() < 1e-6);
         assert!((r.current - 400_000.0).abs() < 1e-6);
         assert!(r.pct_worse > 60.0 && r.pct_worse < 61.0);
         let line = r.render(10.0);
-        assert!(line.contains("sim_speed.event_cps"), "{line}");
+        assert!(line.contains("serve.throughput_rps"), "{line}");
         assert!(line.contains("400000"), "{line}");
         assert!(line.contains("1010000"), "{line}");
     }
@@ -531,19 +515,6 @@ mod tests {
 
     #[test]
     fn ingest_distills_each_artifact_schema() {
-        let sim = Json::parse(
-            r#"{"rows":[
-                {"name":"a","cycles":1000,"stepped_secs":2.0,"event_secs":1.0},
-                {"name":"b","cycles":3000,"stepped_secs":2.0,"event_secs":1.0}
-            ]}"#,
-        )
-        .unwrap();
-        let rows = ingest("sim_speed", &sim);
-        assert_eq!(rows.len(), 3);
-        assert_eq!(rows[0].metric, "sim_speed.event_cps");
-        assert!((rows[0].value - 2000.0).abs() < 1e-9);
-        assert!((rows[2].value - 2.0).abs() < 1e-9, "speedup 4s/2s");
-
         let serve =
             Json::parse(r#"{"throughput_rps":1273.75,"latency_ms":{"p50":1.355,"p99":2.543}}"#)
                 .unwrap();
@@ -573,7 +544,31 @@ mod tests {
         assert!((rows[1].value - 400.0).abs() < 1e-9, "total cycles");
 
         assert!(ingest("unknown", &Json::Null).is_empty());
-        assert!(ingest("sim_speed", &Json::Null).is_empty());
+        assert!(ingest("serve", &Json::Null).is_empty());
+    }
+
+    #[test]
+    fn report_rows_name_the_design_point() {
+        let report = Report {
+            kernel: "nn".into(),
+            design: "regless".into(),
+            capacity: 512,
+            cycles: 1234,
+            ipc: 0.5,
+            ..Report::default()
+        };
+        let rows = report_points(&report);
+        assert_eq!(rows.len(), 2);
+        assert_eq!(rows[0].metric, "report.nn.regless@512.cycles");
+        assert_eq!(rows[0].value, 1234.0);
+        assert_eq!(rows[1].metric, "report.nn.regless@512.ipc");
+        assert!(rows.iter().all(|r| r.source == "report"));
+        let baseline = Report {
+            design: "baseline".into(),
+            capacity: 0,
+            ..report
+        };
+        assert_eq!(report_points(&baseline)[1].metric, "report.nn.baseline.ipc");
     }
 
     #[test]

@@ -6,26 +6,21 @@
 //! cargo run --release --example compare_designs [benchmark]
 //! ```
 
-use regless::baselines::{run_rfh, run_rfv};
-use regless::compiler::{compile, RegionConfig};
-use regless::core::{RegLessConfig, RegLessSim};
+use regless::bench::{Attach, DesignKind};
 use regless::energy::{energy, Design};
-use regless::sim::{run_baseline, GpuConfig, RunReport};
+use regless::sim::{GpuConfig, RunReport};
 use regless::workloads::rodinia;
-use std::sync::Arc;
 
 fn main() -> Result<(), Box<dyn std::error::Error>> {
     let name = std::env::args().nth(1).unwrap_or_else(|| "hotspot".into());
     let kernel = rodinia::kernel(&name);
     let gpu = GpuConfig::gtx980_single_sm();
 
-    let default_compiled = compile(&kernel, &RegionConfig::default())?;
-    let baseline = run_baseline(gpu, Arc::new(default_compiled.clone()))?;
-    let rfh = run_rfh(gpu, default_compiled.clone())?;
-    let rfv = run_rfv(gpu, default_compiled)?;
-    let rl_cfg = RegLessConfig::paper_default();
-    let regless =
-        RegLessSim::new(gpu, rl_cfg, compile(&kernel, &rl_cfg.region_config(&gpu))?).run()?;
+    let run = |design: DesignKind| design.execute(&kernel, gpu, &Attach::default());
+    let baseline = run(DesignKind::Baseline)?;
+    let rfh = run(DesignKind::Rfh)?;
+    let rfv = run(DesignKind::Rfv)?;
+    let regless = run(DesignKind::regless_512())?;
 
     let base_energy = energy(&baseline, Design::Baseline, &gpu).total_pj();
     let row = |label: &str, report: &RunReport, design: Design| {

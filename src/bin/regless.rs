@@ -33,9 +33,9 @@
 //!     --capacity <entries>                OSU entries/SM (default 512)
 //!     --format html|json                  rendering (default html)
 //!     --out <path>                        write there instead of stdout
-//!     --trend                             append this run to the history file
-//!                                         and render the trajectory table
-//!     --history <path>                    history file (default results/history.jsonl)
+//!     --trend                             append this run's cycles and IPC to the
+//!                                         trend store and render its report rows
+//!     --history <path>                    trend store (default results/trends.jsonl)
 //! regless diff <a.json> <b.json>      compare two saved profiles
 //!     --fail-above <pct>                  exit non-zero past this regression
 //! regless trends [options]            perf-trend observatory over BENCH_*.json
@@ -116,7 +116,8 @@ use regless::isa::text::{format_kernel, parse_kernel};
 use regless::isa::Kernel;
 use regless::sim::RunReport;
 use regless::telemetry::{
-    chrome_trace_string, parse_history, summary_csv, trend_table, RunSummary,
+    chrome_trace_string, parse_trends, report_points, summary_csv, trends_table, TrendPoint,
+    DEFAULT_WINDOW,
 };
 use regless::workloads::rodinia;
 use std::sync::Arc;
@@ -526,7 +527,7 @@ fn cmd_report(args: &[String]) -> CmdResult {
     let mut format = "html".to_string();
     let mut out: Option<String> = None;
     let mut trend = false;
-    let mut history_path = "results/history.jsonl".to_string();
+    let mut history_path = TREND_STORE.to_string();
     let mut it = args[1..].iter();
     while let Some(a) = it.next() {
         match a.as_str() {
@@ -547,16 +548,18 @@ fn cmd_report(args: &[String]) -> CmdResult {
     let (kind, run) = design.execute(&kernel, &attach)?;
     let report = report_collect(&run, kernel.name(), &design.id, kind.osu_capacity());
 
-    // --trend: append this run's summary row, then render the whole
-    // history (including the new row) as the trajectory section.
-    let mut history: Vec<RunSummary> = Vec::new();
+    // --trend: append this run's rows to the trend store, then render
+    // every `report` row there (this run's included) as the trajectory
+    // section.
+    let mut history: Vec<TrendPoint> = Vec::new();
     if trend {
-        let mut body = std::fs::read_to_string(&history_path).unwrap_or_default();
-        body.push_str(&report.summary().to_jsonl_line());
-        body.push('\n');
-        write_output(&history_path, &body)?;
-        history = parse_history(&body);
-        eprintln!("appended run to {history_path} ({} rows)", history.len());
+        append_trends(&history_path, report_points(&report))?;
+        history = parse_trends(&std::fs::read_to_string(&history_path)?);
+        history.retain(|p| p.source == "report");
+        eprintln!(
+            "appended run to {history_path} ({} report rows)",
+            history.len()
+        );
     }
 
     let rendered = match format.as_str() {
@@ -576,7 +579,7 @@ fn cmd_report(args: &[String]) -> CmdResult {
         None => print!("{rendered}"),
     }
     if trend && out.is_some() {
-        print!("{}", trend_table(&history));
+        print!("{}", trends_table(&history, DEFAULT_WINDOW));
     }
     Ok(())
 }
@@ -1156,21 +1159,52 @@ fn cmd_sweep(args: &[String]) -> CmdResult {
     Ok(())
 }
 
+/// The one trend store: `regless trends` ingests benchmark artifacts
+/// into it and `regless report --trend` appends run rows to it.
+const TREND_STORE: &str = "results/trends.jsonl";
+
+/// Stamp `rows` with the current time and append them to the trend store
+/// at `path` (created with its parent directories on first use). No rows,
+/// no file.
+fn append_trends(path: &str, mut rows: Vec<TrendPoint>) -> std::io::Result<()> {
+    use std::io::Write as _;
+    if rows.is_empty() {
+        return Ok(());
+    }
+    let ts = std::time::SystemTime::now()
+        .duration_since(std::time::UNIX_EPOCH)
+        .map_or(0, |d| d.as_secs());
+    let mut lines = String::new();
+    for row in &mut rows {
+        row.ts = ts;
+        lines.push_str(&row.to_jsonl_line());
+        lines.push('\n');
+    }
+    if let Some(parent) = std::path::Path::new(path).parent() {
+        if !parent.as_os_str().is_empty() {
+            std::fs::create_dir_all(parent)?;
+        }
+    }
+    std::fs::OpenOptions::new()
+        .create(true)
+        .append(true)
+        .open(path)?
+        .write_all(lines.as_bytes())
+}
+
 /// The perf-trend observatory (`regless trends`): distill the benchmark
 /// artifacts into append-only trend rows, gate on rolling-median
 /// regressions, and render the HTML dashboard. The gate runs *after* the
 /// dashboard is written so a failing CI job still uploads the artifact
 /// that explains the failure.
 fn cmd_trends(args: &[String]) -> CmdResult {
-    use regless::telemetry::{
-        detect_regressions, ingest, parse_trends, render_trends_html, trends_table,
-    };
+    use regless::telemetry::{detect_regressions, ingest, render_trends_html};
     let mut results_dir = "results".to_string();
-    let mut history = "results/trends.jsonl".to_string();
+    let mut history = TREND_STORE.to_string();
     let mut fail_above: Option<f64> = None;
     let mut html_out: Option<String> = None;
     let mut no_ingest = false;
-    let mut window = 8usize;
+    let mut window = DEFAULT_WINDOW;
     let mut it = args.iter();
     while let Some(a) = it.next() {
         match a.as_str() {
@@ -1192,17 +1226,12 @@ fn cmd_trends(args: &[String]) -> CmdResult {
     }
 
     if !no_ingest {
-        let ts = std::time::SystemTime::now()
-            .duration_since(std::time::UNIX_EPOCH)
-            .map_or(0, |d| d.as_secs());
         let sources = [
             ("profile", "BENCH_profile.json"),
-            ("sim_speed", "BENCH_sim_speed.json"),
             ("serve", "BENCH_serve.json"),
             ("cluster", "BENCH_cluster.json"),
         ];
-        let mut lines = String::new();
-        let mut appended = 0usize;
+        let mut rows = Vec::new();
         for (source, file) in sources {
             let path = std::path::Path::new(&results_dir).join(file);
             let Ok(text) = std::fs::read_to_string(&path) else {
@@ -1212,26 +1241,10 @@ fn cmd_trends(args: &[String]) -> CmdResult {
                 eprintln!("warning: {} is not valid JSON; skipped", path.display());
                 continue;
             };
-            for mut point in ingest(source, &json) {
-                point.ts = ts;
-                lines.push_str(&point.to_jsonl_line());
-                lines.push('\n');
-                appended += 1;
-            }
+            rows.extend(ingest(source, &json));
         }
-        if appended > 0 {
-            if let Some(parent) = std::path::Path::new(&history).parent() {
-                if !parent.as_os_str().is_empty() {
-                    std::fs::create_dir_all(parent)?;
-                }
-            }
-            use std::io::Write as _;
-            std::fs::OpenOptions::new()
-                .create(true)
-                .append(true)
-                .open(&history)?
-                .write_all(lines.as_bytes())?;
-        }
+        let appended = rows.len();
+        append_trends(&history, rows)?;
         eprintln!("ingested {appended} metric rows into {history}");
     }
 

@@ -4,8 +4,8 @@
 //! and byte-stable, and the `regless diff` gate moves with OSU capacity.
 
 use proptest::prelude::*;
-use regless::baselines::run_rfv;
 use regless::bench::profile::{diff, ProfileReport};
+use regless::bench::{Attach, DesignKind};
 use regless::compiler::{compile, RegionConfig};
 use regless::core::{RegLessConfig, RegLessSim};
 use regless::isa::text::parse_kernel;
@@ -41,10 +41,9 @@ fn run_small(kernel: &Kernel, design: usize, capacity: usize) -> RunReport {
                 .run()
                 .expect("regless run")
         }
-        _ => {
-            let compiled = compile(kernel, &RegionConfig::default()).expect("compile");
-            run_rfv(gpu, compiled).expect("rfv run")
-        }
+        _ => DesignKind::Rfv
+            .execute(kernel, gpu, &Attach::default())
+            .expect("rfv run"),
     }
 }
 

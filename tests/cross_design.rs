@@ -1,7 +1,7 @@
 //! Integration tests spanning crates: the same compiled kernels run under
 //! every register-storage design and must agree on the work performed.
 
-use regless::baselines::{run_rfh, run_rfv};
+use regless::bench::{Attach, DesignKind};
 use regless::compiler::{compile, RegionConfig};
 use regless::core::{RegLessConfig, RegLessSim};
 use regless::sim::{run_baseline, GpuConfig};
@@ -22,9 +22,10 @@ fn all_designs_execute_identical_instruction_streams() {
     for name in ["nn", "bfs", "pathfinder"] {
         let kernel = rodinia::kernel(name);
         let compiled = compile(&kernel, &RegionConfig::default()).unwrap();
-        let base = run_baseline(gpu(), Arc::new(compiled.clone())).unwrap();
-        let rfh = run_rfh(gpu(), compiled.clone()).unwrap();
-        let rfv = run_rfv(gpu(), compiled).unwrap();
+        let base = run_baseline(gpu(), Arc::new(compiled)).unwrap();
+        let run = |design: DesignKind| design.execute(&kernel, gpu(), &Attach::default()).unwrap();
+        let rfh = run(DesignKind::Rfh);
+        let rfv = run(DesignKind::Rfv);
         let rl_cfg = RegLessConfig::paper_default();
         let rl = RegLessSim::new(
             gpu(),

@@ -1,10 +1,10 @@
 //! The strongest cross-crate check in the repository: every timing model —
-//! baseline, RFH, RFV, and RegLess with its staged operand values moving
-//! through OSU banks, the compressor, and the memory hierarchy — must leave
-//! architectural state **bit-identical** to the timing-free functional
-//! interpreter.
+//! every registered design, RegLess among them with its staged operand
+//! values moving through OSU banks, the compressor, and the memory
+//! hierarchy — must leave architectural state **bit-identical** to the
+//! timing-free functional interpreter.
 
-use regless::baselines::{run_rfh, run_rfv};
+use regless::bench::{registry, Attach};
 use regless::compiler::{compile, RegionConfig};
 use regless::core::{RegLessConfig, RegLessSim};
 use regless::sim::{interpret, run_baseline, GpuConfig, RunReport};
@@ -66,14 +66,20 @@ fn regless_matches_interpreter() {
     }
 }
 
+/// Every registered design at its default parameters, through the one
+/// run path the CLI, serve and the sweeps use.
 #[test]
 fn comparison_designs_match_interpreter() {
-    let kernel = rodinia::kernel("backprop");
-    let compiled = compile(&kernel, &RegionConfig::default()).unwrap();
-    let rfh = run_rfh(gpu(), compiled.clone()).unwrap();
-    check_against_interpreter("backprop/rfh", &rfh, &kernel);
-    let rfv = run_rfv(gpu(), compiled).unwrap();
-    check_against_interpreter("backprop/rfv", &rfv, &kernel);
+    for entry in registry::all() {
+        let design = entry.default_design();
+        for name in ["backprop", "nn", "hotspot", "lud"] {
+            let kernel = rodinia::kernel(name);
+            let report = design
+                .execute(&kernel, gpu(), &Attach::default())
+                .unwrap_or_else(|e| panic!("{name}/{}: {e}", entry.id));
+            check_against_interpreter(&format!("{name}/{}", entry.id), &report, &kernel);
+        }
+    }
 }
 
 #[test]

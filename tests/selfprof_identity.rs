@@ -89,7 +89,7 @@ proptest! {
 }
 
 /// A disabled profiler attached explicitly records nothing — the no-op
-/// branch the <1% overhead budget of `bench_sim_speed` rests on.
+/// branch the <1% overhead budget of the simulator's throughput rests on.
 #[test]
 fn disabled_profiler_records_nothing() {
     let kernel = micro::streaming(4);
