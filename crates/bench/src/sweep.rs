@@ -309,20 +309,36 @@ type Key = (String, RunVariant);
 /// One memoized simulation: the report, plus its compact `stable_json()`
 /// text, rendered the first time a caller asks for it and shared by every
 /// later one. A served `run` reply splices that text instead of
-/// rebuilding and re-rendering the report per request. Derefs to the
+/// rebuilding and re-rendering the report per request; `profile` and
+/// `report` replies do the same with their payloads. Derefs to the
 /// report.
 #[derive(Debug)]
 pub struct CachedRun {
     report: Arc<RunReport>,
     stable_text: OnceLock<Arc<str>>,
+    profile_text: OnceLock<RenderedPayload>,
+    summary_text: OnceLock<RenderedPayload>,
+}
+
+/// A payload's compact JSON text and the labels it was rendered for:
+/// the kernel name, the design id as the client spelled it, and the OSU
+/// capacity. Nothing else but the report enters the payload.
+#[derive(Debug)]
+struct RenderedPayload {
+    kernel: String,
+    design: String,
+    capacity: usize,
+    text: Arc<str>,
 }
 
 impl CachedRun {
-    /// Wrap a report; its text is rendered on first use.
+    /// Wrap a report; its texts are rendered on first use.
     pub fn new(report: Arc<RunReport>) -> CachedRun {
         CachedRun {
             report,
             stable_text: OnceLock::new(),
+            profile_text: OnceLock::new(),
+            summary_text: OnceLock::new(),
         }
     }
 
@@ -332,6 +348,53 @@ impl CachedRun {
             self.stable_text
                 .get_or_init(|| self.report.stable_json().to_string_compact().into()),
         )
+    }
+
+    /// The compact JSON of [`ProfileReport::collect`] for these labels.
+    /// It is rendered once for the first labels asked for; a request
+    /// with other labels gets a fresh render.
+    ///
+    /// [`ProfileReport::collect`]: crate::profile::ProfileReport::collect
+    pub fn profile_text(&self, kernel: &str, design: &str, capacity: usize) -> Arc<str> {
+        Self::rendered(&self.profile_text, kernel, design, capacity, || {
+            let profile =
+                crate::profile::ProfileReport::collect(&self.report, kernel, design, capacity);
+            regless_json::ToJson::to_json(&profile)
+        })
+    }
+
+    /// The compact JSON of the [`crate::report::collect`] summary for
+    /// these labels, memoized as [`CachedRun::profile_text`] is.
+    pub fn summary_text(&self, kernel: &str, design: &str, capacity: usize) -> Arc<str> {
+        Self::rendered(&self.summary_text, kernel, design, capacity, || {
+            let summary = crate::report::collect(&self.report, kernel, design, capacity).summary();
+            regless_json::ToJson::to_json(&summary)
+        })
+    }
+
+    fn rendered(
+        memo: &OnceLock<RenderedPayload>,
+        kernel: &str,
+        design: &str,
+        capacity: usize,
+        render: impl FnOnce() -> regless_json::Json,
+    ) -> Arc<str> {
+        if let Some(m) = memo.get() {
+            if m.kernel == kernel && m.design == design && m.capacity == capacity {
+                return Arc::clone(&m.text);
+            }
+            return render().to_string_compact().into();
+        }
+        let text: Arc<str> = render().to_string_compact().into();
+        // A concurrent first render may fill the memo first; this caller
+        // keeps its own text either way.
+        let _ = memo.set(RenderedPayload {
+            kernel: kernel.to_string(),
+            design: design.to_string(),
+            capacity,
+            text: Arc::clone(&text),
+        });
+        text
     }
 }
 
@@ -1314,6 +1377,39 @@ mod tests {
         let replayed = load_entry(&path, &bench, variant).expect("entry parses");
         assert_eq!(replayed.cycles, report.cycles);
         let _ = std::fs::remove_dir_all(&dir);
+    }
+
+    #[test]
+    fn payload_texts_are_rendered_once_for_their_labels() {
+        let report = Arc::new(simulate(
+            &rodinia_id("nn"),
+            RunVariant::Design(DesignKind::regless_512()),
+        ));
+        let run = CachedRun::new(Arc::clone(&report));
+        let profile = |kernel: &str, design: &str, capacity: usize| {
+            let p = crate::profile::ProfileReport::collect(&report, kernel, design, capacity);
+            regless_json::ToJson::to_json(&p).to_string_compact()
+        };
+        let summary = |kernel: &str, design: &str, capacity: usize| {
+            let s = crate::report::collect(&report, kernel, design, capacity).summary();
+            regless_json::ToJson::to_json(&s).to_string_compact()
+        };
+        let first = run.profile_text("nn", "regless", 512);
+        assert_eq!(*first, *profile("nn", "regless", 512));
+        assert!(Arc::ptr_eq(&run.profile_text("nn", "regless", 512), &first));
+        // Other labels render afresh and leave the memo alone.
+        for (kernel, design, capacity) in [("nn2", "regless", 512), ("nn", "regless@512", 512)] {
+            let other = run.profile_text(kernel, design, capacity);
+            assert_eq!(*other, *profile(kernel, design, capacity));
+        }
+        assert!(Arc::ptr_eq(&run.profile_text("nn", "regless", 512), &first));
+
+        let first = run.summary_text("nn", "regless", 512);
+        assert_eq!(*first, *summary("nn", "regless", 512));
+        assert!(Arc::ptr_eq(&run.summary_text("nn", "regless", 512), &first));
+        let other = run.summary_text("nn", "regless", 256);
+        assert_eq!(*other, *summary("nn", "regless", 256));
+        assert!(Arc::ptr_eq(&run.summary_text("nn", "regless", 512), &first));
     }
 
     #[test]

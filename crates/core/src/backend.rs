@@ -261,6 +261,14 @@ impl RegLessBackend {
         w % self.num_scheds
     }
 
+    /// The shard supervising `warps`, a non-empty set of one scheduler's
+    /// warps.
+    fn shard_of_warps(&self, warps: WarpMask) -> &Shard {
+        let shard = &self.shards[self.shard_of(warps.trailing_zeros() as usize)];
+        debug_assert_eq!(warps & !shard.cm.warps(), 0, "warps of several shards");
+        shard
+    }
+
     /// Whether the `fetched` mask agrees with `preloads_pending` for `w`.
     fn fetched_agrees(preloads_pending: &[usize], fetched: WarpMask, w: usize) -> bool {
         (fetched & warp_bit(w) != 0) == (preloads_pending[w] == 0)
@@ -700,20 +708,29 @@ impl OperandBackend for RegLessBackend {
         self.issued = 0;
     }
 
+    /// `ready` holds one scheduler's warps, so one shard supervises them
+    /// all. An active warp that has not issued since `begin_cycle` is
+    /// still inside its region: step 4 of `begin_cycle` drained every
+    /// active warp that issued and left, and only an issue moves a PC. So
+    /// only this cycle's issuers (a dual-issue scheduler's first slot)
+    /// need the region lookup at their PC.
     fn eligible(&self, ready: WarpMask, warps: &[WarpState]) -> WarpMask {
+        let shard = self.shard_of_warps(ready);
         let compiled = &self.compiled;
-        self.shards.iter().fold(0, |m, shard| {
-            m | shard.cm.eligible(ready, |w| {
-                compiled.region_at(warps[w].pc().expect("ready implies a pc"))
-            })
-        })
+        let region_of = |w: usize| compiled.region_at(warps[w].pc().expect("ready implies a pc"));
+        let settled = ready & shard.cm.active() & !self.issued;
+        debug_assert!(
+            warps_in(settled).all(|w| shard.cm.phase(w) == WarpPhase::Active(region_of(w))),
+            "an active warp that did not issue left its region"
+        );
+        settled | shard.cm.eligible(ready & self.issued, region_of)
     }
 
     fn stalls(&self, ineligible: WarpMask) -> StallMasks {
         let mut groups = StallMasks::default();
-        for shard in &self.shards {
-            shard.cm.stalls(ineligible, &mut groups);
-        }
+        self.shard_of_warps(ineligible)
+            .cm
+            .stalls(ineligible, &mut groups);
         groups
     }
 

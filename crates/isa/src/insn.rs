@@ -112,37 +112,59 @@ impl Instruction {
     ///
     /// Panics if `srcs.len()` does not match the instruction's source count.
     pub fn evaluate(&self, srcs: &[LaneVec], warp_index: usize) -> Option<LaneVec> {
-        use Opcode::*;
         assert_eq!(srcs.len(), self.srcs.len(), "operand count mismatch");
+        self.evaluate_with(|i| &srcs[i], warp_index)
+    }
+
+    /// [`Instruction::evaluate`] reading each source straight from a
+    /// warp's register array `regs` (indexed by [`Reg::index`]), with no
+    /// copy of the operand values.
+    ///
+    /// # Panics
+    ///
+    /// Panics if a source register is out of range for `regs`.
+    #[inline]
+    pub fn evaluate_regs(&self, regs: &[LaneVec], warp_index: usize) -> Option<LaneVec> {
+        self.evaluate_with(|i| &regs[self.srcs[i].index()], warp_index)
+    }
+
+    /// The ALU semantics over source operand `i` as `src(i)`.
+    #[inline]
+    fn evaluate_with<'a>(
+        &self,
+        src: impl Fn(usize) -> &'a LaneVec,
+        warp_index: usize,
+    ) -> Option<LaneVec> {
+        use Opcode::*;
         let v = match self.op {
-            IAdd => srcs[0].zip_map(&srcs[1], u32::wrapping_add),
-            ISub => srcs[0].zip_map(&srcs[1], u32::wrapping_sub),
-            IMul => srcs[0].zip_map(&srcs[1], u32::wrapping_mul),
-            IMad => srcs[0]
-                .zip_map(&srcs[1], u32::wrapping_mul)
-                .zip_map(&srcs[2], u32::wrapping_add),
-            And => srcs[0].zip_map(&srcs[1], |a, b| a & b),
-            Or => srcs[0].zip_map(&srcs[1], |a, b| a | b),
-            Xor => srcs[0].zip_map(&srcs[1], |a, b| a ^ b),
-            Shl => srcs[0].zip_map(&srcs[1], |a, b| a.wrapping_shl(b & 31)),
-            Shr => srcs[0].zip_map(&srcs[1], |a, b| a.wrapping_shr(b & 31)),
+            IAdd => src(0).zip_map(src(1), u32::wrapping_add),
+            ISub => src(0).zip_map(src(1), u32::wrapping_sub),
+            IMul => src(0).zip_map(src(1), u32::wrapping_mul),
+            IMad => src(0)
+                .zip_map(src(1), u32::wrapping_mul)
+                .zip_map(src(2), u32::wrapping_add),
+            And => src(0).zip_map(src(1), |a, b| a & b),
+            Or => src(0).zip_map(src(1), |a, b| a | b),
+            Xor => src(0).zip_map(src(1), |a, b| a ^ b),
+            Shl => src(0).zip_map(src(1), |a, b| a.wrapping_shl(b & 31)),
+            Shr => src(0).zip_map(src(1), |a, b| a.wrapping_shr(b & 31)),
             // Floating-point ops are modelled as integer mixes: the timing
             // and operand traffic are what the evaluation measures, not IEEE
             // semantics. The mixes keep values deterministic and data-
             // dependent so compressibility is realistic.
-            FAdd => srcs[0].zip_map(&srcs[1], |a, b| a.wrapping_add(b).rotate_left(1)),
-            FMul => srcs[0].zip_map(&srcs[1], |a, b| a.wrapping_mul(b | 1).rotate_left(3)),
-            FFma => srcs[0]
-                .zip_map(&srcs[1], |a, b| a.wrapping_mul(b | 1))
-                .zip_map(&srcs[2], |a, b| a.wrapping_add(b).rotate_left(1)),
-            Sfu => srcs[0].map(|a| (a ^ 0x9e37_79b9).wrapping_mul(0x85eb_ca6b).rotate_left(13)),
+            FAdd => src(0).zip_map(src(1), |a, b| a.wrapping_add(b).rotate_left(1)),
+            FMul => src(0).zip_map(src(1), |a, b| a.wrapping_mul(b | 1).rotate_left(3)),
+            FFma => src(0)
+                .zip_map(src(1), |a, b| a.wrapping_mul(b | 1))
+                .zip_map(src(2), |a, b| a.wrapping_add(b).rotate_left(1)),
+            Sfu => src(0).map(|a| (a ^ 0x9e37_79b9).wrapping_mul(0x85eb_ca6b).rotate_left(13)),
             MovImm(imm) => LaneVec::splat(imm),
-            Mov => srcs[0],
+            Mov => *src(0),
             ReadSpecial(Special::ThreadIdx) => LaneVec::stride((warp_index * WARP_WIDTH) as u32, 1),
             ReadSpecial(Special::WarpIdx) => LaneVec::splat(warp_index as u32),
             ReadSpecial(Special::LaneIdx) => LaneVec::stride(0, 1),
-            SetLt => srcs[0].zip_map(&srcs[1], |a, b| u32::from(a < b)),
-            SetEq => srcs[0].zip_map(&srcs[1], |a, b| u32::from(a == b)),
+            SetLt => src(0).zip_map(src(1), |a, b| u32::from(a < b)),
+            SetEq => src(0).zip_map(src(1), |a, b| u32::from(a == b)),
             LdGlobal | StGlobal | LdShared | StShared | Bra { .. } | Jmp { .. } | Exit | Bar => {
                 return None
             }
@@ -215,6 +237,80 @@ mod tests {
             .evaluate(&[LaneVec::stride(0, 1), LaneVec::splat(4)], 0)
             .unwrap();
         assert_eq!(out.nonzero_bits(), 0b1111);
+    }
+
+    /// One instruction of every opcode, over registers 0..=3 (sources)
+    /// and 4 (destination).
+    fn one_of_each_opcode() -> Vec<Instruction> {
+        use crate::block::BlockId;
+        let (d, r) = (Some(Reg(4)), |i: u16| Reg(i));
+        let two = || vec![r(0), r(1)];
+        let three = || vec![r(0), r(1), r(2)];
+        vec![
+            Instruction::new(Opcode::IAdd, d, two()),
+            Instruction::new(Opcode::ISub, d, two()),
+            Instruction::new(Opcode::IMul, d, two()),
+            Instruction::new(Opcode::IMad, d, three()),
+            Instruction::new(Opcode::And, d, two()),
+            Instruction::new(Opcode::Or, d, two()),
+            Instruction::new(Opcode::Xor, d, two()),
+            Instruction::new(Opcode::Shl, d, two()),
+            Instruction::new(Opcode::Shr, d, two()),
+            Instruction::new(Opcode::FAdd, d, two()),
+            Instruction::new(Opcode::FMul, d, two()),
+            Instruction::new(Opcode::FFma, d, three()),
+            Instruction::new(Opcode::Sfu, d, vec![r(3)]),
+            Instruction::new(Opcode::MovImm(0xdead_beef), d, vec![]),
+            Instruction::new(Opcode::Mov, d, vec![r(2)]),
+            Instruction::new(Opcode::ReadSpecial(Special::ThreadIdx), d, vec![]),
+            Instruction::new(Opcode::ReadSpecial(Special::WarpIdx), d, vec![]),
+            Instruction::new(Opcode::ReadSpecial(Special::LaneIdx), d, vec![]),
+            Instruction::new(Opcode::SetLt, d, vec![r(1), r(0)]),
+            Instruction::new(Opcode::SetEq, d, vec![r(3), r(3)]),
+            Instruction::new(Opcode::LdGlobal, d, vec![r(0)]),
+            Instruction::new(Opcode::LdShared, d, vec![r(1)]),
+            Instruction::new(Opcode::StGlobal, None, two()),
+            Instruction::new(Opcode::StShared, None, two()),
+            Instruction::new(
+                Opcode::Bra {
+                    taken: BlockId(1),
+                    not_taken: BlockId(2),
+                },
+                None,
+                vec![r(2)],
+            ),
+            Instruction::new(Opcode::Jmp { target: BlockId(1) }, None, vec![]),
+            Instruction::new(Opcode::Exit, None, vec![]),
+            Instruction::new(Opcode::Bar, None, vec![]),
+        ]
+    }
+
+    #[test]
+    fn evaluate_regs_matches_evaluate_for_every_opcode() {
+        let regs = [
+            LaneVec::stride(0xffff_fff0, 7),
+            LaneVec::stride(3, 0x1001),
+            LaneVec::splat(0x8000_0001),
+            LaneVec::stride(31, u32::MAX),
+            LaneVec::splat(99),
+        ];
+        let insns = one_of_each_opcode();
+        for insn in &insns {
+            let srcs: Vec<LaneVec> = insn.srcs().iter().map(|s| regs[s.index()]).collect();
+            for warp_index in [0, 5] {
+                assert_eq!(
+                    insn.evaluate_regs(&regs, warp_index),
+                    insn.evaluate(&srcs, warp_index),
+                    "{insn}"
+                );
+            }
+        }
+        // Every opcode is covered: a new one must be added above.
+        let kinds: std::collections::HashSet<_> = insns
+            .iter()
+            .map(|i| std::mem::discriminant(&i.op()))
+            .collect();
+        assert_eq!(kinds.len(), 26);
     }
 
     #[test]

@@ -1,6 +1,6 @@
 //! Warp-wide register values.
 
-use crate::reg::WARP_WIDTH;
+use crate::reg::{LaneMask, WARP_WIDTH};
 use std::fmt;
 
 /// The 32-bit values a register holds across every lane of a warp.
@@ -87,6 +87,19 @@ impl LaneVec {
         LaneVec(out)
     }
 
+    /// `value` in the lanes of `mask`, `self` in the others: the write of a
+    /// partially active warp, which keeps inactive lanes' old values.
+    /// Branch-free, so the compiler can vectorize it.
+    #[inline]
+    pub fn blend(&self, value: &LaneVec, mask: LaneMask) -> LaneVec {
+        let mut out = [0; WARP_WIDTH];
+        for (i, o) in out.iter_mut().enumerate() {
+            let take = 0u32.wrapping_sub((mask.0 >> i) & 1);
+            *o = (value.0[i] & take) | (self.0[i] & !take);
+        }
+        LaneVec(out)
+    }
+
     /// A bitmap with bit `i` set iff lane `i`'s value is non-zero; the form
     /// branch conditions take.
     pub fn nonzero_bits(&self) -> u32 {
@@ -152,6 +165,45 @@ mod tests {
         let b = LaneVec::splat(100);
         let c = a.zip_map(&b, |x, y| x + y);
         assert_eq!(c.lane(7), 107);
+    }
+
+    /// The per-lane merge `blend` replaces: start from the old value and
+    /// overwrite each active lane.
+    fn blend_by_lanes(old: &LaneVec, value: &LaneVec, mask: LaneMask) -> LaneVec {
+        let mut merged = *old;
+        for l in mask.iter() {
+            merged.set_lane(l, value.lane(l));
+        }
+        merged
+    }
+
+    #[test]
+    fn blend_takes_active_lanes_only() {
+        let old = LaneVec::splat(7);
+        let new = LaneVec::stride(100, 1);
+        assert_eq!(old.blend(&new, LaneMask::none()), old);
+        assert_eq!(old.blend(&new, LaneMask::all()), new);
+        let half = old.blend(&new, LaneMask(0x0000_ffff));
+        assert_eq!(half.lane(0), 100);
+        assert_eq!(half.lane(15), 115);
+        assert_eq!(half.lane(16), 7);
+    }
+
+    proptest::proptest! {
+        /// `blend` equals the per-lane loop on random values, for the
+        /// empty mask, the full mask and random masks.
+        #[test]
+        fn blend_matches_the_per_lane_merge(
+            old in proptest::collection::vec(proptest::prelude::any::<u32>(), WARP_WIDTH),
+            new in proptest::collection::vec(proptest::prelude::any::<u32>(), WARP_WIDTH),
+            bits in proptest::prelude::any::<u32>(),
+        ) {
+            let old = LaneVec(old.try_into().unwrap());
+            let new = LaneVec(new.try_into().unwrap());
+            for mask in [LaneMask::none(), LaneMask::all(), LaneMask(bits)] {
+                proptest::prop_assert_eq!(old.blend(&new, mask), blend_by_lanes(&old, &new, mask));
+            }
+        }
     }
 
     #[test]

@@ -11,9 +11,7 @@
 use crate::proto::{
     read_json_line, write_json_line, ErrorBody, ErrorCode, Request, RequestKind, Response,
 };
-use regless_bench::profile::ProfileReport;
 use regless_bench::registry::{self, DesignParams};
-use regless_bench::report::collect as report_collect;
 use regless_bench::sweep::{
     bench_kernel, bench_kernel_name, rodinia_id, CachedRun, RunVariant, SweepEngine,
 };
@@ -884,8 +882,9 @@ fn abandon(shared: &Arc<Shared>, req: &Request, job: &Arc<Job>, elapsed: Duratio
 }
 
 /// Render a successful result for the request's kind and record latency.
-/// A `run` reply splices the run's compact report text, rendered once per
-/// cached run and shared by every later reply. A traced request gets a
+/// Every payload is spliced as compact text rendered once per cached run
+/// and shared by every later reply: the report for `run`, and for
+/// `profile` and `report` the payload for the first labels asked for. A traced request gets a
 /// `serialize` span covering the payload render, then its whole span
 /// collection back as the `trace` payload field — appended *after* the
 /// report so the report bytes are untouched.
@@ -924,12 +923,12 @@ fn finish_ok(
             payload.push(("report".to_string(), Json::Raw(run.stable_text())));
         }
         RequestKind::Profile => {
-            let profile = ProfileReport::collect(run, kernel, &req.design, design.osu_capacity());
-            payload.push(("profile".to_string(), profile.to_json()));
+            let text = run.profile_text(kernel, &req.design, design.osu_capacity());
+            payload.push(("profile".to_string(), Json::Raw(text)));
         }
         _ => {
-            let full = report_collect(run, kernel, &req.design, design.osu_capacity());
-            payload.push(("summary".to_string(), full.summary().to_json()));
+            let text = run.summary_text(kernel, &req.design, design.osu_capacity());
+            payload.push(("summary".to_string(), Json::Raw(text)));
         }
     }
     if let Some(mut t) = trace {

@@ -171,11 +171,6 @@ impl GpuConfig {
         }
     }
 
-    /// Warps supervised by each scheduler.
-    pub fn warps_per_scheduler(&self) -> usize {
-        self.warps_per_sm / self.schedulers_per_sm
-    }
-
     /// Validate internal consistency.
     ///
     /// # Panics
@@ -354,7 +349,11 @@ mod tests {
         assert_eq!(c.l1_mshrs, 32);
         assert_eq!(c.l2.bytes, 2 * 1024 * 1024);
         assert!(c.l1_bypass_data);
-        assert_eq!(c.warps_per_scheduler(), 16);
+        assert_eq!(
+            c.warps_per_sm / c.schedulers_per_sm,
+            16,
+            "warps per scheduler"
+        );
     }
 
     #[test]

@@ -140,11 +140,11 @@ struct TickOutcome {
 }
 
 /// One SM: warps, schedulers, in-flight writebacks, and the operand
-/// backend.
+/// backend. The kernel it runs belongs to the [`Machine`], which lends it
+/// to each tick.
 pub struct Sm<B> {
     id: usize,
     config: GpuConfig,
-    compiled: Arc<CompiledKernel>,
     /// Architectural state of each hardware warp.
     pub warps: Vec<WarpState>,
     scheds: Vec<Scheduler>,
@@ -163,9 +163,6 @@ pub struct Sm<B> {
     barrier: WarpMask,
     /// Each scheduler's warps (`w % schedulers == s`).
     sched_warps: Vec<WarpMask>,
-    /// Scratch ready-list for the issue loop, reused across slots to
-    /// avoid a heap allocation per slot per cycle.
-    ready_buf: Vec<usize>,
     /// Per-region CPI stacks indexed by region id, published into
     /// [`SmStats::region_stacks`] when the run ends.
     region_stacks: Vec<IssueStack>,
@@ -175,6 +172,11 @@ pub struct Sm<B> {
     /// unfinished warp does ([`Sm::barrier_complete`]).
     block_waiting: Vec<usize>,
     block_live: Vec<usize>,
+    /// Bit `b` set: block `b` has a warp at its barrier
+    /// (`block_waiting[b] > 0`), so only these blocks can release. A block
+    /// index is below its first warp's, so one [`WarpMask`] word holds
+    /// them all.
+    blocks_waiting: WarpMask,
     /// This SM's statistics.
     pub stats: SmStats,
     /// The operand backend (baseline RF, RegLess, RFH, RFV…).
@@ -182,21 +184,24 @@ pub struct Sm<B> {
 }
 
 impl<B: OperandBackend> Sm<B> {
-    fn new(id: usize, config: &GpuConfig, compiled: Arc<CompiledKernel>, backend: B) -> Self {
+    fn new(id: usize, config: &GpuConfig, compiled: &CompiledKernel, backend: B) -> Self {
         let warps: Vec<WarpState> = (0..config.warps_per_sm)
             .map(|_| WarpState::new(compiled.kernel()))
             .collect();
-        let scheds: Vec<Scheduler> = (0..config.schedulers_per_sm)
-            .map(|_| Scheduler::new(config.scheduler, config.warps_per_scheduler()))
-            .collect();
         let live_warps = warps.len();
-        let num_scheds = scheds.len();
-        let sched_warps = (0..num_scheds)
+        let num_scheds = config.schedulers_per_sm;
+        let sched_warps: Vec<WarpMask> = (0..num_scheds)
             .map(|s| {
                 (s..warps.len())
                     .step_by(num_scheds)
                     .fold(0, |m, w| m | warp_bit(w))
             })
+            .collect();
+        // Schedulers number warps as the SM does, so a pick needs no
+        // translation from SM to scheduler-local indices.
+        let scheds: Vec<Scheduler> = sched_warps
+            .iter()
+            .map(|&mine| Scheduler::new(config.scheduler, mine))
             .collect();
         let stats = SmStats {
             working_set: crate::stats::WorkingSetTracker::with_shape(
@@ -213,7 +218,6 @@ impl<B: OperandBackend> Sm<B> {
         let mut sm = Sm {
             id,
             config: *config,
-            compiled,
             warps,
             scheds,
             events: WritebackQueue::new(),
@@ -222,16 +226,16 @@ impl<B: OperandBackend> Sm<B> {
             scoreboard: 0,
             barrier: 0,
             sched_warps,
-            ready_buf: Vec::new(),
             region_stacks,
             live_warps,
             block_waiting: vec![0; block_live.len()],
             block_live,
+            blocks_waiting: 0,
             stats,
             backend,
         };
         for w in 0..sm.warps.len() {
-            sm.refresh_block(w);
+            sm.refresh_block(compiled, w);
         }
         sm
     }
@@ -242,12 +246,12 @@ impl<B: OperandBackend> Sm<B> {
     }
 
     /// Re-derive one warp's [`WarpBlock`] masks after its state changed.
-    fn refresh_block(&mut self, w: usize) {
+    fn refresh_block(&mut self, compiled: &CompiledKernel, w: usize) {
         let bit = warp_bit(w);
         self.ready &= !bit;
         self.scoreboard &= !bit;
         self.barrier &= !bit;
-        match self.warps[w].block_reason(self.compiled.kernel()) {
+        match self.warps[w].block_reason(compiled.kernel()) {
             WarpBlock::Ready => self.ready |= bit,
             WarpBlock::Scoreboard => self.scoreboard |= bit,
             WarpBlock::Barrier => self.barrier |= bit,
@@ -266,6 +270,7 @@ impl<B: OperandBackend> Sm<B> {
     fn tick(
         &mut self,
         now: Cycle,
+        compiled: &CompiledKernel,
         mem: &mut MemSystem,
         prof: Option<&SelfProfiler>,
     ) -> TickOutcome {
@@ -282,7 +287,7 @@ impl<B: OperandBackend> Sm<B> {
                 e.reg
             );
             let value = self.warps[w].regs[e.reg.index()];
-            self.refresh_block(w);
+            self.refresh_block(compiled, w);
             self.stats.trace_event(
                 now,
                 crate::TraceEvent::Writeback {
@@ -324,13 +329,14 @@ impl<B: OperandBackend> Sm<B> {
         // release must be real even if this one issues nothing.
         let mut barrier_released = false;
         let bs = self.config.warps_per_block;
-        for bi in 0..self.block_live.len() {
+        for bi in warps_in(self.blocks_waiting) {
             if self.barrier_complete(bi) {
                 for w in bi * bs..(bi + 1) * bs {
                     self.warps[w].at_barrier = false;
-                    self.refresh_block(w);
+                    self.refresh_block(compiled, w);
                 }
                 self.block_waiting[bi] = 0;
+                self.blocks_waiting &= !warp_bit(bi);
                 barrier_released = true;
                 self.stats
                     .trace_event(now, crate::TraceEvent::BarrierRelease { block: bi });
@@ -343,12 +349,13 @@ impl<B: OperandBackend> Sm<B> {
         // instruction or metadata bubble goes out, otherwise the
         // highest-priority reason among the warps that could not. The
         // masks are re-read per slot: an issue in one slot changes the
-        // issuing warp's state before the next.
+        // issuing warp's state before the next. The working-set window
+        // rolls once, before any operand of this cycle is recorded.
         let issue_guard = SelfProfiler::scope_opt(prof, "issue");
-        let num_scheds = self.scheds.len();
+        self.stats.working_set.roll(now);
         let mut issued_any = false;
         let mut all_ready_empty = true;
-        for s in 0..num_scheds {
+        for s in 0..self.scheds.len() {
             let mine = self.sched_warps[s];
             for _slot in 0..self.config.issue_slots_per_scheduler {
                 let ready = self.ready & mine;
@@ -357,21 +364,18 @@ impl<B: OperandBackend> Sm<B> {
                 } else {
                     self.backend.eligible(ready, &self.warps)
                 };
-                // `pick` of an empty set declines without touching the
+                // A pick from an empty set declines without touching the
                 // scheduler's state, so it is not called.
                 let picked = if eligible == 0 {
                     None
                 } else {
-                    // `pick` on a non-empty set may rotate scheduler state
-                    // even when it declines, so such a tick cannot seed a
-                    // skip (replaying it would not be a no-op).
+                    // A pick from a non-empty set may rotate scheduler
+                    // state even when it declines, so such a tick cannot
+                    // seed a skip (replaying it would not be a no-op).
                     all_ready_empty = false;
-                    self.ready_buf.clear();
-                    self.ready_buf
-                        .extend(warps_in(eligible).map(|w| w / num_scheds));
-                    self.scheds[s].pick(&self.ready_buf)
+                    self.scheds[s].pick_mask(eligible)
                 };
-                let Some(local) = picked else {
+                let Some(w) = picked else {
                     let ineligible = ready & !eligible;
                     let mut groups = if ineligible == 0 {
                         StallMasks::default()
@@ -383,11 +387,10 @@ impl<B: OperandBackend> Sm<B> {
                     let blocked = most_urgent(&groups);
                     self.stats.idle_slots += 1;
                     self.skip_blocked[s] = blocked;
-                    self.charge_idle_slot(blocked, now, mem);
+                    self.charge_idle_slot(compiled, blocked, now, mem);
                     continue;
                 };
                 issued_any = true;
-                let w = local * num_scheds + s;
                 let took_bubble = {
                     let mut ctx = BackendCtx {
                         sm: self.id,
@@ -400,11 +403,11 @@ impl<B: OperandBackend> Sm<B> {
                 if took_bubble {
                     self.stats.meta_insns += 1;
                     // The metadata bubble occupied the slot: issued work.
-                    self.charge(StallReason::Issued, Some(w), 1);
+                    self.charge(compiled, StallReason::Issued, Some(w), 1);
                     continue;
                 }
-                self.issue(w, s, local, now, mem);
-                self.refresh_block(w);
+                self.issue(compiled, w, s, now, mem);
+                self.refresh_block(compiled, w);
             }
         }
 
@@ -413,7 +416,6 @@ impl<B: OperandBackend> Sm<B> {
         // 5. Roll statistics windows.
         {
             let _g = SelfProfiler::scope_opt(prof, "stats_windows");
-            self.stats.working_set.roll(now);
             self.stats.backing_series.roll(now);
             self.stats.osu_occupancy.roll(now);
             self.stats.osu_reserved_series.roll(now);
@@ -429,7 +431,7 @@ impl<B: OperandBackend> Sm<B> {
         // the check is cheap insurance against charging through a release.
         // The wakeup only matters to a skip, so a tick that cannot seed one
         // does not compute it.
-        let barrier_pending = || (0..self.block_live.len()).any(|b| self.barrier_complete(b));
+        let barrier_pending = || warps_in(self.blocks_waiting).any(|b| self.barrier_complete(b));
         if issued_any || !all_ready_empty || barrier_pending() {
             return TickOutcome {
                 skippable: false,
@@ -460,23 +462,34 @@ impl<B: OperandBackend> Sm<B> {
     /// probes move monotonically: MSHRs stay full until a fixed completion
     /// cycle and the L1 port backlog drains at a fixed free cycle, so the
     /// span splits into at most three runs charged in order.
-    fn skip_to(&mut self, from: Cycle, to: Cycle, mem: &mut MemSystem) {
+    fn skip_to(&mut self, compiled: &CompiledKernel, from: Cycle, to: Cycle, mem: &mut MemSystem) {
         debug_assert!(from < to);
         let span = to - from;
         let slots = self.config.issue_slots_per_scheduler as u64;
         for s in 0..self.scheds.len() {
             self.stats.idle_slots += span * slots;
             match self.skip_blocked[s] {
-                None => self.charge(StallReason::NoWarp, None, span * slots),
+                None => self.charge(compiled, StallReason::NoWarp, None, span * slots),
                 Some((StallReason::CmPreloadWait, w)) => {
                     // full(t) ⟺ t < c1; backlog(t) > 0 ⟺ t < c2.
                     let c1 = mem.l1_mshr_full_until(self.id).clamp(from, to);
                     let c2 = mem.l1_port_free_cycle(self.id).clamp(c1, to);
-                    self.charge(StallReason::MshrFull, Some(w), (c1 - from) * slots);
-                    self.charge(StallReason::L1PortBusy, Some(w), (c2 - c1) * slots);
-                    self.charge(StallReason::CmPreloadWait, Some(w), (to - c2) * slots);
+                    self.charge(
+                        compiled,
+                        StallReason::MshrFull,
+                        Some(w),
+                        (c1 - from) * slots,
+                    );
+                    self.charge(
+                        compiled,
+                        StallReason::L1PortBusy,
+                        Some(w),
+                        (c2 - c1) * slots,
+                    );
+                    let rest = (to - c2) * slots;
+                    self.charge(compiled, StallReason::CmPreloadWait, Some(w), rest);
                 }
-                Some((reason, w)) => self.charge(reason, Some(w), span * slots),
+                Some((reason, w)) => self.charge(compiled, reason, Some(w), span * slots),
             }
         }
         self.stats.cycles = to;
@@ -486,13 +499,19 @@ impl<B: OperandBackend> Sm<B> {
     /// Charge `n` issue slots to `reason`: the SM's stack, and, when a
     /// warp is to blame, that warp's stack and the stack of the region at
     /// its PC.
-    fn charge(&mut self, reason: StallReason, warp: Option<usize>, n: u64) {
+    fn charge(
+        &mut self,
+        compiled: &CompiledKernel,
+        reason: StallReason,
+        warp: Option<usize>,
+        n: u64,
+    ) {
         self.stats.charge_slots(reason, warp, n);
         if n == 0 {
             return;
         }
         if let Some(pc) = warp.and_then(|w| self.warps[w].pc()) {
-            self.region_stacks[self.compiled.region_at(pc).index()].charge_n(reason, n);
+            self.region_stacks[compiled.region_at(pc).index()].charge_n(reason, n);
         }
     }
 
@@ -504,12 +523,13 @@ impl<B: OperandBackend> Sm<B> {
     /// L1 port is the real bottleneck behind a preload that has not landed.
     fn charge_idle_slot(
         &mut self,
+        compiled: &CompiledKernel,
         blocked: Option<(StallReason, usize)>,
         now: Cycle,
         mem: &MemSystem,
     ) {
         let Some((mut reason, w)) = blocked else {
-            self.charge(StallReason::NoWarp, None, 1);
+            self.charge(compiled, StallReason::NoWarp, None, 1);
             return;
         };
         if reason == StallReason::CmPreloadWait {
@@ -519,40 +539,41 @@ impl<B: OperandBackend> Sm<B> {
                 reason = StallReason::L1PortBusy;
             }
         }
-        self.charge(reason, Some(w), 1);
+        self.charge(compiled, reason, Some(w), 1);
     }
 
-    fn issue(&mut self, w: usize, sched: usize, local: usize, now: Cycle, mem: &mut MemSystem) {
+    fn issue(
+        &mut self,
+        compiled: &CompiledKernel,
+        w: usize,
+        sched: usize,
+        now: Cycle,
+        mem: &mut MemSystem,
+    ) {
         let at = self.warps[w].pc().expect("issuing warp has a pc");
-        // A local handle on the kernel lets the instruction be borrowed
-        // while `self` is mutated below.
-        let compiled = Arc::clone(&self.compiled);
         let insn = compiled.kernel().insn(at);
         let srcs = insn.srcs();
         let mask = self.warps[w].mask();
+        let warp = WarpId(w as u16);
 
-        // Track the operand working set (Figure 2).
+        // Track the operand working set (Figure 2); the tick rolled the
+        // window already.
         for &srcr in srcs {
-            self.stats.working_set.record(WarpId(w as u16), srcr, now);
+            self.stats.working_set.touch(warp, srcr);
         }
         if let Some(d) = insn.dst() {
-            self.stats.working_set.record(WarpId(w as u16), d, now);
+            self.stats.working_set.touch(warp, d);
         }
 
-        self.charge(StallReason::Issued, Some(w), 1);
+        self.charge(compiled, StallReason::Issued, Some(w), 1);
         self.stats
             .trace_event(now, crate::TraceEvent::Issue { warp: w, pc: at });
 
-        // Functional evaluation. Staged operand values are cross-checked
-        // against the architectural state *before* the backend applies its
-        // last-use annotations. An instruction has at most three sources.
+        // Staged operand values are cross-checked against the
+        // architectural state *before* the backend applies its last-use
+        // annotations.
         self.backend
             .check_staged_operands(w, srcs, &self.warps[w].regs, &mut self.stats);
-        let mut src_vals = [LaneVec::zero(); 3];
-        for (v, &s) in src_vals.iter_mut().zip(srcs) {
-            *v = self.warps[w].regs[s.index()];
-        }
-        let src_vals = &src_vals[..srcs.len()];
         let extra = {
             let mut ctx = BackendCtx {
                 sm: self.id,
@@ -562,42 +583,38 @@ impl<B: OperandBackend> Sm<B> {
             };
             self.backend.on_issue(w, at, insn, &mut ctx)
         };
-        let alu_value = insn.evaluate(src_vals, self.global_warp_index(w));
-        let taken_bits = if matches!(insn.op(), Opcode::Bra { .. }) {
-            src_vals[0].nonzero_bits()
-        } else {
-            0
-        };
 
-        // Timing + memory traffic.
-        let mut writeback: Option<(Cycle, LaneVec)> = None;
-        match insn.op() {
+        // Functional evaluation, timing and memory traffic. Operands are
+        // read in place from the warp's registers.
+        let regs = &self.warps[w].regs;
+        let src = |i: usize| &regs[srcs[i].index()];
+        let mut taken_bits = 0;
+        let writeback: Option<(Cycle, LaneVec)> = match insn.op() {
             Opcode::LdGlobal => {
-                let addrs = &src_vals[0];
-                let done = self.coalesced_access(addrs, mask, false, now, mem);
-                let mut v = LaneVec::zero();
-                for l in mask.iter() {
-                    v.set_lane(l, load_value(addrs.lane(l)));
-                }
-                writeback = Some((done + extra, v));
-                self.scheds[sched].on_long_latency(local);
+                let addrs = src(0);
+                let done = coalesced_access(self.id, &mut self.stats, addrs, mask, false, now, mem);
+                self.scheds[sched].on_long_latency(w);
+                Some((done + extra, addrs.map(load_value)))
             }
             Opcode::StGlobal => {
-                let addrs = &src_vals[1];
-                let _ = self.coalesced_access(addrs, mask, true, now, mem);
+                coalesced_access(self.id, &mut self.stats, src(1), mask, true, now, mem);
+                None
             }
             Opcode::LdShared => {
-                let addrs = &src_vals[0];
-                let mut v = LaneVec::zero();
-                for l in mask.iter() {
-                    v.set_lane(l, load_value(addrs.lane(l) ^ 0x5f5f_5f5f));
-                }
-                writeback = Some((now + self.config.latency.shared_mem + extra, v));
+                let v = src(0).map(|a| load_value(a ^ 0x5f5f_5f5f));
+                Some((now + self.config.latency.shared_mem + extra, v))
             }
-            Opcode::StShared | Opcode::Bra { .. } | Opcode::Jmp { .. } | Opcode::Exit => {}
+            Opcode::Bra { .. } => {
+                taken_bits = src(0).nonzero_bits();
+                None
+            }
+            Opcode::StShared | Opcode::Jmp { .. } | Opcode::Exit => None,
             Opcode::Bar => {
                 self.warps[w].at_barrier = true;
-                self.block_waiting[w / self.config.warps_per_block] += 1;
+                let b = w / self.config.warps_per_block;
+                self.block_waiting[b] += 1;
+                self.blocks_waiting |= warp_bit(b);
+                None
             }
             _ => {
                 let lat = match insn.class() {
@@ -605,22 +622,19 @@ impl<B: OperandBackend> Sm<B> {
                     OpClass::Sfu => self.config.latency.sfu,
                     _ => self.config.latency.int_alu,
                 };
-                writeback = Some((
-                    now + lat + extra,
-                    alu_value.expect("ALU ops produce values"),
-                ));
+                let value = insn
+                    .evaluate_regs(regs, self.id * self.config.warps_per_sm + w)
+                    .expect("ALU ops produce values");
+                Some((now + lat + extra, value))
             }
-        }
+        };
 
         // Scoreboard + functional write.
         if let Some(d) = insn.dst() {
             let (due, value) = writeback.expect("dst implies a writeback");
             // Soft definitions merge with inactive lanes' old values.
-            let mut merged = self.warps[w].regs[d.index()];
-            for l in mask.iter() {
-                merged.set_lane(l, value.lane(l));
-            }
-            self.warps[w].regs[d.index()] = merged;
+            let reg = &mut self.warps[w].regs[d.index()];
+            *reg = reg.blend(&value, mask);
             self.warps[w].pending.insert(d);
             self.events.push(
                 now,
@@ -657,46 +671,40 @@ impl<B: OperandBackend> Sm<B> {
             self.backend.on_warp_finish(w, &mut ctx);
         }
     }
+}
 
-    /// Coalesce a warp's lane addresses into unique 128-byte lines and
-    /// issue them to the memory system; returns the completion cycle.
-    fn coalesced_access(
-        &mut self,
-        addrs: &LaneVec,
-        mask: regless_isa::LaneMask,
-        write: bool,
-        now: Cycle,
-        mem: &mut MemSystem,
-    ) -> Cycle {
-        let mut buf = [0u64; WARP_WIDTH];
-        let mut n = 0;
-        for l in mask.iter() {
-            buf[n] = addrs.lane(l) as u64 / 128;
-            n += 1;
+/// Coalesce a warp's active lane addresses into unique 128-byte lines and
+/// issue them to SM `sm`'s memory system in ascending line order; returns
+/// the completion cycle.
+fn coalesced_access(
+    sm: usize,
+    stats: &mut SmStats,
+    addrs: &LaneVec,
+    mask: regless_isa::LaneMask,
+    write: bool,
+    now: Cycle,
+    mem: &mut MemSystem,
+) -> Cycle {
+    let mut buf = [0u32; WARP_WIDTH];
+    let mut n = 0;
+    let mut bits = mask.0;
+    while bits != 0 {
+        buf[n] = addrs.lane(bits.trailing_zeros() as usize) / 128;
+        bits &= bits - 1;
+        n += 1;
+    }
+    let lines = &mut buf[..n];
+    lines.sort_unstable();
+    let mut done = now + 1;
+    for (i, &line) in lines.iter().enumerate() {
+        if i > 0 && lines[i - 1] == line {
+            continue;
         }
-        let lines = &mut buf[..n];
-        lines.sort_unstable();
-        let mut done = now + 1;
-        for (i, &line) in lines.iter().enumerate() {
-            if i > 0 && lines[i - 1] == line {
-                continue;
-            }
-            let a = mem.access_line(self.id, line * 128, write, Traffic::Data, now);
-            done = done.max(a.done);
-        }
-        self.stats
-            .observe("mem.data_latency", done.saturating_sub(now));
-        done
+        let a = mem.access_line(sm, u64::from(line) * 128, write, Traffic::Data, now);
+        done = done.max(a.done);
     }
-
-    fn global_warp_index(&self, w: usize) -> usize {
-        self.id * self.config.warps_per_sm + w
-    }
-
-    /// The compiled kernel this SM runs.
-    pub fn compiled(&self) -> &CompiledKernel {
-        &self.compiled
-    }
+    stats.observe("mem.data_latency", done.saturating_sub(now));
+    done
 }
 
 /// Result of a whole-GPU run.
@@ -847,6 +855,7 @@ impl RunReport {
 /// compiled kernel (the usual SPMD launch).
 pub struct Machine<B> {
     mem: MemSystem,
+    compiled: Arc<CompiledKernel>,
     sms: Vec<Sm<B>>,
     config: GpuConfig,
     cancel: Option<crate::CancelToken>,
@@ -875,11 +884,12 @@ impl<B: OperandBackend> Machine<B> {
         config.validate();
         let mem = MemSystem::new(&config);
         let sms = (0..config.num_sms)
-            .map(|i| Sm::new(i, &config, Arc::clone(&compiled), make_backend(i)))
+            .map(|i| Sm::new(i, &config, &compiled, make_backend(i)))
             .collect();
         let selfprof_auto = SelfProfiler::env_enabled();
         Machine {
             mem,
+            compiled,
             sms,
             config,
             cancel: None,
@@ -945,7 +955,7 @@ impl<B: OperandBackend> Machine<B> {
             let mut skippable = !self.stepped;
             let mut wakeup: Option<Cycle> = None;
             for sm in &mut self.sms {
-                let out = sm.tick(now, &mut self.mem, prof.as_deref());
+                let out = sm.tick(now, &self.compiled, &mut self.mem, prof.as_deref());
                 skippable &= out.skippable;
                 if let Some(due) = out.next_wakeup {
                     wakeup = Some(wakeup.map_or(due, |w| w.min(due)));
@@ -971,7 +981,7 @@ impl<B: OperandBackend> Machine<B> {
                 if target > now + 1 {
                     let _g = SelfProfiler::scope_opt(prof.as_deref(), "event_jump");
                     for sm in &mut self.sms {
-                        sm.skip_to(now + 1, target, &mut self.mem);
+                        sm.skip_to(&self.compiled, now + 1, target, &mut self.mem);
                     }
                     now = target;
                     continue;

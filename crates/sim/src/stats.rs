@@ -13,8 +13,9 @@ pub const WINDOW_CYCLES: Cycle = 100;
 /// reported in kilobytes (128 bytes per register).
 ///
 /// The current window is a flat warp-major bitmap (`regs_per_warp` bits
-/// per warp) plus a count of set bits, so recording an operand is a bit
-/// test and set rather than a hash-set insert.
+/// per warp) plus a count of set bits. The SM rolls the window once per
+/// cycle, so recording an operand ([`WorkingSetTracker::touch`]) is a bit
+/// test and set.
 #[derive(Clone, Debug, Default)]
 pub struct WorkingSetTracker {
     touched: Vec<u64>,
@@ -43,9 +44,10 @@ impl WorkingSetTracker {
         }
     }
 
-    /// Record an operand access at `now`.
-    pub fn record(&mut self, warp: WarpId, reg: Reg, now: Cycle) {
-        self.roll(now);
+    /// Record an operand access in the current window: the caller has
+    /// already [rolled](WorkingSetTracker::roll) it to the access cycle.
+    #[inline]
+    pub fn touch(&mut self, warp: WarpId, reg: Reg) {
         let (w, r) = (warp.0 as usize, reg.index());
         if w >= self.warps || r >= self.regs_per_warp {
             self.grow(w + 1, r + 1);
@@ -700,9 +702,11 @@ mod tests {
     #[test]
     fn working_set_windows() {
         let mut t = WorkingSetTracker::new();
-        t.record(WarpId(0), Reg(0), 10);
-        t.record(WarpId(0), Reg(0), 20); // duplicate in window
-        t.record(WarpId(1), Reg(0), 30);
+        t.roll(10);
+        t.touch(WarpId(0), Reg(0));
+        t.touch(WarpId(0), Reg(0)); // duplicate in window
+        t.roll(30);
+        t.touch(WarpId(1), Reg(0));
         t.roll(250); // complete two windows
         assert_eq!(t.samples(), &[2, 0]);
         // 2 regs in one window, 0 in the next: mean = 1 reg = 0.125 KB

@@ -7,7 +7,8 @@
 //! model change, the failure message prints the regenerated file.
 
 use regless::bench::registry;
-use regless::bench::{run_design, DesignKind};
+use regless::bench::{eval_gpu, run_design, Attach, DesignKind};
+use regless::sim::GpuConfig;
 use regless::workloads::rodinia;
 
 /// The two smallest Rodinia kernels by simulated cycles.
@@ -16,6 +17,12 @@ const KERNELS: [&str; 2] = ["nn", "pathfinder"];
 /// Extra single points on kernels whose small-OSU runs stall on CM
 /// admission and barriers, where a stale admission skip would show.
 const EXTRA: [(&str, usize); 2] = [("hotspot", 128), ("backprop", 256)];
+
+/// RegLess points on a dual-issue machine (two issue slots per
+/// scheduler): a warp that issued in a scheduler's first slot is tested
+/// for eligibility again in its second, the one case where RegLess must
+/// look up the region at a warp's PC within the cycle it moved.
+const DUAL_ISSUE: [(&str, usize); 1] = [("hotspot", 128)];
 
 fn fnv1a64(bytes: &[u8]) -> u64 {
     bytes.iter().fold(0xcbf2_9ce4_8422_2325, |h, &b| {
@@ -52,6 +59,22 @@ fn design_digests_match_golden() {
             .to_string_compact();
         actual.push_str(&format!(
             "{kernel} regless@{entries} {:016x}\n",
+            fnv1a64(json.as_bytes())
+        ));
+    }
+    for (kernel, entries) in DUAL_ISSUE {
+        let k = rodinia::kernel(kernel);
+        let gpu = GpuConfig {
+            issue_slots_per_scheduler: 2,
+            ..eval_gpu()
+        };
+        let json = DesignKind::RegLess { entries }
+            .execute(&k, gpu, &Attach::default())
+            .unwrap_or_else(|e| panic!("{kernel} dual-issue: {e}"))
+            .stable_json()
+            .to_string_compact();
+        actual.push_str(&format!(
+            "{kernel} regless@{entries}x2 {:016x}\n",
             fnv1a64(json.as_bytes())
         ));
     }

@@ -116,21 +116,40 @@ fn idle_slots_counts_per_slot_under_dual_issue() {
 }
 
 /// Dual-issue machines produce identical reports in both loop modes too
-/// (the multi-slot bulk charge is `span × slots`, not `span`).
+/// (the multi-slot bulk charge is `span × slots`, not `span`), for every
+/// registered design at a small and the default capacity. With two slots
+/// per scheduler a warp that issued in the first slot is tested for
+/// eligibility again in the second, within the cycle it moved.
 #[test]
 fn dual_issue_reports_are_byte_identical() {
     let gpu = GpuConfig {
         issue_slots_per_scheduler: 2,
         ..GpuConfig::test_small()
     };
-    for kernel_idx in 0..7 {
-        let kernel = test_kernel(kernel_idx);
-        let stepped = run_mode(&kernel, DesignKind::Baseline, gpu, true);
-        let event = run_mode(&kernel, DesignKind::Baseline, gpu, false);
-        assert_eq!(
-            stepped.stable_json().to_string_compact(),
-            event.stable_json().to_string_compact(),
-            "dual-issue loop modes diverged on kernel {kernel_idx}"
-        );
+    // Designs without a capacity parameter build the same design twice.
+    let mut designs: Vec<(&str, DesignKind)> = registry::all()
+        .iter()
+        .flat_map(|entry| {
+            [128, DesignParams::default().capacity].map(|capacity| {
+                let params = DesignParams {
+                    capacity,
+                    ..DesignParams::default()
+                };
+                (entry.id, entry.build(&params))
+            })
+        })
+        .collect();
+    designs.dedup();
+    for (id, design) in designs {
+        for kernel_idx in 0..7 {
+            let kernel = test_kernel(kernel_idx);
+            let stepped = run_mode(&kernel, design, gpu, true);
+            let event = run_mode(&kernel, design, gpu, false);
+            assert_eq!(
+                stepped.stable_json().to_string_compact(),
+                event.stable_json().to_string_compact(),
+                "dual-issue loop modes diverged: kernel {kernel_idx} design {id} {design:?}"
+            );
+        }
     }
 }

@@ -26,10 +26,11 @@ use std::time::{Duration, Instant};
 #[path = "../crates/json/src/reference.rs"]
 mod reference_json;
 
-/// A kernel slow enough (~3.2M machine cycles) that a request for it
-/// reliably occupies a worker for its full deadline in both debug and
-/// release builds — the deadline, not the simulation, bounds test time.
-const SLOW_TRIPS: u32 = 50_000;
+/// A kernel slow enough (~14M machine cycles, over 6 s in a release
+/// build on a 2-vCPU VM) that a request for it reliably occupies a worker
+/// for its full deadline in both debug and release builds — the deadline,
+/// not the simulation, bounds test time.
+const SLOW_TRIPS: u32 = 200_000;
 
 fn write_slow_asm(tag: &str) -> String {
     let path = std::env::temp_dir().join(format!("regless-serve-{}-{tag}.asm", std::process::id()));
