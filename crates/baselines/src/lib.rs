@@ -1,17 +1,16 @@
-//! Comparison points for the RegLess evaluation (paper §6.1):
+//! Comparison points for the RegLess evaluation (paper §6.1, §7):
 //!
 //! * [`RfhBackend`] — the compile-time managed register-file **hierarchy**
 //!   of Gebhart et al. (LRF / RFC / MRF levels, two-level scheduler);
-//! * [`RfvBackend`] — the register-file **virtualization** of Jeon et al.
-//!   (half-size renamed register file, throttling under pressure);
-//! * [`RegDemBackend`] — the compiler-directed **register demotion** of
-//!   Sakdhnagool et al. (cold registers spilled to a shared-memory
-//!   scratch partition);
-//! * [`CompressRfBackend`] — the **statically-compressed** register file
-//!   of Angerd et al. (affine values stored compressed in a half-size
-//!   file).
+//! * [`ThrottledRf`] — a register store smaller than the allocation,
+//!   with warps admitted while their footprints fit. One [`Throttle`]
+//!   policy per design says what a warp costs against capacity and what an
+//!   access costs: the occupancy-limited full RF, the register-file
+//!   **virtualization** of Jeon et al. (RFV), the **register demotion** of
+//!   Sakdhnagool et al. (RegDem) and the **statically-compressed** RF of
+//!   Angerd et al.
 //!
-//! All plug into the same [`regless_sim::Machine`] pipeline as the
+//! Both plug into the same [`regless_sim::Machine`] pipeline as the
 //! baseline and RegLess, so run-time and event counts are directly
 //! comparable. `regless_bench::DesignKind::execute` is the one place that
 //! runs a design: it compiles the kernel and applies the design's
@@ -19,12 +18,8 @@
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
 
-mod comprf;
-mod regdem;
 mod rfh;
-mod rfv;
+mod throttled;
 
-pub use comprf::CompressRfBackend;
-pub use regdem::{RegDemBackend, SCRATCH_BYTES_PER_SM};
 pub use rfh::{RfhBackend, RfhLevel, RfhPlacement};
-pub use rfv::RfvBackend;
+pub use throttled::{Throttle, ThrottledRf, SCRATCH_BYTES_PER_SM};

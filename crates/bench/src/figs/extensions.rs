@@ -2,7 +2,8 @@
 //! claims and finer-grained design sweeps.
 
 use crate::sweep::{self, RunVariant, HIGH_PRESSURE_ID};
-use crate::{eval_gpu, format_table, geomean, DesignKind, ReglessRunOpts};
+use crate::{compile_default, eval_gpu, format_table, geomean, DesignKind, ReglessRunOpts};
+use regless_baselines::{Throttle, ThrottledRf};
 use regless_core::PatternSet;
 use regless_sim::SchedulerKind;
 use regless_workloads::{high_pressure_kernel, micro, rodinia};
@@ -12,10 +13,7 @@ use regless_workloads::{high_pressure_kernel, micro, rodinia};
 /// occupancy when per-thread register counts are high; RegLess stores only
 /// live values, so every warp stays resident.
 pub fn oversubscription() -> String {
-    let kernel = high_pressure_kernel();
     let gpu = eval_gpu();
-    let regs = kernel.num_regs() as usize;
-    let rf_entries = gpu.rf_bytes_per_sm / 128;
 
     // Conventional RF: occupancy capped by register allocation.
     let limited = sweep::engine().run(HIGH_PRESSURE_ID, RunVariant::OccupancyLimited);
@@ -24,7 +22,9 @@ pub fn oversubscription() -> String {
     // RegLess at the paper's design point.
     let regless = sweep::regless_opts(HIGH_PRESSURE_ID, ReglessRunOpts::default());
 
-    let resident = (rf_entries / regs).min(gpu.warps_per_sm);
+    let compiled = compile_default(&high_pressure_kernel());
+    let regs = compiled.kernel().num_regs();
+    let resident = ThrottledRf::new(Throttle::Occupancy, &gpu, &compiled).concurrent_warps();
     let rows = vec![
         vec![
             "RF, occupancy-limited".to_string(),

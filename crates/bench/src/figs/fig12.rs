@@ -17,9 +17,12 @@ pub fn report() -> String {
         let pb = energy_of(&base, DesignKind::Baseline).register_structures_pj / base.cycles as f64;
         baselines.push(pb);
         for (i, &entries) in CAPACITIES.iter().enumerate() {
-            let r = sweep::design(&bench, DesignKind::RegLess { entries });
-            let p = energy_of(&r, DesignKind::RegLess { entries }).register_structures_pj
-                / r.cycles as f64;
+            let design = DesignKind::RegLess {
+                entries,
+                compressor: true,
+            };
+            let r = sweep::design(&bench, design);
+            let p = energy_of(&r, design).register_structures_pj / r.cycles as f64;
             per_cap[i].push(p / pb);
         }
     }

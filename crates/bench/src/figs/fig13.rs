@@ -16,7 +16,10 @@ pub fn report() -> String {
         let base = sweep::design(&bench, DesignKind::Baseline);
         let eb = energy_of(&base, DesignKind::Baseline).total_pj();
         for (i, &entries) in CAPACITIES.iter().enumerate() {
-            let d = DesignKind::RegLess { entries };
+            let d = DesignKind::RegLess {
+                entries,
+                compressor: true,
+            };
             let r = sweep::design(&bench, d);
             time[i].push(r.cycles as f64 / base.cycles as f64);
             energy[i].push(energy_of(&r, d).total_pj() / eb);

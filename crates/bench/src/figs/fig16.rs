@@ -18,10 +18,11 @@ pub fn report() -> String {
         let base = sweep::design(&bench, DesignKind::Baseline).cycles as f64;
         let r = sweep::design(&bench, DesignKind::regless_512()).cycles as f64 / base;
         rl.push(r);
-        nc.push(
-            sweep::design(&bench, DesignKind::RegLessNoCompressor { entries: 512 }).cycles as f64
-                / base,
-        );
+        let no_compressor = DesignKind::RegLess {
+            entries: 512,
+            compressor: false,
+        };
+        nc.push(sweep::design(&bench, no_compressor).cycles as f64 / base);
         rfv.push(sweep::design(&bench, DesignKind::Rfv).cycles as f64 / base);
         rfh.push(sweep::design(&bench, DesignKind::Rfh).cycles as f64 / base);
         rows.push(vec![name.to_string(), format!("{r:.3}")]);

@@ -9,9 +9,9 @@
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
 
-use regless_baselines::{CompressRfBackend, RegDemBackend, RfhBackend, RfvBackend};
+use regless_baselines::{RfhBackend, Throttle, ThrottledRf};
 use regless_compiler::{compile, CompileError, CompiledKernel, RegionConfig};
-use regless_core::{RegLessBackend, RegLessConfig, RegLessSim};
+use regless_core::{RegLessBackend, RegLessConfig};
 use regless_energy::{energy, Design, EnergyBreakdown};
 use regless_isa::Kernel;
 use regless_sim::{
@@ -40,15 +40,13 @@ pub fn eval_gpu() -> GpuConfig {
 pub enum DesignKind {
     /// Full register file, GTO scheduler.
     Baseline,
-    /// RegLess at a given per-SM OSU capacity.
+    /// RegLess at a given per-SM OSU capacity, with or without the
+    /// compressor (the `regless-nc` design, Figure 16 ablation).
     RegLess {
         /// OSU entries per SM.
         entries: usize,
-    },
-    /// RegLess without the compressor (Figure 16 ablation).
-    RegLessNoCompressor {
-        /// OSU entries per SM.
-        entries: usize,
+        /// Whether the eviction compressor is present.
+        compressor: bool,
     },
     /// Register-file hierarchy baseline.
     Rfh,
@@ -64,18 +62,19 @@ pub enum DesignKind {
 impl DesignKind {
     /// The paper's main RegLess design point.
     pub fn regless_512() -> Self {
-        DesignKind::RegLess { entries: 512 }
+        DesignKind::RegLess {
+            entries: 512,
+            compressor: true,
+        }
     }
 
     /// The matching energy-model design.
     pub fn energy_design(&self) -> Design {
         match *self {
             DesignKind::Baseline => Design::Baseline,
-            DesignKind::RegLess { entries } | DesignKind::RegLessNoCompressor { entries } => {
-                Design::RegLess {
-                    osu_entries_per_sm: entries,
-                }
-            }
+            DesignKind::RegLess { entries, .. } => Design::RegLess {
+                osu_entries_per_sm: entries,
+            },
             DesignKind::Rfh => Design::Rfh,
             DesignKind::Rfv => Design::Rfv,
             DesignKind::RegDem => Design::RegDem,
@@ -87,9 +86,7 @@ impl DesignKind {
     /// profiles and reports record).
     pub fn osu_capacity(&self) -> usize {
         match *self {
-            DesignKind::RegLess { entries } | DesignKind::RegLessNoCompressor { entries } => {
-                entries
-            }
+            DesignKind::RegLess { entries, .. } => entries,
             _ => 0,
         }
     }
@@ -102,9 +99,7 @@ impl DesignKind {
     /// OSU is too small for `gpu`'s shape.
     pub fn check(&self, gpu: &GpuConfig) -> Result<(), String> {
         match *self {
-            DesignKind::RegLess { entries } | DesignKind::RegLessNoCompressor { entries } => {
-                RegLessConfig::with_capacity(entries).check(gpu)
-            }
+            DesignKind::RegLess { entries, .. } => RegLessConfig::with_capacity(entries).check(gpu),
             _ => Ok(()),
         }
     }
@@ -145,14 +140,16 @@ impl DesignKind {
     ) -> Result<RunReport, RunError> {
         self.check(&gpu).map_err(RunError::Params)?;
         let regions = RegionConfig::default();
-        let scheduled = |scheduler| GpuConfig { scheduler, ..gpu };
         match self {
             DesignKind::Baseline => {
                 run_machine(kernel, gpu, &regions, attach, |_, _, _| BaselineRf::new())
             }
-            DesignKind::RegLess { entries } | DesignKind::RegLessNoCompressor { entries } => {
+            DesignKind::RegLess {
+                entries,
+                compressor,
+            } => {
                 let cfg = RegLessConfig {
-                    compressor_enabled: matches!(self, DesignKind::RegLess { .. }),
+                    compressor_enabled: compressor,
                     ..RegLessConfig::with_capacity(entries)
                 };
                 run_machine(
@@ -164,24 +161,15 @@ impl DesignKind {
                 )
             }
             DesignKind::Rfh => {
-                let gpu = scheduled(RfhBackend::scheduler());
+                let gpu = GpuConfig {
+                    scheduler: RfhBackend::scheduler(),
+                    ..gpu
+                };
                 run_machine(kernel, gpu, &regions, attach, |_, _, c| RfhBackend::new(&c))
             }
-            DesignKind::Rfv => {
-                let gpu = scheduled(RfvBackend::scheduler());
-                run_machine(kernel, gpu, &regions, attach, |_, gpu, c| {
-                    RfvBackend::new(gpu, c)
-                })
-            }
-            DesignKind::RegDem => run_machine(kernel, gpu, &regions, attach, |_, gpu, c| {
-                RegDemBackend::new(gpu, c)
-            }),
-            DesignKind::CompressRf => {
-                let gpu = scheduled(CompressRfBackend::scheduler());
-                run_machine(kernel, gpu, &regions, attach, |_, gpu, c| {
-                    CompressRfBackend::new(gpu, c)
-                })
-            }
+            DesignKind::Rfv => run_throttled(kernel, gpu, Throttle::Rename, attach),
+            DesignKind::RegDem => run_throttled(kernel, gpu, Throttle::Demote, attach),
+            DesignKind::CompressRf => run_throttled(kernel, gpu, Throttle::Compress, attach),
         }
     }
 }
@@ -257,6 +245,30 @@ fn run_machine<B: OperandBackend>(
     B::run_machine(machine).map_err(RunError::Sim)
 }
 
+/// Run `kernel` on `gpu` under a [`ThrottledRf`] with `throttle`'s
+/// policy and scheduler, applying `attach`. The RFV, RegDem and
+/// compressed-RF designs run through here, and so does the §7
+/// occupancy-limited full RF, which is not a registered design.
+///
+/// # Errors
+///
+/// As [`DesignKind::execute`], without the parameter check.
+pub fn run_throttled(
+    kernel: &Kernel,
+    gpu: GpuConfig,
+    throttle: Throttle,
+    attach: &Attach,
+) -> Result<RunReport, RunError> {
+    let gpu = GpuConfig {
+        scheduler: throttle.scheduler().unwrap_or(gpu.scheduler),
+        ..gpu
+    };
+    let regions = RegionConfig::default();
+    run_machine(kernel, gpu, &regions, attach, |_, gpu, c| {
+        ThrottledRf::new(throttle, gpu, &c)
+    })
+}
+
 /// Run one kernel under one design on the evaluation machine.
 ///
 /// # Panics
@@ -329,10 +341,10 @@ pub fn run_regless_opts(kernel: &Kernel, opts: ReglessRunOpts) -> RunReport {
     } else {
         kernel
     };
-    let compiled = compile(kernel, &rc).expect("compile");
-    RegLessSim::new(gpu, cfg, compiled)
-        .run()
-        .expect("regless run")
+    run_machine(kernel, gpu, &rc, &Attach::default(), |sm, gpu, c| {
+        RegLessBackend::new(sm, gpu, &cfg, c)
+    })
+    .unwrap_or_else(|e| panic!("{opts:?}: {e}"))
 }
 
 /// Compile a benchmark with the default (baseline-study) region config.
@@ -443,7 +455,10 @@ mod tests {
         let base = run_design(&kernel, DesignKind::Baseline);
         for d in [
             DesignKind::regless_512(),
-            DesignKind::RegLessNoCompressor { entries: 512 },
+            DesignKind::RegLess {
+                entries: 512,
+                compressor: false,
+            },
             DesignKind::Rfh,
             DesignKind::Rfv,
             DesignKind::RegDem,

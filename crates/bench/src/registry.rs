@@ -162,16 +162,9 @@ static ENTRIES: &[DesignEntry] = &[
         stability: Stability::Stable,
         params: REGLESS_PARAMS,
         energy_model: "OSU banks + tags + compressor, no RF",
-        build: |p| {
-            if p.compressor {
-                DesignKind::RegLess {
-                    entries: p.capacity,
-                }
-            } else {
-                DesignKind::RegLessNoCompressor {
-                    entries: p.capacity,
-                }
-            }
+        build: |p| DesignKind::RegLess {
+            entries: p.capacity,
+            compressor: p.compressor,
         },
     },
     DesignEntry {
@@ -181,8 +174,9 @@ static ENTRIES: &[DesignEntry] = &[
         stability: Stability::Stable,
         params: REGLESS_NC_PARAMS,
         energy_model: "OSU banks + tags, no compressor",
-        build: |p| DesignKind::RegLessNoCompressor {
+        build: |p| DesignKind::RegLess {
             entries: p.capacity,
+            compressor: false,
         },
     },
     DesignEntry {
@@ -262,8 +256,13 @@ pub fn identify(design: DesignKind) -> (&'static str, DesignParams) {
     let fixed = DesignParams::default();
     match design {
         DesignKind::Baseline => ("baseline", fixed),
-        DesignKind::RegLess { entries } => ("regless", osu(entries, true)),
-        DesignKind::RegLessNoCompressor { entries } => ("regless-nc", osu(entries, false)),
+        DesignKind::RegLess {
+            entries,
+            compressor,
+        } => {
+            let id = if compressor { "regless" } else { "regless-nc" };
+            (id, osu(entries, compressor))
+        }
         DesignKind::Rfh => ("rfh", fixed),
         DesignKind::Rfv => ("rfv", fixed),
         DesignKind::RegDem => ("regdem", fixed),
@@ -363,11 +362,17 @@ mod tests {
                     ..p
                 }
             ),
-            Ok(DesignKind::RegLessNoCompressor { entries: 512 })
+            Ok(DesignKind::RegLess {
+                entries: 512,
+                compressor: false
+            })
         );
         assert_eq!(
             resolve("regless-nc", &DesignParams { capacity: 256, ..p }),
-            Ok(DesignKind::RegLessNoCompressor { entries: 256 })
+            Ok(DesignKind::RegLess {
+                entries: 256,
+                compressor: false
+            })
         );
         assert_eq!(resolve("regdem", &p), Ok(DesignKind::RegDem));
         assert_eq!(resolve("compress-rf", &p), Ok(DesignKind::CompressRf));

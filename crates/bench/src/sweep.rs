@@ -32,10 +32,9 @@
 //! entries but still writes fresh ones (and memoizes in memory), and
 //! `REGLESS_SWEEP_DIR` overrides the `results/cache` location.
 
-use crate::{eval_gpu, run_regless_opts, Attach, DesignKind, ReglessRunOpts};
-use regless_sim::{
-    GpuConfig, Machine, OccupancyLimitedRf, OperandBackend, RunReport, SchedulerKind,
-};
+use crate::{eval_gpu, run_regless_opts, run_throttled, Attach, DesignKind, ReglessRunOpts};
+use regless_baselines::Throttle;
+use regless_sim::{GpuConfig, RunReport, SchedulerKind};
 use regless_telemetry::{Log2Histogram, ProgressMeter, SelfProfiler};
 use regless_workloads::{high_pressure_kernel, micro, rodinia};
 use std::collections::HashMap;
@@ -57,7 +56,10 @@ use std::sync::{Arc, Mutex, OnceLock};
 /// `spill_fills`, `spill_throttled_warp_cycles`) and the compressed-RF
 /// throttle counter (`comprf_throttled_warp_cycles`); design ids are now
 /// canonicalized through the registry (`crate::registry`).
-const CACHE_FORMAT_VERSION: u32 = 5;
+/// v6: `DesignKind::RegLessNoCompressor` folded into `DesignKind::RegLess`
+/// with a `compressor` field, which changes every RegLess variant's
+/// `Debug` key.
+const CACHE_FORMAT_VERSION: u32 = 6;
 
 /// One simulation the engine knows how to run and key.
 #[derive(Clone, Copy, PartialEq, Eq, Hash, Debug)]
@@ -94,10 +96,9 @@ impl RunVariant {
                     && o.order == regless_core::ActivationOrder::Lifo
                     && o.patterns == regless_core::PatternSet::Full =>
             {
-                RunVariant::Design(if o.compressor {
-                    DesignKind::RegLess { entries: o.entries }
-                } else {
-                    DesignKind::RegLessNoCompressor { entries: o.entries }
+                RunVariant::Design(DesignKind::RegLess {
+                    entries: o.entries,
+                    compressor: o.compressor,
                 })
             }
             RunVariant::Scheduler(k) if k == eval.scheduler => {
@@ -176,6 +177,8 @@ fn kernel_for(bench: &str) -> regless_isa::Kernel {
 fn simulate(bench: &str, variant: RunVariant) -> RunReport {
     let kernel = kernel_for(bench);
     let eval = eval_gpu();
+    let attach = Attach::default();
+    let fail = |e| panic!("{bench} under {variant:?}: {e}");
     let (design, gpu) = match variant {
         RunVariant::Design(d) => (d, eval),
         RunVariant::Scheduler(scheduler) => (DesignKind::Baseline, GpuConfig { scheduler, ..eval }),
@@ -192,25 +195,10 @@ fn simulate(bench: &str, variant: RunVariant) -> RunReport {
         ),
         RunVariant::Opts(o) => return run_regless_opts(&kernel, o),
         RunVariant::OccupancyLimited => {
-            // Conventional RF: occupancy capped by per-thread register
-            // allocation (ported from the §7 oversubscription study).
-            let compiled = Arc::new(
-                regless_compiler::compile(&kernel, &regless_compiler::RegionConfig::default())
-                    .expect("compile"),
-            );
-            let regs = kernel.num_regs() as usize;
-            let rf_entries = eval.rf_bytes_per_sm / 128;
-            // Through the backend's own crate, so the tick loop is
-            // instantiated with the backend's methods inlined.
-            return OccupancyLimitedRf::run_machine(Machine::new(eval, compiled, |_| {
-                OccupancyLimitedRf::new(rf_entries, regs, eval.warps_per_sm)
-            }))
-            .expect("occupancy-limited run");
+            return run_throttled(&kernel, eval, Throttle::Occupancy, &attach).unwrap_or_else(fail)
         }
     };
-    design
-        .execute(&kernel, gpu, &Attach::default())
-        .unwrap_or_else(|e| panic!("{bench} under {variant:?}: {e}"))
+    design.execute(&kernel, gpu, &attach).unwrap_or_else(fail)
 }
 
 /// How the engine treats its caches (from `REGLESS_SWEEP`).
@@ -1162,7 +1150,10 @@ mod tests {
                 ..Default::default()
             })
             .canonical(),
-            RunVariant::Design(DesignKind::RegLessNoCompressor { entries: 512 })
+            RunVariant::Design(DesignKind::RegLess {
+                entries: 512,
+                compressor: false
+            })
         );
         assert_eq!(
             RunVariant::Scheduler(SchedulerKind::Gto).canonical(),

@@ -7,7 +7,7 @@
 //! metadata bubbles, and adds operand-access latency (bank conflicts).
 
 use crate::config::Cycle;
-use crate::mask::{first_warps, warp_bit, WarpMask};
+use crate::mask::WarpMask;
 use crate::mem::MemSystem;
 use crate::sm::{Machine, RunReport, SimError};
 use crate::stats::SmStats;
@@ -232,202 +232,11 @@ impl OperandBackend for BaselineRf {
     }
 }
 
-/// Static warp admission shared by the capacity-throttled designs: up to
-/// `cap` unfinished warps are resident at once, admitted in id order, and
-/// a finishing warp frees its slot for the next. The admitted and finished
-/// sets are [`WarpMask`]s.
-#[derive(Clone, Debug)]
-pub struct WarpAdmission {
-    /// Every warp of the SM.
-    warps: WarpMask,
-    admitted: WarpMask,
-    finished: WarpMask,
-    cap: usize,
-    /// Warps left throttled by the last [`WarpAdmission::admit`].
-    throttled: usize,
-}
-
-impl WarpAdmission {
-    /// Admission over `warps_per_sm` warps, at most `cap` resident.
-    pub fn new(warps_per_sm: usize, cap: usize) -> Self {
-        WarpAdmission {
-            warps: first_warps(warps_per_sm),
-            admitted: 0,
-            finished: 0,
-            cap,
-            throttled: 0,
-        }
-    }
-
-    /// Warps that may be resident at once.
-    pub fn cap(&self) -> usize {
-        self.cap
-    }
-
-    /// Admit unfinished warps in id order while below the cap; returns how
-    /// many warps are left throttled (neither admitted nor finished).
-    pub fn admit(&mut self) -> usize {
-        let mut waiting = self.warps & !self.admitted & !self.finished;
-        let mut resident = self.admitted.count_ones() as usize;
-        while resident < self.cap && waiting != 0 {
-            let lowest = waiting & waiting.wrapping_neg();
-            self.admitted |= lowest;
-            waiting &= !lowest;
-            resident += 1;
-        }
-        self.throttled = waiting.count_ones() as usize;
-        self.throttled
-    }
-
-    /// Warps left throttled by the last [`WarpAdmission::admit`]. The sets
-    /// change only when a warp finishes, which is an issue, so a skipped
-    /// idle span would have throttled this many warps on every cycle.
-    pub fn throttled(&self) -> u64 {
-        self.throttled as u64
-    }
-
-    /// The resident warps of `ready`.
-    pub fn eligible(&self, ready: WarpMask) -> WarpMask {
-        ready & self.admitted
-    }
-
-    /// Why the warps of `ineligible` cannot issue: unfinished ones wait for
-    /// register capacity; finished ones have no reason.
-    pub fn stalls(&self, ineligible: WarpMask) -> StallMasks {
-        let mut groups = StallMasks::default();
-        groups.add(StallReason::OsuCapacityWait, ineligible & !self.finished);
-        groups
-    }
-
-    /// Warp `w` exited: release its slot for good.
-    pub fn finish(&mut self, w: usize) {
-        self.admitted &= !warp_bit(w);
-        self.finished |= warp_bit(w);
-    }
-}
-
-/// The baseline register file with **static occupancy limiting**: a warp
-/// may only run if the register file has capacity for its full
-/// architectural register allocation, the way real GPUs cap occupancy by
-/// register count. The plain [`BaselineRf`] ignores this (all evaluated
-/// kernels fit); this variant exists for the oversubscription extension
-/// study (paper §7: RegLess "would be able to oversubscribe the register
-/// file without any design changes", because it only stores live values).
-#[derive(Clone, Debug)]
-pub struct OccupancyLimitedRf {
-    admission: WarpAdmission,
-    inner: BaselineRf,
-}
-
-impl OccupancyLimitedRf {
-    /// Build for a kernel needing `regs_per_warp` registers on a machine
-    /// with `rf_entries` register-file entries per SM.
-    pub fn new(rf_entries: usize, regs_per_warp: usize, warps_per_sm: usize) -> Self {
-        let max_resident = (rf_entries / regs_per_warp.max(1)).max(1);
-        OccupancyLimitedRf {
-            admission: WarpAdmission::new(warps_per_sm, max_resident),
-            inner: BaselineRf::new(),
-        }
-    }
-
-    /// Warps that can be resident concurrently.
-    pub fn max_resident(&self) -> usize {
-        self.admission.cap()
-    }
-}
-
-impl OperandBackend for OccupancyLimitedRf {
-    fn run_machine(machine: Machine<Self>) -> Result<RunReport, SimError> {
-        machine.run()
-    }
-
-    fn begin_cycle(&mut self, _ctx: &mut BackendCtx<'_>) {
-        self.admission.admit();
-    }
-
-    fn eligible(&self, ready: WarpMask, _warps: &[WarpState]) -> WarpMask {
-        self.admission.eligible(ready)
-    }
-
-    fn stalls(&self, ineligible: WarpMask) -> StallMasks {
-        self.admission.stalls(ineligible)
-    }
-
-    fn on_issue(
-        &mut self,
-        w: usize,
-        at: InsnRef,
-        insn: &Instruction,
-        ctx: &mut BackendCtx<'_>,
-    ) -> Cycle {
-        self.inner.on_issue(w, at, insn, ctx)
-    }
-
-    fn on_writeback(
-        &mut self,
-        w: usize,
-        at: InsnRef,
-        reg: Reg,
-        value: LaneVec,
-        ctx: &mut BackendCtx<'_>,
-    ) {
-        self.inner.on_writeback(w, at, reg, value, ctx);
-    }
-
-    fn on_warp_finish(&mut self, w: usize, _ctx: &mut BackendCtx<'_>) {
-        self.admission.finish(w);
-    }
-
-    fn next_wakeup(&self, _now: Cycle) -> Option<Cycle> {
-        // Admission is idempotent and only changes when a warp finishes
-        // (an issue-path event), so an idle span never needs a tick here.
-        None
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
     use crate::config::GpuConfig;
     use regless_isa::Opcode;
-
-    #[test]
-    fn occupancy_limit_admits_bounded_warps() {
-        let mut mem = MemSystem::new(&GpuConfig::test_small());
-        let mut stats = SmStats::default();
-        // 64 entries, 16 regs/warp -> at most 4 resident warps of 8.
-        let mut b = OccupancyLimitedRf::new(64, 16, 8);
-        assert_eq!(b.max_resident(), 4);
-        {
-            let mut ctx = BackendCtx {
-                sm: 0,
-                now: 0,
-                mem: &mut mem,
-                stats: &mut stats,
-            };
-            b.begin_cycle(&mut ctx);
-        }
-        let all = first_warps(8);
-        assert_eq!(b.eligible(all, &[]), 0b1111);
-        // Finishing a warp admits the next one.
-        {
-            let mut ctx = BackendCtx {
-                sm: 0,
-                now: 1,
-                mem: &mut mem,
-                stats: &mut stats,
-            };
-            b.on_warp_finish(0, &mut ctx);
-            b.begin_cycle(&mut ctx);
-        }
-        assert_eq!(
-            b.eligible(all, &[]),
-            0b1_1110,
-            "finished warp not re-admitted"
-        );
-        let stalls = b.stalls(all & !b.eligible(all, &[]));
-        assert_eq!(stalls.get(StallReason::OsuCapacityWait), 0b1110_0000);
-    }
 
     #[test]
     fn baseline_counts_rf_accesses() {
@@ -455,87 +264,5 @@ mod tests {
         assert_eq!(stats.rf_reads, 2);
         assert_eq!(stats.rf_writes, 1);
         assert!(b.quiesced());
-    }
-}
-
-#[cfg(test)]
-mod proptests {
-    use super::*;
-    use proptest::prelude::*;
-
-    const WARPS: usize = 12;
-
-    /// The per-warp admission the masks replace: flag vectors walked in id
-    /// order, and a per-warp eligibility and stall classification.
-    struct Reference {
-        admitted: Vec<bool>,
-        finished: Vec<bool>,
-        cap: usize,
-    }
-
-    impl Reference {
-        fn admit(&mut self) -> usize {
-            for w in 0..WARPS {
-                let resident = self.admitted.iter().filter(|&&a| a).count();
-                if resident < self.cap && !self.finished[w] && !self.admitted[w] {
-                    self.admitted[w] = true;
-                }
-            }
-            (0..WARPS)
-                .filter(|&w| !self.admitted[w] && !self.finished[w])
-                .count()
-        }
-
-        fn classify(&self, ready: WarpMask) -> (WarpMask, WarpMask) {
-            let (mut eligible, mut capacity) = (0, 0);
-            for w in (0..WARPS).filter(|&w| ready & warp_bit(w) != 0) {
-                if self.admitted[w] {
-                    eligible |= warp_bit(w);
-                } else if !self.finished[w] {
-                    capacity |= warp_bit(w);
-                }
-            }
-            (eligible, capacity)
-        }
-    }
-
-    proptest! {
-        /// Under random admit/finish sequences, the mask-based admission
-        /// throttles the same count and classifies random ready masks the
-        /// same way as the per-warp reference.
-        #[test]
-        fn admission_masks_match_per_warp_reference(
-            cap in 1usize..6,
-            ops in proptest::collection::vec((any::<bool>(), 0usize..WARPS, any::<u16>()), 1..80),
-        ) {
-            let mut masks = WarpAdmission::new(WARPS, cap);
-            let mut reference = Reference {
-                admitted: vec![false; WARPS],
-                finished: vec![false; WARPS],
-                cap,
-            };
-            for (finish, w, ready) in ops {
-                if finish {
-                    masks.finish(w);
-                    reference.admitted[w] = false;
-                    reference.finished[w] = true;
-                } else {
-                    let throttled = reference.admit();
-                    prop_assert_eq!(masks.admit(), throttled);
-                    prop_assert_eq!(masks.throttled(), throttled as u64);
-                }
-                let ready = WarpMask::from(ready) & first_warps(WARPS);
-                let eligible = masks.eligible(ready);
-                let stalls = masks.stalls(ready & !eligible);
-                let (want_eligible, want_capacity) = reference.classify(ready);
-                prop_assert_eq!(eligible, want_eligible);
-                prop_assert_eq!(stalls.get(StallReason::OsuCapacityWait), want_capacity);
-                prop_assert_eq!(stalls, {
-                    let mut g = StallMasks::default();
-                    g.add(StallReason::OsuCapacityWait, want_capacity);
-                    g
-                });
-            }
-        }
     }
 }

@@ -1146,7 +1146,10 @@ fn cmd_sweep(args: &[String]) -> CmdResult {
     );
     let base_e = energy(&base, DesignKind::Baseline.energy_design(), &gpu).total_pj();
     for entries in [128, 192, 256, 384, 512, 1024, 2048] {
-        let design = DesignKind::RegLess { entries };
+        let design = DesignKind::RegLess {
+            entries,
+            compressor: true,
+        };
         let r = run(design)?;
         let e = energy(&r, design.energy_design(), &gpu);
         println!(

@@ -57,7 +57,10 @@ fn allocations_do_not_grow_with_run_length() {
         .collect();
     designs.push((
         "regless@128".to_string(),
-        DesignKind::RegLess { entries: 128 },
+        DesignKind::RegLess {
+            entries: 128,
+            compressor: true,
+        },
     ));
     for (id, design) in designs {
         let (short_allocs, short_cycles) = allocations(4, design);

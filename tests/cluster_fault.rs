@@ -26,7 +26,13 @@ fn space() -> Vec<regless::cluster::WorkUnit> {
             "rodinia/lud".to_string(),
             "rodinia/backprop".to_string(),
         ],
-        &[DesignKind::Baseline, DesignKind::RegLess { entries: 256 }],
+        &[
+            DesignKind::Baseline,
+            DesignKind::RegLess {
+                entries: 256,
+                compressor: true,
+            },
+        ],
     )
 }
 

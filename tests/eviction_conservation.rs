@@ -5,12 +5,13 @@
 //! is identical with and without a telemetry recorder attached.
 
 use proptest::prelude::*;
-use regless::compiler::{compile, RegionConfig};
+use regless::bench::registry::{self, DesignParams};
+use regless::bench::{Attach, DesignKind};
+use regless::compiler::compile;
 use regless::core::{RegLessConfig, RegLessSim};
 use regless::isa::Kernel;
-use regless::sim::{run_baseline, EvictionReason, GpuConfig, RunReport};
+use regless::sim::{EvictionReason, GpuConfig, RunReport};
 use regless::workloads::{high_pressure_kernel, micro};
-use std::sync::Arc;
 
 /// The small kernels the property test draws from (the same suite as
 /// `tests/cpi_attribution.rs`).
@@ -25,34 +26,11 @@ fn test_kernel(idx: usize) -> Kernel {
     }
 }
 
-/// Run `kernel` on the small test machine under one of the designs.
-/// Design 0 is the baseline (no OSU, so no evictions); 1 and 2 are
-/// RegLess with and without the compressor at the given capacity.
-fn run_small(kernel: &Kernel, design: usize, capacity: usize) -> RunReport {
-    let gpu = GpuConfig::test_small();
-    match design % 3 {
-        0 => {
-            let compiled = compile(kernel, &RegionConfig::default()).expect("compile");
-            run_baseline(gpu, Arc::new(compiled)).expect("baseline run")
-        }
-        1 => {
-            let cfg = RegLessConfig::with_capacity(capacity);
-            let compiled = compile(kernel, &cfg.region_config(&gpu)).expect("compile");
-            RegLessSim::new(gpu, cfg, compiled)
-                .run()
-                .expect("regless run")
-        }
-        _ => {
-            let cfg = RegLessConfig {
-                compressor_enabled: false,
-                ..RegLessConfig::with_capacity(capacity)
-            };
-            let compiled = compile(kernel, &cfg.region_config(&gpu)).expect("compile");
-            RegLessSim::new(gpu, cfg, compiled)
-                .run()
-                .expect("regless run")
-        }
-    }
+/// Run `kernel` on the small test machine under `design`.
+fn run_small(kernel: &Kernel, design: DesignKind) -> RunReport {
+    design
+        .execute(kernel, GpuConfig::test_small(), &Attach::default())
+        .unwrap_or_else(|e| panic!("{design:?}: {e}"))
 }
 
 /// Assert the eviction conservation law on one report: per SM and
@@ -75,20 +53,26 @@ fn assert_eviction_conservation(report: &RunReport) {
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(12))]
 
-    /// Conservation holds for every kernel × design × capacity drawn.
+    /// Conservation holds for every registered design on every kernel ×
+    /// capacity drawn.
     #[test]
     fn per_reason_eviction_counts_sum_to_the_osu_total(
         kernel_idx in 0usize..6,
-        design in 0usize..3,
         capacity_idx in 0usize..3,
     ) {
-        let capacity = [128usize, 256, 512][capacity_idx];
+        let params = DesignParams {
+            capacity: [128usize, 256, 512][capacity_idx],
+            ..DesignParams::default()
+        };
         let kernel = test_kernel(kernel_idx);
-        let report = run_small(&kernel, design, capacity);
-        assert_eviction_conservation(&report);
-        if design % 3 == 0 {
-            // The baseline has no OSU: both sides of the law are zero.
-            prop_assert_eq!(report.total().osu_lines_evicted, 0);
+        for entry in registry::all() {
+            let design = entry.build(&params);
+            let report = run_small(&kernel, design);
+            assert_eviction_conservation(&report);
+            if design.osu_capacity() == 0 {
+                // No OSU: both sides of the law are zero.
+                prop_assert_eq!(report.total().osu_lines_evicted, 0, "{}", entry.id);
+            }
         }
     }
 }
@@ -98,7 +82,11 @@ proptest! {
 /// spills, so the law above is not vacuously `0 == 0`.
 #[test]
 fn the_taxonomy_is_exercised_not_vacuous() {
-    let report = run_small(&micro::streaming(6), 1, 256);
+    let regless = DesignKind::RegLess {
+        entries: 256,
+        compressor: true,
+    };
+    let report = run_small(&micro::streaming(6), regless);
     assert!(
         report.total().osu_lines_evicted > 0,
         "streaming under regless must evict lines"
