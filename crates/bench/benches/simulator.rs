@@ -6,12 +6,11 @@
 //! results.
 
 use regless_bench::timing::bench;
+use regless_bench::{Attach, DesignKind};
 use regless_compiler::{compile, RegionConfig};
-use regless_core::{RegLessConfig, RegLessSim};
-use regless_sim::{run_baseline, GpuConfig};
+use regless_sim::GpuConfig;
 use regless_workloads::rodinia;
 use std::hint::black_box;
-use std::sync::Arc;
 
 /// A reduced machine so each iteration stays in the millisecond range.
 fn bench_gpu() -> GpuConfig {
@@ -29,20 +28,18 @@ fn main() {
             compile(black_box(&kernel), &RegionConfig::default()).unwrap()
         });
     }
-    for name in ["nn", "pathfinder"] {
-        let kernel = rodinia::kernel(name);
-        let compiled = Arc::new(compile(&kernel, &RegionConfig::default()).unwrap());
-        bench(&format!("baseline_sim/{name}"), || {
-            run_baseline(bench_gpu(), Arc::clone(&compiled)).unwrap()
-        });
-    }
-    let gpu = bench_gpu();
-    let cfg = RegLessConfig::paper_default();
-    for name in ["nn", "pathfinder"] {
-        let kernel = rodinia::kernel(name);
-        let compiled = compile(&kernel, &cfg.region_config(&gpu)).unwrap();
-        bench(&format!("regless_sim/{name}"), || {
-            RegLessSim::new(gpu, cfg, compiled.clone()).run().unwrap()
-        });
+    // Each run compiles its kernel too, which is under 1% of its time.
+    for (label, design) in [
+        ("baseline_sim", DesignKind::Baseline),
+        ("regless_sim", DesignKind::regless_512()),
+    ] {
+        for name in ["nn", "pathfinder"] {
+            let kernel = rodinia::kernel(name);
+            bench(&format!("{label}/{name}"), || {
+                design
+                    .execute(&kernel, bench_gpu(), &Attach::default())
+                    .unwrap()
+            });
+        }
     }
 }

@@ -1,18 +1,17 @@
 //! Ablation benches for the design decisions DESIGN.md calls out.
 
-use crate::{format_table, geomean, sweep, DesignKind, ReglessRunOpts};
-use regless_compiler::RegionConfig;
-use regless_core::ActivationOrder;
+use crate::{format_table, geomean, sweep, DesignKind};
+use regless_core::{ActivationOrder, RegLessConfig};
 
 /// Benchmarks used for ablations (a representative, cheap subset).
 const SUBSET: [&str; 6] = ["bfs", "hotspot", "kmeans", "lud", "pathfinder", "srad_v2"];
 
-fn geomean_ratio(opts: ReglessRunOpts) -> f64 {
+fn geomean_ratio(cfg: RegLessConfig) -> f64 {
     let mut ratios = Vec::new();
     for name in SUBSET {
         let bench = sweep::rodinia_id(name);
         let base = sweep::design(&bench, DesignKind::Baseline).cycles as f64;
-        ratios.push(sweep::regless_opts(&bench, opts).cycles as f64 / base);
+        ratios.push(sweep::design(&bench, DesignKind::RegLess(cfg)).cycles as f64 / base);
     }
     geomean(&ratios)
 }
@@ -20,9 +19,9 @@ fn geomean_ratio(opts: ReglessRunOpts) -> f64 {
 /// Compressor ablation: full pattern set vs none (Figure 16's
 /// "no compressor" bar).
 pub fn compressor() -> String {
-    let full = geomean_ratio(ReglessRunOpts::default());
-    let none = geomean_ratio(ReglessRunOpts {
-        compressor: false,
+    let full = geomean_ratio(RegLessConfig::default());
+    let none = geomean_ratio(RegLessConfig {
+        compressor_enabled: false,
         ..Default::default()
     });
     let rows = vec![
@@ -36,9 +35,9 @@ pub fn compressor() -> String {
 
 /// Warp re-activation order: the paper's LIFO stack vs FIFO.
 pub fn warp_order() -> String {
-    let lifo = geomean_ratio(ReglessRunOpts::default());
-    let fifo = geomean_ratio(ReglessRunOpts {
-        order: ActivationOrder::Fifo,
+    let lifo = geomean_ratio(RegLessConfig::default());
+    let fifo = geomean_ratio(RegLessConfig {
+        activation_order: ActivationOrder::Fifo,
         ..Default::default()
     });
     let rows = vec![
@@ -53,14 +52,9 @@ pub fn warp_order() -> String {
 
 /// Load/use region splitting (Algorithm 1 line 22) on vs off.
 pub fn load_split() -> String {
-    let gpu = crate::eval_gpu();
-    let base_rc = regless_core::RegLessConfig::paper_default().region_config(&gpu);
-    let on = geomean_ratio(ReglessRunOpts::default());
-    let off = geomean_ratio(ReglessRunOpts {
-        region_override: Some(RegionConfig {
-            split_load_use: false,
-            ..base_rc
-        }),
+    let on = geomean_ratio(RegLessConfig::default());
+    let off = geomean_ratio(RegLessConfig {
+        split_load_use: false,
         ..Default::default()
     });
     let rows = vec![
@@ -88,13 +82,11 @@ pub fn renumbering() -> String {
         for name in SUBSET {
             let bench = sweep::rodinia_id(name);
             let base = sweep::design(&bench, DesignKind::Baseline).cycles as f64;
-            let r = sweep::regless_opts(
-                &bench,
-                ReglessRunOpts {
-                    renumber,
-                    ..Default::default()
-                },
-            );
+            let cfg = RegLessConfig {
+                renumber,
+                ..Default::default()
+            };
+            let r = sweep::design(&bench, DesignKind::RegLess(cfg));
             ratios.push(r.cycles as f64 / base);
             conflicts += r.total().osu_bank_conflicts;
         }
@@ -114,15 +106,10 @@ pub fn renumbering() -> String {
 
 /// Minimum region size (the paper's 6-instruction lower bound).
 pub fn min_region_size() -> String {
-    let gpu = crate::eval_gpu();
-    let base_rc = regless_core::RegLessConfig::paper_default().region_config(&gpu);
     let mut rows = Vec::new();
     for min in [1usize, 3, 6, 9, 12] {
-        let r = geomean_ratio(ReglessRunOpts {
-            region_override: Some(RegionConfig {
-                min_region_insns: min,
-                ..base_rc
-            }),
+        let r = geomean_ratio(RegLessConfig {
+            min_region_insns: min,
             ..Default::default()
         });
         rows.push(vec![min.to_string(), format!("{r:.3}")]);

@@ -2,9 +2,9 @@
 //! claims and finer-grained design sweeps.
 
 use crate::sweep::{self, RunVariant, HIGH_PRESSURE_ID};
-use crate::{compile_default, eval_gpu, format_table, geomean, DesignKind, ReglessRunOpts};
+use crate::{compile_default, eval_gpu, format_table, geomean, DesignKind};
 use regless_baselines::{Throttle, ThrottledRf};
-use regless_core::PatternSet;
+use regless_core::{PatternSet, RegLessConfig};
 use regless_sim::SchedulerKind;
 use regless_workloads::{high_pressure_kernel, micro, rodinia};
 
@@ -20,7 +20,7 @@ pub fn oversubscription() -> String {
     // Idealized RF with no occupancy limit (the paper's baseline).
     let unlimited = sweep::design(HIGH_PRESSURE_ID, DesignKind::Baseline);
     // RegLess at the paper's design point.
-    let regless = sweep::regless_opts(HIGH_PRESSURE_ID, ReglessRunOpts::default());
+    let regless = sweep::design(HIGH_PRESSURE_ID, DesignKind::regless_512());
 
     let compiled = compile_default(&high_pressure_kernel());
     let regs = compiled.kernel().num_regs();
@@ -75,14 +75,12 @@ pub fn compressor_patterns() -> String {
         for name in SUBSET {
             let bench = sweep::rodinia_id(name);
             let base = sweep::design(&bench, DesignKind::Baseline).cycles as f64;
-            let r = sweep::regless_opts(
-                &bench,
-                ReglessRunOpts {
-                    compressor: enabled,
-                    patterns,
-                    ..Default::default()
-                },
-            );
+            let cfg = RegLessConfig {
+                compressor_enabled: enabled,
+                compressor_patterns: patterns,
+                ..Default::default()
+            };
+            let r = sweep::design(&bench, DesignKind::RegLess(cfg));
             ratios.push(r.cycles as f64 / base);
             compressed += r.total().compressor_compressed;
             offered += r.total().compressor_matches;

@@ -3,6 +3,7 @@
 
 use crate::figs::fig11::CAPACITIES;
 use crate::{energy_of, format_table, geomean, sweep, DesignKind};
+use regless_core::RegLessConfig;
 use regless_workloads::rodinia;
 
 /// Regenerate the figure as a text table. Power is measured as register-
@@ -17,10 +18,7 @@ pub fn report() -> String {
         let pb = energy_of(&base, DesignKind::Baseline).register_structures_pj / base.cycles as f64;
         baselines.push(pb);
         for (i, &entries) in CAPACITIES.iter().enumerate() {
-            let design = DesignKind::RegLess {
-                entries,
-                compressor: true,
-            };
+            let design = DesignKind::RegLess(RegLessConfig::with_capacity(entries));
             let r = sweep::design(&bench, design);
             let p = energy_of(&r, design).register_structures_pj / r.cycles as f64;
             per_cap[i].push(p / pb);

@@ -2,6 +2,7 @@
 //! normalized to baseline — the Pareto sweep.
 
 use crate::{energy_of, format_table, geomean, sweep, DesignKind};
+use regless_core::RegLessConfig;
 use regless_workloads::rodinia;
 
 /// Capacities in the paper's Pareto plot (2048 omitted there).
@@ -16,10 +17,7 @@ pub fn report() -> String {
         let base = sweep::design(&bench, DesignKind::Baseline);
         let eb = energy_of(&base, DesignKind::Baseline).total_pj();
         for (i, &entries) in CAPACITIES.iter().enumerate() {
-            let d = DesignKind::RegLess {
-                entries,
-                compressor: true,
-            };
+            let d = DesignKind::RegLess(RegLessConfig::with_capacity(entries));
             let r = sweep::design(&bench, d);
             time[i].push(r.cycles as f64 / base.cycles as f64);
             energy[i].push(energy_of(&r, d).total_pj() / eb);

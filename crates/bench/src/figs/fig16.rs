@@ -3,6 +3,7 @@
 //! RFV, and RFH.
 
 use crate::{bar_chart, format_table, geomean, sweep, DesignKind};
+use regless_core::RegLessConfig;
 use regless_workloads::rodinia;
 
 /// Regenerate the figure as a text table.
@@ -18,10 +19,10 @@ pub fn report() -> String {
         let base = sweep::design(&bench, DesignKind::Baseline).cycles as f64;
         let r = sweep::design(&bench, DesignKind::regless_512()).cycles as f64 / base;
         rl.push(r);
-        let no_compressor = DesignKind::RegLess {
-            entries: 512,
-            compressor: false,
-        };
+        let no_compressor = DesignKind::RegLess(RegLessConfig {
+            compressor_enabled: false,
+            ..RegLessConfig::with_capacity(512)
+        });
         nc.push(sweep::design(&bench, no_compressor).cycles as f64 / base);
         rfv.push(sweep::design(&bench, DesignKind::Rfv).cycles as f64 / base);
         rfh.push(sweep::design(&bench, DesignKind::Rfh).cycles as f64 / base);

@@ -10,7 +10,7 @@
 #![warn(missing_docs)]
 
 use regless_baselines::{RfhBackend, Throttle, ThrottledRf};
-use regless_compiler::{compile, CompileError, CompiledKernel, RegionConfig};
+use regless_compiler::{compile, renumber_for_banks, CompileError, CompiledKernel, RegionConfig};
 use regless_core::{RegLessBackend, RegLessConfig};
 use regless_energy::{energy, Design, EnergyBreakdown};
 use regless_isa::Kernel;
@@ -40,14 +40,9 @@ pub fn eval_gpu() -> GpuConfig {
 pub enum DesignKind {
     /// Full register file, GTO scheduler.
     Baseline,
-    /// RegLess at a given per-SM OSU capacity, with or without the
-    /// compressor (the `regless-nc` design, Figure 16 ablation).
-    RegLess {
-        /// OSU entries per SM.
-        entries: usize,
-        /// Whether the eviction compressor is present.
-        compressor: bool,
-    },
+    /// RegLess under a configuration: the `regless` and `regless-nc`
+    /// designs, the capacity sweep and the §6.5 ablations.
+    RegLess(RegLessConfig),
     /// Register-file hierarchy baseline.
     Rfh,
     /// Register-file virtualization baseline.
@@ -62,18 +57,15 @@ pub enum DesignKind {
 impl DesignKind {
     /// The paper's main RegLess design point.
     pub fn regless_512() -> Self {
-        DesignKind::RegLess {
-            entries: 512,
-            compressor: true,
-        }
+        DesignKind::RegLess(RegLessConfig::paper_default())
     }
 
     /// The matching energy-model design.
     pub fn energy_design(&self) -> Design {
         match *self {
             DesignKind::Baseline => Design::Baseline,
-            DesignKind::RegLess { entries, .. } => Design::RegLess {
-                osu_entries_per_sm: entries,
+            DesignKind::RegLess(cfg) => Design::RegLess {
+                osu_entries_per_sm: cfg.osu_entries_per_sm,
             },
             DesignKind::Rfh => Design::Rfh,
             DesignKind::Rfv => Design::Rfv,
@@ -86,7 +78,7 @@ impl DesignKind {
     /// profiles and reports record).
     pub fn osu_capacity(&self) -> usize {
         match *self {
-            DesignKind::RegLess { entries, .. } => entries,
+            DesignKind::RegLess(cfg) => cfg.osu_entries_per_sm,
             _ => 0,
         }
     }
@@ -99,12 +91,13 @@ impl DesignKind {
     /// OSU is too small for `gpu`'s shape.
     pub fn check(&self, gpu: &GpuConfig) -> Result<(), String> {
         match *self {
-            DesignKind::RegLess { entries, .. } => RegLessConfig::with_capacity(entries).check(gpu),
+            DesignKind::RegLess(cfg) => cfg.check(gpu),
             _ => Ok(()),
         }
     }
 
-    /// Compile `kernel` for this design, build its machine on `gpu` (with
+    /// Compile `kernel` for this design (renumbered first when a RegLess
+    /// configuration sets `renumber`), build its machine on `gpu` (with
     /// the design's scheduler override), apply `attach` and run. This is
     /// the one place that knows how to run each design.
     ///
@@ -144,14 +137,9 @@ impl DesignKind {
             DesignKind::Baseline => {
                 run_machine(kernel, gpu, &regions, attach, |_, _, _| BaselineRf::new())
             }
-            DesignKind::RegLess {
-                entries,
-                compressor,
-            } => {
-                let cfg = RegLessConfig {
-                    compressor_enabled: compressor,
-                    ..RegLessConfig::with_capacity(entries)
-                };
+            DesignKind::RegLess(cfg) => {
+                let renumbered = cfg.renumber.then(|| renumber_for_banks(kernel).0);
+                let kernel = renumbered.as_ref().unwrap_or(kernel);
                 run_machine(
                     kernel,
                     gpu,
@@ -286,67 +274,6 @@ pub fn energy_of(report: &RunReport, design: DesignKind) -> EnergyBreakdown {
     energy(report, design.energy_design(), &eval_gpu())
 }
 
-/// Fine-grained RegLess run options for the ablation benches.
-#[derive(Clone, Copy, PartialEq, Eq, Hash, Debug)]
-pub struct ReglessRunOpts {
-    /// OSU entries per SM.
-    pub entries: usize,
-    /// Compressor present.
-    pub compressor: bool,
-    /// Warp re-activation order.
-    pub order: regless_core::ActivationOrder,
-    /// Override the derived region configuration (ablations on region
-    /// creation); `None` uses [`RegLessConfig::region_config`].
-    pub region_override: Option<RegionConfig>,
-    /// Compressor pattern subset.
-    pub patterns: regless_core::PatternSet,
-    /// Apply the bank-aware register renumbering pass before compiling
-    /// (paper §5.2).
-    pub renumber: bool,
-}
-
-impl Default for ReglessRunOpts {
-    fn default() -> Self {
-        ReglessRunOpts {
-            entries: 512,
-            compressor: true,
-            order: regless_core::ActivationOrder::Lifo,
-            region_override: None,
-            patterns: regless_core::PatternSet::Full,
-            renumber: false,
-        }
-    }
-}
-
-/// Run RegLess with explicit options.
-///
-/// # Panics
-///
-/// Panics on compile errors or simulation timeouts.
-pub fn run_regless_opts(kernel: &Kernel, opts: ReglessRunOpts) -> RunReport {
-    let gpu = eval_gpu();
-    let cfg = RegLessConfig {
-        compressor_enabled: opts.compressor,
-        activation_order: opts.order,
-        compressor_patterns: opts.patterns,
-        ..RegLessConfig::with_capacity(opts.entries)
-    };
-    let rc = opts
-        .region_override
-        .unwrap_or_else(|| cfg.region_config(&gpu));
-    let renumbered;
-    let kernel = if opts.renumber {
-        renumbered = regless_compiler::renumber_for_banks(kernel).0;
-        &renumbered
-    } else {
-        kernel
-    };
-    run_machine(kernel, gpu, &rc, &Attach::default(), |sm, gpu, c| {
-        RegLessBackend::new(sm, gpu, &cfg, c)
-    })
-    .unwrap_or_else(|e| panic!("{opts:?}: {e}"))
-}
-
 /// Compile a benchmark with the default (baseline-study) region config.
 pub fn compile_default(kernel: &Kernel) -> CompiledKernel {
     compile(kernel, &RegionConfig::default()).expect("compile")
@@ -455,10 +382,10 @@ mod tests {
         let base = run_design(&kernel, DesignKind::Baseline);
         for d in [
             DesignKind::regless_512(),
-            DesignKind::RegLess {
-                entries: 512,
-                compressor: false,
-            },
+            DesignKind::RegLess(RegLessConfig {
+                compressor_enabled: false,
+                ..RegLessConfig::paper_default()
+            }),
             DesignKind::Rfh,
             DesignKind::Rfv,
             DesignKind::RegDem,

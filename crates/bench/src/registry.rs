@@ -11,6 +11,7 @@
 //! table; DESIGN.md §17 documents how to add an entry.
 
 use crate::DesignKind;
+use regless_core::RegLessConfig;
 use regless_json::{Json, ToJson};
 
 /// How battle-tested a registry entry is.
@@ -162,9 +163,11 @@ static ENTRIES: &[DesignEntry] = &[
         stability: Stability::Stable,
         params: REGLESS_PARAMS,
         energy_model: "OSU banks + tags + compressor, no RF",
-        build: |p| DesignKind::RegLess {
-            entries: p.capacity,
-            compressor: p.compressor,
+        build: |p| {
+            DesignKind::RegLess(RegLessConfig {
+                compressor_enabled: p.compressor,
+                ..RegLessConfig::with_capacity(p.capacity)
+            })
         },
     },
     DesignEntry {
@@ -174,9 +177,11 @@ static ENTRIES: &[DesignEntry] = &[
         stability: Stability::Stable,
         params: REGLESS_NC_PARAMS,
         energy_model: "OSU banks + tags, no compressor",
-        build: |p| DesignKind::RegLess {
-            entries: p.capacity,
-            compressor: false,
+        build: |p| {
+            DesignKind::RegLess(RegLessConfig {
+                compressor_enabled: false,
+                ..RegLessConfig::with_capacity(p.capacity)
+            })
         },
     },
     DesignEntry {
@@ -247,21 +252,22 @@ pub fn resolve(id: &str, params: &DesignParams) -> Result<DesignKind, String> {
 }
 
 /// The inverse of [`resolve`]: the id and parameters that build
-/// `design` (the cluster wire carries these).
+/// `design` (the cluster wire carries these). Only the OSU capacity and
+/// the compressor are parameters, so a RegLess design with another
+/// ablation setting maps to the `regless` or `regless-nc` design it
+/// varies.
 pub fn identify(design: DesignKind) -> (&'static str, DesignParams) {
-    let osu = |capacity, compressor| DesignParams {
-        capacity,
-        compressor,
-    };
     let fixed = DesignParams::default();
     match design {
         DesignKind::Baseline => ("baseline", fixed),
-        DesignKind::RegLess {
-            entries,
-            compressor,
-        } => {
+        DesignKind::RegLess(cfg) => {
+            let compressor = cfg.compressor_enabled;
             let id = if compressor { "regless" } else { "regless-nc" };
-            (id, osu(entries, compressor))
+            let params = DesignParams {
+                capacity: cfg.osu_entries_per_sm,
+                compressor,
+            };
+            (id, params)
         }
         DesignKind::Rfh => ("rfh", fixed),
         DesignKind::Rfv => ("rfv", fixed),
@@ -362,17 +368,17 @@ mod tests {
                     ..p
                 }
             ),
-            Ok(DesignKind::RegLess {
-                entries: 512,
-                compressor: false
-            })
+            Ok(DesignKind::RegLess(RegLessConfig {
+                compressor_enabled: false,
+                ..RegLessConfig::with_capacity(512)
+            }))
         );
         assert_eq!(
             resolve("regless-nc", &DesignParams { capacity: 256, ..p }),
-            Ok(DesignKind::RegLess {
-                entries: 256,
-                compressor: false
-            })
+            Ok(DesignKind::RegLess(RegLessConfig {
+                compressor_enabled: false,
+                ..RegLessConfig::with_capacity(256)
+            }))
         );
         assert_eq!(resolve("regdem", &p), Ok(DesignKind::RegDem));
         assert_eq!(resolve("compress-rf", &p), Ok(DesignKind::CompressRf));

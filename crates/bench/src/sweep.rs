@@ -14,9 +14,9 @@
 //! The in-memory key is `(benchmark id, canonical RunVariant)`. Benchmark
 //! ids are strings of the form `rodinia/<name>`, `micro/<name>`, or
 //! `special/high_pressure`. Variants are canonicalized before lookup so
-//! differently-phrased but identical runs share one entry (e.g. default
-//! [`ReglessRunOpts`] is the same run as `DesignKind::RegLess { 512 }`,
-//! and the GTO scheduler study point is the baseline design).
+//! differently-phrased but identical runs share one entry (e.g. the GTO
+//! scheduler study point is the baseline design, and the single-issue
+//! RegLess point of the issue-width study is `DesignKind::regless_512()`).
 //!
 //! # Invalidation
 //!
@@ -32,7 +32,7 @@
 //! entries but still writes fresh ones (and memoizes in memory), and
 //! `REGLESS_SWEEP_DIR` overrides the `results/cache` location.
 
-use crate::{eval_gpu, run_regless_opts, run_throttled, Attach, DesignKind, ReglessRunOpts};
+use crate::{eval_gpu, run_throttled, Attach, DesignKind};
 use regless_baselines::Throttle;
 use regless_sim::{GpuConfig, RunReport, SchedulerKind};
 use regless_telemetry::{Log2Histogram, ProgressMeter, SelfProfiler};
@@ -59,15 +59,16 @@ use std::sync::{Arc, Mutex, OnceLock};
 /// v6: `DesignKind::RegLessNoCompressor` folded into `DesignKind::RegLess`
 /// with a `compressor` field, which changes every RegLess variant's
 /// `Debug` key.
-const CACHE_FORMAT_VERSION: u32 = 6;
+/// v7: `DesignKind::RegLess` carries a whole `RegLessConfig` (the
+/// ablation runs are RegLess designs too), which changes every RegLess
+/// variant's `Debug` key again.
+const CACHE_FORMAT_VERSION: u32 = 7;
 
 /// One simulation the engine knows how to run and key.
 #[derive(Clone, Copy, PartialEq, Eq, Hash, Debug)]
 pub enum RunVariant {
     /// A storage design on the evaluation machine ([`crate::run_design`]).
     Design(DesignKind),
-    /// RegLess with explicit options ([`run_regless_opts`]).
-    Opts(ReglessRunOpts),
     /// Baseline under an explicit warp scheduler.
     Scheduler(SchedulerKind),
     /// Conventional RF with occupancy capped by register allocation
@@ -84,23 +85,12 @@ pub enum RunVariant {
 }
 
 impl RunVariant {
-    /// Map equivalent phrasings of the same simulation onto one key, so
-    /// e.g. the ablations' default-options runs share cache entries with
-    /// the figures' `RegLess { 512 }` runs.
+    /// Map a study variant at its default setting onto the design it
+    /// equals, so e.g. the scheduler study's GTO runs share cache entries
+    /// with the figures' baseline runs.
     pub fn canonical(self) -> RunVariant {
         let eval = eval_gpu();
         match self {
-            RunVariant::Opts(o)
-                if o.region_override.is_none()
-                    && !o.renumber
-                    && o.order == regless_core::ActivationOrder::Lifo
-                    && o.patterns == regless_core::PatternSet::Full =>
-            {
-                RunVariant::Design(DesignKind::RegLess {
-                    entries: o.entries,
-                    compressor: o.compressor,
-                })
-            }
             RunVariant::Scheduler(k) if k == eval.scheduler => {
                 RunVariant::Design(DesignKind::Baseline)
             }
@@ -193,7 +183,6 @@ fn simulate(bench: &str, variant: RunVariant) -> RunReport {
                 ..eval
             },
         ),
-        RunVariant::Opts(o) => return run_regless_opts(&kernel, o),
         RunVariant::OccupancyLimited => {
             return run_throttled(&kernel, eval, Throttle::Occupancy, &attach).unwrap_or_else(fail)
         }
@@ -963,11 +952,6 @@ pub fn design(bench: &str, design: DesignKind) -> Arc<RunReport> {
     engine().run(bench, RunVariant::Design(design))
 }
 
-/// [`engine`]'s memoized [`run_regless_opts`].
-pub fn regless_opts(bench: &str, opts: ReglessRunOpts) -> Arc<RunReport> {
-    engine().run(bench, RunVariant::Opts(opts))
-}
-
 /// [`engine`]'s memoized baseline run under an explicit warp scheduler
 /// (Figure 2's GTO vs two-level comparison).
 pub fn baseline_with_scheduler(bench: &str, kind: SchedulerKind) -> Arc<RunReport> {
@@ -1141,21 +1125,6 @@ mod tests {
     #[test]
     fn canonicalization_merges_equivalent_runs() {
         assert_eq!(
-            RunVariant::Opts(ReglessRunOpts::default()).canonical(),
-            RunVariant::Design(DesignKind::regless_512())
-        );
-        assert_eq!(
-            RunVariant::Opts(ReglessRunOpts {
-                compressor: false,
-                ..Default::default()
-            })
-            .canonical(),
-            RunVariant::Design(DesignKind::RegLess {
-                entries: 512,
-                compressor: false
-            })
-        );
-        assert_eq!(
             RunVariant::Scheduler(SchedulerKind::Gto).canonical(),
             RunVariant::Design(DesignKind::Baseline)
         );
@@ -1167,12 +1136,7 @@ mod tests {
             .canonical(),
             RunVariant::Design(DesignKind::regless_512())
         );
-        // Non-default options must keep their own key.
-        let fifo = RunVariant::Opts(ReglessRunOpts {
-            order: regless_core::ActivationOrder::Fifo,
-            ..Default::default()
-        });
-        assert_eq!(fifo.canonical(), fifo);
+        // Non-default settings must keep their own key.
         assert_eq!(
             RunVariant::IssueWidth {
                 width: 2,
@@ -1517,9 +1481,14 @@ mod tests {
     #[test]
     fn unit_hash_is_canonical_and_distinct() {
         // Equivalent phrasings hash identically (idempotency across a
-        // coordinator that speaks designs and a worker that ran opts).
+        // coordinator that speaks designs and a worker that ran a study
+        // variant).
+        let single_issue = RunVariant::IssueWidth {
+            width: 1,
+            regless: true,
+        };
         assert_eq!(
-            unit_hash("rodinia/nn", RunVariant::Opts(ReglessRunOpts::default())),
+            unit_hash("rodinia/nn", single_issue),
             unit_hash("rodinia/nn", RunVariant::Design(DesignKind::regless_512()))
         );
         // Distinct units hash apart.
@@ -1531,9 +1500,17 @@ mod tests {
             unit_hash("rodinia/nn", RunVariant::Design(DesignKind::Baseline)),
             unit_hash("rodinia/nn", RunVariant::Design(DesignKind::regless_512()))
         );
+        let fifo = DesignKind::RegLess(regless_core::RegLessConfig {
+            activation_order: regless_core::ActivationOrder::Fifo,
+            ..regless_core::RegLessConfig::paper_default()
+        });
+        assert_ne!(
+            unit_hash("rodinia/nn", RunVariant::Design(fifo)),
+            unit_hash("rodinia/nn", RunVariant::Design(DesignKind::regless_512()))
+        );
         // And the public slug matches what the disk cache would use.
         assert_eq!(
-            unit_slug("rodinia/nn", RunVariant::Opts(ReglessRunOpts::default())),
+            unit_slug("rodinia/nn", single_issue),
             entry_slug("rodinia/nn", RunVariant::Design(DesignKind::regless_512()))
         );
     }

@@ -25,6 +25,10 @@ struct QueuedPreload {
     invalidate: bool,
 }
 
+/// Compressed-line cache entries per shard compressor (Table 1 lists 48
+/// lines per SM, across its four shards).
+const COMPRESSOR_LINES_PER_SHARD: usize = 12;
+
 // `Shard::queued_banks` holds one bit per OSU bank.
 const _: () = assert!(NUM_BANKS <= u8::BITS as usize);
 
@@ -223,7 +227,7 @@ impl RegLessBackend {
                     ),
                     osu: Osu::new(lines_per_bank, gpu.warps_per_sm),
                     compressor: Compressor::with_patterns(
-                        config.compressor_lines_per_shard,
+                        COMPRESSOR_LINES_PER_SHARD,
                         gpu.warps_per_sm,
                         config.compressor_enabled,
                         config.compressor_patterns,

@@ -7,18 +7,18 @@ use regless_sim::GpuConfig;
 /// one bank, the widest single instruction.
 const MIN_LINES_PER_BANK: usize = 4;
 
-/// Sizing of the RegLess structures in one SM.
+/// Sizing and policy of the RegLess structures in one SM, and the
+/// compiler settings RegLess compiles its kernels with.
 ///
 /// The paper's chosen design point is 512 OSU entries per SM — 25 % of the
 /// baseline 2048-entry register file — split across the four scheduler
-/// shards into 8-bank OSUs of 16 lines each.
-#[derive(Clone, Copy, PartialEq, Eq, Debug)]
+/// shards into 8-bank OSUs of 16 lines each. The other fields are the
+/// paper's choices, which the §6.5 ablations and §5.2's renumbering study
+/// vary one at a time.
+#[derive(Clone, Copy, PartialEq, Eq, Hash, Debug)]
 pub struct RegLessConfig {
     /// Total OSU registers (128-byte lines) per SM, across all shards.
     pub osu_entries_per_sm: usize,
-    /// Compressed-line cache entries per shard compressor (Table 1 lists
-    /// 48 lines per SM).
-    pub compressor_lines_per_shard: usize,
     /// Whether the compressor is present (the Figure 16 ablation removes
     /// it).
     pub compressor_enabled: bool,
@@ -27,17 +27,30 @@ pub struct RegLessConfig {
     pub activation_order: crate::cm::ActivationOrder,
     /// Pattern subset the compressor matches (ablation).
     pub compressor_patterns: crate::compressor::PatternSet,
+    /// Minimum region length in instructions
+    /// ([`RegionConfig::min_region_insns`]).
+    pub min_region_insns: usize,
+    /// Whether a global load and its first use go to separate regions
+    /// ([`RegionConfig::split_load_use`]).
+    pub split_load_use: bool,
+    /// Apply the bank-aware register renumbering pass
+    /// ([`regless_compiler::renumber_for_banks`], paper §5.2) before
+    /// compiling.
+    pub renumber: bool,
 }
 
 impl RegLessConfig {
     /// The paper's 512-entry design point.
     pub fn paper_default() -> Self {
+        let regions = RegionConfig::default();
         RegLessConfig {
             osu_entries_per_sm: 512,
-            compressor_lines_per_shard: 12,
             compressor_enabled: true,
             activation_order: crate::cm::ActivationOrder::Lifo,
             compressor_patterns: crate::compressor::PatternSet::Full,
+            min_region_insns: regions.min_region_insns,
+            split_load_use: regions.split_load_use,
+            renumber: false,
         }
     }
 
@@ -101,7 +114,8 @@ impl RegLessConfig {
     /// claim at most half a bank (minimum 4 registers, the widest single
     /// instruction) and at most an eighth of the shard's lines, "so that
     /// one region cannot take up too large a fraction of the OSU and limit
-    /// concurrency" (paper §4.2).
+    /// concurrency" (paper §4.2). The minimum region length and load/use
+    /// splitting come from this configuration.
     ///
     /// # Panics
     ///
@@ -115,7 +129,8 @@ impl RegLessConfig {
         RegionConfig {
             max_regs_per_region: (per_shard / 8).clamp(5, 24),
             max_regs_per_bank: (lines_per_bank / 2).clamp(MIN_LINES_PER_BANK, lines_per_bank),
-            ..RegionConfig::default()
+            min_region_insns: self.min_region_insns,
+            split_load_use: self.split_load_use,
         }
     }
 }
@@ -128,10 +143,12 @@ impl Default for RegLessConfig {
 
 regless_json::impl_json_struct!(RegLessConfig {
     osu_entries_per_sm,
-    compressor_lines_per_shard,
     compressor_enabled,
     activation_order,
     compressor_patterns,
+    min_region_insns,
+    split_load_use,
+    renumber,
 });
 
 #[cfg(test)]

@@ -7,29 +7,11 @@
 //! size of the register file it replaces, and a pattern **compressor**
 //! ([`Compressor`]) that shrinks registers spilled through the L1.
 //!
-//! [`RegLessSim`] wires these into the `regless-sim` pipeline:
-//!
-//! ```
-//! use regless_core::{RegLessConfig, RegLessSim};
-//! use regless_compiler::compile;
-//! use regless_isa::KernelBuilder;
-//! use regless_sim::GpuConfig;
-//!
-//! let mut b = KernelBuilder::new("triple");
-//! let i = b.thread_idx();
-//! let t = b.movi(3);
-//! let v = b.imul(i, t);
-//! b.st_global(v, i);
-//! b.exit();
-//! let kernel = b.finish()?;
-//!
-//! let gpu = GpuConfig::test_small();
-//! let rl = RegLessConfig::paper_default();
-//! let compiled = compile(&kernel, &rl.region_config(&gpu))?;
-//! let report = RegLessSim::new(gpu, rl, compiled).run()?;
-//! assert_eq!(report.total().insns, 8 * 5);
-//! # Ok::<(), Box<dyn std::error::Error>>(())
-//! ```
+//! [`RegLessBackend`] wires these into the `regless-sim` pipeline, one per
+//! SM, for a kernel compiled with [`RegLessConfig::region_config`]. To run
+//! a kernel under RegLess, call `regless_bench::DesignKind::execute` on
+//! `DesignKind::RegLess(config)`: it compiles, builds the machine and
+//! attaches telemetry, the self profiler or a cancellation token.
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
 
@@ -50,101 +32,28 @@ pub use config::RegLessConfig;
 pub use osu::{runtime_bank, EvictedLine, InstallResult, Osu};
 pub use regmem::{RegisterBacking, RegisterMemoryMap, REG_LINE_BYTES};
 
-use regless_compiler::CompiledKernel;
-use regless_sim::{GpuConfig, Machine, RunReport, SimError};
-use std::sync::Arc;
-
-/// A complete RegLess GPU simulation: the `regless-sim` pipeline with the
-/// RegLess backend on every SM.
-pub struct RegLessSim {
-    machine: Machine<RegLessBackend>,
-}
-
-impl RegLessSim {
-    /// Build a simulation of `compiled` on `gpu` with RegLess structures
-    /// sized by `config`.
-    ///
-    /// The kernel must have been compiled with region limits that fit the
-    /// OSU ([`RegLessConfig::region_config`]).
-    ///
-    /// # Panics
-    ///
-    /// Panics if the kernel's region limits exceed the OSU bank size.
-    pub fn new(gpu: GpuConfig, config: RegLessConfig, compiled: CompiledKernel) -> Self {
-        let compiled = Arc::new(compiled);
-        let machine = Machine::new(gpu, Arc::clone(&compiled), |sm| {
-            RegLessBackend::new(sm, &gpu, &config, Arc::clone(&compiled))
-        });
-        RegLessSim { machine }
-    }
-
-    /// Run to completion.
-    ///
-    /// # Errors
-    ///
-    /// Returns [`SimError`] if the cycle limit is exceeded.
-    pub fn run(self) -> Result<RunReport, SimError> {
-        self.machine.run()
-    }
-
-    /// Attach a telemetry recorder to every SM (see
-    /// [`Machine::attach_telemetry`]); the merged telemetry comes back in
-    /// [`RunReport::telemetry`].
-    pub fn attach_telemetry(&mut self, events_per_sm: usize) {
-        self.machine.attach_telemetry(events_per_sm);
-    }
-
-    /// Attach a cooperative cancellation token (see
-    /// [`Machine::set_cancel_token`]): the run returns
-    /// [`regless_sim::SimError::Cancelled`] once it trips.
-    pub fn set_cancel_token(&mut self, token: regless_sim::CancelToken) {
-        self.machine.set_cancel_token(token);
-    }
-
-    /// Force the stepped (cycle-by-cycle) run loop instead of the
-    /// event-driven fast path (see [`Machine::set_stepped`]). Both paths
-    /// produce byte-identical reports; the stepped loop is the
-    /// differential-testing reference.
-    pub fn set_stepped(&mut self, stepped: bool) {
-        self.machine.set_stepped(stepped);
-    }
-
-    /// Attach a shared host-side self profiler (see
-    /// [`Machine::attach_self_profiler`]): the run loop records where its
-    /// own wall time goes, and the caller keeps the handle to render the
-    /// breakdown. Simulated results are byte-identical either way.
-    pub fn attach_self_profiler(&mut self, prof: std::sync::Arc<regless_telemetry::SelfProfiler>) {
-        self.machine.attach_self_profiler(prof);
-    }
-}
-
-/// Compile a kernel with limits matched to `config` and run it under
-/// RegLess in one call.
-///
-/// # Errors
-///
-/// Returns a boxed error for compile failures or simulation timeouts.
-pub fn run_regless(
-    gpu: GpuConfig,
-    config: RegLessConfig,
-    kernel: &regless_isa::Kernel,
-) -> Result<RunReport, Box<dyn std::error::Error>> {
-    let compiled = regless_compiler::compile(kernel, &config.region_config(&gpu))?;
-    Ok(RegLessSim::new(gpu, config, compiled).run()?)
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
-    use regless_isa::{KernelBuilder, Opcode};
-    use regless_sim::{run_baseline, GpuConfig};
+    use regless_compiler::{compile, RegionConfig};
+    use regless_isa::{Kernel, KernelBuilder, Opcode};
+    use regless_sim::{run_baseline, GpuConfig, Machine, OperandBackend, RunReport};
+    use std::sync::Arc;
 
     fn gpu() -> GpuConfig {
         GpuConfig::test_small()
     }
 
-    fn run(kernel: &regless_isa::Kernel) -> RunReport {
-        run_regless(gpu(), RegLessConfig::paper_default(), kernel).expect("runs")
+    /// Compile `kernel` for the paper's design point and run it with a
+    /// RegLess backend on every SM.
+    fn run(kernel: &Kernel) -> RunReport {
+        let gpu = gpu();
+        let config = RegLessConfig::paper_default();
+        let compiled = Arc::new(compile(kernel, &config.region_config(&gpu)).expect("compiles"));
+        let machine = Machine::new(gpu, Arc::clone(&compiled), |sm| {
+            RegLessBackend::new(sm, &gpu, &config, Arc::clone(&compiled))
+        });
+        RegLessBackend::run_machine(machine).expect("runs")
     }
 
     #[test]
@@ -271,12 +180,8 @@ mod tests {
         b.exit();
         let k = b.finish().unwrap();
 
-        let rl = RegLessConfig::paper_default();
-        let compiled_rl = regless_compiler::compile(&k, &rl.region_config(&gpu())).unwrap();
-        let regless = RegLessSim::new(gpu(), rl, compiled_rl).run().unwrap();
-        let compiled_base = std::sync::Arc::new(
-            regless_compiler::compile(&k, &regless_compiler::RegionConfig::default()).unwrap(),
-        );
+        let regless = run(&k);
+        let compiled_base = Arc::new(compile(&k, &RegionConfig::default()).unwrap());
         let baseline = run_baseline(gpu(), compiled_base).unwrap();
         let ratio = regless.cycles as f64 / baseline.cycles as f64;
         assert!(

@@ -6,21 +6,20 @@
 //! cargo run --release --example capacity_sweep [benchmark]
 //! ```
 
-use regless::compiler::compile;
-use regless::core::{RegLessConfig, RegLessSim};
-use regless::energy::{energy, Design};
-use regless::sim::{run_baseline, GpuConfig};
+use regless::bench::{Attach, DesignKind};
+use regless::core::RegLessConfig;
+use regless::energy::energy;
+use regless::sim::GpuConfig;
 use regless::workloads::rodinia;
-use std::sync::Arc;
 
 fn main() -> Result<(), Box<dyn std::error::Error>> {
     let name = std::env::args().nth(1).unwrap_or_else(|| "srad_v2".into());
     let kernel = rodinia::kernel(&name);
     let gpu = GpuConfig::gtx980_single_sm();
 
-    let compiled = compile(&kernel, &regless::compiler::RegionConfig::default())?;
-    let baseline = run_baseline(gpu, Arc::new(compiled))?;
-    let base_energy = energy(&baseline, Design::Baseline, &gpu).total_pj();
+    let run = |design: DesignKind| design.execute(&kernel, gpu, &Attach::default());
+    let baseline = run(DesignKind::Baseline)?;
+    let base_energy = energy(&baseline, DesignKind::Baseline.energy_design(), &gpu).total_pj();
     println!(
         "benchmark `{name}`: baseline {} cycles; sweeping OSU capacity\n",
         baseline.cycles
@@ -31,16 +30,9 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
     );
 
     for entries in [128, 192, 256, 384, 512, 1024, 2048] {
-        let cfg = RegLessConfig::with_capacity(entries);
-        let compiled = compile(&kernel, &cfg.region_config(&gpu))?;
-        let report = RegLessSim::new(gpu, cfg, compiled).run()?;
-        let e = energy(
-            &report,
-            Design::RegLess {
-                osu_entries_per_sm: entries,
-            },
-            &gpu,
-        );
+        let design = DesignKind::RegLess(RegLessConfig::with_capacity(entries));
+        let report = run(design)?;
+        let e = energy(&report, design.energy_design(), &gpu);
         println!(
             "{:>10} {:>11}% {:>11.3}x {:>13.3}x",
             entries,

@@ -5,8 +5,9 @@
 //! cargo run --release --example custom_asm
 //! ```
 
+use regless::bench::{Attach, DesignKind};
 use regless::compiler::compile;
-use regless::core::{RegLessConfig, RegLessSim};
+use regless::core::RegLessConfig;
 use regless::isa::text::{format_kernel, parse_kernel};
 use regless::sim::GpuConfig;
 
@@ -58,7 +59,7 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
         );
     }
 
-    let report = RegLessSim::new(gpu, osu, compiled).run()?;
+    let report = DesignKind::RegLess(osu).execute(&kernel, gpu, &Attach::default())?;
     print_report(report);
     Ok(())
 }

@@ -6,8 +6,9 @@
 //! cargo run --release --example quickstart
 //! ```
 
+use regless::bench::{Attach, DesignKind};
 use regless::compiler::compile;
-use regless::core::{RegLessConfig, RegLessSim};
+use regless::core::RegLessConfig;
 use regless::isa::KernelBuilder;
 use regless::sim::GpuConfig;
 
@@ -30,7 +31,8 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
     let gpu = GpuConfig::gtx980_single_sm();
     let osu = RegLessConfig::paper_default();
 
-    // Compile with region limits matched to the staging unit's shape.
+    // Compile with region limits matched to the staging unit's shape (the
+    // run below compiles the same way).
     let compiled = compile(&kernel, &osu.region_config(&gpu))?;
     println!("kernel `{}`:", kernel.name());
     for region in compiled.regions() {
@@ -45,7 +47,7 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
     }
 
     // Run it.
-    let report = RegLessSim::new(gpu, osu, compiled).run()?;
+    let report = DesignKind::RegLess(osu).execute(&kernel, gpu, &Attach::default())?;
     let t = report.total();
     println!(
         "\nran {} instructions in {} cycles (IPC {:.2})",

@@ -5,12 +5,10 @@
 //! cargo run --release --example trace_timeline [benchmark] [warp]
 //! ```
 
-use regless::compiler::compile;
-use regless::core::{RegLessBackend, RegLessConfig};
+use regless::bench::{Attach, DesignKind};
 use regless::sim::telemetry::Lane;
-use regless::sim::{GpuConfig, Machine};
+use regless::sim::GpuConfig;
 use regless::workloads::rodinia;
-use std::sync::Arc;
 
 fn main() -> Result<(), Box<dyn std::error::Error>> {
     let name = std::env::args().nth(1).unwrap_or_else(|| "kmeans".into());
@@ -20,14 +18,11 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
         .unwrap_or(0);
     let kernel = rodinia::kernel(&name);
     let gpu = GpuConfig::gtx980_single_sm();
-    let cfg = RegLessConfig::paper_default();
-    let compiled = Arc::new(compile(&kernel, &cfg.region_config(&gpu))?);
-
-    let mut machine = Machine::new(gpu, Arc::clone(&compiled), |sm| {
-        RegLessBackend::new(sm, &gpu, &cfg, Arc::clone(&compiled))
-    });
-    machine.attach_telemetry(200_000);
-    let report = machine.run()?;
+    let attach = Attach {
+        telemetry: Some(200_000),
+        ..Attach::default()
+    };
+    let report = DesignKind::regless_512().execute(&kernel, gpu, &attach)?;
 
     let telemetry = report.telemetry.as_ref().expect("telemetry attached");
     println!(

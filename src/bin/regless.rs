@@ -111,6 +111,7 @@ use regless::bench::registry::{self, DesignParams};
 use regless::bench::report::collect as report_collect;
 use regless::bench::{eval_gpu, Attach, DesignKind};
 use regless::compiler::{compile, RegionConfig};
+use regless::core::RegLessConfig;
 use regless::energy::energy;
 use regless::isa::text::{format_kernel, parse_kernel};
 use regless::isa::Kernel;
@@ -1146,10 +1147,7 @@ fn cmd_sweep(args: &[String]) -> CmdResult {
     );
     let base_e = energy(&base, DesignKind::Baseline.energy_design(), &gpu).total_pj();
     for entries in [128, 192, 256, 384, 512, 1024, 2048] {
-        let design = DesignKind::RegLess {
-            entries,
-            compressor: true,
-        };
+        let design = DesignKind::RegLess(RegLessConfig::with_capacity(entries));
         let r = run(design)?;
         let e = energy(&r, design.energy_design(), &gpu);
         println!(

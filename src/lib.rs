@@ -35,18 +35,17 @@
 //! ## Quickstart
 //!
 //! ```
-//! use regless::workloads::rodinia;
-//! use regless::compiler::compile;
-//! use regless::core::{RegLessConfig, RegLessSim};
+//! use regless::bench::{Attach, DesignKind};
+//! use regless::core::RegLessConfig;
 //! use regless::sim::GpuConfig;
+//! use regless::workloads::rodinia;
 //!
 //! // Build a benchmark kernel, compile it into regions sized for the
 //! // staging unit, and run it on a RegLess-enabled SM.
 //! let kernel = rodinia::pathfinder();
 //! let gpu = GpuConfig::test_small();
 //! let osu = RegLessConfig::paper_default();
-//! let compiled = compile(&kernel, &osu.region_config(&gpu))?;
-//! let report = RegLessSim::new(gpu, osu, compiled).run()?;
+//! let report = DesignKind::RegLess(osu).execute(&kernel, gpu, &Attach::default())?;
 //! assert!(report.cycles > 0);
 //! # Ok::<(), Box<dyn std::error::Error>>(())
 //! ```

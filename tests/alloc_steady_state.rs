@@ -10,6 +10,7 @@
 
 use regless::bench::registry;
 use regless::bench::{run_design, DesignKind};
+use regless::core::RegLessConfig;
 use regless::workloads::micro;
 use std::alloc::{GlobalAlloc, Layout, System};
 use std::sync::atomic::{AtomicU64, Ordering};
@@ -57,10 +58,7 @@ fn allocations_do_not_grow_with_run_length() {
         .collect();
     designs.push((
         "regless@128".to_string(),
-        DesignKind::RegLess {
-            entries: 128,
-            compressor: true,
-        },
+        DesignKind::RegLess(RegLessConfig::with_capacity(128)),
     ));
     for (id, design) in designs {
         let (short_allocs, short_cycles) = allocations(4, design);

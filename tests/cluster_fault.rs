@@ -14,6 +14,7 @@ use regless::bench::DesignKind;
 use regless::cluster::{
     merge, run_worker, units_for, Coordinator, CoordinatorConfig, WorkerConfig,
 };
+use regless::core::RegLessConfig;
 use std::sync::Arc;
 use std::time::Duration;
 
@@ -28,10 +29,7 @@ fn space() -> Vec<regless::cluster::WorkUnit> {
         ],
         &[
             DesignKind::Baseline,
-            DesignKind::RegLess {
-                entries: 256,
-                compressor: true,
-            },
+            DesignKind::RegLess(RegLessConfig::with_capacity(256)),
         ],
     )
 }

@@ -7,8 +7,7 @@ use proptest::prelude::*;
 use regless::bench::profile::{diff, ProfileReport};
 use regless::bench::registry::{self, DesignParams};
 use regless::bench::{Attach, DesignKind};
-use regless::compiler::compile;
-use regless::core::{RegLessConfig, RegLessSim};
+use regless::core::RegLessConfig;
 use regless::isa::text::parse_kernel;
 use regless::isa::Kernel;
 use regless::sim::{GpuConfig, IssueStack, RunReport, StallReason};
@@ -112,10 +111,7 @@ proptest! {
 #[test]
 fn stack_merge_is_associative_over_sms() {
     let kernel = micro::streaming(6);
-    let regless = DesignKind::RegLess {
-        entries: 256,
-        compressor: true,
-    };
+    let regless = DesignKind::RegLess(RegLessConfig::with_capacity(256));
     let report = run_small(&kernel, regless);
     let total = report.issue_stack();
     let mut left_fold = IssueStack::new();
@@ -136,10 +132,9 @@ fn saxpy_profile() -> ProfileReport {
     let text = std::fs::read_to_string(concat!(env!("CARGO_MANIFEST_DIR"), "/kernels/saxpy.asm"))
         .expect("kernels/saxpy.asm is checked in");
     let kernel = parse_kernel(&text).expect("saxpy parses");
-    let gpu = GpuConfig::gtx980_single_sm();
-    let cfg = RegLessConfig::with_capacity(512);
-    let compiled = compile(&kernel, &cfg.region_config(&gpu)).expect("compiles");
-    let report = RegLessSim::new(gpu, cfg, compiled).run().expect("runs");
+    let report = DesignKind::regless_512()
+        .execute(&kernel, GpuConfig::gtx980_single_sm(), &Attach::default())
+        .expect("runs");
     ProfileReport::collect(&report, kernel.name(), "regless", 512)
 }
 
@@ -177,9 +172,9 @@ fn capacity_squeeze_moves_staging_stalls_and_trips_the_diff_gate() {
     let kernel = high_pressure_kernel();
     let gpu = GpuConfig::gtx980_single_sm();
     let run_at = |entries: usize| {
-        let cfg = RegLessConfig::with_capacity(entries);
-        let compiled = compile(&kernel, &cfg.region_config(&gpu)).expect("compiles");
-        let report = RegLessSim::new(gpu, cfg, compiled).run().expect("runs");
+        let report = DesignKind::RegLess(RegLessConfig::with_capacity(entries))
+            .execute(&kernel, gpu, &Attach::default())
+            .expect("runs");
         ProfileReport::collect(&report, kernel.name(), "regless", entries)
     };
     let big = run_at(512);
@@ -243,11 +238,13 @@ fn injected_ipc_regression_trips_the_five_percent_gate() {
 fn telemetry_counters_carry_the_cpi_stack() {
     let kernel = micro::streaming(6);
     let gpu = GpuConfig::test_small();
-    let cfg = RegLessConfig::with_capacity(256);
-    let compiled = compile(&kernel, &cfg.region_config(&gpu)).expect("compiles");
-    let mut sim = RegLessSim::new(gpu, cfg, compiled);
-    sim.attach_telemetry(1 << 16);
-    let report = sim.run().expect("runs");
+    let attach = Attach {
+        telemetry: Some(1 << 16),
+        ..Attach::default()
+    };
+    let report = DesignKind::RegLess(RegLessConfig::with_capacity(256))
+        .execute(&kernel, gpu, &attach)
+        .expect("runs");
     let telemetry = report.telemetry.as_ref().expect("telemetry attached");
     let mut total = 0u64;
     for reason in StallReason::ALL {

@@ -3,8 +3,9 @@
 
 use regless::bench::{Attach, DesignKind};
 use regless::compiler::{compile, RegionConfig};
-use regless::core::{RegLessConfig, RegLessSim};
-use regless::sim::{run_baseline, GpuConfig};
+use regless::core::RegLessConfig;
+use regless::isa::Kernel;
+use regless::sim::{run_baseline, GpuConfig, RunReport};
 use regless::workloads::rodinia;
 use std::sync::Arc;
 
@@ -17,6 +18,12 @@ fn gpu() -> GpuConfig {
     }
 }
 
+fn regless_run(kernel: &Kernel, cfg: RegLessConfig) -> RunReport {
+    DesignKind::RegLess(cfg)
+        .execute(kernel, gpu(), &Attach::default())
+        .unwrap()
+}
+
 #[test]
 fn all_designs_execute_identical_instruction_streams() {
     for name in ["nn", "bfs", "pathfinder"] {
@@ -26,14 +33,7 @@ fn all_designs_execute_identical_instruction_streams() {
         let run = |design: DesignKind| design.execute(&kernel, gpu(), &Attach::default()).unwrap();
         let rfh = run(DesignKind::Rfh);
         let rfv = run(DesignKind::Rfv);
-        let rl_cfg = RegLessConfig::paper_default();
-        let rl = RegLessSim::new(
-            gpu(),
-            rl_cfg,
-            compile(&kernel, &rl_cfg.region_config(&gpu())).unwrap(),
-        )
-        .run()
-        .unwrap();
+        let rl = run(DesignKind::regless_512());
         let expect = base.total().insns;
         assert!(expect > 0);
         for (label, got) in [
@@ -49,11 +49,10 @@ fn all_designs_execute_identical_instruction_streams() {
 #[test]
 fn regless_replaces_rf_accesses_with_osu_accesses() {
     let kernel = rodinia::kernel("kmeans");
-    let rl_cfg = RegLessConfig::paper_default();
-    let compiled = compile(&kernel, &rl_cfg.region_config(&gpu())).unwrap();
-    let rl = RegLessSim::new(gpu(), rl_cfg, compiled.clone())
-        .run()
-        .unwrap();
+    let rl = regless_run(&kernel, RegLessConfig::paper_default());
+    // The baseline runs the same compiled kernel, regions and all.
+    let rl_regions = RegLessConfig::paper_default().region_config(&gpu());
+    let compiled = compile(&kernel, &rl_regions).unwrap();
     let base = run_baseline(gpu(), Arc::new(compiled)).unwrap();
     let (b, r) = (base.total(), rl.total());
     assert_eq!(r.rf_reads, 0, "RegLess has no register file");
@@ -67,9 +66,7 @@ fn regless_replaces_rf_accesses_with_osu_accesses() {
 #[test]
 fn regless_stats_are_internally_consistent() {
     let kernel = rodinia::kernel("backprop");
-    let rl_cfg = RegLessConfig::paper_default();
-    let compiled = compile(&kernel, &rl_cfg.region_config(&gpu())).unwrap();
-    let rl = RegLessSim::new(gpu(), rl_cfg, compiled).run().unwrap();
+    let rl = regless_run(&kernel, RegLessConfig::paper_default());
     let t = rl.total();
     // Every region activation preloaded its inputs through the tag ports.
     assert!(t.osu_tag_probes >= t.preloads_total());
@@ -87,11 +84,7 @@ fn regless_stats_are_internally_consistent() {
 #[test]
 fn simulations_are_deterministic() {
     let kernel = rodinia::kernel("srad_v2");
-    let rl_cfg = RegLessConfig::paper_default();
-    let run = || {
-        let compiled = compile(&kernel, &rl_cfg.region_config(&gpu())).unwrap();
-        RegLessSim::new(gpu(), rl_cfg, compiled).run().unwrap()
-    };
+    let run = || regless_run(&kernel, RegLessConfig::paper_default());
     let (a, b) = (run(), run());
     assert_eq!(a.cycles, b.cycles);
     assert_eq!(a.total().insns, b.total().insns);
@@ -149,9 +142,7 @@ fn shipped_asm_kernels_load_compile_and_run() {
         let path = entry.unwrap().path();
         let text = std::fs::read_to_string(&path).unwrap();
         let kernel = parse_kernel(&text).unwrap_or_else(|e| panic!("{}: {e}", path.display()));
-        let cfg = RegLessConfig::paper_default();
-        let compiled = compile(&kernel, &cfg.region_config(&gpu())).unwrap();
-        let report = RegLessSim::new(gpu(), cfg, compiled).run().unwrap();
+        let report = regless_run(&kernel, RegLessConfig::paper_default());
         assert!(report.total().insns > 0, "{}", path.display());
         assert_eq!(report.total().staging_mismatches, 0, "{}", path.display());
     }
@@ -164,9 +155,7 @@ fn small_capacities_run_correctly() {
     use regless::sim::interpret;
     let kernel = rodinia::kernel("nn");
     for entries in [128usize, 192, 256] {
-        let cfg = RegLessConfig::with_capacity(entries);
-        let compiled = compile(&kernel, &cfg.region_config(&gpu())).unwrap();
-        let report = RegLessSim::new(gpu(), cfg, compiled).run().unwrap();
+        let report = regless_run(&kernel, RegLessConfig::with_capacity(entries));
         assert_eq!(report.total().staging_mismatches, 0, "{entries} entries");
         let reference = interpret(&kernel, 0, 10_000_000).unwrap();
         assert_eq!(

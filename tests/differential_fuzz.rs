@@ -4,8 +4,8 @@
 //! divergence × draining × compression × capacity pressure.
 
 use proptest::prelude::*;
-use regless::compiler::compile;
-use regless::core::{RegLessConfig, RegLessSim};
+use regless::bench::{Attach, DesignKind};
+use regless::core::RegLessConfig;
 use regless::isa::{Kernel, KernelBuilder, Opcode, Reg};
 use regless::sim::{interpret, GpuConfig};
 
@@ -97,9 +97,9 @@ proptest! {
         capacity in prop_oneof![Just(256usize), Just(512)],
     ) {
         let kernel = build_kernel(&ops, trips, diamond);
-        let cfg = RegLessConfig::with_capacity(capacity);
-        let compiled = compile(&kernel, &cfg.region_config(&gpu())).expect("compiles");
-        let report = RegLessSim::new(gpu(), cfg, compiled).run().expect("terminates");
+        let report = DesignKind::RegLess(RegLessConfig::with_capacity(capacity))
+            .execute(&kernel, gpu(), &Attach::default())
+            .expect("terminates");
         prop_assert_eq!(
             report.total().staging_mismatches,
             0,

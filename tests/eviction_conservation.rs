@@ -7,8 +7,7 @@
 use proptest::prelude::*;
 use regless::bench::registry::{self, DesignParams};
 use regless::bench::{Attach, DesignKind};
-use regless::compiler::compile;
-use regless::core::{RegLessConfig, RegLessSim};
+use regless::core::RegLessConfig;
 use regless::isa::Kernel;
 use regless::sim::{EvictionReason, GpuConfig, RunReport};
 use regless::workloads::{high_pressure_kernel, micro};
@@ -82,10 +81,7 @@ proptest! {
 /// spills, so the law above is not vacuously `0 == 0`.
 #[test]
 fn the_taxonomy_is_exercised_not_vacuous() {
-    let regless = DesignKind::RegLess {
-        entries: 256,
-        compressor: true,
-    };
+    let regless = DesignKind::RegLess(RegLessConfig::with_capacity(256));
     let report = run_small(&micro::streaming(6), regless);
     assert!(
         report.total().osu_lines_evicted > 0,
@@ -100,11 +96,13 @@ fn the_taxonomy_is_exercised_not_vacuous() {
         "drains or dead-value reclaims must appear"
     );
 
-    let gpu = GpuConfig::gtx980_single_sm();
-    let kernel = high_pressure_kernel();
-    let cfg = RegLessConfig::with_capacity(128);
-    let compiled = compile(&kernel, &cfg.region_config(&gpu)).expect("compiles");
-    let squeezed = RegLessSim::new(gpu, cfg, compiled).run().expect("runs");
+    let squeezed = DesignKind::RegLess(RegLessConfig::with_capacity(128))
+        .execute(
+            &high_pressure_kernel(),
+            GpuConfig::gtx980_single_sm(),
+            &Attach::default(),
+        )
+        .expect("runs");
     assert_eviction_conservation(&squeezed);
     let stack = squeezed.eviction_stack();
     assert!(
@@ -120,15 +118,14 @@ fn the_taxonomy_is_exercised_not_vacuous() {
 #[test]
 fn recorder_attachment_does_not_change_eviction_accounting() {
     let kernel = micro::streaming(6);
-    let gpu = GpuConfig::test_small();
     let run = |record: bool| {
-        let cfg = RegLessConfig::with_capacity(256);
-        let compiled = compile(&kernel, &cfg.region_config(&gpu)).expect("compiles");
-        let mut sim = RegLessSim::new(gpu, cfg, compiled);
-        if record {
-            sim.attach_telemetry(1 << 16);
-        }
-        sim.run().expect("runs")
+        let attach = Attach {
+            telemetry: record.then_some(1 << 16),
+            ..Attach::default()
+        };
+        DesignKind::RegLess(RegLessConfig::with_capacity(256))
+            .execute(&kernel, GpuConfig::test_small(), &attach)
+            .expect("runs")
     };
     let plain = run(false);
     let recorded = run(true);

@@ -4,9 +4,8 @@
 //! hierarchy — must leave architectural state **bit-identical** to the
 //! timing-free functional interpreter.
 
-use regless::bench::{registry, Attach};
+use regless::bench::{registry, Attach, DesignKind};
 use regless::compiler::{compile, RegionConfig};
-use regless::core::{RegLessConfig, RegLessSim};
 use regless::sim::{interpret, run_baseline, GpuConfig, RunReport};
 use regless::workloads::rodinia;
 use std::sync::Arc;
@@ -53,9 +52,9 @@ fn baseline_matches_interpreter() {
 fn regless_matches_interpreter() {
     for name in ["nn", "bfs", "hybridsort", "hotspot", "myocyte"] {
         let kernel = rodinia::kernel(name);
-        let cfg = RegLessConfig::paper_default();
-        let compiled = compile(&kernel, &cfg.region_config(&gpu())).unwrap();
-        let report = RegLessSim::new(gpu(), cfg, compiled).run().unwrap();
+        let report = DesignKind::regless_512()
+            .execute(&kernel, gpu(), &Attach::default())
+            .unwrap();
         check_against_interpreter(name, &report, &kernel);
         // And the staged values the OSU handed out matched along the way.
         assert_eq!(
@@ -86,9 +85,9 @@ fn comparison_designs_match_interpreter() {
 fn microbenchmarks_match_interpreter() {
     use regless::workloads::micro;
     for kernel in micro::all() {
-        let cfg = RegLessConfig::paper_default();
-        let compiled = compile(&kernel, &cfg.region_config(&gpu())).unwrap();
-        let report = RegLessSim::new(gpu(), cfg, compiled).run().unwrap();
+        let report = DesignKind::regless_512()
+            .execute(&kernel, gpu(), &Attach::default())
+            .unwrap();
         check_against_interpreter(kernel.name(), &report, &kernel);
         assert_eq!(
             report.total().staging_mismatches,

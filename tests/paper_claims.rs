@@ -2,8 +2,9 @@
 //! reproduction, on a fast subset of the workloads (the full sweeps live in
 //! the `regless-bench` binaries).
 
+use regless::bench::{Attach, DesignKind};
 use regless::compiler::{compile, RegionConfig};
-use regless::core::{RegLessConfig, RegLessSim};
+use regless::core::RegLessConfig;
 use regless::energy::{baseline_rf_area, baseline_rf_share, energy, regless_area, Design};
 use regless::sim::{run_baseline, GpuConfig, SchedulerKind};
 use regless::workloads::rodinia;
@@ -36,14 +37,9 @@ fn claim_no_large_performance_loss() {
             Arc::new(compile(&kernel, &RegionConfig::default()).unwrap()),
         )
         .unwrap();
-        let cfg = RegLessConfig::paper_default();
-        let rl = RegLessSim::new(
-            gpu(),
-            cfg,
-            compile(&kernel, &cfg.region_config(&gpu())).unwrap(),
-        )
-        .run()
-        .unwrap();
+        let rl = DesignKind::regless_512()
+            .execute(&kernel, gpu(), &Attach::default())
+            .unwrap();
         ratios.push(rl.cycles as f64 / base.cycles as f64);
     }
     let geo = geomean(&ratios);
@@ -66,14 +62,9 @@ fn claim_energy_savings() {
             Arc::new(compile(&kernel, &RegionConfig::default()).unwrap()),
         )
         .unwrap();
-        let cfg = RegLessConfig::paper_default();
-        let rl = RegLessSim::new(
-            gpu(),
-            cfg,
-            compile(&kernel, &cfg.region_config(&gpu())).unwrap(),
-        )
-        .run()
-        .unwrap();
+        let rl = DesignKind::regless_512()
+            .execute(&kernel, gpu(), &Attach::default())
+            .unwrap();
         let eb = energy(&base, Design::Baseline, &gpu());
         let er = energy(
             &rl,
@@ -143,25 +134,16 @@ fn claim_compressor_matters() {
     // OSU and the compressor is never exercised.
     let full = GpuConfig::gtx980_single_sm();
     let kernel = rodinia::kernel("pathfinder");
-    let with_cfg = RegLessConfig::paper_default();
-    let with = RegLessSim::new(
-        full,
-        with_cfg,
-        compile(&kernel, &with_cfg.region_config(&full)).unwrap(),
-    )
-    .run()
-    .unwrap();
-    let without_cfg = RegLessConfig {
-        compressor_enabled: false,
-        ..with_cfg
+    let run = |cfg| {
+        DesignKind::RegLess(cfg)
+            .execute(&kernel, full, &Attach::default())
+            .unwrap()
     };
-    let without = RegLessSim::new(
-        full,
-        without_cfg,
-        compile(&kernel, &without_cfg.region_config(&full)).unwrap(),
-    )
-    .run()
-    .unwrap();
+    let with = run(RegLessConfig::paper_default());
+    let without = run(RegLessConfig {
+        compressor_enabled: false,
+        ..RegLessConfig::paper_default()
+    });
     assert!(
         without.cycles > with.cycles,
         "no-compressor {} should exceed {}",
@@ -186,14 +168,9 @@ fn claim_preloads_rarely_touch_memory() {
     let mut total = 0u64;
     for name in SUBSET {
         let kernel = rodinia::kernel(name);
-        let cfg = RegLessConfig::paper_default();
-        let rl = RegLessSim::new(
-            gpu(),
-            cfg,
-            compile(&kernel, &cfg.region_config(&gpu())).unwrap(),
-        )
-        .run()
-        .unwrap();
+        let rl = DesignKind::regless_512()
+            .execute(&kernel, gpu(), &Attach::default())
+            .unwrap();
         let t = rl.total();
         staged += t.preloads_osu + t.preloads_compressor;
         total += t.preloads_total();

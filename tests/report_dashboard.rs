@@ -5,8 +5,7 @@
 //! --trend` keeps its rows in the one trend store `regless trends` reads.
 
 use regless::bench::report::collect;
-use regless::compiler::compile;
-use regless::core::{RegLessConfig, RegLessSim};
+use regless::bench::{Attach, DesignKind};
 use regless::isa::text::parse_kernel;
 use regless::sim::GpuConfig;
 use regless::telemetry::{report_points, EvictionReason, Report, StallReason};
@@ -19,12 +18,13 @@ fn saxpy_report() -> Report {
     let text = std::fs::read_to_string(concat!(env!("CARGO_MANIFEST_DIR"), "/kernels/saxpy.asm"))
         .expect("kernels/saxpy.asm is checked in");
     let kernel = parse_kernel(&text).expect("saxpy parses");
-    let gpu = GpuConfig::gtx980_single_sm();
-    let cfg = RegLessConfig::with_capacity(512);
-    let compiled = compile(&kernel, &cfg.region_config(&gpu)).expect("compiles");
-    let mut sim = RegLessSim::new(gpu, cfg, compiled);
-    sim.attach_telemetry(1_000_000);
-    let run = sim.run().expect("runs");
+    let attach = Attach {
+        telemetry: Some(1_000_000),
+        ..Attach::default()
+    };
+    let run = DesignKind::regless_512()
+        .execute(&kernel, GpuConfig::gtx980_single_sm(), &attach)
+        .expect("runs");
     collect(&run, kernel.name(), "regless", 512)
 }
 

@@ -7,10 +7,11 @@
 //! and on shared servers.
 
 use proptest::prelude::*;
-use regless::compiler::{compile, RegionConfig};
-use regless::core::{RegLessConfig, RegLessSim};
+use regless::bench::registry::{self, DesignParams};
+use regless::bench::{Attach, DesignKind};
+use regless::core::RegLessConfig;
 use regless::isa::Kernel;
-use regless::sim::{BaselineRf, GpuConfig, Machine, RunReport};
+use regless::sim::{GpuConfig, RunReport};
 use regless::telemetry::SelfProfiler;
 use regless::workloads::{high_pressure_kernel, micro};
 use std::sync::Arc;
@@ -31,60 +32,55 @@ fn test_kernel(idx: usize) -> Kernel {
     }
 }
 
-/// Run one design on the small test machine, optionally profiled. Only
-/// the baseline and RegLess designs expose the attach hook — the same
-/// surface `regless run --self-profile` covers.
-fn run_design(
-    kernel: &Kernel,
-    regless: bool,
-    capacity: usize,
-    prof: Option<Arc<SelfProfiler>>,
-) -> RunReport {
-    let gpu = GpuConfig::test_small();
-    if regless {
-        let cfg = RegLessConfig::with_capacity(capacity);
-        let compiled = compile(kernel, &cfg.region_config(&gpu)).expect("compile");
-        let mut sim = RegLessSim::new(gpu, cfg, compiled);
-        if let Some(p) = prof {
-            sim.attach_self_profiler(p);
-        }
-        sim.run().expect("regless run")
-    } else {
-        let compiled = compile(kernel, &RegionConfig::default()).expect("compile");
-        let mut machine = Machine::new(gpu, Arc::new(compiled), |_| BaselineRf::new());
-        if let Some(p) = prof {
-            machine.attach_self_profiler(p);
-        }
-        machine.run().expect("baseline run")
-    }
+/// Run one design on the small test machine, optionally profiled.
+fn run_design(kernel: &Kernel, design: DesignKind, prof: Option<Arc<SelfProfiler>>) -> RunReport {
+    let attach = Attach {
+        selfprof: prof,
+        ..Attach::default()
+    };
+    design
+        .execute(kernel, GpuConfig::test_small(), &attach)
+        .unwrap_or_else(|e| panic!("{design:?}: {e}"))
+}
+
+/// RegLess with a 256-entry OSU.
+fn regless_256() -> DesignKind {
+    DesignKind::RegLess(RegLessConfig::with_capacity(256))
 }
 
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(16))]
 
-    /// The contract: profiled and unprofiled runs emit identical bytes,
-    /// and the profiler actually observed the run it rode along on.
+    /// The contract, for every registered design: profiled and
+    /// unprofiled runs emit identical bytes, and the profiler actually
+    /// observed the run it rode along on.
     #[test]
     fn profiled_and_unprofiled_reports_are_byte_identical(
         kernel_idx in 0usize..7,
-        regless in any::<bool>(),
         capacity_idx in 0usize..4,
     ) {
-        let capacity = [64usize, 128, 256, 512][capacity_idx];
+        let params = DesignParams {
+            capacity: [64usize, 128, 256, 512][capacity_idx],
+            ..DesignParams::default()
+        };
         let kernel = test_kernel(kernel_idx);
-        let plain = run_design(&kernel, regless, capacity, None);
-        let prof = Arc::new(SelfProfiler::new(true));
-        let profiled = run_design(&kernel, regless, capacity, Some(Arc::clone(&prof)));
-        prop_assert_eq!(
-            plain.stable_json().to_string_compact(),
-            profiled.stable_json().to_string_compact(),
-            "self-profiling perturbed the report: kernel {} regless {} capacity {}",
-            kernel_idx, regless, capacity
-        );
-        prop_assert!(
-            !prof.snapshot().is_empty(),
-            "the attached profiler observed no phases at all"
-        );
+        for entry in registry::all() {
+            let design = entry.build(&params);
+            let plain = run_design(&kernel, design, None);
+            let prof = Arc::new(SelfProfiler::new(true));
+            let profiled = run_design(&kernel, design, Some(Arc::clone(&prof)));
+            prop_assert_eq!(
+                plain.stable_json().to_string_compact(),
+                profiled.stable_json().to_string_compact(),
+                "self-profiling perturbed the report: kernel {} design {} capacity {}",
+                kernel_idx, entry.id, params.capacity
+            );
+            prop_assert!(
+                !prof.snapshot().is_empty(),
+                "the attached profiler observed no phases at all under {}",
+                entry.id
+            );
+        }
     }
 }
 
@@ -94,7 +90,7 @@ proptest! {
 fn disabled_profiler_records_nothing() {
     let kernel = micro::streaming(4);
     let prof = Arc::new(SelfProfiler::new(false));
-    let report = run_design(&kernel, true, 256, Some(Arc::clone(&prof)));
+    let report = run_design(&kernel, regless_256(), Some(Arc::clone(&prof)));
     assert!(report.cycles > 0);
     assert!(prof.snapshot().is_empty(), "disabled profiler stayed empty");
     assert_eq!(prof.total_nanos(), 0);
@@ -106,7 +102,7 @@ fn disabled_profiler_records_nothing() {
 fn profiled_run_names_the_run_loop_phases() {
     let kernel = micro::reduction_tree();
     let prof = Arc::new(SelfProfiler::new(true));
-    run_design(&kernel, true, 256, Some(Arc::clone(&prof)));
+    run_design(&kernel, regless_256(), Some(Arc::clone(&prof)));
     let phases: Vec<String> = prof.snapshot().into_iter().map(|(name, _)| name).collect();
     for expect in ["backend_tick", "issue", "stats_windows", "writeback"] {
         assert!(

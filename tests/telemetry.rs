@@ -2,8 +2,7 @@
 //! export validity, and the zero-cost-when-disabled guarantee.
 
 use proptest::prelude::*;
-use regless::compiler::compile;
-use regless::core::{RegLessConfig, RegLessSim};
+use regless::bench::{Attach, DesignKind};
 use regless::isa::text::parse_kernel;
 use regless::sim::GpuConfig;
 use regless::telemetry::{
@@ -65,17 +64,22 @@ proptest! {
     }
 }
 
+/// Record telemetry with room for every event of the runs below.
+fn traced() -> Attach {
+    Attach {
+        telemetry: Some(1_000_000),
+        ..Attach::default()
+    }
+}
+
 /// Run the checked-in saxpy kernel under RegLess with telemetry attached.
 fn traced_saxpy() -> regless::telemetry::Telemetry {
     let text = std::fs::read_to_string(concat!(env!("CARGO_MANIFEST_DIR"), "/kernels/saxpy.asm"))
         .expect("kernels/saxpy.asm is checked in");
     let kernel = parse_kernel(&text).expect("saxpy parses");
-    let gpu = GpuConfig::gtx980_single_sm();
-    let cfg = RegLessConfig::paper_default();
-    let compiled = compile(&kernel, &cfg.region_config(&gpu)).expect("compiles");
-    let mut sim = RegLessSim::new(gpu, cfg, compiled);
-    sim.attach_telemetry(1_000_000);
-    let report = sim.run().expect("runs");
+    let report = DesignKind::regless_512()
+        .execute(&kernel, GpuConfig::gtx980_single_sm(), &traced())
+        .expect("runs");
     *report.telemetry.expect("telemetry attached")
 }
 
@@ -143,15 +147,9 @@ fn chrome_trace_of_saxpy_is_valid_and_monotone() {
 fn null_and_full_recorder_reports_are_byte_identical() {
     let kernel = rodinia::kernel("hotspot");
     let gpu = GpuConfig::gtx980_single_sm();
-    let cfg = RegLessConfig::paper_default();
-    let compiled = compile(&kernel, &cfg.region_config(&gpu)).expect("compiles");
-
-    let plain = RegLessSim::new(gpu, cfg, compiled.clone())
-        .run()
-        .expect("plain run");
-    let mut traced_sim = RegLessSim::new(gpu, cfg, compiled);
-    traced_sim.attach_telemetry(1_000_000);
-    let traced = traced_sim.run().expect("traced run");
+    let run = |attach: &Attach| DesignKind::regless_512().execute(&kernel, gpu, attach);
+    let plain = run(&Attach::default()).expect("plain run");
+    let traced = run(&traced()).expect("traced run");
 
     assert!(plain.telemetry.is_none());
     assert!(traced.telemetry.is_some());
