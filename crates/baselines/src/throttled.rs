@@ -53,7 +53,7 @@ const COMPRESSED_Q: usize = 1;
 const FULL_Q: usize = 4;
 
 /// How a [`ThrottledRf`] sizes warps and prices operand accesses.
-#[derive(Clone, Copy, PartialEq, Eq, Debug)]
+#[derive(Clone, Copy, PartialEq, Eq, Hash, Debug)]
 pub enum Throttle {
     /// Full register file, occupancy capped by the register allocation.
     Occupancy,

@@ -1,11 +1,11 @@
 //! Extension studies beyond the paper's evaluation: the §7 forward-looking
 //! claims and finer-grained design sweeps.
 
-use crate::sweep::{self, RunVariant, HIGH_PRESSURE_ID};
+use crate::sweep::{self, HIGH_PRESSURE_ID};
 use crate::{compile_default, eval_gpu, format_table, geomean, DesignKind};
 use regless_baselines::{Throttle, ThrottledRf};
 use regless_core::{PatternSet, RegLessConfig};
-use regless_sim::SchedulerKind;
+use regless_sim::{GpuConfig, SchedulerKind};
 use regless_workloads::{high_pressure_kernel, micro, rodinia};
 
 /// §7: "RegLess would be able to oversubscribe the register file without
@@ -16,7 +16,7 @@ pub fn oversubscription() -> String {
     let gpu = eval_gpu();
 
     // Conventional RF: occupancy capped by register allocation.
-    let limited = sweep::engine().run(HIGH_PRESSURE_ID, RunVariant::OccupancyLimited);
+    let limited = sweep::design(HIGH_PRESSURE_ID, DesignKind::Throttled(Throttle::Occupancy));
     // Idealized RF with no occupancy limit (the paper's baseline).
     let unlimited = sweep::design(HIGH_PRESSURE_ID, DesignKind::Baseline);
     // RegLess at the paper's design point.
@@ -131,8 +131,12 @@ pub fn schedulers() -> String {
         let mut ws = Vec::new();
         for name in SUBSET {
             let bench = sweep::rodinia_id(name);
-            let gto = sweep::baseline_with_scheduler(&bench, SchedulerKind::Gto);
-            let r = sweep::baseline_with_scheduler(&bench, kind);
+            let gto = sweep::design(&bench, DesignKind::Baseline);
+            let gpu = GpuConfig {
+                scheduler: kind,
+                ..eval_gpu()
+            };
+            let r = sweep::engine().run(&bench, DesignKind::Baseline, gpu);
             ratios.push(r.cycles as f64 / gto.cycles as f64);
             ws.push(r.sm_stats[0].working_set.mean_kb());
         }
@@ -196,21 +200,13 @@ pub fn dual_issue() -> String {
         let mut speedups = Vec::new();
         for name in SUBSET {
             let bench = sweep::rodinia_id(name);
-            let base = sweep::engine().run(
-                &bench,
-                RunVariant::IssueWidth {
-                    width,
-                    regless: false,
-                },
-            );
+            let gpu = GpuConfig {
+                issue_slots_per_scheduler: width,
+                ..eval_gpu()
+            };
+            let base = sweep::engine().run(&bench, DesignKind::Baseline, gpu);
             let base1 = sweep::design(&bench, DesignKind::Baseline);
-            let rl = sweep::engine().run(
-                &bench,
-                RunVariant::IssueWidth {
-                    width,
-                    regless: true,
-                },
-            );
+            let rl = sweep::engine().run(&bench, DesignKind::regless_512(), gpu);
             ratios.push(rl.cycles as f64 / base.cycles as f64);
             speedups.push(base1.cycles as f64 / base.cycles as f64);
         }

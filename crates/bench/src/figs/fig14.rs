@@ -2,6 +2,7 @@
 //! to the baseline register file, per benchmark.
 
 use crate::{bar_chart, energy_of, format_table, geomean, sweep, DesignKind};
+use regless_baselines::Throttle;
 use regless_workloads::rodinia;
 
 /// Regenerate the figure as a text table.
@@ -12,7 +13,11 @@ pub fn report() -> String {
         let bench = sweep::rodinia_id(name);
         let base = sweep::design(&bench, DesignKind::Baseline);
         let eb = energy_of(&base, DesignKind::Baseline).register_structures_pj;
-        let designs = [DesignKind::Rfh, DesignKind::Rfv, DesignKind::regless_512()];
+        let designs = [
+            DesignKind::Rfh,
+            DesignKind::Throttled(Throttle::Rename),
+            DesignKind::regless_512(),
+        ];
         let mut row = vec![name.to_string()];
         for (i, &d) in designs.iter().enumerate() {
             let r = sweep::design(&bench, d);

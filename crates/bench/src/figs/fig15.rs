@@ -2,6 +2,7 @@
 //! normalized to baseline, per benchmark.
 
 use crate::{energy_of, format_table, geomean, sweep, DesignKind};
+use regless_baselines::Throttle;
 use regless_energy::{energy, Design};
 use regless_workloads::rodinia;
 
@@ -18,7 +19,11 @@ pub fn report() -> String {
         let norf = energy(&base, Design::NoRf, &gpu).total_pj() / eb;
         geo[0].push(norf);
         let mut row = vec![name.to_string(), format!("{norf:.3}")];
-        let designs = [DesignKind::Rfh, DesignKind::Rfv, DesignKind::regless_512()];
+        let designs = [
+            DesignKind::Rfh,
+            DesignKind::Throttled(Throttle::Rename),
+            DesignKind::regless_512(),
+        ];
         for (i, &d) in designs.iter().enumerate() {
             let r = sweep::design(&bench, d);
             let ratio = energy_of(&r, d).total_pj() / eb;

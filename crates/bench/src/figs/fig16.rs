@@ -3,6 +3,7 @@
 //! RFV, and RFH.
 
 use crate::{bar_chart, format_table, geomean, sweep, DesignKind};
+use regless_baselines::Throttle;
 use regless_core::RegLessConfig;
 use regless_workloads::rodinia;
 
@@ -24,7 +25,8 @@ pub fn report() -> String {
             ..RegLessConfig::with_capacity(512)
         });
         nc.push(sweep::design(&bench, no_compressor).cycles as f64 / base);
-        rfv.push(sweep::design(&bench, DesignKind::Rfv).cycles as f64 / base);
+        let rfv_design = DesignKind::Throttled(Throttle::Rename);
+        rfv.push(sweep::design(&bench, rfv_design).cycles as f64 / base);
         rfh.push(sweep::design(&bench, DesignKind::Rfh).cycles as f64 / base);
         rows.push(vec![name.to_string(), format!("{r:.3}")]);
         bars.push((name.to_string(), r));

@@ -2,7 +2,7 @@
 //! written as `results/summary.json` by `all_experiments` so downstream
 //! tooling (plots, CI thresholds) need not parse the text tables.
 
-use crate::sweep::{self, RunVariant};
+use crate::sweep;
 use crate::{energy_of, geomean, DesignKind};
 use regless_workloads::rodinia;
 
@@ -63,17 +63,7 @@ regless_json::impl_json_struct!(Summary {
 /// Measure everything at the 512-entry design point.
 pub fn collect() -> Summary {
     // Warm the cache across all cores before the sequential tabulation.
-    let jobs: Vec<(String, RunVariant)> = rodinia::NAMES
-        .iter()
-        .flat_map(|name| {
-            let bench = sweep::rodinia_id(name);
-            [
-                (bench.clone(), RunVariant::Design(DesignKind::Baseline)),
-                (bench, RunVariant::Design(DesignKind::regless_512())),
-            ]
-        })
-        .collect();
-    sweep::engine().prefetch(&jobs);
+    sweep::prefetch_headline();
     let mut benchmarks = Vec::new();
     for name in rodinia::NAMES {
         let bench = sweep::rodinia_id(name);

@@ -45,13 +45,11 @@ pub enum DesignKind {
     RegLess(RegLessConfig),
     /// Register-file hierarchy baseline.
     Rfh,
-    /// Register-file virtualization baseline.
-    Rfv,
-    /// RegDem: cold registers demoted to a shared-memory scratch
-    /// partition.
-    RegDem,
-    /// Statically-compressed register file (Angerd et al.).
-    CompressRf,
+    /// A register file throttled by warp admission: RFV
+    /// ([`Throttle::Rename`]), RegDem ([`Throttle::Demote`]), the
+    /// statically-compressed RF ([`Throttle::Compress`]) and the §7
+    /// occupancy-limited full RF ([`Throttle::Occupancy`]).
+    Throttled(Throttle),
 }
 
 impl DesignKind {
@@ -68,9 +66,12 @@ impl DesignKind {
                 osu_entries_per_sm: cfg.osu_entries_per_sm,
             },
             DesignKind::Rfh => Design::Rfh,
-            DesignKind::Rfv => Design::Rfv,
-            DesignKind::RegDem => Design::RegDem,
-            DesignKind::CompressRf => Design::CompressRf,
+            DesignKind::Throttled(throttle) => match throttle {
+                Throttle::Occupancy => Design::Baseline,
+                Throttle::Rename => Design::Rfv,
+                Throttle::Demote => Design::RegDem,
+                Throttle::Compress => Design::CompressRf,
+            },
         }
     }
 
@@ -102,6 +103,7 @@ impl DesignKind {
     /// the one place that knows how to run each design.
     ///
     /// ```
+    /// use regless_baselines::Throttle;
     /// use regless_bench::{Attach, DesignKind};
     /// use regless_isa::KernelBuilder;
     /// use regless_sim::GpuConfig;
@@ -115,7 +117,8 @@ impl DesignKind {
     ///
     /// let gpu = GpuConfig::test_small();
     /// let rfh = DesignKind::Rfh.execute(&kernel, gpu, &Attach::default())?;
-    /// let rfv = DesignKind::Rfv.execute(&kernel, gpu, &Attach::default())?;
+    /// let rfv = DesignKind::Throttled(Throttle::Rename);
+    /// let rfv = rfv.execute(&kernel, gpu, &Attach::default())?;
     /// assert_eq!(rfh.total().insns, rfv.total().insns);
     /// # Ok::<(), Box<dyn std::error::Error>>(())
     /// ```
@@ -155,9 +158,15 @@ impl DesignKind {
                 };
                 run_machine(kernel, gpu, &regions, attach, |_, _, c| RfhBackend::new(&c))
             }
-            DesignKind::Rfv => run_throttled(kernel, gpu, Throttle::Rename, attach),
-            DesignKind::RegDem => run_throttled(kernel, gpu, Throttle::Demote, attach),
-            DesignKind::CompressRf => run_throttled(kernel, gpu, Throttle::Compress, attach),
+            DesignKind::Throttled(throttle) => {
+                let gpu = GpuConfig {
+                    scheduler: throttle.scheduler().unwrap_or(gpu.scheduler),
+                    ..gpu
+                };
+                run_machine(kernel, gpu, &regions, attach, |_, gpu, c| {
+                    ThrottledRf::new(throttle, gpu, &c)
+                })
+            }
         }
     }
 }
@@ -231,30 +240,6 @@ fn run_machine<B: OperandBackend>(
         machine.set_stepped(stepped);
     }
     B::run_machine(machine).map_err(RunError::Sim)
-}
-
-/// Run `kernel` on `gpu` under a [`ThrottledRf`] with `throttle`'s
-/// policy and scheduler, applying `attach`. The RFV, RegDem and
-/// compressed-RF designs run through here, and so does the §7
-/// occupancy-limited full RF, which is not a registered design.
-///
-/// # Errors
-///
-/// As [`DesignKind::execute`], without the parameter check.
-pub fn run_throttled(
-    kernel: &Kernel,
-    gpu: GpuConfig,
-    throttle: Throttle,
-    attach: &Attach,
-) -> Result<RunReport, RunError> {
-    let gpu = GpuConfig {
-        scheduler: throttle.scheduler().unwrap_or(gpu.scheduler),
-        ..gpu
-    };
-    let regions = RegionConfig::default();
-    run_machine(kernel, gpu, &regions, attach, |_, gpu, c| {
-        ThrottledRf::new(throttle, gpu, &c)
-    })
 }
 
 /// Run one kernel under one design on the evaluation machine.
@@ -387,9 +372,9 @@ mod tests {
                 ..RegLessConfig::paper_default()
             }),
             DesignKind::Rfh,
-            DesignKind::Rfv,
-            DesignKind::RegDem,
-            DesignKind::CompressRf,
+            DesignKind::Throttled(Throttle::Rename),
+            DesignKind::Throttled(Throttle::Demote),
+            DesignKind::Throttled(Throttle::Compress),
         ] {
             let r = run_design(&kernel, d);
             assert_eq!(r.total().insns, base.total().insns, "{d:?}");

@@ -339,19 +339,9 @@ regless_json::impl_json_struct!(BenchProfile {
 /// CI artifact. Runs come from the sweep engine's memoized cache, so the
 /// report is nearly free when the figure experiments already ran.
 pub fn bench_profiles_report() -> String {
-    use crate::sweep::{self, RunVariant};
+    use crate::sweep;
     use crate::DesignKind;
-    let jobs: Vec<(String, RunVariant)> = regless_workloads::rodinia::NAMES
-        .iter()
-        .flat_map(|name| {
-            let bench = sweep::rodinia_id(name);
-            [
-                (bench.clone(), RunVariant::Design(DesignKind::Baseline)),
-                (bench, RunVariant::Design(DesignKind::regless_512())),
-            ]
-        })
-        .collect();
-    sweep::engine().prefetch(&jobs);
+    sweep::prefetch_headline();
     let mut profiles = Vec::new();
     for name in regless_workloads::rodinia::NAMES {
         let bench = sweep::rodinia_id(name);

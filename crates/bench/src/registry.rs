@@ -7,10 +7,12 @@
 //! figures — resolves ids through this one table ([`resolve`], and
 //! [`identify`] back), and runs the result through
 //! [`DesignKind::execute`]. Adding a design means **one entry here plus
-//! one `execute` arm and its backend**. `regless designs` renders the
+//! one `execute` arm and its backend**; a throttled register file needs
+//! only a [`Throttle`] policy and its entry. `regless designs` renders the
 //! table; DESIGN.md §17 documents how to add an entry.
 
 use crate::DesignKind;
+use regless_baselines::Throttle;
 use regless_core::RegLessConfig;
 use regless_json::{Json, ToJson};
 
@@ -200,7 +202,7 @@ static ENTRIES: &[DesignEntry] = &[
         stability: Stability::Stable,
         params: &[],
         energy_model: "half-size renamed RF + rename table",
-        build: |_| DesignKind::Rfv,
+        build: |_| DesignKind::Throttled(Throttle::Rename),
     },
     DesignEntry {
         id: "regdem",
@@ -209,7 +211,7 @@ static ENTRIES: &[DesignEntry] = &[
         stability: Stability::Experimental,
         params: &[],
         energy_model: "half-size RF + shared-mem spill/fill",
-        build: |_| DesignKind::RegDem,
+        build: |_| DesignKind::Throttled(Throttle::Demote),
     },
     DesignEntry {
         id: "compress-rf",
@@ -218,7 +220,7 @@ static ENTRIES: &[DesignEntry] = &[
         stability: Stability::Experimental,
         params: &[],
         energy_model: "half-size RF + pattern compressor",
-        build: |_| DesignKind::CompressRf,
+        build: |_| DesignKind::Throttled(Throttle::Compress),
     },
 ];
 
@@ -252,14 +254,15 @@ pub fn resolve(id: &str, params: &DesignParams) -> Result<DesignKind, String> {
 }
 
 /// The inverse of [`resolve`]: the id and parameters that build
-/// `design` (the cluster wire carries these). Only the OSU capacity and
-/// the compressor are parameters, so a RegLess design with another
-/// ablation setting maps to the `regless` or `regless-nc` design it
-/// varies.
+/// `design` (the cluster wire carries these). A design point that no
+/// entry builds maps to the registered design it varies: only the OSU
+/// capacity and the compressor are parameters, so a RegLess design with
+/// another ablation setting maps to `regless` or `regless-nc`, and the §7
+/// occupancy-limited RF to `baseline`.
 pub fn identify(design: DesignKind) -> (&'static str, DesignParams) {
     let fixed = DesignParams::default();
     match design {
-        DesignKind::Baseline => ("baseline", fixed),
+        DesignKind::Baseline | DesignKind::Throttled(Throttle::Occupancy) => ("baseline", fixed),
         DesignKind::RegLess(cfg) => {
             let compressor = cfg.compressor_enabled;
             let id = if compressor { "regless" } else { "regless-nc" };
@@ -270,9 +273,9 @@ pub fn identify(design: DesignKind) -> (&'static str, DesignParams) {
             (id, params)
         }
         DesignKind::Rfh => ("rfh", fixed),
-        DesignKind::Rfv => ("rfv", fixed),
-        DesignKind::RegDem => ("regdem", fixed),
-        DesignKind::CompressRf => ("compress-rf", fixed),
+        DesignKind::Throttled(Throttle::Rename) => ("rfv", fixed),
+        DesignKind::Throttled(Throttle::Demote) => ("regdem", fixed),
+        DesignKind::Throttled(Throttle::Compress) => ("compress-rf", fixed),
     }
 }
 
@@ -380,8 +383,14 @@ mod tests {
                 ..RegLessConfig::with_capacity(256)
             }))
         );
-        assert_eq!(resolve("regdem", &p), Ok(DesignKind::RegDem));
-        assert_eq!(resolve("compress-rf", &p), Ok(DesignKind::CompressRf));
+        assert_eq!(
+            resolve("regdem", &p),
+            Ok(DesignKind::Throttled(Throttle::Demote))
+        );
+        assert_eq!(
+            resolve("compress-rf", &p),
+            Ok(DesignKind::Throttled(Throttle::Compress))
+        );
         let err = resolve("frobnicate", &p).unwrap_err();
         assert!(err.contains("frobnicate"), "{err}");
         for id in ids() {
@@ -404,6 +413,9 @@ mod tests {
             }
             assert_eq!(identify(entry.default_design()).0, entry.id);
         }
+        // The unregistered §7 point maps to the design it varies.
+        let occupancy = DesignKind::Throttled(Throttle::Occupancy);
+        assert_eq!(identify(occupancy), ("baseline", DesignParams::default()));
     }
 
     #[test]

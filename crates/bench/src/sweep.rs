@@ -1,7 +1,7 @@
 //! Memoized, parallel sweep engine for the experiment harness.
 //!
 //! Every figure and table in this crate is built from a modest set of
-//! `(benchmark, run variant)` simulations, and many figures share runs:
+//! `(benchmark, design, machine)` simulations, and many figures share runs:
 //! the baseline over all 21 Rodinia kernels alone is re-simulated by a
 //! dozen reports. The engine runs each distinct simulation **once**,
 //! memoizes the [`RunReport`] behind a thread-safe cache, and optionally
@@ -11,12 +11,13 @@
 //!
 //! # Cache key
 //!
-//! The in-memory key is `(benchmark id, canonical RunVariant)`. Benchmark
-//! ids are strings of the form `rodinia/<name>`, `micro/<name>`, or
-//! `special/high_pressure`. Variants are canonicalized before lookup so
-//! differently-phrased but identical runs share one entry (e.g. the GTO
-//! scheduler study point is the baseline design, and the single-issue
-//! RegLess point of the issue-width study is `DesignKind::regless_512()`).
+//! The in-memory key is exactly what [`DesignKind::execute`] takes besides
+//! the kernel: `(benchmark id, DesignKind, GpuConfig)`. Benchmark ids are
+//! strings of the form `rodinia/<name>`, `micro/<name>`, or
+//! `special/high_pressure`. Runs that are one simulation are one key by
+//! structure: the scheduler study's GTO point and the issue-width study's
+//! single-issue points run on the evaluation machine itself, so they share
+//! the figures' entries.
 //!
 //! # Invalidation
 //!
@@ -32,10 +33,9 @@
 //! entries but still writes fresh ones (and memoizes in memory), and
 //! `REGLESS_SWEEP_DIR` overrides the `results/cache` location.
 
-use crate::{eval_gpu, run_throttled, Attach, DesignKind};
-use regless_baselines::Throttle;
-use regless_sim::{GpuConfig, RunReport, SchedulerKind};
-use regless_telemetry::{Log2Histogram, ProgressMeter, SelfProfiler};
+use crate::{eval_gpu, Attach, DesignKind};
+use regless_sim::{GpuConfig, RunReport};
+use regless_telemetry::{format_bytes, Log2Histogram, ProgressMeter, SelfProfiler};
 use regless_workloads::{high_pressure_kernel, micro, rodinia};
 use std::collections::HashMap;
 use std::ops::Deref;
@@ -54,59 +54,19 @@ use std::sync::{Arc, Mutex, OnceLock};
 /// telemetry key renamed with it).
 /// v5: `SmStats` gained the RegDem spill counters (`spill_stores`,
 /// `spill_fills`, `spill_throttled_warp_cycles`) and the compressed-RF
-/// throttle counter (`comprf_throttled_warp_cycles`); design ids are now
-/// canonicalized through the registry (`crate::registry`).
+/// throttle counter (`comprf_throttled_warp_cycles`); design ids now
+/// resolve through the registry (`crate::registry`).
 /// v6: `DesignKind::RegLessNoCompressor` folded into `DesignKind::RegLess`
 /// with a `compressor` field, which changes every RegLess variant's
 /// `Debug` key.
 /// v7: `DesignKind::RegLess` carries a whole `RegLessConfig` (the
 /// ablation runs are RegLess designs too), which changes every RegLess
 /// variant's `Debug` key again.
-const CACHE_FORMAT_VERSION: u32 = 7;
-
-/// One simulation the engine knows how to run and key.
-#[derive(Clone, Copy, PartialEq, Eq, Hash, Debug)]
-pub enum RunVariant {
-    /// A storage design on the evaluation machine ([`crate::run_design`]).
-    Design(DesignKind),
-    /// Baseline under an explicit warp scheduler.
-    Scheduler(SchedulerKind),
-    /// Conventional RF with occupancy capped by register allocation
-    /// (the §7 oversubscription study).
-    OccupancyLimited,
-    /// Baseline or RegLess-512 at an explicit issue width (the dual-issue
-    /// extension study).
-    IssueWidth {
-        /// Issue slots per scheduler.
-        width: usize,
-        /// RegLess at the paper design point rather than the baseline.
-        regless: bool,
-    },
-}
-
-impl RunVariant {
-    /// Map a study variant at its default setting onto the design it
-    /// equals, so e.g. the scheduler study's GTO runs share cache entries
-    /// with the figures' baseline runs.
-    pub fn canonical(self) -> RunVariant {
-        let eval = eval_gpu();
-        match self {
-            RunVariant::Scheduler(k) if k == eval.scheduler => {
-                RunVariant::Design(DesignKind::Baseline)
-            }
-            RunVariant::IssueWidth { width, regless }
-                if width == eval.issue_slots_per_scheduler =>
-            {
-                RunVariant::Design(if regless {
-                    DesignKind::regless_512()
-                } else {
-                    DesignKind::Baseline
-                })
-            }
-            v => v,
-        }
-    }
-}
+/// v8: the key is `(bench, DesignKind, GpuConfig)`, the arguments of
+/// `DesignKind::execute`, and an entry stores its exact text under `key`;
+/// RFV, RegDem and the compressed RF are `DesignKind::Throttled`. Every
+/// slug changes.
+const CACHE_FORMAT_VERSION: u32 = 8;
 
 /// Benchmark id for a Rodinia kernel name.
 pub fn rodinia_id(name: &str) -> String {
@@ -153,41 +113,14 @@ pub fn bench_kernel(bench: &str) -> Option<regless_isa::Kernel> {
     }
 }
 
-/// Resolve a benchmark id to its kernel.
-///
-/// # Panics
-///
-/// Panics on an unknown id — experiment code constructs ids from the
-/// workload tables, so an unknown id is a harness bug.
-fn kernel_for(bench: &str) -> regless_isa::Kernel {
-    bench_kernel(bench).unwrap_or_else(|| panic!("unknown benchmark id {bench:?}"))
-}
-
-/// Actually run one simulation (a cache miss).
-fn simulate(bench: &str, variant: RunVariant) -> RunReport {
-    let kernel = kernel_for(bench);
-    let eval = eval_gpu();
-    let attach = Attach::default();
-    let fail = |e| panic!("{bench} under {variant:?}: {e}");
-    let (design, gpu) = match variant {
-        RunVariant::Design(d) => (d, eval),
-        RunVariant::Scheduler(scheduler) => (DesignKind::Baseline, GpuConfig { scheduler, ..eval }),
-        RunVariant::IssueWidth { width, regless } => (
-            if regless {
-                DesignKind::regless_512()
-            } else {
-                DesignKind::Baseline
-            },
-            GpuConfig {
-                issue_slots_per_scheduler: width,
-                ..eval
-            },
-        ),
-        RunVariant::OccupancyLimited => {
-            return run_throttled(&kernel, eval, Throttle::Occupancy, &attach).unwrap_or_else(fail)
-        }
-    };
-    design.execute(&kernel, gpu, &attach).unwrap_or_else(fail)
+/// How logs and the timing table name a run: the benchmark and design,
+/// plus the machine when it is not the evaluation machine.
+fn run_label(bench: &str, design: DesignKind, gpu: GpuConfig) -> String {
+    if gpu == eval_gpu() {
+        format!("{bench} {design:?}")
+    } else {
+        format!("{bench} {design:?} on {gpu:?}")
+    }
 }
 
 /// How the engine treats its caches (from `REGLESS_SWEEP`).
@@ -213,7 +146,7 @@ struct Counters {
 
 /// Where one [`SweepEngine::run`] call was served from.
 #[derive(Clone, Copy, PartialEq, Eq, Debug)]
-pub enum RunSource {
+enum RunSource {
     /// The simulator actually ran.
     Simulated,
     /// Replayed from a persisted JSON entry.
@@ -223,18 +156,15 @@ pub enum RunSource {
 }
 
 /// One entry of the engine's run log (see [`SweepEngine::timing_table`]).
-#[derive(Clone, Debug)]
-pub struct RunRecord {
-    /// Benchmark id.
-    pub bench: String,
-    /// Canonical variant that was run.
-    pub variant: RunVariant,
-    /// Where the report came from.
-    pub source: RunSource,
+struct RunRecord {
+    bench: String,
+    design: DesignKind,
+    gpu: GpuConfig,
+    source: RunSource,
     /// Wall seconds of the simulation that originally produced the report
     /// — for cached runs this is *historical*, not time spent now, which
     /// is why the timing table prints `(cached)` instead.
-    pub wall_seconds: f64,
+    wall_seconds: f64,
 }
 
 /// What [`SweepEngine::gc_orphans`] removed.
@@ -281,7 +211,9 @@ impl SweepStats {
     }
 }
 
-type Key = (String, RunVariant);
+/// One simulation: a benchmark id, a design and the machine it runs on —
+/// what [`DesignKind::execute`] takes besides the kernel.
+pub type Key = (String, DesignKind, GpuConfig);
 
 /// One memoized simulation: the report, plus its compact `stable_json()`
 /// text, rendered the first time a caller asks for it and shared by every
@@ -398,7 +330,7 @@ pub struct SweepEngine {
     disk_dir: Option<PathBuf>,
     mode: SweepMode,
     /// Host-side self profiler for the engine's own pipeline phases
-    /// (canonicalize, cache probe, simulate, persist). Enabled by
+    /// (cache probe, simulate, persist). Enabled by
     /// `REGLESS_SELFPROF`; a disabled profiler's scopes never read the
     /// clock, keeping the hot path free.
     selfprof: SelfProfiler,
@@ -458,31 +390,16 @@ impl SweepEngine {
         format!("{:016x}", fnv1a64(basis.as_bytes()))
     }
 
-    /// Run (or recall) one simulation.
-    pub fn run(&self, bench: &str, variant: RunVariant) -> Arc<RunReport> {
-        let variant = {
-            let _g = self.selfprof.scope("canonicalize");
-            variant.canonical()
-        };
+    /// Run (or recall) `design` on `gpu` for one benchmark.
+    pub fn run(&self, bench: &str, design: DesignKind, gpu: GpuConfig) -> Arc<RunReport> {
         if self.mode == SweepMode::Off {
-            self.counters.misses.fetch_add(1, Ordering::Relaxed);
-            let report = {
-                let _g = self.selfprof.scope("simulate");
-                simulate(bench, variant)
-            };
-            self.note_sim(&report);
-            self.note_run(bench, variant, RunSource::Simulated, report.wall_seconds);
-            eprintln!(
-                "[sweep] sim   {bench} {variant:?}: {} cycles in {:.2} s",
-                report.cycles, report.wall_seconds
-            );
-            return Arc::new(report);
+            return Arc::new(self.simulate(bench, design, gpu));
         }
         let probe_guard = self.selfprof.scope("cache_probe");
-        let cell = self.cell(bench, variant);
+        let cell = self.cell(bench, design, gpu);
         if let Some(hit) = cell.get() {
             self.counters.memory_hits.fetch_add(1, Ordering::Relaxed);
-            self.note_run(bench, variant, RunSource::MemoryCache, hit.wall_seconds);
+            self.note_run(bench, design, gpu, RunSource::MemoryCache, hit.wall_seconds);
             return Arc::clone(&hit.report);
         }
         drop(probe_guard);
@@ -493,21 +410,27 @@ impl SweepEngine {
         let cached = cell.get_or_init(|| {
             initialized_here = true;
             Arc::new(CachedRun::new(Arc::new(
-                self.load_or_simulate(bench, variant),
+                self.load_or_simulate(bench, design, gpu),
             )))
         });
         if !initialized_here {
             self.counters.memory_hits.fetch_add(1, Ordering::Relaxed);
-            self.note_run(bench, variant, RunSource::MemoryCache, cached.wall_seconds);
+            self.note_run(
+                bench,
+                design,
+                gpu,
+                RunSource::MemoryCache,
+                cached.wall_seconds,
+            );
         }
         Arc::clone(&cached.report)
     }
 
-    /// The memo cell of one canonical key, created empty on first use.
-    fn cell(&self, bench: &str, variant: RunVariant) -> Cell {
+    /// The memo cell of one key, created empty on first use.
+    fn cell(&self, bench: &str, design: DesignKind, gpu: GpuConfig) -> Cell {
         let mut map = self.cache.lock().expect("sweep cache poisoned");
         Arc::clone(
-            map.entry((bench.to_string(), variant))
+            map.entry((bench.to_string(), design, gpu))
                 .or_insert_with(|| Arc::new(OnceLock::new())),
         )
     }
@@ -517,12 +440,16 @@ impl SweepEngine {
     /// Used by callers that run simulations themselves (the serving layer
     /// threads cancellation tokens through its own executor) but still
     /// want to share this engine's memo table and on-disk entries.
-    pub fn lookup(&self, bench: &str, variant: RunVariant) -> Option<Arc<CachedRun>> {
+    pub fn lookup(
+        &self,
+        bench: &str,
+        design: DesignKind,
+        gpu: GpuConfig,
+    ) -> Option<Arc<CachedRun>> {
         if self.mode == SweepMode::Off {
             return None;
         }
-        let variant = variant.canonical();
-        let cell = self.cell(bench, variant);
+        let cell = self.cell(bench, design, gpu);
         if let Some(hit) = cell.get() {
             self.counters.memory_hits.fetch_add(1, Ordering::Relaxed);
             return Some(Arc::clone(hit));
@@ -530,8 +457,8 @@ impl SweepEngine {
         if self.mode != SweepMode::Normal {
             return None;
         }
-        let path = self.entry_path(bench, variant)?;
-        let report = load_entry(&path, bench, variant)?;
+        let exact = key_text(bench, design, gpu);
+        let report = load_entry(&self.entry_path(&exact)?, &exact)?;
         self.counters.disk_hits.fetch_add(1, Ordering::Relaxed);
         // Memoize the replay; a racing initializer may have won, in which
         // case its (identical) report is the one every caller sees.
@@ -543,82 +470,112 @@ impl SweepEngine {
     /// Memoize and persist a report produced *outside* the engine (the
     /// serving layer's cancellable executor), and return the memoized run
     /// — the one already cached if a racing producer won. The report must
-    /// be the deterministic output of `(bench, variant)` on the evaluation
-    /// machine — the same contract [`SweepEngine::run`] maintains. In
-    /// [`SweepMode::Off`] nothing is kept and the run comes back unshared.
+    /// be the deterministic output of `design` on `gpu` for `bench` — the
+    /// same contract [`SweepEngine::run`] maintains. In [`SweepMode::Off`]
+    /// nothing is kept and the run comes back unshared.
     pub fn insert(
         &self,
         bench: &str,
-        variant: RunVariant,
+        design: DesignKind,
+        gpu: GpuConfig,
         report: Arc<RunReport>,
     ) -> Arc<CachedRun> {
         if self.mode == SweepMode::Off {
             return Arc::new(CachedRun::new(report));
         }
-        let variant = variant.canonical();
         let cached = Arc::clone(
-            self.cell(bench, variant)
+            self.cell(bench, design, gpu)
                 .get_or_init(|| Arc::new(CachedRun::new(Arc::clone(&report)))),
         );
-        if let Some(path) = self.entry_path(bench, variant) {
-            store_entry(&path, bench, variant, &report);
+        let exact = key_text(bench, design, gpu);
+        if let Some(path) = self.entry_path(&exact) {
+            store_entry(&path, &exact, &report);
         }
         cached
     }
 
-    fn load_or_simulate(&self, bench: &str, variant: RunVariant) -> RunReport {
-        let path = self.entry_path(bench, variant);
+    fn load_or_simulate(&self, bench: &str, design: DesignKind, gpu: GpuConfig) -> RunReport {
+        let exact = key_text(bench, design, gpu);
+        let path = self.entry_path(&exact);
         if self.mode == SweepMode::Normal {
             let _g = self.selfprof.scope("cache_probe");
-            if let Some(report) = path.as_deref().and_then(|p| load_entry(p, bench, variant)) {
+            if let Some(report) = path.as_deref().and_then(|p| load_entry(p, &exact)) {
                 self.counters.disk_hits.fetch_add(1, Ordering::Relaxed);
-                self.note_run(bench, variant, RunSource::DiskCache, report.wall_seconds);
-                eprintln!("[sweep] disk  {bench} {variant:?}");
+                self.note_run(
+                    bench,
+                    design,
+                    gpu,
+                    RunSource::DiskCache,
+                    report.wall_seconds,
+                );
+                eprintln!("[sweep] disk  {}", run_label(bench, design, gpu));
                 return report;
             }
         }
-        self.counters.misses.fetch_add(1, Ordering::Relaxed);
-        let report = {
-            let _g = self.selfprof.scope("simulate");
-            simulate(bench, variant)
-        };
-        self.note_sim(&report);
-        self.note_run(bench, variant, RunSource::Simulated, report.wall_seconds);
-        eprintln!(
-            "[sweep] sim   {bench} {variant:?}: {} cycles in {:.2} s",
-            report.cycles, report.wall_seconds
-        );
+        let report = self.simulate(bench, design, gpu);
         if let Some(p) = path {
             let _g = self.selfprof.scope("persist");
-            store_entry(&p, bench, variant, &report);
+            store_entry(&p, &exact, &report);
         }
         report
     }
 
-    fn note_sim(&self, report: &RunReport) {
+    /// Actually run one simulation (a cache miss) and account for it.
+    ///
+    /// # Panics
+    ///
+    /// Panics on an unknown benchmark id or a failed run: experiment code
+    /// builds ids from the workload tables, so either is a harness bug.
+    fn simulate(&self, bench: &str, design: DesignKind, gpu: GpuConfig) -> RunReport {
+        self.counters.misses.fetch_add(1, Ordering::Relaxed);
+        let report = {
+            let _g = self.selfprof.scope("simulate");
+            let kernel =
+                bench_kernel(bench).unwrap_or_else(|| panic!("unknown benchmark id {bench:?}"));
+            design
+                .execute(&kernel, gpu, &Attach::default())
+                .unwrap_or_else(|e| panic!("{}: {e}", run_label(bench, design, gpu)))
+        };
         let nanos = (report.wall_seconds * 1e9) as u64;
         self.counters.sim_nanos.fetch_add(nanos, Ordering::Relaxed);
         self.sim_hist
             .lock()
             .expect("sweep histogram poisoned")
             .record((report.wall_seconds * 1e3) as u64);
+        self.note_run(
+            bench,
+            design,
+            gpu,
+            RunSource::Simulated,
+            report.wall_seconds,
+        );
+        eprintln!(
+            "[sweep] sim   {}: {} cycles in {:.2} s",
+            run_label(bench, design, gpu),
+            report.cycles,
+            report.wall_seconds
+        );
+        report
     }
 
-    fn note_run(&self, bench: &str, variant: RunVariant, source: RunSource, wall_seconds: f64) {
+    fn note_run(
+        &self,
+        bench: &str,
+        design: DesignKind,
+        gpu: GpuConfig,
+        source: RunSource,
+        wall_seconds: f64,
+    ) {
         self.records
             .lock()
             .expect("sweep run log poisoned")
             .push(RunRecord {
                 bench: bench.to_string(),
-                variant,
+                design,
+                gpu,
                 source,
                 wall_seconds,
             });
-    }
-
-    /// Snapshot of the run log, in call order.
-    pub fn run_log(&self) -> Vec<RunRecord> {
-        self.records.lock().expect("sweep run log poisoned").clone()
     }
 
     /// Histogram of simulated wall times in milliseconds (cache hits are
@@ -659,7 +616,7 @@ impl SweepEngine {
         let rows: Vec<(String, String)> = records
             .iter()
             .map(|r| {
-                let label = format!("{} {:?}", r.bench, r.variant);
+                let label = run_label(&r.bench, r.design, r.gpu);
                 let time = match r.source {
                     RunSource::Simulated => crate::timing::format_duration(
                         std::time::Duration::from_secs_f64(r.wall_seconds.max(0.0)),
@@ -690,9 +647,9 @@ impl SweepEngine {
     /// Returns the first I/O error encountered while scanning or removing.
     pub fn gc_orphans(&self) -> std::io::Result<GcReport> {
         let mut gc = GcReport::default();
-        for (name, path) in self.orphan_dirs()? {
-            gc.bytes_freed += dir_stats(&path).1;
+        for (name, path, _, bytes) in self.orphan_dirs()? {
             std::fs::remove_dir_all(&path)?;
+            gc.bytes_freed += bytes;
             gc.removed.push(name);
         }
         Ok(gc)
@@ -709,38 +666,44 @@ impl SweepEngine {
         Ok(self
             .orphan_dirs()?
             .into_iter()
-            .map(|(name, path)| {
-                let (entries, bytes) = dir_stats(&path);
-                OrphanEntry {
-                    name,
-                    entries,
-                    bytes,
-                }
+            .map(|(name, _, entries, bytes)| OrphanEntry {
+                name,
+                entries,
+                bytes,
             })
             .collect())
     }
 
-    /// The orphaned fingerprint directories (name, path), sorted by name —
-    /// the scan shared by [`SweepEngine::gc_orphans`] and
-    /// [`SweepEngine::list_orphans`].
-    fn orphan_dirs(&self) -> std::io::Result<Vec<(String, PathBuf)>> {
-        let mut found = Vec::new();
+    fn orphan_dirs(&self) -> std::io::Result<Vec<FingerprintDir>> {
+        let current = Self::fingerprint();
+        let mut dirs = self.fingerprint_dirs()?;
+        dirs.retain(|(name, ..)| *name != current);
+        Ok(dirs)
+    }
+
+    /// Every fingerprint directory of the disk cache with its entry count
+    /// and size, sorted by name: the one walk behind `--stats`, `--gc` and
+    /// the coordinator's cache totals. Empty when the disk cache is
+    /// disabled or its directory does not exist yet.
+    fn fingerprint_dirs(&self) -> std::io::Result<Vec<FingerprintDir>> {
         let Some(dir) = self.disk_dir.as_ref() else {
-            return Ok(found);
+            return Ok(Vec::new());
         };
-        let entries = match std::fs::read_dir(dir) {
-            Ok(entries) => entries,
-            Err(e) if e.kind() == std::io::ErrorKind::NotFound => return Ok(found),
+        let listing = match std::fs::read_dir(dir) {
+            Ok(listing) => listing,
+            Err(e) if e.kind() == std::io::ErrorKind::NotFound => return Ok(Vec::new()),
             Err(e) => return Err(e),
         };
-        let current = Self::fingerprint();
-        for entry in entries {
+        let mut found = Vec::new();
+        for entry in listing {
             let entry = entry?;
             let name = entry.file_name().to_string_lossy().into_owned();
-            if !is_fingerprint_name(&name) || name == current || !entry.file_type()?.is_dir() {
+            if !is_fingerprint_name(&name) || !entry.file_type()?.is_dir() {
                 continue;
             }
-            found.push((name, entry.path()));
+            let path = entry.path();
+            let (files, bytes) = dir_stats(&path);
+            found.push((name, path, files, bytes));
         }
         found.sort();
         Ok(found)
@@ -754,33 +717,20 @@ impl SweepEngine {
             return "  disk cache disabled\n".to_string();
         };
         let mut out = format!("  cache dir: {}\n", dir.display());
-        let current = Self::fingerprint();
-        let mut rows: Vec<(String, usize, u64)> = Vec::new();
-        if let Ok(entries) = std::fs::read_dir(dir) {
-            for entry in entries.flatten() {
-                let name = entry.file_name().to_string_lossy().into_owned();
-                if !is_fingerprint_name(&name) {
-                    continue;
-                }
-                let (files, bytes) = dir_stats(&entry.path());
-                rows.push((name, files, bytes));
-            }
-        }
+        let rows = self.fingerprint_dirs().unwrap_or_default();
         if rows.is_empty() {
             out.push_str("  (empty)\n");
             return out;
         }
-        rows.sort();
-        let (mut total_files, mut total_bytes) = (0usize, 0u64);
-        for (name, files, bytes) in rows {
-            let mark = if name == current { '*' } else { '-' };
+        let current = Self::fingerprint();
+        for (name, _, files, bytes) in &rows {
+            let mark = if *name == current { '*' } else { '-' };
             out.push_str(&format!(
                 "  {mark} {name}  {files} entries, {}\n",
-                format_bytes(bytes)
+                format_bytes(*bytes)
             ));
-            total_files += files;
-            total_bytes += bytes;
         }
+        let (total_files, total_bytes) = totals(&rows);
         out.push_str(&format!(
             "  total: {total_files} entries, {}\n",
             format_bytes(total_bytes)
@@ -793,27 +743,15 @@ impl SweepEngine {
     /// disk cache, or `None` when the disk cache is disabled. The cheap
     /// scalar the cluster coordinator's `stats` response reports.
     pub fn cache_dir_totals(&self) -> Option<(u64, u64)> {
-        let dir = self.disk_dir.as_ref()?;
-        let (mut entries, mut bytes) = (0u64, 0u64);
-        if let Ok(listing) = std::fs::read_dir(dir) {
-            for entry in listing.flatten() {
-                let name = entry.file_name().to_string_lossy().into_owned();
-                if !is_fingerprint_name(&name) {
-                    continue;
-                }
-                let (files, b) = dir_stats(&entry.path());
-                entries += files as u64;
-                bytes += b;
-            }
-        }
-        Some((entries, bytes))
+        self.disk_dir.as_ref()?;
+        Some(totals(&self.fingerprint_dirs().unwrap_or_default()))
     }
 
     /// Machine-readable twin of [`SweepEngine::cache_dir_report`] plus the
     /// hit/miss counters (`regless sweep --stats --format json`): one row
     /// per fingerprint directory with its entry count, byte size, whether
     /// it is the current fingerprint, and the age in seconds of its newest
-    /// entry. Consumed by the serve `stats` response and CI.
+    /// entry.
     pub fn cache_stats_json(&self) -> regless_json::Json {
         use regless_json::{Json, ToJson};
         let s = self.stats();
@@ -823,35 +761,19 @@ impl SweepEngine {
             ("misses".into(), ToJson::to_json(&s.misses)),
             ("sim_seconds".into(), ToJson::to_json(&s.sim_seconds)),
         ]);
-        let mut rows: Vec<(String, usize, u64, Option<u64>)> = Vec::new();
-        if let Some(dir) = self.disk_dir.as_ref() {
-            if let Ok(entries) = std::fs::read_dir(dir) {
-                for entry in entries.flatten() {
-                    let name = entry.file_name().to_string_lossy().into_owned();
-                    if !is_fingerprint_name(&name) {
-                        continue;
-                    }
-                    let (files, bytes) = dir_stats(&entry.path());
-                    rows.push((name, files, bytes, dir_age_seconds(&entry.path())));
-                }
-            }
-        }
-        rows.sort();
+        let rows = self.fingerprint_dirs().unwrap_or_default();
         let current = Self::fingerprint();
-        let (mut total_entries, mut total_bytes) = (0u64, 0u64);
         let fingerprints: Vec<Json> = rows
-            .into_iter()
-            .map(|(name, files, bytes, age)| {
-                total_entries += files as u64;
-                total_bytes += bytes;
+            .iter()
+            .map(|(name, path, files, bytes)| {
                 Json::Obj(vec![
-                    ("name".into(), ToJson::to_json(&name)),
-                    ("current".into(), Json::Bool(name == current)),
-                    ("entries".into(), ToJson::to_json(&(files as u64))),
-                    ("bytes".into(), ToJson::to_json(&bytes)),
+                    ("name".into(), ToJson::to_json(name)),
+                    ("current".into(), Json::Bool(*name == current)),
+                    ("entries".into(), ToJson::to_json(&(*files as u64))),
+                    ("bytes".into(), ToJson::to_json(bytes)),
                     (
                         "age_seconds".into(),
-                        match age {
+                        match dir_age_seconds(path) {
                             Some(a) => ToJson::to_json(&a),
                             None => Json::Null,
                         },
@@ -859,6 +781,7 @@ impl SweepEngine {
                 ])
             })
             .collect();
+        let (total_entries, total_bytes) = totals(&rows);
         Json::Obj(vec![
             (
                 "cache_dir".into(),
@@ -875,12 +798,9 @@ impl SweepEngine {
         ])
     }
 
-    fn entry_path(&self, bench: &str, variant: RunVariant) -> Option<PathBuf> {
+    fn entry_path(&self, exact: &str) -> Option<PathBuf> {
         let dir = self.disk_dir.as_ref()?;
-        Some(
-            dir.join(Self::fingerprint())
-                .join(entry_slug(bench, variant)),
-        )
+        Some(dir.join(Self::fingerprint()).join(entry_slug(exact)))
     }
 
     /// Snapshot the hit/miss counters.
@@ -895,21 +815,11 @@ impl SweepEngine {
 
     /// Warm the cache for `jobs` using every available core. Cache hits
     /// cost nothing, so callers list everything a report needs without
-    /// worrying about overlap with earlier reports.
-    pub fn prefetch(&self, jobs: &[(String, RunVariant)]) {
-        self.prefetch_with_progress(jobs, None);
-    }
-
-    /// [`SweepEngine::prefetch`] with an optional live progress stream:
-    /// when a [`ProgressMeter`] is supplied, every completed unit notes
-    /// its simulated cycles and prints the meter's one-line snapshot
-    /// (done/total, units/s, Mcycles/s, ETA) to stderr — stdout stays
-    /// clean for JSON pipelines.
-    pub fn prefetch_with_progress(
-        &self,
-        jobs: &[(String, RunVariant)],
-        progress: Option<&ProgressMeter>,
-    ) {
+    /// worrying about overlap with earlier reports. With a
+    /// [`ProgressMeter`], every completed unit notes its simulated cycles
+    /// and prints the meter's one-line snapshot (done/total, units/s,
+    /// Mcycles/s, ETA) to stderr — stdout stays clean for JSON pipelines.
+    pub fn prefetch(&self, jobs: &[Key], progress: Option<&ProgressMeter>) {
         let note = |report: &RunReport| {
             if let Some(meter) = progress {
                 meter.note(report.cycles);
@@ -920,8 +830,8 @@ impl SweepEngine {
             .map_or(1, std::num::NonZeroUsize::get)
             .min(jobs.len().max(1));
         if workers <= 1 {
-            for (bench, variant) in jobs {
-                note(&self.run(bench, *variant));
+            for (bench, design, gpu) in jobs {
+                note(&self.run(bench, *design, *gpu));
             }
             return;
         }
@@ -930,14 +840,24 @@ impl SweepEngine {
             for _ in 0..workers {
                 scope.spawn(|| loop {
                     let i = next.fetch_add(1, Ordering::Relaxed);
-                    let Some((bench, variant)) = jobs.get(i) else {
+                    let Some((bench, design, gpu)) = jobs.get(i) else {
                         break;
                     };
-                    note(&self.run(bench, *variant));
+                    note(&self.run(bench, *design, *gpu));
                 });
             }
         });
     }
+}
+
+/// A cache fingerprint directory: its name and path, and the entry count
+/// and byte size of the files it holds.
+type FingerprintDir = (String, PathBuf, usize, u64);
+
+/// Total `(entries, bytes)` of `dirs`.
+fn totals(dirs: &[FingerprintDir]) -> (u64, u64) {
+    dirs.iter()
+        .fold((0, 0), |(e, b), d| (e + d.2 as u64, b + d.3))
 }
 
 /// The process-wide engine (mode and cache directory from the
@@ -947,44 +867,49 @@ pub fn engine() -> &'static SweepEngine {
     ENGINE.get_or_init(SweepEngine::from_env)
 }
 
-/// [`engine`]'s memoized [`crate::run_design`].
+/// [`engine`]'s memoized [`crate::run_design`]: `design` on the
+/// evaluation machine.
 pub fn design(bench: &str, design: DesignKind) -> Arc<RunReport> {
-    engine().run(bench, RunVariant::Design(design))
+    engine().run(bench, design, eval_gpu())
 }
 
-/// [`engine`]'s memoized baseline run under an explicit warp scheduler
-/// (Figure 2's GTO vs two-level comparison).
-pub fn baseline_with_scheduler(bench: &str, kind: SchedulerKind) -> Arc<RunReport> {
-    engine().run(bench, RunVariant::Scheduler(kind))
+/// Warm [`engine`] with every Rodinia kernel under the baseline and the
+/// paper's RegLess design point: the runs the headline summary and the
+/// per-benchmark profiles tabulate.
+pub fn prefetch_headline() {
+    let jobs: Vec<Key> = rodinia::NAMES
+        .iter()
+        .flat_map(|name| {
+            let bench = rodinia_id(name);
+            [
+                (bench.clone(), DesignKind::Baseline, eval_gpu()),
+                (bench, DesignKind::regless_512(), eval_gpu()),
+            ]
+        })
+        .collect();
+    engine().prefetch(&jobs, None);
 }
 
-/// Stable 64-bit hash of one `(benchmark, variant)` work unit. The
-/// cluster coordinator hashes this value onto its consistent-hash ring
-/// and uses it as the idempotency key when reassigning in-flight units,
-/// so it must be deterministic across processes: it hashes the canonical
-/// variant's `Debug` form, the same basis as the cache entry slug.
-pub fn unit_hash(bench: &str, variant: RunVariant) -> u64 {
-    let variant = variant.canonical();
-    fnv1a64(format!("{bench}|{variant:?}").as_bytes())
+/// Stable 64-bit hash of one `(benchmark, design, machine)` work unit.
+/// The cluster coordinator hashes this value onto its consistent-hash
+/// ring and uses it as the idempotency key when reassigning in-flight
+/// units, so it must be deterministic across processes: it hashes the
+/// key's `Debug` text, the same basis as the cache entry slug.
+pub fn unit_hash(bench: &str, design: DesignKind, gpu: GpuConfig) -> u64 {
+    fnv1a64(key_text(bench, design, gpu).as_bytes())
 }
 
 /// Public twin of the disk-cache entry filename for one work unit, so
 /// external tooling (cluster result digests, CI comparisons) names
 /// results exactly the way the cache does.
-pub fn unit_slug(bench: &str, variant: RunVariant) -> String {
-    entry_slug(bench, variant.canonical())
+pub fn unit_slug(bench: &str, design: DesignKind, gpu: GpuConfig) -> String {
+    entry_slug(&key_text(bench, design, gpu))
 }
 
-/// Enumerate the (benchmark × design) cross-product as work units in a
-/// deterministic order — the shard space a cluster coordinator hands out.
-pub fn sweep_space(benches: &[String], designs: &[DesignKind]) -> Vec<(String, RunVariant)> {
-    let mut units = Vec::with_capacity(benches.len() * designs.len());
-    for bench in benches {
-        for &design in designs {
-            units.push((bench.clone(), RunVariant::Design(design).canonical()));
-        }
-    }
-    units
+/// The exact text of one key, which the entry slug, the stored entry and
+/// [`unit_hash`] are all built from.
+fn key_text(bench: &str, design: DesignKind, gpu: GpuConfig) -> String {
+    format!("{bench}|{design:?}|{gpu:?}")
 }
 
 /// A cache-fingerprint directory name: exactly 16 lowercase hex digits
@@ -1030,13 +955,6 @@ fn dir_age_seconds(path: &Path) -> Option<u64> {
     newest?.elapsed().ok().map(|d| d.as_secs())
 }
 
-/// Render a byte count with a unit suited to its magnitude. Delegates to
-/// the one humanized formatter shared via telemetry so `sweep --stats`,
-/// `sweep --gc`, and the cluster coordinator all print identical units.
-fn format_bytes(bytes: u64) -> String {
-    regless_telemetry::format_bytes(bytes)
-}
-
 /// FNV-1a, used for the cache fingerprint and slug collision guards.
 fn fnv1a64(bytes: &[u8]) -> u64 {
     let mut h: u64 = 0xcbf2_9ce4_8422_2325;
@@ -1049,8 +967,7 @@ fn fnv1a64(bytes: &[u8]) -> u64 {
 
 /// Filename for one cache entry: a readable sanitized prefix plus a hash
 /// of the exact key (the prefix alone could collide after sanitizing).
-fn entry_slug(bench: &str, variant: RunVariant) -> String {
-    let exact = format!("{bench}|{variant:?}");
+fn entry_slug(exact: &str) -> String {
     let mut readable = String::new();
     for c in exact.chars() {
         if c.is_ascii_alphanumeric() {
@@ -1069,13 +986,11 @@ fn entry_slug(bench: &str, variant: RunVariant) -> String {
 
 /// Best-effort read of a persisted report; any failure (missing, corrupt,
 /// or a slug collision with a different key) falls back to simulating.
-fn load_entry(path: &Path, bench: &str, variant: RunVariant) -> Option<RunReport> {
+fn load_entry(path: &Path, exact: &str) -> Option<RunReport> {
     let text = std::fs::read_to_string(path).ok()?;
     let json = regless_json::Json::parse(&text).ok()?;
-    let stored_bench: String = regless_json::FromJson::from_json(json.field("bench").ok()?).ok()?;
-    let stored_variant: String =
-        regless_json::FromJson::from_json(json.field("variant").ok()?).ok()?;
-    if stored_bench != bench || stored_variant != format!("{variant:?}") {
+    let stored: String = regless_json::FromJson::from_json(json.field("key").ok()?).ok()?;
+    if stored != exact {
         return None;
     }
     regless_json::FromJson::from_json(json.field("report").ok()?).ok()
@@ -1083,16 +998,9 @@ fn load_entry(path: &Path, bench: &str, variant: RunVariant) -> Option<RunReport
 
 /// Best-effort write of a report (cache persistence must never fail an
 /// experiment, so I/O errors only warn).
-fn store_entry(path: &Path, bench: &str, variant: RunVariant, report: &RunReport) {
+fn store_entry(path: &Path, exact: &str, report: &RunReport) {
     let entry = regless_json::Json::Obj(vec![
-        (
-            "bench".into(),
-            regless_json::ToJson::to_json(&bench.to_string()),
-        ),
-        (
-            "variant".into(),
-            regless_json::ToJson::to_json(&format!("{variant:?}")),
-        ),
+        ("key".into(), regless_json::Json::Str(exact.to_string())),
         ("report".into(), regless_json::ToJson::to_json(report)),
     ]);
     let write = || -> std::io::Result<()> {
@@ -1121,39 +1029,84 @@ fn store_entry(path: &Path, bench: &str, variant: RunVariant, report: &RunReport
 #[cfg(test)]
 mod tests {
     use super::*;
+    use regless_baselines::Throttle;
+    use regless_sim::SchedulerKind;
 
     #[test]
-    fn canonicalization_merges_equivalent_runs() {
+    fn equal_runs_are_equal_keys() {
+        let engine = SweepEngine::with_config(None, SweepMode::Normal);
+        let nn = rodinia_id("nn");
+        let eval = eval_gpu();
+        engine.run(&nn, DesignKind::Baseline, eval);
+        engine.run(&nn, DesignKind::regless_512(), eval);
+        // The scheduler study's GTO point and the issue-width study's
+        // single-issue point are the evaluation machine itself.
+        let gto = GpuConfig {
+            scheduler: SchedulerKind::Gto,
+            ..eval
+        };
+        let single = GpuConfig {
+            issue_slots_per_scheduler: 1,
+            ..eval
+        };
+        engine.run(&nn, DesignKind::Baseline, gto);
+        engine.run(&nn, DesignKind::regless_512(), single);
+        let s = engine.stats();
+        assert_eq!((s.misses, s.memory_hits), (2, 2));
+
+        // Other machines and the §7 occupancy-limited RF key apart.
+        let base = unit_hash(&nn, DesignKind::Baseline, eval);
+        let mut hashes = vec![base];
+        for (design, gpu) in [
+            (
+                DesignKind::Baseline,
+                GpuConfig {
+                    scheduler: SchedulerKind::Lrr,
+                    ..eval
+                },
+            ),
+            (
+                DesignKind::Baseline,
+                GpuConfig {
+                    scheduler: SchedulerKind::TwoLevel {
+                        active_per_scheduler: 4,
+                    },
+                    ..eval
+                },
+            ),
+            (
+                DesignKind::Baseline,
+                GpuConfig {
+                    issue_slots_per_scheduler: 2,
+                    ..eval
+                },
+            ),
+            (DesignKind::Throttled(Throttle::Occupancy), eval),
+        ] {
+            assert!(engine.lookup(&nn, design, gpu).is_none(), "{design:?}");
+            let h = unit_hash(&nn, design, gpu);
+            assert!(!hashes.contains(&h), "{design:?} hashes apart");
+            hashes.push(h);
+        }
+        assert_eq!(engine.stats().misses, 2);
+
+        // Logs name the machine only when it is not the evaluation one.
         assert_eq!(
-            RunVariant::Scheduler(SchedulerKind::Gto).canonical(),
-            RunVariant::Design(DesignKind::Baseline)
+            run_label(&nn, DesignKind::Baseline, gto),
+            "rodinia/nn Baseline"
         );
-        assert_eq!(
-            RunVariant::IssueWidth {
-                width: 1,
-                regless: true
-            }
-            .canonical(),
-            RunVariant::Design(DesignKind::regless_512())
-        );
-        // Non-default settings must keep their own key.
-        assert_eq!(
-            RunVariant::IssueWidth {
-                width: 2,
-                regless: false
-            }
-            .canonical(),
-            RunVariant::IssueWidth {
-                width: 2,
-                regless: false
-            }
-        );
+        let lrr = GpuConfig {
+            scheduler: SchedulerKind::Lrr,
+            ..eval
+        };
+        assert!(run_label(&nn, DesignKind::Baseline, lrr)
+            .starts_with("rodinia/nn Baseline on GpuConfig {"));
     }
 
     #[test]
     fn slug_is_filename_safe_and_key_exact() {
-        let a = entry_slug("rodinia/bfs", RunVariant::Design(DesignKind::regless_512()));
-        let b = entry_slug("rodinia/bfs", RunVariant::Design(DesignKind::Baseline));
+        let a = unit_slug("rodinia/bfs", DesignKind::regless_512(), eval_gpu());
+        let b = unit_slug("rodinia/bfs", DesignKind::Baseline, eval_gpu());
         assert_ne!(a, b);
         assert!(a.ends_with(".json"));
         assert!(
@@ -1172,22 +1125,25 @@ mod tests {
         ));
         let _ = std::fs::remove_dir_all(&dir);
         let bench = rodinia_id("nn");
-        let variant = RunVariant::Design(DesignKind::Baseline);
+        let key = (DesignKind::Baseline, eval_gpu());
 
         let cold = SweepEngine::with_config(Some(dir.clone()), SweepMode::Normal);
-        let first = cold.run(&bench, variant);
-        let again = cold.run(&bench, variant);
+        let first = cold.run(&bench, key.0, key.1);
+        let again = cold.run(&bench, key.0, key.1);
         assert!(
             Arc::ptr_eq(&first, &again),
             "second call must be the memoized report"
         );
         let s = cold.stats();
         assert_eq!((s.misses, s.memory_hits, s.disk_hits), (1, 1, 0));
+        // The entry is named by the public slug the cluster digests use.
+        let slug = unit_slug(&bench, key.0, key.1);
+        assert!(dir.join(SweepEngine::fingerprint()).join(slug).exists());
 
         // A fresh engine over the same directory must replay from disk and
         // reproduce the simulated numbers exactly.
         let warm = SweepEngine::with_config(Some(dir.clone()), SweepMode::Normal);
-        let replayed = warm.run(&bench, variant);
+        let replayed = warm.run(&bench, key.0, key.1);
         let s = warm.stats();
         assert_eq!((s.misses, s.disk_hits), (0, 1));
         assert_eq!(replayed.cycles, first.cycles);
@@ -1197,7 +1153,7 @@ mod tests {
 
         // Cold mode ignores the entry and simulates again.
         let forced = SweepEngine::with_config(Some(dir.clone()), SweepMode::Cold);
-        let re = forced.run(&bench, variant);
+        let re = forced.run(&bench, key.0, key.1);
         assert_eq!(forced.stats().misses, 1);
         assert_eq!(re.cycles, first.cycles);
         let _ = std::fs::remove_dir_all(&dir);
@@ -1207,14 +1163,15 @@ mod tests {
     fn timing_table_marks_warm_hits_cached() {
         let engine = SweepEngine::with_config(None, SweepMode::Normal);
         let bench = rodinia_id("nn");
-        let variant = RunVariant::Design(DesignKind::Baseline);
-        engine.run(&bench, variant);
-        engine.run(&bench, variant);
+        engine.run(&bench, DesignKind::Baseline, eval_gpu());
+        engine.run(&bench, DesignKind::Baseline, eval_gpu());
 
-        let log = engine.run_log();
-        assert_eq!(log.len(), 2);
-        assert_eq!(log[0].source, RunSource::Simulated);
-        assert_eq!(log[1].source, RunSource::MemoryCache);
+        {
+            let log = engine.records.lock().unwrap();
+            assert_eq!(log.len(), 2);
+            assert_eq!(log[0].source, RunSource::Simulated);
+            assert_eq!(log[1].source, RunSource::MemoryCache);
+        }
 
         let table = engine.timing_table();
         let lines: Vec<&str> = table.lines().collect();
@@ -1312,14 +1269,14 @@ mod tests {
         ));
         let _ = std::fs::remove_dir_all(&dir);
         let bench = rodinia_id("nn");
-        let variant = RunVariant::Design(DesignKind::Baseline);
         let engine = SweepEngine::with_config(Some(dir.clone()), SweepMode::Normal);
-        let report = engine.run(&bench, variant);
-        let path = engine.entry_path(&bench, variant).unwrap();
+        let report = engine.run(&bench, DesignKind::Baseline, eval_gpu());
+        let exact = key_text(&bench, DesignKind::Baseline, eval_gpu());
+        let path = engine.entry_path(&exact).unwrap();
 
         std::thread::scope(|scope| {
             for _ in 0..8 {
-                scope.spawn(|| store_entry(&path, &bench, variant, &report));
+                scope.spawn(|| store_entry(&path, &exact, &report));
             }
         });
 
@@ -1329,16 +1286,16 @@ mod tests {
             .map(|e| e.file_name().to_string_lossy().into_owned())
             .collect();
         assert_eq!(entries.len(), 1, "no temp files survive: {entries:?}");
-        let replayed = load_entry(&path, &bench, variant).expect("entry parses");
+        let replayed = load_entry(&path, &exact).expect("entry parses");
         assert_eq!(replayed.cycles, report.cycles);
         let _ = std::fs::remove_dir_all(&dir);
     }
 
     #[test]
     fn payload_texts_are_rendered_once_for_their_labels() {
-        let report = Arc::new(simulate(
-            &rodinia_id("nn"),
-            RunVariant::Design(DesignKind::regless_512()),
+        let report = Arc::new(crate::run_design(
+            &bench_kernel(&rodinia_id("nn")).unwrap(),
+            DesignKind::regless_512(),
         ));
         let run = CachedRun::new(Arc::clone(&report));
         let profile = |kernel: &str, design: &str, capacity: usize| {
@@ -1376,34 +1333,34 @@ mod tests {
         ));
         let _ = std::fs::remove_dir_all(&dir);
         let bench = rodinia_id("nn");
-        let variant = RunVariant::Design(DesignKind::Baseline);
+        let (design, gpu) = (DesignKind::Baseline, eval_gpu());
 
         let writer = SweepEngine::with_config(Some(dir.clone()), SweepMode::Normal);
-        assert!(writer.lookup(&bench, variant).is_none(), "cold cache");
-        let report = Arc::new(simulate(&bench, variant));
-        writer.insert(&bench, variant, Arc::clone(&report));
-        let hit = writer.lookup(&bench, variant).expect("memoized");
+        assert!(writer.lookup(&bench, design, gpu).is_none(), "cold cache");
+        let report = Arc::new(crate::run_design(&bench_kernel(&bench).unwrap(), design));
+        writer.insert(&bench, design, gpu, Arc::clone(&report));
+        let hit = writer.lookup(&bench, design, gpu).expect("memoized");
         assert!(Arc::ptr_eq(&hit.report, &report));
 
         // The compact report text is rendered once and shared by every
         // later lookup of the key.
         let text = hit.stable_text();
         assert_eq!(*text, *report.stable_json().to_string_compact());
-        let again = writer.lookup(&bench, variant).expect("memoized");
+        let again = writer.lookup(&bench, design, gpu).expect("memoized");
         assert!(Arc::ptr_eq(&again, &hit));
         assert!(Arc::ptr_eq(&again.stable_text(), &text));
 
         // A fresh engine over the same directory replays the inserted
         // entry from disk; lookup never runs the simulator.
         let reader = SweepEngine::with_config(Some(dir.clone()), SweepMode::Normal);
-        let replayed = reader.lookup(&bench, variant).expect("disk replay");
+        let replayed = reader.lookup(&bench, design, gpu).expect("disk replay");
         assert_eq!(replayed.cycles, report.cycles);
         let s = reader.stats();
         assert_eq!((s.misses, s.disk_hits), (0, 1));
 
         // Off mode: lookup and insert are inert.
         let off = SweepEngine::with_config(Some(dir.clone()), SweepMode::Off);
-        assert!(off.lookup(&bench, variant).is_none());
+        assert!(off.lookup(&bench, design, gpu).is_none());
         let _ = std::fs::remove_dir_all(&dir);
     }
 
@@ -1451,6 +1408,10 @@ mod tests {
             regless_json::FromJson::from_json(parsed.field("total_bytes").unwrap()).unwrap();
         assert_eq!(total_entries, 2);
         assert_eq!(total_bytes, 7);
+        assert_eq!(
+            engine.cache_dir_totals(),
+            Some((total_entries, total_bytes))
+        );
         let _ = std::fs::remove_dir_all(&dir);
     }
 
@@ -1479,39 +1440,23 @@ mod tests {
     }
 
     #[test]
-    fn unit_hash_is_canonical_and_distinct() {
-        // Equivalent phrasings hash identically (idempotency across a
-        // coordinator that speaks designs and a worker that ran a study
-        // variant).
-        let single_issue = RunVariant::IssueWidth {
-            width: 1,
-            regless: true,
-        };
-        assert_eq!(
-            unit_hash("rodinia/nn", single_issue),
-            unit_hash("rodinia/nn", RunVariant::Design(DesignKind::regless_512()))
-        );
-        // Distinct units hash apart.
+    fn unit_hash_is_distinct() {
+        let eval = eval_gpu();
         assert_ne!(
-            unit_hash("rodinia/nn", RunVariant::Design(DesignKind::Baseline)),
-            unit_hash("rodinia/bfs", RunVariant::Design(DesignKind::Baseline))
+            unit_hash("rodinia/nn", DesignKind::Baseline, eval),
+            unit_hash("rodinia/bfs", DesignKind::Baseline, eval)
         );
         assert_ne!(
-            unit_hash("rodinia/nn", RunVariant::Design(DesignKind::Baseline)),
-            unit_hash("rodinia/nn", RunVariant::Design(DesignKind::regless_512()))
+            unit_hash("rodinia/nn", DesignKind::Baseline, eval),
+            unit_hash("rodinia/nn", DesignKind::regless_512(), eval)
         );
         let fifo = DesignKind::RegLess(regless_core::RegLessConfig {
             activation_order: regless_core::ActivationOrder::Fifo,
             ..regless_core::RegLessConfig::paper_default()
         });
         assert_ne!(
-            unit_hash("rodinia/nn", RunVariant::Design(fifo)),
-            unit_hash("rodinia/nn", RunVariant::Design(DesignKind::regless_512()))
-        );
-        // And the public slug matches what the disk cache would use.
-        assert_eq!(
-            unit_slug("rodinia/nn", single_issue),
-            entry_slug("rodinia/nn", RunVariant::Design(DesignKind::regless_512()))
+            unit_hash("rodinia/nn", fifo, eval),
+            unit_hash("rodinia/nn", DesignKind::regless_512(), eval)
         );
     }
 
@@ -1526,16 +1471,16 @@ mod tests {
             .collect();
         let bench = rodinia_id("nn");
         for (i, (id_a, a)) in designs.iter().enumerate() {
-            let h = unit_hash(&bench, RunVariant::Design(*a));
+            let h = unit_hash(&bench, *a, eval_gpu());
             assert_eq!(
                 h,
-                unit_hash(&bench, RunVariant::Design(*a)),
+                unit_hash(&bench, *a, eval_gpu()),
                 "{id_a}: unit_hash must be deterministic"
             );
             for (id_b, b) in &designs[i + 1..] {
                 assert_ne!(
                     h,
-                    unit_hash(&bench, RunVariant::Design(*b)),
+                    unit_hash(&bench, *b, eval_gpu()),
                     "{id_a} and {id_b} must fingerprint apart"
                 );
             }
@@ -1543,34 +1488,10 @@ mod tests {
     }
 
     #[test]
-    fn sweep_space_enumerates_the_cross_product_in_order() {
-        let benches = vec![rodinia_id("nn"), rodinia_id("bfs")];
-        let designs = vec![DesignKind::Baseline, DesignKind::regless_512()];
-        let units = sweep_space(&benches, &designs);
-        assert_eq!(units.len(), 4);
-        assert_eq!(
-            units[0],
-            (rodinia_id("nn"), RunVariant::Design(DesignKind::Baseline))
-        );
-        assert_eq!(
-            units[3],
-            (
-                rodinia_id("bfs"),
-                RunVariant::Design(DesignKind::regless_512())
-            )
-        );
-        // Deterministic: two enumerations agree element-wise.
-        assert_eq!(units, sweep_space(&benches, &designs));
-    }
-
-    #[test]
     fn prefetch_covers_all_jobs() {
         let engine = SweepEngine::with_config(None, SweepMode::Normal);
-        let jobs = vec![
-            (rodinia_id("nn"), RunVariant::Design(DesignKind::Baseline)),
-            (rodinia_id("nn"), RunVariant::Design(DesignKind::Baseline)),
-        ];
-        engine.prefetch(&jobs);
+        let job = (rodinia_id("nn"), DesignKind::Baseline, eval_gpu());
+        engine.prefetch(&[job.clone(), job], None);
         let s = engine.stats();
         assert_eq!(s.misses, 1);
         assert_eq!(s.memory_hits + s.disk_hits + s.misses, 2);

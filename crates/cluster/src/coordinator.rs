@@ -22,6 +22,7 @@ use crate::assignment::HashRing;
 use crate::liveness::Liveness;
 use crate::stats::{ClusterSummary, MetricKind};
 use crate::WorkUnit;
+use regless_bench::eval_gpu;
 use regless_bench::sweep::SweepEngine;
 use regless_json::{FromJson, Json, ToJson};
 use regless_serve::proto::{
@@ -270,12 +271,15 @@ impl Coordinator {
             draining: false,
         };
         for unit in units {
-            // Deduplicate (canonically equal variants share an id) and
-            // skip units already merged — a warm cache means instant done.
+            // Deduplicate (equal keys share an id) and skip units already
+            // merged — a warm cache means instant done.
             if board.units.contains_key(&unit.id) {
                 continue;
             }
-            if engine.lookup(&unit.bench, unit.variant()).is_some() {
+            if engine
+                .lookup(&unit.bench, unit.design, eval_gpu())
+                .is_some()
+            {
                 board.done.insert(unit.id);
             } else {
                 board.pending.push_back(unit.id);
@@ -577,7 +581,9 @@ fn handle_result(req: &Request, shared: &Arc<Shared>) -> Response {
     // delivery (and block claims) cluster-wide. The write is idempotent
     // and atomic, so a concurrent duplicate delivery is harmless.
     let cycles = report.cycles;
-    shared.engine.insert(&unit.bench, unit.variant(), report);
+    shared
+        .engine
+        .insert(&unit.bench, unit.design, eval_gpu(), report);
     let mut board = shared.board.lock().expect("board poisoned");
     if board.done.contains(&unit_id) {
         // A duplicate raced us between the two lock scopes.
@@ -831,10 +837,7 @@ mod tests {
         // into a real cache directory.
         let sim = SweepEngine::with_config(None, SweepMode::Normal);
         for (i, (unit, kernel)) in claimed.iter().enumerate() {
-            let report = sim.run(
-                kernel,
-                regless_bench::sweep::RunVariant::Design(DesignKind::Baseline),
-            );
+            let report = sim.run(kernel, DesignKind::Baseline, eval_gpu());
             let mut req = Request::result(10 + i as u64, "w0", *unit, ToJson::to_json(&*report));
             req.kernel = Some(kernel.clone());
             req.design = "baseline".to_string();
@@ -846,10 +849,7 @@ mod tests {
         for (_, kernel) in &claimed {
             assert!(
                 engine
-                    .lookup(
-                        kernel,
-                        regless_bench::sweep::RunVariant::Design(DesignKind::Baseline)
-                    )
+                    .lookup(kernel, DesignKind::Baseline, eval_gpu())
                     .is_some(),
                 "{kernel} merged into the coordinator's engine"
             );
@@ -860,10 +860,7 @@ mod tests {
         assert_eq!(resp.payload_field("done"), Some(&Json::Bool(true)));
 
         // Duplicate delivery is acknowledged but not accepted.
-        let report = sim.run(
-            &claimed[0].1,
-            regless_bench::sweep::RunVariant::Design(DesignKind::Baseline),
-        );
+        let report = sim.run(&claimed[0].1, DesignKind::Baseline, eval_gpu());
         let mut dup = Request::result(30, "w1", claimed[0].0, ToJson::to_json(&*report));
         dup.kernel = Some(claimed[0].1.clone());
         dup.design = "baseline".to_string();

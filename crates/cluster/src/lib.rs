@@ -58,18 +58,19 @@ pub use stats::{ClusterSummary, MetricKind};
 pub use worker::{run_worker, WorkerConfig, WorkerSummary};
 
 use regless_bench::registry::{self, DesignParams};
-use regless_bench::sweep::{unit_hash, unit_slug, RunVariant};
-use regless_bench::DesignKind;
+use regless_bench::sweep::{unit_hash, unit_slug};
+use regless_bench::{eval_gpu, DesignKind};
 
 /// Default coordinator listen address (`regless cluster` / `regless
 /// worker` agree on it; one above serve's `7117`).
 pub const DEFAULT_CLUSTER_ADDR: &str = "127.0.0.1:7118";
 
-/// One shard of the sweep space: a benchmark × design point, identified
-/// by the stable hash the coordinator assigns and reassigns by.
+/// One shard of the sweep space: a benchmark × design point on the
+/// evaluation machine, identified by the stable hash the coordinator
+/// assigns and reassigns by.
 #[derive(Clone, PartialEq, Eq, Debug)]
 pub struct WorkUnit {
-    /// Stable id: [`unit_hash`] of the canonical `(bench, variant)` key.
+    /// Stable id: [`unit_hash`] of the `(bench, design, eval_gpu())` key.
     /// Identical across processes, so a reassigned unit and its original
     /// claim name the same result.
     pub id: u64,
@@ -83,21 +84,16 @@ impl WorkUnit {
     /// A unit for `(bench, design)`.
     pub fn new(bench: &str, design: DesignKind) -> WorkUnit {
         WorkUnit {
-            id: unit_hash(bench, RunVariant::Design(design)),
+            id: unit_hash(bench, design, eval_gpu()),
             bench: bench.to_string(),
             design,
         }
     }
 
-    /// The sweep-engine variant this unit caches under.
-    pub fn variant(&self) -> RunVariant {
-        RunVariant::Design(self.design).canonical()
-    }
-
     /// The disk-cache entry filename for this unit's result (used by the
     /// merge digests).
     pub fn slug(&self) -> String {
-        unit_slug(&self.bench, RunVariant::Design(self.design))
+        unit_slug(&self.bench, self.design, eval_gpu())
     }
 
     /// The `(design, capacity, compressor)` triple the JSONL protocol

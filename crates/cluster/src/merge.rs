@@ -14,6 +14,7 @@
 
 use crate::assignment::fnv1a64;
 use crate::WorkUnit;
+use regless_bench::eval_gpu;
 use regless_bench::sweep::SweepEngine;
 
 /// One digest line per unit, sorted: `"<cache slug> <16-hex hash of
@@ -29,7 +30,7 @@ pub fn digest_lines(engine: &SweepEngine, units: &[WorkUnit]) -> Result<Vec<Stri
     let mut lines = Vec::with_capacity(units.len());
     let mut missing = Vec::new();
     for unit in units {
-        match engine.lookup(&unit.bench, unit.variant()) {
+        match engine.lookup(&unit.bench, unit.design, eval_gpu()) {
             Some(report) => {
                 let stable = report.stable_json().to_string_compact();
                 lines.push(format!(
@@ -64,7 +65,7 @@ pub fn render_digest(lines: &[String]) -> String {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use regless_bench::sweep::{RunVariant, SweepMode};
+    use regless_bench::sweep::SweepMode;
     use regless_bench::DesignKind;
     use std::sync::Arc;
 
@@ -79,10 +80,11 @@ mod tests {
         assert_eq!(err.len(), 2);
         assert!(err.windows(2).all(|w| w[0] <= w[1]));
 
-        let ra = engine.run(&a.bench, RunVariant::Design(a.design));
-        engine.insert(&a.bench, a.variant(), Arc::clone(&ra));
-        let rb = engine.run(&b.bench, RunVariant::Design(b.design));
-        engine.insert(&b.bench, b.variant(), Arc::clone(&rb));
+        let eval = eval_gpu();
+        let ra = engine.run(&a.bench, a.design, eval);
+        engine.insert(&a.bench, a.design, eval, Arc::clone(&ra));
+        let rb = engine.run(&b.bench, b.design, eval);
+        engine.insert(&b.bench, b.design, eval, Arc::clone(&rb));
 
         let fwd = digest_lines(&engine, &[a.clone(), b.clone()]).unwrap();
         let rev = digest_lines(&engine, &[b.clone(), a.clone()]).unwrap();
@@ -100,8 +102,8 @@ mod tests {
         // A different report for the same unit changes the digest — the
         // comparator actually looks at report bytes, not just presence.
         let other = SweepEngine::with_config(None, SweepMode::Normal);
-        other.insert(&a.bench, a.variant(), rb);
-        other.insert(&b.bench, b.variant(), ra);
+        other.insert(&a.bench, a.design, eval, rb);
+        other.insert(&b.bench, b.design, eval, ra);
         let swapped = digest_lines(&other, &[a, b]).unwrap();
         assert_ne!(fwd, swapped);
     }

@@ -9,6 +9,7 @@
 //! hard error, not a hang.
 
 use crate::WorkUnit;
+use regless_bench::eval_gpu;
 use regless_bench::sweep::SweepEngine;
 use regless_json::{FromJson, ToJson};
 use regless_serve::client::{backoff_delay, RetryPolicy};
@@ -291,7 +292,7 @@ fn simulate_with_heartbeats(
                 id += 1;
             }
         });
-        let report = engine.run(&unit.bench, unit.variant());
+        let report = engine.run(&unit.bench, unit.design, eval_gpu());
         stop.store(true, Ordering::Release);
         report
     })

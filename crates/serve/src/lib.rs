@@ -23,9 +23,9 @@
 //!   down.
 //! - **Coalescing**: identical in-flight requests (same kernel, design,
 //!   capacity, compressor) share one simulation through the sweep
-//!   engine's canonical run variants, and benchmark-id results persist to
-//!   the shared on-disk cache so later requests — and independent CLI
-//!   sweeps — replay instead of re-simulating.
+//!   engine's `(bench, design, machine)` keys, and benchmark-id results
+//!   persist to the shared on-disk cache so later requests — and
+//!   independent CLI sweeps — replay instead of re-simulating.
 //! - **Cancellation**: each job carries a [`regless_sim::CancelToken`]
 //!   threaded into the simulator's tick loop; when the last waiter's
 //!   deadline expires the token trips and the simulation returns at the

@@ -12,9 +12,7 @@ use crate::proto::{
     read_json_line, write_json_line, ErrorBody, ErrorCode, Request, RequestKind, Response,
 };
 use regless_bench::registry::{self, DesignParams};
-use regless_bench::sweep::{
-    bench_kernel, bench_kernel_name, rodinia_id, CachedRun, RunVariant, SweepEngine,
-};
+use regless_bench::sweep::{bench_kernel, bench_kernel_name, rodinia_id, CachedRun, SweepEngine};
 use regless_bench::{eval_gpu, Attach, DesignKind, RunError};
 use regless_isa::text::parse_kernel;
 use regless_isa::Kernel;
@@ -680,7 +678,7 @@ fn handle_simulation(shared: &Arc<Shared>, req: &Request) -> Response {
     // and its kernel is never generated.
     if let JobKernel::Bench { id, name } = &kernel {
         let t_cache = if trace.is_some() { epoch_us() } else { 0 };
-        let hit = shared.engine.lookup(id, RunVariant::Design(design));
+        let hit = shared.engine.lookup(id, design, eval_gpu());
         if let Some(t) = trace.as_mut() {
             t.spans.push(
                 Span::new(
@@ -987,9 +985,7 @@ fn run_job(shared: &Arc<Shared>, job: &Arc<Job>) {
                 let report = Arc::new(report);
                 Ok(match &job.kernel {
                     JobKernel::Bench { id, .. } => {
-                        shared
-                            .engine
-                            .insert(id, RunVariant::Design(job.key.design), report)
+                        shared.engine.insert(id, job.key.design, eval_gpu(), report)
                     }
                     JobKernel::File(_) => Arc::new(CachedRun::new(report)),
                 })

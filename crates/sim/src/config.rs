@@ -4,7 +4,7 @@
 pub type Cycle = u64;
 
 /// Parameters of one cache level.
-#[derive(Clone, Copy, PartialEq, Eq, Debug)]
+#[derive(Clone, Copy, PartialEq, Eq, Hash, Debug)]
 pub struct CacheConfig {
     /// Total capacity in bytes.
     pub bytes: usize,
@@ -40,7 +40,7 @@ pub enum SchedulerKind {
 }
 
 /// Per-opcode-class issue-to-writeback latencies.
-#[derive(Clone, Copy, PartialEq, Eq, Debug)]
+#[derive(Clone, Copy, PartialEq, Eq, Hash, Debug)]
 pub struct LatencyConfig {
     /// Integer ALU dependent latency.
     pub int_alu: Cycle,
@@ -67,7 +67,7 @@ impl Default for LatencyConfig {
 ///
 /// [`GpuConfig::gtx980`] reproduces the paper's Table 1; smaller
 /// configurations are provided for tests and quick experiments.
-#[derive(Clone, Copy, PartialEq, Eq, Debug)]
+#[derive(Clone, Copy, PartialEq, Eq, Hash, Debug)]
 pub struct GpuConfig {
     /// Number of streaming multiprocessors.
     pub num_sms: usize,

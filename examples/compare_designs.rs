@@ -6,6 +6,7 @@
 //! cargo run --release --example compare_designs [benchmark]
 //! ```
 
+use regless::baselines::Throttle;
 use regless::bench::{Attach, DesignKind};
 use regless::energy::{energy, Design};
 use regless::sim::{GpuConfig, RunReport};
@@ -19,7 +20,7 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
     let run = |design: DesignKind| design.execute(&kernel, gpu, &Attach::default());
     let baseline = run(DesignKind::Baseline)?;
     let rfh = run(DesignKind::Rfh)?;
-    let rfv = run(DesignKind::Rfv)?;
+    let rfv = run(DesignKind::Throttled(Throttle::Rename))?;
     let regless = run(DesignKind::regless_512())?;
 
     let base_energy = energy(&baseline, Design::Baseline, &gpu).total_pj();

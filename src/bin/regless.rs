@@ -908,16 +908,14 @@ fn cmd_cluster(args: &[String]) -> CmdResult {
     if local {
         // The single-process comparison arm: same units, same engine,
         // same digest format — what CI diffs cluster output against.
-        let jobs: Vec<(String, regless::bench::sweep::RunVariant)> = units
+        let jobs: Vec<regless::bench::sweep::Key> = units
             .iter()
-            .map(|u| (u.bench.clone(), u.variant()))
+            .map(|u| (u.bench.clone(), u.design, regless::bench::eval_gpu()))
             .collect();
-        if config.progress {
-            let meter = regless::telemetry::ProgressMeter::new(jobs.len() as u64);
-            engine.prefetch_with_progress(&jobs, Some(&meter));
-        } else {
-            engine.prefetch(&jobs);
-        }
+        let meter = config
+            .progress
+            .then(|| regless::telemetry::ProgressMeter::new(jobs.len() as u64));
+        engine.prefetch(&jobs, meter.as_ref());
         let mut summary = regless::cluster::ClusterSummary {
             units_total: units.len() as u64,
             units_done: units.len() as u64,

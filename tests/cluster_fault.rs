@@ -10,7 +10,7 @@
 //! footprint of a killed process whose sockets drop.
 
 use regless::bench::sweep::{SweepEngine, SweepMode};
-use regless::bench::DesignKind;
+use regless::bench::{eval_gpu, DesignKind};
 use regless::cluster::{
     merge, run_worker, units_for, Coordinator, CoordinatorConfig, WorkerConfig,
 };
@@ -104,7 +104,7 @@ fn sweep_survives_a_worker_killed_mid_sweep() {
     let cluster_digest = merge::digest_lines(&engine, &units).expect("all units merged");
     let reference = SweepEngine::with_config(None, SweepMode::Normal);
     for unit in &units {
-        reference.run(&unit.bench, unit.variant());
+        reference.run(&unit.bench, unit.design, eval_gpu());
     }
     let reference_digest = merge::digest_lines(&reference, &units).expect("reference complete");
     assert_eq!(
@@ -114,8 +114,9 @@ fn sweep_survives_a_worker_killed_mid_sweep() {
 
     // And per-unit: the stable_json bytes themselves agree.
     for unit in &units {
-        let merged = engine.lookup(&unit.bench, unit.variant()).unwrap();
-        let single = reference.lookup(&unit.bench, unit.variant()).unwrap();
+        let merged = engine.lookup(&unit.bench, unit.design, eval_gpu());
+        let single = reference.lookup(&unit.bench, unit.design, eval_gpu());
+        let (merged, single) = (merged.unwrap(), single.unwrap());
         assert_eq!(
             merged.stable_json().to_string_compact(),
             single.stable_json().to_string_compact(),

@@ -3,6 +3,7 @@
 //! `DesignKind::execute` like every other caller, and execute the same
 //! instruction stream as the baseline.
 
+use regless::baselines::Throttle;
 use regless::bench::{Attach, DesignKind};
 use regless::isa::{Kernel, KernelBuilder, Opcode};
 use regless::sim::{GpuConfig, RunReport};
@@ -46,7 +47,10 @@ fn rfh_runs_and_filters_accesses() {
 
 #[test]
 fn rfv_runs_and_renames() {
-    let report = run(DesignKind::Rfv, GpuConfig::test_small());
+    let report = run(
+        DesignKind::Throttled(Throttle::Rename),
+        GpuConfig::test_small(),
+    );
     let t = report.total();
     assert!(t.insns > 0);
     assert!(t.rename_lookups > 0);
@@ -61,7 +65,7 @@ fn regdem_runs_and_counts_spills() {
         rf_bytes_per_sm: 8 * 1024,
         ..GpuConfig::test_small()
     };
-    let report = run(DesignKind::RegDem, gpu);
+    let report = run(DesignKind::Throttled(Throttle::Demote), gpu);
     let t = report.total();
     assert!(t.insns > 0);
     assert!(
@@ -73,7 +77,10 @@ fn regdem_runs_and_counts_spills() {
 
 #[test]
 fn compress_rf_runs_and_matches_patterns() {
-    let report = run(DesignKind::CompressRf, GpuConfig::test_small());
+    let report = run(
+        DesignKind::Throttled(Throttle::Compress),
+        GpuConfig::test_small(),
+    );
     let t = report.total();
     assert!(t.insns > 0);
     assert!(
@@ -89,9 +96,9 @@ fn all_designs_execute_same_instruction_count() {
     let base = run(DesignKind::Baseline, gpu).total().insns;
     for design in [
         DesignKind::Rfh,
-        DesignKind::Rfv,
-        DesignKind::RegDem,
-        DesignKind::CompressRf,
+        DesignKind::Throttled(Throttle::Rename),
+        DesignKind::Throttled(Throttle::Demote),
+        DesignKind::Throttled(Throttle::Compress),
     ] {
         assert_eq!(run(design, gpu).total().insns, base, "{design:?}");
     }

@@ -1,6 +1,7 @@
 //! Integration tests spanning crates: the same compiled kernels run under
 //! every register-storage design and must agree on the work performed.
 
+use regless::baselines::Throttle;
 use regless::bench::{Attach, DesignKind};
 use regless::compiler::{compile, RegionConfig};
 use regless::core::RegLessConfig;
@@ -32,7 +33,7 @@ fn all_designs_execute_identical_instruction_streams() {
         let base = run_baseline(gpu(), Arc::new(compiled)).unwrap();
         let run = |design: DesignKind| design.execute(&kernel, gpu(), &Attach::default()).unwrap();
         let rfh = run(DesignKind::Rfh);
-        let rfv = run(DesignKind::Rfv);
+        let rfv = run(DesignKind::Throttled(Throttle::Rename));
         let rl = run(DesignKind::regless_512());
         let expect = base.total().insns;
         assert!(expect > 0);

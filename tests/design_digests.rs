@@ -8,7 +8,7 @@
 
 use regless::baselines::Throttle;
 use regless::bench::registry;
-use regless::bench::{eval_gpu, run_design, run_throttled, Attach, DesignKind};
+use regless::bench::{eval_gpu, run_design, Attach, DesignKind};
 use regless::core::{ActivationOrder, PatternSet, RegLessConfig};
 use regless::sim::GpuConfig;
 use regless::workloads::{high_pressure_kernel, rodinia};
@@ -147,16 +147,10 @@ fn design_digests_match_golden() {
     // The full register file with occupancy capped by the kernel's
     // register allocation (the §7 oversubscription study), run directly
     // rather than through the sweep engine so the test writes no cache.
-    let attach = Attach::default();
-    let json = run_throttled(
-        &high_pressure_kernel(),
-        eval_gpu(),
-        Throttle::Occupancy,
-        &attach,
-    )
-    .expect("runs")
-    .stable_json()
-    .to_string_compact();
+    let occupancy = DesignKind::Throttled(Throttle::Occupancy);
+    let json = run_design(&high_pressure_kernel(), occupancy)
+        .stable_json()
+        .to_string_compact();
     actual.push_str(&format!(
         "high_pressure occupancy-limited {:016x}\n",
         fnv1a64(json.as_bytes())
