@@ -1,11 +1,10 @@
 //! A minimal blocking client for the JSONL protocol.
 //!
-//! Used by `regless submit`, the load generator, and the tests. One
-//! request in flight at a time per connection; the server answers in
-//! order, so a plain write-then-read suffices.
+//! Used by `regless submit`, `regless obs`, cluster workers and the
+//! tests. One request in flight at a time per connection; the server
+//! answers in order, so a plain write-then-read suffices.
 
 use crate::proto::{read_json_line, write_json_line, ErrorCode, Request, Response};
-use regless_json::Json;
 use std::io::BufReader;
 use std::net::TcpStream;
 use std::time::Duration;
@@ -105,7 +104,13 @@ impl Client {
     /// the server hangs up mid-request, or `InvalidData` for an
     /// unparseable response line.
     pub fn request(&mut self, req: &Request) -> std::io::Result<Response> {
-        let json = self.raw(&req.to_json())?;
+        write_json_line(&mut self.writer, &req.to_json())?;
+        let json = read_json_line(&mut self.reader)?.ok_or_else(|| {
+            std::io::Error::new(
+                std::io::ErrorKind::UnexpectedEof,
+                "server closed the connection before responding",
+            )
+        })?;
         Response::from_json(&json)
             .map_err(|e| std::io::Error::new(std::io::ErrorKind::InvalidData, e.message))
     }
@@ -138,22 +143,6 @@ impl Client {
             std::thread::sleep(backoff_delay(retries, hint, policy, seed));
             retries += 1;
         }
-    }
-
-    /// Send a raw JSON line and read back one JSON line — the escape
-    /// hatch the load generator uses to measure pure protocol overhead.
-    ///
-    /// # Errors
-    ///
-    /// Same conditions as [`Client::request`].
-    pub fn raw(&mut self, json: &Json) -> std::io::Result<Json> {
-        write_json_line(&mut self.writer, json)?;
-        read_json_line(&mut self.reader)?.ok_or_else(|| {
-            std::io::Error::new(
-                std::io::ErrorKind::UnexpectedEof,
-                "server closed the connection before responding",
-            )
-        })
     }
 }
 

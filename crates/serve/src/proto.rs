@@ -5,7 +5,7 @@
 //! either a kind-specific payload (`"ok": true`) or a structured error
 //! (`"ok": false`). The grammar is documented in DESIGN.md §12; this
 //! module is the single encoder/decoder both the server and the clients
-//! (CLI `submit`, `loadgen`, tests) share.
+//! (CLI `submit` and `obs`, cluster workers, tests) share.
 
 use regless_json::{FromJson, Json, JsonError, ToJson};
 use std::io::{BufRead, Write};

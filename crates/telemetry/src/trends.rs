@@ -1,8 +1,7 @@
 //! The perf-trend observatory: flat metric rows distilled from the
-//! benchmark artifacts (`BENCH_profile.json`, `BENCH_serve.json`,
-//! `BENCH_cluster.json`) and from `regless report --trend` runs into one
-//! append-only `results/trends.jsonl`, a rolling-median regression gate,
-//! and an HTML trend dashboard.
+//! `BENCH_profile.json` benchmark artifact and from `regless report
+//! --trend` runs into one append-only `results/trends.jsonl`, a
+//! rolling-median regression gate, and an HTML trend dashboard.
 //!
 //! Like [`crate::report`], this module is pure presentation and
 //! arithmetic: the `regless trends` verb does the file I/O and timestamp
@@ -17,10 +16,11 @@ pub struct TrendPoint {
     /// Unix epoch seconds when the row was ingested (0 for synthetic
     /// rows whose order alone matters).
     pub ts: u64,
-    /// Where the value came from: a benchmark artifact (`serve`,
-    /// `cluster`, `profile`) or a `regless report --trend` run (`report`).
+    /// Where the value came from: the benchmark artifact (`profile`) or a
+    /// `regless report --trend` run (`report`).
     pub source: String,
-    /// Dotted metric name (`serve.p99_ms`, `report.nn.regless@512.ipc`).
+    /// Dotted metric name (`profile.regless_mean_ipc`,
+    /// `report.nn.regless@512.ipc`).
     pub metric: String,
     /// The observed value.
     pub value: f64,
@@ -91,20 +91,6 @@ fn point(source: &str, metric: &str, value: f64, unit: &str) -> TrendPoint {
 /// trajectory table use unless told otherwise.
 pub const DEFAULT_WINDOW: usize = 8;
 
-/// Distill one benchmark artifact into trend rows (`ts` left at 0 for
-/// the caller to stamp). `source` selects the schema: `serve`, `cluster`,
-/// or `profile`. Unknown sources and missing fields yield an empty vec
-/// rather than an error, so a partial results directory ingests whatever
-/// it has.
-pub fn ingest(source: &str, json: &Json) -> Vec<TrendPoint> {
-    match source {
-        "serve" => ingest_serve(json),
-        "cluster" => ingest_cluster(json),
-        "profile" => ingest_profile(json),
-        _ => Vec::new(),
-    }
-}
-
 /// One run's trend rows (source `report`, `ts` left at 0 for the caller
 /// to stamp): its cycles and IPC under
 /// `report.<kernel>.<design>[@<capacity>]`, the capacity shown for the
@@ -125,52 +111,12 @@ pub fn report_points(report: &Report) -> Vec<TrendPoint> {
     ]
 }
 
-/// `BENCH_serve.json`: client-observed throughput and latency.
-fn ingest_serve(json: &Json) -> Vec<TrendPoint> {
-    let mut out = Vec::new();
-    if let Some(rps) = num_field(json, "throughput_rps") {
-        out.push(point("serve", "serve.throughput_rps", rps, "req/s"));
-    }
-    if let Ok(lat) = json.field("latency_ms") {
-        if let Some(p50) = num_field(lat, "p50") {
-            out.push(point("serve", "serve.p50_ms", p50, "ms"));
-        }
-        if let Some(p99) = num_field(lat, "p99") {
-            out.push(point("serve", "serve.p99_ms", p99, "ms"));
-        }
-    }
-    out
-}
-
-/// `BENCH_cluster.json`: the widest run's throughput and scaling.
-fn ingest_cluster(json: &Json) -> Vec<TrendPoint> {
-    let Ok(Json::Arr(runs)) = json.field("runs") else {
-        return Vec::new();
-    };
-    let widest = runs
-        .iter()
-        .max_by_key(|r| num_field(r, "workers").unwrap_or(0.0) as u64);
-    let Some(run) = widest else {
-        return Vec::new();
-    };
-    let mut out = Vec::new();
-    if let Some(tps) = num_field(run, "throughput_units_per_s") {
-        out.push(point(
-            "cluster",
-            "cluster.throughput_units_per_s",
-            tps,
-            "units/s",
-        ));
-    }
-    if let Some(speedup) = num_field(run, "speedup") {
-        out.push(point("cluster", "cluster.speedup", speedup, "x"));
-    }
-    out
-}
-
-/// `BENCH_profile.json`: mean RegLess IPC and total RegLess cycles over
-/// the benchmark suite at the paper's 512-entry design point.
-fn ingest_profile(json: &Json) -> Vec<TrendPoint> {
+/// Distill the `BENCH_profile.json` artifact into trend rows (source
+/// `profile`, `ts` left at 0 for the caller to stamp): mean RegLess IPC
+/// and total RegLess cycles over the benchmark suite at the paper's
+/// 512-entry design point. Missing fields yield an empty vec rather than
+/// an error, so a partial artifact ingests whatever it has.
+pub fn ingest(json: &Json) -> Vec<TrendPoint> {
     let Json::Arr(profiles) = json else {
         return Vec::new();
     };
@@ -514,37 +460,18 @@ mod tests {
     }
 
     #[test]
-    fn ingest_distills_each_artifact_schema() {
-        let serve =
-            Json::parse(r#"{"throughput_rps":1273.75,"latency_ms":{"p50":1.355,"p99":2.543}}"#)
-                .unwrap();
-        let rows = ingest("serve", &serve);
-        assert_eq!(rows.len(), 3);
-        assert_eq!(rows[2].metric, "serve.p99_ms");
-
-        let cluster = Json::parse(
-            r#"{"runs":[
-                {"workers":1,"throughput_units_per_s":17.7,"speedup":1.0},
-                {"workers":4,"throughput_units_per_s":16.4,"speedup":0.92}
-            ]}"#,
-        )
-        .unwrap();
-        let rows = ingest("cluster", &cluster);
-        assert_eq!(rows.len(), 2);
-        assert!((rows[0].value - 16.4).abs() < 1e-9, "widest run wins");
-
+    fn ingest_distills_the_profile_artifact() {
         let profile = Json::parse(
             r#"[{"name":"a","regless":{"ipc":0.5,"cycles":100}},
                 {"name":"b","regless":{"ipc":1.5,"cycles":300}}]"#,
         )
         .unwrap();
-        let rows = ingest("profile", &profile);
+        let rows = ingest(&profile);
         assert_eq!(rows.len(), 2);
         assert!((rows[0].value - 1.0).abs() < 1e-9, "mean ipc");
         assert!((rows[1].value - 400.0).abs() < 1e-9, "total cycles");
 
-        assert!(ingest("unknown", &Json::Null).is_empty());
-        assert!(ingest("serve", &Json::Null).is_empty());
+        assert!(ingest(&Json::Null).is_empty());
     }
 
     #[test]

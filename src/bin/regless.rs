@@ -38,7 +38,7 @@
 //!     --history <path>                    trend store (default results/trends.jsonl)
 //! regless diff <a.json> <b.json>      compare two saved profiles
 //!     --fail-above <pct>                  exit non-zero past this regression
-//! regless trends [options]            perf-trend observatory over BENCH_*.json
+//! regless trends [options]            perf-trend observatory over BENCH_profile.json
 //!     --results <dir>                     artifact directory (default results)
 //!     --history <path>                    trend history (default results/trends.jsonl)
 //!     --no-ingest                         gate/render only; append nothing
@@ -51,18 +51,22 @@
 //!     --workers <n>                       worker threads (default cores − 1)
 //!     --queue <n>                         admission queue capacity (default 64)
 //!     --drain-timeout <secs>              graceful-drain budget (default 30)
-//! regless submit <kernel> [options]   submit one request to a running server
+//! regless submit <kernel> [options]   submit a request to a running server
 //!     --addr <host:port>                  server address (default 127.0.0.1:7117)
 //!     --kind run|profile|report           what to ask for (default run)
 //!     --design <id>                       storage design (default regless)
 //!     --capacity <entries>                OSU entries/SM (default 512)
 //!     --no-compressor                     disable the compressor
 //!     --timeout-ms <ms>                   per-request deadline
+//!     --repeat <n>                        send it n times over one connection and
+//!                                         print p50/p99 latency to stderr
+//!     --slo-p99-ms <ms>                   exit 1 when client-observed p99 exceeds <ms>
 //!     --trace                             stamp a trace id and collect spans
 //!     --trace-id <hex>                    use this trace id instead of a fresh one
 //!     --trace-out <path>                  write the Chrome trace there
 //!                                         (default results/serve-trace.json)
 //! regless submit --stats|--shutdown   server statistics / graceful shutdown
+//!                                     (submit retries `queue_full` with back-off)
 //! regless obs [<addr>] [options]      server metrics / structured log
 //!     --format json|prom|table            rendering (default table)
 //!     --watch <secs>                      re-poll and re-print every <secs>
@@ -184,9 +188,10 @@ fn print_usage() {
          \u{20}                            --fail-above <pct>, --html <path>)\n\
          \u{20}  serve [options]           simulation server (options: --addr <host:port>,\n\
          \u{20}                            --workers <n>, --queue <n>, --drain-timeout <secs>)\n\
-         \u{20}  submit <kernel> [opts]    send one request (options: --addr <host:port>,\n\
+         \u{20}  submit <kernel> [opts]    send a request (options: --addr <host:port>,\n\
          \u{20}                            --kind run|profile|report, --design <id>,\n\
          \u{20}                            --capacity <entries>, --no-compressor, --timeout-ms <ms>,\n\
+         \u{20}                            --repeat <n>, --slo-p99-ms <ms>,\n\
          \u{20}                            --trace, --trace-id <hex>, --trace-out <path>)\n\
          \u{20}  submit --stats|--shutdown server statistics / graceful shutdown\n\
          \u{20}  obs [<addr>] [options]    server metrics / log (options: --format json|prom|table,\n\
@@ -651,12 +656,18 @@ fn cmd_serve(args: &[String]) -> CmdResult {
     }
 }
 
-/// Submit one request to a running server (`regless submit`).
+/// Submit a request to a running server (`regless submit`). Each send
+/// retries `queue_full` with back-off; `--repeat` sends the request N
+/// times over one connection, and `--slo-p99-ms` turns the
+/// client-observed p99 latency into a gate.
 fn cmd_submit(args: &[String]) -> CmdResult {
-    use regless::serve::{Client, Request, RequestKind};
+    use regless::serve::{Client, Request, RequestKind, RetryPolicy};
     use regless::telemetry::obs::{epoch_us, format_trace_id, gen_trace_id, parse_trace_id, Span};
+    use regless::telemetry::Log2Histogram;
     let mut addr = regless::serve::DEFAULT_ADDR.to_string();
     let mut req = Request::control(1, RequestKind::Run);
+    let mut repeat: Option<u32> = None;
+    let mut slo_p99_ms: Option<f64> = None;
     let mut trace = false;
     let mut trace_id: Option<u64> = None;
     let mut trace_out = "results/serve-trace.json".to_string();
@@ -677,6 +688,10 @@ fn cmd_submit(args: &[String]) -> CmdResult {
             "--no-compressor" => req.compressor = false,
             "--timeout-ms" => {
                 req.timeout_ms = Some(it.next().ok_or("--timeout-ms needs a value")?.parse()?);
+            }
+            "--repeat" => repeat = Some(it.next().ok_or("--repeat needs a value")?.parse()?),
+            "--slo-p99-ms" => {
+                slo_p99_ms = Some(it.next().ok_or("--slo-p99-ms needs a value")?.parse()?);
             }
             "--trace" => trace = true,
             "--trace-id" => {
@@ -700,14 +715,35 @@ fn cmd_submit(args: &[String]) -> CmdResult {
     if req.kind.is_simulation() && req.kernel.is_none() {
         return Err("submit: missing kernel (or use --stats / --shutdown)".into());
     }
+    if repeat == Some(0) {
+        return Err("--repeat must be at least 1".into());
+    }
+    if slo_p99_ms.is_some_and(|bound| bound.is_nan() || bound < 0.0) {
+        return Err("--slo-p99-ms must be a non-negative number of ms".into());
+    }
+    if repeat.is_some() && trace {
+        return Err("--repeat cannot be combined with --trace (one trace per request)".into());
+    }
     let trace_id = trace_id.unwrap_or_else(gen_trace_id);
     if trace {
         req.trace_id = Some(format_trace_id(trace_id));
     }
     let mut client = Client::connect(&addr)?;
-    let t0 = epoch_us();
-    let resp = client.request(&req)?;
-    let rpc_dur = epoch_us().saturating_sub(t0);
+    let policy = RetryPolicy::default();
+    let mut latency_us = Log2Histogram::new();
+    let mut failed = 0u64;
+    let started = std::time::Instant::now();
+    let (mut t0, mut rpc_dur) = (0, 0);
+    let mut resp = None;
+    for _ in 0..repeat.unwrap_or(1) {
+        t0 = epoch_us();
+        let reply = client.request_with_retry(&req, &policy)?.response;
+        rpc_dur = epoch_us().saturating_sub(t0);
+        latency_us.record(rpc_dur);
+        failed += u64::from(!reply.ok);
+        resp = Some(reply);
+    }
+    let resp = resp.expect("at least one request was sent");
     println!("{}", resp.clone().into_json().to_string_pretty());
     if trace {
         // The client-side rpc span wraps everything the server reported;
@@ -729,7 +765,20 @@ fn cmd_submit(args: &[String]) -> CmdResult {
             format_trace_id(trace_id)
         );
     }
-    if !resp.ok {
+    let p99_ms = latency_us.percentile(99.0) as f64 / 1000.0;
+    if repeat.is_some() || slo_p99_ms.is_some() {
+        eprintln!(
+            "{} ok / {failed} err in {:.2} s; p50 {:.2} ms, p99 {p99_ms:.2} ms",
+            latency_us.count() - failed,
+            started.elapsed().as_secs_f64(),
+            latency_us.percentile(50.0) as f64 / 1000.0,
+        );
+    }
+    let slo_fail = slo_p99_ms.filter(|&bound| p99_ms > bound);
+    if let Some(bound) = slo_fail {
+        eprintln!("SLO FAIL: p99 {p99_ms:.2} ms exceeds {bound} ms");
+    }
+    if failed > 0 || slo_fail.is_some() {
         std::process::exit(1);
     }
     Ok(())
@@ -1158,7 +1207,7 @@ fn cmd_sweep(args: &[String]) -> CmdResult {
     Ok(())
 }
 
-/// The one trend store: `regless trends` ingests benchmark artifacts
+/// The one trend store: `regless trends` ingests the benchmark artifact
 /// into it and `regless report --trend` appends run rows to it.
 const TREND_STORE: &str = "results/trends.jsonl";
 
@@ -1192,7 +1241,7 @@ fn append_trends(path: &str, mut rows: Vec<TrendPoint>) -> std::io::Result<()> {
 }
 
 /// The perf-trend observatory (`regless trends`): distill the benchmark
-/// artifacts into append-only trend rows, gate on rolling-median
+/// artifact into append-only trend rows, gate on rolling-median
 /// regressions, and render the HTML dashboard. The gate runs *after* the
 /// dashboard is written so a failing CI job still uploads the artifact
 /// that explains the failure.
@@ -1225,23 +1274,18 @@ fn cmd_trends(args: &[String]) -> CmdResult {
     }
 
     if !no_ingest {
-        let sources = [
-            ("profile", "BENCH_profile.json"),
-            ("serve", "BENCH_serve.json"),
-            ("cluster", "BENCH_cluster.json"),
-        ];
-        let mut rows = Vec::new();
-        for (source, file) in sources {
-            let path = std::path::Path::new(&results_dir).join(file);
-            let Ok(text) = std::fs::read_to_string(&path) else {
-                continue; // absent artifacts are normal: ingest what exists
-            };
-            let Ok(json) = regless_json::Json::parse(&text) else {
-                eprintln!("warning: {} is not valid JSON; skipped", path.display());
-                continue;
-            };
-            rows.extend(ingest(source, &json));
-        }
+        let path = std::path::Path::new(&results_dir).join("BENCH_profile.json");
+        let rows = match std::fs::read_to_string(&path) {
+            // An absent artifact is normal: there is nothing to ingest.
+            Err(_) => Vec::new(),
+            Ok(text) => match regless_json::Json::parse(&text) {
+                Ok(json) => ingest(&json),
+                Err(_) => {
+                    eprintln!("warning: {} is not valid JSON; skipped", path.display());
+                    Vec::new()
+                }
+            },
+        };
         let appended = rows.len();
         append_trends(&history, rows)?;
         eprintln!("ingested {appended} metric rows into {history}");

@@ -13,7 +13,9 @@ use regless::bench::registry::{self, DesignParams};
 use regless::bench::sweep::{SweepEngine, SweepMode};
 use regless::bench::{run_design, DesignKind};
 use regless::isa::Kernel;
-use regless::serve::{Client, ErrorCode, Request, RequestKind, ServeConfig, Server, ServerHandle};
+use regless::serve::{
+    Client, ErrorCode, Request, RequestKind, RetryPolicy, ServeConfig, Server, ServerHandle,
+};
 use regless::workloads::rodinia;
 use regless_json::{Json, ToJson};
 use std::io::{BufRead, BufReader, Write};
@@ -178,7 +180,6 @@ fn full_queue_answers_queue_full_without_blocking() {
     let addr = handle.addr().to_string();
     let slow_a = write_slow_asm("qa");
     let slow_b = write_slow_asm("qb");
-    let slow_c = write_slow_asm("qc");
 
     let submit_slow = |path: String, addr: String| {
         std::thread::spawn(move || {
@@ -199,7 +200,8 @@ fn full_queue_answers_queue_full_without_blocking() {
     // C must be rejected immediately with a structured error + hint.
     let started = Instant::now();
     let mut c = Client::connect(&addr).expect("connect");
-    let resp = c.request(&Request::run(3, &slow_c)).expect("response");
+    let req_c = Request::run(3, "rodinia/nn");
+    let resp = c.request(&req_c).expect("response");
     assert!(
         started.elapsed() < Duration::from_millis(500),
         "queue_full rejection must not block ({:?})",
@@ -213,13 +215,29 @@ fn full_queue_answers_queue_full_without_blocking() {
         "queue_full must carry a retry-after hint: {error:?}"
     );
 
-    // The deadline-bounded occupants resolve on their own.
+    // Re-sent with retries while the queue is still full, C backs off on
+    // `queue_full` until the deadline-bounded occupants resolve on their
+    // own, then runs.
+    let policy = RetryPolicy {
+        max_retries: 100,
+        default_backoff_ms: 20,
+        max_backoff_ms: 100,
+    };
+    let outcome = c.request_with_retry(&req_c, &policy).expect("response");
+    assert!(outcome.response.ok, "{:?}", outcome.response);
+    assert!(
+        outcome.retries >= 1,
+        "the queue was still full: {outcome:?}"
+    );
     assert_eq!(a.join().unwrap().error_code(), Some("timeout"));
     assert_eq!(b.join().unwrap().error_code(), Some("timeout"));
     let stats = wait_for_stats(&addr, |s| stat(s, "in_flight") == 0);
-    assert_eq!(stat(&stats, "rejected_queue_full"), 1);
+    assert_eq!(
+        stat(&stats, "rejected_queue_full"),
+        1 + i64::from(outcome.retries)
+    );
 
-    for p in [&slow_a, &slow_b, &slow_c] {
+    for p in [&slow_a, &slow_b] {
         let _ = std::fs::remove_file(p);
     }
     handle.shutdown();
