@@ -33,12 +33,11 @@
 //!   the energy model prices).
 
 use crate::RfhBackend;
-use regless_compiler::CompiledKernel;
+use regless_compiler::{CompiledKernel, RegionId};
 use regless_isa::{InsnRef, Instruction, Kernel, LaneVec, Opcode, Reg};
 use regless_sim::{
     collector_conflict_cycles, first_warps, warp_bit, BackendCtx, Cycle, GpuConfig, Machine,
     OperandBackend, RunReport, SchedulerKind, SimError, SmStats, StallMasks, StallReason, WarpMask,
-    WarpState,
 };
 
 /// Shared-memory scratch partition reserved for demoted registers, per
@@ -280,7 +279,7 @@ impl OperandBackend for ThrottledRf {
     }
 
     #[inline]
-    fn eligible(&self, ready: WarpMask, _warps: &[WarpState]) -> WarpMask {
+    fn eligible(&self, ready: WarpMask, _regions: &[Option<RegionId>]) -> WarpMask {
         self.admission.eligible(ready)
     }
 

@@ -114,12 +114,45 @@ pub fn bench_kernel(bench: &str) -> Option<regless_isa::Kernel> {
 }
 
 /// How logs and the timing table name a run: the benchmark and design,
-/// plus the machine when it is not the evaluation machine.
+/// plus, off the evaluation machine, the fields of `gpu` that differ from
+/// it (`on scheduler: Lrr`).
 fn run_label(bench: &str, design: DesignKind, gpu: GpuConfig) -> String {
-    if gpu == eval_gpu() {
+    let eval = eval_gpu();
+    let mut diffs = Vec::new();
+    macro_rules! differing {
+        ($($field:ident),*) => {
+            // No `..`: a field added to `GpuConfig` must be listed here.
+            let GpuConfig { $($field),* } = gpu;
+            $(
+                if $field != eval.$field {
+                    diffs.push(format!("{}: {:?}", stringify!($field), $field));
+                }
+            )*
+        };
+    }
+    differing!(
+        num_sms,
+        warps_per_sm,
+        warps_per_block,
+        schedulers_per_sm,
+        issue_slots_per_scheduler,
+        rf_bytes_per_sm,
+        scheduler,
+        l1,
+        l1_bypass_data,
+        l1_mshrs,
+        l2,
+        l2_partitions,
+        l2_ports,
+        dram_latency,
+        dram_ports,
+        latency,
+        max_cycles
+    );
+    if diffs.is_empty() {
         format!("{bench} {design:?}")
     } else {
-        format!("{bench} {design:?} on {gpu:?}")
+        format!("{bench} {design:?} on {}", diffs.join(", "))
     }
 }
 
@@ -1099,8 +1132,18 @@ mod tests {
             scheduler: SchedulerKind::Lrr,
             ..eval
         };
-        assert!(run_label(&nn, DesignKind::Baseline, lrr)
-            .starts_with("rodinia/nn Baseline on GpuConfig {"));
+        assert_eq!(
+            run_label(&nn, DesignKind::Baseline, lrr),
+            "rodinia/nn Baseline on scheduler: Lrr"
+        );
+        let dual_lrr = GpuConfig {
+            issue_slots_per_scheduler: 2,
+            ..lrr
+        };
+        assert_eq!(
+            run_label(&nn, DesignKind::Baseline, dual_lrr),
+            "rodinia/nn Baseline on issue_slots_per_scheduler: 2, scheduler: Lrr"
+        );
     }
 
     #[test]

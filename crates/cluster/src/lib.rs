@@ -34,8 +34,9 @@
 //! - **Merge / digests** ([`merge`]): order-independent digests of
 //!   `RunReport::stable_json()` per unit, the byte-identity comparator CI
 //!   uses to check cluster output against a single-process sweep.
-//! - **Stats** ([`stats`]): the run summary (`BENCH_cluster.json` rows):
-//!   units, reassignments, duplicates, per-worker counts, wall clock.
+//! - **Stats** ([`stats`]): the run summary `regless cluster --json`
+//!   prints: units, reassignments, duplicates, per-worker counts, wall
+//!   clock.
 //!
 //! Protocol versioning: every cluster request carries
 //! [`regless_serve::PROTOCOL_VERSION`]; the coordinator refuses a

@@ -1,5 +1,5 @@
-//! Cluster run summaries — the rows `BENCH_cluster.json` and the CLI
-//! footer are built from.
+//! Cluster run summaries — what `regless cluster --json` prints and the
+//! CLI footer is built from.
 
 use regless_json::{Json, ToJson};
 
@@ -54,7 +54,7 @@ impl ClusterSummary {
 
     /// Every count, in [`ClusterSummary::to_json`] order, with the help
     /// text and metric type the coordinator's `metrics` exports it under:
-    /// the one list `BENCH_cluster.json`, `stats` and `metrics` are
+    /// the one list `regless cluster --json`, `stats` and `metrics` are
     /// rendered from.
     pub fn counts(&self) -> [(&'static str, &'static str, MetricKind, u64); 12] {
         use MetricKind::{Counter, Gauge};
@@ -134,7 +134,7 @@ impl ClusterSummary {
         ]
     }
 
-    /// JSON for `BENCH_cluster.json` and `regless cluster --json`.
+    /// JSON for `regless cluster --json`.
     pub fn to_json(&self) -> Json {
         let mut fields: Vec<(String, Json)> = self
             .counts()

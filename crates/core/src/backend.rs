@@ -1,17 +1,17 @@
 //! The RegLess operand backend: capacity managers, OSUs, and compressors
 //! wired into the SM pipeline (paper §5, Figure 8).
 
-use crate::cm::{CapacityManager, WarpPhase};
+use crate::cm::{Candidate, CapacityManager, WarpPhase};
 use crate::compressor::{Compressor, PatternKind, StoreOutcome};
 use crate::config::RegLessConfig;
 use crate::osu::{runtime_bank, EvictedLine, InstallResult, Osu};
 use crate::regmem::{RegisterBacking, RegisterMemoryMap, REG_LINE_BYTES};
-use regless_compiler::{CompiledKernel, LastUse, NUM_BANKS};
+use regless_compiler::{CompiledKernel, LastUse, RegionId, NUM_BANKS};
 use regless_isa::{InsnRef, Instruction, LaneVec, Reg};
 use regless_sim::{
     warp_bit, warps_in, BackendCtx, Cycle, EvictionReason, GpuConfig, Level, Machine,
     OperandBackend, PreloadSource, RunReport, SimError, SmStats, StallMasks, TraceEvent, Traffic,
-    WarpMask, WarpState,
+    WarpMask, WarpView,
 };
 use std::cmp::Reverse;
 use std::collections::{BinaryHeap, VecDeque};
@@ -46,7 +46,8 @@ struct Shard {
     invalidations: VecDeque<(usize, Reg)>,
     /// Stacked warps the last admission scan skipped because they waited
     /// at a barrier. Their release is the one change to a scan input that
-    /// the CM cannot see (see [`CapacityManager::admission_settled`]).
+    /// the CM cannot see (see [`CapacityManager::admission_settled`]): a
+    /// bit set here but no longer in [`WarpView::barrier`].
     barrier_skipped: WarpMask,
 }
 
@@ -96,6 +97,14 @@ fn rotated_usage(usage: &[u16; NUM_BANKS], warp: usize) -> [usize; NUM_BANKS] {
         out[(r_bank + warp) % NUM_BANKS] = count as usize;
     }
     out
+}
+
+/// Warp `w`'s admission candidate when its next region is `region`.
+fn candidate(compiled: &CompiledKernel, w: usize, region: RegionId) -> Candidate {
+    (
+        region,
+        rotated_usage(compiled.region(region).bank_usage(), w),
+    )
 }
 
 /// The RegLess [`OperandBackend`]: replaces the register file with operand
@@ -213,6 +222,8 @@ impl RegLessBackend {
         );
         let num_scheds = gpu.schedulers_per_sm;
         let num_regs = compiled.kernel().num_regs() as usize;
+        // Every warp starts stacked at the kernel entry.
+        let entry = compiled.first_region_of_block(compiled.kernel().entry());
         let shards = (0..num_scheds)
             .map(|s| {
                 let warps: Vec<usize> = (0..gpu.warps_per_sm)
@@ -224,6 +235,7 @@ impl RegLessBackend {
                         gpu.warps_per_sm,
                         lines_per_bank,
                         config.activation_order,
+                        |w| candidate(&compiled, w, entry),
                     ),
                     osu: Osu::new(lines_per_bank, gpu.warps_per_sm),
                     compressor: Compressor::with_patterns(
@@ -536,7 +548,7 @@ impl OperandBackend for RegLessBackend {
         machine.run()
     }
 
-    fn begin_cycle_with_warps(&mut self, warps: &[WarpState], ctx: &mut BackendCtx<'_>) {
+    fn begin_cycle_with_warps(&mut self, warps: WarpView<'_>, ctx: &mut BackendCtx<'_>) {
         self.admitted_now = false;
         // Sample the OSU/CM occupancy census once per stats window: live
         // (active) lines, CM-reserved lines, free lines, and the admission
@@ -609,16 +621,11 @@ impl OperandBackend for RegLessBackend {
                 | (self.issued & shard.cm.warps());
             for w in warps_in(watch) {
                 match shard.cm.phase(w) {
-                    WarpPhase::Active(region) => {
-                        let left_region = match warps[w].pc() {
-                            None => true,
-                            Some(pc) => self.compiled.region_at(pc) != region,
-                        };
-                        if left_region {
-                            ctx.stats
-                                .trace_event(ctx.now, TraceEvent::RegionDrain { warp: w });
-                            Self::start_drain(shard, &self.inflight_regs, w, ctx);
-                        }
+                    // The warp's PC left its region (or it exited).
+                    WarpPhase::Active(region) if warps.regions[w] != Some(region) => {
+                        ctx.stats
+                            .trace_event(ctx.now, TraceEvent::RegionDrain { warp: w });
+                        Self::start_drain(shard, &self.inflight_regs, w, ctx);
                     }
                     WarpPhase::Preloading(_) if ctx.now >= self.meta_ready_at[w] => {
                         debug_assert_eq!(self.preloads_pending[w], 0, "watched before fetched");
@@ -636,7 +643,15 @@ impl OperandBackend for RegLessBackend {
                     _ => {}
                 }
                 if let WarpPhase::Draining(_) = shard.cm.phase(w) {
-                    if shard.cm.try_finish_drain(w, self.finishing[w]) {
+                    // A warp that did not exit is restacked for the region
+                    // at its PC, which stays put until it is admitted.
+                    let next = || {
+                        (!self.finishing[w]).then(|| {
+                            let region = warps.regions[w].expect("a live warp has a pc");
+                            candidate(&self.compiled, w, region)
+                        })
+                    };
+                    if shard.cm.try_finish_drain(w, next) {
                         let resident = ctx.now.saturating_sub(self.activated_at[w]);
                         ctx.stats.region_active_cycles += resident;
                         ctx.stats.observe("region.active_cycles", resident);
@@ -649,25 +664,31 @@ impl OperandBackend for RegLessBackend {
             // 5. Admit the top stack warp if its next region fits. A scan
             // whose inputs are unchanged since one that admitted nothing
             // would repeat it, so it is skipped.
-            let released = warps_in(shard.barrier_skipped).any(|w| !warps[w].at_barrier);
+            let released = shard.barrier_skipped & !warps.barrier != 0;
             if shard.cm.admission_settled() && !released {
                 continue;
             }
             let compiled = &self.compiled;
             let finishing = &self.finishing;
             let mut barrier_skipped = 0;
-            let started = shard.cm.try_start_preload(|w| {
-                if finishing[w] || warps[w].finished() {
-                    return None;
-                }
-                if warps[w].at_barrier {
+            let started = shard.cm.try_start_preload(|w, stored| {
+                // Only an active warp issues, so a stacked warp neither
+                // exited nor moved its PC since it was stacked.
+                debug_assert!(!finishing[w], "stacked warp {w} exited");
+                debug_assert_eq!(
+                    *stored,
+                    candidate(
+                        compiled,
+                        w,
+                        compiled.region_at(warps.states[w].pc().expect("a stacked warp has a pc"))
+                    ),
+                    "stacked warp {w}'s stored candidate is stale"
+                );
+                if warps.barrier & warp_bit(w) != 0 {
                     barrier_skipped |= warp_bit(w);
-                    return None;
+                    return false;
                 }
-                let pc = warps[w].pc()?;
-                let region = compiled.region_at(pc);
-                let usage = rotated_usage(compiled.region(region).bank_usage(), w);
-                Some((region, usage))
+                true
             });
             shard.barrier_skipped = barrier_skipped;
             if let Some((w, region)) = started {
@@ -717,11 +738,10 @@ impl OperandBackend for RegLessBackend {
     /// still inside its region: step 4 of `begin_cycle` drained every
     /// active warp that issued and left, and only an issue moves a PC. So
     /// only this cycle's issuers (a dual-issue scheduler's first slot)
-    /// need the region lookup at their PC.
-    fn eligible(&self, ready: WarpMask, warps: &[WarpState]) -> WarpMask {
+    /// need their region compared with the active one.
+    fn eligible(&self, ready: WarpMask, regions: &[Option<RegionId>]) -> WarpMask {
         let shard = self.shard_of_warps(ready);
-        let compiled = &self.compiled;
-        let region_of = |w: usize| compiled.region_at(warps[w].pc().expect("ready implies a pc"));
+        let region_of = |w: usize| regions[w].expect("ready implies a pc");
         let settled = ready & shard.cm.active() & !self.issued;
         debug_assert!(
             warps_in(settled).all(|w| shard.cm.phase(w) == WarpPhase::Active(region_of(w))),
@@ -956,7 +976,31 @@ mod backend_tests {
     use super::*;
     use regless_compiler::compile;
     use regless_isa::KernelBuilder;
-    use regless_sim::{GpuConfig, MemSystem, SmStats};
+    use regless_sim::{GpuConfig, MemSystem, SmStats, WarpState};
+
+    /// Every warp of an SM at the kernel entry, and the region at each
+    /// one's PC.
+    fn entry_warps(
+        gpu: &GpuConfig,
+        compiled: &CompiledKernel,
+    ) -> (Vec<WarpState>, Vec<Option<RegionId>>) {
+        let warps: Vec<WarpState> = (0..gpu.warps_per_sm)
+            .map(|_| WarpState::new(compiled.kernel()))
+            .collect();
+        let regions = warps
+            .iter()
+            .map(|w| w.pc().map(|pc| compiled.region_at(pc)))
+            .collect();
+        (warps, regions)
+    }
+
+    fn view<'a>(warps: &'a [WarpState], regions: &'a [Option<RegionId>]) -> WarpView<'a> {
+        WarpView {
+            states: warps,
+            regions,
+            barrier: 0,
+        }
+    }
 
     fn setup() -> (GpuConfig, Arc<CompiledKernel>) {
         let gpu = GpuConfig::test_small();
@@ -983,11 +1027,9 @@ mod backend_tests {
         let mut backend = RegLessBackend::new(0, &gpu, &cfg, Arc::clone(&compiled));
         let mut mem = MemSystem::new(&gpu);
         let mut stats = SmStats::default();
-        let warps: Vec<regless_sim::WarpState> = (0..gpu.warps_per_sm)
-            .map(|_| regless_sim::WarpState::new(compiled.kernel()))
-            .collect();
+        let (warps, regions) = entry_warps(&gpu, &compiled);
         assert_eq!(
-            backend.eligible(0b1, &warps),
+            backend.eligible(0b1, &regions),
             0,
             "inactive warp cannot issue"
         );
@@ -1000,9 +1042,13 @@ mod backend_tests {
                 mem: &mut mem,
                 stats: &mut stats,
             };
-            backend.begin_cycle_with_warps(&warps, &mut ctx);
+            backend.begin_cycle_with_warps(view(&warps, &regions), &mut ctx);
         }
-        assert_eq!(backend.eligible(0b1, &warps), 0b1, "warp should be active");
+        assert_eq!(
+            backend.eligible(0b1, &regions),
+            0b1,
+            "warp should be active"
+        );
         assert!(stats.regions_activated >= 1);
     }
 
@@ -1018,9 +1064,7 @@ mod backend_tests {
             idx: 0,
         };
         // Activate warp 0 first so the write lands in an active region.
-        let warps: Vec<regless_sim::WarpState> = (0..gpu.warps_per_sm)
-            .map(|_| regless_sim::WarpState::new(compiled.kernel()))
-            .collect();
+        let (warps, regions) = entry_warps(&gpu, &compiled);
         for now in 0..4 {
             let mut ctx = BackendCtx {
                 sm: 0,
@@ -1028,7 +1072,7 @@ mod backend_tests {
                 mem: &mut mem,
                 stats: &mut stats,
             };
-            backend.begin_cycle_with_warps(&warps, &mut ctx);
+            backend.begin_cycle_with_warps(view(&warps, &regions), &mut ctx);
         }
         let mut ctx = BackendCtx {
             sm: 0,

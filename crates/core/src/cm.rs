@@ -27,6 +27,11 @@ pub enum ActivationOrder {
 
 regless_json::impl_json_enum!(ActivationOrder { Lifo, Fifo });
 
+/// A stacked warp's admission candidate: the region it enters when
+/// admitted, and that region's per-bank line usage rotated to the warp's
+/// banks.
+pub type Candidate = (RegionId, [usize; NUM_BANKS]);
+
 /// Per-warp scheduling phase.
 #[derive(Clone, Copy, PartialEq, Eq, Debug)]
 pub enum WarpPhase {
@@ -62,15 +67,16 @@ impl WarpPhase {
 /// use regless_core::{CapacityManager, WarpPhase};
 /// use regless_compiler::RegionId;
 ///
-/// let mut cm = CapacityManager::new(&[0, 1], 2, 16);
-/// // Admit the top warp for a region needing one line per bank.
-/// let (w, region) = cm
-///     .try_start_preload(|_| Some((RegionId(0), [1; 8])))
-///     .expect("fits");
+/// // Both warps start stacked, entering a region that needs one line
+/// // per bank.
+/// let mut cm = CapacityManager::new(&[0, 1], 2, 16, |_| (RegionId(0), [1; 8]));
+/// // Admit the top warp; every stacked warp can run.
+/// let (w, region) = cm.try_start_preload(|_, _| true).expect("fits");
 /// assert_eq!(cm.phase(w), WarpPhase::Preloading(region));
 /// cm.activate(w);
 /// cm.begin_drain(w, [0; 8]);
-/// assert!(cm.try_finish_drain(w, false));
+/// // The drain finishes and the warp is restacked for its next region.
+/// assert!(cm.try_finish_drain(w, || Some((RegionId(1), [2; 8]))));
 /// assert_eq!(cm.phase(w), WarpPhase::Inactive);
 /// ```
 #[derive(Clone, Debug)]
@@ -91,6 +97,11 @@ pub struct CapacityManager {
     committed: [usize; NUM_BANKS],
     /// Reservation of each warp's current region, for release.
     reservation: Vec<[usize; NUM_BANKS]>,
+    /// Each stacked warp's [`Candidate`], stored when it is stacked
+    /// (written only by [`CapacityManager::set_candidate`]). A stacked
+    /// warp does not issue, so its PC and hence its candidate stay fixed
+    /// until admission.
+    candidates: Vec<Candidate>,
     /// Writebacks still in flight per warp.
     outstanding: Vec<usize>,
     /// Supervised warps with no writeback in flight, kept in step with
@@ -110,14 +121,26 @@ pub struct CapacityManager {
 }
 
 impl CapacityManager {
-    /// A CM supervising the given SM-local warp ids. The lowest id starts
-    /// on top of the stack.
-    pub fn new(warps: &[usize], num_warps_total: usize, lines_per_bank: usize) -> Self {
+    /// A CM supervising the given SM-local warp ids, all stacked with
+    /// their entry [`Candidate`], `entry(w)`. The lowest id starts on top
+    /// of the stack.
+    ///
+    /// # Panics
+    ///
+    /// As [`CapacityManager::try_finish_drain`], if an entry region can
+    /// never fit.
+    pub fn new(
+        warps: &[usize],
+        num_warps_total: usize,
+        lines_per_bank: usize,
+        entry: impl Fn(usize) -> Candidate,
+    ) -> Self {
         Self::with_order(
             warps,
             num_warps_total,
             lines_per_bank,
             ActivationOrder::Lifo,
+            entry,
         )
     }
 
@@ -127,6 +150,7 @@ impl CapacityManager {
         num_warps_total: usize,
         lines_per_bank: usize,
         order: ActivationOrder,
+        entry: impl Fn(usize) -> Candidate,
     ) -> Self {
         assert!(
             num_warps_total <= MAX_WARPS_PER_SM,
@@ -137,20 +161,41 @@ impl CapacityManager {
         ids.reverse(); // lowest id on top
         let mask = ids.iter().fold(0, |m, &w| m | warp_bit(w));
         let stack: VecDeque<usize> = ids.into();
-        CapacityManager {
+        let mut cm = CapacityManager {
             phases: vec![WarpPhase::Inactive; num_warps_total],
             warps: mask,
             in_phase: [mask, 0, 0, 0, 0],
             stack,
             committed: [0; NUM_BANKS],
             reservation: vec![[0; NUM_BANKS]; num_warps_total],
+            candidates: vec![(RegionId(0), [0; NUM_BANKS]); num_warps_total],
             outstanding: vec![0; num_warps_total],
             quiet: mask,
             lines_per_bank,
             order,
             denied_capacity: false,
             stack_or_budget_changed: true,
+        };
+        for &w in warps {
+            cm.set_candidate(w, entry(w));
         }
+        cm
+    }
+
+    /// Store stacked warp `w`'s admission candidate.
+    ///
+    /// # Panics
+    ///
+    /// Panics if the region can never fit (its usage exceeds the bank
+    /// capacity outright) — a compiler/configuration mismatch.
+    fn set_candidate(&mut self, w: usize, candidate: Candidate) {
+        let (region, usage) = candidate;
+        assert!(
+            usage.iter().all(|&u| u <= self.lines_per_bank),
+            "region {region:?} needs {usage:?} lines but banks hold only {}",
+            self.lines_per_bank
+        );
+        self.candidates[w] = candidate;
     }
 
     /// The warp's current phase.
@@ -226,11 +271,11 @@ impl CapacityManager {
 
     /// Whether neither the stack nor the bank budget changed since the
     /// last [`CapacityManager::try_start_preload`], and that scan admitted
-    /// nothing. A stacked warp's PC cannot move, so a rescan then repeats
-    /// the last one unless the caller's `next` answer changed for a warp
-    /// it skipped (a stacked warp leaving a barrier); callers may skip the
-    /// scan otherwise. Drain start, drain release, drain finish, and
-    /// admission unsettle it.
+    /// nothing. Stacked warps' candidates are fixed, so a rescan then
+    /// repeats the last one unless the caller's `runnable` answer changed
+    /// for a warp it skipped (a stacked warp leaving a barrier); callers
+    /// may skip the scan otherwise. Drain start, drain release, drain
+    /// finish, and admission unsettle it.
     pub fn admission_settled(&self) -> bool {
         !self.stack_or_budget_changed
     }
@@ -251,18 +296,13 @@ impl CapacityManager {
     /// Try to start preloading for the topmost stack warp that is not
     /// blocked. Returns the chosen warp if one was admitted.
     ///
-    /// `next` maps a warp to its next region's id and (rotated) bank usage;
-    /// `None` means the warp cannot run now (at a barrier). Warps for which
-    /// `next` reports `None` are skipped but stay stacked; a warp that
-    /// fits is popped and committed.
-    ///
-    /// # Panics
-    ///
-    /// Panics if a region can never fit (its usage exceeds the bank
-    /// capacity outright) — a compiler/configuration mismatch.
+    /// `runnable(w, candidate)` says whether stacked warp `w`, whose stored
+    /// [`Candidate`] is `candidate`, can run now (`false`: at a barrier).
+    /// Warps it rejects are skipped but stay stacked; a warp whose
+    /// candidate fits is popped and committed.
     pub fn try_start_preload(
         &mut self,
-        mut next: impl FnMut(usize) -> Option<(RegionId, [usize; NUM_BANKS])>,
+        mut runnable: impl FnMut(usize, &Candidate) -> bool,
     ) -> Option<(usize, RegionId)> {
         self.denied_capacity = false;
         // Settled unless this scan admits; admission sets it again below.
@@ -270,15 +310,11 @@ impl CapacityManager {
         // Scan from the top for the first admissible warp.
         for pos in (0..self.stack.len()).rev() {
             let w = self.stack[pos];
-            let Some((region, usage)) = next(w) else {
+            if !runnable(w, &self.candidates[w]) {
                 continue;
-            };
+            }
+            let (region, usage) = self.candidates[w];
             if !self.fits(&usage) {
-                assert!(
-                    usage.iter().all(|&u| u <= self.lines_per_bank),
-                    "region {region:?} needs {usage:?} lines but banks hold only {}",
-                    self.lines_per_bank
-                );
                 // Capacity will free as active warps drain; do not bypass
                 // (preserves the stack's locality order).
                 self.denied_capacity = true;
@@ -377,9 +413,15 @@ impl CapacityManager {
     }
 
     /// If `w` is draining with no outstanding writebacks, release its
-    /// reservation. `finished` tells the CM whether the warp exited (it is
+    /// reservation. `next()`, called only then, gives the warp's
+    /// [`Candidate`] to restack it with, or `None` if it exited (it is
     /// then not restacked). Returns whether the drain completed now.
-    pub fn try_finish_drain(&mut self, w: usize, finished: bool) -> bool {
+    ///
+    /// # Panics
+    ///
+    /// Panics if the candidate's region can never fit (its usage exceeds
+    /// the bank capacity outright) — a compiler/configuration mismatch.
+    pub fn try_finish_drain(&mut self, w: usize, next: impl FnOnce() -> Option<Candidate>) -> bool {
         let WarpPhase::Draining(_) = self.phases[w] else {
             return false;
         };
@@ -391,9 +433,8 @@ impl CapacityManager {
         }
         self.reservation[w] = [0; NUM_BANKS];
         self.stack_or_budget_changed = true;
-        if finished {
-            self.set_phase(w, WarpPhase::Finished);
-        } else {
+        if let Some(candidate) = next() {
+            self.set_candidate(w, candidate);
             self.set_phase(w, WarpPhase::Inactive);
             match self.order {
                 // Most recently run → top: its outputs are still staged.
@@ -401,6 +442,8 @@ impl CapacityManager {
                 // Round-robin: go to the back of the line.
                 ActivationOrder::Fifo => self.stack.push_front(w),
             }
+        } else {
+            self.set_phase(w, WarpPhase::Finished);
         }
         true
     }
@@ -443,52 +486,56 @@ mod tests {
         [n; NUM_BANKS]
     }
 
-    fn cm() -> CapacityManager {
-        CapacityManager::new(&[0, 2, 4], 6, 8)
+    /// A CM over warps 0, 2 and 4 whose entry regions are numbered after
+    /// the warp and need `n` lines in every bank.
+    fn cm(n: usize) -> CapacityManager {
+        CapacityManager::new(&[0, 2, 4], 6, 8, |w| (RegionId(w as u32), usage(n)))
     }
 
     #[test]
     fn lowest_warp_starts_on_top() {
-        let c = cm();
+        let c = cm(1);
         assert_eq!(c.stack(), &[4, 2, 0]);
     }
 
     #[test]
     fn admission_and_budget() {
-        let mut c = cm();
-        let got = c.try_start_preload(|w| Some((RegionId(w as u32), usage(5))));
+        let mut c = cm(5);
+        let got = c.try_start_preload(|_, _| true);
         assert_eq!(got, Some((0, RegionId(0))));
         assert_eq!(c.phase(0), WarpPhase::Preloading(RegionId(0)));
         assert_eq!(c.committed(0), 5);
         // Next warp needs 5 more but only 3 remain: denied, stack intact.
-        let got = c.try_start_preload(|w| Some((RegionId(w as u32), usage(5))));
+        let got = c.try_start_preload(|_, _| true);
         assert_eq!(got, None);
+        assert!(c.admission_capacity_denied());
         assert_eq!(c.stack(), &[4, 2]);
     }
 
     #[test]
     fn blocked_top_is_skipped() {
-        let mut c = cm();
+        let mut c = cm(1);
         // Warp 0 (top) is at a barrier: skip to warp 2.
-        let got = c.try_start_preload(|w| {
-            if w == 0 {
-                None
-            } else {
-                Some((RegionId(9), usage(1)))
-            }
+        let mut seen = Vec::new();
+        let got = c.try_start_preload(|w, &candidate| {
+            seen.push((w, candidate));
+            w != 0
         });
-        assert_eq!(got, Some((2, RegionId(9))));
+        assert_eq!(got, Some((2, RegionId(2))));
         assert!(c.stack().contains(&0), "blocked warp stays stacked");
+        // The scan hands each warp its stored candidate.
+        assert_eq!(
+            seen,
+            [(0, (RegionId(0), usage(1))), (2, (RegionId(2), usage(1)))]
+        );
     }
 
     #[test]
     fn full_lifecycle_releases_budget() {
-        let mut c = cm();
-        let (w, _) = c
-            .try_start_preload(|_| Some((RegionId(1), usage(4))))
-            .unwrap();
+        let mut c = cm(4);
+        let (w, _) = c.try_start_preload(|_, _| true).unwrap();
         c.activate(w);
-        assert_eq!(c.phase(w), WarpPhase::Active(RegionId(1)));
+        assert_eq!(c.phase(w), WarpPhase::Active(RegionId(0)));
         c.note_issue(w, true);
         c.note_issue(w, false);
         // One register (in bank 0) still has a writeback in flight: the
@@ -502,61 +549,70 @@ mod tests {
             "partial release keeps only pending lines"
         );
         assert_eq!(c.committed(1), 0);
-        assert!(!c.try_finish_drain(w, false), "writeback still pending");
+        assert!(
+            !c.try_finish_drain(w, || unreachable!("asked for a candidate too early")),
+            "writeback still pending"
+        );
         c.note_writeback(w);
-        assert!(c.try_finish_drain(w, false));
+        assert!(c.try_finish_drain(w, || Some((RegionId(7), usage(2)))));
         assert_eq!(c.phase(w), WarpPhase::Inactive);
         assert_eq!(c.committed(0), 0);
-        // The drained warp is back on top.
+        // The drained warp is back on top, and admission commits the
+        // candidate it was restacked with.
         assert_eq!(*c.stack().last().unwrap(), w);
+        assert_eq!(c.try_start_preload(|_, _| true), Some((w, RegionId(7))));
+        assert_eq!(c.committed(0), 2);
     }
 
     #[test]
     fn finished_warp_not_restacked() {
-        let mut c = cm();
-        let (w, _) = c
-            .try_start_preload(|_| Some((RegionId(1), usage(1))))
-            .unwrap();
+        let mut c = cm(1);
+        let (w, _) = c.try_start_preload(|_, _| true).unwrap();
         c.activate(w);
         c.begin_drain(w, [0; NUM_BANKS]);
-        assert!(c.try_finish_drain(w, true));
+        assert!(c.try_finish_drain(w, || None));
         assert_eq!(c.phase(w), WarpPhase::Finished);
         assert!(!c.stack().contains(&w));
     }
 
     #[test]
     #[should_panic(expected = "needs")]
-    fn oversized_region_panics() {
-        let mut c = cm();
-        let _ = c.try_start_preload(|_| Some((RegionId(0), usage(99))));
+    fn oversized_entry_region_panics() {
+        let _ = cm(99);
+    }
+
+    #[test]
+    #[should_panic(expected = "needs")]
+    fn oversized_next_region_panics() {
+        let mut c = cm(1);
+        let (w, _) = c.try_start_preload(|_, _| true).unwrap();
+        c.activate(w);
+        c.begin_drain(w, [0; NUM_BANKS]);
+        c.try_finish_drain(w, || Some((RegionId(1), usage(99))));
     }
 
     #[test]
     fn fifo_restacks_at_the_bottom() {
-        let mut c = CapacityManager::with_order(&[0, 2, 4], 6, 8, ActivationOrder::Fifo);
-        let (w, _) = c
-            .try_start_preload(|_| Some((RegionId(0), usage(1))))
-            .unwrap();
+        let mut c = CapacityManager::with_order(&[0, 2, 4], 6, 8, ActivationOrder::Fifo, |_| {
+            (RegionId(0), usage(1))
+        });
+        let (w, _) = c.try_start_preload(|_, _| true).unwrap();
         c.activate(w);
         c.begin_drain(w, [0; NUM_BANKS]);
-        assert!(c.try_finish_drain(w, false));
+        assert!(c.try_finish_drain(w, || Some((RegionId(0), usage(1)))));
         assert_eq!(c.stack(), &[0, 4, 2], "drained warp goes to the bottom");
     }
 
     #[test]
     fn lifo_order_preserves_recency() {
-        let mut c = cm();
-        let (w0, _) = c
-            .try_start_preload(|_| Some((RegionId(0), usage(1))))
-            .unwrap();
+        let mut c = cm(1);
+        let (w0, _) = c.try_start_preload(|_, _| true).unwrap();
         c.activate(w0);
         c.begin_drain(w0, [0; NUM_BANKS]);
-        c.try_finish_drain(w0, false);
+        c.try_finish_drain(w0, || Some((RegionId(1), usage(1))));
         // w0 drained last → top of stack again.
-        let (again, _) = c
-            .try_start_preload(|_| Some((RegionId(1), usage(1))))
-            .unwrap();
-        assert_eq!(again, w0);
+        let (again, region) = c.try_start_preload(|_, _| true).unwrap();
+        assert_eq!((again, region), (w0, RegionId(1)));
     }
 }
 
@@ -692,17 +748,21 @@ mod proptests {
         }
     }
 
-    /// The admission input of a scan with parameter `p`: a per-bank usage
-    /// pattern that varies by bank (including zero-usage banks), and a
-    /// third of the warps unable to run.
-    fn scan_input(p: usize) -> impl Fn(usize) -> Option<(RegionId, [usize; NUM_BANKS])> {
-        move |w| {
-            let mut usage = [0usize; NUM_BANKS];
-            for (b, u) in usage.iter_mut().enumerate() {
-                *u = (p + b) % 4;
-            }
-            (w % 3 != p % 3).then_some((RegionId(w as u32), usage))
+    /// The candidate warp `w` is stacked with under parameter `p`: a
+    /// per-bank usage pattern that varies by bank (including zero-usage
+    /// banks).
+    fn candidate(w: usize, p: usize) -> Candidate {
+        let mut usage = [0usize; NUM_BANKS];
+        for (b, u) in usage.iter_mut().enumerate() {
+            *u = (p + b) % 4;
         }
+        (RegionId(w as u32), usage)
+    }
+
+    /// The admission input of a scan with parameter `p`: a third of the
+    /// warps unable to run.
+    fn runnable(p: usize) -> impl Fn(usize, &Candidate) -> bool {
+        move |w, _| w % 3 != p % 3
     }
 
     /// Drive a CM over `WARPS` warps through `ops`, calling `after` with
@@ -716,13 +776,14 @@ mod proptests {
             ActivationOrder::Lifo
         };
         let warps: Vec<usize> = (0..WARPS).collect();
-        let mut cm = CapacityManager::with_order(&warps, WARPS, LINES_PER_BANK, order);
+        let mut cm =
+            CapacityManager::with_order(&warps, WARPS, LINES_PER_BANK, order, |w| candidate(w, w));
         let mut last_scan = None;
         for &(op, byte) in ops {
             let p = byte as usize;
             match op % 7 {
                 0 => {
-                    let _ = cm.try_start_preload(scan_input(p));
+                    let _ = cm.try_start_preload(runnable(p));
                     last_scan = Some(p);
                 }
                 1 => {
@@ -763,13 +824,14 @@ mod proptests {
                 }
                 _ => {
                     if let Some(w) = pick(&cm, p, |ph| matches!(ph, WarpPhase::Draining(_))) {
-                        let _ = cm.try_finish_drain(w, p.is_multiple_of(5));
+                        let finished = p.is_multiple_of(5);
+                        let _ = cm.try_finish_drain(w, || (!finished).then(|| candidate(w, p)));
                     }
                 }
             }
             if let (true, Some(lp)) = (cm.admission_settled(), last_scan) {
                 let mut again = cm.clone();
-                assert_eq!(again.try_start_preload(scan_input(lp)), None);
+                assert_eq!(again.try_start_preload(runnable(lp)), None);
                 assert_eq!(
                     again.admission_capacity_denied(),
                     cm.admission_capacity_denied()

@@ -23,7 +23,7 @@ mod osu;
 mod regmem;
 
 pub use backend::RegLessBackend;
-pub use cm::{ActivationOrder, CapacityManager, WarpPhase};
+pub use cm::{ActivationOrder, Candidate, CapacityManager, WarpPhase};
 pub use compressor::{
     Compressed, CompressedHit, Compressor, PatternKind, PatternSet, StoreOutcome,
     NUM_PATTERN_KINDS, REGS_PER_COMPRESSED_LINE,

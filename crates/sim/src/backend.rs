@@ -12,6 +12,7 @@ use crate::mem::MemSystem;
 use crate::sm::{Machine, RunReport, SimError};
 use crate::stats::SmStats;
 use crate::warp::WarpState;
+use regless_compiler::RegionId;
 use regless_isa::{InsnRef, Instruction, LaneVec, Reg};
 use regless_telemetry::{StallReason, NUM_STALL_REASONS};
 
@@ -25,6 +26,18 @@ pub struct BackendCtx<'a> {
     pub mem: &'a mut MemSystem,
     /// This SM's counters.
     pub stats: &'a mut SmStats,
+}
+
+/// An SM's warps as [`OperandBackend::begin_cycle_with_warps`] sees them.
+#[derive(Clone, Copy, Debug)]
+pub struct WarpView<'a> {
+    /// Architectural state of each warp.
+    pub states: &'a [WarpState],
+    /// The region at each warp's PC, `None` once the warp exited. The SM
+    /// updates a warp's entry when it issues, the only time a PC moves.
+    pub regions: &'a [Option<RegionId>],
+    /// Warps waiting at a barrier (exactly those with `at_barrier` set).
+    pub barrier: WarpMask,
 }
 
 /// Warps grouped by the [`StallReason`] that keeps them from issuing: one
@@ -52,21 +65,21 @@ pub trait OperandBackend {
         let _ = ctx;
     }
 
-    /// Variant of [`OperandBackend::begin_cycle`] that also sees the warp
-    /// array (region transitions depend on warp PCs). The default simply
+    /// Variant of [`OperandBackend::begin_cycle`] that also sees the warps
+    /// (region transitions depend on warp PCs). The default simply
     /// forwards to `begin_cycle`.
-    fn begin_cycle_with_warps(&mut self, warps: &[WarpState], ctx: &mut BackendCtx<'_>) {
+    fn begin_cycle_with_warps(&mut self, warps: WarpView<'_>, ctx: &mut BackendCtx<'_>) {
         let _ = warps;
         self.begin_cycle(ctx);
     }
 
     /// The warps of `ready` the backend lets issue now. `ready` is an
     /// SM-local [`WarpMask`] of one scheduler's warps with no scoreboard
-    /// hazard and no barrier wait. The baseline lets every ready warp
-    /// issue; RegLess requires the region at the warp's PC to be active
-    /// for the warp.
-    fn eligible(&self, ready: WarpMask, warps: &[WarpState]) -> WarpMask {
-        let _ = warps;
+    /// hazard and no barrier wait; `regions` is [`WarpView::regions`].
+    /// The baseline lets every ready warp issue; RegLess requires the
+    /// region at the warp's PC to be active for the warp.
+    fn eligible(&self, ready: WarpMask, regions: &[Option<RegionId>]) -> WarpMask {
+        let _ = regions;
         ready
     }
 

@@ -53,7 +53,7 @@ mod trace;
 mod warp;
 mod wheel;
 
-pub use backend::{BackendCtx, BaselineRf, OperandBackend, StallMasks};
+pub use backend::{BackendCtx, BaselineRf, OperandBackend, StallMasks, WarpView};
 pub use cache::{AccessResult, Cache};
 pub use cancel::{CancelToken, DEADLINE_CHECK_CYCLES};
 pub use config::{table1_rows, CacheConfig, Cycle, GpuConfig, LatencyConfig, SchedulerKind};

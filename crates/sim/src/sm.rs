@@ -22,7 +22,7 @@
 //! kept as the differential-testing reference: both paths produce
 //! byte-identical [`RunReport::stable_json`] output.
 
-use crate::backend::{BackendCtx, OperandBackend, StallMasks};
+use crate::backend::{BackendCtx, OperandBackend, StallMasks, WarpView};
 use crate::config::{Cycle, GpuConfig};
 use crate::mask::{warp_bit, warps_in, WarpMask};
 use crate::mem::{MemSystem, Traffic};
@@ -30,7 +30,7 @@ use crate::sched::Scheduler;
 use crate::stats::{MemStats, SmStats};
 use crate::warp::{WarpBlock, WarpState};
 use crate::wheel::WritebackQueue;
-use regless_compiler::CompiledKernel;
+use regless_compiler::{CompiledKernel, RegionId};
 use regless_isa::{BlockId, InsnRef, LaneVec, OpClass, Opcode, Reg, WarpId, WARP_WIDTH};
 use regless_telemetry::{IssueStack, SelfProfiler, StallReason};
 use std::fmt;
@@ -147,6 +147,11 @@ pub struct Sm<B> {
     config: GpuConfig,
     /// Architectural state of each hardware warp.
     pub warps: Vec<WarpState>,
+    /// The region at each warp's PC (`None` once it exited), set at
+    /// construction and after each issue, the only time a PC moves. The
+    /// per-tick readers (the region CPI stacks, RegLess's eligibility and
+    /// region transitions) read it instead of looking the PC up.
+    regions: Vec<Option<RegionId>>,
     scheds: Vec<Scheduler>,
     events: WritebackQueue<Event>,
     /// Per-scheduler highest-priority blocked warp from the last tick's
@@ -189,6 +194,10 @@ impl<B: OperandBackend> Sm<B> {
             .map(|_| WarpState::new(compiled.kernel()))
             .collect();
         let live_warps = warps.len();
+        let regions = warps
+            .iter()
+            .map(|w| w.pc().map(|pc| compiled.region_at(pc)))
+            .collect();
         let num_scheds = config.schedulers_per_sm;
         let sched_warps: Vec<WarpMask> = (0..num_scheds)
             .map(|s| {
@@ -219,6 +228,7 @@ impl<B: OperandBackend> Sm<B> {
             id,
             config: *config,
             warps,
+            regions,
             scheds,
             events: WritebackQueue::new(),
             skip_blocked: vec![None; num_scheds],
@@ -319,7 +329,12 @@ impl<B: OperandBackend> Sm<B> {
                 mem,
                 stats: &mut self.stats,
             };
-            self.backend.begin_cycle_with_warps(&self.warps, &mut ctx);
+            let warps = WarpView {
+                states: &self.warps,
+                regions: &self.regions,
+                barrier: self.barrier,
+            };
+            self.backend.begin_cycle_with_warps(warps, &mut ctx);
         }
 
         // 3. Barrier release, per thread block: a barrier synchronizes the
@@ -362,7 +377,7 @@ impl<B: OperandBackend> Sm<B> {
                 let eligible = if ready == 0 {
                     0
                 } else {
-                    self.backend.eligible(ready, &self.warps)
+                    self.backend.eligible(ready, &self.regions)
                 };
                 // A pick from an empty set declines without touching the
                 // scheduler's state, so it is not called.
@@ -387,7 +402,7 @@ impl<B: OperandBackend> Sm<B> {
                     let blocked = most_urgent(&groups);
                     self.stats.idle_slots += 1;
                     self.skip_blocked[s] = blocked;
-                    self.charge_idle_slot(compiled, blocked, now, mem);
+                    self.charge_idle_slot(blocked, now, mem);
                     continue;
                 };
                 issued_any = true;
@@ -403,7 +418,7 @@ impl<B: OperandBackend> Sm<B> {
                 if took_bubble {
                     self.stats.meta_insns += 1;
                     // The metadata bubble occupied the slot: issued work.
-                    self.charge(compiled, StallReason::Issued, Some(w), 1);
+                    self.charge(StallReason::Issued, Some(w), 1);
                     continue;
                 }
                 self.issue(compiled, w, s, now, mem);
@@ -462,34 +477,24 @@ impl<B: OperandBackend> Sm<B> {
     /// probes move monotonically: MSHRs stay full until a fixed completion
     /// cycle and the L1 port backlog drains at a fixed free cycle, so the
     /// span splits into at most three runs charged in order.
-    fn skip_to(&mut self, compiled: &CompiledKernel, from: Cycle, to: Cycle, mem: &mut MemSystem) {
+    fn skip_to(&mut self, from: Cycle, to: Cycle, mem: &mut MemSystem) {
         debug_assert!(from < to);
         let span = to - from;
         let slots = self.config.issue_slots_per_scheduler as u64;
         for s in 0..self.scheds.len() {
             self.stats.idle_slots += span * slots;
             match self.skip_blocked[s] {
-                None => self.charge(compiled, StallReason::NoWarp, None, span * slots),
+                None => self.charge(StallReason::NoWarp, None, span * slots),
                 Some((StallReason::CmPreloadWait, w)) => {
                     // full(t) ⟺ t < c1; backlog(t) > 0 ⟺ t < c2.
                     let c1 = mem.l1_mshr_full_until(self.id).clamp(from, to);
                     let c2 = mem.l1_port_free_cycle(self.id).clamp(c1, to);
-                    self.charge(
-                        compiled,
-                        StallReason::MshrFull,
-                        Some(w),
-                        (c1 - from) * slots,
-                    );
-                    self.charge(
-                        compiled,
-                        StallReason::L1PortBusy,
-                        Some(w),
-                        (c2 - c1) * slots,
-                    );
+                    self.charge(StallReason::MshrFull, Some(w), (c1 - from) * slots);
+                    self.charge(StallReason::L1PortBusy, Some(w), (c2 - c1) * slots);
                     let rest = (to - c2) * slots;
-                    self.charge(compiled, StallReason::CmPreloadWait, Some(w), rest);
+                    self.charge(StallReason::CmPreloadWait, Some(w), rest);
                 }
-                Some((reason, w)) => self.charge(compiled, reason, Some(w), span * slots),
+                Some((reason, w)) => self.charge(reason, Some(w), span * slots),
             }
         }
         self.stats.cycles = to;
@@ -499,19 +504,13 @@ impl<B: OperandBackend> Sm<B> {
     /// Charge `n` issue slots to `reason`: the SM's stack, and, when a
     /// warp is to blame, that warp's stack and the stack of the region at
     /// its PC.
-    fn charge(
-        &mut self,
-        compiled: &CompiledKernel,
-        reason: StallReason,
-        warp: Option<usize>,
-        n: u64,
-    ) {
+    fn charge(&mut self, reason: StallReason, warp: Option<usize>, n: u64) {
         self.stats.charge_slots(reason, warp, n);
         if n == 0 {
             return;
         }
-        if let Some(pc) = warp.and_then(|w| self.warps[w].pc()) {
-            self.region_stacks[compiled.region_at(pc).index()].charge_n(reason, n);
+        if let Some(region) = warp.and_then(|w| self.regions[w]) {
+            self.region_stacks[region.index()].charge_n(reason, n);
         }
     }
 
@@ -523,13 +522,12 @@ impl<B: OperandBackend> Sm<B> {
     /// L1 port is the real bottleneck behind a preload that has not landed.
     fn charge_idle_slot(
         &mut self,
-        compiled: &CompiledKernel,
         blocked: Option<(StallReason, usize)>,
         now: Cycle,
         mem: &MemSystem,
     ) {
         let Some((mut reason, w)) = blocked else {
-            self.charge(compiled, StallReason::NoWarp, None, 1);
+            self.charge(StallReason::NoWarp, None, 1);
             return;
         };
         if reason == StallReason::CmPreloadWait {
@@ -539,7 +537,7 @@ impl<B: OperandBackend> Sm<B> {
                 reason = StallReason::L1PortBusy;
             }
         }
-        self.charge(compiled, reason, Some(w), 1);
+        self.charge(reason, Some(w), 1);
     }
 
     fn issue(
@@ -551,6 +549,14 @@ impl<B: OperandBackend> Sm<B> {
         mem: &mut MemSystem,
     ) {
         let at = self.warps[w].pc().expect("issuing warp has a pc");
+        // Only an issue moves a PC, so the region cached at this warp's
+        // last issue must still be the one at its PC: a stale entry is
+        // caught here, at the warp's next issue.
+        debug_assert_eq!(
+            self.regions[w],
+            Some(compiled.region_at(at)),
+            "warp {w}'s cached region is not the region at its PC"
+        );
         let insn = compiled.kernel().insn(at);
         let srcs = insn.srcs();
         let mask = self.warps[w].mask();
@@ -565,7 +571,7 @@ impl<B: OperandBackend> Sm<B> {
             self.stats.working_set.touch(warp, d);
         }
 
-        self.charge(compiled, StallReason::Issued, Some(w), 1);
+        self.charge(StallReason::Issued, Some(w), 1);
         self.stats
             .trace_event(now, crate::TraceEvent::Issue { warp: w, pc: at });
 
@@ -653,6 +659,7 @@ impl<B: OperandBackend> Sm<B> {
         self.warps[w].advance(compiled.kernel(), taken_bits, |b| {
             dom.immediate_postdominator(b)
         });
+        self.regions[w] = self.warps[w].pc().map(|pc| compiled.region_at(pc));
         self.warps[w].insns_issued += 1;
         self.stats.insns += 1;
 
@@ -981,7 +988,7 @@ impl<B: OperandBackend> Machine<B> {
                 if target > now + 1 {
                     let _g = SelfProfiler::scope_opt(prof.as_deref(), "event_jump");
                     for sm in &mut self.sms {
-                        sm.skip_to(&self.compiled, now + 1, target, &mut self.mem);
+                        sm.skip_to(now + 1, target, &mut self.mem);
                     }
                     now = target;
                     continue;
@@ -1338,6 +1345,71 @@ mod tests {
     }
 
     use regless_isa::Opcode;
+
+    #[test]
+    fn cached_region_follows_the_pc_through_divergence_and_loops() {
+        // Three trips around a loop whose body splits the warp at a
+        // half-warp branch and reconverges at the latch.
+        let mut b = KernelBuilder::new("div-loop");
+        let body = b.new_block();
+        let low = b.new_block();
+        let high = b.new_block();
+        let latch = b.new_block();
+        let done = b.new_block();
+        let lane = b.lane_idx();
+        let i0 = b.movi(0);
+        let n = b.movi(3);
+        b.jmp(body);
+        b.select(body);
+        let one = b.movi(1);
+        b.emit_to(i0, Opcode::IAdd, vec![i0, one]);
+        let half = b.movi(16);
+        let c = b.setlt(lane, half);
+        b.bra(c, low, high);
+        b.select(low);
+        let a = b.iadd(lane, lane);
+        b.st_global(a, lane);
+        b.jmp(latch);
+        b.select(high);
+        let m = b.imul(lane, lane);
+        b.st_global(m, lane);
+        b.jmp(latch);
+        b.select(latch);
+        let again = b.setlt(i0, n);
+        b.bra(again, body, done);
+        b.select(done);
+        b.exit();
+        let c = compiled(b.finish().unwrap());
+        assert!(c.regions().len() > 1);
+        // One scheduler with one slot issues at most one instruction per
+        // tick, so checking after every tick checks after every issue.
+        let config = GpuConfig {
+            schedulers_per_sm: 1,
+            issue_slots_per_scheduler: 1,
+            ..GpuConfig::test_small()
+        };
+        let mut mem = MemSystem::new(&config);
+        let mut sm = Sm::new(0, &config, &c, crate::backend::BaselineRf::new());
+        let mut visited = std::collections::BTreeSet::new();
+        let mut now = 0;
+        while !sm.all_done() {
+            let before = sm.stats.insns;
+            sm.tick(now, &c, &mut mem, None);
+            assert!(sm.stats.insns <= before + 1);
+            for (w, warp) in sm.warps.iter().enumerate() {
+                let region = warp.pc().map(|pc| c.region_at(pc));
+                assert_eq!(sm.regions[w], region, "warp {w} after cycle {now}");
+                visited.extend(region);
+            }
+            now += 1;
+            assert!(now < config.max_cycles, "the kernel hangs");
+        }
+        // Per warp: 4 entry instructions, 3 trips of the 5-instruction
+        // body, both 3-instruction sides and the 2-instruction latch, exit.
+        assert_eq!(sm.stats.insns, 8 * (4 + 3 * (5 + 3 + 3 + 2) + 1));
+        assert_eq!(visited.len(), c.regions().len(), "every region was entered");
+        assert!(sm.regions.iter().all(Option::is_none), "every warp exited");
+    }
 
     #[test]
     fn idle_slot_charges_the_first_priority_then_lowest_warp() {
