@@ -17,7 +17,10 @@
 //! `special/high_pressure`. Runs that are one simulation are one key by
 //! structure: the scheduler study's GTO point and the issue-width study's
 //! single-issue points run on the evaluation machine itself, so they share
-//! the figures' entries.
+//! the figures' entries. On disk and in logs a key is one line of text,
+//! `rodinia/nn|regless:capacity=128|scheduler=Lrr`: the benchmark, the
+//! design point as the registry spells it, and the machine fields that
+//! differ from the evaluation machine.
 //!
 //! # Invalidation
 //!
@@ -33,7 +36,7 @@
 //! entries but still writes fresh ones (and memoizes in memory), and
 //! `REGLESS_SWEEP_DIR` overrides the `results/cache` location.
 
-use crate::{eval_gpu, Attach, DesignKind};
+use crate::{eval_gpu, registry, Attach, DesignKind};
 use regless_sim::{GpuConfig, RunReport};
 use regless_telemetry::{format_bytes, Log2Histogram, ProgressMeter, SelfProfiler};
 use regless_workloads::{high_pressure_kernel, micro, rodinia};
@@ -66,7 +69,10 @@ use std::sync::{Arc, Mutex, OnceLock};
 /// `DesignKind::execute`, and an entry stores its exact text under `key`;
 /// RFV, RegDem and the compressed RF are `DesignKind::Throttled`. Every
 /// slug changes.
-const CACHE_FORMAT_VERSION: u32 = 8;
+/// v9: the key is the run's text ([`run_key`]): the design point as the
+/// registry spells it and only the machine fields that differ from
+/// `eval_gpu()`, not the `Debug` text of both. Every slug changes.
+const CACHE_FORMAT_VERSION: u32 = 9;
 
 /// Benchmark id for a Rodinia kernel name.
 pub fn rodinia_id(name: &str) -> String {
@@ -113,19 +119,21 @@ pub fn bench_kernel(bench: &str) -> Option<regless_isa::Kernel> {
     }
 }
 
-/// How logs and the timing table name a run: the benchmark and design,
-/// plus, off the evaluation machine, the fields of `gpu` that differ from
-/// it (`on scheduler: Lrr`).
-fn run_label(bench: &str, design: DesignKind, gpu: GpuConfig) -> String {
+/// The one text of a run, which logs, the timing table, the cache entry
+/// (its slug and stored `key`) and [`unit_hash`] all use: the benchmark,
+/// the design point as [`registry::render`] spells it, then `|field=value`
+/// for each field of `gpu` that differs from [`eval_gpu`] (`|scheduler=Lrr`),
+/// which the cache fingerprint already hashes.
+fn run_key(bench: &str, design: DesignKind, gpu: GpuConfig) -> String {
     let eval = eval_gpu();
-    let mut diffs = Vec::new();
+    let mut key = format!("{bench}|{}", registry::render(design));
     macro_rules! differing {
         ($($field:ident),*) => {
             // No `..`: a field added to `GpuConfig` must be listed here.
             let GpuConfig { $($field),* } = gpu;
             $(
                 if $field != eval.$field {
-                    diffs.push(format!("{}: {:?}", stringify!($field), $field));
+                    key.push_str(&format!("|{}={:?}", stringify!($field), $field));
                 }
             )*
         };
@@ -149,11 +157,7 @@ fn run_label(bench: &str, design: DesignKind, gpu: GpuConfig) -> String {
         latency,
         max_cycles
     );
-    if diffs.is_empty() {
-        format!("{bench} {design:?}")
-    } else {
-        format!("{bench} {design:?} on {}", diffs.join(", "))
-    }
+    key
 }
 
 /// How the engine treats its caches (from `REGLESS_SWEEP`).
@@ -190,9 +194,8 @@ enum RunSource {
 
 /// One entry of the engine's run log (see [`SweepEngine::timing_table`]).
 struct RunRecord {
-    bench: String,
-    design: DesignKind,
-    gpu: GpuConfig,
+    /// The run's text ([`run_key`]).
+    key: String,
     source: RunSource,
     /// Wall seconds of the simulation that originally produced the report
     /// — for cached runs this is *historical*, not time spent now, which
@@ -432,7 +435,8 @@ impl SweepEngine {
         let cell = self.cell(bench, design, gpu);
         if let Some(hit) = cell.get() {
             self.counters.memory_hits.fetch_add(1, Ordering::Relaxed);
-            self.note_run(bench, design, gpu, RunSource::MemoryCache, hit.wall_seconds);
+            let key = run_key(bench, design, gpu);
+            self.note_run(key, RunSource::MemoryCache, hit.wall_seconds);
             return Arc::clone(&hit.report);
         }
         drop(probe_guard);
@@ -448,13 +452,8 @@ impl SweepEngine {
         });
         if !initialized_here {
             self.counters.memory_hits.fetch_add(1, Ordering::Relaxed);
-            self.note_run(
-                bench,
-                design,
-                gpu,
-                RunSource::MemoryCache,
-                cached.wall_seconds,
-            );
+            let key = run_key(bench, design, gpu);
+            self.note_run(key, RunSource::MemoryCache, cached.wall_seconds);
         }
         Arc::clone(&cached.report)
     }
@@ -490,7 +489,7 @@ impl SweepEngine {
         if self.mode != SweepMode::Normal {
             return None;
         }
-        let exact = key_text(bench, design, gpu);
+        let exact = run_key(bench, design, gpu);
         let report = load_entry(&self.entry_path(&exact)?, &exact)?;
         self.counters.disk_hits.fetch_add(1, Ordering::Relaxed);
         // Memoize the replay; a racing initializer may have won, in which
@@ -520,7 +519,7 @@ impl SweepEngine {
             self.cell(bench, design, gpu)
                 .get_or_init(|| Arc::new(CachedRun::new(Arc::clone(&report)))),
         );
-        let exact = key_text(bench, design, gpu);
+        let exact = run_key(bench, design, gpu);
         if let Some(path) = self.entry_path(&exact) {
             store_entry(&path, &exact, &report);
         }
@@ -528,20 +527,14 @@ impl SweepEngine {
     }
 
     fn load_or_simulate(&self, bench: &str, design: DesignKind, gpu: GpuConfig) -> RunReport {
-        let exact = key_text(bench, design, gpu);
+        let exact = run_key(bench, design, gpu);
         let path = self.entry_path(&exact);
         if self.mode == SweepMode::Normal {
             let _g = self.selfprof.scope("cache_probe");
             if let Some(report) = path.as_deref().and_then(|p| load_entry(p, &exact)) {
                 self.counters.disk_hits.fetch_add(1, Ordering::Relaxed);
-                self.note_run(
-                    bench,
-                    design,
-                    gpu,
-                    RunSource::DiskCache,
-                    report.wall_seconds,
-                );
-                eprintln!("[sweep] disk  {}", run_label(bench, design, gpu));
+                eprintln!("[sweep] disk  {exact}");
+                self.note_run(exact, RunSource::DiskCache, report.wall_seconds);
                 return report;
             }
         }
@@ -561,13 +554,14 @@ impl SweepEngine {
     /// builds ids from the workload tables, so either is a harness bug.
     fn simulate(&self, bench: &str, design: DesignKind, gpu: GpuConfig) -> RunReport {
         self.counters.misses.fetch_add(1, Ordering::Relaxed);
+        let key = run_key(bench, design, gpu);
         let report = {
             let _g = self.selfprof.scope("simulate");
             let kernel =
                 bench_kernel(bench).unwrap_or_else(|| panic!("unknown benchmark id {bench:?}"));
             design
                 .execute(&kernel, gpu, &Attach::default())
-                .unwrap_or_else(|e| panic!("{}: {e}", run_label(bench, design, gpu)))
+                .unwrap_or_else(|e| panic!("{key}: {e}"))
         };
         let nanos = (report.wall_seconds * 1e9) as u64;
         self.counters.sim_nanos.fetch_add(nanos, Ordering::Relaxed);
@@ -575,37 +569,20 @@ impl SweepEngine {
             .lock()
             .expect("sweep histogram poisoned")
             .record((report.wall_seconds * 1e3) as u64);
-        self.note_run(
-            bench,
-            design,
-            gpu,
-            RunSource::Simulated,
-            report.wall_seconds,
-        );
         eprintln!(
-            "[sweep] sim   {}: {} cycles in {:.2} s",
-            run_label(bench, design, gpu),
-            report.cycles,
-            report.wall_seconds
+            "[sweep] sim   {key}: {} cycles in {:.2} s",
+            report.cycles, report.wall_seconds
         );
+        self.note_run(key, RunSource::Simulated, report.wall_seconds);
         report
     }
 
-    fn note_run(
-        &self,
-        bench: &str,
-        design: DesignKind,
-        gpu: GpuConfig,
-        source: RunSource,
-        wall_seconds: f64,
-    ) {
+    fn note_run(&self, key: String, source: RunSource, wall_seconds: f64) {
         self.records
             .lock()
             .expect("sweep run log poisoned")
             .push(RunRecord {
-                bench: bench.to_string(),
-                design,
-                gpu,
+                key,
                 source,
                 wall_seconds,
             });
@@ -646,20 +623,19 @@ impl SweepEngine {
         if records.is_empty() {
             return "  (no runs recorded)\n".to_string();
         }
-        let rows: Vec<(String, String)> = records
+        let rows: Vec<(&str, String)> = records
             .iter()
             .map(|r| {
-                let label = run_label(&r.bench, r.design, r.gpu);
                 let time = match r.source {
                     RunSource::Simulated => crate::timing::format_duration(
                         std::time::Duration::from_secs_f64(r.wall_seconds.max(0.0)),
                     ),
                     RunSource::DiskCache | RunSource::MemoryCache => "(cached)".to_string(),
                 };
-                (label, time)
+                (r.key.as_str(), time)
             })
             .collect();
-        // Pad to the widest label, capped so one verbose Debug string
+        // Pad to the widest label, capped so one long machine override
         // cannot push the time column off-screen for every row.
         let width = rows.iter().map(|(l, _)| l.len()).max().unwrap_or(0).min(72);
         let mut out = String::new();
@@ -927,22 +903,16 @@ pub fn prefetch_headline() {
 /// The cluster coordinator hashes this value onto its consistent-hash
 /// ring and uses it as the idempotency key when reassigning in-flight
 /// units, so it must be deterministic across processes: it hashes the
-/// key's `Debug` text, the same basis as the cache entry slug.
+/// run's text (`run_key`), the same basis as the cache entry slug.
 pub fn unit_hash(bench: &str, design: DesignKind, gpu: GpuConfig) -> u64 {
-    fnv1a64(key_text(bench, design, gpu).as_bytes())
+    fnv1a64(run_key(bench, design, gpu).as_bytes())
 }
 
 /// Public twin of the disk-cache entry filename for one work unit, so
 /// external tooling (cluster result digests, CI comparisons) names
 /// results exactly the way the cache does.
 pub fn unit_slug(bench: &str, design: DesignKind, gpu: GpuConfig) -> String {
-    entry_slug(&key_text(bench, design, gpu))
-}
-
-/// The exact text of one key, which the entry slug, the stored entry and
-/// [`unit_hash`] are all built from.
-fn key_text(bench: &str, design: DesignKind, gpu: GpuConfig) -> String {
-    format!("{bench}|{design:?}|{gpu:?}")
+    entry_slug(&run_key(bench, design, gpu))
 }
 
 /// A cache-fingerprint directory name: exactly 16 lowercase hex digits
@@ -1123,26 +1093,31 @@ mod tests {
         }
         assert_eq!(engine.stats().misses, 2);
 
-        // Logs name the machine only when it is not the evaluation one.
+        // Keys and logs name the machine only when it is not the
+        // evaluation one.
         assert_eq!(
-            run_label(&nn, DesignKind::Baseline, gto),
-            "rodinia/nn Baseline"
+            run_key(&nn, DesignKind::Baseline, gto),
+            "rodinia/nn|baseline"
+        );
+        assert_eq!(
+            run_key(&nn, DesignKind::Throttled(Throttle::Occupancy), eval),
+            "rodinia/nn|baseline:throttle=occupancy"
         );
         let lrr = GpuConfig {
             scheduler: SchedulerKind::Lrr,
             ..eval
         };
         assert_eq!(
-            run_label(&nn, DesignKind::Baseline, lrr),
-            "rodinia/nn Baseline on scheduler: Lrr"
+            run_key(&nn, DesignKind::Baseline, lrr),
+            "rodinia/nn|baseline|scheduler=Lrr"
         );
         let dual_lrr = GpuConfig {
             issue_slots_per_scheduler: 2,
             ..lrr
         };
         assert_eq!(
-            run_label(&nn, DesignKind::Baseline, dual_lrr),
-            "rodinia/nn Baseline on issue_slots_per_scheduler: 2, scheduler: Lrr"
+            run_key(&nn, DesignKind::Baseline, dual_lrr),
+            "rodinia/nn|baseline|issue_slots_per_scheduler=2|scheduler=Lrr"
         );
     }
 
@@ -1314,7 +1289,7 @@ mod tests {
         let bench = rodinia_id("nn");
         let engine = SweepEngine::with_config(Some(dir.clone()), SweepMode::Normal);
         let report = engine.run(&bench, DesignKind::Baseline, eval_gpu());
-        let exact = key_text(&bench, DesignKind::Baseline, eval_gpu());
+        let exact = run_key(&bench, DesignKind::Baseline, eval_gpu());
         let path = engine.entry_path(&exact).unwrap();
 
         std::thread::scope(|scope| {

@@ -22,8 +22,8 @@ use crate::assignment::HashRing;
 use crate::liveness::Liveness;
 use crate::stats::{ClusterSummary, MetricKind};
 use crate::WorkUnit;
-use regless_bench::eval_gpu;
 use regless_bench::sweep::SweepEngine;
+use regless_bench::{eval_gpu, registry};
 use regless_json::{FromJson, Json, ToJson};
 use regless_serve::proto::{
     check_protocol_version, read_json_line, write_json_line, ErrorBody, ErrorCode, Request,
@@ -492,16 +492,13 @@ fn handle_claim(req: &Request, shared: &Arc<Shared>) -> Response {
     }
     if let Some((unit, trace_id)) = board.pick(worker) {
         board.counters.claims += 1;
-        let (design, capacity, compressor) = unit.wire();
         return Response::success(
             req.id,
             Json::Obj(vec![
                 ("kind".into(), Json::Str("claim".into())),
                 ("unit".into(), ToJson::to_json(&unit.id)),
                 ("kernel".into(), Json::Str(unit.bench.clone())),
-                ("design".into(), Json::Str(design.to_string())),
-                ("capacity".into(), ToJson::to_json(&capacity)),
-                ("compressor".into(), Json::Bool(compressor)),
+                ("design".into(), Json::Str(registry::render(unit.design))),
                 (
                     "heartbeat_ms".into(),
                     ToJson::to_json(&shared.config.heartbeat_ms()),

@@ -58,7 +58,6 @@ pub use coordinator::{Coordinator, CoordinatorConfig, CoordinatorHandle};
 pub use stats::{ClusterSummary, MetricKind};
 pub use worker::{run_worker, WorkerConfig, WorkerSummary};
 
-use regless_bench::registry::{self, DesignParams};
 use regless_bench::sweep::{unit_hash, unit_slug};
 use regless_bench::{eval_gpu, DesignKind};
 
@@ -96,32 +95,6 @@ impl WorkUnit {
     pub fn slug(&self) -> String {
         unit_slug(&self.bench, self.design, eval_gpu())
     }
-
-    /// The `(design, capacity, compressor)` triple the JSONL protocol
-    /// carries for this unit ([`registry::identify`]).
-    pub fn wire(&self) -> (&'static str, usize, bool) {
-        let (id, params) = registry::identify(self.design);
-        (id, params.capacity, params.compressor)
-    }
-
-    /// Rebuild a unit from claim-response wire fields
-    /// ([`registry::resolve`]).
-    ///
-    /// # Errors
-    ///
-    /// Returns the registry's message for an unknown design id.
-    pub fn from_wire(
-        bench: &str,
-        design: &str,
-        capacity: usize,
-        compressor: bool,
-    ) -> Result<WorkUnit, String> {
-        let params = DesignParams {
-            capacity,
-            compressor,
-        };
-        registry::resolve(design, &params).map(|d| WorkUnit::new(bench, d))
-    }
 }
 
 /// Enumerate the (benchmark × design) cross-product as work units.
@@ -136,24 +109,6 @@ pub fn units_for(benches: &[String], designs: &[DesignKind]) -> Vec<WorkUnit> {
 #[cfg(test)]
 mod tests {
     use super::*;
-
-    #[test]
-    fn work_units_round_trip_the_wire() {
-        let nc_256 = DesignParams {
-            capacity: 256,
-            compressor: false,
-        };
-        for entry in registry::all() {
-            for design in [entry.default_design(), entry.build(&nc_256)] {
-                let unit = WorkUnit::new("rodinia/nn", design);
-                let (d, cap, comp) = unit.wire();
-                let back = WorkUnit::from_wire(&unit.bench, d, cap, comp).unwrap();
-                assert_eq!(back, unit, "{design:?}");
-            }
-        }
-        let err = WorkUnit::from_wire("rodinia/nn", "frobnicate", 0, true).unwrap_err();
-        assert!(err.contains("frobnicate"), "{err}");
-    }
 
     #[test]
     fn unit_ids_are_stable_and_distinct() {

@@ -9,8 +9,8 @@
 //! hard error, not a hang.
 
 use crate::WorkUnit;
-use regless_bench::eval_gpu;
 use regless_bench::sweep::SweepEngine;
+use regless_bench::{eval_gpu, registry};
 use regless_json::{FromJson, ToJson};
 use regless_serve::client::{backoff_delay, RetryPolicy};
 use regless_serve::proto::{Request, Response};
@@ -203,13 +203,10 @@ pub fn run_worker(config: &WorkerConfig, engine: &SweepEngine) -> std::io::Resul
         };
         let report = simulate_with_heartbeats(config, engine, &unit, heartbeat_ms);
 
-        let (design, capacity, compressor) = unit.wire();
         let mut result = Request::result(next_id, &config.name, unit.id, ToJson::to_json(&*report));
         next_id += 1;
         result.kernel = Some(unit.bench.clone());
-        result.design = design.to_string();
-        result.capacity = capacity;
-        result.compressor = compressor;
+        result.design = registry::render(unit.design);
         result.trace_id = trace_id;
         let resp = match client.request(&result) {
             Ok(r) => r,
@@ -307,10 +304,8 @@ fn parse_claimed_unit(resp: &Response) -> std::io::Result<WorkUnit> {
     let id: u64 = FromJson::from_json(field("unit")?).map_err(invalid)?;
     let kernel: String = FromJson::from_json(field("kernel")?).map_err(invalid)?;
     let design: String = FromJson::from_json(field("design")?).map_err(invalid)?;
-    let capacity: usize = FromJson::from_json(field("capacity")?).map_err(invalid)?;
-    let compressor: bool = FromJson::from_json(field("compressor")?).map_err(invalid)?;
-    let unit = WorkUnit::from_wire(&kernel, &design, capacity, compressor)
-        .map_err(|e| invalid(format!("claim: {e}")))?;
+    let design = registry::parse(&design).map_err(|e| invalid(format!("claim: {e}")))?;
+    let unit = WorkUnit::new(&kernel, design);
     if unit.id != id {
         return Err(invalid(format!(
             "claim unit id {id:x} does not match coordinates (expected {:x})",
@@ -338,29 +333,45 @@ fn invalid(e: impl std::fmt::Display) -> std::io::Error {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use regless_bench::DesignKind;
     use regless_json::Json;
 
     #[test]
     fn parse_claimed_unit_checks_ids_and_designs() {
-        let unit = WorkUnit::new("rodinia/nn", regless_bench::DesignKind::Baseline);
-        let (design, capacity, compressor) = unit.wire();
-        let payload = |id: u64, design: &str| {
+        let payload = |id: u64, bench: &str, design: &str| {
             Response::success(
                 1,
                 Json::Obj(vec![
                     ("unit".into(), ToJson::to_json(&id)),
-                    ("kernel".into(), Json::Str(unit.bench.clone())),
+                    ("kernel".into(), Json::Str(bench.to_string())),
                     ("design".into(), Json::Str(design.to_string())),
-                    ("capacity".into(), ToJson::to_json(&capacity)),
-                    ("compressor".into(), Json::Bool(compressor)),
                 ]),
             )
         };
-        let parsed = parse_claimed_unit(&payload(unit.id, design)).unwrap();
-        assert_eq!(parsed, unit);
-        // A mismatched id is a wire corruption, not something to run.
-        assert!(parse_claimed_unit(&payload(unit.id ^ 1, design)).is_err());
-        assert!(parse_claimed_unit(&payload(unit.id, "frobnicate")).is_err());
+        // Every registered point and every point its parameters reach
+        // decodes to the unit the coordinator handed out.
+        let mut designs: Vec<DesignKind> =
+            registry::all().iter().map(|e| e.default_design()).collect();
+        for text in [
+            "regless-nc:capacity=256",
+            "regless:order=fifo",
+            "regless:patterns=constant-only:renumber=true",
+            "regless:capacity=128:min_region=1:split_load_use=false",
+            "baseline:throttle=occupancy",
+        ] {
+            designs.push(registry::parse(text).unwrap());
+        }
+        for design in designs {
+            let unit = WorkUnit::new("rodinia/nn", design);
+            let text = registry::render(design);
+            let parsed = parse_claimed_unit(&payload(unit.id, &unit.bench, &text)).unwrap();
+            assert_eq!(parsed, unit, "{text}");
+            // A mismatched id is a wire corruption, not something to run.
+            assert!(parse_claimed_unit(&payload(unit.id ^ 1, &unit.bench, &text)).is_err());
+        }
+        let unit = WorkUnit::new("rodinia/nn", DesignKind::Baseline);
+        let err = parse_claimed_unit(&payload(unit.id, &unit.bench, "frobnicate")).unwrap_err();
+        assert!(err.to_string().contains("frobnicate"), "{err}");
     }
 
     #[test]

@@ -21,8 +21,8 @@
 //! - **Worker pool**: `cores − 1` threads by default, each running jobs
 //!   under `catch_unwind` so one malformed kernel cannot take the server
 //!   down.
-//! - **Coalescing**: identical in-flight requests (same kernel, design,
-//!   capacity, compressor) share one simulation through the sweep
+//! - **Coalescing**: identical in-flight requests (same kernel and
+//!   design point, however spelled) share one simulation through the sweep
 //!   engine's `(bench, design, machine)` keys, and benchmark-id results
 //!   persist to the shared on-disk cache so later requests — and
 //!   independent CLI sweeps — replay instead of re-simulating.

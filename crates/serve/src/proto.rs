@@ -18,7 +18,10 @@ use std::io::{BufRead, Write};
 /// v2: cluster request kinds (`claim`, `result`, `heartbeat`), the
 /// `worker`/`protocol_version`/`unit`/`report` request fields, and the
 /// `uptime_ms`/`protocol_version` stats fields.
-pub const PROTOCOL_VERSION: u32 = 2;
+/// v3: a `claim` reply and a `result` request name the unit's design
+/// point in `design` alone (`regless:order=fifo`), without the `capacity`
+/// and `compressor` fields.
+pub const PROTOCOL_VERSION: u32 = 3;
 
 /// What a request asks the server to do.
 #[derive(Clone, Copy, PartialEq, Eq, Debug)]
@@ -108,12 +111,16 @@ pub struct Request {
     /// (`rodinia/<name>`, `micro/<name>`, `special/high_pressure`), a bare
     /// Rodinia name, or a path to a `.asm` file readable by the server.
     pub kernel: Option<String>,
-    /// Storage design: any `regless designs` id (default `"regless"`).
+    /// Storage design point, as `regless designs` ids and their
+    /// parameters spell it (`regless:capacity=128:order=fifo`; default
+    /// `"regless"`). The reply echoes it as sent.
     pub design: String,
-    /// OSU entries per SM for the regless design.
-    pub capacity: usize,
-    /// Whether the regless design keeps its compressor.
-    pub compressor: bool,
+    /// Alias for the design point's `capacity` parameter; ignored by a
+    /// design that does not declare it.
+    pub capacity: Option<usize>,
+    /// Alias for the design point's `compressor` parameter; ignored by a
+    /// design that does not declare it.
+    pub compressor: Option<bool>,
     /// Per-request deadline; once it expires the client gets a structured
     /// `timeout` error and the simulation is cooperatively cancelled (when
     /// no other waiter still wants it).
@@ -155,8 +162,8 @@ impl Request {
             kind,
             kernel: None,
             design: "regless".to_string(),
-            capacity: 512,
-            compressor: true,
+            capacity: None,
+            compressor: None,
             timeout_ms: None,
             worker: None,
             protocol_version: None,
@@ -185,8 +192,8 @@ impl Request {
     }
 
     /// A cluster `result`: `worker` delivers `report` for work unit
-    /// `unit`. The unit's coordinates (kernel/design/capacity/compressor)
-    /// are set by the caller from the claim it answers.
+    /// `unit`. The unit's coordinates (kernel and design point) are set
+    /// by the caller from the claim it answers.
     pub fn result(id: u64, worker: &str, unit: u64, report: Json) -> Request {
         Request {
             kind: RequestKind::Result,
@@ -198,105 +205,55 @@ impl Request {
 
     /// Serialize to one wire line (no trailing newline).
     pub fn to_json(&self) -> Json {
-        let mut fields = vec![
-            ("id".to_string(), ToJson::to_json(&self.id)),
+        let fields = [
+            ("id", Some(self.id.to_json())),
+            ("kind", Some(self.kind.as_str().to_json())),
+            ("kernel", self.kernel.as_ref().map(ToJson::to_json)),
+            ("design", Some(self.design.to_json())),
+            ("capacity", self.capacity.map(|c| c.to_json())),
+            ("compressor", self.compressor.map(Json::Bool)),
+            ("timeout_ms", self.timeout_ms.map(|ms| ms.to_json())),
+            ("worker", self.worker.as_ref().map(ToJson::to_json)),
             (
-                "kind".to_string(),
-                Json::Str(self.kind.as_str().to_string()),
+                "protocol_version",
+                self.protocol_version.map(|v| v.to_json()),
             ),
+            ("unit", self.unit.map(|u| u.to_json())),
+            ("report", self.report.clone()),
+            ("trace_id", self.trace_id.as_ref().map(ToJson::to_json)),
         ];
-        if let Some(kernel) = &self.kernel {
-            fields.push(("kernel".to_string(), Json::Str(kernel.clone())));
-        }
-        fields.push(("design".to_string(), Json::Str(self.design.clone())));
-        fields.push(("capacity".to_string(), ToJson::to_json(&self.capacity)));
-        fields.push(("compressor".to_string(), Json::Bool(self.compressor)));
-        if let Some(ms) = self.timeout_ms {
-            fields.push(("timeout_ms".to_string(), ToJson::to_json(&ms)));
-        }
-        if let Some(worker) = &self.worker {
-            fields.push(("worker".to_string(), Json::Str(worker.clone())));
-        }
-        if let Some(v) = self.protocol_version {
-            fields.push(("protocol_version".to_string(), ToJson::to_json(&v)));
-        }
-        if let Some(unit) = self.unit {
-            fields.push(("unit".to_string(), ToJson::to_json(&unit)));
-        }
-        if let Some(report) = &self.report {
-            fields.push(("report".to_string(), report.clone()));
-        }
-        if let Some(trace_id) = &self.trace_id {
-            fields.push(("trace_id".to_string(), Json::Str(trace_id.clone())));
-        }
-        Json::Obj(fields)
+        // Absent optional fields stay off the wire.
+        let present = fields
+            .into_iter()
+            .filter_map(|(k, v)| Some((k.to_string(), v?)));
+        Json::Obj(present.collect())
     }
 
-    /// Parse one wire line. Missing optional fields take their defaults
-    /// (`design` regless, `capacity` 512, `compressor` true).
+    /// Parse one wire line. A missing `design` is `regless`; other
+    /// missing optional fields are `None`.
     ///
     /// # Errors
     ///
     /// Returns a [`JsonError`] for malformed JSON, a missing/unknown
     /// `kind`, or ill-typed fields.
     pub fn from_json(v: &Json) -> Result<Request, JsonError> {
-        let id: u64 = match v.field_opt("id")? {
-            Some(f) => FromJson::from_json(f)?,
-            None => 0,
-        };
+        let id = optional(v, "id")?.unwrap_or(0);
         let kind_str: String = FromJson::from_json(v.field("kind")?)?;
         let kind = RequestKind::parse(&kind_str)
             .ok_or_else(|| JsonError::new(format!("unknown request kind {kind_str:?}")))?;
-        let kernel = match v.field_opt("kernel")? {
-            Some(f) => Some(FromJson::from_json(f)?),
-            None => None,
-        };
-        let design = match v.field_opt("design")? {
-            Some(f) => FromJson::from_json(f)?,
-            None => "regless".to_string(),
-        };
-        let capacity = match v.field_opt("capacity")? {
-            Some(f) => FromJson::from_json(f)?,
-            None => 512,
-        };
-        let compressor = match v.field_opt("compressor")? {
-            Some(f) => FromJson::from_json(f)?,
-            None => true,
-        };
-        let timeout_ms = match v.field_opt("timeout_ms")? {
-            Some(f) => Some(FromJson::from_json(f)?),
-            None => None,
-        };
-        let worker = match v.field_opt("worker")? {
-            Some(f) => Some(FromJson::from_json(f)?),
-            None => None,
-        };
-        let protocol_version = match v.field_opt("protocol_version")? {
-            Some(f) => Some(FromJson::from_json(f)?),
-            None => None,
-        };
-        let unit = match v.field_opt("unit")? {
-            Some(f) => Some(FromJson::from_json(f)?),
-            None => None,
-        };
-        let report = v.field_opt("report")?.cloned();
-        let trace_id = match v.field_opt("trace_id")? {
-            Some(f) => Some(FromJson::from_json(f)?),
-            None => None,
-        };
         Ok(Request {
             id,
             kind,
-            kernel,
-            design,
-            capacity,
-            compressor,
-            timeout_ms,
-            worker,
-            protocol_version,
-            unit,
-            report,
-            trace_id,
+            kernel: optional(v, "kernel")?,
+            design: optional(v, "design")?.unwrap_or_else(|| "regless".to_string()),
+            capacity: optional(v, "capacity")?,
+            compressor: optional(v, "compressor")?,
+            timeout_ms: optional(v, "timeout_ms")?,
+            worker: optional(v, "worker")?,
+            protocol_version: optional(v, "protocol_version")?,
+            unit: optional(v, "unit")?,
+            report: v.field_opt("report")?.cloned(),
+            trace_id: optional(v, "trace_id")?,
         })
     }
 
@@ -307,6 +264,11 @@ impl Request {
         self.trace_id = Some(trace_id.into());
         self
     }
+}
+
+/// Field `name` of the object `v`, or `None` when it is absent.
+fn optional<T: FromJson>(v: &Json, name: &str) -> Result<Option<T>, JsonError> {
+    v.field_opt(name)?.map(T::from_json).transpose()
 }
 
 /// Reject a cluster request whose sender speaks a different protocol
@@ -483,10 +445,7 @@ impl Response {
     /// Returns a [`JsonError`] for malformed JSON or a malformed error
     /// body.
     pub fn from_json(v: &Json) -> Result<Response, JsonError> {
-        let id: u64 = match v.field_opt("id")? {
-            Some(f) => FromJson::from_json(f)?,
-            None => 0,
-        };
+        let id = optional(v, "id")?.unwrap_or(0);
         let ok: bool = FromJson::from_json(v.field("ok")?)?;
         let mut payload = Vec::new();
         let mut error = None;
@@ -510,14 +469,10 @@ impl Response {
                             }
                         };
                         let message: String = FromJson::from_json(val.field("message")?)?;
-                        let retry_after_ms = match val.field_opt("retry_after_ms")? {
-                            Some(f) => Some(FromJson::from_json(f)?),
-                            None => None,
-                        };
                         error = Some(ErrorBody {
                             code,
                             message,
-                            retry_after_ms,
+                            retry_after_ms: optional(val, "retry_after_ms")?,
                         });
                     }
                     _ => payload.push((k.clone(), val.clone())),
@@ -585,8 +540,16 @@ mod tests {
         let parsed = Request::from_json(&minimal).unwrap();
         assert_eq!(parsed.id, 0);
         assert_eq!(parsed.design, "regless");
-        assert_eq!(parsed.capacity, 512);
-        assert!(parsed.compressor);
+        assert_eq!(parsed.capacity, None);
+        assert_eq!(parsed.compressor, None);
+
+        // The aliases round-trip when present.
+        let aliased = Request {
+            capacity: Some(128),
+            compressor: Some(false),
+            ..Request::run(8, "rodinia/nn")
+        };
+        assert_eq!(Request::from_json(&aliased.to_json()).unwrap(), aliased);
         assert_eq!(parsed.timeout_ms, None);
     }
 

@@ -11,7 +11,7 @@
 use crate::proto::{
     read_json_line, write_json_line, ErrorBody, ErrorCode, Request, RequestKind, Response,
 };
-use regless_bench::registry::{self, DesignParams};
+use regless_bench::registry;
 use regless_bench::sweep::{bench_kernel, bench_kernel_name, rodinia_id, CachedRun, SweepEngine};
 use regless_bench::{eval_gpu, Attach, DesignKind, RunError};
 use regless_isa::text::parse_kernel;
@@ -58,22 +58,24 @@ impl Default for ServeConfig {
     }
 }
 
-/// Resolve a request's design fields through the design registry and
-/// check its parameters. Designs ignore the wire's `capacity` and
-/// `compressor` fields unless they declare them.
+/// Parse a request's design point through the design registry and check
+/// its parameters. Designs ignore the wire's `capacity` and `compressor`
+/// aliases unless they declare them.
 ///
 /// # Errors
 ///
 /// Returns an `unknown_design` [`ErrorBody`] — naming the id and listing
 /// every valid id — for an unregistered id, and a `bad_request` one for a
-/// RegLess capacity too small for the OSU shape.
+/// malformed setting or a RegLess capacity too small for the OSU shape.
 fn resolve_design(req: &Request) -> Result<DesignKind, ErrorBody> {
-    let params = DesignParams {
-        capacity: req.capacity,
-        compressor: req.compressor,
-    };
-    let design = registry::resolve(&req.design, &params)
-        .map_err(|e| ErrorBody::new(ErrorCode::UnknownDesign, e))?;
+    let design = registry::parse_with_aliases(&req.design, req.capacity, req.compressor, false)
+        .map_err(|e| {
+            let code = match registry::lookup(registry::id_of(&req.design)) {
+                Some(_) => ErrorCode::BadRequest,
+                None => ErrorCode::UnknownDesign,
+            };
+            ErrorBody::new(code, e)
+        })?;
     design
         .check(&eval_gpu())
         .map_err(|e| ErrorBody::new(ErrorCode::BadRequest, e))?;
@@ -1097,19 +1099,40 @@ mod tests {
         for design in ["regless", "regless-nc"] {
             let mut req = Request::run(1, "rodinia/nn");
             req.design = design.to_string();
-            req.capacity = 64;
+            req.capacity = Some(64);
             let err = resolve_design(&req).expect_err("capacity 64");
             assert_eq!(err.code, ErrorCode::BadRequest);
             assert!(err.message.contains("smallest valid capacity is 128"));
-            req.capacity = 128;
+            req.capacity = Some(128);
             assert!(resolve_design(&req).is_ok());
+            // The same point spelled in the design text.
+            req.capacity = None;
+            req.design = format!("{design}:capacity=64");
+            let err = resolve_design(&req).expect_err("capacity 64");
+            assert!(err.message.contains("smallest valid capacity is 128"));
         }
         // Designs without an OSU ignore the wire's capacity.
         for design in ["baseline", "rfh", "rfv", "regdem", "compress-rf"] {
             let mut req = Request::run(1, "rodinia/nn");
             req.design = design.to_string();
-            req.capacity = 64;
+            req.capacity = Some(64);
             assert!(resolve_design(&req).is_ok(), "{design}");
+        }
+    }
+
+    #[test]
+    fn malformed_design_points_are_structured_errors() {
+        for (design, code) in [
+            ("frobnicate", ErrorCode::UnknownDesign),
+            ("frobnicate:capacity=128", ErrorCode::UnknownDesign),
+            ("regless:order=sideways", ErrorCode::BadRequest),
+            ("baseline:capacity=128", ErrorCode::BadRequest),
+            ("regless:capacity", ErrorCode::BadRequest),
+        ] {
+            let mut req = Request::run(1, "rodinia/nn");
+            req.design = design.to_string();
+            let err = resolve_design(&req).expect_err(design);
+            assert_eq!(err.code, code, "{design}: {}", err.message);
         }
     }
 

@@ -5,7 +5,7 @@
 
 use proptest::prelude::*;
 use regless::bench::profile::{diff, ProfileReport};
-use regless::bench::registry::{self, DesignParams};
+use regless::bench::registry;
 use regless::bench::{Attach, DesignKind};
 use regless::core::RegLessConfig;
 use regless::isa::text::parse_kernel;
@@ -88,14 +88,12 @@ proptest! {
         kernel_idx in 0usize..6,
         capacity_idx in 0usize..3,
     ) {
-        let params = DesignParams {
-            capacity: [128usize, 256, 512][capacity_idx],
-            ..DesignParams::default()
-        };
+        let capacity = Some([128usize, 256, 512][capacity_idx]);
         let kernel = test_kernel(kernel_idx);
         let gpu = GpuConfig::test_small();
         for entry in registry::all() {
-            let report = run_small(&kernel, entry.build(&params));
+            let design = registry::parse_with_aliases(entry.id, capacity, None, false).unwrap();
+            let report = run_small(&kernel, design);
             assert_conservation(&report, &gpu);
             // Issued slots match the instruction + metadata-bubble count
             // the pipeline already reports per SM.

@@ -1,84 +1,88 @@
 //! Committed digests of every registered design's model output.
 //!
-//! For each (kernel, design) point below, the FNV-1a 64 digest of
+//! For each (kernel, design point) below, the FNV-1a 64 digest of
 //! `RunReport::stable_json()` must match `tests/golden/design_digests.txt`.
 //! Simulator rewrites are then checked against committed bytes, not only
-//! stepped against event-driven runs of the same build. On an intended
-//! model change, the failure message prints the regenerated file.
+//! stepped against event-driven runs of the same build. Every point is a
+//! design-point text read by `registry::parse`. On an intended model
+//! change, the failure message prints the regenerated file.
 
-use regless::baselines::Throttle;
-use regless::bench::registry;
-use regless::bench::{eval_gpu, run_design, Attach, DesignKind};
-use regless::core::{ActivationOrder, PatternSet, RegLessConfig};
+use regless::bench::sweep::bench_kernel;
+use regless::bench::{eval_gpu, registry, Attach};
 use regless::sim::GpuConfig;
-use regless::workloads::{high_pressure_kernel, rodinia};
 
-/// The two smallest Rodinia kernels by simulated cycles.
-const KERNELS: [&str; 2] = ["nn", "pathfinder"];
+/// The two smallest Rodinia kernels by simulated cycles: every registered
+/// design runs on each, then these extra points (golden label, design
+/// point).
+const KERNELS: [&str; 2] = ["rodinia/nn", "rodinia/pathfinder"];
+const ON_EVERY_KERNEL: [(&str, &str); 1] = [("regless@128", "regless:capacity=128")];
 
-/// Extra single points on kernels whose small-OSU runs stall on CM
-/// admission and barriers, where a stale admission skip would show.
-const EXTRA: [(&str, usize); 2] = [("hotspot", 128), ("backprop", 256)];
-
-/// RegLess points on a dual-issue machine (two issue slots per
-/// scheduler): a warp that issued in a scheduler's first slot is tested
-/// for eligibility again in its second, the one case where RegLess must
-/// look up the region at a warp's PC within the cycle it moved.
-const DUAL_ISSUE: [(&str, usize); 1] = [("hotspot", 128)];
-
-/// Capacity-throttled designs on a kernel where their warp admission
-/// throttles (on nn and pathfinder every warp fits, so those lines do
-/// not pin admission or the charging of skipped cycles).
-const THROTTLED: [(&str, &str); 3] = [
-    ("hotspot", "rfv"),
-    ("hotspot", "regdem"),
-    ("hotspot", "compress-rf"),
+/// Single points, in golden-file order: benchmark, golden label, design
+/// point, issue slots per scheduler.
+const SINGLE: [(&str, &str, &str, usize); 12] = [
+    // Small-OSU runs that stall on CM admission and barriers, where a
+    // stale admission skip would show.
+    ("rodinia/hotspot", "regless@128", "regless:capacity=128", 1),
+    ("rodinia/backprop", "regless@256", "regless:capacity=256", 1),
+    // A dual-issue machine: a warp that issued in a scheduler's first
+    // slot is tested for eligibility again in its second, the one case
+    // where RegLess must look up the region at a warp's PC within the
+    // cycle it moved.
+    (
+        "rodinia/hotspot",
+        "regless@128x2",
+        "regless:capacity=128",
+        2,
+    ),
+    // Capacity-throttled designs on a kernel where their warp admission
+    // throttles (on nn and pathfinder every warp fits, so those lines do
+    // not pin admission or the charging of skipped cycles).
+    ("rodinia/hotspot", "rfv", "rfv", 1),
+    ("rodinia/hotspot", "regdem", "regdem", 1),
+    ("rodinia/hotspot", "compress-rf", "compress-rf", 1),
+    // The full register file with occupancy capped by the kernel's
+    // register allocation (the §7 oversubscription study).
+    (
+        "special/high_pressure",
+        "occupancy-limited",
+        "baseline:throttle=occupancy",
+        1,
+    ),
+    // RegLess ablation points (paper §6.5, and §5.2's bank-aware
+    // renumbering), where each digest differs from the default `regless`
+    // line. `patterns=full-warp-strides` is left out: it matches `full`
+    // on every small kernel, so it would pin nothing.
+    (
+        "rodinia/pathfinder",
+        "regless+fifo",
+        "regless:order=fifo",
+        1,
+    ),
+    (
+        "rodinia/pathfinder",
+        "regless+const-only",
+        "regless:patterns=constant-only",
+        1,
+    ),
+    (
+        "rodinia/pathfinder",
+        "regless+renumber",
+        "regless:renumber=true",
+        1,
+    ),
+    (
+        "rodinia/pathfinder",
+        "regless+no-split",
+        "regless:split_load_use=false",
+        1,
+    ),
+    (
+        "rodinia/pathfinder",
+        "regless+min-region-1",
+        "regless:min_region=1",
+        1,
+    ),
 ];
-
-/// RegLess ablation points (paper §6.5, and §5.2's bank-aware
-/// renumbering) on pathfinder, where each digest differs from the default
-/// `regless` line. `PatternSet::FullWarpStrides` is left out: it matches
-/// `Full` on every small kernel, so it would pin nothing.
-fn ablations() -> [(&'static str, RegLessConfig); 5] {
-    let cfg = RegLessConfig::paper_default();
-    [
-        (
-            "fifo",
-            RegLessConfig {
-                activation_order: ActivationOrder::Fifo,
-                ..cfg
-            },
-        ),
-        (
-            "const-only",
-            RegLessConfig {
-                compressor_patterns: PatternSet::ConstantOnly,
-                ..cfg
-            },
-        ),
-        (
-            "renumber",
-            RegLessConfig {
-                renumber: true,
-                ..cfg
-            },
-        ),
-        (
-            "no-split",
-            RegLessConfig {
-                split_load_use: false,
-                ..cfg
-            },
-        ),
-        (
-            "min-region-1",
-            RegLessConfig {
-                min_region_insns: 1,
-                ..cfg
-            },
-        ),
-    ]
-}
 
 fn fnv1a64(bytes: &[u8]) -> u64 {
     bytes.iter().fold(0xcbf2_9ce4_8422_2325, |h, &b| {
@@ -86,84 +90,42 @@ fn fnv1a64(bytes: &[u8]) -> u64 {
     })
 }
 
-#[test]
-fn design_digests_match_golden() {
-    let mut points: Vec<(String, DesignKind)> = registry::all()
-        .iter()
-        .map(|e| (e.id.to_string(), e.default_design()))
-        .collect();
-    points.push((
-        "regless@128".to_string(),
-        DesignKind::RegLess(RegLessConfig::with_capacity(128)),
-    ));
-    let mut actual =
-        String::from("# FNV-1a 64 of RunReport::stable_json() (compact): kernel design digest\n");
-    for kernel in KERNELS {
-        let k = rodinia::kernel(kernel);
-        for (id, design) in &points {
-            let json = run_design(&k, *design).stable_json().to_string_compact();
-            actual.push_str(&format!(
-                "{kernel} {id} {:016x}\n",
-                fnv1a64(json.as_bytes())
-            ));
-        }
-    }
-    for (kernel, entries) in EXTRA {
-        let k = rodinia::kernel(kernel);
-        let design = DesignKind::RegLess(RegLessConfig::with_capacity(entries));
-        let json = run_design(&k, design).stable_json().to_string_compact();
-        actual.push_str(&format!(
-            "{kernel} regless@{entries} {:016x}\n",
-            fnv1a64(json.as_bytes())
-        ));
-    }
-    for (kernel, entries) in DUAL_ISSUE {
-        let k = rodinia::kernel(kernel);
-        let gpu = GpuConfig {
-            issue_slots_per_scheduler: 2,
-            ..eval_gpu()
-        };
-        let design = DesignKind::RegLess(RegLessConfig::with_capacity(entries));
-        let json = design
-            .execute(&k, gpu, &Attach::default())
-            .unwrap_or_else(|e| panic!("{kernel} dual-issue: {e}"))
-            .stable_json()
-            .to_string_compact();
-        actual.push_str(&format!(
-            "{kernel} regless@{entries}x2 {:016x}\n",
-            fnv1a64(json.as_bytes())
-        ));
-    }
-    for (kernel, id) in THROTTLED {
-        let design = registry::lookup(id).expect("registered").default_design();
-        let json = run_design(&rodinia::kernel(kernel), design)
-            .stable_json()
-            .to_string_compact();
-        actual.push_str(&format!(
-            "{kernel} {id} {:016x}\n",
-            fnv1a64(json.as_bytes())
-        ));
-    }
-    // The full register file with occupancy capped by the kernel's
-    // register allocation (the §7 oversubscription study), run directly
-    // rather than through the sweep engine so the test writes no cache.
-    let occupancy = DesignKind::Throttled(Throttle::Occupancy);
-    let json = run_design(&high_pressure_kernel(), occupancy)
+/// The golden line for `point` on `bench` with `issue_slots` per
+/// scheduler, run directly rather than through the sweep engine so the
+/// test writes no cache.
+fn digest_line(bench: &str, label: &str, point: &str, issue_slots: usize) -> String {
+    let kernel = bench_kernel(bench).expect("known benchmark");
+    let design = registry::parse(point).unwrap_or_else(|e| panic!("{point}: {e}"));
+    let gpu = GpuConfig {
+        issue_slots_per_scheduler: issue_slots,
+        ..eval_gpu()
+    };
+    let json = design
+        .execute(&kernel, gpu, &Attach::default())
+        .unwrap_or_else(|e| panic!("{bench} {point}: {e}"))
         .stable_json()
         .to_string_compact();
-    actual.push_str(&format!(
-        "high_pressure occupancy-limited {:016x}\n",
+    format!(
+        "{} {label} {:016x}\n",
+        kernel.name(),
         fnv1a64(json.as_bytes())
-    ));
-    let pathfinder = rodinia::kernel("pathfinder");
-    for (id, cfg) in ablations() {
-        let json = run_design(&pathfinder, DesignKind::RegLess(cfg))
-            .stable_json()
-            .to_string_compact();
-        actual.push_str(&format!(
-            "pathfinder regless+{id} {:016x}\n",
-            fnv1a64(json.as_bytes())
-        ));
+    )
+}
+
+#[test]
+fn design_digests_match_golden() {
+    assert_eq!(eval_gpu().issue_slots_per_scheduler, 1);
+    let mut points: Vec<(&str, &str)> = registry::ids().into_iter().map(|id| (id, id)).collect();
+    points.extend(ON_EVERY_KERNEL);
+    let mut actual =
+        String::from("# FNV-1a 64 of RunReport::stable_json() (compact): kernel design digest\n");
+    for bench in KERNELS {
+        for (label, point) in &points {
+            actual.push_str(&digest_line(bench, label, point, 1));
+        }
+    }
+    for (bench, label, point, issue_slots) in SINGLE {
+        actual.push_str(&digest_line(bench, label, point, issue_slots));
     }
     let golden = std::fs::read_to_string(concat!(
         env!("CARGO_MANIFEST_DIR"),

@@ -1,9 +1,9 @@
 //! Contract tests for the design registry: the `regless designs` table is
 //! golden-snapshotted, the JSON rendering covers every entry, every
-//! registered id resolves to a runnable [`DesignKind`], and the resolved
+//! registered id parses to a runnable [`DesignKind`], and the resolved
 //! designs stay pairwise distinct (so sweep fingerprints cannot collide).
 
-use regless::bench::registry::{self, DesignParams};
+use regless::bench::registry;
 use regless::bench::{eval_gpu, Attach, DesignKind};
 use regless::workloads::micro;
 use regless_json::Json;
@@ -55,16 +55,16 @@ fn designs_json_covers_every_entry() {
     assert_eq!(ids, registry::ids(), "JSON order matches the registry");
 }
 
-/// Every registered id resolves, and the defaults produce pairwise
-/// distinct design points — a collision here would alias two designs in
-/// the sweep cache.
+/// Every registered id parses to its default point and renders back to
+/// the bare id, and the defaults are pairwise distinct design points — a
+/// collision here would alias two designs in the sweep cache.
 #[test]
 fn every_registered_id_resolves_to_a_distinct_design() {
     let mut designs: Vec<DesignKind> = Vec::new();
     for entry in registry::all() {
-        let d = registry::resolve(entry.id, &DesignParams::default())
-            .unwrap_or_else(|e| panic!("{}: {e}", entry.id));
+        let d = registry::parse(entry.id).unwrap_or_else(|e| panic!("{}: {e}", entry.id));
         assert_eq!(d, entry.default_design());
+        assert_eq!(registry::render(d), entry.id);
         designs.push(d);
     }
     for (i, a) in designs.iter().enumerate() {
@@ -72,8 +72,7 @@ fn every_registered_id_resolves_to_a_distinct_design() {
             assert_ne!(a, b, "two registry entries alias the same design");
         }
     }
-    let err = registry::resolve("not-a-design", &DesignParams::default())
-        .expect_err("unknown ids are rejected");
+    let err = registry::parse("not-a-design").expect_err("unknown ids are rejected");
     assert!(
         err.contains("not-a-design") && err.contains("valid designs"),
         "{err}"

@@ -5,7 +5,7 @@
 //! is identical with and without a telemetry recorder attached.
 
 use proptest::prelude::*;
-use regless::bench::registry::{self, DesignParams};
+use regless::bench::registry;
 use regless::bench::{Attach, DesignKind};
 use regless::core::RegLessConfig;
 use regless::isa::Kernel;
@@ -59,13 +59,10 @@ proptest! {
         kernel_idx in 0usize..6,
         capacity_idx in 0usize..3,
     ) {
-        let params = DesignParams {
-            capacity: [128usize, 256, 512][capacity_idx],
-            ..DesignParams::default()
-        };
+        let capacity = Some([128usize, 256, 512][capacity_idx]);
         let kernel = test_kernel(kernel_idx);
         for entry in registry::all() {
-            let design = entry.build(&params);
+            let design = registry::parse_with_aliases(entry.id, capacity, None, false).unwrap();
             let report = run_small(&kernel, design);
             assert_eviction_conservation(&report);
             if design.osu_capacity() == 0 {

@@ -6,7 +6,7 @@
 //! stall-slot attribution fails here, not in a downstream figure.
 
 use proptest::prelude::*;
-use regless::bench::registry::{self, DesignParams};
+use regless::bench::registry;
 use regless::bench::{Attach, DesignKind};
 use regless::isa::Kernel;
 use regless::sim::{GpuConfig, RunReport, StallReason};
@@ -52,7 +52,7 @@ proptest! {
     ) {
         let capacity = [64usize, 128, 256, 512][capacity_idx];
         let entry = &registry::all()[design_idx % registry::all().len()];
-        let design = entry.build(&DesignParams { capacity, ..DesignParams::default() });
+        let design = registry::parse_with_aliases(entry.id, Some(capacity), None, false).unwrap();
         let kernel = test_kernel(kernel_idx);
         let gpu = GpuConfig::test_small();
         let stepped = run_mode(&kernel, design, gpu, true);
@@ -130,12 +130,9 @@ fn dual_issue_reports_are_byte_identical() {
     let mut designs: Vec<(&str, DesignKind)> = registry::all()
         .iter()
         .flat_map(|entry| {
-            [128, DesignParams::default().capacity].map(|capacity| {
-                let params = DesignParams {
-                    capacity,
-                    ..DesignParams::default()
-                };
-                (entry.id, entry.build(&params))
+            [128, 512].map(|capacity| {
+                let design = registry::parse_with_aliases(entry.id, Some(capacity), None, false);
+                (entry.id, design.unwrap())
             })
         })
         .collect();

@@ -7,7 +7,7 @@
 //! and on shared servers.
 
 use proptest::prelude::*;
-use regless::bench::registry::{self, DesignParams};
+use regless::bench::registry;
 use regless::bench::{Attach, DesignKind};
 use regless::core::RegLessConfig;
 use regless::isa::Kernel;
@@ -59,21 +59,18 @@ proptest! {
         kernel_idx in 0usize..7,
         capacity_idx in 0usize..4,
     ) {
-        let params = DesignParams {
-            capacity: [64usize, 128, 256, 512][capacity_idx],
-            ..DesignParams::default()
-        };
+        let capacity = Some([64usize, 128, 256, 512][capacity_idx]);
         let kernel = test_kernel(kernel_idx);
         for entry in registry::all() {
-            let design = entry.build(&params);
+            let design = registry::parse_with_aliases(entry.id, capacity, None, false).unwrap();
             let plain = run_design(&kernel, design, None);
             let prof = Arc::new(SelfProfiler::new(true));
             let profiled = run_design(&kernel, design, Some(Arc::clone(&prof)));
             prop_assert_eq!(
                 plain.stable_json().to_string_compact(),
                 profiled.stable_json().to_string_compact(),
-                "self-profiling perturbed the report: kernel {} design {} capacity {}",
-                kernel_idx, entry.id, params.capacity
+                "self-profiling perturbed the report: kernel {} design {}",
+                kernel_idx, registry::render(design)
             );
             prop_assert!(
                 !prof.snapshot().is_empty(),

@@ -9,7 +9,7 @@
 //! equals a CLI-direct one, however it was served).
 
 use regless::bench::profile::ProfileReport;
-use regless::bench::registry::{self, DesignParams};
+use regless::bench::registry;
 use regless::bench::sweep::{SweepEngine, SweepMode};
 use regless::bench::{run_design, DesignKind};
 use regless::isa::Kernel;
@@ -416,7 +416,7 @@ fn raw_request(id: u64, kind: &str, kernel: &str, design: &str, traced: bool) ->
 /// tree from a direct `run_design`, a full `Json::Obj`, and the reference
 /// writer.
 fn reference_reply(id: u64, kind: &str, kernel: &Kernel, design_id: &str, source: &str) -> String {
-    let design = registry::resolve(design_id, &DesignParams::default()).expect("known design");
+    let design = registry::parse(design_id).expect("known design");
     let report = run_design(kernel, design);
     let name = kernel.name();
     let body = match kind {
@@ -555,6 +555,52 @@ fn reply_lines_are_byte_identical_on_every_path() {
         assert_reply(&c.recv(), &reference, traced, &what);
     }
 
+    handle.shutdown();
+    handle.drain().expect("drain");
+}
+
+#[test]
+fn malformed_design_points_get_structured_errors() {
+    let handle = start_server(1, 8);
+    let addr = handle.addr().to_string();
+    let mut conn = RawConn::connect(&addr);
+    for (id, design, code) in [
+        (1u64, "frobnicate", "unknown_design"),
+        (2, "frobnicate:capacity=128", "unknown_design"),
+        (3, "", "unknown_design"),
+        (4, "regless:order=sideways", "bad_request"),
+        (5, "regless:capacity", "bad_request"),
+        (6, "regless:capacity=128:capacity=256", "bad_request"),
+        (7, "baseline:capacity=128", "bad_request"),
+        (8, "regless:capacity=64", "bad_request"),
+        (9, "regless:order=fifo,capacity=128", "bad_request"),
+        (10, "regless:=", "bad_request"),
+    ] {
+        conn.send(&raw_request(id, "run", "rodinia/nn", design, false));
+        let reply = Json::parse(&conn.recv()).expect("reply parses");
+        let parsed = regless::serve::Response::from_json(&reply).expect("reply is a response");
+        assert!(!parsed.ok, "{design:?}: {reply:?}");
+        assert_eq!(parsed.error_code(), Some(code), "{design:?}: {reply:?}");
+        let message = parsed.error.expect("error body").message;
+        if code == "bad_request" && !design.contains("=64") {
+            assert!(
+                message.contains("(its parameters: "),
+                "{design:?}: {message}"
+            );
+        }
+    }
+    // A well-formed point the wire used to have no spelling for runs.
+    conn.send(&raw_request(
+        11,
+        "run",
+        "rodinia/nn",
+        "regless:order=fifo",
+        false,
+    ));
+    let reply = Json::parse(&conn.recv()).expect("reply parses");
+    assert_eq!(reply.field("ok").ok(), Some(&Json::Bool(true)), "{reply:?}");
+    let stats = wait_for_stats(&addr, |s| stat(s, "completed") >= 1);
+    assert_eq!(stat(&stats, "panics"), 0);
     handle.shutdown();
     handle.drain().expect("drain");
 }
