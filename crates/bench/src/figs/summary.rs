@@ -1,5 +1,5 @@
 //! Machine-readable summary of the reproduction's headline metrics,
-//! written as `results/summary.json` by `all_experiments` so downstream
+//! written as `results/summary.json` by `regless experiments` so downstream
 //! tooling (plots, CI thresholds) need not parse the text tables.
 
 use crate::sweep;

@@ -1,6 +1,5 @@
 //! Smoke tests for the cheap (compiler-only or model-only) figure modules;
-//! the simulation-heavy figures are exercised by their binaries and the
-//! `all_experiments` run.
+//! the simulation-heavy figures are exercised by `regless experiments`.
 
 use super::*;
 

@@ -1,10 +1,10 @@
-//! Experiment harness shared by the per-figure binaries.
+//! Experiment harness behind `regless experiments`.
 //!
-//! Each `fig*`/`table*` binary in this crate regenerates one table or
-//! figure of the paper (see DESIGN.md §3 for the index); this library
-//! holds the common machinery: the evaluation machine configuration,
-//! the one design runner ([`DesignKind::execute`]), and plain-text table
-//! formatting.
+//! Each [`figs`] module regenerates one table or figure of the paper (see
+//! DESIGN.md §3 for the index), and [`figs::run`] runs any of them; this
+//! library also holds the common machinery: the evaluation machine
+//! configuration, the one design runner ([`DesignKind::execute`]), and
+//! plain-text table formatting.
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
@@ -360,7 +360,7 @@ mod tests {
     }
 
     /// One end-to-end smoke test across every design on the cheapest
-    /// benchmark (full runs live in the figure binaries).
+    /// benchmark (full runs live in the figure modules).
     #[test]
     fn all_designs_run_one_benchmark() {
         let kernel = rodinia::kernel("nn");

@@ -335,7 +335,7 @@ regless_json::impl_json_struct!(BenchProfile {
 });
 
 /// Per-benchmark CPI stacks and IPC at the paper's design point, written
-/// as `results/BENCH_profile.json` by `all_experiments` and uploaded as a
+/// as `results/BENCH_profile.json` by `regless experiments` and uploaded as a
 /// CI artifact. Runs come from the sweep engine's memoized cache, so the
 /// report is nearly free when the figure experiments already ran.
 pub fn bench_profiles_report() -> String {

@@ -5,9 +5,8 @@
 //! the baseline over all 21 Rodinia kernels alone is re-simulated by a
 //! dozen reports. The engine runs each distinct simulation **once**,
 //! memoizes the [`RunReport`] behind a thread-safe cache, and optionally
-//! persists results as JSON under `results/cache/` so a second invocation
-//! of a figure binary (or of `all_experiments`) replays from disk instead
-//! of re-simulating.
+//! persists results as JSON under `results/cache/` so a second `regless
+//! experiments` run replays from disk instead of re-simulating.
 //!
 //! # Cache key
 //!

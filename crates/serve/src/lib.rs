@@ -1,7 +1,7 @@
 //! `regless-serve` — a resident simulation service with admission control.
 //!
 //! Every other entry point in this workspace (the `regless` CLI verbs,
-//! `all_experiments`, the sweep engine) is a one-shot process: each caller
+//! `regless experiments`, the sweep engine) is a one-shot process: each caller
 //! pays process startup, and nothing bounds concurrent load. This crate is
 //! the long-lived serving layer the ROADMAP's "heavy traffic" north star
 //! asks for, and it applies the paper's own just-in-time admission idea

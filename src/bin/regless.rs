@@ -18,6 +18,9 @@
 //! regless sweep <kernel> [--progress] OSU capacity sweep (--progress streams
 //!                                     done/total, units/s, Mcycles/s, ETA)
 //! regless sweep --stats [--format text|json] | --gc   cache report / pruning
+//! regless experiments [id ...]        regenerate the paper's tables and figures
+//!                                     into results/ (all of them without ids;
+//!                                     an unknown id lists the valid ones)
 //! regless trace <kernel> [options]    telemetry export for one run
 //!     --design <point>, --capacity <entries>, --no-compressor  as for `run`
 //!     --format chrome|csv                 Chrome trace JSON or CSV summary
@@ -108,7 +111,7 @@
 use regless::bench::profile::{diff as profile_diff, ProfileReport};
 use regless::bench::registry;
 use regless::bench::report::collect as report_collect;
-use regless::bench::{eval_gpu, Attach, DesignKind};
+use regless::bench::{eval_gpu, figs, Attach, DesignKind};
 use regless::compiler::{compile, RegionConfig};
 use regless::core::RegLessConfig;
 use regless::energy::energy;
@@ -157,6 +160,7 @@ fn main() {
         Some("inspect") => cmd_inspect(&args[1..]),
         Some("asm") => cmd_asm(&args[1..]),
         Some("sweep") => cmd_sweep(&args[1..]),
+        Some("experiments") => cmd_experiments(&args[1..]),
         Some("trace") => cmd_trace(&args[1..]),
         Some("profile") => cmd_profile(&args[1..]),
         Some("report") => cmd_report(&args[1..]),
@@ -204,6 +208,8 @@ fn print_usage() -> CmdResult {
          \u{20}  sweep <kernel> [--progress]  OSU capacity sweep (--progress streams ETA)\n\
          \u{20}  sweep --stats | --gc      sweep-engine cache report / orphan pruning\n\
          \u{20}  sweep --gc --dry-run      list orphaned cache directories without deleting\n\
+         \u{20}  experiments [id ...]      regenerate the paper's tables and figures into results/\n\
+         \u{20}                            (all without ids; an unknown id lists the valid ones)\n\
          \u{20}  trace <kernel> [options]  telemetry export (options: run's design flags,\n\
          \u{20}                            --format chrome|csv, --out <path>)\n\
          \u{20}  profile <kernel> [opts]   CPI-stack profile (options: run's design flags,\n\
@@ -519,7 +525,8 @@ fn cmd_profile(args: &[String]) -> CmdResult {
         }
     }
     let (kind, report) = design.execute(&kernel, &Attach::default())?;
-    let profile = ProfileReport::collect(&report, kernel.name(), &design.text, kind.osu_capacity());
+    let label = registry::render(kind);
+    let profile = ProfileReport::collect(&report, kernel.name(), &label, kind.osu_capacity());
     let rendered = match format.as_str() {
         "table" => profile.render_table(),
         "json" => profile.to_json_string(),
@@ -530,9 +537,8 @@ fn cmd_profile(args: &[String]) -> CmdResult {
         Some(path) => {
             write_output(&path, &rendered)?;
             eprintln!(
-                "wrote {format} profile for `{}` under {} to {path}",
+                "wrote {format} profile for `{}` under {label} to {path}",
                 kernel.name(),
-                design.text
             );
         }
         None => out!("{rendered}"),
@@ -567,7 +573,8 @@ fn cmd_report(args: &[String]) -> CmdResult {
         ..Attach::default()
     };
     let (kind, run) = design.execute(&kernel, &attach)?;
-    let report = report_collect(&run, kernel.name(), &design.text, kind.osu_capacity());
+    let label = registry::render(kind);
+    let report = report_collect(&run, kernel.name(), &label, kind.osu_capacity());
 
     // --trend: append this run's rows to the trend store, then render
     // every `report` row there (this run's included) as the trajectory
@@ -592,9 +599,8 @@ fn cmd_report(args: &[String]) -> CmdResult {
         Some(path) => {
             write_output(path, &rendered)?;
             eprintln!(
-                "wrote {format} report for `{}` under {} to {path}",
+                "wrote {format} report for `{}` under {label} to {path}",
                 kernel.name(),
-                design.text
             );
         }
         None => out!("{rendered}"),
@@ -1230,6 +1236,15 @@ fn append_trends(path: &str, mut rows: Vec<TrendPoint>) -> std::io::Result<()> {
         .append(true)
         .open(path)?
         .write_all(lines.as_bytes())
+}
+
+/// Regenerate the paper's tables and figures (`regless experiments [id
+/// ...]`): every experiment without ids, only the named ones with.
+fn cmd_experiments(ids: &[String]) -> CmdResult {
+    figs::run(ids, &mut |text| {
+        out!("{text}");
+        Ok(())
+    })
 }
 
 /// The perf-trend observatory (`regless trends`): distill the benchmark

@@ -65,3 +65,26 @@ fn every_verb_runs_every_design() {
     }
     std::fs::remove_dir_all(&dir).unwrap();
 }
+
+/// `profile` and `report` name the design point that ran as the registry
+/// spells it, so `--design regless` with an alias flag is not labelled
+/// `regless`.
+#[test]
+fn profiles_and_reports_name_the_point_that_ran() {
+    let kernel = "kernels/saxpy.asm";
+    for (flag, label) in [
+        (&["--no-compressor"][..], "regless-nc"),
+        (&["--capacity", "128"][..], "regless:capacity=128"),
+    ] {
+        for verb in ["profile", "report"] {
+            let mut args = vec![verb, kernel, "--design", "regless", "--format", "json"];
+            args.extend(flag);
+            let json = Json::parse(&regless(&args)).unwrap();
+            assert_eq!(
+                json.field("design").ok(),
+                Some(&Json::Str(label.to_string())),
+                "{args:?}"
+            );
+        }
+    }
+}

@@ -48,9 +48,11 @@ fn baseline_matches_interpreter() {
     }
 }
 
+/// RegLess on every benchmark: the interpreter's architectural state, and
+/// no staging mismatch anywhere (the staged-operand oracle of DESIGN.md).
 #[test]
 fn regless_matches_interpreter() {
-    for name in ["nn", "bfs", "hybridsort", "hotspot", "myocyte"] {
+    for name in rodinia::NAMES {
         let kernel = rodinia::kernel(name);
         let report = DesignKind::regless_512()
             .execute(&kernel, gpu(), &Attach::default())
