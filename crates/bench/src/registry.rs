@@ -11,7 +11,7 @@
 //! whitespace, so a list of points splits on commas.
 //!
 //! Every layer that names a design point — the CLI (`--design`), serve's
-//! and the cluster's `design` field, the sweep engine's run labels and
+//! `design` field, the sweep engine's run labels and
 //! cache keys — goes through this pair and runs the result through
 //! [`DesignKind::execute`]. Adding a design means **one entry here plus
 //! one `execute` arm and its backend**; a throttled register file needs
@@ -363,7 +363,7 @@ pub fn parse(text: &str) -> Result<DesignKind, String> {
 /// as settings appended to `text`: the CLI's `--capacity`/`--no-compressor`
 /// and the serve wire's `capacity`/`compressor` fields. An alias the
 /// design does not declare is an error when `strict` (the CLI) and is
-/// ignored otherwise (the wire and `regless cluster --capacity`).
+/// ignored otherwise (the serve wire).
 ///
 /// # Errors
 ///

@@ -37,7 +37,7 @@
 
 use crate::{eval_gpu, registry, Attach, DesignKind};
 use regless_sim::{GpuConfig, RunReport};
-use regless_telemetry::{format_bytes, Log2Histogram, ProgressMeter, SelfProfiler};
+use regless_telemetry::{format_bytes, Log2Histogram, SelfProfiler};
 use regless_workloads::{high_pressure_kernel, micro, rodinia};
 use std::collections::HashMap;
 use std::ops::Deref;
@@ -119,7 +119,7 @@ pub fn bench_kernel(bench: &str) -> Option<regless_isa::Kernel> {
 }
 
 /// The one text of a run, which logs, the timing table, the cache entry
-/// (its slug and stored `key`) and [`unit_hash`] all use: the benchmark,
+/// (its slug and stored `key`) use: the benchmark,
 /// the design point as [`registry::render`] spells it, then `|field=value`
 /// for each field of `gpu` that differs from [`eval_gpu`] (`|scheduler=Lrr`),
 /// which the cache fingerprint already hashes.
@@ -260,19 +260,8 @@ pub type Key = (String, DesignKind, GpuConfig);
 pub struct CachedRun {
     report: Arc<RunReport>,
     stable_text: OnceLock<Arc<str>>,
-    profile_text: OnceLock<RenderedPayload>,
-    summary_text: OnceLock<RenderedPayload>,
-}
-
-/// A payload's compact JSON text and the labels it was rendered for:
-/// the kernel name, the design id as the client spelled it, and the OSU
-/// capacity. Nothing else but the report enters the payload.
-#[derive(Debug)]
-struct RenderedPayload {
-    kernel: String,
-    design: String,
-    capacity: usize,
-    text: Arc<str>,
+    profile_text: OnceLock<Arc<str>>,
+    summary_text: OnceLock<Arc<str>>,
 }
 
 impl CachedRun {
@@ -294,51 +283,43 @@ impl CachedRun {
         )
     }
 
-    /// The compact JSON of [`ProfileReport::collect`] for these labels.
-    /// It is rendered once for the first labels asked for; a request
-    /// with other labels gets a fresh render.
+    /// The compact JSON of [`ProfileReport::collect`] for this run of
+    /// `design` on the kernel named `kernel`, labelled with the point as
+    /// [`registry::render`] spells it and its OSU capacity. Rendered once:
+    /// a cached run is the run of one sweep key, which fixes the kernel
+    /// and the design point, so every caller asks for the same labels.
     ///
     /// [`ProfileReport::collect`]: crate::profile::ProfileReport::collect
-    pub fn profile_text(&self, kernel: &str, design: &str, capacity: usize) -> Arc<str> {
-        Self::rendered(&self.profile_text, kernel, design, capacity, || {
-            let profile =
-                crate::profile::ProfileReport::collect(&self.report, kernel, design, capacity);
+    pub fn profile_text(&self, kernel: &str, design: DesignKind) -> Arc<str> {
+        Self::rendered(&self.profile_text, || {
+            let label = registry::render(design);
+            let profile = crate::profile::ProfileReport::collect(
+                &self.report,
+                kernel,
+                &label,
+                design.osu_capacity(),
+            );
             regless_json::ToJson::to_json(&profile)
         })
     }
 
-    /// The compact JSON of the [`crate::report::collect`] summary for
-    /// these labels, memoized as [`CachedRun::profile_text`] is.
-    pub fn summary_text(&self, kernel: &str, design: &str, capacity: usize) -> Arc<str> {
-        Self::rendered(&self.summary_text, kernel, design, capacity, || {
-            let summary = crate::report::collect(&self.report, kernel, design, capacity).summary();
+    /// The compact JSON of the [`crate::report::collect`] summary,
+    /// labelled and memoized as [`CachedRun::profile_text`] is.
+    pub fn summary_text(&self, kernel: &str, design: DesignKind) -> Arc<str> {
+        Self::rendered(&self.summary_text, || {
+            let label = registry::render(design);
+            let summary =
+                crate::report::collect(&self.report, kernel, &label, design.osu_capacity())
+                    .summary();
             regless_json::ToJson::to_json(&summary)
         })
     }
 
     fn rendered(
-        memo: &OnceLock<RenderedPayload>,
-        kernel: &str,
-        design: &str,
-        capacity: usize,
+        memo: &OnceLock<Arc<str>>,
         render: impl FnOnce() -> regless_json::Json,
     ) -> Arc<str> {
-        if let Some(m) = memo.get() {
-            if m.kernel == kernel && m.design == design && m.capacity == capacity {
-                return Arc::clone(&m.text);
-            }
-            return render().to_string_compact().into();
-        }
-        let text: Arc<str> = render().to_string_compact().into();
-        // A concurrent first render may fill the memo first; this caller
-        // keeps its own text either way.
-        let _ = memo.set(RenderedPayload {
-            kernel: kernel.to_string(),
-            design: design.to_string(),
-            capacity,
-            text: Arc::clone(&text),
-        });
-        text
+        Arc::clone(memo.get_or_init(|| render().to_string_compact().into()))
     }
 }
 
@@ -690,9 +671,9 @@ impl SweepEngine {
     }
 
     /// Every fingerprint directory of the disk cache with its entry count
-    /// and size, sorted by name: the one walk behind `--stats`, `--gc` and
-    /// the coordinator's cache totals. Empty when the disk cache is
-    /// disabled or its directory does not exist yet.
+    /// and size, sorted by name: the one walk behind `--stats` and `--gc`.
+    /// Empty when the disk cache is disabled or its directory does not
+    /// exist yet.
     fn fingerprint_dirs(&self) -> std::io::Result<Vec<FingerprintDir>> {
         let Some(dir) = self.disk_dir.as_ref() else {
             return Ok(Vec::new());
@@ -745,14 +726,6 @@ impl SweepEngine {
         ));
         out.push_str("  (* = current fingerprint; - = orphan, prunable with --gc)\n");
         out
-    }
-
-    /// Total `(entries, bytes)` across every fingerprint directory in the
-    /// disk cache, or `None` when the disk cache is disabled. The cheap
-    /// scalar the cluster coordinator's `stats` response reports.
-    pub fn cache_dir_totals(&self) -> Option<(u64, u64)> {
-        self.disk_dir.as_ref()?;
-        Some(totals(&self.fingerprint_dirs().unwrap_or_default()))
     }
 
     /// Machine-readable twin of [`SweepEngine::cache_dir_report`] plus the
@@ -823,23 +796,14 @@ impl SweepEngine {
 
     /// Warm the cache for `jobs` using every available core. Cache hits
     /// cost nothing, so callers list everything a report needs without
-    /// worrying about overlap with earlier reports. With a
-    /// [`ProgressMeter`], every completed unit notes its simulated cycles
-    /// and prints the meter's one-line snapshot (done/total, units/s,
-    /// Mcycles/s, ETA) to stderr — stdout stays clean for JSON pipelines.
-    pub fn prefetch(&self, jobs: &[Key], progress: Option<&ProgressMeter>) {
-        let note = |report: &RunReport| {
-            if let Some(meter) = progress {
-                meter.note(report.cycles);
-                eprintln!("[sweep] {}", meter.snapshot().render());
-            }
-        };
+    /// worrying about overlap with earlier reports.
+    pub fn prefetch(&self, jobs: &[Key]) {
         let workers = std::thread::available_parallelism()
             .map_or(1, std::num::NonZeroUsize::get)
             .min(jobs.len().max(1));
         if workers <= 1 {
             for (bench, design, gpu) in jobs {
-                note(&self.run(bench, *design, *gpu));
+                self.run(bench, *design, *gpu);
             }
             return;
         }
@@ -851,7 +815,7 @@ impl SweepEngine {
                     let Some((bench, design, gpu)) = jobs.get(i) else {
                         break;
                     };
-                    note(&self.run(bench, *design, *gpu));
+                    self.run(bench, *design, *gpu);
                 });
             }
         });
@@ -895,21 +859,11 @@ pub fn prefetch_headline() {
             ]
         })
         .collect();
-    engine().prefetch(&jobs, None);
-}
-
-/// Stable 64-bit hash of one `(benchmark, design, machine)` work unit.
-/// The cluster coordinator hashes this value onto its consistent-hash
-/// ring and uses it as the idempotency key when reassigning in-flight
-/// units, so it must be deterministic across processes: it hashes the
-/// run's text (`run_key`), the same basis as the cache entry slug.
-pub fn unit_hash(bench: &str, design: DesignKind, gpu: GpuConfig) -> u64 {
-    fnv1a64(run_key(bench, design, gpu).as_bytes())
+    engine().prefetch(&jobs);
 }
 
 /// Public twin of the disk-cache entry filename for one work unit, so
-/// external tooling (cluster result digests, CI comparisons) names
-/// results exactly the way the cache does.
+/// external tooling names results exactly the way the cache does.
 pub fn unit_slug(bench: &str, design: DesignKind, gpu: GpuConfig) -> String {
     entry_slug(&run_key(bench, design, gpu))
 }
@@ -1057,8 +1011,7 @@ mod tests {
         assert_eq!((s.misses, s.memory_hits), (2, 2));
 
         // Other machines and the §7 occupancy-limited RF key apart.
-        let base = unit_hash(&nn, DesignKind::Baseline, eval);
-        let mut hashes = vec![base];
+        let mut keys = vec![run_key(&nn, DesignKind::Baseline, eval)];
         for (design, gpu) in [
             (
                 DesignKind::Baseline,
@@ -1086,9 +1039,9 @@ mod tests {
             (DesignKind::Throttled(Throttle::Occupancy), eval),
         ] {
             assert!(engine.lookup(&nn, design, gpu).is_none(), "{design:?}");
-            let h = unit_hash(&nn, design, gpu);
-            assert!(!hashes.contains(&h), "{design:?} hashes apart");
-            hashes.push(h);
+            let key = run_key(&nn, design, gpu);
+            assert!(!keys.contains(&key), "{design:?} keys apart");
+            keys.push(key);
         }
         assert_eq!(engine.stats().misses, 2);
 
@@ -1153,7 +1106,7 @@ mod tests {
         );
         let s = cold.stats();
         assert_eq!((s.misses, s.memory_hits, s.disk_hits), (1, 1, 0));
-        // The entry is named by the public slug the cluster digests use.
+        // The entry is named by the public slug.
         let slug = unit_slug(&bench, key.0, key.1);
         assert!(dir.join(SweepEngine::fingerprint()).join(slug).exists());
 
@@ -1323,22 +1276,15 @@ mod tests {
             let s = crate::report::collect(&report, kernel, design, capacity).summary();
             regless_json::ToJson::to_json(&s).to_string_compact()
         };
-        let first = run.profile_text("nn", "regless", 512);
+        // The labels are the rendered point and its capacity.
+        let design = DesignKind::regless_512();
+        let first = run.profile_text("nn", design);
         assert_eq!(*first, *profile("nn", "regless", 512));
-        assert!(Arc::ptr_eq(&run.profile_text("nn", "regless", 512), &first));
-        // Other labels render afresh and leave the memo alone.
-        for (kernel, design, capacity) in [("nn2", "regless", 512), ("nn", "regless@512", 512)] {
-            let other = run.profile_text(kernel, design, capacity);
-            assert_eq!(*other, *profile(kernel, design, capacity));
-        }
-        assert!(Arc::ptr_eq(&run.profile_text("nn", "regless", 512), &first));
+        assert!(Arc::ptr_eq(&run.profile_text("nn", design), &first));
 
-        let first = run.summary_text("nn", "regless", 512);
+        let first = run.summary_text("nn", design);
         assert_eq!(*first, *summary("nn", "regless", 512));
-        assert!(Arc::ptr_eq(&run.summary_text("nn", "regless", 512), &first));
-        let other = run.summary_text("nn", "regless", 256);
-        assert_eq!(*other, *summary("nn", "regless", 256));
-        assert!(Arc::ptr_eq(&run.summary_text("nn", "regless", 512), &first));
+        assert!(Arc::ptr_eq(&run.summary_text("nn", design), &first));
     }
 
     #[test]
@@ -1425,10 +1371,6 @@ mod tests {
             regless_json::FromJson::from_json(parsed.field("total_bytes").unwrap()).unwrap();
         assert_eq!(total_entries, 2);
         assert_eq!(total_bytes, 7);
-        assert_eq!(
-            engine.cache_dir_totals(),
-            Some((total_entries, total_bytes))
-        );
         let _ = std::fs::remove_dir_all(&dir);
     }
 
@@ -1457,58 +1399,10 @@ mod tests {
     }
 
     #[test]
-    fn unit_hash_is_distinct() {
-        let eval = eval_gpu();
-        assert_ne!(
-            unit_hash("rodinia/nn", DesignKind::Baseline, eval),
-            unit_hash("rodinia/bfs", DesignKind::Baseline, eval)
-        );
-        assert_ne!(
-            unit_hash("rodinia/nn", DesignKind::Baseline, eval),
-            unit_hash("rodinia/nn", DesignKind::regless_512(), eval)
-        );
-        let fifo = DesignKind::RegLess(regless_core::RegLessConfig {
-            activation_order: regless_core::ActivationOrder::Fifo,
-            ..regless_core::RegLessConfig::paper_default()
-        });
-        assert_ne!(
-            unit_hash("rodinia/nn", fifo, eval),
-            unit_hash("rodinia/nn", DesignKind::regless_512(), eval)
-        );
-    }
-
-    #[test]
-    fn every_registered_design_fingerprints_distinct_and_stable() {
-        // Registry satellite: each registry id's default design must key a
-        // distinct work unit, and the hash must be stable across calls
-        // (it names disk-cache entries and cluster idempotency keys).
-        let designs: Vec<(&str, DesignKind)> = crate::registry::all()
-            .iter()
-            .map(|e| (e.id, e.default_design()))
-            .collect();
-        let bench = rodinia_id("nn");
-        for (i, (id_a, a)) in designs.iter().enumerate() {
-            let h = unit_hash(&bench, *a, eval_gpu());
-            assert_eq!(
-                h,
-                unit_hash(&bench, *a, eval_gpu()),
-                "{id_a}: unit_hash must be deterministic"
-            );
-            for (id_b, b) in &designs[i + 1..] {
-                assert_ne!(
-                    h,
-                    unit_hash(&bench, *b, eval_gpu()),
-                    "{id_a} and {id_b} must fingerprint apart"
-                );
-            }
-        }
-    }
-
-    #[test]
     fn prefetch_covers_all_jobs() {
         let engine = SweepEngine::with_config(None, SweepMode::Normal);
         let job = (rodinia_id("nn"), DesignKind::Baseline, eval_gpu());
-        engine.prefetch(&[job.clone(), job], None);
+        engine.prefetch(&[job.clone(), job]);
         let s = engine.stats();
         assert_eq!(s.misses, 1);
         assert_eq!(s.memory_hits + s.disk_hits + s.misses, 2);

@@ -1,8 +1,8 @@
 //! A minimal blocking client for the JSONL protocol.
 //!
-//! Used by `regless submit`, `regless obs`, cluster workers and the
-//! tests. One request in flight at a time per connection; the server
-//! answers in order, so a plain write-then-read suffices.
+//! Used by `regless submit`, `regless obs` and the tests. One request in
+//! flight at a time per connection; the server answers in order, so a
+//! plain write-then-read suffices.
 
 use crate::proto::{read_json_line, write_json_line, ErrorCode, Request, Response};
 use std::io::BufReader;
@@ -48,12 +48,7 @@ pub struct RetryOutcome {
 /// Delay before retry number `attempt` (0-based): exponential backoff on
 /// the server's hint with a deterministic jitter derived from `seed`.
 /// Pure so the policy is unit-testable without a server.
-pub fn backoff_delay(
-    attempt: u32,
-    hint_ms: Option<u64>,
-    policy: &RetryPolicy,
-    seed: u64,
-) -> Duration {
+fn backoff_delay(attempt: u32, hint_ms: Option<u64>, policy: &RetryPolicy, seed: u64) -> Duration {
     let base = hint_ms.unwrap_or(policy.default_backoff_ms).max(1);
     let scaled = base.saturating_mul(1u64 << attempt.min(16));
     // Up to +50% jitter, deterministic in (seed, attempt) so tests can
@@ -84,8 +79,8 @@ impl Client {
     /// Returns the connect error when no server is listening.
     pub fn connect(addr: &str) -> std::io::Result<Client> {
         let stream = TcpStream::connect(addr)?;
-        // Requests that span TCP segments (a result request carries a
-        // whole RunReport) otherwise stall ~40 ms per exchange on the
+        // Messages that span TCP segments (a `run` reply carries a whole
+        // RunReport) otherwise stall ~40 ms per exchange on the
         // Nagle/delayed-ACK interaction; this is a request-response
         // protocol, so coalescing buys nothing.
         stream.set_nodelay(true)?;

@@ -55,11 +55,8 @@ pub mod client;
 pub mod proto;
 pub mod server;
 
-pub use client::{backoff_delay, Client, RetryOutcome, RetryPolicy};
-pub use proto::{
-    check_protocol_version, read_json_line, ErrorBody, ErrorCode, Request, RequestKind, Response,
-    PROTOCOL_VERSION,
-};
+pub use client::{Client, RetryOutcome, RetryPolicy};
+pub use proto::{ErrorBody, ErrorCode, Request, RequestKind, Response, PROTOCOL_VERSION};
 pub use server::{ServeConfig, Server, ServerHandle};
 
 /// Default listen address when none is given (`regless serve` /

@@ -5,22 +5,16 @@
 //! either a kind-specific payload (`"ok": true`) or a structured error
 //! (`"ok": false`). The grammar is documented in DESIGN.md §12; this
 //! module is the single encoder/decoder both the server and the clients
-//! (CLI `submit` and `obs`, cluster workers, tests) share.
+//! (CLI `submit` and `obs`, tests) share.
 
 use regless_json::{FromJson, Json, JsonError, ToJson};
 use std::io::{BufRead, Write};
 
-/// Version of the JSONL wire protocol. Cluster workers send it with every
-/// `claim`/`result`/`heartbeat`, and the coordinator refuses mismatched
-/// workers with a structured [`ErrorCode::VersionMismatch`] — a rolling
-/// restart that mixes binaries fails loudly instead of corrupting a sweep.
+/// Version of the JSONL wire protocol, reported by `stats` as
+/// `protocol_version`.
 ///
-/// v2: cluster request kinds (`claim`, `result`, `heartbeat`), the
-/// `worker`/`protocol_version`/`unit`/`report` request fields, and the
-/// `uptime_ms`/`protocol_version` stats fields.
-/// v3: a `claim` reply and a `result` request name the unit's design
-/// point in `design` alone (`regless:order=fifo`), without the `capacity`
-/// and `compressor` fields.
+/// v2 added the `uptime_ms`/`protocol_version` stats fields; v3 named a
+/// design point in `design` alone (`regless:order=fifo`).
 pub const PROTOCOL_VERSION: u32 = 3;
 
 /// What a request asks the server to do.
@@ -35,17 +29,10 @@ pub enum RequestKind {
     /// Server statistics (handled inline; never queued).
     Stats,
     /// Observability snapshot: metrics, recent log events, and recent
-    /// spans (handled inline; never queued). Answered by both `serve`
-    /// and the cluster coordinator; rendered by `regless obs`.
+    /// spans (handled inline; never queued); rendered by `regless obs`.
     Metrics,
     /// Drain in-flight jobs and stop the server.
     Shutdown,
-    /// Cluster: a worker asks the coordinator for its next work unit.
-    Claim,
-    /// Cluster: a worker delivers one completed unit's `RunReport`.
-    Result,
-    /// Cluster: a worker proves liveness while it simulates.
-    Heartbeat,
 }
 
 impl RequestKind {
@@ -58,9 +45,6 @@ impl RequestKind {
             RequestKind::Stats => "stats",
             RequestKind::Metrics => "metrics",
             RequestKind::Shutdown => "shutdown",
-            RequestKind::Claim => "claim",
-            RequestKind::Result => "result",
-            RequestKind::Heartbeat => "heartbeat",
         }
     }
 
@@ -73,9 +57,6 @@ impl RequestKind {
             "stats" => RequestKind::Stats,
             "metrics" => RequestKind::Metrics,
             "shutdown" => RequestKind::Shutdown,
-            "claim" => RequestKind::Claim,
-            "result" => RequestKind::Result,
-            "heartbeat" => RequestKind::Heartbeat,
             _ => return None,
         })
     }
@@ -86,16 +67,6 @@ impl RequestKind {
         matches!(
             self,
             RequestKind::Run | RequestKind::Profile | RequestKind::Report
-        )
-    }
-
-    /// Whether this kind belongs to the cluster coordinator/worker RPC
-    /// (`regless cluster` / `regless worker`); a plain `regless serve`
-    /// endpoint answers these with a structured `bad_request`.
-    pub fn is_cluster(self) -> bool {
-        matches!(
-            self,
-            RequestKind::Claim | RequestKind::Result | RequestKind::Heartbeat
         )
     }
 }
@@ -125,16 +96,6 @@ pub struct Request {
     /// `timeout` error and the simulation is cooperatively cancelled (when
     /// no other waiter still wants it).
     pub timeout_ms: Option<u64>,
-    /// Cluster: the sending worker's name (`claim`/`result`/`heartbeat`).
-    pub worker: Option<String>,
-    /// Cluster: the sender's [`PROTOCOL_VERSION`]; checked by the
-    /// coordinator via [`check_protocol_version`].
-    pub protocol_version: Option<u32>,
-    /// Cluster: work-unit id a `result` answers (echoed from the `claim`
-    /// response that handed the unit out).
-    pub unit: Option<u64>,
-    /// Cluster: the completed unit's `RunReport` JSON (`result` only).
-    pub report: Option<Json>,
     /// Distributed-tracing id (16 hex digits), valid on every kind.
     /// Optional and purely observational: servers that predate it ignore
     /// it, and a traced request's report is byte-identical to an
@@ -165,41 +126,7 @@ impl Request {
             capacity: None,
             compressor: None,
             timeout_ms: None,
-            worker: None,
-            protocol_version: None,
-            unit: None,
-            report: None,
             trace_id: None,
-        }
-    }
-
-    /// A cluster `claim` from `worker`, stamped with this binary's
-    /// [`PROTOCOL_VERSION`].
-    pub fn claim(id: u64, worker: &str) -> Request {
-        Request {
-            worker: Some(worker.to_string()),
-            protocol_version: Some(PROTOCOL_VERSION),
-            ..Request::control(id, RequestKind::Claim)
-        }
-    }
-
-    /// A cluster `heartbeat` from `worker`.
-    pub fn heartbeat(id: u64, worker: &str) -> Request {
-        Request {
-            kind: RequestKind::Heartbeat,
-            ..Request::claim(id, worker)
-        }
-    }
-
-    /// A cluster `result`: `worker` delivers `report` for work unit
-    /// `unit`. The unit's coordinates (kernel and design point) are set
-    /// by the caller from the claim it answers.
-    pub fn result(id: u64, worker: &str, unit: u64, report: Json) -> Request {
-        Request {
-            kind: RequestKind::Result,
-            unit: Some(unit),
-            report: Some(report),
-            ..Request::claim(id, worker)
         }
     }
 
@@ -213,13 +140,6 @@ impl Request {
             ("capacity", self.capacity.map(|c| c.to_json())),
             ("compressor", self.compressor.map(Json::Bool)),
             ("timeout_ms", self.timeout_ms.map(|ms| ms.to_json())),
-            ("worker", self.worker.as_ref().map(ToJson::to_json)),
-            (
-                "protocol_version",
-                self.protocol_version.map(|v| v.to_json()),
-            ),
-            ("unit", self.unit.map(|u| u.to_json())),
-            ("report", self.report.clone()),
             ("trace_id", self.trace_id.as_ref().map(ToJson::to_json)),
         ];
         // Absent optional fields stay off the wire.
@@ -249,10 +169,6 @@ impl Request {
             capacity: optional(v, "capacity")?,
             compressor: optional(v, "compressor")?,
             timeout_ms: optional(v, "timeout_ms")?,
-            worker: optional(v, "worker")?,
-            protocol_version: optional(v, "protocol_version")?,
-            unit: optional(v, "unit")?,
-            report: v.field_opt("report")?.cloned(),
             trace_id: optional(v, "trace_id")?,
         })
     }
@@ -269,33 +185,6 @@ impl Request {
 /// Field `name` of the object `v`, or `None` when it is absent.
 fn optional<T: FromJson>(v: &Json, name: &str) -> Result<Option<T>, JsonError> {
     v.field_opt(name)?.map(T::from_json).transpose()
-}
-
-/// Reject a cluster request whose sender speaks a different protocol
-/// version (or none at all). Called by the coordinator on every
-/// `claim`/`result`/`heartbeat` so a mixed-binary cluster fails with a
-/// structured `version_mismatch` instead of silently corrupting a sweep.
-///
-/// # Errors
-///
-/// Returns a [`ErrorCode::VersionMismatch`] error body naming both
-/// versions when they differ, or a missing-version message when the
-/// request carries none.
-pub fn check_protocol_version(req: &Request) -> Result<(), ErrorBody> {
-    match req.protocol_version {
-        Some(v) if v == PROTOCOL_VERSION => Ok(()),
-        Some(v) => Err(ErrorBody::new(
-            ErrorCode::VersionMismatch,
-            format!("peer speaks protocol v{v}, this binary speaks v{PROTOCOL_VERSION}"),
-        )),
-        None => Err(ErrorBody::new(
-            ErrorCode::VersionMismatch,
-            format!(
-                "cluster request carries no protocol_version (this binary speaks \
-                 v{PROTOCOL_VERSION})"
-            ),
-        )),
-    }
 }
 
 /// Structured error codes a response can carry.
@@ -318,9 +207,6 @@ pub enum ErrorCode {
     SimFailed,
     /// The server is draining and no longer admits simulation requests.
     ShuttingDown,
-    /// A cluster peer speaks a different [`PROTOCOL_VERSION`]; see
-    /// [`check_protocol_version`].
-    VersionMismatch,
 }
 
 impl ErrorCode {
@@ -334,7 +220,6 @@ impl ErrorCode {
             ErrorCode::SimPanic => "sim_panic",
             ErrorCode::SimFailed => "sim_failed",
             ErrorCode::ShuttingDown => "shutting_down",
-            ErrorCode::VersionMismatch => "version_mismatch",
         }
     }
 }
@@ -463,7 +348,6 @@ impl Response {
                             "sim_panic" => ErrorCode::SimPanic,
                             "sim_failed" => ErrorCode::SimFailed,
                             "shutting_down" => ErrorCode::ShuttingDown,
-                            "version_mismatch" => ErrorCode::VersionMismatch,
                             other => {
                                 return Err(JsonError::new(format!("unknown error code {other:?}")))
                             }
@@ -569,11 +453,6 @@ mod tests {
         let parsed = Request::from_json(&Json::parse(&wire).unwrap()).unwrap();
         assert_eq!(parsed, traced);
         assert_eq!(parsed.trace_id.as_deref(), Some("00000000deadbeef"));
-
-        // Tracing composes with every builder, cluster kinds included.
-        let claim = Request::claim(1, "w0").with_trace_id("ff");
-        let parsed = Request::from_json(&claim.to_json()).unwrap();
-        assert_eq!(parsed.trace_id.as_deref(), Some("ff"));
     }
 
     #[test]
@@ -608,7 +487,6 @@ mod tests {
         assert_eq!(RequestKind::parse("metrics"), Some(RequestKind::Metrics));
         assert_eq!(RequestKind::Metrics.as_str(), "metrics");
         assert!(!RequestKind::Metrics.is_simulation());
-        assert!(!RequestKind::Metrics.is_cluster());
         let req = Request::control(4, RequestKind::Metrics);
         assert_eq!(Request::from_json(&req.to_json()).unwrap(), req);
     }
@@ -652,60 +530,6 @@ mod tests {
         let parsed = Response::from_json(&Json::parse(&wire).unwrap()).unwrap();
         assert_eq!(parsed.payload_field("cycles"), Some(&Json::Int(42)));
         assert_eq!(parsed.error, None);
-    }
-
-    #[test]
-    fn cluster_requests_roundtrip_with_worker_fields() {
-        let claim = Request::claim(11, "w0");
-        assert_eq!(claim.kind, RequestKind::Claim);
-        assert!(claim.kind.is_cluster());
-        assert!(!claim.kind.is_simulation());
-        assert_eq!(claim.protocol_version, Some(PROTOCOL_VERSION));
-        let parsed = Request::from_json(&claim.to_json()).unwrap();
-        assert_eq!(parsed, claim);
-
-        let hb = Request::heartbeat(12, "w0");
-        assert_eq!(hb.kind, RequestKind::Heartbeat);
-        assert_eq!(Request::from_json(&hb.to_json()).unwrap(), hb);
-
-        let report = Json::Obj(vec![("cycles".to_string(), Json::Int(99))]);
-        let mut result = Request::result(13, "w1", 7, report.clone());
-        result.kernel = Some("rodinia/nn".to_string());
-        result.design = "baseline".to_string();
-        let wire = result.to_json().to_string_compact();
-        assert!(wire.contains(r#""kind":"result""#), "{wire}");
-        assert!(wire.contains(r#""worker":"w1""#), "{wire}");
-        assert!(wire.contains(r#""unit":7"#), "{wire}");
-        let parsed = Request::from_json(&Json::parse(&wire).unwrap()).unwrap();
-        assert_eq!(parsed, result);
-        assert_eq!(parsed.report, Some(report));
-    }
-
-    #[test]
-    fn version_mismatch_is_a_structured_error() {
-        // A matching version passes.
-        assert!(check_protocol_version(&Request::claim(1, "w")).is_ok());
-
-        // A different version is refused with both versions named.
-        let mut old = Request::claim(2, "w");
-        old.protocol_version = Some(PROTOCOL_VERSION + 1);
-        let err = check_protocol_version(&old).unwrap_err();
-        assert_eq!(err.code, ErrorCode::VersionMismatch);
-        assert!(err.message.contains(&format!("v{PROTOCOL_VERSION}")));
-        assert!(err.message.contains(&format!("v{}", PROTOCOL_VERSION + 1)));
-
-        // A missing version is refused too (pre-cluster binaries).
-        let mut missing = Request::claim(3, "w");
-        missing.protocol_version = None;
-        let err = check_protocol_version(&missing).unwrap_err();
-        assert_eq!(err.code, ErrorCode::VersionMismatch);
-
-        // And the error round-trips the wire as `version_mismatch`.
-        let resp = Response::failure(3, err);
-        let wire = resp.into_json().to_string_compact();
-        assert!(wire.contains(r#""code":"version_mismatch""#), "{wire}");
-        let parsed = Response::from_json(&Json::parse(&wire).unwrap()).unwrap();
-        assert_eq!(parsed.error_code(), Some("version_mismatch"));
     }
 
     #[test]

@@ -202,8 +202,7 @@ struct Shared {
     accept_closed: AtomicBool,
     live_workers: Mutex<usize>,
     workers_cv: Condvar,
-    /// When the server started, for the `stats` uptime field — cluster
-    /// coordinators health-check serve endpoints with it. Monotonic by
+    /// When the server started, for the `stats` uptime field. Monotonic by
     /// construction (`Instant`), so a wall-clock step never yields a
     /// negative or absurd uptime.
     started: Instant,
@@ -616,17 +615,6 @@ fn handle_request(shared: &Arc<Shared>, req: &Request) -> Response {
         RequestKind::Run | RequestKind::Profile | RequestKind::Report => {
             handle_simulation(shared, req)
         }
-        RequestKind::Claim | RequestKind::Result | RequestKind::Heartbeat => Response::failure(
-            req.id,
-            ErrorBody::new(
-                ErrorCode::BadRequest,
-                format!(
-                    "{:?} is a cluster RPC; this is a serve endpoint — connect the worker \
-                     to a `regless cluster` coordinator instead",
-                    req.kind.as_str()
-                ),
-            ),
-        ),
     }
 }
 
@@ -883,8 +871,10 @@ fn abandon(shared: &Arc<Shared>, req: &Request, job: &Arc<Job>, elapsed: Duratio
 
 /// Render a successful result for the request's kind and record latency.
 /// Every payload is spliced as compact text rendered once per cached run
-/// and shared by every later reply: the report for `run`, and for
-/// `profile` and `report` the payload for the first labels asked for. A traced request gets a
+/// and shared by every later reply: the report for `run`, the profile
+/// for `profile` and the summary for `report`. The top-level `design`
+/// echoes the request; the profile and summary name the point that ran,
+/// as `regless profile` and `regless report` do. A traced request gets a
 /// `serialize` span covering the payload render, then its whole span
 /// collection back as the `trace` payload field — appended *after* the
 /// report so the report bytes are untouched.
@@ -923,11 +913,11 @@ fn finish_ok(
             payload.push(("report".to_string(), Json::Raw(run.stable_text())));
         }
         RequestKind::Profile => {
-            let text = run.profile_text(kernel, &req.design, design.osu_capacity());
+            let text = run.profile_text(kernel, design);
             payload.push(("profile".to_string(), Json::Raw(text)));
         }
         _ => {
-            let text = run.summary_text(kernel, &req.design, design.osu_capacity());
+            let text = run.summary_text(kernel, design);
             payload.push(("summary".to_string(), Json::Raw(text)));
         }
     }
@@ -1219,9 +1209,21 @@ mod tests {
         let r = client.request(&no_kernel).unwrap();
         assert_eq!(r.error_code(), Some("bad_request"), "{r:?}");
 
-        // Cluster RPCs are refused here: this endpoint is not a coordinator.
-        let r = client.request(&Request::claim(4, "w0")).unwrap();
+        // A kind the protocol does not know (here one a deleted sweep
+        // cluster used to send) is a structured error, not a panic.
+        let mut raw = TcpStream::connect(handle.addr()).unwrap();
+        let line = r#"{"id":4,"kind":"claim","worker":"w0","protocol_version":3}"#;
+        std::io::Write::write_all(&mut raw, format!("{line}\n").as_bytes()).unwrap();
+        let line = crate::proto::read_json_line(&mut std::io::BufReader::new(&raw))
+            .unwrap()
+            .unwrap();
+        let r = Response::from_json(&line).unwrap();
+        assert_eq!(r.id, 4);
         assert_eq!(r.error_code(), Some("bad_request"), "{r:?}");
+        let stats = client
+            .request(&Request::control(6, RequestKind::Stats))
+            .unwrap();
+        assert_eq!(stats.payload_field("panics"), Some(&Json::Int(0)));
 
         handle.shutdown();
         handle.drain().expect("drain");
@@ -1246,32 +1248,44 @@ mod tests {
         handle.drain().expect("drain");
     }
 
-    /// Every reply names the design id the client sent: `regless-nc`
-    /// runs the same simulation as `regless` without the compressor, but
-    /// its run, profile and report replies say `regless-nc`.
+    /// Every reply echoes the design text the client sent, and its
+    /// profile or summary names the point that ran: `regless-nc` runs the
+    /// same simulation as `regless` without the compressor, but its
+    /// replies say `regless-nc`; `regless` with the `capacity` alias at 128
+    /// is `regless:capacity=128` inside, as `regless profile --capacity
+    /// 128` writes it.
     #[test]
     fn replies_carry_the_requested_design_id() {
         let handle = test_server(1, 8);
         let mut client = Client::connect(&handle.addr().to_string()).unwrap();
-        for (id, kind) in [
-            (1u64, RequestKind::Run),
-            (2, RequestKind::Profile),
-            (3, RequestKind::Report),
+        let mut id = 0u64;
+        for (design, capacity, ran) in [
+            ("regless-nc", None, "regless-nc"),
+            ("regless", Some(128), "regless:capacity=128"),
         ] {
-            let mut req = Request::run(id, "rodinia/nn");
-            req.design = "regless-nc".to_string();
-            req.kind = kind;
-            let r = client.request(&req).unwrap();
-            assert!(r.ok, "{kind:?}: {r:?}");
-            let nc = Some(Json::Str("regless-nc".to_string()));
-            assert_eq!(r.payload_field("design").cloned(), nc, "{kind:?}");
-            let nested = match kind {
-                RequestKind::Profile => r.payload_field("profile"),
-                RequestKind::Report => r.payload_field("summary"),
-                _ => None,
-            };
-            if let Some(body) = nested {
-                assert_eq!(body.field("design").ok().cloned(), nc, "{kind:?}: {body:?}");
+            for kind in [RequestKind::Run, RequestKind::Profile, RequestKind::Report] {
+                id += 1;
+                let mut req = Request::run(id, "rodinia/nn");
+                req.design = design.to_string();
+                req.capacity = capacity;
+                req.kind = kind;
+                let r = client.request(&req).unwrap();
+                assert!(r.ok, "{kind:?}: {r:?}");
+                let sent = Some(Json::Str(design.to_string()));
+                assert_eq!(r.payload_field("design").cloned(), sent, "{kind:?}");
+                let nested = match kind {
+                    RequestKind::Profile => r.payload_field("profile"),
+                    RequestKind::Report => r.payload_field("summary"),
+                    _ => None,
+                };
+                if let Some(body) = nested {
+                    let ran = Some(Json::Str(ran.to_string()));
+                    assert_eq!(
+                        body.field("design").ok().cloned(),
+                        ran,
+                        "{kind:?}: {body:?}"
+                    );
+                }
             }
         }
         handle.shutdown();

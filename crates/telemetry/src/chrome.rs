@@ -110,8 +110,8 @@ pub fn chrome_trace_string(t: &Telemetry) -> String {
 
 /// Build a trace-event JSON document from service-layer [`crate::obs::Span`]s —
 /// the cross-process companion to [`chrome_trace`]. One Chrome
-/// *process* per distinct span `process` label (client, serve,
-/// coordinator, each worker) and one *thread* per trace id, so a traced
+/// *process* per distinct span `process` label (client, serve) and one
+/// *thread* per trace id, so a traced
 /// request renders as a single timeline across every process it
 /// touched. Timestamps are normalized to the earliest span so the
 /// viewer opens at t=0; spans become `ph:"X"` complete events carrying

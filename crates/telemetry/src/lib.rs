@@ -51,7 +51,7 @@ pub use hist::{Log2Histogram, NUM_BUCKETS};
 pub use obs::{
     check_prom_format, epoch_us, format_bytes, format_trace_id, gen_trace_id, parse_trace_id,
     EventLog, LogEvent, LogLevel, Metric, MetricValue, MetricsSnapshot, PhaseGuard, PhaseTotal,
-    ProgressMeter, ProgressSnapshot, SelfProfiler, Span, SpanLog, DEFAULT_LOG_CAPACITY,
+    ProgressMeter, ProgressSnapshot, SelfProfiler, Span, DEFAULT_LOG_CAPACITY,
 };
 pub use recorder::{MemoryRecorder, NullRecorder, Recorder, Telemetry};
 pub use report::{round4, CompressorReport, OccupancyReport, Report, RunSummary};

@@ -57,13 +57,13 @@ pub struct LogEvent {
     pub ts_ms: u64,
     /// Severity.
     pub level: LogLevel,
-    /// Emitting component (`"serve"`, `"coordinator"`, `"worker:w0"`).
+    /// Emitting component (`"serve"`).
     pub component: String,
     /// Human-readable one-liner.
     pub message: String,
     /// Trace id, when the event happened on behalf of a traced request.
     pub trace_id: Option<u64>,
-    /// Structured key/value context (`"worker" -> "w1"`).
+    /// Structured key/value context (`"kernel" -> "rodinia/nn"`).
     pub fields: Vec<(String, String)>,
 }
 
@@ -303,14 +303,14 @@ mod tests {
         let log = EventLog::new(2);
         log.log(
             LogLevel::Error,
-            "coordinator",
-            "worker reaped",
+            "serve",
+            "simulation panicked",
             None,
-            &[("worker", "w1".into())],
+            &[("kernel", "rodinia/nn".into())],
         );
         let text = log.snapshot_since(None)[0].render();
         assert!(text.contains("error"), "{text}");
-        assert!(text.contains("worker=w1"), "{text}");
+        assert!(text.contains("kernel=rodinia/nn"), "{text}");
         assert!(!text.contains('\n'));
     }
 }

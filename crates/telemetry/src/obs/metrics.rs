@@ -3,8 +3,8 @@
 //! Prometheus text exposition, or a human table.
 //!
 //! Naming scheme: `regless_<component>_<metric>` with counters suffixed
-//! `_total` (Prometheus convention), e.g. `regless_serve_submitted_total`
-//! or `regless_cluster_workers_alive`. Histograms export as summaries —
+//! `_total` (Prometheus convention), e.g. `regless_serve_submitted_total`.
+//! Histograms export as summaries —
 //! count, sum, and the p50/p99/max the `Log2Histogram` already answers —
 //! because log2 bucket edges are ours, not Prometheus's.
 
@@ -62,7 +62,7 @@ pub struct Metric {
 /// components keep deterministic so text output diffs cleanly.
 #[derive(Clone, Debug, Default, PartialEq)]
 pub struct MetricsSnapshot {
-    /// Process label (`"serve"`, `"coordinator"`), echoed in output.
+    /// Process label (`"serve"`), echoed in output.
     pub process: String,
     /// The metrics, in registration order.
     pub metrics: Vec<Metric>,
@@ -399,9 +399,8 @@ pub fn check_prom_format(text: &str) -> Result<usize, String> {
 }
 
 /// Render a byte count with a unit suited to its magnitude — the one
-/// humanized formatter shared by `sweep --stats`, `sweep --gc`, and the
-/// cluster coordinator's `stats`, so dashboards never have to guess
-/// whether a number is bytes or MiB.
+/// humanized formatter shared by `sweep --stats` and `sweep --gc`, so
+/// readers never have to guess whether a number is bytes or MiB.
 pub fn format_bytes(bytes: u64) -> String {
     if bytes < 1024 {
         format!("{bytes} B")

@@ -3,7 +3,7 @@
 //! event log.
 //!
 //! The simulator core records *cycles* through [`crate::Recorder`]; the
-//! serving and cluster layers record *wall time* through these types.
+//! serving layer records *wall time* through these types.
 //! The two meet in the Chrome-trace writer: [`crate::chrome_spans`]
 //! renders a set of [`Span`]s collected across processes as one Perfetto
 //! timeline, joined by `trace_id`.
@@ -26,4 +26,4 @@ pub use self::log::{EventLog, LogEvent, LogLevel, DEFAULT_LOG_CAPACITY};
 pub use self::metrics::{check_prom_format, format_bytes, Metric, MetricValue, MetricsSnapshot};
 pub use self::progress::{ProgressMeter, ProgressSnapshot};
 pub use self::selfprof::{PhaseGuard, PhaseTotal, SelfProfiler};
-pub use self::trace::{epoch_us, format_trace_id, gen_trace_id, parse_trace_id, Span, SpanLog};
+pub use self::trace::{epoch_us, format_trace_id, gen_trace_id, parse_trace_id, Span};

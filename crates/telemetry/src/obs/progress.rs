@@ -1,9 +1,7 @@
 //! Live progress for long sweeps: a thread-safe meter that turns
 //! per-unit completions into a done/total, units-per-second,
 //! simulated-cycles-per-second, and ETA line for stderr. Used by
-//! `regless sweep --progress` and the cluster coordinator's
-//! `--progress` stream; the same counts surface as gauges in the
-//! `metrics` response so `regless obs` sees them too.
+//! `regless sweep --progress`.
 
 use std::sync::Mutex;
 use std::time::Instant;
@@ -77,9 +75,7 @@ impl ProgressSnapshot {
 
 /// Thread-safe completion counter for a sweep of `total` units.
 ///
-/// Workers call [`ProgressMeter::note`] as each unit finishes;
-/// observers that track completion elsewhere (the cluster coordinator's
-/// board) call [`ProgressMeter::set`] instead. Both paths hand back a
+/// Call [`ProgressMeter::note`] as each unit finishes; it hands back a
 /// snapshot so the caller can print without re-locking.
 #[derive(Debug)]
 pub struct ProgressMeter {
@@ -98,38 +94,15 @@ impl ProgressMeter {
         }
     }
 
-    /// Units in the whole sweep.
-    pub fn total(&self) -> u64 {
-        self.total
-    }
-
     /// Record one completed unit that simulated `cycles` cycles.
     pub fn note(&self, cycles: u64) -> ProgressSnapshot {
         let mut inner = self.inner.lock().unwrap();
         inner.0 += 1;
         inner.1 += cycles;
-        self.snap(inner.0, inner.1)
-    }
-
-    /// Overwrite the completion counts (for observers polling an
-    /// external source of truth).
-    pub fn set(&self, done: u64, cycles: u64) -> ProgressSnapshot {
-        let mut inner = self.inner.lock().unwrap();
-        *inner = (done, cycles);
-        self.snap(done, cycles)
-    }
-
-    /// The current state without changing it.
-    pub fn snapshot(&self) -> ProgressSnapshot {
-        let inner = self.inner.lock().unwrap();
-        self.snap(inner.0, inner.1)
-    }
-
-    fn snap(&self, done: u64, cycles: u64) -> ProgressSnapshot {
         ProgressSnapshot {
-            done,
+            done: inner.0,
             total: self.total,
-            cycles,
+            cycles: inner.1,
             elapsed_secs: self.started.elapsed().as_secs_f64(),
         }
     }
@@ -170,16 +143,11 @@ mod tests {
     }
 
     #[test]
-    fn meter_accumulates_notes_and_accepts_external_sets() {
+    fn meter_accumulates_notes() {
         let m = ProgressMeter::new(4);
-        assert_eq!(m.total(), 4);
-        assert_eq!(m.snapshot().done, 0);
         let s = m.note(1_000);
-        assert_eq!((s.done, s.cycles), (1, 1_000));
+        assert_eq!((s.done, s.total, s.cycles), (1, 4, 1_000));
         let s = m.note(500);
-        assert_eq!((s.done, s.cycles), (2, 1_500));
-        let s = m.set(4, 9_999);
-        assert_eq!((s.done, s.cycles), (4, 9_999));
-        assert_eq!(m.snapshot().total, 4);
+        assert_eq!((s.done, s.total, s.cycles), (2, 4, 1_500));
     }
 }

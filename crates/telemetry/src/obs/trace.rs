@@ -1,6 +1,6 @@
 //! Distributed trace spans: wall-clock intervals tagged with a 64-bit
 //! trace id so one request's life can be stitched together across the
-//! client, the serve front door, the cluster coordinator, and workers.
+//! the client and the serve front door.
 //!
 //! Timestamps are epoch microseconds ([`epoch_us`]) — a wall clock, not
 //! a monotonic one, because spans from different processes must land on
@@ -10,7 +10,6 @@
 
 use regless_json::Json;
 use std::sync::atomic::{AtomicU64, Ordering};
-use std::sync::Mutex;
 
 /// Microseconds since the Unix epoch. Saturates at 0 if the system
 /// clock is set before 1970 (a non-issue outside of broken VMs).
@@ -61,14 +60,14 @@ pub fn parse_trace_id(s: &str) -> Option<u64> {
 }
 
 /// One named wall-clock interval in a request's life, attributed to a
-/// process (e.g. `"serve"`, `"worker:w0"`, `"client"`) and joined to
+/// process (`"serve"`, `"client"`) and joined to
 /// the rest of its request by `trace_id`.
 #[derive(Clone, Debug, PartialEq, Eq)]
 pub struct Span {
     /// The trace this span belongs to.
     pub trace_id: u64,
     /// Span name from the fixed taxonomy (`admission`, `queue`, `sim`,
-    /// `serialize`, `cache`, `coalesce`, `claim`, `rpc`, ...).
+    /// `serialize`, `cache`, `coalesce`, `rpc`, ...).
     pub name: String,
     /// Originating process label; becomes the Perfetto process lane.
     pub process: String,
@@ -76,7 +75,7 @@ pub struct Span {
     pub start_us: u64,
     /// Duration in microseconds (0 renders as an instant).
     pub dur_us: u64,
-    /// Free-form annotations (`"hit" -> "true"`, `"worker" -> "w1"`).
+    /// Free-form annotations (`"hit" -> "true"`).
     pub args: Vec<(String, String)>,
 }
 
@@ -170,63 +169,6 @@ impl Span {
     }
 }
 
-/// A bounded, thread-safe store of recently finished spans. Components
-/// that cannot return spans in-band (the cluster coordinator's
-/// claim→result round trips) push here; `--trace-out` and the `metrics`
-/// request drain it. Oldest spans are dropped once full — observability
-/// must never grow without bound inside a long-lived server.
-#[derive(Debug)]
-pub struct SpanLog {
-    capacity: usize,
-    inner: Mutex<SpanLogInner>,
-}
-
-#[derive(Debug, Default)]
-struct SpanLogInner {
-    spans: std::collections::VecDeque<Span>,
-    dropped: u64,
-}
-
-impl SpanLog {
-    /// An empty log holding at most `capacity` spans.
-    pub fn new(capacity: usize) -> SpanLog {
-        SpanLog {
-            capacity: capacity.max(1),
-            inner: Mutex::new(SpanLogInner::default()),
-        }
-    }
-
-    /// Record a finished span, evicting the oldest if full.
-    pub fn push(&self, span: Span) {
-        let mut inner = self.inner.lock().unwrap();
-        if inner.spans.len() >= self.capacity {
-            inner.spans.pop_front();
-            inner.dropped += 1;
-        }
-        inner.spans.push_back(span);
-    }
-
-    /// Copy out every retained span, oldest first.
-    pub fn snapshot(&self) -> Vec<Span> {
-        self.inner.lock().unwrap().spans.iter().cloned().collect()
-    }
-
-    /// Spans evicted so far because the log was full.
-    pub fn dropped(&self) -> u64 {
-        self.inner.lock().unwrap().dropped
-    }
-
-    /// Retained span count.
-    pub fn len(&self) -> usize {
-        self.inner.lock().unwrap().spans.len()
-    }
-
-    /// Whether no spans are retained.
-    pub fn is_empty(&self) -> bool {
-        self.len() == 0
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -256,7 +198,7 @@ mod tests {
 
     #[test]
     fn span_json_round_trips_including_args() {
-        let span = Span::new(0xabc, "sim", "worker:w1", 1_000_000, 250)
+        let span = Span::new(0xabc, "sim", "serve", 1_000_000, 250)
             .arg("unit", "saxpy/baseline")
             .arg("cached", "false");
         let parsed = Span::from_json(&span.to_json()).expect("round trip");
@@ -264,18 +206,5 @@ mod tests {
         // Malformed spans parse to None, never panic.
         assert_eq!(Span::from_json(&Json::Null), None);
         assert_eq!(Span::from_json(&Json::Obj(vec![])), None);
-    }
-
-    #[test]
-    fn span_log_is_bounded_and_counts_drops() {
-        let log = SpanLog::new(3);
-        assert!(log.is_empty());
-        for i in 0..5 {
-            log.push(Span::new(1, format!("s{i}"), "p", i, 1));
-        }
-        assert_eq!(log.len(), 3);
-        assert_eq!(log.dropped(), 2);
-        let names: Vec<String> = log.snapshot().into_iter().map(|s| s.name).collect();
-        assert_eq!(names, vec!["s2", "s3", "s4"], "oldest evicted first");
     }
 }

@@ -394,7 +394,7 @@ mod tests {
         assert!(higher_is_better("report.nn.regless@512.ipc"));
         assert!(!higher_is_better("report.nn.regless@512.cycles"));
         assert!(higher_is_better("report.wall_cycles.regless@512.ipc"));
-        assert!(higher_is_better("cluster.throughput_units_per_s"));
+        assert!(higher_is_better("sweep.throughput_units_per_s"));
         assert!(higher_is_better("profile.regless_mean_ipc"));
         assert!(!higher_is_better("serve.p99_ms"));
         assert!(!higher_is_better("profile.regless_total_cycles"));

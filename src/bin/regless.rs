@@ -69,25 +69,6 @@
 //!     --format json|prom|table            rendering (default table)
 //!     --watch <secs>                      re-poll and re-print every <secs>
 //!     --tail                              follow the structured event log
-//! regless cluster [options]           coordinator: shard a sweep across workers
-//!     --addr <host:port>                  listen address (default 127.0.0.1:7118; port 0 = ephemeral)
-//!     --workers <n>                       workers to spawn with --spawn (default 2)
-//!     --spawn                             self-spawn local worker processes
-//!     --benches <csv>                     benchmark ids (default all rodinia)
-//!     --designs <csv>                     design points to sweep (default baseline,regless)
-//!     --capacity <entries>                alias for capacity= on points that declare it
-//!     --liveness-ms <ms>                  worker liveness timeout (default 60000)
-//!     --timeout-secs <s>                  overall sweep deadline (default 3600)
-//!     --digest <path>                     write the merged-result digest there
-//!     --local                             run the same sweep single-process instead
-//!     --json                              print the run summary as JSON on stdout
-//!     --trace-out <path>                  write claim→result spans as a Chrome trace
-//!     --progress                          stream done/total, units/s, cycles/s, ETA
-//!                                         to stderr while waiting
-//! regless worker [options]            worker: claim and simulate cluster units
-//!     --connect <host:port>               coordinator address (default 127.0.0.1:7118)
-//!     --name <s>                          worker name on the ring (default w<pid>)
-//!     --fail-after <n>                    chaos hook: die with a unit in flight after n units
 //! ```
 //!
 //! `<kernel>` is a built-in benchmark name (see `regless list`) or a path
@@ -104,7 +85,7 @@
 //!
 //! `REGLESS_SELFPROF=1` turns on the simulator's host-side self profiler
 //! everywhere (run loop phases, sweep-engine pipeline): tables land on
-//! stderr and the phase counters join the serve/cluster metrics surface.
+//! stderr and the phase counters join serve's metrics surface.
 //! Simulated results are byte-identical with it on or off (CI asserts
 //! this property); with it off the instrumentation never reads a clock.
 
@@ -169,8 +150,6 @@ fn main() {
         Some("serve") => cmd_serve(&args[1..]),
         Some("submit") => cmd_submit(&args[1..]),
         Some("obs") => cmd_obs(&args[1..]),
-        Some("cluster") => cmd_cluster(&args[1..]),
-        Some("worker") => cmd_worker(&args[1..]),
         Some("help" | "--help" | "-h") | None => print_usage(),
         Some(other) => Err(format!("unknown command {other:?}; try `regless help`").into()),
     };
@@ -230,14 +209,7 @@ fn print_usage() -> CmdResult {
          \u{20}                            --trace, --trace-id <hex>, --trace-out <path>)\n\
          \u{20}  submit --stats|--shutdown server statistics / graceful shutdown\n\
          \u{20}  obs [<addr>] [options]    server metrics / log (options: --format json|prom|table,\n\
-         \u{20}                            --watch <secs>, --tail)\n\
-         \u{20}  cluster [options]         shard a sweep across workers (options: --addr <host:port>,\n\
-         \u{20}                            --workers <n>, --spawn, --benches <csv>, --designs <csv>,\n\
-         \u{20}                            --capacity <entries>, --liveness-ms <ms>, --timeout-secs <s>,\n\
-         \u{20}                            --digest <path>, --local, --json, --trace-out <path>,\n\
-         \u{20}                            --progress)\n\
-         \u{20}  worker [options]          cluster worker (options: --connect <host:port>, --name <s>,\n\
-         \u{20}                            --fail-after <n>)\n\n\
+         \u{20}                            --watch <secs>, --tail)\n\n\
          <kernel> is a benchmark name or a path to a .asm file\n\
          <point> is a design id plus any of its :name=value parameters, e.g.\n\
          regless:capacity=128:order=fifo (--capacity N is an alias for :capacity=N)\n\
@@ -869,221 +841,6 @@ fn cmd_obs(args: &[String]) -> CmdResult {
         }
         std::thread::sleep(interval);
     }
-}
-
-/// Parse `--benches`/`--designs` into cluster work units.
-fn cluster_units(
-    benches: &str,
-    designs: &str,
-    capacity: Option<usize>,
-) -> Result<Vec<regless::cluster::WorkUnit>, Box<dyn std::error::Error>> {
-    let bench_ids: Vec<String> = if benches.is_empty() {
-        rodinia::NAMES
-            .iter()
-            .map(|n| regless::bench::sweep::rodinia_id(n))
-            .collect()
-    } else {
-        benches
-            .split(',')
-            .map(|b| {
-                let b = b.trim();
-                if b.contains('/') {
-                    b.to_string()
-                } else {
-                    regless::bench::sweep::rodinia_id(b)
-                }
-            })
-            .collect()
-    };
-    for b in &bench_ids {
-        if regless::bench::sweep::bench_kernel(b).is_none() {
-            return Err(format!("unknown benchmark id {b:?}").into());
-        }
-    }
-    let mut kinds = Vec::new();
-    for text in designs.split(',') {
-        let kind = registry::parse_with_aliases(text.trim(), capacity, None, false)
-            .map_err(|e| format!("cluster: {e}"))?;
-        kind.check(&eval_gpu())
-            .map_err(|e| format!("cluster: {e}"))?;
-        kinds.push(kind);
-    }
-    Ok(regless::cluster::units_for(&bench_ids, &kinds))
-}
-
-/// Coordinator front door (`regless cluster`).
-fn cmd_cluster(args: &[String]) -> CmdResult {
-    use regless::cluster::{Coordinator, CoordinatorConfig};
-    let mut config = CoordinatorConfig::default();
-    let mut workers = 2usize;
-    let mut spawn = false;
-    let mut benches = String::new();
-    let mut designs = "baseline,regless".to_string();
-    let mut capacity = None;
-    let mut timeout_secs = 3_600u64;
-    let mut digest_path: Option<String> = None;
-    let mut local = false;
-    let mut json = false;
-    let mut trace_out: Option<String> = None;
-    let mut it = args.iter();
-    while let Some(a) = it.next() {
-        match a.as_str() {
-            "--addr" => config.addr = value("--addr", &mut it)?,
-            "--workers" => workers = value("--workers", &mut it)?,
-            "--spawn" => spawn = true,
-            "--benches" => benches = value("--benches", &mut it)?,
-            "--designs" => designs = value("--designs", &mut it)?,
-            "--capacity" => capacity = Some(value("--capacity", &mut it)?),
-            "--liveness-ms" => {
-                let ms: u64 = value("--liveness-ms", &mut it)?;
-                config.liveness_timeout = std::time::Duration::from_millis(ms.max(1));
-            }
-            "--timeout-secs" => timeout_secs = value("--timeout-secs", &mut it)?,
-            "--digest" => digest_path = Some(value("--digest", &mut it)?),
-            "--local" => local = true,
-            "--json" => json = true,
-            "--trace-out" => trace_out = Some(value("--trace-out", &mut it)?),
-            "--progress" => config.progress = true,
-            other => return Err(format!("unknown option {other:?}").into()),
-        }
-    }
-    if local && trace_out.is_some() {
-        return Err("--trace-out needs the coordinator (drop --local)".into());
-    }
-    let units = cluster_units(&benches, &designs, capacity)?;
-    if units.is_empty() {
-        return Err("cluster: empty sweep space".into());
-    }
-    let engine = Arc::new(regless::bench::sweep::SweepEngine::from_env());
-    let started = std::time::Instant::now();
-
-    if local {
-        // The single-process comparison arm: same units, same engine,
-        // same digest format — what CI diffs cluster output against.
-        let jobs: Vec<regless::bench::sweep::Key> = units
-            .iter()
-            .map(|u| (u.bench.clone(), u.design, regless::bench::eval_gpu()))
-            .collect();
-        let meter = config
-            .progress
-            .then(|| regless::telemetry::ProgressMeter::new(jobs.len() as u64));
-        engine.prefetch(&jobs, meter.as_ref());
-        let mut summary = regless::cluster::ClusterSummary {
-            units_total: units.len() as u64,
-            units_done: units.len() as u64,
-            ..Default::default()
-        };
-        summary.wall_seconds = started.elapsed().as_secs_f64();
-        finish_cluster(&engine, &units, &summary, digest_path.as_deref(), json)?;
-        return Ok(());
-    }
-
-    let handle = Coordinator::start(config.clone(), Arc::clone(&engine), units.clone())?;
-    eprintln!("regless-cluster coordinating on {}", handle.addr());
-    let mut children = Vec::new();
-    if spawn {
-        let exe = std::env::current_exe()?;
-        for i in 0..workers.max(1) {
-            let name = format!("w{i}");
-            let mut cmd = std::process::Command::new(&exe);
-            cmd.arg("worker")
-                .arg("--connect")
-                .arg(handle.addr().to_string())
-                .arg("--name")
-                .arg(&name)
-                .stdout(std::process::Stdio::null());
-            // Disjoint per-worker disk caches: consistent-hash assignment
-            // keeps each one hot across runs.
-            if let Ok(base) = std::env::var("REGLESS_SWEEP_DIR") {
-                cmd.env("REGLESS_SWEEP_DIR", format!("{base}/worker-{name}"));
-            }
-            children.push(cmd.spawn()?);
-        }
-    }
-    let complete = handle.wait(std::time::Duration::from_secs(timeout_secs));
-    // Stop the stopwatch when the sweep completes: the drain handshake and
-    // child teardown below are shutdown cost, not sweep wall-clock.
-    let wall_seconds = started.elapsed().as_secs_f64();
-    handle.drain();
-    for mut child in children {
-        let _ = child.wait();
-    }
-    let mut summary = handle.summary();
-    summary.wall_seconds = wall_seconds;
-    if let Some(path) = &trace_out {
-        // One claim→result span per merged unit, every worker process on
-        // one timeline — loadable in Perfetto next to a serve trace.
-        let spans = handle.spans();
-        write_output(
-            path,
-            &regless::telemetry::chrome_spans(&spans).to_string_compact(),
-        )?;
-        eprintln!("wrote {} claim\u{2192}result spans to {path}", spans.len());
-    }
-    handle.stop();
-    if !complete {
-        eprint!("{}", summary.render());
-        return Err(format!(
-            "cluster sweep incomplete: {}/{} units after {timeout_secs} s",
-            summary.units_done, summary.units_total
-        )
-        .into());
-    }
-    finish_cluster(&engine, &units, &summary, digest_path.as_deref(), json)
-}
-
-/// Shared tail of `regless cluster` and `regless cluster --local`: write
-/// the digest, print the summary.
-fn finish_cluster(
-    engine: &regless::bench::sweep::SweepEngine,
-    units: &[regless::cluster::WorkUnit],
-    summary: &regless::cluster::ClusterSummary,
-    digest_path: Option<&str>,
-    json: bool,
-) -> CmdResult {
-    if let Some(path) = digest_path {
-        let lines = regless::cluster::merge::digest_lines(engine, units)
-            .map_err(|missing| format!("digest incomplete; missing {} units", missing.len()))?;
-        write_output(path, &regless::cluster::merge::render_digest(&lines))?;
-        eprintln!("wrote digest of {} units to {path}", lines.len());
-    }
-    eprint!("{}", summary.render());
-    if json {
-        outln!("{}", summary.to_json().to_string_pretty());
-    }
-    Ok(())
-}
-
-/// Worker front door (`regless worker`).
-fn cmd_worker(args: &[String]) -> CmdResult {
-    use regless::cluster::WorkerConfig;
-    let mut config = WorkerConfig::new(
-        regless::cluster::DEFAULT_CLUSTER_ADDR,
-        &format!("w{}", std::process::id()),
-    );
-    let mut it = args.iter();
-    while let Some(a) = it.next() {
-        match a.as_str() {
-            "--connect" => config.coordinator = value("--connect", &mut it)?,
-            "--name" => config.name = value("--name", &mut it)?,
-            "--fail-after" => config.fail_after = Some(value("--fail-after", &mut it)?),
-            other => return Err(format!("unknown option {other:?}").into()),
-        }
-    }
-    let engine = regless::bench::sweep::SweepEngine::from_env();
-    let summary = regless::cluster::run_worker(&config, &engine)?;
-    eprintln!(
-        "worker {} done: {} units completed, {} reconnect attempt(s){}",
-        summary.name,
-        summary.completed,
-        summary.reconnects,
-        if summary.injected_failure {
-            " (injected failure)"
-        } else {
-            ""
-        }
-    );
-    Ok(())
 }
 
 /// Print the sweep engine's cache report (`regless sweep --stats`), as

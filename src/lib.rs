@@ -28,9 +28,7 @@
 //!   engine,
 //! * [`serve`] — a long-lived simulation service with admission control,
 //!   request coalescing, and cooperative cancellation
-//!   (`regless serve` / `regless submit`),
-//! * [`cluster`] — a fault-tolerant coordinator/worker cluster that shards
-//!   sweeps across processes (`regless cluster` / `regless worker`).
+//!   (`regless serve` / `regless submit`).
 //!
 //! ## Quickstart
 //!
@@ -54,7 +52,6 @@
 
 pub use regless_baselines as baselines;
 pub use regless_bench as bench;
-pub use regless_cluster as cluster;
 pub use regless_compiler as compiler;
 pub use regless_core as core;
 pub use regless_energy as energy;

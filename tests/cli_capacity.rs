@@ -1,6 +1,7 @@
 //! OSU capacities below the smallest the OSU shape can hold, and design
 //! parameters a design does not declare, are rejected at the CLI with a
-//! clear error and exit status 1, not a panic or a silent default.
+//! clear error and exit status 1, not a panic or a silent default. So
+//! are commands the binary does not have.
 
 use std::process::{Command, Output};
 
@@ -38,23 +39,6 @@ fn too_small_capacities_exit_1_naming_the_minimum() {
                 assert!(!stderr.contains("panicked"), "{args:?}: {stderr}");
             }
         }
-        let args = [
-            "cluster",
-            "--local",
-            "--benches",
-            "nn",
-            "--designs",
-            "regless",
-            "--capacity",
-            capacity,
-        ];
-        let o = regless(&args);
-        let stderr = String::from_utf8_lossy(&o.stderr);
-        assert_eq!(o.status.code(), Some(1), "{args:?}: {stderr}");
-        assert!(
-            stderr.contains("smallest valid capacity is 128"),
-            "{args:?}: {stderr}"
-        );
     }
     let _ = std::fs::remove_dir_all(&out_dir);
 }
@@ -122,5 +106,25 @@ fn help_flags_print_usage_and_exit_0() {
         assert_eq!(o.status.code(), Some(0), "{flag}");
         let stdout = String::from_utf8_lossy(&o.stdout);
         assert!(stdout.contains("commands:"), "{flag}: {stdout}");
+    }
+}
+
+#[test]
+fn retired_sweep_cluster_commands_exit_1_as_unknown() {
+    for cmd in ["cluster", "worker"] {
+        let o = regless(&[cmd, "--local"]);
+        let stderr = String::from_utf8_lossy(&o.stderr);
+        assert_eq!(o.status.code(), Some(1), "{cmd}: {stderr}");
+        assert!(
+            stderr.contains(&format!("unknown command {cmd:?}")),
+            "{cmd}: {stderr}"
+        );
+        assert!(o.stdout.is_empty(), "{cmd} prints nothing to stdout");
+        let help = regless(&["help"]);
+        let usage = String::from_utf8_lossy(&help.stdout);
+        assert!(
+            !usage.lines().any(|l| l.trim_start().starts_with(cmd)),
+            "usage still lists {cmd}: {usage}"
+        );
     }
 }

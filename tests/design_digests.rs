@@ -7,7 +7,7 @@
 //! design-point text read by `registry::parse`. On an intended model
 //! change, the failure message prints the regenerated file.
 
-use regless::bench::sweep::bench_kernel;
+use regless::bench::sweep::{bench_kernel, SweepEngine, SweepMode};
 use regless::bench::{eval_gpu, registry, Attach};
 use regless::sim::GpuConfig;
 
@@ -137,4 +137,47 @@ fn design_digests_match_golden() {
         "model output drifted from tests/golden/design_digests.txt; if the \
          change is intentional, replace the file with:\n{actual}"
     );
+}
+
+/// The local sweep path runs any design point, not only the registered
+/// ids: a RegLess ablation point and the §7 occupancy-limited RF, queued
+/// together through `SweepEngine::prefetch`'s worker threads, digest to
+/// their golden lines.
+#[test]
+fn prefetched_design_points_match_golden() {
+    let golden = std::fs::read_to_string(concat!(
+        env!("CARGO_MANIFEST_DIR"),
+        "/tests/golden/design_digests.txt"
+    ))
+    .expect("golden design digests are checked in");
+    let points = [
+        ("rodinia/pathfinder", "regless+fifo", "regless:order=fifo"),
+        (
+            "special/high_pressure",
+            "occupancy-limited",
+            "baseline:throttle=occupancy",
+        ),
+    ];
+    let jobs: Vec<_> = points
+        .iter()
+        .map(|(bench, _, point)| {
+            let design = registry::parse(point).unwrap_or_else(|e| panic!("{point}: {e}"));
+            (bench.to_string(), design, eval_gpu())
+        })
+        .collect();
+    let engine = SweepEngine::with_config(None, SweepMode::Normal);
+    engine.prefetch(&jobs);
+    for ((bench, label, point), (_, design, gpu)) in points.iter().zip(&jobs) {
+        let report = engine
+            .lookup(bench, *design, *gpu)
+            .unwrap_or_else(|| panic!("{point}: prefetch left no result"));
+        let kernel = bench_kernel(bench).expect("known benchmark");
+        let json = report.stable_json().to_string_compact();
+        let line = format!(
+            "{} {label} {:016x}",
+            kernel.name(),
+            fnv1a64(json.as_bytes())
+        );
+        assert!(golden.lines().any(|l| l == line), "{point}: {line}");
+    }
 }

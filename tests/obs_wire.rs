@@ -1,15 +1,11 @@
-//! The wire shape of the service counters: serve `stats` / `metrics` and
-//! the cluster coordinator's `stats` / `metrics`. Each key is pinned with
-//! its JSON type (object keys flattened to dotted paths, metrics by name
-//! with their metric type and value type), so a reshaping of how the
-//! payloads are produced cannot drop, rename or retype a field. The
-//! values agree too: every serve `stats` counter equals its `metrics`
-//! counterpart, and every coordinator `stats` counter equals the
-//! run's [`ClusterSummary`].
+//! The wire shape of the service counters: serve `stats` / `metrics`.
+//! Each key is pinned with its JSON type (object keys flattened to dotted
+//! paths, metrics by name with their metric type and value type), so a
+//! reshaping of how the payloads are produced cannot drop, rename or
+//! retype a field. The values agree too: every serve `stats` counter
+//! equals its `metrics` counterpart.
 
 use regless::bench::sweep::{SweepEngine, SweepMode};
-use regless::bench::DesignKind;
-use regless::cluster::{run_worker, units_for, Coordinator, CoordinatorConfig, WorkerConfig};
 use regless::serve::{Client, Request, RequestKind, Response, ServeConfig, Server};
 use regless_json::Json;
 use std::collections::BTreeMap;
@@ -287,130 +283,4 @@ fn lat_count<'a>(stats: &'a Json, kind: &str) -> &'a Json {
         .and_then(|l| l.field(kind))
         .and_then(|k| k.field("count"))
         .expect("latency count")
-}
-
-const COORD_STATS: &[(&str, &str)] = &[
-    ("claims", "int"),
-    ("cycles_done", "int"),
-    ("draining", "bool"),
-    ("duplicate_results", "int"),
-    ("heartbeats", "int"),
-    ("kind", "str"),
-    ("protocol_version", "int"),
-    ("reassignments", "int"),
-    ("results", "int"),
-    ("role", "str"),
-    ("units_done", "int"),
-    ("units_in_flight", "int"),
-    ("units_pending", "int"),
-    ("units_total", "int"),
-    ("uptime_ms", "int"),
-    ("version_rejects", "int"),
-    ("waits", "int"),
-    ("workers_alive", "int"),
-    ("workers_reaped", "int"),
-    ("workers_seen", "int"),
-];
-
-const COORD_METRICS: &[(&str, &str)] = &[
-    ("kind", "str"),
-    ("log", "arr"),
-    ("log_total", "int"),
-    ("metrics", "obj"),
-    ("spans", "arr"),
-    ("metric:regless_coord_claims_total", "counter/int"),
-    ("metric:regless_coord_cycles_done_total", "counter/int"),
-    (
-        "metric:regless_coord_duplicate_results_total",
-        "counter/int",
-    ),
-    ("metric:regless_coord_heartbeats_total", "counter/int"),
-    ("metric:regless_coord_log_dropped_total", "counter/int"),
-    ("metric:regless_coord_reassignments_total", "counter/int"),
-    ("metric:regless_coord_results_total", "counter/int"),
-    ("metric:regless_coord_units_done", "gauge/float"),
-    ("metric:regless_coord_units_in_flight", "gauge/float"),
-    ("metric:regless_coord_units_pending", "gauge/float"),
-    ("metric:regless_coord_units_total", "gauge/float"),
-    ("metric:regless_coord_uptime_seconds", "gauge/float"),
-    ("metric:regless_coord_version_rejects_total", "counter/int"),
-    ("metric:regless_coord_waits_total", "counter/int"),
-    ("metric:regless_coord_workers_alive", "gauge/float"),
-    ("metric:regless_coord_workers_reaped_total", "counter/int"),
-    ("metric:regless_coord_workers_seen", "gauge/float"),
-];
-
-#[test]
-fn coordinator_stats_and_metrics_keep_their_keys_and_agree() {
-    let units = units_for(
-        &["rodinia/nn".to_string(), "rodinia/gaussian".to_string()],
-        &[DesignKind::Baseline],
-    );
-    let engine = Arc::new(SweepEngine::with_config(None, SweepMode::Normal));
-    let handle = Coordinator::start(
-        CoordinatorConfig {
-            addr: "127.0.0.1:0".to_string(),
-            liveness_timeout: Duration::from_secs(30),
-            progress: false,
-        },
-        engine,
-        units,
-    )
-    .expect("start coordinator");
-    let addr = handle.addr().to_string();
-    let worker_engine = SweepEngine::with_config(None, SweepMode::Normal);
-    let worker = run_worker(&WorkerConfig::new(&addr, "w0"), &worker_engine).expect("worker");
-    assert_eq!(worker.completed, 2);
-    assert!(handle.wait(Duration::from_secs(60)), "sweep completes");
-
-    let mut client = Client::connect(&addr).expect("connect");
-    let stats = ask(&mut client, RequestKind::Stats).payload;
-    let metrics = ask(&mut client, RequestKind::Metrics).payload;
-    let summary = handle.summary();
-    handle.stop();
-
-    assert_eq!(owned(stats_shape(&stats)), pinned(COORD_STATS), "{stats:?}");
-    assert_eq!(metrics_shape(&metrics), pinned(COORD_METRICS));
-
-    let s = |k: &str| int(stats.field(k).unwrap_or_else(|_| panic!("stats.{k}")));
-    for (key, want) in [
-        ("workers_seen", summary.workers_seen),
-        ("workers_reaped", summary.workers_reaped),
-        ("units_total", summary.units_total),
-        ("units_done", summary.units_done),
-        ("claims", summary.claims),
-        ("waits", summary.waits),
-        ("results", summary.results),
-        ("duplicate_results", summary.duplicate_results),
-        ("reassignments", summary.reassignments),
-        ("heartbeats", summary.heartbeats),
-        ("version_rejects", summary.version_rejects),
-        ("cycles_done", summary.cycles_done),
-    ] {
-        assert_eq!(s(key), want, "stats.{key} vs ClusterSummary");
-    }
-    for (key, name) in [
-        ("claims", "regless_coord_claims_total"),
-        ("waits", "regless_coord_waits_total"),
-        ("results", "regless_coord_results_total"),
-        ("duplicate_results", "regless_coord_duplicate_results_total"),
-        ("reassignments", "regless_coord_reassignments_total"),
-        ("heartbeats", "regless_coord_heartbeats_total"),
-        ("version_rejects", "regless_coord_version_rejects_total"),
-        ("workers_reaped", "regless_coord_workers_reaped_total"),
-        ("cycles_done", "regless_coord_cycles_done_total"),
-        ("workers_seen", "regless_coord_workers_seen"),
-        ("units_done", "regless_coord_units_done"),
-        ("units_total", "regless_coord_units_total"),
-        ("units_pending", "regless_coord_units_pending"),
-        ("units_in_flight", "regless_coord_units_in_flight"),
-        ("workers_alive", "regless_coord_workers_alive"),
-    ] {
-        assert_eq!(s(key), int(metric(&metrics, name)), "stats.{key} vs {name}");
-    }
-    assert_eq!(s("units_total"), 2);
-    assert_eq!(s("units_done"), 2);
-    assert_eq!(s("results"), 2);
-    assert_eq!(s("workers_seen"), 1);
-    assert!(s("cycles_done") > 0);
 }

@@ -604,3 +604,88 @@ fn malformed_design_points_get_structured_errors() {
     handle.shutdown();
     handle.drain().expect("drain");
 }
+
+/// The request kinds of the retired sweep cluster are unknown kinds now:
+/// each gets a structured `bad_request` on its own connection, which then
+/// goes on serving, and no worker panics.
+#[test]
+fn retired_cluster_kinds_get_structured_errors() {
+    let handle = start_server(1, 8);
+    let addr = handle.addr().to_string();
+    let mut conn = RawConn::connect(&addr);
+    for (id, line) in [
+        (1u64, r#"{"id":1,"kind":"claim","worker":"w0"}"#),
+        (
+            2,
+            r#"{"id":2,"kind":"result","worker":"w0","unit":0,"report":{}}"#,
+        ),
+        (3, r#"{"id":3,"kind":"heartbeat","worker":"w0"}"#),
+    ] {
+        conn.send(line);
+        let reply = Json::parse(&conn.recv()).expect("reply parses");
+        let parsed = regless::serve::Response::from_json(&reply).expect("reply is a response");
+        assert!(!parsed.ok, "{line}: {reply:?}");
+        assert_eq!(
+            parsed.error_code(),
+            Some("bad_request"),
+            "{line}: {reply:?}"
+        );
+        assert_eq!(parsed.id, id, "{line}: {reply:?}");
+    }
+    conn.send(&raw_request(4, "run", "rodinia/nn", "regless", false));
+    let reply = Json::parse(&conn.recv()).expect("reply parses");
+    assert_eq!(reply.field("ok").ok(), Some(&Json::Bool(true)), "{reply:?}");
+    let stats = wait_for_stats(&addr, |s| stat(s, "completed") >= 1);
+    assert_eq!(stat(&stats, "panics"), 0);
+    handle.shutdown();
+    handle.drain().expect("drain");
+}
+
+/// A `profile` or `report` request that sets a design parameter beside a
+/// bare id embeds the payload of the point that ran, byte for byte what
+/// `regless profile`/`regless report` write for it: its `design` reads
+/// `regless:capacity=128`, while the reply's top-level `design` echoes the
+/// id the client sent.
+#[test]
+fn served_payloads_name_the_design_point_that_ran() {
+    let handle = start_server(1, 8);
+    let addr = handle.addr().to_string();
+    let nn = rodinia::kernel("nn");
+    let point = "regless:capacity=128";
+    let design = registry::parse(point).expect("known design point");
+    let report = run_design(&nn, design);
+    let mut conn = RawConn::connect(&addr);
+    for (id, kind, field) in [(1u64, "profile", "profile"), (2, "report", "summary")] {
+        conn.send(&format!(
+            r#"{{"id":{id},"kind":"{kind}","kernel":"rodinia/nn","design":"regless","capacity":128}}"#
+        ));
+        let reply = Json::parse(&conn.recv()).expect("reply parses");
+        assert_eq!(reply.field("ok").ok(), Some(&Json::Bool(true)), "{reply:?}");
+        assert_eq!(
+            reply.field("design").ok(),
+            Some(&Json::Str("regless".to_string())),
+            "{kind}"
+        );
+        let direct = match kind {
+            "profile" => {
+                ProfileReport::collect(&report, nn.name(), point, design.osu_capacity()).to_json()
+            }
+            _ => regless::bench::report::collect(&report, nn.name(), point, design.osu_capacity())
+                .summary()
+                .to_json(),
+        };
+        let body = reply.field(field).expect("payload body");
+        assert_eq!(
+            body.field("design").ok(),
+            Some(&Json::Str(point.to_string())),
+            "{kind}"
+        );
+        assert_eq!(
+            body.to_string_compact(),
+            direct.to_string_compact(),
+            "{kind}"
+        );
+    }
+    handle.shutdown();
+    handle.drain().expect("drain");
+}
