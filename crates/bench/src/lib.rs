@@ -180,7 +180,7 @@ pub struct Attach {
     /// ([`Machine::attach_telemetry`]).
     pub telemetry: Option<usize>,
     /// Time the simulator's own phases into this profiler
-    /// ([`Machine::attach_self_profiler`]).
+    /// ([`Machine::attach_profiler`]).
     pub selfprof: Option<Arc<SelfProfiler>>,
     /// Stop the run cooperatively once this token trips
     /// ([`Machine::set_cancel_token`]).
@@ -231,7 +231,7 @@ fn run_machine<B: OperandBackend>(
         machine.attach_telemetry(events_per_sm);
     }
     if let Some(prof) = &attach.selfprof {
-        machine.attach_self_profiler(Arc::clone(prof));
+        machine.attach_profiler(Arc::clone(prof));
     }
     if let Some(token) = &attach.cancel {
         machine.set_cancel_token(token.clone());

@@ -37,7 +37,7 @@
 
 use crate::{eval_gpu, registry, Attach, DesignKind};
 use regless_sim::{GpuConfig, RunReport};
-use regless_telemetry::{format_bytes, Log2Histogram, SelfProfiler};
+use regless_telemetry::{format_bytes, Log2Histogram};
 use regless_workloads::{high_pressure_kernel, micro, rodinia};
 use std::collections::HashMap;
 use std::ops::Deref;
@@ -177,7 +177,6 @@ struct Counters {
     memory_hits: AtomicU64,
     disk_hits: AtomicU64,
     misses: AtomicU64,
-    sim_nanos: AtomicU64,
 }
 
 /// Where one [`SweepEngine::run`] call was served from.
@@ -338,18 +337,12 @@ type Cell = Arc<OnceLock<Arc<CachedRun>>>;
 pub struct SweepEngine {
     cache: Mutex<HashMap<Key, Cell>>,
     counters: Counters,
-    /// Every `run` call in order, for the timing table.
+    /// Every `run` call in order: the timing table, the simulated wall
+    /// time and its histogram all read this one log.
     records: Mutex<Vec<RunRecord>>,
-    /// Wall time of actual simulations, in milliseconds.
-    sim_hist: Mutex<Log2Histogram>,
     /// Directory for persisted reports (`None` disables persistence).
     disk_dir: Option<PathBuf>,
     mode: SweepMode,
-    /// Host-side self profiler for the engine's own pipeline phases
-    /// (cache probe, simulate, persist). Enabled by
-    /// `REGLESS_SELFPROF`; a disabled profiler's scopes never read the
-    /// clock, keeping the hot path free.
-    selfprof: SelfProfiler,
 }
 
 impl SweepEngine {
@@ -360,18 +353,9 @@ impl SweepEngine {
             cache: Mutex::new(HashMap::new()),
             counters: Counters::default(),
             records: Mutex::new(Vec::new()),
-            sim_hist: Mutex::new(Log2Histogram::new()),
             disk_dir,
             mode,
-            selfprof: SelfProfiler::from_env(),
         }
-    }
-
-    /// The engine's host-side self profiler — callers fold it into a
-    /// metrics snapshot or render its table after a sweep. Empty (and
-    /// free) unless `REGLESS_SELFPROF` is set.
-    pub fn self_profiler(&self) -> &SelfProfiler {
-        &self.selfprof
     }
 
     /// An engine configured from the environment (`REGLESS_SWEEP`,
@@ -411,7 +395,6 @@ impl SweepEngine {
         if self.mode == SweepMode::Off {
             return Arc::new(self.simulate(bench, design, gpu));
         }
-        let probe_guard = self.selfprof.scope("cache_probe");
         let cell = self.cell(bench, design, gpu);
         if let Some(hit) = cell.get() {
             self.counters.memory_hits.fetch_add(1, Ordering::Relaxed);
@@ -419,7 +402,6 @@ impl SweepEngine {
             self.note_run(key, RunSource::MemoryCache, hit.wall_seconds);
             return Arc::clone(&hit.report);
         }
-        drop(probe_guard);
         // `get_or_init` blocks concurrent initializers of the same key, so
         // racing threads wait for the one in-flight simulation instead of
         // duplicating it.
@@ -510,7 +492,6 @@ impl SweepEngine {
         let exact = run_key(bench, design, gpu);
         let path = self.entry_path(&exact);
         if self.mode == SweepMode::Normal {
-            let _g = self.selfprof.scope("cache_probe");
             if let Some(report) = path.as_deref().and_then(|p| load_entry(p, &exact)) {
                 self.counters.disk_hits.fetch_add(1, Ordering::Relaxed);
                 eprintln!("[sweep] disk  {exact}");
@@ -520,7 +501,6 @@ impl SweepEngine {
         }
         let report = self.simulate(bench, design, gpu);
         if let Some(p) = path {
-            let _g = self.selfprof.scope("persist");
             store_entry(&p, &exact, &report);
         }
         report
@@ -535,20 +515,11 @@ impl SweepEngine {
     fn simulate(&self, bench: &str, design: DesignKind, gpu: GpuConfig) -> RunReport {
         self.counters.misses.fetch_add(1, Ordering::Relaxed);
         let key = run_key(bench, design, gpu);
-        let report = {
-            let _g = self.selfprof.scope("simulate");
-            let kernel =
-                bench_kernel(bench).unwrap_or_else(|| panic!("unknown benchmark id {bench:?}"));
-            design
-                .execute(&kernel, gpu, &Attach::default())
-                .unwrap_or_else(|e| panic!("{key}: {e}"))
-        };
-        let nanos = (report.wall_seconds * 1e9) as u64;
-        self.counters.sim_nanos.fetch_add(nanos, Ordering::Relaxed);
-        self.sim_hist
-            .lock()
-            .expect("sweep histogram poisoned")
-            .record((report.wall_seconds * 1e3) as u64);
+        let kernel =
+            bench_kernel(bench).unwrap_or_else(|| panic!("unknown benchmark id {bench:?}"));
+        let report = design
+            .execute(&kernel, gpu, &Attach::default())
+            .unwrap_or_else(|e| panic!("{key}: {e}"));
         eprintln!(
             "[sweep] sim   {key}: {} cycles in {:.2} s",
             report.cycles, report.wall_seconds
@@ -568,13 +539,26 @@ impl SweepEngine {
             });
     }
 
+    /// Wall seconds of every run this engine simulated, in run order
+    /// (cache hits are excluded — no simulator ran).
+    fn simulated_seconds(&self) -> Vec<f64> {
+        self.records
+            .lock()
+            .expect("sweep run log poisoned")
+            .iter()
+            .filter(|r| r.source == RunSource::Simulated)
+            .map(|r| r.wall_seconds)
+            .collect()
+    }
+
     /// Histogram of simulated wall times in milliseconds (cache hits are
     /// excluded — no simulator ran).
     pub fn sim_time_histogram(&self) -> Log2Histogram {
-        self.sim_hist
-            .lock()
-            .expect("sweep histogram poisoned")
-            .clone()
+        let mut h = Log2Histogram::new();
+        for secs in self.simulated_seconds() {
+            h.record((secs * 1e3) as u64);
+        }
+        h
     }
 
     /// One-line distribution summary of simulated wall times.
@@ -790,7 +774,8 @@ impl SweepEngine {
             memory_hits: self.counters.memory_hits.load(Ordering::Relaxed),
             disk_hits: self.counters.disk_hits.load(Ordering::Relaxed),
             misses: self.counters.misses.load(Ordering::Relaxed),
-            sim_seconds: self.counters.sim_nanos.load(Ordering::Relaxed) as f64 / 1e9,
+            // Not `sum()`: an empty f64 sum is -0.0, printed as `-0.0 s`.
+            sim_seconds: self.simulated_seconds().iter().fold(0.0, |a, s| a + s),
         }
     }
 
@@ -860,12 +845,6 @@ pub fn prefetch_headline() {
         })
         .collect();
     engine().prefetch(&jobs);
-}
-
-/// Public twin of the disk-cache entry filename for one work unit, so
-/// external tooling names results exactly the way the cache does.
-pub fn unit_slug(bench: &str, design: DesignKind, gpu: GpuConfig) -> String {
-    entry_slug(&run_key(bench, design, gpu))
 }
 
 /// A cache-fingerprint directory name: exactly 16 lowercase hex digits
@@ -1075,8 +1054,12 @@ mod tests {
 
     #[test]
     fn slug_is_filename_safe_and_key_exact() {
-        let a = unit_slug("rodinia/bfs", DesignKind::regless_512(), eval_gpu());
-        let b = unit_slug("rodinia/bfs", DesignKind::Baseline, eval_gpu());
+        let a = entry_slug(&run_key(
+            "rodinia/bfs",
+            DesignKind::regless_512(),
+            eval_gpu(),
+        ));
+        let b = entry_slug(&run_key("rodinia/bfs", DesignKind::Baseline, eval_gpu()));
         assert_ne!(a, b);
         assert!(a.ends_with(".json"));
         assert!(
@@ -1106,8 +1089,8 @@ mod tests {
         );
         let s = cold.stats();
         assert_eq!((s.misses, s.memory_hits, s.disk_hits), (1, 1, 0));
-        // The entry is named by the public slug.
-        let slug = unit_slug(&bench, key.0, key.1);
+        // The entry is named by its run key's slug.
+        let slug = entry_slug(&run_key(&bench, key.0, key.1));
         assert!(dir.join(SweepEngine::fingerprint()).join(slug).exists());
 
         // A fresh engine over the same directory must replay from disk and

@@ -65,7 +65,7 @@ impl Shard {
 }
 
 /// Telemetry series names for the recorder-gated per-bank occupancy
-/// samples (the `Recorder` API wants `&'static str` names).
+/// samples (the `MemoryRecorder` API wants `&'static str` names).
 const BANK_OCCUPANCY_SERIES: [&str; NUM_BANKS] = [
     "osu.bank0.active",
     "osu.bank1.active",
@@ -877,22 +877,12 @@ impl OperandBackend for RegLessBackend {
     ) {
         let shard = &self.shards[self.shard_of(w)];
         for &reg in srcs {
-            let expected = &regs[reg.index()];
-            if let Some(staged) = shard.osu.staged(w, reg) {
-                if staged != expected {
-                    stats.staging_mismatches += 1;
-                    if std::env::var_os("REGLESS_DEBUG_STAGING").is_some() {
-                        eprintln!("WRONG-VALUE w{w} {reg} staged {staged:?} expected {expected:?}");
-                    }
-                }
-            } else {
-                // A read with no staged line: the capacity-manager guarantee
-                // ("instructions have their registers available in the OSU
-                // as they execute") was violated.
+            // A read with no staged line violates the capacity-manager
+            // guarantee ("instructions have their registers available in
+            // the OSU as they execute"); a staged line holding another
+            // value is a wrong operand.
+            if shard.osu.staged(w, reg) != Some(&regs[reg.index()]) {
                 stats.staging_mismatches += 1;
-                if std::env::var_os("REGLESS_DEBUG_STAGING").is_some() {
-                    eprintln!("MISSING w{w} {reg} phase {:?}", shard.cm.phase(w));
-                }
             }
         }
     }

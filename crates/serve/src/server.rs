@@ -146,6 +146,26 @@ struct TraceCtx {
     spans: Vec<Span>,
 }
 
+impl TraceCtx {
+    /// Run `f` and, when the request is traced, record its wall time as
+    /// the span `name`, returned for annotation. An untraced request runs
+    /// `f` alone and never reads the clock.
+    fn timed<'a, T>(
+        trace: &'a mut Option<TraceCtx>,
+        name: &str,
+        f: impl FnOnce() -> T,
+    ) -> (T, Option<&'a mut Span>) {
+        let Some(t) = trace else {
+            return (f(), None);
+        };
+        let start = epoch_us();
+        let out = f();
+        let dur = epoch_us().saturating_sub(start);
+        t.spans.push(Span::new(t.id, name, OBS_PROCESS, start, dur));
+        (out, t.spans.last_mut())
+    }
+}
+
 /// Monotone counters, exported by [`Shared::snapshot`].
 #[derive(Default)]
 struct ServeCounters {
@@ -336,9 +356,6 @@ impl Shared {
             "Log events evicted from the bounded ring before export",
             self.log.dropped(),
         );
-        // Host-side self-profile of the shared sweep engine (empty, and
-        // free, unless REGLESS_SELFPROF is set).
-        self.engine.self_profiler().fold_into(&mut snap, "sweep");
         {
             let l = self.latency.lock().expect("latency poisoned");
             snap.summary(
@@ -648,38 +665,21 @@ fn handle_simulation(shared: &Arc<Shared>, req: &Request) -> Response {
             id,
             spans: Vec::new(),
         });
-    let t_entry = if trace.is_some() { epoch_us() } else { 0 };
-    let kernel = match resolve_kernel(spec) {
+    let kernel = match TraceCtx::timed(&mut trace, "admission", || resolve_kernel(spec)).0 {
         Ok(k) => k,
         Err(e) => return Response::failure(req.id, e),
     };
-    if let Some(t) = trace.as_mut() {
-        t.spans.push(Span::new(
-            t.id,
-            "admission",
-            OBS_PROCESS,
-            t_entry,
-            epoch_us().saturating_sub(t_entry),
-        ));
-    }
     let started = Instant::now();
 
     // Fast path: a benchmark already in the shared cache never queues,
     // and its kernel is never generated.
     if let JobKernel::Bench { id, name } = &kernel {
-        let t_cache = if trace.is_some() { epoch_us() } else { 0 };
-        let hit = shared.engine.lookup(id, design, eval_gpu());
-        if let Some(t) = trace.as_mut() {
-            t.spans.push(
-                Span::new(
-                    t.id,
-                    "cache",
-                    OBS_PROCESS,
-                    t_cache,
-                    epoch_us().saturating_sub(t_cache),
-                )
-                .arg("hit", if hit.is_some() { "true" } else { "false" }),
-            );
+        let (hit, span) = TraceCtx::timed(&mut trace, "cache", || {
+            shared.engine.lookup(id, design, eval_gpu())
+        });
+        if let Some(span) = span {
+            span.args
+                .push(("hit".to_string(), hit.is_some().to_string()));
         }
         if let Some(run) = hit {
             shared.counters.cache_hits.fetch_add(1, Ordering::Relaxed);
@@ -887,7 +887,7 @@ fn finish_ok(
     run: &CachedRun,
     source: &str,
     started: Instant,
-    trace: Option<TraceCtx>,
+    mut trace: Option<TraceCtx>,
 ) -> Response {
     let elapsed_ms = u64::try_from(started.elapsed().as_millis()).unwrap_or(u64::MAX);
     {
@@ -899,36 +899,31 @@ fn finish_ok(
         }
     }
     shared.counters.completed.fetch_add(1, Ordering::Relaxed);
-    let t_serialize = if trace.is_some() { epoch_us() } else { 0 };
-    let mut payload = vec![
-        ("kind".to_string(), Json::Str(req.kind.as_str().to_string())),
-        ("kernel".to_string(), Json::Str(kernel.to_string())),
-        ("design".to_string(), Json::Str(req.design.clone())),
-        ("source".to_string(), Json::Str(source.to_string())),
-        ("cycles".to_string(), ToJson::to_json(&run.cycles)),
-        ("ipc".to_string(), Json::Float(run.ipc())),
-    ];
-    match req.kind {
-        RequestKind::Run => {
-            payload.push(("report".to_string(), Json::Raw(run.stable_text())));
+    let (mut payload, _) = TraceCtx::timed(&mut trace, "serialize", || {
+        let mut payload = vec![
+            ("kind".to_string(), Json::Str(req.kind.as_str().to_string())),
+            ("kernel".to_string(), Json::Str(kernel.to_string())),
+            ("design".to_string(), Json::Str(req.design.clone())),
+            ("source".to_string(), Json::Str(source.to_string())),
+            ("cycles".to_string(), ToJson::to_json(&run.cycles)),
+            ("ipc".to_string(), Json::Float(run.ipc())),
+        ];
+        match req.kind {
+            RequestKind::Run => {
+                payload.push(("report".to_string(), Json::Raw(run.stable_text())));
+            }
+            RequestKind::Profile => {
+                let text = run.profile_text(kernel, design);
+                payload.push(("profile".to_string(), Json::Raw(text)));
+            }
+            _ => {
+                let text = run.summary_text(kernel, design);
+                payload.push(("summary".to_string(), Json::Raw(text)));
+            }
         }
-        RequestKind::Profile => {
-            let text = run.profile_text(kernel, design);
-            payload.push(("profile".to_string(), Json::Raw(text)));
-        }
-        _ => {
-            let text = run.summary_text(kernel, design);
-            payload.push(("summary".to_string(), Json::Raw(text)));
-        }
-    }
-    if let Some(mut t) = trace {
-        t.spans.push(Span::new(
-            t.id,
-            "serialize",
-            OBS_PROCESS,
-            t_serialize,
-            epoch_us().saturating_sub(t_serialize),
-        ));
+        payload
+    });
+    if let Some(t) = trace {
         payload.push(("trace_id".to_string(), Json::Str(format_trace_id(t.id))));
         payload.push((
             "trace".to_string(),
@@ -1029,12 +1024,14 @@ fn run_job(shared: &Arc<Shared>, job: &Arc<Job>) {
         .lock()
         .expect("pending poisoned")
         .remove(&job.key);
+    // Leave `in_flight` before the result is published: a client that
+    // has its reply must not see the finished job in `stats` still.
+    shared.counters.in_flight.fetch_sub(1, Ordering::Relaxed);
     {
         let mut result = job.result.lock().expect("job result poisoned");
         *result = Some(outcome);
         job.done.notify_all();
     }
-    shared.counters.in_flight.fetch_sub(1, Ordering::Relaxed);
 }
 
 /// Generate (for a benchmark id), compile and run one job's simulation

@@ -183,7 +183,10 @@ pub trait OperandBackend {
     /// the generic tick loop is compiled next to the backend, whose
     /// methods can then inline into it; a caller in another crate that
     /// calls [`Machine::run`] directly gets a copy without that inlining
-    /// (4-9% slower `regless run` on a 2-vCPU AMD EPYC VM).
+    /// (4-9% slower `regless run` on a 2-vCPU AMD EPYC VM). The fat-LTO,
+    /// one-codegen-unit release build does not make it redundant: without
+    /// it perfbench `sim-matrix` simulated about 4% fewer Mcycles/s on the
+    /// same VM.
     ///
     /// # Errors
     ///

@@ -287,7 +287,7 @@ impl<B: OperandBackend> Sm<B> {
         // 1. Retire writebacks due now. The value is the warp's register
         // as issue left it: a pending destination blocks every later
         // writer, so the register cannot have changed since.
-        let wb_guard = SelfProfiler::scope_opt(prof, "writeback");
+        let wb_guard = SelfProfiler::scope(prof, "writeback");
         while let Some(e) = self.events.pop_due(now) {
             let w = usize::from(e.warp);
             let was_pending = self.warps[w].pending.remove(&e.reg);
@@ -322,7 +322,7 @@ impl<B: OperandBackend> Sm<B> {
 
         // 2. Backend housekeeping (CM activation, preload pipeline).
         {
-            let _g = SelfProfiler::scope_opt(prof, "backend_tick");
+            let _g = SelfProfiler::scope(prof, "backend_tick");
             let mut ctx = BackendCtx {
                 sm: self.id,
                 now,
@@ -366,7 +366,7 @@ impl<B: OperandBackend> Sm<B> {
         // masks are re-read per slot: an issue in one slot changes the
         // issuing warp's state before the next. The working-set window
         // rolls once, before any operand of this cycle is recorded.
-        let issue_guard = SelfProfiler::scope_opt(prof, "issue");
+        let issue_guard = SelfProfiler::scope(prof, "issue");
         self.stats.working_set.roll(now);
         let mut issued_any = false;
         let mut all_ready_empty = true;
@@ -430,7 +430,7 @@ impl<B: OperandBackend> Sm<B> {
 
         // 5. Roll statistics windows.
         {
-            let _g = SelfProfiler::scope_opt(prof, "stats_windows");
+            let _g = SelfProfiler::scope(prof, "stats_windows");
             self.stats.backing_series.roll(now);
             self.stats.osu_occupancy.roll(now);
             self.stats.osu_reserved_series.roll(now);
@@ -871,14 +871,10 @@ pub struct Machine<B> {
     /// reports.
     stepped: bool,
     /// Host-side self profiler timing where the simulator's own wall time
-    /// goes (issue vs writeback vs backend vs skip-ahead). `None` unless
-    /// `REGLESS_SELFPROF` is set or a caller attached one; purely a
-    /// host-clock observer, so reports stay byte-identical either way.
+    /// goes (issue vs writeback vs backend vs skip-ahead). `None` unless a
+    /// caller attached one; purely a host-clock observer, so reports stay
+    /// byte-identical either way.
     selfprof: Option<Arc<SelfProfiler>>,
-    /// Whether the profiler was auto-created from the environment (then
-    /// the run loop prints its table to stderr at the end, since nobody
-    /// else holds a handle to it).
-    selfprof_auto: bool,
 }
 
 impl<B: OperandBackend> Machine<B> {
@@ -893,7 +889,6 @@ impl<B: OperandBackend> Machine<B> {
         let sms = (0..config.num_sms)
             .map(|i| Sm::new(i, &config, &compiled, make_backend(i)))
             .collect();
-        let selfprof_auto = SelfProfiler::env_enabled();
         Machine {
             mem,
             compiled,
@@ -901,18 +896,15 @@ impl<B: OperandBackend> Machine<B> {
             config,
             cancel: None,
             stepped: std::env::var_os("REGLESS_SIM").is_some_and(|v| v == "stepped"),
-            selfprof: selfprof_auto.then(|| Arc::new(SelfProfiler::new(true))),
-            selfprof_auto,
+            selfprof: None,
         }
     }
 
     /// Attach a shared [`SelfProfiler`]: the run loop records host time
     /// per phase into it, and the caller keeps the handle to render or
-    /// export afterwards. Overrides the `REGLESS_SELFPROF` auto-profiler
-    /// (and its end-of-run stderr table).
-    pub fn attach_self_profiler(&mut self, prof: Arc<SelfProfiler>) {
+    /// export afterwards.
+    pub fn attach_profiler(&mut self, prof: Arc<SelfProfiler>) {
         self.selfprof = Some(prof);
-        self.selfprof_auto = false;
     }
 
     /// Force (`true`) or disable (`false`) the stepped cycle-by-cycle loop,
@@ -986,7 +978,7 @@ impl<B: OperandBackend> Machine<B> {
                     target = target.min(w);
                 }
                 if target > now + 1 {
-                    let _g = SelfProfiler::scope_opt(prof.as_deref(), "event_jump");
+                    let _g = SelfProfiler::scope(prof.as_deref(), "event_jump");
                     for sm in &mut self.sms {
                         sm.skip_to(now + 1, target, &mut self.mem);
                     }
@@ -1022,17 +1014,6 @@ impl<B: OperandBackend> Machine<B> {
             })
             .collect();
         let telemetry = collect_telemetry(&mut sm_stats, &self.mem.stats, now);
-        if self.selfprof_auto {
-            // Env-activated profiler: nobody else holds the handle, so the
-            // run loop itself surfaces the breakdown (stderr keeps stdout
-            // JSON pipelines clean).
-            if let Some(p) = &prof {
-                let table = p.render_table("sim");
-                if !table.is_empty() {
-                    eprintln!("{table}");
-                }
-            }
-        }
         Ok(RunReport {
             cycles: now,
             sm_stats,

@@ -341,14 +341,14 @@ impl SmStats {
     /// Record a value into a named telemetry histogram if enabled.
     pub fn observe(&mut self, hist: &'static str, value: u64) {
         if let Some(r) = &mut self.recorder {
-            regless_telemetry::Recorder::observe(r.as_mut(), hist, value);
+            r.observe(hist, value);
         }
     }
 
     /// Append a point to a named telemetry time series if enabled.
     pub fn sample(&mut self, series: &'static str, ts: crate::config::Cycle, value: f64) {
         if let Some(r) = &mut self.recorder {
-            regless_telemetry::Recorder::sample(r.as_mut(), series, ts, value);
+            r.sample(series, ts, value);
         }
     }
 

@@ -15,7 +15,7 @@
 use crate::config::Cycle;
 use crate::stats::PreloadSource;
 use regless_isa::{InsnRef, Reg};
-use regless_telemetry::{Event, EvictionReason, Recorder, Structure, Track};
+use regless_telemetry::{Event, EvictionReason, Structure, Track};
 
 /// One traced event.
 #[derive(Clone, Copy, PartialEq, Eq, Debug)]

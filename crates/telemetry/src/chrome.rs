@@ -179,7 +179,7 @@ mod tests {
     use super::*;
     use crate::event::{Event, Structure, Track};
     use crate::obs::Span;
-    use crate::recorder::{MemoryRecorder, Recorder};
+    use crate::recorder::MemoryRecorder;
 
     #[test]
     fn span_export_joins_processes_on_one_timeline() {

@@ -2,12 +2,12 @@
 //!
 //! The simulator and the RegLess backend emit *structured events* (warp
 //! region lifecycle, OSU traffic, compressor hits, L1-port arbitration),
-//! *counters*, *log2 histograms*, and *time series* through the
-//! [`Recorder`] trait. Recording is strictly opt-in: with no recorder
-//! attached (or with [`NullRecorder`]) every instrumentation site reduces
-//! to a branch on an `Option`/constant `false`, so disabled runs are
-//! byte-identical to uninstrumented ones — a property the repository's
-//! tier-1 tests assert.
+//! *log2 histograms*, and *time series* into a [`MemoryRecorder`]; the
+//! run's *counters* are folded into the merged [`Telemetry`] afterwards.
+//! Recording is on by being attached: with no recorder attached every
+//! instrumentation site reduces to a branch on an `Option`, and a
+//! recorder's presence changes no reported figure — a property the
+//! repository's tier-1 tests assert.
 //!
 //! Collected [`Telemetry`] can be exported three ways:
 //!
@@ -19,7 +19,7 @@
 //!   (embedded in `RunReport` and the sweep engine's outputs).
 //!
 //! ```
-//! use regless_telemetry::{chrome_trace_string, Event, MemoryRecorder, Recorder, Track};
+//! use regless_telemetry::{chrome_trace_string, Event, MemoryRecorder, Track};
 //!
 //! let mut rec = MemoryRecorder::new(1 << 16).with_group(0);
 //! rec.record(Event::begin(10, Track::warp(0), "preload").arg("region", 0u32));
@@ -53,7 +53,7 @@ pub use obs::{
     EventLog, LogEvent, LogLevel, Metric, MetricValue, MetricsSnapshot, PhaseGuard, PhaseTotal,
     ProgressMeter, ProgressSnapshot, SelfProfiler, Span, DEFAULT_LOG_CAPACITY,
 };
-pub use recorder::{MemoryRecorder, NullRecorder, Recorder, Telemetry};
+pub use recorder::{MemoryRecorder, Telemetry};
 pub use report::{round4, CompressorReport, OccupancyReport, Report, RunSummary};
 pub use summary::{summary_csv, HistogramSummary, TelemetrySummary};
 pub use trends::{

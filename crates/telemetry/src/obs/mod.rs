@@ -2,7 +2,7 @@
 //! snapshot with Prometheus text exposition, and a bounded structured
 //! event log.
 //!
-//! The simulator core records *cycles* through [`crate::Recorder`]; the
+//! The simulator core records *cycles* through [`crate::MemoryRecorder`]; the
 //! serving layer records *wall time* through these types.
 //! The two meet in the Chrome-trace writer: [`crate::chrome_spans`]
 //! renders a set of [`Span`]s collected across processes as one Perfetto

@@ -1,67 +1,17 @@
-//! The recording core: the [`Recorder`] trait, the zero-cost
-//! [`NullRecorder`], the buffering [`MemoryRecorder`], and the merged
+//! The recording core: the buffering [`MemoryRecorder`] and the merged
 //! [`Telemetry`] container the exporters consume.
 
 use crate::event::{Event, Lane, Track, Ts};
 use crate::hist::Log2Histogram;
 use std::collections::BTreeMap;
 
-/// A pluggable telemetry sink.
-///
-/// Instrumentation sites call these methods unconditionally; a disabled
-/// sink must make them free. [`NullRecorder`] does exactly that — every
-/// method is an empty inline body, so a monomorphized caller compiles the
-/// calls away entirely. Callers doing non-trivial work to *construct* an
-/// event should gate on [`Recorder::enabled`] first.
-pub trait Recorder {
-    /// Whether recording is live; `false` lets callers skip event
-    /// construction entirely.
-    fn enabled(&self) -> bool;
-
-    /// Record one structured event.
-    fn record(&mut self, event: Event);
-
-    /// Add to a named monotone counter.
-    fn counter_add(&mut self, name: &'static str, n: u64);
-
-    /// Record one value into a named log2 histogram.
-    fn observe(&mut self, hist: &'static str, value: u64);
-
-    /// Append one point to a named time series.
-    fn sample(&mut self, series: &'static str, ts: Ts, value: f64);
-}
-
-/// The disabled sink: every operation is a no-op that the optimizer
-/// removes. Attaching no recorder at all behaves identically; this type
-/// exists so generic code can be written against a concrete `Recorder`.
-#[derive(Clone, Copy, Debug, Default)]
-pub struct NullRecorder;
-
-impl Recorder for NullRecorder {
-    #[inline(always)]
-    fn enabled(&self) -> bool {
-        false
-    }
-
-    #[inline(always)]
-    fn record(&mut self, _event: Event) {}
-
-    #[inline(always)]
-    fn counter_add(&mut self, _name: &'static str, _n: u64) {}
-
-    #[inline(always)]
-    fn observe(&mut self, _hist: &'static str, _value: u64) {}
-
-    #[inline(always)]
-    fn sample(&mut self, _series: &'static str, _ts: Ts, _value: f64) {}
-}
-
 /// An in-memory sink with a bounded event buffer (events past capacity are
-/// counted but dropped, like the old `TraceBuffer`) and unbounded counter,
-/// histogram, and series tables.
+/// counted but dropped, like the old `TraceBuffer`) and unbounded histogram
+/// and series tables. Recording is on by being attached: the simulator
+/// holds an `Option<Box<MemoryRecorder>>` and every site branches on it.
 ///
 /// ```
-/// use regless_telemetry::{Event, MemoryRecorder, Recorder, Track};
+/// use regless_telemetry::{Event, MemoryRecorder, Track};
 /// let mut r = MemoryRecorder::new(1).with_group(0);
 /// r.record(Event::instant(3, Track::warp(0), "issue"));
 /// r.record(Event::instant(4, Track::warp(1), "issue")); // dropped: full
@@ -77,7 +27,6 @@ pub struct MemoryRecorder {
     events: Vec<Event>,
     capacity: usize,
     dropped: u64,
-    counters: BTreeMap<&'static str, u64>,
     hists: BTreeMap<&'static str, Log2Histogram>,
     series: BTreeMap<&'static str, Vec<(Ts, f64)>>,
 }
@@ -90,7 +39,6 @@ impl MemoryRecorder {
             events: Vec::new(),
             capacity,
             dropped: 0,
-            counters: BTreeMap::new(),
             hists: BTreeMap::new(),
             series: BTreeMap::new(),
         }
@@ -114,16 +62,32 @@ impl MemoryRecorder {
         self.dropped
     }
 
+    /// Record one structured event, stamped with this recorder's group.
+    pub fn record(&mut self, mut event: Event) {
+        if self.events.len() < self.capacity {
+            event.track.group = self.group;
+            self.events.push(event);
+        } else {
+            self.dropped += 1;
+        }
+    }
+
+    /// Record one value into a named log2 histogram.
+    pub fn observe(&mut self, hist: &'static str, value: u64) {
+        self.hists.entry(hist).or_default().record(value);
+    }
+
+    /// Append one point to a named time series.
+    pub fn sample(&mut self, series: &'static str, ts: Ts, value: f64) {
+        self.series.entry(series).or_default().push((ts, value));
+    }
+
     /// Convert into the merged-container form the exporters consume.
     pub fn into_telemetry(self) -> Telemetry {
         Telemetry {
             events: self.events,
             dropped: self.dropped,
-            counters: self
-                .counters
-                .into_iter()
-                .map(|(k, v)| (k.to_string(), v))
-                .collect(),
+            counters: BTreeMap::new(),
             histograms: self
                 .hists
                 .into_iter()
@@ -135,34 +99,6 @@ impl MemoryRecorder {
                 .map(|(k, v)| (k.to_string(), v))
                 .collect(),
         }
-    }
-}
-
-impl Recorder for MemoryRecorder {
-    #[inline]
-    fn enabled(&self) -> bool {
-        true
-    }
-
-    fn record(&mut self, mut event: Event) {
-        if self.events.len() < self.capacity {
-            event.track.group = self.group;
-            self.events.push(event);
-        } else {
-            self.dropped += 1;
-        }
-    }
-
-    fn counter_add(&mut self, name: &'static str, n: u64) {
-        *self.counters.entry(name).or_insert(0) += n;
-    }
-
-    fn observe(&mut self, hist: &'static str, value: u64) {
-        self.hists.entry(hist).or_default().record(value);
-    }
-
-    fn sample(&mut self, series: &'static str, ts: Ts, value: f64) {
-        self.series.entry(series).or_default().push((ts, value));
     }
 }
 
@@ -243,16 +179,6 @@ mod tests {
     use crate::event::Structure;
 
     #[test]
-    fn null_recorder_is_disabled_and_inert() {
-        let mut r = NullRecorder;
-        assert!(!r.enabled());
-        r.record(Event::instant(0, Track::warp(0), "x"));
-        r.counter_add("c", 3);
-        r.observe("h", 9);
-        r.sample("s", 1, 2.0);
-    }
-
-    #[test]
     fn recorder_stamps_group_and_bounds_events() {
         let mut r = MemoryRecorder::new(2).with_group(7);
         for i in 0..5u64 {
@@ -271,11 +197,11 @@ mod tests {
             r.record(Event::instant(i, Track::warp(0), "e"));
         }
         // Non-event channels are unbounded and unaffected by capacity.
-        r.counter_add("c", 1);
         r.observe("h", 2);
         assert_eq!(r.events().len(), 0);
         assert_eq!(r.dropped(), 100);
-        let t = r.into_telemetry();
+        let mut t = r.into_telemetry();
+        t.add_counter("c", 1);
         assert!(t.events.is_empty());
         assert_eq!(t.dropped, 100);
         assert_eq!(t.counters["c"], 1);
@@ -296,14 +222,15 @@ mod tests {
     #[test]
     fn merge_sums_counters_and_histograms() {
         let mut a = MemoryRecorder::new(8).with_group(0);
-        a.counter_add("insns", 10);
         a.observe("lat", 4);
         let mut b = MemoryRecorder::new(8).with_group(1);
-        b.counter_add("insns", 5);
         b.observe("lat", 400);
         b.sample("occ", 100, 3.0);
         let mut t = a.into_telemetry();
-        t.merge(b.into_telemetry());
+        t.add_counter("insns", 10);
+        let mut tb = b.into_telemetry();
+        tb.add_counter("insns", 5);
+        t.merge(tb);
         assert_eq!(t.counters["insns"], 15);
         assert_eq!(t.histograms["lat"].count(), 2);
         assert_eq!(t.series["occ"].len(), 1);

@@ -167,16 +167,17 @@ pub fn summary_csv(t: &Telemetry) -> String {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::recorder::{MemoryRecorder, Recorder};
+    use crate::recorder::MemoryRecorder;
 
     fn sample_telemetry() -> Telemetry {
         let mut r = MemoryRecorder::new(16);
-        r.counter_add("insns", 42);
-        r.counter_add("preload.osu_hits", 7);
         for v in [3u64, 5, 90, 4096] {
             r.observe("preload.latency", v);
         }
-        r.into_telemetry()
+        let mut t = r.into_telemetry();
+        t.add_counter("insns", 42);
+        t.add_counter("preload.osu_hits", 7);
+        t
     }
 
     #[test]

@@ -83,11 +83,11 @@
 //! produce byte-identical reports (CI diffs them); the variable exists
 //! for differential debugging and for measuring fast-path speedup.
 //!
-//! `REGLESS_SELFPROF=1` turns on the simulator's host-side self profiler
-//! everywhere (run loop phases, sweep-engine pipeline): tables land on
-//! stderr and the phase counters join serve's metrics surface.
-//! Simulated results are byte-identical with it on or off (CI asserts
-//! this property); with it off the instrumentation never reads a clock.
+//! `regless run --self-profile` attaches the simulator's host-side self
+//! profiler to that one run and prints its phase table on stderr.
+//! Simulated results are byte-identical with it attached or not (tests
+//! assert this property); unattached, the instrumentation never reads a
+//! clock.
 
 use regless::bench::profile::{diff as profile_diff, ProfileReport};
 use regless::bench::registry;
@@ -214,9 +214,7 @@ fn print_usage() -> CmdResult {
          <point> is a design id plus any of its :name=value parameters, e.g.\n\
          regless:capacity=128:order=fifo (--capacity N is an alias for :capacity=N)\n\
          REGLESS_SIM=stepped forces the cycle-by-cycle reference run loop\n\
-         (byte-identical reports; for differential debugging and speed bench)\n\
-         REGLESS_SELFPROF=1 times the simulator's own phases everywhere\n\
-         (host wall clock only; simulated results stay byte-identical)"
+         (byte-identical reports; for differential debugging and speed bench)"
     );
     Ok(())
 }
@@ -340,10 +338,9 @@ fn cmd_run(args: &[String]) -> CmdResult {
             other => return Err(format!("unknown option {other:?}").into()),
         }
     }
-    // Force-enabled regardless of REGLESS_SELFPROF: the flag is the
-    // explicit opt-in. Host wall clock only — the report is byte-identical
-    // with or without it.
-    let prof = self_profile.then(|| Arc::new(regless::telemetry::SelfProfiler::new(true)));
+    // Host wall clock only — the report is byte-identical with or
+    // without it.
+    let prof = self_profile.then(|| Arc::new(regless::telemetry::SelfProfiler::new()));
     let attach = Attach {
         selfprof: prof.clone(),
         ..Attach::default()

@@ -6,36 +6,38 @@ use regless::bench::registry;
 use regless_json::Json;
 use std::process::Command;
 
-fn regless(args: &[&str]) -> String {
+/// The phases `regless run --self-profile-out` may name.
+const RUN_LOOP_PHASES: [&str; 5] = [
+    "writeback",
+    "backend_tick",
+    "issue",
+    "stats_windows",
+    "event_jump",
+];
+
+/// Runs the binary, asserts it exits 0, and returns (stdout, stderr).
+fn regless_out_err(args: &[&str]) -> (String, String) {
     let o = Command::new(env!("CARGO_BIN_EXE_regless"))
         .args(args)
         .env("REGLESS_SWEEP", "off")
         .output()
         .expect("run the regless binary");
-    assert_eq!(
-        o.status.code(),
-        Some(0),
-        "{args:?}: {}",
-        String::from_utf8_lossy(&o.stderr)
-    );
-    String::from_utf8(o.stdout).expect("utf-8 stdout")
+    let stderr = String::from_utf8(o.stderr).expect("utf-8 stderr");
+    assert_eq!(o.status.code(), Some(0), "{args:?}: {stderr}");
+    (String::from_utf8(o.stdout).expect("utf-8 stdout"), stderr)
+}
+
+fn regless(args: &[&str]) -> String {
+    regless_out_err(args).0
 }
 
 #[test]
 fn every_verb_runs_every_design() {
-    let dir = std::env::temp_dir().join(format!("regless-every-design-{}", std::process::id()));
-    std::fs::create_dir_all(&dir).unwrap();
     let kernel = "kernels/saxpy.asm";
     for entry in registry::all() {
         let id = entry.id;
         let run = regless(&["run", kernel, "--design", id]);
         assert!(run.contains(&format!("under {id}:")), "{id}: {run}");
-
-        let spans = dir.join(format!("{id}-selfprof.json"));
-        let spans = spans.to_str().unwrap();
-        regless(&["run", kernel, "--design", id, "--self-profile-out", spans]);
-        let trace = Json::parse(&std::fs::read_to_string(spans).unwrap()).unwrap();
-        assert!(trace.field("traceEvents").is_ok(), "{id}: {trace:?}");
 
         let profile = Json::parse(&regless(&[
             "profile", kernel, "--design", id, "--format", "json",
@@ -63,7 +65,65 @@ fn every_verb_runs_every_design() {
         let csv = regless(&["trace", kernel, "--design", id, "--format", "csv"]);
         assert!(csv.lines().count() > 1, "{id}: {csv}");
     }
+}
+
+/// For every design, the `--self-profile-out` trace names only run-loop
+/// phases and always includes `issue`.
+#[test]
+fn self_profile_trace_names_only_run_loop_phases() {
+    let dir = std::env::temp_dir().join(format!("regless-selfprof-{}", std::process::id()));
+    std::fs::create_dir_all(&dir).unwrap();
+    let kernel = "kernels/saxpy.asm";
+    for entry in registry::all() {
+        let id = entry.id;
+        let spans = dir.join(format!("{id}-selfprof.json"));
+        let spans = spans.to_str().unwrap();
+        regless(&["run", kernel, "--design", id, "--self-profile-out", spans]);
+        let trace = Json::parse(&std::fs::read_to_string(spans).unwrap()).unwrap();
+        let Ok(Json::Arr(events)) = trace.field("traceEvents") else {
+            panic!("{id}: no traceEvents array: {trace:?}");
+        };
+        // perfbench's `sim.phase.*_pct` metrics read these names.
+        let phases: Vec<&str> = events
+            .iter()
+            .filter(|e| matches!(e.field("ph"), Ok(Json::Str(p)) if p == "X"))
+            .map(|e| match e.field("name") {
+                Ok(Json::Str(name)) => name.as_str(),
+                other => panic!("{id}: phase span without a name: {other:?}"),
+            })
+            .collect();
+        for phase in &phases {
+            assert!(
+                RUN_LOOP_PHASES.contains(phase),
+                "{id}: unexpected phase {phase:?} in {phases:?}"
+            );
+        }
+        assert!(
+            phases.contains(&"issue"),
+            "{id}: no issue phase in {phases:?}"
+        );
+    }
     std::fs::remove_dir_all(&dir).unwrap();
+}
+
+/// The profiler is off by being absent: without `--self-profile` a run
+/// writes nothing to stderr, and with it the phase table goes to stderr
+/// while stdout stays byte-identical.
+#[test]
+fn run_prints_a_phase_table_only_when_profiled() {
+    let kernel = "kernels/saxpy.asm";
+    for entry in registry::all() {
+        let id = entry.id;
+        let (plain, plain_err) = regless_out_err(&["run", kernel, "--design", id]);
+        assert_eq!(plain_err, "", "{id}: unprofiled run wrote to stderr");
+        let (profiled, table) = regless_out_err(&["run", kernel, "--design", id, "--self-profile"]);
+        assert_eq!(plain, profiled, "{id}: profiling changed stdout");
+        assert!(
+            table.starts_with("self-profile [sim]: host time by phase"),
+            "{id}: {table}"
+        );
+        assert!(table.contains("issue"), "{id}: {table}");
+    }
 }
 
 /// `profile` and `report` name the design point that ran as the registry

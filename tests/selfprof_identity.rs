@@ -3,8 +3,9 @@
 //! [`RunReport::stable_json`] **byte-identical** — the profiler times the
 //! simulator's own phases on the host wall clock and must never perturb
 //! simulated state (cycles, CPI stacks, window series, anything). This is
-//! the property that makes `REGLESS_SELFPROF=1` safe to leave on in CI
-//! and on shared servers.
+//! the property that makes `regless run --self-profile` safe to use on
+//! any run whose numbers matter. A run with no profiler attached is the
+//! proptest's `plain` side.
 
 use proptest::prelude::*;
 use regless::bench::registry;
@@ -64,7 +65,7 @@ proptest! {
         for entry in registry::all() {
             let design = registry::parse_with_aliases(entry.id, capacity, None, false).unwrap();
             let plain = run_design(&kernel, design, None);
-            let prof = Arc::new(SelfProfiler::new(true));
+            let prof = Arc::new(SelfProfiler::new());
             let profiled = run_design(&kernel, design, Some(Arc::clone(&prof)));
             prop_assert_eq!(
                 plain.stable_json().to_string_compact(),
@@ -81,24 +82,12 @@ proptest! {
     }
 }
 
-/// A disabled profiler attached explicitly records nothing — the no-op
-/// branch the <1% overhead budget of the simulator's throughput rests on.
-#[test]
-fn disabled_profiler_records_nothing() {
-    let kernel = micro::streaming(4);
-    let prof = Arc::new(SelfProfiler::new(false));
-    let report = run_design(&kernel, regless_256(), Some(Arc::clone(&prof)));
-    assert!(report.cycles > 0);
-    assert!(prof.snapshot().is_empty(), "disabled profiler stayed empty");
-    assert_eq!(prof.total_nanos(), 0);
-}
-
 /// The phase tables of a profiled run name the run-loop phases the
 /// instrumentation promises, and the rendered table carries them.
 #[test]
 fn profiled_run_names_the_run_loop_phases() {
     let kernel = micro::reduction_tree();
-    let prof = Arc::new(SelfProfiler::new(true));
+    let prof = Arc::new(SelfProfiler::new());
     run_design(&kernel, regless_256(), Some(Arc::clone(&prof)));
     let phases: Vec<String> = prof.snapshot().into_iter().map(|(name, _)| name).collect();
     for expect in ["backend_tick", "issue", "stats_windows", "writeback"] {
