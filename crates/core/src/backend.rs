@@ -114,7 +114,9 @@ pub struct RegLessBackend {
     shards: Vec<Shard>,
     backing: RegisterBacking,
     regmap: RegisterMemoryMap,
-    num_scheds: usize,
+    /// Each warp's shard (its scheduler), so the per-instruction path
+    /// indexes a table instead of dividing.
+    shard_of_warp: Vec<u8>,
     /// Earliest cycle each warp's region metadata finishes decoding; the
     /// region cannot activate before this (metadata instructions consume
     /// fetch/decode bandwidth, not issue slots — §5.4).
@@ -224,10 +226,15 @@ impl RegLessBackend {
         let num_regs = compiled.kernel().num_regs() as usize;
         // Every warp starts stacked at the kernel entry.
         let entry = compiled.first_region_of_block(compiled.kernel().entry());
+        // Warps are dealt round-robin to the schedulers; `validate` keeps
+        // both counts within a warp mask, so a shard index fits a byte.
+        let shard_of_warp: Vec<u8> = (0..gpu.warps_per_sm)
+            .map(|w| (w % num_scheds) as u8)
+            .collect();
         let shards = (0..num_scheds)
             .map(|s| {
                 let warps: Vec<usize> = (0..gpu.warps_per_sm)
-                    .filter(|w| w % num_scheds == s)
+                    .filter(|&w| usize::from(shard_of_warp[w]) == s)
                     .collect();
                 Shard {
                     cm: CapacityManager::with_order(
@@ -261,7 +268,7 @@ impl RegLessBackend {
             compiled,
             shards,
             backing: RegisterBacking::new(),
-            num_scheds,
+            shard_of_warp,
             meta_ready_at: vec![0; gpu.warps_per_sm],
             finishing: vec![false; gpu.warps_per_sm],
             activated_at: vec![0; gpu.warps_per_sm],
@@ -274,7 +281,7 @@ impl RegLessBackend {
     }
 
     fn shard_of(&self, w: usize) -> usize {
-        w % self.num_scheds
+        usize::from(self.shard_of_warp[w])
     }
 
     /// The shard supervising `warps`, a non-empty set of one scheduler's
@@ -994,6 +1001,11 @@ mod backend_tests {
 
     fn setup() -> (GpuConfig, Arc<CompiledKernel>) {
         let gpu = GpuConfig::test_small();
+        (gpu, compiled_for(&gpu))
+    }
+
+    /// A two-block kernel compiled for `gpu`'s OSU shape.
+    fn compiled_for(gpu: &GpuConfig) -> Arc<CompiledKernel> {
         let cfg = RegLessConfig::paper_default();
         let mut b = KernelBuilder::new("unit");
         let next = b.new_block();
@@ -1006,8 +1018,28 @@ mod backend_tests {
         b.st_global(w, z);
         b.exit();
         let kernel = b.finish().unwrap();
-        let compiled = Arc::new(compile(&kernel, &cfg.region_config(&gpu)).unwrap());
-        (gpu, compiled)
+        Arc::new(compile(&kernel, &cfg.region_config(gpu)).unwrap())
+    }
+
+    #[test]
+    fn shard_table_names_the_shard_holding_each_warp() {
+        let cfg = RegLessConfig::paper_default();
+        for schedulers_per_sm in [1, 2, 4] {
+            let gpu = GpuConfig {
+                schedulers_per_sm,
+                ..GpuConfig::test_small()
+            };
+            let backend = RegLessBackend::new(0, &gpu, &cfg, compiled_for(&gpu));
+            assert_eq!(backend.shards.len(), schedulers_per_sm);
+            for w in 0..gpu.warps_per_sm {
+                let s = backend.shard_of(w);
+                assert_ne!(
+                    backend.shards[s].cm.warps() & warp_bit(w),
+                    0,
+                    "{schedulers_per_sm} schedulers: warp {w} is not in shard {s}"
+                );
+            }
+        }
     }
 
     #[test]

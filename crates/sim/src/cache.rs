@@ -39,10 +39,20 @@ pub struct AccessResult {
 /// RegLess L1 uses write-back, *no fetch on write* for register lines
 /// (paper §5.2.3): [`Cache::write_allocate_no_fetch`] installs a dirty line
 /// without a fill.
+///
+/// Line size and set count are powers of two, so an address splits into
+/// tag, set and offset with shifts and a mask (no division per access).
 #[derive(Clone, Debug)]
 pub struct Cache {
-    sets: Vec<Vec<Line>>,
-    line_bytes: usize,
+    /// Every set's ways, set-major: set `s` is `lines[s * assoc..][..assoc]`.
+    lines: Vec<Line>,
+    assoc: usize,
+    /// `num_sets - 1`.
+    set_mask: usize,
+    /// `log2(line_bytes)`.
+    line_shift: u32,
+    /// `log2(num_sets)`.
+    set_shift: u32,
     tick: u64,
 }
 
@@ -51,29 +61,37 @@ impl Cache {
     ///
     /// # Panics
     ///
-    /// Panics if the configuration yields zero sets.
+    /// Panics if the configuration yields zero sets, or if the line size
+    /// or set count is not a power of two ([`CacheConfig::check_shape`]).
     pub fn new(config: &CacheConfig) -> Self {
-        let num_sets = config.num_sets();
-        assert!(num_sets > 0, "cache too small for associativity");
+        config.check_shape("cache");
         Cache {
-            sets: vec![vec![Line::empty(); config.assoc]; num_sets],
-            line_bytes: config.line_bytes,
+            lines: vec![Line::empty(); config.assoc * config.num_sets()],
+            assoc: config.assoc,
+            set_mask: config.num_sets() - 1,
+            line_shift: config.line_bytes.trailing_zeros(),
+            set_shift: config.num_sets().trailing_zeros(),
             tick: 0,
         }
     }
 
+    fn set(&self, set: usize) -> &[Line] {
+        &self.lines[set * self.assoc..][..self.assoc]
+    }
+
+    fn set_mut(&mut self, set: usize) -> &mut [Line] {
+        &mut self.lines[set * self.assoc..][..self.assoc]
+    }
+
     fn set_and_tag(&self, addr: u64) -> (usize, u64) {
-        let line = addr / self.line_bytes as u64;
-        (
-            (line as usize) % self.sets.len(),
-            line / self.sets.len() as u64,
-        )
+        let line = addr >> self.line_shift;
+        ((line as usize) & self.set_mask, line >> self.set_shift)
     }
 
     /// Probe without modifying state.
     pub fn probe(&self, addr: u64) -> bool {
         let (set, tag) = self.set_and_tag(addr);
-        self.sets[set].iter().any(|l| l.valid && l.tag == tag)
+        self.set(set).iter().any(|l| l.valid && l.tag == tag)
     }
 
     /// Access `addr`; on a miss, fill the line (evicting LRU). `write`
@@ -82,7 +100,7 @@ impl Cache {
         self.tick += 1;
         let tick = self.tick;
         let (set, tag) = self.set_and_tag(addr);
-        let lines = &mut self.sets[set];
+        let lines = self.set_mut(set);
         if let Some(line) = lines.iter_mut().find(|l| l.valid && l.tag == tag) {
             line.last_used = tick;
             line.dirty |= write;
@@ -92,15 +110,15 @@ impl Cache {
                 evicted_addr: None,
             };
         }
-        let num_sets = self.sets.len() as u64;
-        let lines = &mut self.sets[set];
-        let victim = lines
+        let (set_shift, line_shift) = (self.set_shift, self.line_shift);
+        let victim = self
+            .set_mut(set)
             .iter_mut()
             .min_by_key(|l| if l.valid { l.last_used } else { 0 })
             .expect("associativity > 0");
         let evicted_dirty = victim.valid && victim.dirty;
         let evicted_addr =
-            evicted_dirty.then(|| (victim.tag * num_sets + set as u64) * self.line_bytes as u64);
+            evicted_dirty.then(|| ((victim.tag << set_shift) | set as u64) << line_shift);
         *victim = Line {
             tag,
             valid: true,
@@ -126,7 +144,7 @@ impl Cache {
     /// delete dead values, so no write-back is needed).
     pub fn invalidate(&mut self, addr: u64) -> bool {
         let (set, tag) = self.set_and_tag(addr);
-        for line in &mut self.sets[set] {
+        for line in self.set_mut(set) {
             if line.valid && line.tag == tag {
                 line.valid = false;
                 line.dirty = false;
@@ -138,7 +156,7 @@ impl Cache {
 
     /// Number of valid lines (for occupancy checks in tests).
     pub fn occupancy(&self) -> usize {
-        self.sets.iter().flatten().filter(|l| l.valid).count()
+        self.lines.iter().filter(|l| l.valid).count()
     }
 }
 
@@ -209,7 +227,7 @@ mod tests {
 #[cfg(test)]
 mod proptests {
     use super::*;
-    use crate::config::CacheConfig;
+    use crate::config::{CacheConfig, GpuConfig};
     use proptest::prelude::*;
     use std::collections::HashMap;
 
@@ -220,7 +238,9 @@ mod proptests {
     }
 
     impl RefCache {
-        fn access(&mut self, sets: usize, assoc: usize, line: u64) -> bool {
+        /// Access `line`; returns whether it hit and the line evicted to
+        /// make room, if any.
+        fn access(&mut self, sets: usize, assoc: usize, line: u64) -> (bool, Option<u64>) {
             let set = self.sets.entry((line as usize) % sets).or_default();
             let hit = if let Some(pos) = set.iter().position(|&l| l == line) {
                 set.remove(pos);
@@ -229,24 +249,37 @@ mod proptests {
                 false
             };
             set.push(line);
-            if set.len() > assoc {
-                set.remove(0);
-            }
-            hit
+            let evicted = (set.len() > assoc).then(|| set.remove(0));
+            (hit, evicted)
         }
     }
 
     proptest! {
-        /// Hit/miss behaviour matches an LRU reference model exactly.
+        /// Hits, misses and written-back victims match an LRU reference
+        /// model exactly, on a tiny shape and on the GTX 980's L1 (64 sets
+        /// × 6 ways) and L2-partition (256 sets × 16 ways) shapes. Accesses
+        /// hit four sets with up to 24 tags each, so every shape's ways
+        /// fill and evict.
         #[test]
-        fn matches_lru_reference(addrs in proptest::collection::vec(0u64..32, 1..200)) {
-            let config = CacheConfig { bytes: 1024, assoc: 2, line_bytes: 128, hit_latency: 1 };
+        fn matches_lru_reference(
+            shape in 0usize..3,
+            picks in proptest::collection::vec((0u64..4, 0u64..24), 1..400),
+        ) {
+            let gtx = GpuConfig::gtx980();
+            let tiny = CacheConfig { bytes: 1024, assoc: 2, line_bytes: 128, hit_latency: 1 };
+            let config = [tiny, gtx.l1, gtx.l2_partition()][shape];
+            let sets = config.num_sets();
+            let line_bytes = config.line_bytes as u64;
             let mut cache = Cache::new(&config);
             let mut reference = RefCache::default();
-            for &line in &addrs {
-                let got = cache.access(line * 128, false).hit;
-                let want = reference.access(config.num_sets(), config.assoc, line);
-                prop_assert_eq!(got, want, "line {}", line);
+            for &(set, tag) in &picks {
+                let line = tag * sets as u64 + set;
+                // Writes make every line dirty, so each eviction reports
+                // its victim's address.
+                let got = cache.access(line * line_bytes, true);
+                let (hit, evicted) = reference.access(sets, config.assoc, line);
+                prop_assert_eq!(got.hit, hit, "shape {} line {}", shape, line);
+                prop_assert_eq!(got.evicted_addr, evicted.map(|l| l * line_bytes));
             }
         }
 

@@ -21,6 +21,28 @@ impl CacheConfig {
     pub fn num_sets(&self) -> usize {
         self.bytes / (self.assoc * self.line_bytes)
     }
+
+    /// Check that [`crate::cache::Cache`] can index this shape: at least
+    /// one set, and a line size and set count that are powers of two, so
+    /// an address splits into tag, set and offset with shifts and a mask.
+    /// `what` names the cache in the message.
+    ///
+    /// # Panics
+    ///
+    /// Panics if the shape breaks either rule.
+    pub fn check_shape(&self, what: &str) {
+        let sets = self.num_sets();
+        assert!(sets > 0, "{what} too small for its associativity");
+        assert!(
+            self.line_bytes.is_power_of_two(),
+            "{what} line size {} is not a power of two",
+            self.line_bytes
+        );
+        assert!(
+            sets.is_power_of_two(),
+            "{what} set count {sets} is not a power of two"
+        );
+    }
 }
 
 /// Warp-scheduler selection.
@@ -171,13 +193,23 @@ impl GpuConfig {
         }
     }
 
+    /// The shape of one L2 partition: the L2 split evenly by
+    /// [`GpuConfig::l2_partitions`].
+    pub fn l2_partition(&self) -> CacheConfig {
+        CacheConfig {
+            bytes: self.l2.bytes / self.l2_partitions,
+            ..self.l2
+        }
+    }
+
     /// Validate internal consistency.
     ///
     /// # Panics
     ///
     /// Panics if warps are not divisible among schedulers, an SM holds
     /// more warps than a [`crate::WarpMask`] has bits, or cache shapes are
-    /// degenerate — configuration bugs, not data errors.
+    /// degenerate or not powers of two ([`CacheConfig::check_shape`]; the
+    /// L2 partition count too) — configuration bugs, not data errors.
     pub fn validate(&self) {
         assert!(self.num_sms > 0 && self.warps_per_sm > 0 && self.schedulers_per_sm > 0);
         assert!(
@@ -195,13 +227,14 @@ impl GpuConfig {
             0,
             "warps must divide evenly among schedulers"
         );
-        assert!(self.l1.num_sets() > 0, "L1 too small for its associativity");
-        assert!(self.l2.num_sets() > 0, "L2 too small for its associativity");
+        self.l1.check_shape("L1");
         assert!(self.l2_ports > 0 && self.dram_ports > 0);
         assert!(
-            self.l2_partitions > 0 && self.l2.bytes.is_multiple_of(self.l2_partitions),
-            "L2 must split evenly into partitions"
+            self.l2_partitions.is_power_of_two()
+                && self.l2.bytes.is_multiple_of(self.l2_partitions),
+            "L2 must split evenly into a power-of-two number of partitions"
         );
+        self.l2_partition().check_shape("L2 partition");
         assert!(self.issue_slots_per_scheduler > 0, "schedulers must issue");
     }
 }
@@ -377,6 +410,28 @@ mod tests {
             warps_per_sm: 10,
             warps_per_block: 5,
             schedulers_per_sm: 4,
+            ..GpuConfig::gtx980()
+        };
+        c.validate();
+    }
+
+    #[test]
+    #[should_panic(expected = "L1 set count 96 is not a power of two")]
+    fn non_power_of_two_set_count_panics() {
+        let mut c = GpuConfig::gtx980();
+        c.l1.assoc = 4; // 48 KiB / (4 ways × 128 B) = 96 sets
+        c.validate();
+    }
+
+    #[test]
+    #[should_panic(expected = "power-of-two number of partitions")]
+    fn non_power_of_two_l2_partitions_panics() {
+        let c = GpuConfig {
+            l2_partitions: 3,
+            l2: CacheConfig {
+                bytes: 3 * 512 * 1024,
+                ..GpuConfig::gtx980().l2
+            },
             ..GpuConfig::gtx980()
         };
         c.validate();

@@ -7,7 +7,7 @@
 //! SM** — the scarce resource that shapes the whole RegLess design (§2.2).
 
 use crate::cache::Cache;
-use crate::config::{CacheConfig, Cycle, GpuConfig};
+use crate::config::{Cycle, GpuConfig};
 use crate::stats::MemStats;
 
 /// Which traffic class an access belongs to (for statistics and the
@@ -104,7 +104,8 @@ impl MshrFile {
     /// Whether the file is full at `now` (read-only: stale completions are
     /// filtered, not retired, so attribution queries never perturb state).
     fn is_full(&self, now: Cycle) -> bool {
-        self.completions.iter().filter(|&&c| c > now).count() >= self.capacity
+        self.completions.len() >= self.capacity
+            && self.completions.iter().filter(|&&c| c > now).count() >= self.capacity
     }
 
     /// First cycle at which the file is no longer full, assuming no new
@@ -134,8 +135,12 @@ pub struct MemSystem {
     /// misses travel to the L2 through this, not through the L1 array port.
     inject_port: Vec<PortSet>,
     l1_mshrs: Vec<MshrFile>,
-    /// Address-interleaved L2 partitions, each with its own tag array.
+    /// Address-interleaved L2 partitions, each with its own tag array
+    /// (a power-of-two count, [`GpuConfig::validate`]).
     l2: Vec<Cache>,
+    /// `log2` of the L2 line size: a line address's partition is its line
+    /// number masked by the partition count.
+    l2_line_shift: u32,
     l2_port: PortSet,
     dram_port: PortSet,
     /// Aggregate counters.
@@ -156,15 +161,10 @@ impl MemSystem {
             l1_mshrs: (0..config.num_sms)
                 .map(|_| MshrFile::new(config.l1_mshrs))
                 .collect(),
-            l2: {
-                let part = CacheConfig {
-                    bytes: config.l2.bytes / config.l2_partitions,
-                    ..config.l2
-                };
-                (0..config.l2_partitions)
-                    .map(|_| Cache::new(&part))
-                    .collect()
-            },
+            l2: (0..config.l2_partitions)
+                .map(|_| Cache::new(&config.l2_partition()))
+                .collect(),
+            l2_line_shift: config.l2.line_bytes.trailing_zeros(),
             l2_port: PortSet::new(config.l2_ports),
             dram_port: PortSet::new(config.dram_ports),
             stats: MemStats::default(),
@@ -286,7 +286,7 @@ impl MemSystem {
         }
         let start = self.l2_port.reserve(now);
         // Partition by line address (interleaved across partitions).
-        let part = (line_addr / self.config.l2.line_bytes as u64) as usize % self.l2.len();
+        let part = (line_addr >> self.l2_line_shift) as usize & (self.l2.len() - 1);
         let hit = self.l2[part].access(line_addr, write).hit;
         let l2_done = start + self.config.l2.hit_latency;
         if hit {

@@ -327,11 +327,18 @@ impl SmStats {
 
     /// Whether a telemetry recorder is attached; callers doing non-trivial
     /// work to *construct* event data should check first.
+    #[inline]
     pub fn telemetry_enabled(&self) -> bool {
         self.recorder.is_some()
     }
 
     /// Record one structured event if telemetry is enabled.
+    ///
+    /// This and the other telemetry gates are `#[inline]`, so with no
+    /// recorder a call site costs one branch and builds no event; the
+    /// recording itself (`trace::emit`, the recorder's methods)
+    /// stays out of line.
+    #[inline]
     pub fn trace_event(&mut self, cycle: crate::config::Cycle, event: crate::trace::TraceEvent) {
         if let Some(r) = &mut self.recorder {
             crate::trace::emit(r, cycle, &event);
@@ -339,6 +346,7 @@ impl SmStats {
     }
 
     /// Record a value into a named telemetry histogram if enabled.
+    #[inline]
     pub fn observe(&mut self, hist: &'static str, value: u64) {
         if let Some(r) = &mut self.recorder {
             r.observe(hist, value);
@@ -346,6 +354,7 @@ impl SmStats {
     }
 
     /// Append a point to a named telemetry time series if enabled.
+    #[inline]
     pub fn sample(&mut self, series: &'static str, ts: crate::config::Cycle, value: f64) {
         if let Some(r) = &mut self.recorder {
             r.sample(series, ts, value);

@@ -46,6 +46,7 @@ impl SelfProfiler {
     /// Start a scoped timer for `phase` on `prof`; the elapsed time is
     /// recorded when the returned guard drops. With no profiler attached
     /// (`None`) the guard is inert and the clock is never read.
+    #[inline]
     pub fn scope<'a>(prof: Option<&'a SelfProfiler>, phase: &'static str) -> PhaseGuard<'a> {
         PhaseGuard {
             active: prof.map(|p| (p, phase, Instant::now())),
@@ -129,6 +130,7 @@ pub struct PhaseGuard<'a> {
 }
 
 impl Drop for PhaseGuard<'_> {
+    #[inline]
     fn drop(&mut self) {
         if let Some((prof, phase, started)) = self.active.take() {
             prof.record(phase, started.elapsed().as_nanos() as u64);

@@ -89,6 +89,13 @@
 //! assert this property); unattached, the instrumentation never reads a
 //! clock.
 
+// The front door reports errors instead of panicking: a user's input must
+// never end in exit 101. The tests below may unwrap.
+#![cfg_attr(
+    not(test),
+    deny(clippy::unwrap_used, clippy::expect_used, clippy::panic)
+)]
+
 use regless::bench::profile::{diff as profile_diff, ProfileReport};
 use regless::bench::registry;
 use regless::bench::report::collect as report_collect;
@@ -451,6 +458,7 @@ fn cmd_trace(args: &[String]) -> CmdResult {
         ..Attach::default()
     };
     let (_, report) = design.execute(&kernel, &attach)?;
+    #[allow(clippy::expect_used)] // `attach` above asked for telemetry
     let telemetry = report
         .telemetry
         .as_ref()
@@ -721,6 +729,7 @@ fn cmd_submit(args: &[String]) -> CmdResult {
         failed += u64::from(!reply.ok);
         resp = Some(reply);
     }
+    #[allow(clippy::expect_used)] // `--repeat 0` is rejected, so the loop ran
     let resp = resp.expect("at least one request was sent");
     outln!("{}", resp.clone().into_json().to_string_pretty());
     if trace {
