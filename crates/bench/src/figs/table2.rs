@@ -1,7 +1,8 @@
 //! Table 2: average static instructions per region and average dynamic
 //! cycles per region activation.
 
-use crate::{compile_default, format_table, run_design, DesignKind};
+use crate::sweep;
+use crate::{compile_default, format_table, DesignKind};
 use regless_workloads::rodinia;
 
 /// Regenerate the table.
@@ -10,7 +11,7 @@ pub fn report() -> String {
     for name in rodinia::NAMES {
         let kernel = rodinia::kernel(name);
         let insns = compile_default(&kernel).mean_region_len();
-        let r = run_design(&kernel, DesignKind::regless_512());
+        let r = sweep::design(&sweep::rodinia_id(name), DesignKind::regless_512());
         let t = r.total();
         let cycles = t.region_active_cycles as f64 / t.regions_activated.max(1) as f64;
         rows.push(vec![

@@ -376,11 +376,16 @@ pub fn parse_with_aliases(
 ) -> Result<DesignKind, String> {
     let entry = lookup(id_of(text));
     let declares = |name| strict || entry.is_some_and(|e| e.params.iter().any(|p| p.name == name));
+    let capacity = capacity.filter(|_| declares("capacity"));
+    let compressor = compressor.filter(|_| declares("compressor"));
+    if capacity.is_none() && compressor.is_none() {
+        return parse(text);
+    }
     let mut full = text.to_string();
-    if let Some(capacity) = capacity.filter(|_| declares("capacity")) {
+    if let Some(capacity) = capacity {
         full.push_str(&format!(":capacity={capacity}"));
     }
-    if let Some(compressor) = compressor.filter(|_| declares("compressor")) {
+    if let Some(compressor) = compressor {
         full.push_str(&format!(":compressor={compressor}"));
     }
     parse(&full)

@@ -249,15 +249,16 @@ impl SweepStats {
 /// what [`DesignKind::execute`] takes besides the kernel.
 pub type Key = (String, DesignKind, GpuConfig);
 
-/// One memoized simulation: the report, plus its compact `stable_json()`
-/// text, rendered the first time a caller asks for it and shared by every
-/// later one. A served `run` reply splices that text instead of
-/// rebuilding and re-rendering the report per request; `profile` and
-/// `report` replies do the same with their payloads. Derefs to the
-/// report.
+/// One memoized simulation: the report, its IPC, and its compact
+/// `stable_json()` text, rendered the first time a caller asks for it and
+/// shared by every later one. A served `run` reply splices that text
+/// instead of rebuilding and re-rendering the report per request;
+/// `profile` and `report` replies do the same with their payloads. Derefs
+/// to the report.
 #[derive(Debug)]
 pub struct CachedRun {
     report: Arc<RunReport>,
+    ipc: f64,
     stable_text: OnceLock<Arc<str>>,
     profile_text: OnceLock<Arc<str>>,
     summary_text: OnceLock<Arc<str>>,
@@ -267,11 +268,19 @@ impl CachedRun {
     /// Wrap a report; its texts are rendered on first use.
     pub fn new(report: Arc<RunReport>) -> CachedRun {
         CachedRun {
+            ipc: report.ipc(),
             report,
             stable_text: OnceLock::new(),
             profile_text: OnceLock::new(),
             summary_text: OnceLock::new(),
         }
+    }
+
+    /// [`RunReport::ipc`], computed once when the run was cached (the
+    /// report's own method merges every SM's counters per call). Shadows
+    /// the report's method for callers holding a `CachedRun`.
+    pub fn ipc(&self) -> f64 {
+        self.ipc
     }
 
     /// `self.stable_json().to_string_compact()`, rendered once.
@@ -332,10 +341,15 @@ impl Deref for CachedRun {
 
 type Cell = Arc<OnceLock<Arc<CachedRun>>>;
 
+/// The memo table: benchmark id, then the rest of a [`Key`]. Split in two
+/// so a probe borrows the id (`String: Borrow<str>`) and allocates a key
+/// only the first time a point is seen.
+type MemoTable = HashMap<String, HashMap<(DesignKind, GpuConfig), Cell>>;
+
 /// The memoizing simulation runner. Use the process-wide [`engine`] in
 /// experiment code; construct directly only in tests.
 pub struct SweepEngine {
-    cache: Mutex<HashMap<Key, Cell>>,
+    cache: Mutex<MemoTable>,
     counters: Counters,
     /// Every `run` call in order: the timing table, the simulated wall
     /// time and its histogram all read this one log.
@@ -423,10 +437,11 @@ impl SweepEngine {
     /// The memo cell of one key, created empty on first use.
     fn cell(&self, bench: &str, design: DesignKind, gpu: GpuConfig) -> Cell {
         let mut map = self.cache.lock().expect("sweep cache poisoned");
-        Arc::clone(
-            map.entry((bench.to_string(), design, gpu))
-                .or_insert_with(|| Arc::new(OnceLock::new())),
-        )
+        let points = match map.get_mut(bench) {
+            Some(points) => points,
+            None => map.entry(bench.to_string()).or_default(),
+        };
+        Arc::clone(points.entry((design, gpu)).or_default())
     }
 
     /// Cache-only lookup: the memoized run if this process already has

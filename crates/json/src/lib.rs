@@ -113,6 +113,21 @@ impl Json {
         }
     }
 
+    /// The string this value holds, moved out.
+    ///
+    /// # Errors
+    ///
+    /// Fails, as `String::from_json` does, if `self` is not a string.
+    pub fn into_string(self) -> Result<String, JsonError> {
+        match self {
+            Json::Str(s) => Ok(s),
+            other => Err(JsonError::new(format!(
+                "expected string, got {}",
+                other.kind()
+            ))),
+        }
+    }
+
     /// The value's type name, for error messages.
     pub fn kind(&self) -> &'static str {
         match self {
@@ -130,8 +145,14 @@ impl Json {
     /// Serialize without whitespace.
     pub fn to_string_compact(&self) -> String {
         let mut out = String::new();
-        self.write(&mut out, None, 0);
+        self.write_compact(&mut out);
         out
+    }
+
+    /// Append [`Json::to_string_compact`]'s text to `out`, so a caller can
+    /// render into a buffer it reuses.
+    pub fn write_compact(&self, out: &mut String) {
+        self.write(out, None, 0);
     }
 
     /// Serialize with two-space indentation.
@@ -202,14 +223,11 @@ impl Json {
     ///
     /// Fails on malformed JSON or trailing garbage.
     pub fn parse(text: &str) -> Result<Json, JsonError> {
-        let mut p = Parser {
-            bytes: text.as_bytes(),
-            pos: 0,
-        };
+        let mut p = Parser { text, pos: 0 };
         p.skip_ws();
         let v = p.value()?;
         p.skip_ws();
-        if p.pos != p.bytes.len() {
+        if p.pos != text.len() {
             return Err(JsonError::new(format!(
                 "trailing characters at byte {}",
                 p.pos
@@ -260,10 +278,10 @@ fn push_f64(out: &mut String, x: f64) {
     }
 }
 
-/// Append `s` as a JSON string literal. Only `"`, `\` and control
-/// characters need escapes, and all are ASCII, so the text between them
-/// is copied in whole runs.
-fn write_escaped(out: &mut String, s: &str) {
+/// Append `s` as a JSON string literal, exactly as [`Json::Str`] is
+/// written. Only `"`, `\` and control characters need escapes, and all are
+/// ASCII, so the text between them is copied in whole runs.
+pub fn write_escaped(out: &mut String, s: &str) {
     const HEX: &[u8; 16] = b"0123456789abcdef";
     out.push('"');
     let mut run = 0;
@@ -292,21 +310,19 @@ fn write_escaped(out: &mut String, s: &str) {
 }
 
 struct Parser<'a> {
-    bytes: &'a [u8],
+    text: &'a str,
     pos: usize,
 }
 
 impl Parser<'_> {
     fn skip_ws(&mut self) {
-        while self.pos < self.bytes.len()
-            && matches!(self.bytes[self.pos], b' ' | b'\t' | b'\n' | b'\r')
-        {
+        while matches!(self.peek(), Some(b' ' | b'\t' | b'\n' | b'\r')) {
             self.pos += 1;
         }
     }
 
     fn peek(&self) -> Option<u8> {
-        self.bytes.get(self.pos).copied()
+        self.text.as_bytes().get(self.pos).copied()
     }
 
     fn expect(&mut self, b: u8) -> Result<(), JsonError> {
@@ -322,7 +338,7 @@ impl Parser<'_> {
     }
 
     fn literal(&mut self, word: &str, value: Json) -> Result<Json, JsonError> {
-        if self.bytes[self.pos..].starts_with(word.as_bytes()) {
+        if self.text[self.pos..].starts_with(word) {
             self.pos += word.len();
             Ok(value)
         } else {
@@ -411,61 +427,51 @@ impl Parser<'_> {
         }
     }
 
+    /// A string literal. The text between the quotes, escapes and the end
+    /// is copied one whole run at a time: runs end only at the ASCII bytes
+    /// `"` and `\`, so each is a slice of the (valid UTF-8) input.
     fn string(&mut self) -> Result<String, JsonError> {
         self.expect(b'"')?;
         let mut out = String::new();
         loop {
+            let run = self.pos;
+            while !matches!(self.peek(), Some(b'"' | b'\\') | None) {
+                self.pos += 1;
+            }
+            out.push_str(&self.text[run..self.pos]);
             let Some(b) = self.peek() else {
                 return Err(JsonError::new("unterminated string"));
             };
             self.pos += 1;
-            match b {
-                b'"' => return Ok(out),
-                b'\\' => {
-                    let Some(esc) = self.peek() else {
-                        return Err(JsonError::new("unterminated escape"));
-                    };
-                    self.pos += 1;
-                    match esc {
-                        b'"' => out.push('"'),
-                        b'\\' => out.push('\\'),
-                        b'/' => out.push('/'),
-                        b'n' => out.push('\n'),
-                        b'r' => out.push('\r'),
-                        b't' => out.push('\t'),
-                        b'b' => out.push('\u{8}'),
-                        b'f' => out.push('\u{c}'),
-                        b'u' => {
-                            let hex = self
-                                .bytes
-                                .get(self.pos..self.pos + 4)
-                                .and_then(|h| std::str::from_utf8(h).ok())
-                                .ok_or_else(|| JsonError::new("bad \\u escape"))?;
-                            let code = u32::from_str_radix(hex, 16)
-                                .map_err(|_| JsonError::new("bad \\u escape"))?;
-                            self.pos += 4;
-                            // Surrogate pairs are not needed by our writers;
-                            // map lone surrogates to the replacement char.
-                            out.push(char::from_u32(code).unwrap_or('\u{fffd}'));
-                        }
-                        other => {
-                            return Err(JsonError::new(format!("bad escape `\\{}`", other as char)))
-                        }
-                    }
+            if b == b'"' {
+                return Ok(out);
+            }
+            let Some(esc) = self.peek() else {
+                return Err(JsonError::new("unterminated escape"));
+            };
+            self.pos += 1;
+            match esc {
+                b'"' => out.push('"'),
+                b'\\' => out.push('\\'),
+                b'/' => out.push('/'),
+                b'n' => out.push('\n'),
+                b'r' => out.push('\r'),
+                b't' => out.push('\t'),
+                b'b' => out.push('\u{8}'),
+                b'f' => out.push('\u{c}'),
+                b'u' => {
+                    let hex = self
+                        .text
+                        .get(self.pos..self.pos + 4)
+                        .ok_or_else(|| JsonError::new("bad \\u escape"))?;
+                    let code = u32::from_str_radix(hex, 16)
+                        .map_err(|_| JsonError::new("bad \\u escape"))?;
+                    self.pos += 4;
+                    // Surrogate pairs are not needed by our writers; map
+                    // lone surrogates to the replacement char.
+                    out.push(char::from_u32(code).unwrap_or('\u{fffd}'));
                 }
-                _ => {
-                    // Consume the full UTF-8 sequence starting at b.
-                    let start = self.pos - 1;
-                    let len = utf8_len(b);
-                    let end = start + len;
-                    let s = self
-                        .bytes
-                        .get(start..end)
-                        .and_then(|chunk| std::str::from_utf8(chunk).ok())
-                        .ok_or_else(|| JsonError::new("invalid utf-8 in string"))?;
-                    out.push_str(s);
-                    self.pos = end;
-                }
+                other => return Err(JsonError::new(format!("bad escape `\\{}`", other as char))),
             }
         }
     }
@@ -496,8 +502,7 @@ impl Parser<'_> {
                 self.pos += 1;
             }
         }
-        let text =
-            std::str::from_utf8(&self.bytes[start..self.pos]).expect("ascii digits are utf-8");
+        let text = &self.text[start..self.pos];
         if !is_float {
             if let Ok(i) = text.parse::<i64>() {
                 return Ok(Json::Int(i));
@@ -509,15 +514,6 @@ impl Parser<'_> {
         text.parse::<f64>()
             .map(Json::Float)
             .map_err(|_| JsonError::new(format!("bad number `{text}`")))
-    }
-}
-
-fn utf8_len(first: u8) -> usize {
-    match first {
-        0x00..=0x7f => 1,
-        0xc0..=0xdf => 2,
-        0xe0..=0xef => 3,
-        _ => 4,
     }
 }
 
@@ -1035,6 +1031,103 @@ mod tests {
             Json::parse(&outer(raw).to_string_compact()).unwrap(),
             outer(inner)
         );
+    }
+
+    /// A random string of ASCII runs (up to 40 bytes, so the parser's
+    /// run copy spans many bytes), characters that need escapes, every
+    /// control character, DEL and 2-, 3- and 4-byte UTF-8.
+    fn mixed_string(rng: &mut Rng) -> String {
+        const WIDE: &[char] = &['é', 'ø', '€', '中', '\u{fffd}', '😀', '\u{10ffff}'];
+        let mut s = String::new();
+        for _ in 0..rng.below(8) {
+            match rng.below(5) {
+                0 => {
+                    let len = rng.below(41);
+                    s.extend((0..len).map(|_| char::from(b' ' + rng.below(95) as u8)));
+                }
+                1 => s.push(['"', '\\', '/'][rng.below(3) as usize]),
+                2 => s.push(char::from(rng.below(0x20) as u8)),
+                3 => s.push('\u{7f}'),
+                _ => s.push(WIDE[rng.below(WIDE.len() as u64) as usize]),
+            }
+        }
+        s
+    }
+
+    /// A JSON literal that spells `s`, each character written raw (when
+    /// JSON allows it) or through one of the escapes that decode to it.
+    fn spell(rng: &mut Rng, s: &str) -> String {
+        let mut text = String::from("\"");
+        for c in s.chars() {
+            let short = match c {
+                '"' => Some("\\\""),
+                '\\' => Some("\\\\"),
+                '/' => Some("\\/"),
+                '\n' => Some("\\n"),
+                '\r' => Some("\\r"),
+                '\t' => Some("\\t"),
+                '\u{8}' => Some("\\b"),
+                '\u{c}' => Some("\\f"),
+                _ => None,
+            };
+            // RFC 8259 allows every character raw except `"`, `\` and
+            // the control characters below U+0020.
+            let code = u32::from(c);
+            let raw_ok = code >= 0x20 && !matches!(c, '"' | '\\');
+            match (rng.below(3), short) {
+                (0, _) if raw_ok => text.push(c),
+                (1, Some(e)) => text.push_str(e),
+                _ if code <= 0xffff => {
+                    let hex = if rng.below(2) == 0 {
+                        format!("\\u{code:04x}")
+                    } else {
+                        format!("\\u{code:04X}")
+                    };
+                    text.push_str(&hex);
+                }
+                _ => text.push(c),
+            }
+        }
+        text.push('"');
+        text
+    }
+
+    #[test]
+    fn strings_round_trip_through_every_spelling() {
+        let mut rng = Rng(0x0dd_ba11_5eed_cafe);
+        for case in 0..5_000 {
+            let s = mixed_string(&mut rng);
+            let v = Json::Str(s.clone());
+            let compact = v.to_string_compact();
+            assert_eq!(compact, reference::to_string_compact(&v), "case {case}");
+            assert_eq!(Json::parse(&compact).as_ref(), Ok(&v), "case {case}: {s:?}");
+            let spelled = spell(&mut rng, &s);
+            assert_eq!(
+                Json::parse(&spelled).as_ref(),
+                Ok(&v),
+                "case {case}: {spelled:?}"
+            );
+        }
+    }
+
+    #[test]
+    fn malformed_strings_keep_their_error_messages() {
+        for (text, message) in [
+            ("\"", "unterminated string"),
+            ("\"abc", "unterminated string"),
+            ("\"a\\\"", "unterminated string"),
+            ("[\"é€😀", "unterminated string"),
+            ("\"abc\\", "unterminated escape"),
+            ("\"\\u12\"", "bad \\u escape"),
+            ("\"\\u12", "bad \\u escape"),
+            ("\"\\uzzzz\"", "bad \\u escape"),
+            ("\"\\u-123\"", "bad \\u escape"),
+            ("\"\\x\"", "bad escape `\\x`"),
+            ("\"ab\\'\"", "bad escape `\\'`"),
+            ("{\"k\\q\":1}", "bad escape `\\q`"),
+        ] {
+            assert_eq!(Json::parse(text), Err(JsonError::new(message)), "{text:?}");
+        }
     }
 
     #[test]

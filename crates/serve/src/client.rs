@@ -69,6 +69,8 @@ fn splitmix64(mut x: u64) -> u64 {
 pub struct Client {
     reader: BufReader<TcpStream>,
     writer: TcpStream,
+    /// The line buffer, reused from one reply to the next.
+    line: String,
 }
 
 impl Client {
@@ -88,6 +90,7 @@ impl Client {
         Ok(Client {
             reader: BufReader::new(stream),
             writer,
+            line: String::new(),
         })
     }
 
@@ -100,7 +103,7 @@ impl Client {
     /// unparseable response line.
     pub fn request(&mut self, req: &Request) -> std::io::Result<Response> {
         write_json_line(&mut self.writer, &req.to_json())?;
-        let json = read_json_line(&mut self.reader)?.ok_or_else(|| {
+        let json = read_json_line(&mut self.reader, &mut self.line)?.ok_or_else(|| {
             std::io::Error::new(
                 std::io::ErrorKind::UnexpectedEof,
                 "server closed the connection before responding",

@@ -50,13 +50,19 @@
 //! ```
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
+// The server answers every request with a structured reply instead of
+// panicking: a client's input must never take it down. Tests may unwrap.
+#![cfg_attr(
+    not(test),
+    deny(clippy::unwrap_used, clippy::expect_used, clippy::panic)
+)]
 
 pub mod client;
 pub mod proto;
 pub mod server;
 
 pub use client::{Client, RetryOutcome, RetryPolicy};
-pub use proto::{ErrorBody, ErrorCode, Request, RequestKind, Response, PROTOCOL_VERSION};
+pub use proto::{ErrorBody, ErrorCode, Reply, Request, RequestKind, Response, PROTOCOL_VERSION};
 pub use server::{ServeConfig, Server, ServerHandle};
 
 /// Default listen address when none is given (`regless serve` /

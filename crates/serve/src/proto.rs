@@ -7,8 +7,9 @@
 //! module is the single encoder/decoder both the server and the clients
 //! (CLI `submit` and `obs`, tests) share.
 
-use regless_json::{FromJson, Json, JsonError, ToJson};
-use std::io::{BufRead, Write};
+use regless_json::{write_escaped, FromJson, Json, JsonError, ToJson};
+use std::io::{BufRead, IoSlice, Write};
+use std::sync::Arc;
 
 /// Version of the JSONL wire protocol, reported by `stats` as
 /// `protocol_version`.
@@ -149,27 +150,43 @@ impl Request {
         Json::Obj(present.collect())
     }
 
-    /// Parse one wire line. A missing `design` is `regless`; other
-    /// missing optional fields are `None`.
+    /// Decode one parsed wire line, moving its strings out of the tree. A
+    /// missing `design` is `regless`; other missing optional fields are
+    /// `None`. Where a field appears twice, the first one counts.
     ///
     /// # Errors
     ///
-    /// Returns a [`JsonError`] for malformed JSON, a missing/unknown
-    /// `kind`, or ill-typed fields.
-    pub fn from_json(v: &Json) -> Result<Request, JsonError> {
-        let id = optional(v, "id")?.unwrap_or(0);
-        let kind_str: String = FromJson::from_json(v.field("kind")?)?;
-        let kind = RequestKind::parse(&kind_str)
-            .ok_or_else(|| JsonError::new(format!("unknown request kind {kind_str:?}")))?;
+    /// Returns a [`JsonError`] for a non-object, a missing/unknown `kind`,
+    /// or ill-typed fields.
+    pub fn from_json(v: Json) -> Result<Request, JsonError> {
+        let mut fields = match v {
+            Json::Obj(fields) => fields,
+            other => {
+                return Err(JsonError::new(format!(
+                    "expected object with field `id`, got {}",
+                    other.kind()
+                )))
+            }
+        };
+        let f = &mut fields;
+        let id = optional(f, "id")?.unwrap_or(0);
+        let kind = take(f, "kind")
+            .ok_or_else(|| JsonError::new("missing field `kind`"))?
+            .into_string()?;
+        let kind = RequestKind::parse(&kind)
+            .ok_or_else(|| JsonError::new(format!("unknown request kind {kind:?}")))?;
         Ok(Request {
             id,
             kind,
-            kernel: optional(v, "kernel")?,
-            design: optional(v, "design")?.unwrap_or_else(|| "regless".to_string()),
-            capacity: optional(v, "capacity")?,
-            compressor: optional(v, "compressor")?,
-            timeout_ms: optional(v, "timeout_ms")?,
-            trace_id: optional(v, "trace_id")?,
+            kernel: take(f, "kernel").map(Json::into_string).transpose()?,
+            design: match take(f, "design") {
+                Some(design) => design.into_string()?,
+                None => "regless".to_string(),
+            },
+            capacity: optional(f, "capacity")?,
+            compressor: optional(f, "compressor")?,
+            timeout_ms: optional(f, "timeout_ms")?,
+            trace_id: take(f, "trace_id").map(Json::into_string).transpose()?,
         })
     }
 
@@ -182,8 +199,23 @@ impl Request {
     }
 }
 
+/// Move the first field `name` out of an object's fields. Each name is
+/// taken once, so the `null` left in its place is never read.
+fn take(fields: &mut [(String, Json)], name: &str) -> Option<Json> {
+    let (_, v) = fields.iter_mut().find(|(k, _)| k == name)?;
+    Some(std::mem::replace(v, Json::Null))
+}
+
+/// Scalar field `name` of an object's fields, or `None` when it is absent.
+fn optional<T: FromJson>(
+    fields: &mut [(String, Json)],
+    name: &str,
+) -> Result<Option<T>, JsonError> {
+    take(fields, name).map(|v| T::from_json(&v)).transpose()
+}
+
 /// Field `name` of the object `v`, or `None` when it is absent.
-fn optional<T: FromJson>(v: &Json, name: &str) -> Result<Option<T>, JsonError> {
+fn field<T: FromJson>(v: &Json, name: &str) -> Result<Option<T>, JsonError> {
     v.field_opt(name)?.map(T::from_json).transpose()
 }
 
@@ -330,7 +362,7 @@ impl Response {
     /// Returns a [`JsonError`] for malformed JSON or a malformed error
     /// body.
     pub fn from_json(v: &Json) -> Result<Response, JsonError> {
-        let id = optional(v, "id")?.unwrap_or(0);
+        let id = field(v, "id")?.unwrap_or(0);
         let ok: bool = FromJson::from_json(v.field("ok")?)?;
         let mut payload = Vec::new();
         let mut error = None;
@@ -356,7 +388,7 @@ impl Response {
                         error = Some(ErrorBody {
                             code,
                             message,
-                            retry_after_ms: optional(val, "retry_after_ms")?,
+                            retry_after_ms: field(val, "retry_after_ms")?,
                         });
                     }
                     _ => payload.push((k.clone(), val.clone())),
@@ -372,7 +404,8 @@ impl Response {
     }
 }
 
-/// Read one JSONL message from `reader`: `Ok(None)` at end-of-stream,
+/// Read one JSONL message from `reader` into `line`, a buffer the caller
+/// keeps from one message to the next: `Ok(None)` at end-of-stream,
 /// otherwise the parsed line. Empty lines are skipped (a tolerant framing
 /// for hand-driven `nc` sessions).
 ///
@@ -380,17 +413,19 @@ impl Response {
 ///
 /// Returns an I/O error from the underlying reader, or `InvalidData` for
 /// a line that is not valid JSON.
-pub fn read_json_line(reader: &mut impl BufRead) -> std::io::Result<Option<Json>> {
-    let mut line = String::new();
+pub fn read_json_line(
+    reader: &mut impl BufRead,
+    line: &mut String,
+) -> std::io::Result<Option<Json>> {
     loop {
         line.clear();
-        if reader.read_line(&mut line)? == 0 {
+        if reader.read_line(line)? == 0 {
             return Ok(None);
         }
         if line.trim().is_empty() {
             continue;
         }
-        return Json::parse(&line)
+        return Json::parse(line)
             .map(Some)
             .map_err(|e| std::io::Error::new(std::io::ErrorKind::InvalidData, e.message));
     }
@@ -409,6 +444,127 @@ pub fn write_json_line(writer: &mut impl Write, json: &Json) -> std::io::Result<
     writer.flush()
 }
 
+/// The writer of every server reply. A reply line goes out in three
+/// parts, in one vectored write where the socket takes it whole:
+///
+/// - the head: `{"id":…,"ok":…` and every field up to the memoized body;
+/// - the body: a cached run's memoized text (its report, profile or
+///   summary), sent as is, never copied;
+/// - the tail: the fields after the body (a traced request's `trace_id`
+///   and `trace`), then `}` and the newline.
+///
+/// A reply without a body (an error or a control request) is all head.
+/// The head and tail buffers keep their capacity from one reply to the
+/// next, so a connection that reuses its `Reply` renders a warm reply
+/// without allocating. The bytes are those of [`Response::into_json`]
+/// written compact.
+#[derive(Debug, Default)]
+pub struct Reply {
+    head: String,
+    body: Option<Arc<str>>,
+    tail: String,
+}
+
+impl Reply {
+    /// Start the reply to request `id`, dropping whatever the last one
+    /// held: `{"id":<id>,"ok":<ok>`.
+    pub fn begin(&mut self, id: u64, ok: bool) {
+        self.head.clear();
+        self.tail.clear();
+        self.body = None;
+        self.head.push_str("{\"id\":");
+        id.to_json().write_compact(&mut self.head);
+        self.head
+            .push_str(if ok { ",\"ok\":true" } else { ",\"ok\":false" });
+    }
+
+    /// Append the field `name` with a rendered value.
+    pub fn field(&mut self, name: &str, value: &Json) {
+        value.write_compact(self.key(name));
+    }
+
+    /// Append the string field `name`, escaped as [`Json::Str`] is.
+    pub fn str_field(&mut self, name: &str, value: &str) {
+        write_escaped(self.key(name), value);
+    }
+
+    /// Append the field `name` whose value is `text`, pre-rendered compact
+    /// JSON sent as is. Fields appended after it go to the tail. A reply
+    /// has at most one such field.
+    pub fn body_field(&mut self, name: &str, text: Arc<str>) {
+        debug_assert!(self.body.is_none(), "one body per reply");
+        self.key(name);
+        self.body = Some(text);
+    }
+
+    /// [`Reply::begin`] a failure reply carrying `error`.
+    pub fn error(&mut self, id: u64, error: &ErrorBody) {
+        self.begin(id, false);
+        self.field("error", &error.to_json());
+    }
+
+    /// [`Reply::begin`] a success reply whose fields are those of the
+    /// object `payload`.
+    pub fn success(&mut self, id: u64, payload: &Json) {
+        self.begin(id, true);
+        if let Json::Obj(fields) = payload {
+            for (name, value) in fields {
+                self.field(name, value);
+            }
+        }
+    }
+
+    /// Close the line (`}` and a newline) and write head, body and tail
+    /// to `writer`, resubmitting whatever a short write left.
+    ///
+    /// # Errors
+    ///
+    /// Returns the writer's error, or `WriteZero` when it takes nothing.
+    pub fn send(&mut self, writer: &mut impl Write) -> std::io::Result<()> {
+        self.part().push_str("}\n");
+        let body = self.body.as_deref().unwrap_or_default();
+        let mut parts = [
+            IoSlice::new(self.head.as_bytes()),
+            IoSlice::new(body.as_bytes()),
+            IoSlice::new(self.tail.as_bytes()),
+        ];
+        let mut parts = &mut parts[..];
+        IoSlice::advance_slices(&mut parts, 0);
+        while !parts.is_empty() {
+            match writer.write_vectored(parts) {
+                Ok(0) => {
+                    return Err(std::io::Error::new(
+                        std::io::ErrorKind::WriteZero,
+                        "failed to write the whole reply",
+                    ))
+                }
+                Ok(n) => IoSlice::advance_slices(&mut parts, n),
+                Err(e) if e.kind() == std::io::ErrorKind::Interrupted => {}
+                Err(e) => return Err(e),
+            }
+        }
+        writer.flush()
+    }
+
+    /// The buffer fields are appended to: the tail once a body is set.
+    fn part(&mut self) -> &mut String {
+        if self.body.is_some() {
+            &mut self.tail
+        } else {
+            &mut self.head
+        }
+    }
+
+    /// Append `,"<name>":` and return the buffer its value goes to.
+    fn key(&mut self, name: &str) -> &mut String {
+        let out = self.part();
+        out.push(',');
+        write_escaped(out, name);
+        out.push(':');
+        out
+    }
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -416,12 +572,12 @@ mod tests {
     #[test]
     fn request_roundtrips_with_defaults() {
         let r = Request::run(7, "rodinia/nn");
-        let parsed = Request::from_json(&r.to_json()).unwrap();
+        let parsed = Request::from_json(r.to_json()).unwrap();
         assert_eq!(parsed, r);
 
         // A minimal wire request takes the documented defaults.
         let minimal = Json::parse(r#"{"kind":"run","kernel":"rodinia/nn"}"#).unwrap();
-        let parsed = Request::from_json(&minimal).unwrap();
+        let parsed = Request::from_json(minimal).unwrap();
         assert_eq!(parsed.id, 0);
         assert_eq!(parsed.design, "regless");
         assert_eq!(parsed.capacity, None);
@@ -433,7 +589,7 @@ mod tests {
             compressor: Some(false),
             ..Request::run(8, "rodinia/nn")
         };
-        assert_eq!(Request::from_json(&aliased.to_json()).unwrap(), aliased);
+        assert_eq!(Request::from_json(aliased.to_json()).unwrap(), aliased);
         assert_eq!(parsed.timeout_ms, None);
     }
 
@@ -450,7 +606,7 @@ mod tests {
         let traced = Request::run(7, "rodinia/nn").with_trace_id("00000000deadbeef");
         let wire = traced.to_json().to_string_compact();
         assert!(wire.contains(r#""trace_id":"00000000deadbeef""#), "{wire}");
-        let parsed = Request::from_json(&Json::parse(&wire).unwrap()).unwrap();
+        let parsed = Request::from_json(Json::parse(&wire).unwrap()).unwrap();
         assert_eq!(parsed, traced);
         assert_eq!(parsed.trace_id.as_deref(), Some("00000000deadbeef"));
     }
@@ -469,7 +625,7 @@ mod tests {
                 "baggage":{"tenant":"ci"}}"#,
         )
         .unwrap();
-        let parsed = Request::from_json(&futuristic).expect("unknown fields ignored");
+        let parsed = Request::from_json(futuristic).expect("unknown fields ignored");
         assert_eq!(parsed.id, 5);
         assert_eq!(parsed.kind, RequestKind::Run);
         assert_eq!(parsed.kernel.as_deref(), Some("rodinia/nn"));
@@ -488,13 +644,13 @@ mod tests {
         assert_eq!(RequestKind::Metrics.as_str(), "metrics");
         assert!(!RequestKind::Metrics.is_simulation());
         let req = Request::control(4, RequestKind::Metrics);
-        assert_eq!(Request::from_json(&req.to_json()).unwrap(), req);
+        assert_eq!(Request::from_json(req.to_json()).unwrap(), req);
     }
 
     #[test]
     fn unknown_kind_is_an_error() {
         let bad = Json::parse(r#"{"kind":"frobnicate"}"#).unwrap();
-        assert!(Request::from_json(&bad).is_err());
+        assert!(Request::from_json(bad).is_err());
     }
 
     #[test]
@@ -556,10 +712,185 @@ mod tests {
     fn jsonl_framing_skips_blank_lines_and_detects_eof() {
         let text = "\n{\"kind\":\"stats\"}\n\n{\"kind\":\"shutdown\"}\n";
         let mut reader = std::io::BufReader::new(text.as_bytes());
-        let a = read_json_line(&mut reader).unwrap().unwrap();
+        let mut line = String::new();
+        let a = read_json_line(&mut reader, &mut line).unwrap().unwrap();
         assert_eq!(a.field("kind").unwrap(), &Json::Str("stats".to_string()));
-        let b = read_json_line(&mut reader).unwrap().unwrap();
+        let b = read_json_line(&mut reader, &mut line).unwrap().unwrap();
         assert_eq!(b.field("kind").unwrap(), &Json::Str("shutdown".to_string()));
-        assert!(read_json_line(&mut reader).unwrap().is_none());
+        assert!(read_json_line(&mut reader, &mut line).unwrap().is_none());
+    }
+
+    /// Accepts at most 7 bytes per call, across slice boundaries, and
+    /// fails every third call with `Interrupted`.
+    struct Trickle {
+        bytes: Vec<u8>,
+        calls: usize,
+    }
+
+    impl Write for Trickle {
+        fn write(&mut self, buf: &[u8]) -> std::io::Result<usize> {
+            self.write_vectored(&[IoSlice::new(buf)])
+        }
+
+        fn write_vectored(&mut self, bufs: &[IoSlice<'_>]) -> std::io::Result<usize> {
+            self.calls += 1;
+            if self.calls.is_multiple_of(3) {
+                return Err(std::io::ErrorKind::Interrupted.into());
+            }
+            let before = self.bytes.len();
+            for b in bufs {
+                let room = 7 - (self.bytes.len() - before);
+                self.bytes.extend_from_slice(&b[..b.len().min(room)]);
+            }
+            Ok(self.bytes.len() - before)
+        }
+
+        fn flush(&mut self) -> std::io::Result<()> {
+            Ok(())
+        }
+    }
+
+    /// A string that needs every kind of escape, and multi-byte UTF-8.
+    const AWKWARD: &str = "a \"quoted\" back\\slash\n\r\t\u{1}\u{1f} ünïcøde 😀";
+
+    /// The three reply shapes: a run with a body and traced tail fields,
+    /// an error with a retry hint, and a control payload; each with the
+    /// `Response` it must render exactly as.
+    fn shapes() -> Vec<(Reply, Response)> {
+        let body: Arc<str> = Arc::from(r#"{"cycles":42,"sm_stats":[{"insns":7}]}"#);
+        let mut run = Reply::default();
+        run.begin(3, true);
+        run.str_field("kind", "run");
+        run.str_field("design", AWKWARD);
+        run.field("cycles", &Json::Int(42));
+        run.field("ipc", &Json::Float(0.1 + 0.2));
+        run.body_field("report", Arc::clone(&body));
+        run.str_field("trace_id", "00000000000abc12");
+        run.field("trace", &Json::Arr(vec![Json::Int(1), Json::Null]));
+        let run_resp = Response::success(
+            3,
+            Json::Obj(vec![
+                ("kind".to_string(), Json::Str("run".to_string())),
+                ("design".to_string(), Json::Str(AWKWARD.to_string())),
+                ("cycles".to_string(), Json::Int(42)),
+                ("ipc".to_string(), Json::Float(0.1 + 0.2)),
+                ("report".to_string(), Json::Raw(body)),
+                (
+                    "trace_id".to_string(),
+                    Json::Str("00000000000abc12".to_string()),
+                ),
+                (
+                    "trace".to_string(),
+                    Json::Arr(vec![Json::Int(1), Json::Null]),
+                ),
+            ]),
+        );
+        let error = ErrorBody {
+            code: ErrorCode::QueueFull,
+            message: format!("queue full {AWKWARD}"),
+            retry_after_ms: Some(250),
+        };
+        let mut failure = Reply::default();
+        failure.error(u64::MAX, &error);
+        let payload = Json::Obj(vec![
+            ("kind".to_string(), Json::Str("stats".to_string())),
+            ("draining".to_string(), Json::Bool(false)),
+        ]);
+        let mut control = Reply::default();
+        control.success(0, &payload);
+        vec![
+            (run, run_resp),
+            (failure, Response::failure(u64::MAX, error)),
+            (control, Response::success(0, payload)),
+        ]
+    }
+
+    fn wire(resp: Response) -> Vec<u8> {
+        let mut line = resp.into_json().to_string_compact();
+        line.push('\n');
+        line.into_bytes()
+    }
+
+    #[test]
+    fn replies_render_as_their_responses() {
+        for (mut reply, resp) in shapes() {
+            let expected = wire(resp.clone());
+            let mut sent = Vec::new();
+            reply.send(&mut sent).unwrap();
+            assert_eq!(
+                String::from_utf8(sent).unwrap(),
+                String::from_utf8(expected.clone()).unwrap()
+            );
+            let line = std::str::from_utf8(&expected).unwrap();
+            let parsed = Response::from_json(&Json::parse(line).unwrap()).unwrap();
+            if resp.payload_field("report").is_none() {
+                assert_eq!(parsed, resp, "{line}");
+            }
+        }
+    }
+
+    #[test]
+    fn short_and_interrupted_writes_are_resubmitted() {
+        for (mut reply, resp) in shapes() {
+            let mut trickle = Trickle {
+                bytes: Vec::new(),
+                calls: 0,
+            };
+            reply.send(&mut trickle).unwrap();
+            let expected = wire(resp);
+            assert_eq!(trickle.bytes, expected);
+            assert!(trickle.calls > expected.len() / 7, "{}", trickle.calls);
+        }
+    }
+
+    #[test]
+    fn a_writer_that_takes_nothing_is_an_error() {
+        struct Full;
+        impl Write for Full {
+            fn write(&mut self, _: &[u8]) -> std::io::Result<usize> {
+                Ok(0)
+            }
+            fn flush(&mut self) -> std::io::Result<()> {
+                Ok(())
+            }
+        }
+        let (mut reply, _) = shapes().swap_remove(0);
+        let err = reply.send(&mut Full).unwrap_err();
+        assert_eq!(err.kind(), std::io::ErrorKind::WriteZero);
+    }
+
+    #[test]
+    fn a_reused_reply_carries_nothing_over() {
+        let mut shapes = shapes();
+        let (_, control) = shapes.pop().unwrap();
+        let (_, failure) = shapes.pop().unwrap();
+        let (mut reply, _) = shapes.pop().unwrap();
+        reply.send(&mut Vec::new()).unwrap();
+        // The traced run above left a body and a tail behind.
+        let mut sent = Vec::new();
+        reply.error(u64::MAX, failure.error.as_ref().unwrap());
+        reply.send(&mut sent).unwrap();
+        assert_eq!(sent, wire(failure));
+        sent.clear();
+        reply.success(0, &control.payload);
+        reply.send(&mut sent).unwrap();
+        assert_eq!(sent, wire(control));
+    }
+
+    #[test]
+    fn string_fields_are_escaped_as_json_strings() {
+        let mut reply = Reply::default();
+        reply.begin(1, true);
+        reply.str_field("design", AWKWARD);
+        let mut sent = Vec::new();
+        reply.send(&mut sent).unwrap();
+        let line = String::from_utf8(sent).unwrap();
+        let parsed = Json::parse(&line).unwrap();
+        assert_eq!(
+            parsed.field("design").unwrap(),
+            &Json::Str(AWKWARD.to_string())
+        );
+        let echoed = Json::Str(AWKWARD.to_string()).to_string_compact();
+        assert!(line.contains(&format!(",\"design\":{echoed}}}")), "{line}");
     }
 }

@@ -8,15 +8,13 @@
 //! simulator under `catch_unwind` with a [`CancelToken`] threaded into
 //! the tick loop, and publishes the result to every waiter at once.
 
-use crate::proto::{
-    read_json_line, write_json_line, ErrorBody, ErrorCode, Request, RequestKind, Response,
-};
+use crate::proto::{read_json_line, ErrorBody, ErrorCode, Reply, Request, RequestKind};
 use regless_bench::registry;
 use regless_bench::sweep::{bench_kernel, bench_kernel_name, rodinia_id, CachedRun, SweepEngine};
 use regless_bench::{eval_gpu, Attach, DesignKind, RunError};
 use regless_isa::text::parse_kernel;
 use regless_isa::Kernel;
-use regless_json::{Json, ToJson};
+use regless_json::{FromJson, Json, ToJson};
 use regless_sim::{CancelToken, RunReport, SimError};
 use regless_telemetry::obs::{
     epoch_us, format_trace_id, parse_trace_id, EventLog, LogLevel, MetricsSnapshot, Span,
@@ -24,12 +22,13 @@ use regless_telemetry::obs::{
 };
 use regless_telemetry::Log2Histogram;
 use regless_workloads::rodinia;
+use std::borrow::Cow;
 use std::collections::{HashMap, VecDeque};
-use std::io::{BufReader, BufWriter};
+use std::io::BufReader;
 use std::net::{SocketAddr, TcpListener, TcpStream};
 use std::panic::{catch_unwind, AssertUnwindSafe};
 use std::sync::atomic::{AtomicBool, AtomicU64, AtomicUsize, Ordering};
-use std::sync::{Arc, Condvar, Mutex};
+use std::sync::{Arc, Condvar, LockResult, Mutex};
 use std::time::{Duration, Instant};
 
 /// Server tuning knobs.
@@ -93,22 +92,37 @@ struct JobKey {
 }
 
 /// What a request simulates, as resolved from its kernel spec.
-enum JobKernel {
+enum JobKernel<'a> {
     /// A built-in benchmark id and its kernel name. Its result is a
     /// deterministic function of the id, so it is cached under the sweep
     /// engine's fingerprint; the kernel itself is generated only by the
-    /// worker that simulates it, never on a cache hit.
-    Bench { id: String, name: &'static str },
+    /// worker that simulates it, never on a cache hit. The id borrows the
+    /// request's text when that spells it whole.
+    Bench {
+        id: Cow<'a, str>,
+        name: &'static str,
+    },
     /// A parsed `.asm` file: uncached (the cache is keyed by id, not
     /// content).
     File(Kernel),
 }
 
-impl JobKernel {
+impl JobKernel<'_> {
     fn name(&self) -> &str {
         match self {
             JobKernel::Bench { name, .. } => name,
             JobKernel::File(kernel) => kernel.name(),
+        }
+    }
+
+    /// This kernel with its id owned, so a job can outlive the request.
+    fn into_owned(self) -> JobKernel<'static> {
+        match self {
+            JobKernel::Bench { id, name } => JobKernel::Bench {
+                id: Cow::Owned(id.into_owned()),
+                name,
+            },
+            JobKernel::File(kernel) => JobKernel::File(kernel),
         }
     }
 }
@@ -116,7 +130,7 @@ impl JobKernel {
 /// One admitted simulation, shared by every coalesced waiter.
 struct Job {
     key: JobKey,
-    kernel: JobKernel,
+    kernel: JobKernel<'static>,
     /// Deadline-free token: waiters each enforce their own deadline, and
     /// only the *last* abandoning waiter cancels the simulation (an early
     /// short deadline must not kill work a patient waiter still wants).
@@ -231,7 +245,23 @@ struct Shared {
     log: EventLog,
 }
 
+/// A lock's guard, or what a condvar wait returns. A poisoned lock means
+/// a thread panicked while it held one of serve's locks, outside the
+/// `catch_unwind` that isolates simulations: a bug in this file, after
+/// which the state the lock guards cannot be trusted.
+#[allow(clippy::expect_used)] // poisoning is a server bug, not a client's input
+fn unpoisoned<T>(result: LockResult<T>) -> T {
+    result.expect("serve lock poisoned")
+}
+
 impl Shared {
+    /// Close the job queue: no job is pushed again, and idle workers wake
+    /// to drain what is left and exit.
+    fn close_queue(&self) {
+        unpoisoned(self.queue.lock()).closed = true;
+        self.queue_cv.notify_all();
+    }
+
     /// The `stats` payload: [`Shared::snapshot`] projected onto flat keys
     /// ([`MetricsSnapshot::stats_fields`]) plus the fields that are not
     /// metrics.
@@ -258,7 +288,7 @@ impl Shared {
     /// Retry-after hint for `queue_full`: roughly one mean request
     /// latency, clamped to a sane band; 250 ms before any data exists.
     fn retry_after_ms(&self) -> u64 {
-        let l = self.latency.lock().expect("latency poisoned");
+        let l = unpoisoned(self.latency.lock());
         let mut merged = l.run.clone();
         merged.merge(&l.profile);
         merged.merge(&l.report);
@@ -274,7 +304,7 @@ impl Shared {
             self.log
                 .log(LogLevel::Info, OBS_PROCESS, "drain requested", None, &[]);
         }
-        let mut stopped = self.stop.lock().expect("stop poisoned");
+        let mut stopped = unpoisoned(self.stop.lock());
         *stopped = true;
         self.stop_cv.notify_all();
     }
@@ -339,7 +369,7 @@ impl Shared {
         snap.gauge(
             "regless_serve_queue_depth",
             "Jobs queued and not yet running",
-            self.queue.lock().expect("queue poisoned").jobs.len() as f64,
+            unpoisoned(self.queue.lock()).jobs.len() as f64,
         );
         snap.gauge(
             "regless_serve_queue_capacity",
@@ -357,7 +387,7 @@ impl Shared {
             self.log.dropped(),
         );
         {
-            let l = self.latency.lock().expect("latency poisoned");
+            let l = unpoisoned(self.latency.lock());
             snap.summary(
                 "regless_serve_run_latency_ms",
                 "run request latency in milliseconds",
@@ -415,7 +445,8 @@ impl Server {
     ///
     /// # Errors
     ///
-    /// Returns the bind error if the address is unavailable.
+    /// Returns the bind error if the address is unavailable, or the error
+    /// of a thread that could not be spawned.
     pub fn start(config: ServeConfig, engine: Arc<SweepEngine>) -> std::io::Result<ServerHandle> {
         let listener = TcpListener::bind(&config.addr)?;
         let addr = listener.local_addr()?;
@@ -447,27 +478,28 @@ impl Server {
             started: Instant::now(),
             log: EventLog::new(DEFAULT_LOG_CAPACITY),
         });
-        let worker_handles = (0..workers)
+        let threads = (0..workers)
             .map(|i| {
                 let shared = Arc::clone(&shared);
                 std::thread::Builder::new()
                     .name(format!("regless-worker-{i}"))
                     .spawn(move || worker_loop(&shared))
-                    .expect("spawn worker")
             })
-            .collect();
-        let accept = {
-            let shared = Arc::clone(&shared);
-            std::thread::Builder::new()
-                .name("regless-accept".to_string())
-                .spawn(move || accept_loop(&listener, &shared))
-                .expect("spawn accept thread")
-        };
+            .collect::<std::io::Result<Vec<_>>>()
+            .and_then(|workers| {
+                let shared = Arc::clone(&shared);
+                let accept = std::thread::Builder::new()
+                    .name("regless-accept".to_string())
+                    .spawn(move || accept_loop(&listener, &shared))?;
+                Ok((workers, accept))
+            });
+        // Workers that did start exit once the queue is closed.
+        let (workers, accept) = threads.inspect_err(|_| shared.close_queue())?;
         Ok(ServerHandle {
             addr,
             shared,
             accept: Some(accept),
-            workers: worker_handles,
+            workers,
         })
     }
 }
@@ -486,9 +518,9 @@ impl ServerHandle {
     /// Block until a `shutdown` request arrives (or [`Self::shutdown`] is
     /// called from another thread).
     pub fn wait_for_shutdown(&self) {
-        let mut stopped = self.shared.stop.lock().expect("stop poisoned");
+        let mut stopped = unpoisoned(self.shared.stop.lock());
         while !*stopped {
-            stopped = self.shared.stop_cv.wait(stopped).expect("stop cv poisoned");
+            stopped = unpoisoned(self.shared.stop_cv.wait(stopped));
         }
     }
 
@@ -502,19 +534,15 @@ impl ServerHandle {
     /// turns that into a non-zero exit.
     pub fn drain(mut self) -> Result<(), usize> {
         self.shared.request_shutdown();
-        {
-            let mut q = self.shared.queue.lock().expect("queue poisoned");
-            q.closed = true;
-            self.shared.queue_cv.notify_all();
-        }
+        self.shared.close_queue();
         let deadline = self.shared.config.drain_timeout;
         let (live, timed_out) = {
-            let guard = self.shared.live_workers.lock().expect("workers poisoned");
-            let (guard, res) = self
-                .shared
-                .workers_cv
-                .wait_timeout_while(guard, deadline, |n| *n > 0)
-                .expect("workers cv poisoned");
+            let guard = unpoisoned(self.shared.live_workers.lock());
+            let (guard, res) = unpoisoned(self.shared.workers_cv.wait_timeout_while(
+                guard,
+                deadline,
+                |n| *n > 0,
+            ));
             (*guard, res.timed_out())
         };
         if timed_out && live > 0 {
@@ -553,13 +581,16 @@ fn accept_loop(listener: &TcpListener, shared: &Arc<Shared>) {
 }
 
 fn connection_loop(stream: TcpStream, shared: &Arc<Shared>) {
-    let Ok(write_half) = stream.try_clone() else {
+    let Ok(mut writer) = stream.try_clone() else {
         return;
     };
     let mut reader = BufReader::new(stream);
-    let mut writer = BufWriter::new(write_half);
+    // Both buffers live as long as the connection, so a warm request
+    // reuses their capacity instead of allocating its own.
+    let mut line = String::new();
+    let mut reply = Reply::default();
     loop {
-        let json = match read_json_line(&mut reader) {
+        let json = match read_json_line(&mut reader, &mut line) {
             Ok(Some(v)) => v,
             Ok(None) | Err(_) => return,
         };
@@ -568,20 +599,20 @@ fn connection_loop(stream: TcpStream, shared: &Arc<Shared>) {
             .field_opt("id")
             .ok()
             .flatten()
-            .and_then(|v| regless_json::FromJson::from_json(v).ok())
-            .unwrap_or(0u64);
-        let (response, stop) = match Request::from_json(&json) {
-            Ok(req) => (
-                handle_request(shared, &req),
-                matches!(req.kind, RequestKind::Shutdown),
-            ),
-            Err(e) => (
-                Response::failure(id, ErrorBody::new(ErrorCode::BadRequest, e.message)),
-                false,
-            ),
+            .and_then(|v| u64::from_json(v).ok())
+            .unwrap_or(0);
+        let stop = match Request::from_json(json) {
+            Ok(req) => {
+                handle_request(shared, &req, &mut reply);
+                matches!(req.kind, RequestKind::Shutdown)
+            }
+            Err(e) => {
+                reply.error(id, &ErrorBody::new(ErrorCode::BadRequest, e.message));
+                false
+            }
         };
-        let written = write_json_line(&mut writer, &response.into_json());
-        // A `shutdown` is signalled only once its reply is flushed: with
+        let written = reply.send(&mut writer);
+        // A `shutdown` is signalled only once its reply is written: with
         // nothing in flight the drain returns at once, and the process may
         // exit before a reply written later reaches the socket.
         if stop {
@@ -597,12 +628,12 @@ fn connection_loop(stream: TcpStream, shared: &Arc<Shared>) {
 /// first, then bare Rodinia names, then `.asm` files (uncacheable — the
 /// cache is keyed by id, not content). Benchmark ids resolve by name
 /// alone; only files are read and parsed here.
-fn resolve_kernel(spec: &str) -> Result<JobKernel, ErrorBody> {
+fn resolve_kernel(spec: &str) -> Result<JobKernel<'_>, ErrorBody> {
     // A bare Rodinia name aliases its benchmark id.
     let id = if rodinia::NAMES.contains(&spec) {
-        rodinia_id(spec)
+        Cow::Owned(rodinia_id(spec))
     } else {
-        spec.to_string()
+        Cow::Borrowed(spec)
     };
     if let Some(name) = bench_kernel_name(&id) {
         return Ok(JobKernel::Bench { id, name });
@@ -620,39 +651,43 @@ fn resolve_kernel(spec: &str) -> Result<JobKernel, ErrorBody> {
     ))
 }
 
-fn handle_request(shared: &Arc<Shared>, req: &Request) -> Response {
+/// Answer one request into `reply`.
+fn handle_request(shared: &Arc<Shared>, req: &Request, reply: &mut Reply) {
     match req.kind {
-        RequestKind::Stats => Response::success(req.id, shared.stats_json()),
-        RequestKind::Metrics => Response::success(req.id, shared.metrics_json()),
+        RequestKind::Stats => reply.success(req.id, &shared.stats_json()),
+        RequestKind::Metrics => reply.success(req.id, &shared.metrics_json()),
         // The connection loop signals the stop after sending this reply.
-        RequestKind::Shutdown => Response::success(
-            req.id,
-            Json::Obj(vec![("draining".to_string(), Json::Bool(true))]),
-        ),
+        RequestKind::Shutdown => {
+            reply.begin(req.id, true);
+            reply.field("draining", &Json::Bool(true));
+        }
         RequestKind::Run | RequestKind::Profile | RequestKind::Report => {
-            handle_simulation(shared, req)
+            if let Err(e) = handle_simulation(shared, req, reply) {
+                reply.error(req.id, &e);
+            }
         }
     }
 }
 
-fn handle_simulation(shared: &Arc<Shared>, req: &Request) -> Response {
+/// Answer a simulation request into `reply`, from the cache, a job it
+/// coalesces onto or one it admits; the error is the reply otherwise.
+fn handle_simulation(
+    shared: &Arc<Shared>,
+    req: &Request,
+    reply: &mut Reply,
+) -> Result<(), ErrorBody> {
     shared.counters.submitted.fetch_add(1, Ordering::Relaxed);
     if shared.shutdown.load(Ordering::Acquire) {
-        return Response::failure(
-            req.id,
-            ErrorBody::new(ErrorCode::ShuttingDown, "server is draining"),
-        );
+        return Err(ErrorBody::new(
+            ErrorCode::ShuttingDown,
+            "server is draining",
+        ));
     }
-    let design = match resolve_design(req) {
-        Ok(d) => d,
-        Err(e) => return Response::failure(req.id, e),
-    };
-    let Some(spec) = req.kernel.as_deref() else {
-        return Response::failure(
-            req.id,
-            ErrorBody::new(ErrorCode::BadRequest, "missing `kernel`"),
-        );
-    };
+    let design = resolve_design(req)?;
+    let spec = req
+        .kernel
+        .as_deref()
+        .ok_or_else(|| ErrorBody::new(ErrorCode::BadRequest, "missing `kernel`"))?;
     // Trace context, when the client stamped a parseable trace_id. All
     // span bookkeeping is gated on it: untraced requests take the exact
     // pre-tracing path (and traced ones only ever read wall clocks the
@@ -665,10 +700,7 @@ fn handle_simulation(shared: &Arc<Shared>, req: &Request) -> Response {
             id,
             spans: Vec::new(),
         });
-    let kernel = match TraceCtx::timed(&mut trace, "admission", || resolve_kernel(spec)).0 {
-        Ok(k) => k,
-        Err(e) => return Response::failure(req.id, e),
-    };
+    let kernel = TraceCtx::timed(&mut trace, "admission", || resolve_kernel(spec)).0?;
     let started = Instant::now();
 
     // Fast path: a benchmark already in the shared cache never queues,
@@ -683,17 +715,15 @@ fn handle_simulation(shared: &Arc<Shared>, req: &Request) -> Response {
         }
         if let Some(run) = hit {
             shared.counters.cache_hits.fetch_add(1, Ordering::Relaxed);
-            return finish_ok(shared, req, design, name, &run, "cache", started, trace);
+            finish_ok(
+                shared, req, design, name, &run, "cache", started, trace, reply,
+            );
+            return Ok(());
         }
     }
 
-    let job = match admit(shared, req, design, kernel) {
-        Ok(job) => job,
-        Err(e) => return Response::failure(req.id, e),
-    };
-    let coalesced = job.1;
+    let (job, coalesced) = admit(shared, req, spec, design, kernel)?;
     let source = if coalesced { "coalesced" } else { "simulated" };
-    let job = job.0;
     if let Some(t) = trace.as_mut() {
         if coalesced {
             t.spans
@@ -704,7 +734,7 @@ fn handle_simulation(shared: &Arc<Shared>, req: &Request) -> Response {
     // Wait for the worker (or an already-published result), enforcing
     // this waiter's own deadline.
     let deadline = req.timeout_ms.map(Duration::from_millis);
-    let mut result = job.result.lock().expect("job result poisoned");
+    let mut result = unpoisoned(job.result.lock());
     loop {
         if let Some(outcome) = result.as_ref() {
             let outcome = outcome.clone();
@@ -731,35 +761,25 @@ fn handle_simulation(shared: &Arc<Shared>, req: &Request) -> Response {
                     );
                 }
             }
-            return match outcome {
-                Ok(run) => finish_ok(
-                    shared,
-                    req,
-                    design,
-                    job.kernel.name(),
-                    &run,
-                    source,
-                    started,
-                    trace,
-                ),
-                Err(e) => Response::failure(req.id, e),
-            };
+            let run = outcome?;
+            let kernel = job.kernel.name();
+            finish_ok(
+                shared, req, design, kernel, &run, source, started, trace, reply,
+            );
+            return Ok(());
         }
         match deadline {
             Some(limit) => {
                 let elapsed = started.elapsed();
                 if elapsed >= limit {
                     drop(result);
-                    return abandon(shared, req, &job, elapsed);
+                    return Err(abandon(shared, req, &job, elapsed));
                 }
-                let (guard, _) = job
-                    .done
-                    .wait_timeout(result, limit - elapsed)
-                    .expect("job cv poisoned");
+                let (guard, _) = unpoisoned(job.done.wait_timeout(result, limit - elapsed));
                 result = guard;
             }
             None => {
-                result = job.done.wait(result).expect("job cv poisoned");
+                result = unpoisoned(job.done.wait(result));
             }
         }
     }
@@ -771,20 +791,18 @@ fn handle_simulation(shared: &Arc<Shared>, req: &Request) -> Response {
 fn admit(
     shared: &Arc<Shared>,
     req: &Request,
+    spec: &str,
     design: DesignKind,
-    kernel: JobKernel,
+    kernel: JobKernel<'_>,
 ) -> Result<(Arc<Job>, bool), ErrorBody> {
     let key = JobKey {
         kernel: match &kernel {
-            JobKernel::Bench { id, .. } => id.clone(),
-            JobKernel::File(_) => req
-                .kernel
-                .clone()
-                .expect("simulation requests have kernels"),
+            JobKernel::Bench { id, .. } => id.to_string(),
+            JobKernel::File(_) => spec.to_string(),
         },
         design,
     };
-    let mut pending = shared.pending.lock().expect("pending poisoned");
+    let mut pending = unpoisoned(shared.pending.lock());
     if let Some(job) = pending.get(&key) {
         job.waiters.fetch_add(1, Ordering::AcqRel);
         shared
@@ -795,7 +813,7 @@ fn admit(
     }
     // Admission control: the queue bound is checked under the pending
     // lock so coalescing and rejection cannot race each other.
-    let mut queue = shared.queue.lock().expect("queue poisoned");
+    let mut queue = unpoisoned(shared.queue.lock());
     if queue.closed {
         return Err(ErrorBody::new(
             ErrorCode::ShuttingDown,
@@ -831,7 +849,7 @@ fn admit(
     }
     let job = Arc::new(Job {
         key: key.clone(),
-        kernel,
+        kernel: kernel.into_owned(),
         token: CancelToken::new(),
         waiters: AtomicUsize::new(1),
         result: Mutex::new(None),
@@ -851,33 +869,32 @@ fn admit(
 /// This waiter's deadline expired. The *last* waiter to abandon a job
 /// cancels its token, so the simulation stops at the next cycle boundary
 /// instead of burning a worker for a result nobody wants.
-fn abandon(shared: &Arc<Shared>, req: &Request, job: &Arc<Job>, elapsed: Duration) -> Response {
+fn abandon(shared: &Arc<Shared>, req: &Request, job: &Arc<Job>, elapsed: Duration) -> ErrorBody {
     shared.counters.timeouts.fetch_add(1, Ordering::Relaxed);
     if job.waiters.fetch_sub(1, Ordering::AcqRel) == 1 {
         job.token.cancel();
     }
-    Response::failure(
-        req.id,
-        ErrorBody::new(
-            ErrorCode::Timeout,
-            format!(
-                "deadline of {} ms exceeded after {} ms; simulation cancelled cooperatively",
-                req.timeout_ms.unwrap_or(0),
-                elapsed.as_millis()
-            ),
+    ErrorBody::new(
+        ErrorCode::Timeout,
+        format!(
+            "deadline of {} ms exceeded after {} ms; simulation cancelled cooperatively",
+            req.timeout_ms.unwrap_or(0),
+            elapsed.as_millis()
         ),
     )
 }
 
-/// Render a successful result for the request's kind and record latency.
-/// Every payload is spliced as compact text rendered once per cached run
-/// and shared by every later reply: the report for `run`, the profile
+/// Write a successful result for the request's kind into `reply` and
+/// record latency. The head carries the fields that depend on the request
+/// (its id, kind and design text, where the run came from) and the run's
+/// memoized cycles and IPC; the body is the text rendered once per cached
+/// run and shared by every later reply: the report for `run`, the profile
 /// for `profile` and the summary for `report`. The top-level `design`
 /// echoes the request; the profile and summary name the point that ran,
 /// as `regless profile` and `regless report` do. A traced request gets a
-/// `serialize` span covering the payload render, then its whole span
-/// collection back as the `trace` payload field — appended *after* the
-/// report so the report bytes are untouched.
+/// `serialize` span covering the head render, then its whole span
+/// collection back in the tail as the `trace` field — *after* the body,
+/// so the report bytes are untouched.
 #[allow(clippy::too_many_arguments)]
 fn finish_ok(
     shared: &Arc<Shared>,
@@ -888,10 +905,11 @@ fn finish_ok(
     source: &str,
     started: Instant,
     mut trace: Option<TraceCtx>,
-) -> Response {
+    reply: &mut Reply,
+) {
     let elapsed_ms = u64::try_from(started.elapsed().as_millis()).unwrap_or(u64::MAX);
     {
-        let mut l = shared.latency.lock().expect("latency poisoned");
+        let mut l = unpoisoned(shared.latency.lock());
         match req.kind {
             RequestKind::Run => l.run.record(elapsed_ms),
             RequestKind::Profile => l.profile.record(elapsed_ms),
@@ -899,44 +917,31 @@ fn finish_ok(
         }
     }
     shared.counters.completed.fetch_add(1, Ordering::Relaxed);
-    let (mut payload, _) = TraceCtx::timed(&mut trace, "serialize", || {
-        let mut payload = vec![
-            ("kind".to_string(), Json::Str(req.kind.as_str().to_string())),
-            ("kernel".to_string(), Json::Str(kernel.to_string())),
-            ("design".to_string(), Json::Str(req.design.clone())),
-            ("source".to_string(), Json::Str(source.to_string())),
-            ("cycles".to_string(), ToJson::to_json(&run.cycles)),
-            ("ipc".to_string(), Json::Float(run.ipc())),
-        ];
+    TraceCtx::timed(&mut trace, "serialize", || {
+        reply.begin(req.id, true);
+        reply.str_field("kind", req.kind.as_str());
+        reply.str_field("kernel", kernel);
+        reply.str_field("design", &req.design);
+        reply.str_field("source", source);
+        reply.field("cycles", &run.cycles.to_json());
+        reply.field("ipc", &Json::Float(run.ipc()));
         match req.kind {
-            RequestKind::Run => {
-                payload.push(("report".to_string(), Json::Raw(run.stable_text())));
-            }
-            RequestKind::Profile => {
-                let text = run.profile_text(kernel, design);
-                payload.push(("profile".to_string(), Json::Raw(text)));
-            }
-            _ => {
-                let text = run.summary_text(kernel, design);
-                payload.push(("summary".to_string(), Json::Raw(text)));
-            }
+            RequestKind::Run => reply.body_field("report", run.stable_text()),
+            RequestKind::Profile => reply.body_field("profile", run.profile_text(kernel, design)),
+            _ => reply.body_field("summary", run.summary_text(kernel, design)),
         }
-        payload
     });
     if let Some(t) = trace {
-        payload.push(("trace_id".to_string(), Json::Str(format_trace_id(t.id))));
-        payload.push((
-            "trace".to_string(),
-            Json::Arr(t.spans.iter().map(Span::to_json).collect()),
-        ));
+        reply.str_field("trace_id", &format_trace_id(t.id));
+        let spans = t.spans.iter().map(Span::to_json).collect();
+        reply.field("trace", &Json::Arr(spans));
     }
-    Response::success(req.id, Json::Obj(payload))
 }
 
 fn worker_loop(shared: &Arc<Shared>) {
     loop {
         let job = {
-            let mut queue = shared.queue.lock().expect("queue poisoned");
+            let mut queue = unpoisoned(shared.queue.lock());
             loop {
                 if let Some(job) = queue.jobs.pop_front() {
                     break Some(job);
@@ -944,13 +949,13 @@ fn worker_loop(shared: &Arc<Shared>) {
                 if queue.closed {
                     break None;
                 }
-                queue = shared.queue_cv.wait(queue).expect("queue cv poisoned");
+                queue = unpoisoned(shared.queue_cv.wait(queue));
             }
         };
         let Some(job) = job else { break };
         run_job(shared, &job);
     }
-    let mut live = shared.live_workers.lock().expect("workers poisoned");
+    let mut live = unpoisoned(shared.live_workers.lock());
     *live -= 1;
     shared.workers_cv.notify_all();
 }
@@ -1019,16 +1024,12 @@ fn run_job(shared: &Arc<Shared>, job: &Arc<Job>) {
     job.sim_done_us.store(epoch_us(), Ordering::Release);
     // Publish: remove from pending first so new arrivals go through the
     // cache (populated above) rather than coalescing onto a dead job.
-    shared
-        .pending
-        .lock()
-        .expect("pending poisoned")
-        .remove(&job.key);
+    unpoisoned(shared.pending.lock()).remove(&job.key);
     // Leave `in_flight` before the result is published: a client that
     // has its reply must not see the finished job in `stats` still.
     shared.counters.in_flight.fetch_sub(1, Ordering::Relaxed);
     {
-        let mut result = job.result.lock().expect("job result poisoned");
+        let mut result = unpoisoned(job.result.lock());
         *result = Some(outcome);
         job.done.notify_all();
     }
@@ -1044,7 +1045,12 @@ fn execute(job: &Arc<Job>) -> Result<RunReport, ErrorBody> {
     let generated;
     let kernel = match &job.kernel {
         JobKernel::Bench { id, .. } => {
-            generated = bench_kernel(id).expect("resolved benchmark ids build");
+            generated = bench_kernel(id).ok_or_else(|| {
+                ErrorBody::new(
+                    ErrorCode::SimFailed,
+                    format!("no kernel for benchmark {id:?}"),
+                )
+            })?;
             &generated
         }
         JobKernel::File(kernel) => kernel,
@@ -1065,6 +1071,7 @@ fn execute(job: &Arc<Job>) -> Result<RunReport, ErrorBody> {
 mod tests {
     use super::*;
     use crate::client::Client;
+    use crate::proto::Response;
     use regless_bench::sweep::SweepMode;
 
     fn test_server(workers: usize, queue_capacity: usize) -> ServerHandle {
@@ -1211,10 +1218,11 @@ mod tests {
         let mut raw = TcpStream::connect(handle.addr()).unwrap();
         let line = r#"{"id":4,"kind":"claim","worker":"w0","protocol_version":3}"#;
         std::io::Write::write_all(&mut raw, format!("{line}\n").as_bytes()).unwrap();
-        let line = crate::proto::read_json_line(&mut std::io::BufReader::new(&raw))
+        let mut line = String::new();
+        let reply = read_json_line(&mut std::io::BufReader::new(&raw), &mut line)
             .unwrap()
             .unwrap();
-        let r = Response::from_json(&line).unwrap();
+        let r = Response::from_json(&reply).unwrap();
         assert_eq!(r.id, 4);
         assert_eq!(r.error_code(), Some("bad_request"), "{r:?}");
         let stats = client
@@ -1448,6 +1456,131 @@ mod tests {
             .unwrap();
         assert!(stats.ok);
         assert_eq!(stats.payload_field("draining"), Some(&Json::Bool(true)));
+        handle.drain().expect("drain");
+    }
+
+    /// Send raw request lines on one connection, all in a single write,
+    /// and read one raw reply line per request.
+    fn raw_replies(addr: SocketAddr, lines: &[&str]) -> Vec<String> {
+        use std::io::{BufRead, Write};
+        let mut stream = TcpStream::connect(addr).unwrap();
+        let batch: String = lines.iter().map(|l| format!("{l}\n")).collect();
+        stream.write_all(batch.as_bytes()).unwrap();
+        let mut reader = std::io::BufReader::new(stream);
+        lines
+            .iter()
+            .map(|_| {
+                let mut reply = String::new();
+                reader.read_line(&mut reply).unwrap();
+                reply
+            })
+            .collect()
+    }
+
+    /// Requests written back to back in one write are answered in order,
+    /// each with the bytes it gets when sent alone.
+    #[test]
+    fn pipelined_requests_are_answered_in_order_with_the_same_bytes() {
+        let handle = test_server(1, 8);
+        let lines = [
+            r#"{"id":1,"kind":"run","kernel":"rodinia/nn","design":"regless:capacity=256"}"#,
+            r#"{"id":2,"kind":"profile","kernel":"nn","design":"regless:capacity=256"}"#,
+            r#"{"id":3,"kind":"run","kernel":"rodinia/nn","design":"no-such-design"}"#,
+            r#"{"id":4,"kind":"report","kernel":"rodinia/nn","design":"regless","capacity":256}"#,
+            r#"{"id":5}"#,
+            r#"{"id":6,"kind":"run","kernel":"rodinia/nn","design":"regless:capacity=256"}"#,
+        ];
+        // Simulate the point once, so every reply below is a cache hit.
+        assert!(raw_replies(handle.addr(), &lines[..1])[0].contains(r#""source":"simulated""#));
+        let alone: Vec<String> = lines
+            .iter()
+            .flat_map(|l| raw_replies(handle.addr(), &[l]))
+            .collect();
+        assert_eq!(raw_replies(handle.addr(), &lines), alone);
+        for (line, reply) in lines.iter().zip(&alone) {
+            let id = Json::parse(line).unwrap().field("id").unwrap().clone();
+            let parsed = Json::parse(reply).unwrap();
+            assert_eq!(parsed.field("id").unwrap(), &id, "{reply}");
+            assert!(reply.ends_with("}\n"), "{reply}");
+        }
+        handle.shutdown();
+        handle.drain().expect("drain");
+    }
+
+    /// Error replies, byte for byte: a malformed request, an unknown kind,
+    /// an unknown design whose text needs escaping (its `{:?}` in the
+    /// message, escaped again on the wire), an unknown kernel, and
+    /// ill-typed fields.
+    #[test]
+    fn error_replies_keep_their_bytes() {
+        let handle = test_server(1, 4);
+        let cases = [
+            (
+                r#"{"id":7}"#,
+                r#"{"id":7,"ok":false,"error":{"code":"bad_request","message":"missing field `kind`"}}"#,
+            ),
+            (
+                r#"{"id":8,"kind":"frobnicate"}"#,
+                r#"{"id":8,"ok":false,"error":{"code":"bad_request","message":"unknown request kind \"frobnicate\""}}"#,
+            ),
+            (
+                r#"{"id":9,"kind":"run","kernel":"rodinia/nn","design":"frob\"nicate\\\n\u0001é"}"#,
+                r#"{"id":9,"ok":false,"error":{"code":"unknown_design","message":"unknown design \"frob\\\"nicate\\\\\\n\\u{1}é\"; valid designs: baseline, regless, regless-nc, rfh, rfv, regdem, compress-rf"}}"#,
+            ),
+            (
+                r#"{"id":10,"kind":"run","kernel":"no/such"}"#,
+                r#"{"id":10,"ok":false,"error":{"code":"bad_request","message":"\"no/such\" is neither a benchmark id nor a readable .asm file"}}"#,
+            ),
+            (
+                r#"[1,2]"#,
+                r#"{"id":0,"ok":false,"error":{"code":"bad_request","message":"expected object with field `id`, got array"}}"#,
+            ),
+            (
+                r#"{"id":"x","kind":"run"}"#,
+                r#"{"id":0,"ok":false,"error":{"code":"bad_request","message":"expected integer, got string"}}"#,
+            ),
+            (
+                r#"{"id":12,"kind":"run","kernel":5}"#,
+                r#"{"id":12,"ok":false,"error":{"code":"bad_request","message":"expected string, got integer"}}"#,
+            ),
+            (
+                r#"{"id":13,"kind":"stats","design":null}"#,
+                r#"{"id":13,"ok":false,"error":{"code":"bad_request","message":"expected string, got null"}}"#,
+            ),
+            (
+                r#"{"id":14,"kind":"run","kernel":"rodinia/nn","timeout_ms":-1}"#,
+                r#"{"id":14,"ok":false,"error":{"code":"bad_request","message":"-1 out of range for u64"}}"#,
+            ),
+            (
+                r#"{"id":15,"kind":"run"}"#,
+                r#"{"id":15,"ok":false,"error":{"code":"bad_request","message":"missing `kernel`"}}"#,
+            ),
+        ];
+        let requests: Vec<&str> = cases.iter().map(|c| c.0).collect();
+        for (reply, (request, expected)) in raw_replies(handle.addr(), &requests).iter().zip(cases)
+        {
+            assert_eq!(reply, &format!("{expected}\n"), "{request}");
+        }
+        handle.shutdown();
+        handle.drain().expect("drain");
+    }
+
+    /// The reply echoes the design text as decoded from the request: here
+    /// spelled with `\u` escapes, echoed as the text they decode to. (A
+    /// design that needs escaping on the way out is never a valid point;
+    /// `error_replies_keep_their_bytes` and the `Reply` tests cover it.)
+    #[test]
+    fn the_design_echo_is_the_decoded_request_text() {
+        let handle = test_server(1, 4);
+        let line = r#"{"id":1,"kind":"report","kernel":"rodinia\/nn","design":"regless\u003acapacity\u003D256"}"#;
+        let reply = &raw_replies(handle.addr(), &[line])[0];
+        assert!(
+            reply.starts_with(
+                r#"{"id":1,"ok":true,"kind":"report","kernel":"nn","design":"regless:capacity=256","source":"simulated","cycles":"#
+            ),
+            "{reply}"
+        );
+        handle.shutdown();
         handle.drain().expect("drain");
     }
 }
